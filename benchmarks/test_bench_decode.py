@@ -1,15 +1,17 @@
-"""Decode-path benchmarks: batched reconstruction vs the seed per-block
-walk.
+"""Decode-path benchmarks: batched reconstruction vs the per-block
+oracle.
 
 The counterpart of ``test_bench_kernels.py`` for the serving side of
 the codec: one encode, then the same bitstream decoded through the
-engine's whole-frame kernels and through the per-block fallback.
+engine's whole-frame kernels and through :mod:`repro.reference`, the
+seed-style per-bit parse + per-block reconstruction oracle.
 Timings (and the speedup) land in ``BENCH_decode.json`` at the repo
 root for CI's regression gate.
 """
 
 import pytest
 
+from repro import reference
 from repro.codec.decoder import decode_bitstream
 from repro.codec.encoder import encode_sequence
 from repro.experiments.decode_bench import run_decode_bench, write_records
@@ -36,16 +38,16 @@ def encoded(sequence_cache):
 
 def test_decode_frame_batched(benchmark, encoded):
     """Whole-bitstream decode through the batched engine path."""
-    frames = benchmark(decode_bitstream, encoded.bitstream, None, True)
+    frames = benchmark(decode_bitstream, encoded.bitstream)
     assert len(frames) == len(encoded.reconstruction)
     _RECORDS["decode_batched_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_decode_frame_per_block(benchmark, encoded):
-    """The seed per-block decoder, kept as the fallback — the baseline
-    the batched path is measured against."""
+    """The per-block oracle — the baseline the batched path is
+    measured against."""
     frames = benchmark.pedantic(
-        decode_bitstream, args=(encoded.bitstream, None, False), rounds=3, iterations=1
+        reference.decode_bitstream, args=(encoded.bitstream,), rounds=3, iterations=1
     )
     assert len(frames) == len(encoded.reconstruction)
     _RECORDS["decode_per_block_qcif_ms"] = benchmark.stats["min"] * 1000.0
@@ -53,13 +55,12 @@ def test_decode_frame_per_block(benchmark, encoded):
 
 def test_decode_speedup_batched_vs_per_block(encoded):
     """Golden perf claim: batched whole-frame reconstruction must beat
-    the seed per-block decode by >= 2x (bit-identity is verified inside
-    the bench and asserted here; the golden proofs live in
+    the per-block oracle by >= 2x (bit-identity is verified inside the
+    bench and asserted here; the golden proofs live in
     tests/test_reconstruction.py).
 
-    The measured ratio lands around 3-5x on a single-core container —
-    the remaining serial cost is the VLC symbol parse, which both paths
-    share.  The recorded BENCH_decode.json number is the real signal;
+    The oracle also parses with the seed per-bit reader, so the ratio
+    covers parse and reconstruction together.  The recorded BENCH_decode.json number is the real signal;
     the assertion is a regression backstop with margin for noisy CI
     runners.
     """

@@ -19,8 +19,9 @@ The decoder is split along the codec's two cost axes:
 * **reconstruction** — :func:`reconstruct_picture` turns a parsed
   picture into pixels with the batched engine kernels (one IDCT over
   every block, whole-frame luma/chroma motion compensation through the
-  :class:`~repro.me.engine.ReferencePlane` caches).  The seed per-block
-  loop survives on ``use_engine=False`` as the bit-exactness reference.
+  :class:`~repro.me.engine.ReferencePlane` caches).  This is the only
+  reconstruction path; the independent per-block oracle it is checked
+  against lives in :mod:`repro.reference`.
 
 Version-2 bitstreams (``Encoder(bitstream_version=2)``) delimit
 pictures with byte-aligned start codes and length fields, so
@@ -29,9 +30,10 @@ parsing — which is what lets :func:`decode_bitstream` parse frames'
 symbols **concurrently** (``jobs=N`` dispatches
 :class:`~repro.parallel.jobs.ParseFrameJob` specs through
 :func:`repro.parallel.run_jobs`) before the sequential batched
-reconstruction pass.  Both versions, both reconstruction paths and any
-job count produce bit-identical frames; ``tests/test_reconstruction.py``
-and ``tests/test_bitstream_v2.py`` pin that.
+reconstruction pass.  Both versions and any job count produce
+bit-identical frames, equal to :func:`repro.reference.decode_bitstream`;
+``tests/test_reconstruction.py`` and ``tests/test_bitstream_v2.py`` pin
+that.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codec.bitstream import BitReader
-from repro.codec.dct import inverse_dct
 from repro.kernels import get_backend
 from repro.codec.encoder import (
     FRAME_LENGTH_BITS,
@@ -54,14 +55,7 @@ from repro.codec.encoder import (
     START_CODE_EXT,
 )
 from repro.codec.intra import INTRA_MODE_BITS, intra_predict
-from repro.codec.macroblock import (
-    decode_inter_block,
-    decode_intra_block,
-    join_luma_blocks,
-    predict_chroma_block,
-    read_block_levels,
-    read_events,
-)
+from repro.codec.macroblock import read_block_levels, read_events, reconstruct_macroblock
 from repro.codec.mv_coding import predict_mv, read_mvd
 from repro.codec.quantizer import dequantize, dequantize_intra_dc
 from repro.codec.vlc import read_ue_golomb, read_ue_golomb_bitwise
@@ -75,7 +69,6 @@ from repro.me.engine import (
     tile_blocks,
     tile_luma_blocks,
 )
-from repro.me.subpel import predict_block
 from repro.me.types import MotionField, MotionVector
 from repro.obs import metrics, trace
 from repro.video.frame import Frame, FrameGeometry
@@ -651,26 +644,17 @@ def _reconstruct_intra_pred(parsed: ParsedPicture, frame_index: int) -> Frame:
     rows, cols = header.mb_rows, header.mb_cols
     g = header.geometry
     residual = get_backend().idct(dequantize(parsed.levels, header.qp))
-    y = np.empty((g.height, g.width), dtype=np.uint8)
-    cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-    cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
+    planes = (
+        np.empty((g.height, g.width), dtype=np.uint8),
+        np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8),
+        np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8),
+    )
     for r in range(rows):
         for c in range(cols):
             mode = int(parsed.modes[r, c])
-            pred_y = intra_predict(y, r, c, 16, mode)
-            pred_cb = intra_predict(cb, r, c, 8, mode)
-            pred_cr = intra_predict(cr, r, c, 8, mode)
-            mb = residual[r, c]
-            y[16 * r : 16 * r + 16, 16 * c : 16 * c + 16] = np.clip(
-                np.rint(join_luma_blocks(mb[:4]) + pred_y), 0, 255
-            ).astype(np.uint8)
-            cb[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = np.clip(
-                np.rint(mb[4] + pred_cb), 0, 255
-            ).astype(np.uint8)
-            cr[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = np.clip(
-                np.rint(mb[5] + pred_cr), 0, 255
-            ).astype(np.uint8)
-    return Frame(y, cb, cr, index=frame_index)
+            pred = [intra_predict(plane, r, c, size, mode) for plane, size in zip(planes, (16, 8, 8))]
+            reconstruct_macroblock(planes, r, c, residual[r, c], pred)
+    return Frame(*planes, index=frame_index)
 
 
 def reconstruct_picture(
@@ -763,30 +747,26 @@ def _reconstruct_picture(
 class Decoder:
     """Stateful decoder: feed it one bitstream, pull frames until
     exhaustion.  Handles both bitstream versions transparently (the
-    opening bytes disambiguate — see :func:`detect_version`).
+    opening bytes disambiguate — see :func:`detect_version`).  Each
+    frame is parsed by :func:`parse_picture_body` and reconstructed by
+    the batched :func:`reconstruct_picture`; the per-block oracle that
+    checks it is :func:`repro.reference.decode_bitstream`.
 
     Parameters
     ----------
     bitstream:
         The encoder's emitted bytes.
-    use_engine:
-        ``True`` (default) reconstructs each frame through the batched
-        engine kernels; ``False`` forces the seed per-block loop.  Both
-        paths are bit-identical.
     first_frame_index:
         Index stamped on the first decoded frame — pass the keyframe's
         position when decoding a :func:`slice_from_keyframe` suffix so
         frame indices line up with the full stream.
     """
 
-    def __init__(
-        self, bitstream: bytes, use_engine: bool = True, first_frame_index: int = 0
-    ) -> None:
+    def __init__(self, bitstream: bytes, first_frame_index: int = 0) -> None:
         self._reader = BitReader(bitstream)
         #: Decoded reference list, most recent first; reset by I-frames.
         self._references: list[Frame] = []
         self._frame_index = first_frame_index
-        self._use_engine = bool(use_engine)
         self.version = detect_version(bitstream)
 
     @property
@@ -819,16 +799,8 @@ class Decoder:
                 if header.frame_type == "P" and not self._references:
                     raise ValueError("P-frame without a decoded reference")
                 parse_span.set(type=header.frame_type)
-                if self._use_engine:
-                    parsed = parse_picture_body(self._reader, header)
-            if self._use_engine:
-                frame = reconstruct_picture(parsed, self._references, self._frame_index)
-            elif header.intra_pred:
-                frame = self._decode_intra_pred_per_block(header)
-            elif header.frame_type == "I":
-                frame = self._decode_intra_per_block(header)
-            else:
-                frame = self._decode_inter_per_block(header)
+                parsed = parse_picture_body(self._reader, header)
+            frame = reconstruct_picture(parsed, self._references, self._frame_index)
             if expected_end is not None:
                 check_frame_length(self._reader, expected_end)
             if header.frame_type == "I":
@@ -840,119 +812,10 @@ class Decoder:
         _MET_FRAMES_IN.inc()
         return frame
 
-    # -- seed per-block reconstruction (bit-exactness reference) ---------
-
-    def _decode_intra_per_block(self, header: PictureHeader) -> Frame:
-        g = header.geometry
-        y = np.empty((g.height, g.width), dtype=np.uint8)
-        cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        for r in range(header.mb_rows):
-            for c in range(header.mb_cols):
-                coded_flags = _read_coded_flags(self._reader)
-                blocks = []
-                for coded in coded_flags:
-                    dc_level = self._reader.read_bits(8)
-                    events = read_events(self._reader) if coded else []
-                    blocks.append(decode_intra_block(dc_level, events, header.qp))
-                pixels = np.clip(np.rint(inverse_dct(np.stack(blocks))), 0, 255).astype(np.uint8)
-                y0, x0 = 16 * r, 16 * c
-                y[y0 : y0 + 16, x0 : x0 + 16] = join_luma_blocks(pixels[:4])
-                cb[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = pixels[4]
-                cr[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = pixels[5]
-        return Frame(y, cb, cr, index=self._frame_index)
-
-    def _decode_intra_pred_per_block(self, header: PictureHeader) -> Frame:
-        """Seed-style per-MB loop for a GOP-syntax I-frame: mode bits,
-        inter-style residual events, spatial prediction from already
-        reconstructed neighbours."""
-        g = header.geometry
-        y = np.empty((g.height, g.width), dtype=np.uint8)
-        cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        for r in range(header.mb_rows):
-            for c in range(header.mb_cols):
-                mode = self._reader.read_bits(INTRA_MODE_BITS)
-                if mode > 2:
-                    raise ValueError(f"illegal intra prediction mode {mode}")
-                coded_flags = _read_coded_flags(self._reader)
-                blocks = []
-                for coded in coded_flags:
-                    events = read_events(self._reader) if coded else []
-                    blocks.append(decode_inter_block(events, header.qp))
-                residual = inverse_dct(np.stack(blocks))
-                pred_y = intra_predict(y, r, c, 16, mode)
-                pred_cb = intra_predict(cb, r, c, 8, mode)
-                pred_cr = intra_predict(cr, r, c, 8, mode)
-                y[16 * r : 16 * r + 16, 16 * c : 16 * c + 16] = np.clip(
-                    np.rint(join_luma_blocks(residual[:4]) + pred_y), 0, 255
-                ).astype(np.uint8)
-                cb[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = np.clip(
-                    np.rint(residual[4] + pred_cb), 0, 255
-                ).astype(np.uint8)
-                cr[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = np.clip(
-                    np.rint(residual[5] + pred_cr), 0, 255
-                ).astype(np.uint8)
-        return Frame(y, cb, cr, index=self._frame_index)
-
-    def _decode_inter_per_block(self, header: PictureHeader) -> Frame:
-        g = header.geometry
-        refs = self._references
-        ref = refs[0]
-        if ref.geometry != g:
-            raise ValueError(f"geometry change mid-stream: {ref.geometry} → {g}")
-        y = np.empty((g.height, g.width), dtype=np.uint8)
-        cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        coded_field = MotionField(header.mb_rows, header.mb_cols)
-        for r in range(header.mb_rows):
-            for c in range(header.mb_cols):
-                y0, x0 = 16 * r, 16 * c
-                cy0, cx0 = 8 * r, 8 * c
-                if self._reader.read_bit():  # COD = 1: skipped, reference 0
-                    mv = MotionVector.zero()
-                    coded_field.set(r, c, mv)
-                    y[y0 : y0 + 16, x0 : x0 + 16] = ref.y[y0 : y0 + 16, x0 : x0 + 16]
-                    cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = ref.cb[cy0 : cy0 + 8, cx0 : cx0 + 8]
-                    cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = ref.cr[cy0 : cy0 + 8, cx0 : cx0 + 8]
-                    continue
-                coded_flags = _read_coded_flags(self._reader)
-                source = ref
-                if header.extended:
-                    k = _read_ref_index(self._reader, header)
-                    if k >= len(refs):
-                        raise ValueError(
-                            f"picture selects reference {k} but only {len(refs)} "
-                            f"frame(s) are decoded since the last I-frame"
-                        )
-                    source = refs[k]
-                predictor = predict_mv(coded_field, r, c)
-                mv = read_mvd(self._reader, predictor)
-                coded_field.set(r, c, mv)
-                blocks = []
-                for coded in coded_flags:
-                    events = read_events(self._reader) if coded else []
-                    blocks.append(decode_inter_block(events, header.qp))
-                residual = inverse_dct(np.stack(blocks))
-                pred_y = predict_block(source.y, y0, x0, mv, 16, 16).astype(np.float64)
-                pred_cb = predict_chroma_block(source.cb, cy0, cx0, mv, header.p).astype(np.float64)
-                pred_cr = predict_chroma_block(source.cr, cy0, cx0, mv, header.p).astype(np.float64)
-                y[y0 : y0 + 16, x0 : x0 + 16] = np.clip(
-                    np.rint(join_luma_blocks(residual[:4]) + pred_y), 0, 255
-                ).astype(np.uint8)
-                cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = np.clip(
-                    np.rint(residual[4] + pred_cb), 0, 255
-                ).astype(np.uint8)
-                cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = np.clip(
-                    np.rint(residual[5] + pred_cr), 0, 255
-                ).astype(np.uint8)
-        return Frame(y, cb, cr, index=self._frame_index)
-
 
 def decode_bitstream(
     bitstream: bytes,
     frames: int | None = None,
-    use_engine: bool = True,
     jobs: int = 1,
     base_seed: int = 0,
     use_shm: bool = False,
@@ -967,9 +830,9 @@ def decode_bitstream(
     through the batched engine — the closed prediction loop makes
     reconstruction inherently serial, but by then the per-frame cost is
     a handful of vectorized kernels.  Version-1 streams (not splittable
-    without parsing) and the per-block reference path
-    (``use_engine=False``) ignore ``jobs`` and decode serially; results
-    are bit-identical in every mode.
+    without parsing) ignore ``jobs`` and decode serially; results are
+    bit-identical in every mode.  The per-block oracle these results are
+    checked against is :func:`repro.reference.decode_bitstream`.
 
     ``use_shm=True`` moves the parse jobs' frame payloads and parsed
     symbols through shared memory instead of the worker pipe
@@ -991,7 +854,7 @@ def decode_bitstream(
     """
     if start_frame:
         bitstream = slice_from_keyframe(bitstream, start_frame)
-    if jobs > 1 and use_engine and detect_version(bitstream) == 2:
+    if jobs > 1 and detect_version(bitstream) == 2:
         from repro.parallel import ParseFrameJob, run_jobs
 
         index = FrameIndex.scan(bitstream)
@@ -1016,7 +879,7 @@ def decode_bitstream(
                 references = [frame, *references][:MAX_REF_FRAMES]
             out.append(frame)
         return out
-    decoder = Decoder(bitstream, use_engine=use_engine, first_frame_index=start_frame)
+    decoder = Decoder(bitstream, first_frame_index=start_frame)
     out = []
     while decoder.has_more and (frames is None or len(out) < frames):
         out.append(decoder.decode_frame())

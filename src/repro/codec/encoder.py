@@ -24,6 +24,15 @@ separate processes and splice byte-identical version-2 streams.  GOP
 frames carry the extended picture start code; the defaults
 (``i_period=None, n_ref_frames=1``) emit the seed syntax, byte for
 byte.
+
+There is one P-frame coder for every reference-list depth.  Its local
+reconstruction loop motion-compensates whole frames through the shared
+:class:`~repro.me.engine.ReferencePlane` /
+:class:`~repro.me.engine.ChromaReferencePlane` caches, then codes and
+local-decodes each macroblock with the same helpers the GOP I-frame
+coder uses.  The independent per-block decoder that checks these
+reconstructions bit for bit is :mod:`repro.reference` (a test and
+benchmark oracle; nothing in the codec imports it).
 """
 
 from __future__ import annotations
@@ -35,17 +44,12 @@ import numpy as np
 from repro.analysis.psnr import psnr
 from repro.codec.bitstream import BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.codec.intra import (
-    INTRA_MODE_BITS,
-    choose_intra_modes,
-    intra_mode_costs_reference,
-    intra_predict,
-)
+from repro.codec.intra import INTRA_MODE_BITS, choose_intra_modes, intra_predict
 from repro.codec.macroblock import (
     code_inter_block,
     code_intra_block,
-    join_luma_blocks,
-    predict_chroma_block,
+    macroblock_views,
+    reconstruct_macroblock,
     split_luma_blocks,
     write_events,
 )
@@ -61,8 +65,13 @@ from repro.me.engine import (
 from repro.me.estimator import MotionEstimator, create_estimator
 from repro.me.stats import SearchStats
 from repro.obs import metrics, trace
-from repro.me.subpel import predict_block
 from repro.me.types import MotionField, MotionVector
+
+# The per-block predictors are the oracle twins of the whole-frame MC
+# above; they stay bound here because perfbench's layer instrumentation
+# wraps them by name on this module.
+from repro.codec.macroblock import predict_chroma_block  # noqa: F401
+from repro.me.subpel import predict_block  # noqa: F401
 from repro.video.frame import Frame
 from repro.video.sequence import Sequence
 
@@ -211,14 +220,6 @@ class Encoder:
     keep_reconstruction:
         Store reconstructed frames on the result (handy for analysis,
         off for large sweeps to save memory).
-    use_engine:
-        ``True`` (default) runs the local reconstruction loop's motion
-        compensation whole-frame through the shared
-        :class:`ReferencePlane` / :class:`ChromaReferencePlane` caches;
-        ``False`` forces the seed per-block prediction calls.  Both
-        paths emit byte-identical bitstreams (this flag is independent
-        of the estimator's own ``use_engine``, which governs the
-        *search*).
     bitstream_version:
         ``1`` (default) emits the seed format, byte-identical to the
         original encoder: pictures packed back to back with no
@@ -249,7 +250,6 @@ class Encoder:
         qp: int = 16,
         estimator_kwargs: dict | None = None,
         keep_reconstruction: bool = True,
-        use_engine: bool = True,
         bitstream_version: int = 1,
         i_period: int | None = None,
         n_ref_frames: int = 1,
@@ -261,7 +261,6 @@ class Encoder:
             raise ValueError("estimator_kwargs only applies when estimator is a name")
         self.estimator = estimator
         self.keep_reconstruction = keep_reconstruction
-        self.use_engine = use_engine
         if bitstream_version not in (1, 2):
             raise ValueError(f"bitstream_version must be 1 or 2, got {bitstream_version}")
         self.bitstream_version = bitstream_version
@@ -344,29 +343,10 @@ class Encoder:
             else:
                 if not refs:
                     raise ValueError(f"P-frame at position {position} without a reference")
-                if self.n_ref_frames > 1:
-                    bits, recon, skipped, mv_bits, coef_bits, field, stats = (
-                        self._encode_inter_frame_multi(writer, frame, refs, prev_field)
-                    )
-                    header_bits = PICTURE_HEADER_BITS + 3
-                else:
-                    prev_recon = refs[0]
-                    # One reference cache per P-frame, shared by the motion
-                    # search and the luma motion compensation below — both
-                    # read the same interpolated half-pel samples.
-                    plane = ReferencePlane.wrap(prev_recon.y)
-                    with trace.span("encode.me"):
-                        field, stats = self.estimator.estimate(
-                            frame.y,
-                            prev_recon.y,
-                            prev_field=prev_field,
-                            qp=self.qp,
-                            ref_plane=plane,
-                        )
-                    bits, recon, skipped, mv_bits, coef_bits = self._encode_inter_frame(
-                        writer, frame, prev_recon, field, plane
-                    )
-                    header_bits = PICTURE_HEADER_BITS
+                bits, recon, skipped, mv_bits, coef_bits, field, stats = self._encode_inter_frame(
+                    writer, frame, refs, prev_field
+                )
+                header_bits = PICTURE_HEADER_BITS + (3 if self.n_ref_frames > 1 else 0)
                 record = FrameRecord(
                     index=frame.index,
                     frame_type="P",
@@ -473,9 +453,7 @@ class Encoder:
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I")
         geometry = frame.geometry
-        recon_y = np.empty_like(frame.y)
-        recon_cb = np.empty_like(frame.cb)
-        recon_cr = np.empty_like(frame.cr)
+        recon = (np.empty_like(frame.y), np.empty_like(frame.cb), np.empty_like(frame.cr))
         coef_bits = 0
         phase = trace.phases()
         for r in range(geometry.mb_rows):
@@ -497,162 +475,112 @@ class Encoder:
                         writer.write_bits(dc_level, 8)
                         if events:
                             coef_bits += write_events(writer, events)
-                recon_blocks = np.clip(
-                    np.rint(inverse_dct(np.stack([rc for _, _, rc in coded]))), 0, 255
-                ).astype(np.uint8)
-                y0, x0 = 16 * r, 16 * c
-                recon_y[y0 : y0 + 16, x0 : x0 + 16] = join_luma_blocks(recon_blocks[:4])
-                recon_cb[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = recon_blocks[4]
-                recon_cr[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = recon_blocks[5]
+                reconstruct_macroblock(recon, r, c, inverse_dct(np.stack([rc for _, _, rc in coded])))
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
-        return total, Frame(recon_y, recon_cb, recon_cr, index=frame.index), coef_bits
+        return total, Frame(*recon, index=frame.index), coef_bits
 
     def _encode_intra_pred_frame(self, writer: BitWriter, frame: Frame) -> tuple[int, Frame, int]:
         """GOP-syntax I-frame: per-MB spatial prediction mode (2 bits),
         then inter-style residual coding of the prediction error.
 
         The mode decision is open-loop on the source luma (batched
-        :func:`intra_mode_cost_surfaces` or its scalar twin — integer
-        identical, so both ``use_engine`` settings emit the same
-        bytes); the prediction itself reads the reconstructed
-        neighbours the decoder will have.
+        :func:`intra_mode_cost_surfaces`); the prediction itself reads
+        the reconstructed neighbours the decoder will have.
         """
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I", extended=True)
         geometry = frame.geometry
-        if self.use_engine:
-            costs = intra_mode_cost_surfaces(frame.y)
-        else:
-            costs = intra_mode_costs_reference(frame.y)
-        modes = choose_intra_modes(costs)
-        recon_y = np.empty_like(frame.y)
-        recon_cb = np.empty_like(frame.cb)
-        recon_cr = np.empty_like(frame.cr)
+        modes = choose_intra_modes(intra_mode_cost_surfaces(frame.y))
+        source = (frame.y, frame.cb, frame.cr)
+        recon = tuple(np.empty_like(plane) for plane in source)
         coef_bits = 0
         phase = trace.phases()
         for r in range(geometry.mb_rows):
             for c in range(geometry.mb_cols):
                 mode = int(modes[r, c])
                 writer.write_bits(mode, INTRA_MODE_BITS)
-                pred_y = intra_predict(recon_y, r, c, 16, mode)
-                pred_cb = intra_predict(recon_cb, r, c, 8, mode)
-                pred_cr = intra_predict(recon_cr, r, c, 8, mode)
-                cur_y = frame.luma_block(r, c).astype(np.float64)
-                cur_cb, cur_cr = frame.chroma_blocks(r, c)
-                residual = np.concatenate(
-                    [
-                        split_luma_blocks(cur_y - pred_y),
-                        (cur_cb.astype(np.float64) - pred_cb)[None],
-                        (cur_cr.astype(np.float64) - pred_cr)[None],
-                    ]
-                )
-                with phase("encode.transform_quant"):
-                    coefficients = forward_dct(residual)
-                    coded = [code_inter_block(coefficients[k], self.qp) for k in range(6)]
-                cbpy = sum((1 << k) for k in range(4) if coded[k][0])
-                mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
+                pred = [
+                    intra_predict(plane, r, c, size, mode) for plane, size in zip(recon, (16, 8, 8))
+                ]
+                coded, cbpy, mcbpc = self._code_residual(macroblock_views(source, r, c), pred, phase)
                 with phase("encode.entropy"):
                     writer.write_code(MCBPC_TABLE.encode(mcbpc))
                     writer.write_code(CBPY_TABLE.encode(cbpy))
-                    for events, _ in coded:
-                        if events:
-                            coef_bits += write_events(writer, events)
-                recon_residual = inverse_dct(np.stack([rc for _, rc in coded]))
-                y0, x0 = 16 * r, 16 * c
-                cy0, cx0 = 8 * r, 8 * c
-                rec_y = np.clip(np.rint(join_luma_blocks(recon_residual[:4]) + pred_y), 0, 255)
-                rec_cb = np.clip(np.rint(recon_residual[4] + pred_cb), 0, 255)
-                rec_cr = np.clip(np.rint(recon_residual[5] + pred_cr), 0, 255)
-                recon_y[y0 : y0 + 16, x0 : x0 + 16] = rec_y.astype(np.uint8)
-                recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cb.astype(np.uint8)
-                recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cr.astype(np.uint8)
+                    coef_bits += _write_coefficients(writer, coded)
+                reconstruct_macroblock(
+                    recon, r, c, inverse_dct(np.stack([rc for _, rc in coded])), pred
+                )
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
-        return total, Frame(recon_y, recon_cb, recon_cr, index=frame.index), coef_bits
+        return total, Frame(*recon, index=frame.index), coef_bits
 
-    def _encode_inter_frame_multi(
+    def _encode_inter_frame(
         self,
         writer: BitWriter,
         frame: Frame,
         references: list[Frame],
         prev_field: MotionField | None,
     ) -> tuple[int, Frame, int, int, int, MotionField, SearchStats]:
-        """Multi-reference P-frame: search every active reference,
-        pick each macroblock's reference by minimal compensated-luma
-        SAD (ties toward the most recent — the engine's ``argmin`` and
-        the scalar strict-less loop agree by construction), and code an
-        exp-Golomb reference index per coded macroblock.
+        """P-frame: search every active reference, motion-compensate
+        whole frames through the shared reference caches, then code each
+        macroblock's residual and local-decode it as the decoder will.
+
+        With one active reference every macroblock predicts from it.
+        With several, each macroblock takes the reference with minimal
+        compensated-luma SAD (ties toward the most recent).  Pictures of
+        an ``n_ref_frames > 1`` encoder use the extended syntax, which
+        codes an exp-Golomb reference index per coded macroblock.
         """
         active = references[: self.n_ref_frames]
+        extended = self.n_ref_frames > 1
         start_bits = writer.bit_count
-        self._write_picture_header(writer, frame, "P", extended=True, active_refs=len(active))
-        geometry = frame.geometry
-        rows, cols = geometry.mb_rows, geometry.mb_cols
+        self._write_picture_header(writer, frame, "P", extended=extended, active_refs=len(active))
+        rows, cols = frame.geometry.mb_rows, frame.geometry.mb_cols
+        # One luma cache per reference, shared by the motion search and
+        # the motion compensation below — both read the same
+        # interpolated half-pel samples.
         planes = [ReferencePlane.wrap(ref.y) for ref in active]
         fields: list[MotionField] = []
-        merged_stats = SearchStats()
+        stats = SearchStats()
         with trace.span("encode.me", references=len(active)):
             for ref, plane in zip(active, planes):
-                f, stats = self.estimator.estimate(
+                f, ref_stats = self.estimator.estimate(
                     frame.y, ref.y, prev_field=prev_field, qp=self.qp, ref_plane=plane
                 )
                 fields.append(f)
-                merged_stats.merge(stats)
-        cur = frame.y.astype(np.int64)
-        engine = (
-            self.use_engine
-            and all(p is not None for p in planes)
-            and all(f.is_complete for f in fields)
-        )
-        if engine:
-            sads = np.empty((len(active), rows, cols), dtype=np.int64)
-            for k, (plane, f) in enumerate(zip(planes, fields)):
-                field_hx, field_hy = f.to_arrays()
-                pred = frame_mc_luma(plane, field_hx, field_hy).astype(np.int64)
-                sads[k] = np.abs(cur - pred).reshape(rows, 16, cols, 16).sum(axis=(1, 3))
-            choice = np.argmin(sads, axis=0)
-        else:
+                stats.merge(ref_stats)
+        if not all(f.is_complete for f in fields):
+            r, c = next((r, c) for r, c, _ in fields[0] if any(f.get(r, c) is None for f in fields))
+            raise ValueError(f"motion field missing entry ({r}, {c})")
+        arrays = [f.to_arrays() for f in fields]
+        luma_preds = [frame_mc_luma(plane, hx, hy) for plane, (hx, hy) in zip(planes, arrays)]
+        if len(active) == 1:
             choice = np.zeros((rows, cols), dtype=np.int64)
-            for r in range(rows):
-                for c in range(cols):
-                    y0, x0 = 16 * r, 16 * c
-                    cur_block = cur[y0 : y0 + 16, x0 : x0 + 16]
-                    best_sad = None
-                    for k, f in enumerate(fields):
-                        mv = f.get(r, c)
-                        if mv is None:
-                            raise ValueError(f"motion field missing entry ({r}, {c})")
-                        pred = predict_block(active[k].y, y0, x0, mv, 16, 16).astype(np.int64)
-                        sad = int(np.abs(cur_block - pred).sum())
-                        if best_sad is None or sad < best_sad:
-                            best_sad = sad
-                            choice[r, c] = k
-        # The chosen per-MB vectors become one combined field: it feeds
-        # MVD prediction, whole-frame MC and the next frame's search.
-        field = MotionField(rows, cols)
-        for r in range(rows):
-            for c in range(cols):
-                mv = fields[int(choice[r, c])].get(r, c)
-                if mv is None:
-                    raise ValueError(f"motion field missing entry ({r}, {c})")
-                field.set(r, c, mv)
-        used = [int(k) for k in np.unique(choice)]
-        pred_planes: dict[int, tuple] = {}
-        if engine:
-            field_hx, field_hy = field.to_arrays()
-            for k in used:
-                chroma = ChromaReferencePlane.wrap(active[k].cb, active[k].cr)
-                if chroma is None:
-                    engine = False
-                    break
-                pred_planes[k] = (
-                    frame_mc_luma(planes[k], field_hx, field_hy),
-                    *chroma.mc_frame(field_hx, field_hy, self.estimator.p),
-                )
-        recon_y = np.empty_like(frame.y)
-        recon_cb = np.empty_like(frame.cb)
-        recon_cr = np.empty_like(frame.cr)
+            field = fields[0]
+            field_hx, field_hy = arrays[0]
+        else:
+            cur = frame.y.astype(np.int64)
+            sads = np.stack(
+                [
+                    np.abs(cur - pred).reshape(rows, 16, cols, 16).sum(axis=(1, 3))
+                    for pred in luma_preds
+                ]
+            )
+            choice = np.argmin(sads, axis=0)
+            # The chosen per-MB vectors become one combined field: it
+            # feeds MVD prediction, chroma MC and the next frame's search.
+            field_hx = np.choose(choice, [hx for hx, _ in arrays])
+            field_hy = np.choose(choice, [hy for _, hy in arrays])
+            field = MotionField.from_arrays(field_hx, field_hy)
+        preds = {}
+        for k in np.unique(choice).tolist():
+            chroma = ChromaReferencePlane(active[k].cb, active[k].cr)
+            preds[k] = (luma_preds[k], *chroma.mc_frame(field_hx, field_hy, self.estimator.p))
+        source = (frame.y, frame.cb, frame.cr)
+        recon = tuple(np.empty_like(plane) for plane in source)
+        # Vectors as the decoder will see them (skip forces zero); used
+        # for median prediction of subsequent MVDs.
         coded_field = MotionField(rows, cols)
         skipped = 0
         mv_bits_total = 0
@@ -662,166 +590,57 @@ class Encoder:
             for c in range(cols):
                 k = int(choice[r, c])
                 mv = field.get(r, c)
-                y0, x0 = 16 * r, 16 * c
-                cy0, cx0 = 8 * r, 8 * c
-                if engine:
-                    plane_y, plane_cb, plane_cr = pred_planes[k]
-                    pred_y = plane_y[y0 : y0 + 16, x0 : x0 + 16].astype(np.float64)
-                    pred_cb = plane_cb[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                    pred_cr = plane_cr[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                else:
-                    ref = active[k]
-                    pred_y = predict_block(ref.y, y0, x0, mv, 16, 16).astype(np.float64)
-                    pred_cb = predict_chroma_block(ref.cb, cy0, cx0, mv, self.estimator.p).astype(
-                        np.float64
-                    )
-                    pred_cr = predict_chroma_block(ref.cr, cy0, cx0, mv, self.estimator.p).astype(
-                        np.float64
-                    )
-                cur_y = frame.luma_block(r, c).astype(np.float64)
-                cur_cb, cur_cr = frame.chroma_blocks(r, c)
-                residual = np.concatenate(
-                    [
-                        split_luma_blocks(cur_y - pred_y),
-                        (cur_cb.astype(np.float64) - pred_cb)[None],
-                        (cur_cr.astype(np.float64) - pred_cr)[None],
-                    ]
-                )
-                with phase("encode.transform_quant"):
-                    coefficients = forward_dct(residual)
-                    coded = [code_inter_block(coefficients[k2], self.qp) for k2 in range(6)]
-                cbpy = sum((1 << k2) for k2 in range(4) if coded[k2][0])
-                mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
-                if mv.is_zero and cbpy == 0 and mcbpc == 0 and k == 0:
-                    # Skip implies reference 0 and a zero vector, same
-                    # as the single-reference COD semantics.
-                    writer.write_bit(1)
+                pred = [p.astype(np.float64) for p in macroblock_views(preds[k], r, c)]
+                coded, cbpy, mcbpc = self._code_residual(macroblock_views(source, r, c), pred, phase)
+                if k == 0 and mv.is_zero and cbpy == 0 and mcbpc == 0:
+                    writer.write_bit(1)  # COD: skipped (reference 0, zero vector)
                     skipped += 1
                     coded_field.set(r, c, MotionVector.zero())
-                    recon_y[y0 : y0 + 16, x0 : x0 + 16] = pred_y.astype(np.uint8)
-                    recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = pred_cb.astype(np.uint8)
-                    recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = pred_cr.astype(np.uint8)
+                    for out, p in zip(macroblock_views(recon, r, c), pred):
+                        out[...] = p
                     continue
                 with phase("encode.entropy"):
                     writer.write_bit(0)  # COD: coded
                     writer.write_code(MCBPC_TABLE.encode(mcbpc))
                     writer.write_code(CBPY_TABLE.encode(cbpy))
-                    writer.write_ue(k)
+                    if extended:
+                        writer.write_ue(k)
                     predictor = predict_mv(coded_field, r, c)
                     mv_bits_total += write_mvd(writer, mv, predictor)
                     coded_field.set(r, c, mv)
-                    for events, _ in coded:
-                        if events:
-                            coef_bits_total += write_events(writer, events)
-                recon_residual = inverse_dct(np.stack([rc for _, rc in coded]))
-                rec_y = np.clip(np.rint(join_luma_blocks(recon_residual[:4]) + pred_y), 0, 255)
-                rec_cb = np.clip(np.rint(recon_residual[4] + pred_cb), 0, 255)
-                rec_cr = np.clip(np.rint(recon_residual[5] + pred_cr), 0, 255)
-                recon_y[y0 : y0 + 16, x0 : x0 + 16] = rec_y.astype(np.uint8)
-                recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cb.astype(np.uint8)
-                recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cr.astype(np.uint8)
+                    coef_bits_total += _write_coefficients(writer, coded)
+                reconstruct_macroblock(
+                    recon, r, c, inverse_dct(np.stack([rc for _, rc in coded])), pred
+                )
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
-        recon = Frame(recon_y, recon_cb, recon_cr, index=frame.index)
-        return total, recon, skipped, mv_bits_total, coef_bits_total, field, merged_stats
+        recon_frame = Frame(*recon, index=frame.index)
+        return total, recon_frame, skipped, mv_bits_total, coef_bits_total, field, stats
 
-    def _encode_inter_frame(
-        self,
-        writer: BitWriter,
-        frame: Frame,
-        reference: Frame,
-        field: MotionField,
-        plane: ReferencePlane | None = None,
-    ) -> tuple[int, Frame, int, int, int]:
-        start_bits = writer.bit_count
-        self._write_picture_header(writer, frame, "P")
-        geometry = frame.geometry
-        recon_y = np.empty_like(frame.y)
-        recon_cb = np.empty_like(frame.cb)
-        recon_cr = np.empty_like(frame.cr)
-        # Vectors as the decoder will see them (skip forces zero); used
-        # for median prediction of subsequent MVDs.
-        coded_field = MotionField(geometry.mb_rows, geometry.mb_cols)
-        skipped = 0
-        mv_bits_total = 0
-        coef_bits_total = 0
-        luma_ref = plane if plane is not None else reference.y
-        # Whole-frame motion compensation up front: the field is fully
-        # decided before reconstruction, so the engine path predicts
-        # all three planes in three batched gathers (the chroma
-        # half-pel interpolation runs once per frame instead of twice
-        # per macroblock) and the loop below just slices them.
-        engine = self.use_engine and plane is not None and field.is_complete
-        if engine:
-            chroma = ChromaReferencePlane.wrap(reference.cb, reference.cr)
-            engine = chroma is not None
-        if engine:
-            field_hx, field_hy = field.to_arrays()
-            pred_y_plane = frame_mc_luma(plane, field_hx, field_hy)
-            pred_cb_plane, pred_cr_plane = chroma.mc_frame(field_hx, field_hy, self.estimator.p)
-        phase = trace.phases()
-        for r in range(geometry.mb_rows):
-            for c in range(geometry.mb_cols):
-                mv = field.get(r, c)
-                if mv is None:
-                    raise ValueError(f"motion field missing entry ({r}, {c})")
-                y0, x0 = 16 * r, 16 * c
-                cy0, cx0 = 8 * r, 8 * c
-                if engine:
-                    pred_y = pred_y_plane[y0 : y0 + 16, x0 : x0 + 16].astype(np.float64)
-                    pred_cb = pred_cb_plane[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                    pred_cr = pred_cr_plane[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                else:
-                    pred_y = predict_block(luma_ref, y0, x0, mv, 16, 16).astype(np.float64)
-                    pred_cb = predict_chroma_block(
-                        reference.cb, cy0, cx0, mv, self.estimator.p
-                    ).astype(np.float64)
-                    pred_cr = predict_chroma_block(
-                        reference.cr, cy0, cx0, mv, self.estimator.p
-                    ).astype(np.float64)
-                cur_y = frame.luma_block(r, c).astype(np.float64)
-                cur_cb, cur_cr = frame.chroma_blocks(r, c)
-                residual = np.concatenate(
-                    [
-                        split_luma_blocks(cur_y - pred_y),
-                        (cur_cb.astype(np.float64) - pred_cb)[None],
-                        (cur_cr.astype(np.float64) - pred_cr)[None],
-                    ]
-                )
-                with phase("encode.transform_quant"):
-                    coefficients = forward_dct(residual)
-                    coded = [code_inter_block(coefficients[k], self.qp) for k in range(6)]
-                cbpy = sum((1 << k) for k in range(4) if coded[k][0])
-                mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
-                if mv.is_zero and cbpy == 0 and mcbpc == 0:
-                    writer.write_bit(1)  # COD: skipped
-                    skipped += 1
-                    coded_field.set(r, c, MotionVector.zero())
-                    recon_y[y0 : y0 + 16, x0 : x0 + 16] = pred_y.astype(np.uint8)
-                    recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = pred_cb.astype(np.uint8)
-                    recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = pred_cr.astype(np.uint8)
-                    continue
-                with phase("encode.entropy"):
-                    writer.write_bit(0)  # COD: coded
-                    writer.write_code(MCBPC_TABLE.encode(mcbpc))
-                    writer.write_code(CBPY_TABLE.encode(cbpy))
-                    predictor = predict_mv(coded_field, r, c)
-                    mv_bits_total += write_mvd(writer, mv, predictor)
-                    coded_field.set(r, c, mv)
-                    for events, _ in coded:
-                        if events:
-                            coef_bits_total += write_events(writer, events)
-                recon_residual = inverse_dct(np.stack([rc for _, rc in coded]))
-                rec_y = np.clip(np.rint(join_luma_blocks(recon_residual[:4]) + pred_y), 0, 255)
-                rec_cb = np.clip(np.rint(recon_residual[4] + pred_cb), 0, 255)
-                rec_cr = np.clip(np.rint(recon_residual[5] + pred_cr), 0, 255)
-                recon_y[y0 : y0 + 16, x0 : x0 + 16] = rec_y.astype(np.uint8)
-                recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cb.astype(np.uint8)
-                recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cr.astype(np.uint8)
-        phase.emit(frame=frame.index)
-        total = writer.bit_count - start_bits
-        recon = Frame(recon_y, recon_cb, recon_cr, index=frame.index)
-        return total, recon, skipped, mv_bits_total, coef_bits_total
+    def _code_residual(self, current, pred, phase) -> tuple[list, int, int]:
+        """Transform and quantise one macroblock's prediction error.
+
+        ``current`` and ``pred`` are (Y, Cb, Cr) macroblock triples.
+        Returns the six blocks' ``(events, dequantised coefficients)``
+        pairs with the CBPY and MCBPC patterns they imply.
+        """
+        cur_y, cur_cb, cur_cr = current
+        pred_y, pred_cb, pred_cr = pred
+        residual = np.concatenate(
+            [split_luma_blocks(cur_y - pred_y), (cur_cb - pred_cb)[None], (cur_cr - pred_cr)[None]]
+        )
+        with phase("encode.transform_quant"):
+            coefficients = forward_dct(residual)
+            coded = [code_inter_block(coefficients[k], self.qp) for k in range(6)]
+        cbpy = sum((1 << k) for k in range(4) if coded[k][0])
+        mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
+        return coded, cbpy, mcbpc
+
+
+def _write_coefficients(writer: BitWriter, coded) -> int:
+    """TCOEF events of every coded block, in block order; returns the
+    bits written."""
+    return sum(write_events(writer, events) for events, _ in coded if events)
 
 
 def encode_sequence(
@@ -830,7 +649,6 @@ def encode_sequence(
     estimator: MotionEstimator | str = "acbm",
     estimator_kwargs: dict | None = None,
     keep_reconstruction: bool = False,
-    use_engine: bool = True,
     bitstream_version: int = 1,
     i_period: int | None = None,
     n_ref_frames: int = 1,
@@ -848,7 +666,6 @@ def encode_sequence(
         qp=qp,
         estimator_kwargs=estimator_kwargs,
         keep_reconstruction=keep_reconstruction,
-        use_engine=use_engine,
         bitstream_version=bitstream_version,
         i_period=i_period,
         n_ref_frames=n_ref_frames,

@@ -16,8 +16,8 @@ Two decision/prediction planes keep the closed loop exact:
 
 * the **mode decision** is open-loop — costs are SADs against the
   *source* luma (:func:`intra_mode_costs_reference` here, or the
-  batched :func:`repro.me.engine.intra_mode_cost_surfaces`, pinned
-  integer-identical), so the engine and seed paths pick the same mode;
+  batched :func:`repro.me.engine.intra_mode_cost_surfaces` the encoder
+  runs, pinned integer-identical);
 * the **prediction** is closed-loop — :func:`intra_predict` reads the
   *reconstructed* neighbours the decoder will have, so encoder and
   decoder reconstructions match bit for bit.
@@ -79,10 +79,12 @@ def intra_mode_costs_reference(y: np.ndarray) -> np.ndarray:
     """Per-macroblock SAD of each intra mode against the source luma.
 
     The seed (per-block scalar) twin of the batched
-    :func:`repro.me.engine.intra_mode_cost_surfaces`; both return the
-    same ``(3, mb_rows, mb_cols)`` ``int64`` surface, which is what
-    keeps ``use_engine=True`` and ``False`` encodes byte-identical.
-    Unavailable modes cost :data:`INTRA_UNAVAILABLE_COST`.
+    :func:`repro.me.engine.intra_mode_cost_surfaces` the encoder runs;
+    both return the same ``(3, mb_rows, mb_cols)`` ``int64`` surface
+    (the tests pin them equal), so this loop is the reference for the
+    encoder's mode decisions, alongside the per-block decoder oracle in
+    :mod:`repro.reference`.  Unavailable modes cost
+    :data:`INTRA_UNAVAILABLE_COST`.
     """
     rows, cols = y.shape[0] // 16, y.shape[1] // 16
     cur = y.astype(np.int64)

@@ -4,6 +4,8 @@ A macroblock is 16x16 luma + two 8x8 chroma blocks (4:2:0).  This
 module owns the pieces both sides must agree on bit-for-bit:
 
 * luma block splitting order (TL, TR, BL, BR — H.263's block order),
+* the closed-loop reconstruction rule (prediction + residual, rounded
+  and clipped — :func:`reconstruct_macroblock`),
 * chroma motion-vector derivation from the luma vector,
 * TCOEF event serialization (table codes + sign, or escape payload),
 * quantize → events → dequantize round trips for inter and intra
@@ -59,6 +61,31 @@ def join_luma_blocks(blocks: np.ndarray) -> np.ndarray:
     for block, (r, c) in zip(blocks, LUMA_BLOCK_OFFSETS):
         mb[r : r + 8, c : c + 8] = block
     return mb
+
+
+def macroblock_views(planes, mb_row: int, mb_col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of macroblock ``(mb_row, mb_col)`` — 16x16 Y, 8x8 Cb, 8x8
+    Cr — in a ``(y, cb, cr)`` plane triple."""
+    y, cb, cr = planes
+    y0, x0, cy0, cx0 = 16 * mb_row, 16 * mb_col, 8 * mb_row, 8 * mb_col
+    return y[y0 : y0 + 16, x0 : x0 + 16], cb[cy0 : cy0 + 8, cx0 : cx0 + 8], cr[cy0 : cy0 + 8, cx0 : cx0 + 8]
+
+
+def reconstruct_macroblock(
+    planes, mb_row: int, mb_col: int, residual: np.ndarray, pred=(0.0, 0.0, 0.0)
+) -> None:
+    """Write one macroblock of a ``(y, cb, cr)`` reconstruction: the six
+    inverse-transformed residual blocks (Y0..Y3, Cb, Cr) plus the
+    (Y, Cb, Cr) prediction, rounded and clipped to 8 bits.
+
+    The encoder's local decode and the decoder's spatially predicted
+    I-frames both reconstruct through here, so the closed loop has one
+    rounding rule.
+    """
+    rec_y, rec_cb, rec_cr = macroblock_views(planes, mb_row, mb_col)
+    rec_y[...] = np.clip(np.rint(join_luma_blocks(residual[:4]) + pred[0]), 0, 255)
+    rec_cb[...] = np.clip(np.rint(residual[4] + pred[1]), 0, 255)
+    rec_cr[...] = np.clip(np.rint(residual[5] + pred[2]), 0, 255)
 
 
 def chroma_mv(mv: MotionVector) -> MotionVector:

@@ -4,8 +4,9 @@ Not a paper table — this is the serving-side counterpart of the kernel
 benchmarks, covering the decoder's two cost axes:
 
 * :func:`run_decode_bench` — whole-stream decode through the batched
-  engine reconstruction vs the seed per-block loop (bit-identity
-  verified first, against each other *and* the encoder's closed-loop
+  engine reconstruction vs the per-block oracle
+  :func:`repro.reference.decode_bitstream` (bit-identity verified
+  first, against each other *and* the encoder's closed-loop
   reconstruction).  With ``bitstream_version=2`` the verification set
   also covers the start-code frame index and the parallel symbol parse
   (``decode_bitstream(..., jobs=N)`` vs serial).
@@ -29,6 +30,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import reference
 from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
@@ -37,7 +39,6 @@ from repro.codec.decoder import (
     reconstruct_picture,
 )
 from repro.codec.encoder import encode_sequence
-from repro.parallel import DecodeJob, run_jobs
 from repro.video.synthesis.sequences import make_sequence
 
 
@@ -52,7 +53,7 @@ class DecodeBenchResult:
     bitstream_bytes: int
     per_block_ms: float
     batched_ms: float
-    #: Batched decode == per-block decode == encoder closed loop.
+    #: Batched decode == per-block oracle == encoder closed loop.
     reconstruction_identical: bool
     bitstream_version: int = 1
     #: v2 only: indexed parallel parse == serial decode (None for v1).
@@ -86,7 +87,7 @@ class DecodeBenchResult:
         lines = [
             f"decode bench: {self.sequence}, {self.frames} frames, qp={self.qp}, "
             f"{self.estimator}, {self.bitstream_bytes} bytes (v{self.bitstream_version})",
-            f"  bit-identical (batched == per-block == encoder loop): "
+            f"  bit-identical (batched == per-block oracle == encoder loop): "
             f"{self.reconstruction_identical}",
         ]
         if self.parallel_identical is not None:
@@ -189,27 +190,26 @@ def run_decode_bench(
     bitstream_version: int = 1,
     use_shm: bool = False,
 ) -> DecodeBenchResult:
-    """Encode ``frames`` of a synthetic clip, then time both decode
-    paths over the same bitstream (best of ``rounds``).
+    """Encode ``frames`` of a synthetic clip, then time the batched
+    decoder against the per-block oracle
+    (:func:`repro.reference.decode_bitstream`) over the same bitstream
+    (best of ``rounds``).
 
     Pass a prebuilt ``EncodeResult`` (with ``keep_reconstruction=True``
     and matching parameters) via ``encode`` to skip the encode — the
-    benchmark suite reuses one shared encode across its tests.
-    ``jobs > 1`` runs the two *verification* decodes as parallel
-    :class:`repro.parallel.DecodeJob` specs; the timed decodes always
-    run serially in this process (anything else would corrupt the
-    wall-clock comparison).
+    benchmark suite reuses one shared encode across its tests.  The
+    timed decodes always run serially in this process (anything else
+    would corrupt the wall-clock comparison).
 
     ``bitstream_version=2`` additionally scans the stream with
     :class:`~repro.codec.decoder.FrameIndex` and verifies the parallel
     symbol parse: ``decode_bitstream(..., jobs=max(jobs, 2))`` must be
     bit-identical to the serial decode — the CI smoke path for the v2
-    encode→index→parallel-parse→decode pipeline.
-
-    ``use_shm=True`` runs every parallel verification decode over the
-    shared-memory transport (``run_jobs(..., use_shm=True)``) — the CI
-    byte-identity smoke for PR 6's zero-copy path.  Timings are
-    unaffected (the timed decodes are always serial and in-process).
+    encode→index→parallel-parse→decode pipeline.  ``use_shm=True`` runs
+    that parallel parse over the shared-memory transport
+    (``run_jobs(..., use_shm=True)``), the CI byte-identity smoke for
+    the zero-copy path; ``jobs`` and ``use_shm`` only affect this v2
+    verification.
     """
     encode = _prepare_encode(
         sequence, frames, qp, estimator, seed, encode, bitstream_version
@@ -217,12 +217,8 @@ def run_decode_bench(
     sequence, qp, estimator = encode.name, encode.qp, encode.estimator_name
     frames = len(encode.reconstruction)
     bitstream = encode.bitstream
-    batched, per_block = run_jobs(
-        [DecodeJob(bitstream, use_engine=True), DecodeJob(bitstream, use_engine=False)],
-        workers=jobs,
-        base_seed=seed,
-        use_shm=use_shm,
-    )
+    batched = decode_bitstream(bitstream)
+    per_block = reference.decode_bitstream(bitstream)
     reconstruction_identical = (
         len(batched) == len(per_block) == len(encode.reconstruction)
         and all(b == s for b, s in zip(batched, per_block))
@@ -237,8 +233,8 @@ def run_decode_bench(
         parallel_identical = len(index) == len(parallel) == len(batched) and all(
             p == b for p, b in zip(parallel, batched)
         )
-    batched_s = _best_of(lambda: decode_bitstream(bitstream, use_engine=True), rounds)
-    per_block_s = _best_of(lambda: decode_bitstream(bitstream, use_engine=False), rounds)
+    batched_s = _best_of(lambda: decode_bitstream(bitstream), rounds)
+    per_block_s = _best_of(lambda: reference.decode_bitstream(bitstream), rounds)
     return DecodeBenchResult(
         sequence=sequence,
         frames=frames,

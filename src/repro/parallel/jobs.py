@@ -249,8 +249,7 @@ class SweepJob(JobSpec):
 
 @dataclass(frozen=True)
 class DecodeJob(JobSpec):
-    """Decode one emitted bitstream through a chosen reconstruction
-    path; returns the decoded frame list.
+    """Decode one emitted bitstream; returns the decoded frame list.
 
     The bitstream travels either by value (``bitstream``, the pickling
     path) or by reference (``bitstream_handle``, a shared-memory handle
@@ -259,13 +258,11 @@ class DecodeJob(JobSpec):
     """
 
     bitstream: bytes | None
-    use_engine: bool = True
     bitstream_handle: "FrameHandle | None" = None
 
     def describe(self) -> str:
         size = len(self.bitstream) if self.bitstream is not None else self.bitstream_handle.nbytes
-        path = "batched" if self.use_engine else "per-block"
-        return f"decode {size}B ({path})"
+        return f"decode {size}B"
 
     def pack_shm(self, store: "FrameStore") -> "DecodeJob":
         if self.bitstream is None:
@@ -280,7 +277,7 @@ class DecodeJob(JobSpec):
             from repro.transport import read_array
 
             data = read_array(self.bitstream_handle).tobytes()
-        return decode_bitstream(data, use_engine=self.use_engine)
+        return decode_bitstream(data)
 
 
 @dataclass(frozen=True)
@@ -366,7 +363,6 @@ class GopEncodeJob(JobSpec):
     i_period: int
     n_ref_frames: int = 1
     bitstream_version: int = 2
-    use_engine: bool = True
     estimator_kwargs: tuple = ()
     #: Shared-memory twin of ``planes``: ``(y, cb, cr, frame_index)``
     #: tuples of handles, produced by :meth:`pack_shm`.
@@ -423,7 +419,6 @@ class GopEncodeJob(JobSpec):
             qp=self.qp,
             estimator_kwargs=dict(self.estimator_kwargs),
             keep_reconstruction=False,
-            use_engine=self.use_engine,
             bitstream_version=self.bitstream_version,
             i_period=self.i_period,
             n_ref_frames=self.n_ref_frames,

@@ -51,7 +51,6 @@ class StreamEncoder:
         estimator: MotionEstimator | str = "acbm",
         qp: int = 16,
         estimator_kwargs: dict | None = None,
-        use_engine: bool = True,
         bitstream_version: int = 1,
         i_period: int | None = None,
         n_ref_frames: int = 1,
@@ -61,7 +60,6 @@ class StreamEncoder:
             qp=qp,
             estimator_kwargs=estimator_kwargs,
             keep_reconstruction=False,
-            use_engine=use_engine,
             bitstream_version=bitstream_version,
             i_period=i_period,
             n_ref_frames=n_ref_frames,

@@ -170,7 +170,6 @@ class EncodeSession:
         estimator="acbm",
         qp: int = 16,
         estimator_kwargs: dict | None = None,
-        use_engine: bool = True,
         bitstream_version: int = 1,
         i_period: int | None = None,
         n_ref_frames: int = 1,
@@ -179,7 +178,6 @@ class EncodeSession:
             estimator=estimator,
             qp=qp,
             estimator_kwargs=estimator_kwargs,
-            use_engine=use_engine,
             bitstream_version=bitstream_version,
             i_period=i_period,
             n_ref_frames=n_ref_frames,

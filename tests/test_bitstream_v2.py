@@ -11,6 +11,7 @@ bit-identical to the serial decode in every mode.
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.codec.bitstream import BitReader, ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
@@ -157,10 +158,12 @@ class TestFrameIndex:
 
 
 class TestDecodeEquivalence:
-    @pytest.mark.parametrize("use_engine", [True, False])
-    def test_both_versions_both_paths(self, v1, v2, use_engine):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_both_versions_both_paths(self, v1, v2, batched):
+        """Batched decoder and per-block oracle, on both versions."""
+        decode = decode_bitstream if batched else reference.decode_bitstream
         for encode in (v1, v2):
-            decoded = decode_bitstream(encode.bitstream, use_engine=use_engine)
+            decoded = decode(encode.bitstream)
             assert len(decoded) == len(encode.reconstruction)
             assert all(d == r for d, r in zip(decoded, encode.reconstruction))
 
@@ -207,19 +210,13 @@ class TestParallelParse:
     def test_jobs_respects_frame_limit(self, v2):
         assert len(decode_bitstream(v2.bitstream, frames=2, jobs=2)) == 2
 
-    def test_jobs_ignored_for_v1_and_per_block(self, v1, v2):
-        """Non-splittable modes fall back to the serial decoder."""
+    def test_jobs_ignored_for_v1(self, v1):
+        """Version-1 streams are not splittable: they fall back to the
+        serial decoder."""
         assert all(
             a == b
             for a, b in zip(
                 decode_bitstream(v1.bitstream, jobs=4), decode_bitstream(v1.bitstream)
-            )
-        )
-        assert all(
-            a == b
-            for a, b in zip(
-                decode_bitstream(v2.bitstream, use_engine=False, jobs=4),
-                decode_bitstream(v2.bitstream),
             )
         )
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.codec.encoder import EncodeResult, Encoder, encode_sequence
+from repro.me.estimator import MotionEstimator
 from repro.me.full_search import FullSearchEstimator
+from repro.me.stats import SearchStats
+from repro.me.types import MotionField, MotionVector
 from repro.video.frame import Frame, FrameGeometry, grey_frame
 from repro.video.sequence import Sequence
 
@@ -128,3 +131,32 @@ class TestEstimatorEffects:
         result = encode_sequence(small_sequence(2), qp=13, estimator="pbm")
         text = repr(result)
         assert "qp=13" in text and "small" in text
+
+
+class HoleyEstimator(MotionEstimator):
+    """Stub search that leaves macroblock (1, 2) of every field unset."""
+
+    name = "holey"
+
+    def search_block(self, ctx):  # pragma: no cover - estimate() is overridden
+        raise NotImplementedError
+
+    def estimate(self, current, reference, prev_field=None, qp=16, ref_plane=None):
+        rows, cols = current.shape[0] // 16, current.shape[1] // 16
+        field = MotionField(rows, cols)
+        for r in range(rows):
+            for c in range(cols):
+                if (r, c) != (1, 2):
+                    field.set(r, c, MotionVector.zero())
+        return field, SearchStats()
+
+
+class TestIncompleteMotionField:
+    @pytest.mark.parametrize("n_ref_frames", [1, 3])
+    def test_missing_entry_named(self, n_ref_frames):
+        """An estimator that leaves a macroblock unset is rejected with
+        the macroblock's coordinates, on single- and multi-reference
+        P-frames alike."""
+        encoder = Encoder(estimator=HoleyEstimator(p=7), qp=16, n_ref_frames=n_ref_frames)
+        with pytest.raises(ValueError, match=r"motion field missing entry \(1, 2\)"):
+            encoder.encode(small_sequence(3))

@@ -6,8 +6,10 @@ The contracts under test:
 * the default configuration (``i_period=None``, ``n_ref_frames=1``)
   still emits the **seed syntax byte-for-byte** — pinned by SHA-256
   against pre-GOP encodes;
-* GOP streams round-trip bit-identically through every decode path
-  (batched engine, per-block reference, seed ``ScalarBitReader``);
+* GOP-syntax (multi-reference, predictive-intra) encodes are pinned
+  by SHA-256 too, and every golden stream round-trips bit-identically
+  through every decode path (batched engine, the per-block oracle
+  :mod:`repro.reference`, seed ``ScalarBitReader``);
 * an I-frame resets the reference list, so per-GOP parallel encode
   splices a stream **byte-identical** to the serial encoder for any
   ``--jobs``;
@@ -20,6 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
@@ -116,18 +119,52 @@ GOLDEN_SEED_STREAMS = {
 }
 
 
+#: SHA-256 of GOP-syntax encodes (keys add ``i_period, n_ref_frames``
+#: to the seed table's), recorded while the encoder still had separate
+#: single- and multi-reference P-frame coders and its scalar
+#: reference-choice loop: merging them must not move a byte.
+GOLDEN_GOP_STREAMS = {
+    ("foreman", 10, 18, "ntss", 2, 8, 4): (
+        "205b9a8c52640e6414863fecb9b89cb8c8bd708a0a63b41745c140a87983ada3"
+    ),
+    ("miss_america", 9, 20, "acbm", 2, 3, 2): (
+        "ffb6866dc071bb1b1571e79e2a65842790ddb63b236c9fc0753e79b5c998cd69"
+    ),
+    ("foreman", 6, 16, "acbm", 1, None, 3): (
+        "698e7b2b8d8eb4f36f57139080355d55c415b5bea4e43581784e410051298d63"
+    ),
+}
+
+
+def assert_golden(case: tuple, table: dict) -> None:
+    """Encode one pinned case: its bytes hash to ``table[case]``, and
+    the batched decoder, the per-block oracle and the encoder's closed
+    loop agree on every frame."""
+    sequence, frames, qp, estimator, version, *gop = case
+    i_period, n_ref_frames = gop or (None, 1)
+    result = encode_sequence(
+        make_sequence(sequence, frames=frames, seed=0),
+        qp=qp,
+        estimator=estimator,
+        bitstream_version=version,
+        i_period=i_period,
+        n_ref_frames=n_ref_frames,
+        keep_reconstruction=True,
+    )
+    assert hashlib.sha256(result.bitstream).hexdigest() == table[case]
+    decoded = decode_bitstream(result.bitstream)
+    assert decoded == result.reconstruction
+    assert reference.decode_bitstream(result.bitstream) == decoded
+
+
 class TestSeedCompatibility:
     @pytest.mark.parametrize("case", sorted(GOLDEN_SEED_STREAMS))
     def test_default_path_byte_identical_to_seed(self, case):
-        sequence, frames, qp, estimator, version = case
-        result = encode_sequence(
-            make_sequence(sequence, frames=frames, seed=0),
-            qp=qp,
-            estimator=estimator,
-            bitstream_version=version,
-        )
-        digest = hashlib.sha256(result.bitstream).hexdigest()
-        assert digest == GOLDEN_SEED_STREAMS[case]
+        assert_golden(case, GOLDEN_SEED_STREAMS)
+
+    @pytest.mark.parametrize("case", list(GOLDEN_GOP_STREAMS))
+    def test_gop_syntax_byte_identical(self, case):
+        assert_golden(case, GOLDEN_GOP_STREAMS)
 
 
 class TestGopRoundTrip:
@@ -156,21 +193,13 @@ class TestGopRoundTrip:
             i_period=I_PERIOD,
         )
         engine = decode_bitstream(result.bitstream)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        per_block = reference.decode_bitstream(result.bitstream)
         assert engine == result.reconstruction
         assert per_block == result.reconstruction
         # The seed one-bit-at-a-time reader parses identical symbols.
         lut = parse_bitstream_symbols(result.bitstream)
         seed = parse_bitstream_symbols(result.bitstream, reader_factory=ScalarBitReader)
         assert lut == seed
-
-    def test_engine_and_scalar_encodes_byte_identical(self, clip):
-        kwargs = dict(
-            qp=18, estimator="tss", bitstream_version=2, i_period=I_PERIOD, n_ref_frames=2
-        )
-        batched = encode_sequence(clip, use_engine=True, **kwargs)
-        scalar = encode_sequence(clip, use_engine=False, **kwargs)
-        assert batched.bitstream == scalar.bitstream
 
     def test_multi_reference_actually_used(self):
         clip = oscillating_clip()
@@ -186,7 +215,7 @@ class TestGopRoundTrip:
         parsed = parse_bitstream_symbols(result.bitstream)
         assert any(p.ref_idx is not None and p.ref_idx.any() for p in parsed)
         assert decode_bitstream(result.bitstream) == result.reconstruction
-        assert decode_bitstream(result.bitstream, use_engine=False) == result.reconstruction
+        assert reference.decode_bitstream(result.bitstream) == result.reconstruction
 
 
 class TestSplitGops:

@@ -11,11 +11,14 @@ same bitstream bytes.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.codec.decoder import decode_bitstream
 from repro.codec.encoder import Encoder, encode_sequence
 from repro.codec.macroblock import (
@@ -273,8 +276,8 @@ class TestGoldenDecoder:
             seq, qp=10, estimator=estimator,
             estimator_kwargs={"p": 7}, keep_reconstruction=True,
         )
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = reference.decode_bitstream(result.bitstream)
         assert len(batched) == len(per_block) == 3
         for b, s, r in zip(batched, per_block, result.reconstruction):
             assert b == s
@@ -284,8 +287,8 @@ class TestGoldenDecoder:
     def test_batched_decode_across_qp_ladder(self, qp):
         seq = moving_sequence(2)
         result = encode_sequence(seq, qp=qp, estimator="pbm", keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = reference.decode_bitstream(result.bitstream)
         for b, s in zip(batched, per_block):
             assert b == s
 
@@ -294,15 +297,15 @@ class TestGoldenDecoder:
         dequantize + IDCT + tiling) against the per-block loop."""
         seq = moving_sequence(1)
         result = encode_sequence(seq, qp=12, estimator="pbm", keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = reference.decode_bitstream(result.bitstream)
         assert len(batched) == len(per_block) == 1
         assert batched[0] == per_block[0] == result.reconstruction[0]
 
     def test_synthetic_preset_round_trip(self):
         seq = make_sequence("carphone", frames=3)
         result = encode_sequence(seq, qp=14, estimator="acbm", keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
+        batched = decode_bitstream(result.bitstream)
         for b, r in zip(batched, result.reconstruction):
             assert b == r
 
@@ -318,8 +321,8 @@ class TestGoldenDecoder:
         seq = Sequence([Frame(base, index=0), Frame(second, index=1)], fps=30)
         result = encode_sequence(seq, qp=8, estimator="fsbm",
                                  estimator_kwargs={"p": 3}, keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = reference.decode_bitstream(result.bitstream)
         for b, s, r in zip(batched, per_block, result.reconstruction):
             assert b == s == r
 
@@ -327,35 +330,35 @@ class TestGoldenDecoder:
 # -- golden equivalence: encoder -----------------------------------------
 
 
+#: SHA-256 of encodes made when the encoder still carried its seed
+#: per-block motion-compensation branch, which emitted these exact
+#: bytes too: the whole-frame engine MC must not move one.
+MOVING_SEQUENCE_STREAM = "c330208b524997bca1f2a5a559cbe338f2ff16112085f04171246f89cd213c6e"
+MISS_AMERICA_FSBM_STREAM = "7ff2107446e4b8aa385b84eaa3928c49fa2e95dc9daec91fbff1dd1636557dc0"
+
+
 class TestGoldenEncoder:
     @pytest.mark.parametrize("estimator", ["pbm", "fsbm", "acbm"])
     def test_bitstream_identical_with_engine(self, estimator):
-        """Engine on/off produces byte-identical bitstreams and
-        identical reconstructions through the closed-loop encoder —
-        the shared chroma plane changes no sample."""
+        """The engine-MC encoder emits the pinned seed-era bytes, and its
+        closed-loop reconstruction is exactly what the per-block oracle
+        decodes from them — the shared chroma plane changes no sample."""
         seq = moving_sequence(3, seed=220)
-        on = Encoder(estimator=estimator, qp=12, estimator_kwargs={"p": 7},
-                     keep_reconstruction=True, use_engine=True).encode(seq)
-        off = Encoder(estimator=estimator, qp=12, estimator_kwargs={"p": 7},
-                      keep_reconstruction=True, use_engine=False).encode(seq)
-        assert on.bitstream == off.bitstream
-        assert on.mean_psnr_y == off.mean_psnr_y
-        for a, b in zip(on.reconstruction, off.reconstruction):
-            assert a == b
+        result = Encoder(estimator=estimator, qp=12, estimator_kwargs={"p": 7},
+                         keep_reconstruction=True).encode(seq)
+        assert hashlib.sha256(result.bitstream).hexdigest() == MOVING_SEQUENCE_STREAM
+        assert reference.decode_bitstream(result.bitstream) == result.reconstruction
 
     def test_synthetic_preset_identical(self):
         seq = make_sequence("miss_america", frames=3, seed=1)
-        on = encode_sequence(seq, qp=16, estimator="fsbm", use_engine=True)
-        off = encode_sequence(seq, qp=16, estimator="fsbm", use_engine=False)
-        assert on.bitstream == off.bitstream
+        result = encode_sequence(seq, qp=16, estimator="fsbm")
+        assert hashlib.sha256(result.bitstream).hexdigest() == MISS_AMERICA_FSBM_STREAM
 
     def test_engine_reconstruction_decodes_exactly(self):
         """End to end with every batched path on: encode (engine MC) →
         decode (batched reconstruction) is still the exact closed loop."""
         seq = make_sequence("foreman", frames=3, seed=2)
-        result = encode_sequence(
-            seq, qp=18, estimator="fsbm", keep_reconstruction=True, use_engine=True
-        )
-        decoded = decode_bitstream(result.bitstream, use_engine=True)
+        result = encode_sequence(seq, qp=18, estimator="fsbm", keep_reconstruction=True)
+        decoded = decode_bitstream(result.bitstream)
         for d, r in zip(decoded, result.reconstruction):
             assert d == r
