@@ -65,6 +65,7 @@ from repro.me.engine import (
     ChromaReferencePlane,
     ReferencePlane,
     add_residual_clip,
+    composite_predictions,
     frame_mc_luma,
     tile_blocks,
     tile_luma_blocks,
@@ -708,35 +709,22 @@ def _reconstruct_picture(
         )
     coefficients = dequantize(parsed.levels, header.qp)
     ref_idx = parsed.ref_idx
-    if ref_idx is None or not ref_idx.any():
-        plane = ReferencePlane(references[0].y)
-        chroma = ChromaReferencePlane(references[0].cb, references[0].cr)
-        pred_y = frame_mc_luma(plane, parsed.hx, parsed.hy)
-        pred_cb, pred_cr = chroma.mc_frame(parsed.hx, parsed.hy, header.p)
-    else:
-        needed = int(ref_idx.max())
-        if needed >= len(references):
-            raise ValueError(
-                f"picture selects reference {needed} but only {len(references)} "
-                f"frame(s) are decoded since the last I-frame"
-            )
-        pred_y = pred_cb = pred_cr = None
-        for k in np.unique(ref_idx):
-            ref = references[int(k)]
-            py = frame_mc_luma(ReferencePlane(ref.y), parsed.hx, parsed.hy)
-            pcb, pcr = ChromaReferencePlane(ref.cb, ref.cr).mc_frame(
-                parsed.hx, parsed.hy, header.p
-            )
-            if pred_y is None:
-                pred_y = np.empty_like(py)
-                pred_cb = np.empty_like(pcb)
-                pred_cr = np.empty_like(pcr)
-            mask = ref_idx == k
-            luma_mask = np.repeat(np.repeat(mask, 16, axis=0), 16, axis=1)
-            chroma_mask = np.repeat(np.repeat(mask, 8, axis=0), 8, axis=1)
-            pred_y[luma_mask] = py[luma_mask]
-            pred_cb[chroma_mask] = pcb[chroma_mask]
-            pred_cr[chroma_mask] = pcr[chroma_mask]
+    if ref_idx is None:
+        ref_idx = np.zeros((header.mb_rows, header.mb_cols), dtype=np.int64)
+    needed = int(ref_idx.max())
+    if needed >= len(references):
+        raise ValueError(
+            f"picture selects reference {needed} but only {len(references)} "
+            f"frame(s) are decoded since the last I-frame"
+        )
+
+    def predict(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ref = references[k]
+        pred_y = frame_mc_luma(ReferencePlane(ref.y), parsed.hx, parsed.hy)
+        chroma = ChromaReferencePlane(ref.cb, ref.cr)
+        return (pred_y, *chroma.mc_frame(parsed.hx, parsed.hy, header.p))
+
+    pred_y, pred_cb, pred_cr = composite_predictions(ref_idx, predict)
     residual = get_backend().idct(coefficients)
     y = add_residual_clip(pred_y, tile_luma_blocks(residual[:, :, :4]))
     cb = add_residual_clip(pred_cb, tile_blocks(residual[:, :, 4]))

@@ -25,14 +25,16 @@ frames carry the extended picture start code; the defaults
 (``i_period=None, n_ref_frames=1``) emit the seed syntax, byte for
 byte.
 
-There is one P-frame coder for every reference-list depth.  Its local
-reconstruction loop motion-compensates whole frames through the shared
-:class:`~repro.me.engine.ReferencePlane` /
-:class:`~repro.me.engine.ChromaReferencePlane` caches, then codes and
-local-decodes each macroblock with the same helpers the GOP I-frame
-coder uses.  The independent per-block decoder that checks these
-reconstructions bit for bit is :mod:`repro.reference` (a test and
-benchmark oracle; nothing in the codec imports it).
+Seed-syntax I-frames and P-frames (one P-frame coder for every
+reference-list depth) are coded a whole frame at a time: one
+``(rows, cols, 6, 8, 8)`` block grid, one DCT → quantise → IDCT pass,
+and a local decode through the decoder's own kernels.  Only the entropy
+walk visits macroblocks, because MVD prediction reads the vectors
+already coded.  GOP-syntax I-frames predict from reconstructed
+neighbours, so they still code one macroblock at a time.  The
+independent per-block decoder that checks these reconstructions bit
+for bit is :mod:`repro.reference` (a test and benchmark oracle;
+nothing in the codec imports it).
 """
 
 from __future__ import annotations
@@ -46,30 +48,42 @@ from repro.codec.bitstream import BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
 from repro.codec.intra import INTRA_MODE_BITS, choose_intra_modes, intra_predict
 from repro.codec.macroblock import (
-    code_inter_block,
-    code_intra_block,
+    coded_block_patterns,
     macroblock_views,
     reconstruct_macroblock,
-    split_luma_blocks,
     write_events,
 )
-from repro.codec.quantizer import check_qp
+from repro.codec.quantizer import (
+    check_qp,
+    dequantize,
+    dequantize_intra_dc,
+    quantize_inter,
+    quantize_intra_ac,
+    quantize_intra_dc,
+)
 from repro.codec.mv_coding import predict_mv, write_mvd
 from repro.codec.vlc_tables import CBPY_TABLE, MCBPC_TABLE
+from repro.codec.zigzag import blocks_to_events
 from repro.me.engine import (
     ChromaReferencePlane,
     ReferencePlane,
+    add_residual_clip,
+    composite_predictions,
     frame_mc_luma,
     intra_mode_cost_surfaces,
+    split_frame_blocks,
+    tile_blocks,
+    tile_luma_blocks,
 )
 from repro.me.estimator import MotionEstimator, create_estimator
 from repro.me.stats import SearchStats
 from repro.obs import metrics, trace
 from repro.me.types import MotionField, MotionVector
 
-# The per-block predictors are the oracle twins of the whole-frame MC
-# above; they stay bound here because perfbench's layer instrumentation
-# wraps them by name on this module.
+# Per-block twins of the whole-frame quantisation and MC above.  The
+# frame coders no longer call them; they stay bound here because
+# perfbench's layer instrumentation wraps them by name on this module.
+from repro.codec.macroblock import code_inter_block, code_intra_block  # noqa: F401
 from repro.codec.macroblock import predict_chroma_block  # noqa: F401
 from repro.me.subpel import predict_block  # noqa: F401
 from repro.video.frame import Frame
@@ -450,32 +464,33 @@ class Encoder:
         return writer.bit_count - before
 
     def _encode_intra_frame(self, writer: BitWriter, frame: Frame) -> tuple[int, Frame, int]:
+        """Seed-syntax I-frame: every block is intra coded with no
+        prediction, so the whole frame is one DCT → quantise → IDCT
+        pass and only the symbol writes walk the macroblocks."""
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I")
-        geometry = frame.geometry
-        recon = (np.empty_like(frame.y), np.empty_like(frame.cb), np.empty_like(frame.cr))
-        coef_bits = 0
         phase = trace.phases()
-        for r in range(geometry.mb_rows):
-            for c in range(geometry.mb_cols):
-                luma = frame.luma_block(r, c).astype(np.float64)
-                cb, cr = frame.chroma_blocks(r, c)
-                blocks = np.concatenate(
-                    [split_luma_blocks(luma), cb[None].astype(np.float64), cr[None].astype(np.float64)]
-                )
-                with phase("encode.transform_quant"):
-                    coefficients = forward_dct(blocks)
-                    coded = [code_intra_block(coefficients[k], self.qp) for k in range(6)]
-                cbpy = sum((1 << k) for k in range(4) if coded[k][1])
-                mcbpc = (2 if coded[4][1] else 0) | (1 if coded[5][1] else 0)
-                with phase("encode.entropy"):
-                    writer.write_code(MCBPC_TABLE.encode(mcbpc))
-                    writer.write_code(CBPY_TABLE.encode(cbpy))
-                    for dc_level, events, _ in coded:
-                        writer.write_bits(dc_level, 8)
-                        if events:
-                            coef_bits += write_events(writer, events)
-                reconstruct_macroblock(recon, r, c, inverse_dct(np.stack([rc for _, _, rc in coded])))
+        with phase("encode.transform_quant"):
+            coefficients = forward_dct(split_frame_blocks(frame.y, frame.cb, frame.cr))
+            dc_levels = quantize_intra_dc(coefficients[..., 0, 0])
+            levels = quantize_intra_ac(coefficients, self.qp)
+            levels[..., 0, 0] = 0
+            coded, events = blocks_to_events(levels, skip_first=1)
+        cbpy, mcbpc = coded_block_patterns(coded)
+        coef_bits = 0
+        with phase("encode.entropy"):
+            for m, (mb_cbpy, mb_mcbpc, mb_dc) in enumerate(
+                zip(cbpy.ravel().tolist(), mcbpc.ravel().tolist(), dc_levels.reshape(-1, 6).tolist())
+            ):
+                writer.write_code(MCBPC_TABLE.encode(mb_mcbpc))
+                writer.write_code(CBPY_TABLE.encode(mb_cbpy))
+                for dc_level, block_events in zip(mb_dc, events[6 * m : 6 * m + 6]):
+                    writer.write_bits(dc_level, 8)
+                    if block_events:
+                        coef_bits += write_events(writer, block_events)
+        coefficients = dequantize(levels, self.qp)
+        coefficients[..., 0, 0] = dequantize_intra_dc(dc_levels)
+        recon = _local_decode(coefficients, (0.0, 0.0, 0.0))
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
         return total, Frame(*recon, index=frame.index), coef_bits
@@ -486,7 +501,8 @@ class Encoder:
 
         The mode decision is open-loop on the source luma (batched
         :func:`intra_mode_cost_surfaces`); the prediction itself reads
-        the reconstructed neighbours the decoder will have.
+        the reconstructed neighbours the decoder will have, so this
+        coder transforms and reconstructs one macroblock at a time.
         """
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I", extended=True)
@@ -503,14 +519,15 @@ class Encoder:
                 pred = [
                     intra_predict(plane, r, c, size, mode) for plane, size in zip(recon, (16, 8, 8))
                 ]
-                coded, cbpy, mcbpc = self._code_residual(macroblock_views(source, r, c), pred, phase)
-                with phase("encode.entropy"):
-                    writer.write_code(MCBPC_TABLE.encode(mcbpc))
-                    writer.write_code(CBPY_TABLE.encode(cbpy))
-                    coef_bits += _write_coefficients(writer, coded)
-                reconstruct_macroblock(
-                    recon, r, c, inverse_dct(np.stack([rc for _, rc in coded])), pred
+                levels, events, cbpy, mcbpc = self._transform_quantise(
+                    macroblock_views(source, r, c), pred, phase
                 )
+                with phase("encode.entropy"):
+                    writer.write_code(MCBPC_TABLE.encode(int(mcbpc[0, 0])))
+                    writer.write_code(CBPY_TABLE.encode(int(cbpy[0, 0])))
+                    coef_bits += _write_coefficients(writer, events)
+                residual = inverse_dct(dequantize(levels, self.qp))
+                reconstruct_macroblock(recon, r, c, residual[0, 0], pred)
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
         return total, Frame(*recon, index=frame.index), coef_bits
@@ -522,15 +539,21 @@ class Encoder:
         references: list[Frame],
         prev_field: MotionField | None,
     ) -> tuple[int, Frame, int, int, int, MotionField, SearchStats]:
-        """P-frame: search every active reference, motion-compensate
-        whole frames through the shared reference caches, then code each
-        macroblock's residual and local-decode it as the decoder will.
+        """P-frame: search every active reference, then code and
+        local-decode the whole frame's prediction error.
 
         With one active reference every macroblock predicts from it.
         With several, each macroblock takes the reference with minimal
-        compensated-luma SAD (ties toward the most recent).  Pictures of
-        an ``n_ref_frames > 1`` encoder use the extended syntax, which
-        codes an exp-Golomb reference index per coded macroblock.
+        compensated-luma SAD (ties toward the most recent), and the
+        prediction planes are composited per macroblock exactly as the
+        decoder composites them.  Pictures of an ``n_ref_frames > 1``
+        encoder use the extended syntax, which codes an exp-Golomb
+        reference index per coded macroblock.
+
+        Once the vectors are fixed nothing spatial remains: the residual
+        takes one whole-frame DCT → quantise → IDCT pass, and only the
+        entropy walk (COD, MCBPC/CBPY, reference index, MVD, TCOEF) runs
+        per macroblock.
         """
         active = references[: self.n_ref_frames]
         extended = self.n_ref_frames > 1
@@ -573,74 +596,84 @@ class Encoder:
             field_hx = np.choose(choice, [hx for hx, _ in arrays])
             field_hy = np.choose(choice, [hy for _, hy in arrays])
             field = MotionField.from_arrays(field_hx, field_hy)
-        preds = {}
-        for k in np.unique(choice).tolist():
+
+        def predict(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             chroma = ChromaReferencePlane(active[k].cb, active[k].cr)
-            preds[k] = (luma_preds[k], *chroma.mc_frame(field_hx, field_hy, self.estimator.p))
-        source = (frame.y, frame.cb, frame.cr)
-        recon = tuple(np.empty_like(plane) for plane in source)
+            return (luma_preds[k], *chroma.mc_frame(field_hx, field_hy, self.estimator.p))
+
+        pred = composite_predictions(choice, predict)
+        phase = trace.phases()
+        levels, events, cbpy, mcbpc = self._transform_quantise(
+            (frame.y, frame.cb, frame.cr), pred, phase
+        )
         # Vectors as the decoder will see them (skip forces zero); used
         # for median prediction of subsequent MVDs.
         coded_field = MotionField(rows, cols)
         skipped = 0
         mv_bits_total = 0
         coef_bits_total = 0
-        phase = trace.phases()
-        for r in range(rows):
-            for c in range(cols):
-                k = int(choice[r, c])
-                mv = field.get(r, c)
-                pred = [p.astype(np.float64) for p in macroblock_views(preds[k], r, c)]
-                coded, cbpy, mcbpc = self._code_residual(macroblock_views(source, r, c), pred, phase)
-                if k == 0 and mv.is_zero and cbpy == 0 and mcbpc == 0:
-                    writer.write_bit(1)  # COD: skipped (reference 0, zero vector)
-                    skipped += 1
-                    coded_field.set(r, c, MotionVector.zero())
-                    for out, p in zip(macroblock_views(recon, r, c), pred):
-                        out[...] = p
-                    continue
-                with phase("encode.entropy"):
+        with phase("encode.entropy"):
+            cbpy, mcbpc, choice = cbpy.tolist(), mcbpc.tolist(), choice.tolist()
+            for r in range(rows):
+                for c in range(cols):
+                    k = choice[r][c]
+                    mv = field.get(r, c)
+                    if k == 0 and mv.is_zero and cbpy[r][c] == 0 and mcbpc[r][c] == 0:
+                        writer.write_bit(1)  # COD: skipped (reference 0, zero vector)
+                        skipped += 1
+                        coded_field.set(r, c, MotionVector.zero())
+                        continue
                     writer.write_bit(0)  # COD: coded
-                    writer.write_code(MCBPC_TABLE.encode(mcbpc))
-                    writer.write_code(CBPY_TABLE.encode(cbpy))
+                    writer.write_code(MCBPC_TABLE.encode(mcbpc[r][c]))
+                    writer.write_code(CBPY_TABLE.encode(cbpy[r][c]))
                     if extended:
                         writer.write_ue(k)
                     predictor = predict_mv(coded_field, r, c)
                     mv_bits_total += write_mvd(writer, mv, predictor)
                     coded_field.set(r, c, mv)
-                    coef_bits_total += _write_coefficients(writer, coded)
-                reconstruct_macroblock(
-                    recon, r, c, inverse_dct(np.stack([rc for _, rc in coded])), pred
-                )
+                    m = 6 * (r * cols + c)
+                    coef_bits_total += _write_coefficients(writer, events[m : m + 6])
+        # A skipped macroblock has all-zero levels, so its residual is
+        # zero and it reconstructs to the prediction, as in the decoder.
+        recon = _local_decode(dequantize(levels, self.qp), pred)
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
         recon_frame = Frame(*recon, index=frame.index)
         return total, recon_frame, skipped, mv_bits_total, coef_bits_total, field, stats
 
-    def _code_residual(self, current, pred, phase) -> tuple[list, int, int]:
-        """Transform and quantise one macroblock's prediction error.
+    def _transform_quantise(self, source, pred, phase) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+        """Transform and quantise the prediction error of (Y, Cb, Cr)
+        planes — a whole frame or one macroblock's views.
 
-        ``current`` and ``pred`` are (Y, Cb, Cr) macroblock triples.
-        Returns the six blocks' ``(events, dequantised coefficients)``
-        pairs with the CBPY and MCBPC patterns they imply.
+        Returns the ``(rows, cols, 6, 8, 8)`` level grid, the blocks'
+        event lists in C order (see :func:`blocks_to_events`) and the
+        per-macroblock CBPY and MCBPC grids they imply.
         """
-        cur_y, cur_cb, cur_cr = current
-        pred_y, pred_cb, pred_cr = pred
-        residual = np.concatenate(
-            [split_luma_blocks(cur_y - pred_y), (cur_cb - pred_cb)[None], (cur_cr - pred_cr)[None]]
-        )
+        residual = [plane.astype(np.int16) - p for plane, p in zip(source, pred)]
         with phase("encode.transform_quant"):
-            coefficients = forward_dct(residual)
-            coded = [code_inter_block(coefficients[k], self.qp) for k in range(6)]
-        cbpy = sum((1 << k) for k in range(4) if coded[k][0])
-        mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
-        return coded, cbpy, mcbpc
+            # Nested so the float64 block grid is freed before quantising.
+            levels = quantize_inter(forward_dct(split_frame_blocks(*residual)), self.qp)
+            coded, events = blocks_to_events(levels)
+        cbpy, mcbpc = coded_block_patterns(coded)
+        return levels, events, cbpy, mcbpc
 
 
-def _write_coefficients(writer: BitWriter, coded) -> int:
+def _write_coefficients(writer: BitWriter, events) -> int:
     """TCOEF events of every coded block, in block order; returns the
     bits written."""
-    return sum(write_events(writer, events) for events, _ in coded if events)
+    return sum(write_events(writer, block_events) for block_events in events if block_events)
+
+
+def _local_decode(coefficients: np.ndarray, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoder's reconstruction of a ``(rows, cols, 6, 8, 8)``
+    dequantised coefficient grid over (Y, Cb, Cr) prediction planes:
+    one inverse DCT, tiling, then ``add_residual_clip``."""
+    residual = inverse_dct(coefficients)
+    return (
+        add_residual_clip(pred[0], tile_luma_blocks(residual[:, :, :4])),
+        add_residual_clip(pred[1], tile_blocks(residual[:, :, 4])),
+        add_residual_clip(pred[2], tile_blocks(residual[:, :, 5])),
+    )
 
 
 def encode_sequence(

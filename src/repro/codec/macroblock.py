@@ -6,6 +6,7 @@ module owns the pieces both sides must agree on bit-for-bit:
 * luma block splitting order (TL, TR, BL, BR — H.263's block order),
 * the closed-loop reconstruction rule (prediction + residual, rounded
   and clipped — :func:`reconstruct_macroblock`),
+* coded-block patterns (CBPY / MCBPC) from per-block coded flags,
 * chroma motion-vector derivation from the luma vector,
 * TCOEF event serialization (table codes + sign, or escape payload),
 * quantize → events → dequantize round trips for inter and intra
@@ -78,14 +79,25 @@ def reconstruct_macroblock(
     inverse-transformed residual blocks (Y0..Y3, Cb, Cr) plus the
     (Y, Cb, Cr) prediction, rounded and clipped to 8 bits.
 
-    The encoder's local decode and the decoder's spatially predicted
-    I-frames both reconstruct through here, so the closed loop has one
-    rounding rule.
+    The encoder's and the decoder's spatially predicted (GOP-syntax)
+    I-frames reconstruct through here, one macroblock at a time because
+    each predicts from its reconstructed neighbours; whole-frame
+    reconstruction uses the same rounding rule in
+    :func:`repro.me.engine.add_residual_clip`.
     """
     rec_y, rec_cb, rec_cr = macroblock_views(planes, mb_row, mb_col)
     rec_y[...] = np.clip(np.rint(join_luma_blocks(residual[:4]) + pred[0]), 0, 255)
     rec_cb[...] = np.clip(np.rint(residual[4] + pred[1]), 0, 255)
     rec_cr[...] = np.clip(np.rint(residual[5] + pred[2]), 0, 255)
+
+
+def coded_block_patterns(coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-macroblock ``(CBPY, MCBPC)`` from a ``(..., 6)`` coded-block
+    mask (Y0..Y3, Cb, Cr): luma block ``k`` sets CBPY bit ``k``, Cb and
+    Cr set MCBPC bits 1 and 0."""
+    c = np.asarray(coded, dtype=np.int64)
+    cbpy = c[..., 0] | (c[..., 1] << 1) | (c[..., 2] << 2) | (c[..., 3] << 3)
+    return cbpy, (c[..., 4] << 1) | c[..., 5]
 
 
 def chroma_mv(mv: MotionVector) -> MotionVector:

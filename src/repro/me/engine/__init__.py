@@ -29,9 +29,12 @@ The reconstruction side gets the same treatment
 * :func:`frame_mc_luma` / :func:`frame_mc_chroma` — whole-frame motion
   compensation in one gather (chroma includes the H.263 vector
   derivation and border clamping).
-* :func:`tile_luma_blocks` / :func:`tile_blocks` /
-  :func:`add_residual_clip` — batched residual reassembly, rounding and
-  clamping back to stored ``uint8`` planes.
+* :func:`split_frame_blocks` / :func:`tile_luma_blocks` /
+  :func:`tile_blocks` / :func:`add_residual_clip` — whole-frame block
+  split and its inverse, residual reassembly, rounding and clamping
+  back to stored ``uint8`` planes.
+* :func:`composite_predictions` — per-macroblock reference selection
+  over whole-frame predictions (multi-reference P-frames).
 
 Everything in here is *bit-exact* with the per-block reference
 implementations it replaces; ``tests/test_engine.py`` and
@@ -54,8 +57,10 @@ from repro.me.engine.kernels import (
 from repro.me.engine.reconstruction import (
     add_residual_clip,
     chroma_mv_grids,
+    composite_predictions,
     frame_mc_chroma,
     frame_mc_luma,
+    split_frame_blocks,
     tile_blocks,
     tile_luma_blocks,
 )
@@ -69,6 +74,7 @@ __all__ = [
     "ReferencePlane",
     "add_residual_clip",
     "chroma_mv_grids",
+    "composite_predictions",
     "evaluate_candidates_batch",
     "frame_mc_chroma",
     "frame_mc_luma",
@@ -77,6 +83,7 @@ __all__ = [
     "intra_mode_cost_surfaces",
     "refine_half_pel_batch",
     "select_minima",
+    "split_frame_blocks",
     "supports_vectorized_search",
     "tile_blocks",
     "tile_luma_blocks",

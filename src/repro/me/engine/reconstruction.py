@@ -15,7 +15,12 @@ chroma re-interpolating) the reference once per block:
   clamped chroma motion compensation, vectorized over the macroblock
   grid.
 * :func:`tile_luma_blocks` / :func:`tile_blocks` — reassemble per-block
-  8x8 stacks into full planes (H.263 TL, TR, BL, BR luma block order).
+  8x8 stacks into full planes (H.263 TL, TR, BL, BR luma block order);
+  :func:`split_frame_blocks` is their inverse, the encoder's one
+  whole-frame block split ahead of its single forward DCT.
+* :func:`composite_predictions` — per-macroblock selection among
+  whole-frame predictions from several references (multi-reference
+  P-frames), shared by the encoder's closed loop and the decoder.
 * :func:`add_residual_clip` — the residual add + round + clamp that
   turns predictions and IDCT output into stored ``uint8`` planes.
 
@@ -155,6 +160,48 @@ def tile_luma_blocks(blocks: np.ndarray) -> np.ndarray:
     rows, cols = blocks.shape[:2]
     quad = blocks.reshape(rows, cols, 2, 2, 8, 8)
     return quad.transpose(0, 2, 4, 1, 3, 5).reshape(rows * 16, cols * 16)
+
+
+def split_frame_blocks(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """(Y, Cb, Cr) planes → the ``(rows, cols, 6, 8, 8)`` float64 block
+    grid, each macroblock's blocks in H.263 order (Y0..Y3 as TL, TR, BL,
+    BR, then Cb, Cr) — the inverse of :func:`tile_luma_blocks` /
+    :func:`tile_blocks`, and the whole-frame
+    :func:`repro.codec.macroblock.split_luma_blocks`."""
+    rows, cols = y.shape[0] // 16, y.shape[1] // 16
+    if y.shape != (16 * rows, 16 * cols) or cb.shape != cr.shape or cb.shape != (8 * rows, 8 * cols):
+        raise ValueError(f"planes {y.shape}/{cb.shape}/{cr.shape} do not form a 4:2:0 macroblock grid")
+    grid = np.empty((rows, cols, 6, 8, 8), dtype=np.float64)
+    luma = y.reshape(rows, 2, 8, cols, 2, 8).transpose(0, 3, 1, 4, 2, 5)
+    grid[:, :, :4] = luma.reshape(rows, cols, 4, 8, 8)
+    grid[:, :, 4] = cb.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3)
+    grid[:, :, 5] = cr.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3)
+    return grid
+
+
+def composite_predictions(choice: np.ndarray, predict) -> tuple[np.ndarray, ...]:
+    """Whole-frame prediction planes where macroblock ``(r, c)`` comes
+    from reference ``choice[r, c]``.
+
+    ``predict(k)`` returns reference ``k``'s whole-frame ``(Y, Cb, Cr)``
+    prediction; it is called once per distinct entry of ``choice``, in
+    ascending order, and a single distinct entry returns its planes
+    unchanged.
+    """
+    refs = np.unique(choice).tolist()
+    if len(refs) == 1:
+        return tuple(predict(refs[0]))
+    out = None
+    for k in refs:
+        planes = predict(k)
+        if out is None:
+            out = tuple(np.empty_like(plane) for plane in planes)
+        mask = choice == k
+        for dst, src in zip(out, planes):
+            scale = dst.shape[0] // mask.shape[0]
+            plane_mask = np.repeat(np.repeat(mask, scale, axis=0), scale, axis=1)
+            dst[plane_mask] = src[plane_mask]
+    return out
 
 
 def add_residual_clip(prediction: np.ndarray, residual: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.codec.encoder as encoder_module
 from repro.codec.encoder import EncodeResult, Encoder, encode_sequence
 from repro.me.estimator import MotionEstimator
 from repro.me.full_search import FullSearchEstimator
@@ -160,3 +161,29 @@ class TestIncompleteMotionField:
         encoder = Encoder(estimator=HoleyEstimator(p=7), qp=16, n_ref_frames=n_ref_frames)
         with pytest.raises(ValueError, match=r"motion field missing entry \(1, 2\)"):
             encoder.encode(small_sequence(3))
+
+
+class TestWholeFrameTransform:
+    @pytest.mark.parametrize("n_ref_frames", [1, 3])
+    def test_one_transform_pair_per_batched_frame(self, monkeypatch, n_ref_frames):
+        """Seed-syntax I-frames and every P-frame run one forward and one
+        inverse DCT over the whole ``(rows, cols, 6, 8, 8)`` block grid —
+        a return to per-macroblock transforms shows up as extra calls.
+        (A multi-reference encoder's I-frames use the GOP syntax, whose
+        spatial prediction still transforms one macroblock at a time.)"""
+        calls = {"forward_dct": [], "inverse_dct": []}
+        for name, shapes in calls.items():
+            real = getattr(encoder_module, name)
+
+            def counted(blocks, real=real, shapes=shapes):
+                shapes.append(np.shape(blocks))
+                return real(blocks)
+
+            monkeypatch.setattr(encoder_module, name, counted)
+        result = encode_sequence(small_sequence(4), qp=12, estimator="fsbm", n_ref_frames=n_ref_frames)
+        batched = len(result.frames) if n_ref_frames == 1 else len(result.frames) - 1
+        grid = (SMALL.mb_rows, SMALL.mb_cols, 6, 8, 8)
+        for shapes in calls.values():
+            assert shapes.count(grid) == batched
+            if n_ref_frames == 1:
+                assert len(shapes) == batched

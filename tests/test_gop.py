@@ -116,6 +116,21 @@ GOLDEN_SEED_STREAMS = {
     ("carphone", 3, 28, "acbm", 1): (
         "8583aba2e2088af51a0ab3658963ae89f67713040b14757f9872ec18779d5125"
     ),
+    # Dense coefficients (recorded before the encoder's transform and
+    # quantisation were batched over the whole frame): all three code
+    # escape-coded levels, Qp 1 reaches the +-127 level clip and the
+    # carphone case clips reconstructed pixels at 0 and 255.  None
+    # reaches the 1..254 intra-DC clamp; the saturated-content pins in
+    # tests/test_reconstruction.py do.
+    ("foreman", 4, 2, "acbm", 1): (
+        "d14c6a8f1771e9fb29bb0b22927facc0dde41e57bff190a3704085e49469fb01"
+    ),
+    ("foreman", 4, 1, "fsbm", 2): (
+        "184b30849c726a932eb0943a1f248d718fb1b152b0e3fce2b42d37672064d166"
+    ),
+    ("carphone", 3, 8, "acbm", 2): (
+        "213a91a979b4fbd8712cb8fbbb45dd659f250ace4ae3560faebc6f98824d20c1"
+    ),
 }
 
 

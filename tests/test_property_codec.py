@@ -3,10 +3,11 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.codec.macroblock import read_events, write_events
+from repro.codec.macroblock import coded_block_patterns, read_events, write_events
 from repro.codec.mv_coding import mvd_bits, read_mvd, write_mvd
 from repro.codec.quantizer import dequantize, quantize_inter
 from repro.codec.vlc import (
@@ -15,7 +16,14 @@ from repro.codec.vlc import (
     se_golomb_code,
     ue_golomb_code,
 )
-from repro.codec.zigzag import CoefficientEvent, block_to_events, events_to_block, scan, unscan
+from repro.codec.zigzag import (
+    CoefficientEvent,
+    block_to_events,
+    blocks_to_events,
+    events_to_block,
+    scan,
+    unscan,
+)
 from repro.me.types import MotionVector
 
 # -- bitstream ----------------------------------------------------------
@@ -91,6 +99,44 @@ def test_event_levels_nonzero_and_runs_valid(block):
     for event in block_to_events(block):
         assert event.level != 0
         assert 0 <= event.run <= 63
+
+
+@st.composite
+def level_grids(draw):
+    """Sparse ``(rows, cols, 6, 8, 8)`` level grids with forced
+    all-zero blocks and levels at the +-127 clip."""
+    rows = draw(st.integers(min_value=1, max_value=3))
+    cols = draw(st.integers(min_value=1, max_value=3))
+    levels = draw(
+        arrays(
+            np.int32,
+            (rows, cols, 6, 8, 8),
+            elements=st.sampled_from([-127, 127]) | st.integers(min_value=-127, max_value=127),
+            fill=st.just(0),
+        )
+    )
+    levels[draw(arrays(np.bool_, (rows, cols, 6)))] = 0
+    return levels
+
+
+@given(level_grids(), st.integers(min_value=0, max_value=1))
+@settings(max_examples=80, deadline=None)
+def test_grid_events_match_per_block_rule(levels, skip_first):
+    """The whole-frame symbol extraction equals ``block_to_events`` and
+    the per-macroblock CBP arithmetic, block by block."""
+    coded, events = blocks_to_events(levels, skip_first=skip_first)
+    cbpy, mcbpc = coded_block_patterns(coded)
+    rows, cols = levels.shape[:2]
+    assert coded.shape == (rows, cols, 6)
+    assert len(events) == rows * cols * 6
+    for r in range(rows):
+        for c in range(cols):
+            per_block = [block_to_events(levels[r, c, k], skip_first=skip_first) for k in range(6)]
+            assert events[6 * (r * cols + c) : 6 * (r * cols + c) + 6] == per_block
+            flags = [bool(e) for e in per_block]
+            assert coded[r, c].tolist() == flags
+            assert cbpy[r, c] == sum((1 << k) for k in range(4) if flags[k])
+            assert mcbpc[r, c] == (2 if flags[4] else 0) | (1 if flags[5] else 0)
 
 
 # -- TCOEF serialization --------------------------------------------------

@@ -19,21 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import reference
-from repro.codec.decoder import decode_bitstream
+from repro.codec.dct import inverse_dct
+from repro.codec.decoder import decode_bitstream, parse_bitstream_symbols
 from repro.codec.encoder import Encoder, encode_sequence
 from repro.codec.macroblock import (
     chroma_mv,
     join_luma_blocks,
+    macroblock_views,
     predict_chroma_block,
     split_luma_blocks,
 )
+from repro.codec.quantizer import dequantize, dequantize_intra_dc
 from repro.me.engine import (
     ChromaReferencePlane,
     ReferencePlane,
     add_residual_clip,
     chroma_mv_grids,
+    composite_predictions,
     frame_mc_chroma,
     frame_mc_luma,
+    split_frame_blocks,
     tile_blocks,
     tile_luma_blocks,
 )
@@ -254,12 +259,65 @@ class TestTileHelpers:
         with pytest.raises(ValueError):
             tile_luma_blocks(np.zeros((2, 3, 6, 8, 8)))
 
+    def test_split_frame_blocks_round_trips_through_tiles(self):
+        y, cb, cr = random_plane(64, 32, 48), random_plane(65, 16, 24), random_plane(66, 16, 24)
+        grid = split_frame_blocks(y, cb, cr)
+        assert grid.shape == (2, 3, 6, 8, 8)
+        assert grid.dtype == np.float64
+        np.testing.assert_array_equal(tile_luma_blocks(grid[:, :, :4]), y)
+        np.testing.assert_array_equal(tile_blocks(grid[:, :, 4]), cb)
+        np.testing.assert_array_equal(tile_blocks(grid[:, :, 5]), cr)
+
+    def test_split_frame_blocks_matches_per_macroblock_split(self):
+        planes = (random_plane(67, 32, 48), random_plane(68, 16, 24), random_plane(69, 16, 24))
+        grid = split_frame_blocks(*planes)
+        for r in range(2):
+            for c in range(3):
+                mb_y, mb_cb, mb_cr = macroblock_views(planes, r, c)
+                np.testing.assert_array_equal(grid[r, c, :4], split_luma_blocks(mb_y))
+                np.testing.assert_array_equal(grid[r, c, 4], mb_cb)
+                np.testing.assert_array_equal(grid[r, c, 5], mb_cr)
+
+    def test_split_frame_blocks_rejects_non_420_planes(self):
+        with pytest.raises(ValueError, match="4:2:0 macroblock grid"):
+            split_frame_blocks(np.zeros((32, 48)), np.zeros((16, 16)), np.zeros((16, 16)))
+        with pytest.raises(ValueError, match="4:2:0 macroblock grid"):
+            split_frame_blocks(np.zeros((30, 48)), np.zeros((15, 24)), np.zeros((15, 24)))
+
     def test_add_residual_clip_matches_per_block_arithmetic(self):
         rng = np.random.default_rng(63)
         pred = rng.integers(0, 256, (48, 64)).astype(np.uint8)
         residual = rng.normal(0, 40, (48, 64))
         expected = np.clip(np.rint(residual + pred.astype(np.float64)), 0, 255).astype(np.uint8)
         np.testing.assert_array_equal(add_residual_clip(pred, residual), expected)
+
+
+class TestCompositePredictions:
+    @staticmethod
+    def planes_for(k: int):
+        return tuple(random_plane(70 + 3 * k + i, h, w) for i, (h, w) in
+                     enumerate(((32, 48), (16, 24), (16, 24))))
+
+    def test_each_macroblock_takes_its_chosen_reference(self):
+        choice = np.array([[2, 0, 2], [1, 2, 0]])
+        calls = []
+
+        def predict(k):
+            calls.append(k)
+            return self.planes_for(k)
+
+        out = composite_predictions(choice, predict)
+        assert calls == [0, 1, 2]
+        for r in range(2):
+            for c in range(3):
+                expected = macroblock_views(self.planes_for(int(choice[r, c])), r, c)
+                for got, want in zip(macroblock_views(out, r, c), expected):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_single_reference_returns_its_planes(self):
+        planes = self.planes_for(3)
+        out = composite_predictions(np.full((2, 3), 3), lambda k: planes)
+        assert all(a is b for a, b in zip(out, planes))
 
 
 # -- golden equivalence: decoder -----------------------------------------
@@ -337,7 +395,55 @@ MOVING_SEQUENCE_STREAM = "c330208b524997bca1f2a5a559cbe338f2ff16112085f04171246f
 MISS_AMERICA_FSBM_STREAM = "7ff2107446e4b8aa385b84eaa3928c49fa2e95dc9daec91fbff1dd1636557dc0"
 
 
+#: SHA-256 of saturated-content encodes (0/255 tiles plus impulses),
+#: recorded before the encoder's transform, quantisation and local
+#: decode were batched over the whole frame.  Each case drives the
+#: intra-DC clamp to both ends (levels 1 and 254) and pushes the intra
+#: reconstruction outside 0..255 before clipping; Qp 1 also hits the
+#: +-127 level clip.
+SATURATED_STREAMS = {
+    (1, "fsbm"): "7963304da5f75b3afaa5b2391920a2b6bac1fef4a5f771f126ec4b79121a1ce9",
+    (31, "acbm"): "922de325237cd67ecb62eb82d8e931daaf198296a98034be46389e3b88738d6c",
+}
+
+
+def saturated_sequence(n=3, seed=230):
+    rng = np.random.default_rng(seed)
+
+    def plane(h, w):
+        tiles = rng.integers(0, 2, (h // 8, w // 8)) * 255
+        p = np.kron(tiles, np.ones((8, 8), dtype=np.int64))
+        p[: h // 2 : 5, ::3] = 255 - p[: h // 2 : 5, ::3]  # impulses in the top half
+        return p.astype(np.uint8)
+
+    y, cb, cr = plane(48, 64), plane(24, 32), plane(24, 32)
+    frames = [
+        Frame(np.roll(y, 3 * i, axis=1), np.roll(cb, i, axis=1), np.roll(cr, i, axis=1), index=i)
+        for i in range(n)
+    ]
+    return Sequence(frames, fps=30, name="saturated")
+
+
 class TestGoldenEncoder:
+    @pytest.mark.parametrize("qp, estimator", sorted(SATURATED_STREAMS))
+    def test_saturated_content_pinned(self, qp, estimator):
+        result = encode_sequence(
+            saturated_sequence(), qp=qp, estimator=estimator, keep_reconstruction=True
+        )
+        assert hashlib.sha256(result.bitstream).hexdigest() == SATURATED_STREAMS[qp, estimator]
+        pictures = parse_bitstream_symbols(result.bitstream)
+        intra = pictures[0]
+        assert (intra.dc_levels.min(), intra.dc_levels.max()) == (1, 254)
+        coefficients = dequantize(intra.levels, qp)
+        coefficients[:, 0, 0] = dequantize_intra_dc(intra.dc_levels)
+        unclipped = np.rint(inverse_dct(coefficients))
+        assert unclipped.min() < 0 and unclipped.max() > 255
+        if qp == 1:
+            assert max(int(np.abs(p.levels).max()) for p in pictures) == 127
+        decoded = decode_bitstream(result.bitstream)
+        assert decoded == result.reconstruction
+        assert reference.decode_bitstream(result.bitstream) == decoded
+
     @pytest.mark.parametrize("estimator", ["pbm", "fsbm", "acbm"])
     def test_bitstream_identical_with_engine(self, estimator):
         """The engine-MC encoder emits the pinned seed-era bytes, and its
