@@ -24,20 +24,21 @@ The decoder is split along the codec's two cost axes:
   against lives in :mod:`repro.reference`.
 
 Version-2 bitstreams (``Encoder(bitstream_version=2)``) delimit
-pictures with byte-aligned start codes and length fields, so
-:class:`FrameIndex` splits a stream into per-frame byte ranges without
-parsing — which is what lets :func:`decode_bitstream` parse frames'
-symbols **concurrently** (``jobs=N`` dispatches
-:class:`~repro.parallel.jobs.ParseFrameJob` specs through
-:func:`repro.parallel.run_jobs`) before the sequential batched
-reconstruction pass.  Both versions and any job count produce
-bit-identical frames, equal to :func:`repro.reference.decode_bitstream`;
-``tests/test_reconstruction.py`` and ``tests/test_bitstream_v2.py`` pin
-that.
+pictures with byte-aligned start codes and length fields, which one
+walker reads for every v2 entry point: :class:`~repro.streaming.scanner.ScanState`
+(fed the whole buffer by :meth:`FrameIndex.walk`).  Each payload is
+parsed by :func:`parse_payload` — here, or **concurrently** in worker
+processes (``jobs=N``) — and folded into the reference list by
+:func:`reconstruct_and_fold`.  Errors follow stream order (frame *k*'s
+framing, parse, reconstruction, then frame *k+1*'s framing): every entry
+point raises the first error in that order, with the same type and
+message, or returns the same frames, bit-identical to
+:func:`repro.reference.decode_bitstream` (``tests/test_decode_contract.py``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,7 @@ import numpy as np
 from repro.codec.bitstream import BitReader
 from repro.kernels import get_backend
 from repro.codec.encoder import (
-    FRAME_LENGTH_BITS,
     FRAME_START_CODE,
-    FRAME_START_CODE_BITS,
     MAX_REF_FRAMES,
     PICTURE_HEADER_BITS,
     START_CODE,
@@ -74,9 +73,6 @@ from repro.me.types import MotionField, MotionVector
 from repro.obs import metrics, trace
 from repro.video.frame import Frame, FrameGeometry
 
-#: Bits in a picture header (after any version-2 framing).
-_HEADER_BITS = PICTURE_HEADER_BITS
-
 #: Byte prefix shared by all version-2 frame start codes.
 _V2_PREFIX = FRAME_START_CODE.to_bytes(4, "big")[:3]
 
@@ -101,11 +97,6 @@ class PictureHeader:
     @property
     def geometry(self) -> FrameGeometry:
         return FrameGeometry(16 * self.mb_cols, 16 * self.mb_rows)
-
-    @property
-    def intra_pred(self) -> bool:
-        """Whether this is a spatially predicted (GOP-syntax) I-frame."""
-        return self.extended and self.frame_type == "I"
 
 
 def detect_version(bitstream: bytes) -> int:
@@ -494,6 +485,24 @@ def parse_picture(reader) -> ParsedPicture:
         return parse_picture_body(reader, read_picture_header(reader))
 
 
+def parse_payload(payload: bytes, reader_factory=BitReader) -> ParsedPicture:
+    """Parse one version-2 payload (a :class:`FrameIndex` range) and
+    validate its length field — the one per-payload parse of every v2
+    decode mode.  A picture that runs past the payload or ends short of
+    it (:func:`check_frame_length`) raises :class:`ValueError`, with byte
+    offsets counted from the start of the payload."""
+    reader = reader_factory(payload)
+    try:
+        parsed = parse_picture(reader)
+    except EOFError as exc:
+        raise ValueError(
+            f"picture runs past its declared {len(payload)}-byte payload: the frame "
+            f"length field is too small or the payload is cut short"
+        ) from exc
+    check_frame_length(reader, len(payload))
+    return parsed
+
+
 def parse_bitstream_symbols(bitstream: bytes, reader_factory=BitReader) -> list[ParsedPicture]:
     """Parse every picture in a (version-1 or -2) stream sequentially.
 
@@ -501,37 +510,28 @@ def parse_bitstream_symbols(bitstream: bytes, reader_factory=BitReader) -> list[
     default word-level :class:`BitReader` drives the LUT decode path;
     passing :class:`~repro.codec.bitstream.ScalarBitReader` replays the
     seed per-bit walk over the same bytes, which is how the equivalence
-    tests and ``BENCH_vlc.json`` compare the two.
+    tests and ``BENCH_vlc.json`` compare the two.  A version-2 framing
+    error is raised after every picture before it has parsed.
     """
-    version = detect_version(bitstream)
+    if detect_version(bitstream) == 2:
+        index = FrameIndex.walk(bitstream)
+        parsed = [parse_payload(index.payload(bitstream, i), reader_factory) for i in range(len(index))]
+        if index.error is not None:
+            raise index.error
+        return parsed
     reader = reader_factory(bitstream)
-    framing_bits = FRAME_START_CODE_BITS + FRAME_LENGTH_BITS if version == 2 else 0
-    parsed: list[ParsedPicture] = []
-    while True:
-        if version == 2:
-            reader.align()
-        if reader.bits_remaining < framing_bits + _HEADER_BITS:
-            return parsed
-        if version == 2:
-            marker = reader.read_bits(FRAME_START_CODE_BITS)
-            if marker != FRAME_START_CODE:
-                raise ValueError(f"bad frame start code {marker:#x}")
-            length = reader.read_bits(FRAME_LENGTH_BITS)
-            expected_end = reader.bits_consumed // 8 + length
-            parsed.append(parse_picture(reader))
-            check_frame_length(reader, expected_end)
-        else:
-            parsed.append(parse_picture(reader))
+    parsed = []
+    while reader.bits_remaining >= PICTURE_HEADER_BITS:
+        parsed.append(parse_picture(reader))
+    return parsed
 
 
 def check_frame_length(reader, expected_end: int) -> None:
     """Validate a version-2 length field against the parse that just
     finished: after consuming the frame's padding, the cursor must sit
-    exactly where the field said the payload ends.  This keeps the
-    sequential decoder exactly as strict as the :class:`FrameIndex`
-    path, which *trusts* length fields to slice the stream — a corrupt
-    field must fail in every mode, never decode in one and raise in
-    another."""
+    exactly where the field said the payload ends.  :class:`FrameIndex`
+    *trusts* length fields to slice the stream, so this check is what
+    makes a corrupt field fail instead of decoding."""
     reader.align()
     actual_end = reader.bits_consumed // 8
     if actual_end != expected_end:
@@ -550,15 +550,16 @@ class FrameIndex:
 
     ``ranges[i]`` is the half-open byte span of picture ``i``'s payload
     (picture header through padding, excluding the start code and
-    length field) — exactly what :func:`parse_picture` consumes from
-    offset zero of the slice.  Built by :meth:`scan`, which hops
-    length fields without parsing any symbols, so indexing a stream is
-    O(frames), not O(bits).  A trailing fragment too short to hold a
-    minimal frame is ignored, mirroring :attr:`Decoder.has_more` — the
-    indexed and sequential decoders accept exactly the same streams.
+    length field) — exactly what :func:`parse_payload` consumes.  Built
+    by :meth:`walk` without parsing any symbols, so indexing a stream
+    is O(frames), not O(bits).  ``error`` is the framing error that
+    stopped the walk after ``ranges`` (``None`` for a clean stream):
+    decoders raise it once every picture before it has decoded, and
+    :meth:`scan` at once.
     """
 
     ranges: tuple[tuple[int, int], ...]
+    error: ValueError | None = None
 
     def __len__(self) -> int:
         return len(self.ranges)
@@ -585,15 +586,12 @@ class FrameIndex:
         return tuple(i for i, t in enumerate(self.frame_types(bitstream)) if t == "I")
 
     @classmethod
-    def scan(cls, bitstream: bytes) -> "FrameIndex":
-        """Scan a whole in-memory stream.
-
-        Delegates to the incremental :class:`repro.streaming.scanner.ScanState`
-        fed the buffer in one chunk, so the whole-buffer and streaming
-        scanners accept and reject exactly the same streams with the
-        same errors (byte offsets named for bad start codes, trailing
-        garbage, and length fields pointing past end of stream).
-        """
+    def walk(cls, bitstream: bytes) -> "FrameIndex":
+        """Index a whole in-memory stream, keeping a framing error in
+        :attr:`error`.  Feeds the buffer in one chunk to the push
+        decoder's :class:`repro.streaming.scanner.ScanState`, so every
+        decode mode accepts and rejects the same framing with the same
+        errors."""
         if detect_version(bitstream) != 2:
             raise ValueError(
                 "FrameIndex requires a version-2 stream (byte-aligned start "
@@ -604,34 +602,20 @@ class FrameIndex:
         from repro.streaming.scanner import ScanState
 
         state = ScanState(keep_payloads=False)
-        state.feed(bitstream)
-        state.finish()
-        return cls(ranges=tuple(state.ranges))
+        try:
+            state.feed(bitstream)
+            state.finish()
+        except ValueError as exc:
+            return cls(tuple(state.ranges), exc)
+        return cls(tuple(state.ranges))
 
-
-def slice_from_keyframe(bitstream: bytes, frame: int) -> bytes:
-    """The suffix of a version-2 stream starting at picture ``frame``'s
-    framing, for random access: because an I-frame resets the reference
-    list, decoding the returned bytes reproduces frames ``frame..end``
-    bit-identically to a full decode.
-
-    ``frame`` must index an I-frame — seeking to a P-frame cannot
-    reconstruct (its references were discarded), so that raises with
-    the stream's actual random-access points listed.
-    """
-    index = FrameIndex.scan(bitstream)
-    if not 0 <= frame < len(index):
-        raise ValueError(f"frame {frame} out of range (stream holds {len(index)} frames)")
-    if index.frame_types(bitstream)[frame] != "I":
-        keyframes = index.keyframes(bitstream)
-        raise ValueError(
-            f"frame {frame} is a P-frame; random access needs an I-frame "
-            f"(keyframes in this stream: {list(keyframes)})"
-        )
-    start, _end = index.ranges[frame]
-    # The payload range excludes the 4-byte start code + 4-byte length
-    # field; back up over them so the slice is itself a valid stream.
-    return bitstream[start - (FRAME_START_CODE_BITS + FRAME_LENGTH_BITS) // 8 :]
+    @classmethod
+    def scan(cls, bitstream: bytes) -> "FrameIndex":
+        """:meth:`walk`, raising its framing error."""
+        index = cls.walk(bitstream)
+        if index.error is not None:
+            raise index.error
+        return index
 
 
 # -- reconstruction -------------------------------------------------------
@@ -732,70 +716,116 @@ def _reconstruct_picture(
     return Frame(y, cb, cr, index=frame_index)
 
 
+def reconstruct_and_fold(
+    parsed: ParsedPicture, references: list[Frame], frame_index: int
+) -> tuple[Frame, list[Frame]]:
+    """The decode loop's one reconstruction step: the frame, and the
+    reference list (most recent first) the next picture predicts from —
+    reset by an I-frame, pushed onto by a P-frame up to ``MAX_REF_FRAMES``."""
+    frame = reconstruct_picture(parsed, references, frame_index)
+    if parsed.header.frame_type == "I":
+        return frame, [frame]
+    return frame, [frame, *references][:MAX_REF_FRAMES]
+
+
 class Decoder:
     """Stateful decoder: feed it one bitstream, pull frames until
-    exhaustion.  Handles both bitstream versions transparently (the
-    opening bytes disambiguate — see :func:`detect_version`).  Each
-    frame is parsed by :func:`parse_picture_body` and reconstructed by
-    the batched :func:`reconstruct_picture`; the per-block oracle that
-    checks it is :func:`repro.reference.decode_bitstream`.
+    exhaustion.  Version-1 pictures are parsed along one sequential bit
+    walk, version-2 ones from the :meth:`FrameIndex.walk` ranges by
+    :func:`parse_payload` (:func:`detect_version` tells them apart), and
+    each is reconstructed by :func:`reconstruct_and_fold`.
 
     Parameters
     ----------
     bitstream:
         The encoder's emitted bytes.
-    first_frame_index:
-        Index stamped on the first decoded frame — pass the keyframe's
-        position when decoding a :func:`slice_from_keyframe` suffix so
-        frame indices line up with the full stream.
+    start_frame:
+        Random access (version 2 only): the picture to start at, an
+        I-frame.  Frames ``start_frame..end`` decode bit-identically to a
+        full decode's, with the same frame indices.
     """
 
-    def __init__(self, bitstream: bytes, first_frame_index: int = 0) -> None:
-        self._reader = BitReader(bitstream)
+    def __init__(self, bitstream: bytes, start_frame: int = 0) -> None:
+        self._bitstream = bitstream
         #: Decoded reference list, most recent first; reset by I-frames.
         self._references: list[Frame] = []
-        self._frame_index = first_frame_index
+        self._frame_index = start_frame
+        #: Pictures parsed ahead by worker jobs (see :meth:`_parse_in_workers`).
+        self._parsed: deque[ParsedPicture] = deque()
         self.version = detect_version(bitstream)
+        if self.version == 1 and not start_frame:
+            self._reader = BitReader(bitstream)
+            return
+        self._index = index = FrameIndex.walk(bitstream)  # raises for a v1 seek
+        self._next = start_frame  # the next picture's position in the index
+        if not start_frame:
+            return
+        if start_frame >= len(index) and index.error is not None:
+            raise index.error  # the framing breaks before the picture
+        if not 0 <= start_frame < len(index):
+            raise ValueError(f"frame {start_frame} out of range (stream holds {len(index)} frames)")
+        if index.payload(bitstream, start_frame)[2:3] >= b"\x80":  # byte 2's MSB is the P-flag
+            raise ValueError(
+                f"frame {start_frame} is a P-frame; random access needs an I-frame "
+                f"(keyframes in this stream: {list(index.keyframes(bitstream))})"
+            )
 
     @property
     def has_more(self) -> bool:
-        """Whether another picture plausibly follows (at least a
-        framing + header's worth of bits remains past alignment)."""
-        remaining = self._reader.bits_remaining
-        if self.version == 2:
-            remaining -= (-self._reader.bits_consumed) & 7  # alignment padding
-            return remaining >= FRAME_START_CODE_BITS + FRAME_LENGTH_BITS + _HEADER_BITS
-        return remaining >= _HEADER_BITS
+        """Whether another picture follows (version 1: a header's worth
+        of bits remains), or — version 2 — the framing error that ends
+        the walk, which the next :meth:`decode_frame` raises."""
+        if self.version == 1:
+            return self._reader.bits_remaining >= PICTURE_HEADER_BITS
+        return self._next < len(self._index) or self._index.error is not None
 
-    def _read_framing(self) -> int:
-        """Consume the version-2 alignment + start code + length field;
-        returns the byte offset the length field says the payload ends
-        at (validated after the frame parses — see
-        :func:`check_frame_length`)."""
-        self._reader.align()
-        marker = self._reader.read_bits(FRAME_START_CODE_BITS)
-        if marker != FRAME_START_CODE:
-            raise ValueError(f"bad frame start code {marker:#x}")
-        length = self._reader.read_bits(FRAME_LENGTH_BITS)
-        return self._reader.bits_consumed // 8 + length
+    def _parse_in_workers(self, jobs: int, count: int | None, use_shm: bool) -> None:
+        """Parse the next ``count`` payloads (all when ``None``) as
+        :class:`~repro.parallel.jobs.ParseFrameJob`\\ s on ``jobs``
+        workers, for :meth:`decode_frame` to reconstruct in order.  A
+        failed job surfaces as the pool's ``RuntimeError`` for whichever
+        job failed first; decoding the same pictures serially raises the
+        first error in stream order instead, and the pool's error is
+        re-raised only if the serial decode does not fail."""
+        from repro.parallel import ParseFrameJob, run_jobs
 
-    def decode_frame(self) -> Frame:
-        with trace.span("decode.frame", frame=self._frame_index) as frame_span:
-            expected_end = self._read_framing() if self.version == 2 else None
+        ranges = self._index.ranges[self._next :]
+        if count is not None:
+            ranges = ranges[:count]
+        try:
+            parsed = run_jobs(
+                [ParseFrameJob(payload=self._bitstream[s:e]) for s, e in ranges],
+                workers=jobs,
+                use_shm=use_shm,
+            )
+        except RuntimeError:
+            for _ in ranges:
+                self.decode_frame()
+            raise
+        self._parsed.extend(parsed)
+
+    def _parse_next(self) -> ParsedPicture:
+        if self.version == 1:
             with trace.span("decode.parse") as parse_span:
                 header = read_picture_header(self._reader)
                 if header.frame_type == "P" and not self._references:
                     raise ValueError("P-frame without a decoded reference")
                 parse_span.set(type=header.frame_type)
-                parsed = parse_picture_body(self._reader, header)
-            frame = reconstruct_picture(parsed, self._references, self._frame_index)
-            if expected_end is not None:
-                check_frame_length(self._reader, expected_end)
-            if header.frame_type == "I":
-                self._references = [frame]
-            else:
-                self._references = [frame, *self._references][:MAX_REF_FRAMES]
-            frame_span.set(type=header.frame_type)
+                return parse_picture_body(self._reader, header)
+        if self._next == len(self._index):
+            raise self._index.error or EOFError("no picture left in the stream")
+        self._next += 1
+        if self._parsed:
+            return self._parsed.popleft()
+        return parse_payload(self._index.payload(self._bitstream, self._next - 1))
+
+    def decode_frame(self) -> Frame:
+        with trace.span("decode.frame", frame=self._frame_index) as frame_span:
+            parsed = self._parse_next()
+            frame, self._references = reconstruct_and_fold(
+                parsed, self._references, self._frame_index
+            )
+            frame_span.set(type=parsed.header.frame_type)
             self._frame_index += 1
         _MET_FRAMES_IN.inc()
         return frame
@@ -805,31 +835,25 @@ def decode_bitstream(
     bitstream: bytes,
     frames: int | None = None,
     jobs: int = 1,
-    base_seed: int = 0,
     use_shm: bool = False,
     start_frame: int = 0,
 ) -> list[Frame]:
     """Decode ``frames`` pictures (or all that fit) from a bitstream.
 
-    ``jobs > 1`` on a version-2 stream splits it with
-    :class:`FrameIndex` and parses the frames' symbols concurrently
-    (:class:`~repro.parallel.jobs.ParseFrameJob` through
-    :func:`repro.parallel.run_jobs`), then reconstructs sequentially
-    through the batched engine — the closed prediction loop makes
-    reconstruction inherently serial, but by then the per-frame cost is
-    a handful of vectorized kernels.  Version-1 streams (not splittable
-    without parsing) ignore ``jobs`` and decode serially; results are
-    bit-identical in every mode.  The per-block oracle these results are
-    checked against is :func:`repro.reference.decode_bitstream`.
+    ``jobs > 1`` on a version-2 stream parses the frames' symbols
+    concurrently in worker processes, then reconstructs sequentially
+    (the closed prediction loop is inherently serial).  Version-1
+    streams ignore ``jobs``.  Every mode returns bit-identical frames or
+    raises the same first error in stream order, judging only the first
+    ``frames`` pictures.
 
     ``use_shm=True`` moves the parse jobs' frame payloads and parsed
     symbols through shared memory instead of the worker pipe
     (``run_jobs(..., use_shm=True)``); it changes transport only, never
     bits, and is ignored when ``jobs`` stay serial.
 
-    ``start_frame`` seeks: the stream is sliced at that picture with
-    :func:`slice_from_keyframe` (version 2 only; must be an I-frame)
-    and decoding starts there, with frame indices matching the full
+    ``start_frame`` seeks: decoding starts at that picture (version 2
+    only; must be an I-frame), with frame indices matching the full
     stream's.
 
     >>> from repro.video.synthesis.sequences import make_sequence
@@ -840,34 +864,9 @@ def decode_bitstream(
     >>> all(d == r for d, r in zip(decoded, result.reconstruction))
     True
     """
-    if start_frame:
-        bitstream = slice_from_keyframe(bitstream, start_frame)
-    if jobs > 1 and detect_version(bitstream) == 2:
-        from repro.parallel import ParseFrameJob, run_jobs
-
-        index = FrameIndex.scan(bitstream)
-        ranges = index.ranges if frames is None else index.ranges[:frames]
-        parsed = run_jobs(
-            [ParseFrameJob(payload=bitstream[s:e]) for s, e in ranges],
-            workers=jobs,
-            base_seed=base_seed,
-            use_shm=use_shm,
-        )
-        out: list[Frame] = []
-        references: list[Frame] = []
-        for i, picture in enumerate(parsed):
-            with trace.span(
-                "decode.frame", frame=start_frame + i, type=picture.header.frame_type
-            ):
-                frame = reconstruct_picture(picture, references, start_frame + i)
-            _MET_FRAMES_IN.inc()
-            if picture.header.frame_type == "I":
-                references = [frame]
-            else:
-                references = [frame, *references][:MAX_REF_FRAMES]
-            out.append(frame)
-        return out
-    decoder = Decoder(bitstream, first_frame_index=start_frame)
+    decoder = Decoder(bitstream, start_frame=start_frame)
+    if jobs > 1 and decoder.version == 2:
+        decoder._parse_in_workers(jobs, frames, use_shm)
     out = []
     while decoder.has_more and (frames is None or len(out) < frames):
         out.append(decoder.decode_frame())

@@ -118,9 +118,9 @@ FRAME_LENGTH_BITS = 32
 
 #: Bits in a picture header: start code, P-flag, Qp, p, mb_rows,
 #: mb_cols.  The single definition every layer that sizes a minimal
-#: picture shares (the decoder's ``has_more``, the whole-buffer and
-#: incremental scanners) — they must agree on which trailing fragments
-#: are too short to open a frame.
+#: picture shares (the version-1 decoder's ``has_more`` and the v2
+#: scanner) — they must agree on which trailing fragments are too short
+#: to open a frame.
 PICTURE_HEADER_BITS = START_CODE_BITS + 1 + 5 + 5 + 16
 
 # Registry instruments (identity-stable across resets, so module-level

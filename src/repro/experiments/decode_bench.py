@@ -36,7 +36,7 @@ from repro.codec.decoder import (
     FrameIndex,
     decode_bitstream,
     parse_bitstream_symbols,
-    reconstruct_picture,
+    reconstruct_and_fold,
 )
 from repro.codec.encoder import encode_sequence
 from repro.video.synthesis.sequences import make_sequence
@@ -227,9 +227,7 @@ def run_decode_bench(
     parallel_identical = None
     if bitstream_version == 2:
         index = FrameIndex.scan(bitstream)
-        parallel = decode_bitstream(
-            bitstream, jobs=max(jobs, 2), base_seed=seed, use_shm=use_shm
-        )
+        parallel = decode_bitstream(bitstream, jobs=max(jobs, 2), use_shm=use_shm)
         parallel_identical = len(index) == len(parallel) == len(batched) and all(
             p == b for p, b in zip(parallel, batched)
         )
@@ -276,9 +274,9 @@ def run_parse_bench(
     )
 
     def reconstruct_all() -> None:
-        reference = None
+        references = []
         for i, picture in enumerate(parsed_lut):
-            reference = reconstruct_picture(picture, reference, i)
+            _frame, references = reconstruct_and_fold(picture, references, i)
 
     lut_s = _best_of(lambda: parse_bitstream_symbols(bitstream), rounds)
     seed_s = _best_of(

@@ -291,11 +291,9 @@ class ParseFrameJob(JobSpec):
     jobs run concurrently while the (already batched) reconstruction
     pass stays sequential.  See ``decode_bitstream(..., jobs=N)``.
 
-    The parse must consume the payload exactly (padding aside): the
-    byte range came from a length field the index *trusted*, so the
-    same ``check_frame_length`` validation the sequential decoder
-    applies runs here too — a corrupt length field fails in every
-    mode.
+    The job runs :func:`~repro.codec.decoder.parse_payload`, the same
+    per-payload parse and length check every decode mode runs, so a
+    corrupt length field fails here with the serial decoder's error.
 
     Like :class:`DecodeJob`, the payload travels by value or as a
     shared-memory handle (:meth:`pack_shm`); the parsed symbols are
@@ -315,18 +313,14 @@ class ParseFrameJob(JobSpec):
         return replace(self, payload=None, payload_handle=store.place(self.payload))
 
     def run(self, rng: np.random.Generator | None = None):
-        from repro.codec.bitstream import BitReader
-        from repro.codec.decoder import check_frame_length, parse_picture
+        from repro.codec.decoder import parse_payload
 
         payload = self.payload
         if payload is None:
             from repro.transport import read_array
 
             payload = read_array(self.payload_handle).tobytes()
-        reader = BitReader(payload)
-        parsed = parse_picture(reader)
-        check_frame_length(reader, len(payload))
-        return parsed
+        return parse_payload(payload)
 
 
 @dataclass(frozen=True)

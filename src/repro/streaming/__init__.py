@@ -10,11 +10,12 @@ directions incremental without touching the wire format or the math:
 * :class:`ScanState` — the version-2 start-code/length scanner as a
   stateful accumulator: feed it arbitrarily split byte chunks and it
   emits completed frame payloads, holding at most one in-flight frame's
-  bytes (``FrameIndex.scan`` is now a thin whole-buffer wrapper over
-  it, so both accept and reject exactly the same streams);
+  bytes.  It is the one v2 framing walker: the whole-buffer decoders
+  feed it the whole stream through ``FrameIndex.walk``, so every mode
+  accepts and rejects exactly the same streams;
 * :class:`StreamDecoder` — push-based decode session:
-  ``feed(chunk)`` → scan → :func:`~repro.codec.decoder.parse_picture`
-  → batched :func:`~repro.codec.decoder.reconstruct_picture`, frames
+  ``feed(chunk)`` → scan → :func:`~repro.codec.decoder.parse_payload`
+  → batched :func:`~repro.codec.decoder.reconstruct_and_fold`, frames
   emitted as soon as they complete, memory bounded by
   ``max_buffered_frames`` with backpressure (``feed`` returns the
   remaining demand);

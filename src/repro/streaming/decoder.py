@@ -6,12 +6,14 @@ chunks of a version-2 stream in whatever sizes the transport delivers
 length fields — all equivalent), and decoded frames come out as soon as
 their last byte lands, bit-identical to what
 :func:`repro.codec.decoder.decode_bitstream` produces from the whole
-buffer.  The pipeline per frame is exactly the batched one the indexed
-parallel decode uses: :class:`ScanState` completes the payload,
-:func:`parse_picture` walks its symbols through the LUT reader,
-:func:`check_frame_length` validates the framing, and
-:func:`reconstruct_picture` rebuilds pixels against the running
-reference.
+buffer.  The pipeline per frame is the one every whole-buffer mode
+runs: :class:`ScanState` completes the payload,
+:func:`~repro.codec.decoder.parse_payload` parses and length-checks it,
+and :func:`~repro.codec.decoder.reconstruct_and_fold` rebuilds pixels
+against the running reference list.  Errors come in the whole-buffer
+decode's stream order: a framing error the scanner meets is held until
+every payload before it has decoded, so a corrupt earlier payload
+reports first.
 
 Memory is bounded by ``max_buffered_frames``: once that many decoded
 frames sit undrained, further completed payloads wait *as compressed
@@ -30,8 +32,8 @@ halves of the per-frame work: a :class:`~repro.streaming.pipeline.ParseStage`
 worker parses frame *n+1*'s symbols while this side reconstructs frame
 *n*.  Output remains bit-identical and in order for any chunking; the
 ``max_buffered_frames`` bound still governs decoded frames, with
-parse-ahead additionally bounded by the stage's out-queue.  Parse
-errors surface with the serial path's exact message — possibly on a
+parse-ahead additionally bounded by the stage's out-queue.  Errors
+surface with the serial path's exact message and order — possibly on a
 later ``feed``/``frames`` call, since the parse runs asynchronously.
 """
 
@@ -40,13 +42,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterator
 
-from repro.codec.bitstream import BitReader
-from repro.codec.decoder import (
-    check_frame_length,
-    parse_picture,
-    reconstruct_picture,
-)
-from repro.codec.encoder import MAX_REF_FRAMES
+from repro.codec.decoder import parse_payload, reconstruct_and_fold
+
+# Also bound here: perfbench/layers.py times these per-frame calls by module attribute.
+from repro.codec.decoder import check_frame_length, parse_picture, reconstruct_picture  # noqa: F401
 from repro.obs import metrics, trace
 from repro.streaming.scanner import ScanState
 from repro.video.frame import Frame
@@ -128,6 +127,8 @@ class StreamDecoder:
         self._pipeline_kind = normalize_pipeline(pipeline)
         self._stage = None  # created on the first completed payload
         self._stage_error: Exception | None = None
+        #: Scanner error, held until the payloads before it decode.
+        self._scan_error: ValueError | None = None
         #: Compressed sizes of payloads submitted to the stage but not
         #: yet collected, oldest first (the in-flight byte accounting).
         self._in_flight_sizes: deque[int] = deque()
@@ -192,20 +193,20 @@ class StreamDecoder:
         """Push the next chunk; returns the remaining :attr:`demand`.
 
         Raises the same errors the whole-buffer decode raises on the
-        same bytes: a version-1 opening, garbage where a start code
-        belongs, a corrupt length field (surfaced by the per-frame
-        :func:`check_frame_length` validation), or a malformed picture
-        payload.
+        same bytes, in the same order: a version-1 opening, garbage
+        where a start code belongs, a corrupt length field, or a
+        malformed picture payload.
         """
         if self._closed:
             raise ValueError("feed() after close(): the stream was already closed")
-        try:
-            self._scanner.feed(chunk)
-        except Exception:
-            self._teardown_stage()
-            raise
+        if self._scan_error is None:
+            try:
+                self._scanner.feed(chunk)
+            except ValueError as exc:
+                self._scan_error = exc
         _MET_BYTES_IN.inc(len(chunk))
         self._advance()
+        self._raise_scan_error_when_due()
         self._note_peak()
         demand = self.demand
         if demand == 0:
@@ -223,44 +224,48 @@ class StreamDecoder:
         after every :meth:`feed` keeps the session inside its memory
         bound.  In pipelined mode the drain additionally *waits* for
         in-flight parses when it would otherwise stall the producer
-        (demand is zero, or the stream is closed) — so the serial
-        consumer loop works unchanged and never livelocks.
+        (demand is zero, or no more input will come: the stream is
+        closed or a framing error is held) — so the serial consumer
+        loop works unchanged and never livelocks.  Once nothing is left
+        ahead of a held framing error, the drain raises it.
         """
         while True:
             self._advance()
             if not self._ready and self._stage is not None:
                 in_flight = len(self._in_flight_sizes)
-                if in_flight and (self._closed or self.demand == 0):
+                no_more_input = self._closed or self._scan_error is not None
+                if in_flight and (no_more_input or self.demand == 0):
                     self.stalls += 1
                     _MET_STALLS.inc()
                     with trace.span("stream.stall", in_flight=in_flight):
                         self._pump_pipeline(block=True)
             if not self._ready:
+                self._raise_scan_error_when_due()
                 return
             yield self._ready.popleft()
 
     def close(self) -> None:
         """Declare end of stream.
 
-        Validates the tail exactly as the whole-buffer scan does: a
-        fragment too short to open a frame is ignored, a frame whose
-        declared payload never fully arrived raises the scanner's
-        "overruns" error naming the byte offsets.  Frames already
-        completed remain drainable via :meth:`frames`.  Idempotent once
-        it returns cleanly.
+        Validates the tail exactly as the whole-buffer scan does
+        (:meth:`ScanState.finish`); its "overruns" error surfaces here,
+        or from :meth:`frames` while payloads before it are undecoded.
+        Frames already completed remain drainable via :meth:`frames`.
+        Idempotent.
         """
         if self._closed:
             return
-        try:
-            self._scanner.finish()
-        except Exception:
-            self._teardown_stage()
-            raise
+        if self._scan_error is None:
+            try:
+                self._scanner.finish()
+            except ValueError as exc:
+                self._scan_error = exc
         self._closed = True
         if self._pipeline_kind is not None:
             # Submit the tail payload(s) the finish() call completed;
             # serial mode leaves decode to frames(), as it always has.
             self._advance()
+        self._raise_scan_error_when_due()
 
     # -- internals -------------------------------------------------------
 
@@ -271,19 +276,9 @@ class StreamDecoder:
             self._pump_pipeline(block=False)
             return
         payloads = self._scanner.payloads
-        while payloads and (
-            self._on_frame is not None or len(self._ready) < self.max_buffered_frames
-        ):
+        while payloads and self._has_room:
             payload = payloads.popleft()
-            reader = BitReader(payload)
-            parsed = parse_picture(reader)
-            check_frame_length(reader, len(payload))
-            self.frame_bits.append(8 * len(payload))
-            frame = self._note_frame(parsed)
-            if self._on_frame is not None:
-                self._on_frame(frame)
-            else:
-                self._ready.append(frame)
+            self._note_frame(parse_payload(payload), len(payload))
 
     def _pump_pipeline(self, block: bool) -> None:
         """Pipelined advance: submit every completed payload to the
@@ -300,9 +295,7 @@ class StreamDecoder:
         stage = self._stage
         if stage is None:
             return
-        while self._in_flight_sizes and (
-            self._on_frame is not None or len(self._ready) < self.max_buffered_frames
-        ):
+        while self._in_flight_sizes and self._has_room:
             item = stage.poll(block=block and not self._ready)
             if item is None:
                 break
@@ -313,27 +306,39 @@ class StreamDecoder:
                 self._stage_error = value
                 self._teardown_stage()
                 raise value
-            self.frame_bits.append(8 * payload_size)
-            frame = self._note_frame(value)
-            if self._on_frame is not None:
-                self._on_frame(frame)
-            else:
-                self._ready.append(frame)
+            self._note_frame(value, payload_size)
         if self._closed and not self._in_flight_sizes:
             self._teardown_stage()
 
-    def _note_frame(self, parsed) -> Frame:
-        """Reconstruct one parsed picture against the running reference
-        list and fold it back in (I-frames reset the list and mark a
-        random-access point)."""
-        frame = reconstruct_picture(parsed, self._references, self._frame_index)
+    @property
+    def _has_room(self) -> bool:
+        """Whether another decoded frame fits the buffer bound (always,
+        in callback mode)."""
+        return self._on_frame is not None or len(self._ready) < self.max_buffered_frames
+
+    def _note_frame(self, parsed, payload_size: int) -> None:
+        """Reconstruct one parsed picture, fold it into the running
+        reference list (I-frames also mark a random-access point) and
+        hand it to the consumer."""
+        frame, self._references = reconstruct_and_fold(
+            parsed, self._references, self._frame_index
+        )
         if parsed.header.frame_type == "I":
             self.keyframes.append(self._frame_index)
-            self._references = [frame]
-        else:
-            self._references = [frame, *self._references][:MAX_REF_FRAMES]
+        self.frame_bits.append(8 * payload_size)
         self._frame_index += 1
-        return frame
+        if self._on_frame is not None:
+            self._on_frame(frame)
+        else:
+            self._ready.append(frame)
+
+    def _raise_scan_error_when_due(self) -> None:
+        """Raise the held framing error once no payload before it is
+        left undecoded (decoded frames may still await :meth:`frames`)."""
+        if self._scan_error is None or self._scanner.payloads or self._in_flight_sizes:
+            return
+        self._teardown_stage()
+        raise self._scan_error
 
     def _ensure_stage(self):
         if self._stage is None:

@@ -37,8 +37,7 @@ import queue as queue_mod
 import threading
 from typing import Any
 
-from repro.codec.bitstream import BitReader
-from repro.codec.decoder import ParsedPicture, check_frame_length, parse_picture
+from repro.codec.decoder import parse_payload
 from repro.obs import metrics, trace
 
 #: Result tags on the out-queue.
@@ -51,49 +50,24 @@ _MET_BYTES_COPIED = metrics.counter("pipeline.bytes_copied")
 _MET_HANDLES = metrics.counter("pipeline.handles_passed")
 
 
-def parse_payload(payload: bytes) -> ParsedPicture:
-    """Parse one completed v2 payload, validating its framing — exactly
-    the per-payload work :class:`~repro.streaming.decoder.StreamDecoder`
-    does inline in serial mode (same errors, same byte offsets)."""
-    reader = BitReader(payload)
-    parsed = parse_picture(reader)
-    check_frame_length(reader, len(payload))
-    return parsed
+def _parse_loop(in_q, out_q, process=False, backend=None, collect_trace=False) -> None:
+    """Worker body (module-level for ``spawn``): parse until the
+    ``None`` sentinel or the first failure (the error ships in-band,
+    then the stage is dead).  Out-queue items are ``(tag, seq, value,
+    events)``.
 
-
-def _parse_loop(in_q, out_q) -> None:
-    """Thread-mode worker: parse until the ``None`` sentinel or the
-    first failure (the error ships in-band, then the stage is dead).
-
-    Out-queue items are ``(tag, seq, value, events)``; thread-mode
-    workers record straight into the process tracer (appends are
-    GIL-atomic), so their events slot is always ``None``."""
-    while True:
-        item = in_q.get()
-        if item is None:
-            break
-        seq, payload = item
-        try:
-            parsed = parse_payload(payload)
-        except Exception as exc:
-            out_q.put((_ERR, seq, exc, None))
-            break
-        out_q.put((_OK, seq, parsed, None))
-
-
-def _parse_process_main(in_q, out_q, backend=None, collect_trace=False) -> None:
-    """Process-mode worker body (module-level for ``spawn``): like
-    :func:`_parse_loop`, but parsed pictures leave as one-shot
-    shared-memory exports the parent materializes and unlinks.
-
-    ``backend`` is the parent's kernel-backend name (spawned children
-    re-resolve ``REPRO_BACKEND`` from scratch, so an in-process
-    ``set_backend`` choice must travel explicitly).  ``collect_trace``
-    turns on this child's tracer and ships each payload's drained
-    events (stamped with the child's pid) in the result tuple's fourth
-    slot, errors included — the parent adopts them in :meth:`ParseStage.poll`."""
-    from repro.transport import export
-
+    Thread mode records straight into the process tracer (appends are
+    GIL-atomic), so its events slot is always ``None``.  In a spawned
+    ``process`` child, parsed pictures leave as one-shot shared-memory
+    exports the parent materializes and unlinks; ``backend`` is the
+    parent's kernel-backend name (spawned children re-resolve
+    ``REPRO_BACKEND`` from scratch, so an in-process ``set_backend``
+    choice must travel explicitly), and ``collect_trace`` turns on the
+    child's tracer and ships each payload's drained events (stamped
+    with the child's pid), errors included — the parent adopts them in
+    :meth:`ParseStage.poll`."""
+    if process:
+        from repro.transport import export
     if backend is not None:
         from repro.kernels import set_backend
 
@@ -101,7 +75,6 @@ def _parse_process_main(in_q, out_q, backend=None, collect_trace=False) -> None:
     tracer = trace.TRACER
     if collect_trace:
         tracer.enable()
-
     while True:
         item = in_q.get()
         if item is None:
@@ -112,14 +85,9 @@ def _parse_process_main(in_q, out_q, backend=None, collect_trace=False) -> None:
         except Exception as exc:
             out_q.put((_ERR, seq, exc, tracer.drain() if collect_trace else None))
             break
-        out_q.put(
-            (
-                _OK,
-                seq,
-                export(parsed, name_prefix="repro-pipe"),
-                tracer.drain() if collect_trace else None,
-            )
-        )
+        if process:
+            parsed = export(parsed, name_prefix="repro-pipe")
+        out_q.put((_OK, seq, parsed, tracer.drain() if collect_trace else None))
 
 
 def normalize_pipeline(pipeline) -> str | None:
@@ -185,13 +153,8 @@ class ParseStage:
             self._in = ctx.Queue()
             self._out = ctx.Queue(maxsize=depth)
             self._worker = ctx.Process(
-                target=_parse_process_main,
-                args=(
-                    self._in,
-                    self._out,
-                    _spawn_backend_name(None),
-                    trace.TRACER.enabled,
-                ),
+                target=_parse_loop,
+                args=(self._in, self._out, True, _spawn_backend_name(None), trace.TRACER.enabled),
                 daemon=True,
             )
             with _exported_package_path():
@@ -293,4 +256,4 @@ class ParseStage:
                 materialize(value, unlink=True)
 
 
-__all__ = ["ParseStage", "normalize_pipeline", "parse_payload"]
+__all__ = ["ParseStage", "normalize_pipeline"]

@@ -1,25 +1,26 @@
-"""Incremental version-2 start-code scanner.
+"""Incremental version-2 start-code scanner: the one walker of v2 framing.
 
-:class:`ScanState` is :meth:`repro.codec.decoder.FrameIndex.scan`
-restated as a stateful accumulator: bytes arrive in arbitrarily split
-chunks through :meth:`feed`, the scanner hops the byte-aligned
-``00 00 01 B6`` start codes and 32-bit length fields exactly as the
-whole-buffer scan does, and each completed frame payload (picture
-header through padding — the byte range :func:`parse_picture` consumes
-from offset zero) is emitted as soon as its last byte lands.  The
-accumulator never holds more than one in-flight frame plus whatever
-tail of the current chunk follows it, which is the memory bound the
-streaming decoder builds on.
+:class:`ScanState` is a stateful accumulator: bytes arrive in
+arbitrarily split chunks through :meth:`feed`, the scanner hops the
+byte-aligned ``00 00 01 B6`` start codes and 32-bit length fields, and
+each completed frame payload (picture header through padding — the
+byte range :func:`~repro.codec.decoder.parse_payload` consumes) is
+emitted as soon as its last byte lands.  The accumulator never holds
+more than one in-flight frame plus whatever tail of the current chunk
+follows it, which is the memory bound the streaming decoder builds on.
 
-Acceptance is *identical* to the whole-buffer scanner by construction —
-``FrameIndex.scan`` now delegates to this class — so every property the
-v2 golden tests pin (short trailing fragments ignored like
-``Decoder.has_more``, frame-sized garbage rejected, corrupt length
-fields rejected in every mode) holds for any chunking.  The one
-semantic translation: a length field pointing past the end of the
-stream is only *detectable* at end of stream, so the "overruns" error
-the whole-buffer scan raises mid-scan surfaces from :meth:`finish`
-here, with the same wording and byte offsets.
+Every v2 decode entry point reads framing through this class: the push
+decoder feeds it chunk by chunk, and the whole-buffer decoders
+(serial, parallel-parse, seeking, ``parse_bitstream_symbols``) feed it
+the whole stream once through :meth:`repro.codec.decoder.FrameIndex.walk`.
+So every property the v2 golden tests pin (short trailing fragments
+ignored, frame-sized garbage rejected, corrupt length fields rejected)
+holds for any chunking, with the same errors.  A framing error is
+raised after the ranges before it are recorded, which is what lets
+every consumer decode those frames first and raise the error in stream
+order.  A length field pointing past the end of the stream is only
+*detectable* at end of stream, so the "overruns" error surfaces from
+:meth:`finish`.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ LENGTH_BYTES = FRAME_LENGTH_BITS // 8
 FRAMING_BYTES = len(START_BYTES) + LENGTH_BYTES
 
 #: Smallest byte count that can still open a frame (framing + picture
-#: header).  A trailing fragment shorter than this is ignored, exactly
-#: like ``Decoder.has_more`` — which is also why the scanner refuses to
-#: validate a start code before this many bytes have accumulated past
-#: it: a shorter tail must stay *unjudged* until end of stream.
+#: header).  The scanner refuses to validate a start code before this
+#: many bytes have accumulated past it: a shorter tail must stay
+#: *unjudged* until :meth:`ScanState.finish` sees the end of the stream.
 MIN_FRAME_BYTES = (
     FRAME_START_CODE_BITS + FRAME_LENGTH_BITS + PICTURE_HEADER_BITS + 7
 ) // 8
@@ -57,7 +57,7 @@ class ScanState:
         ``True`` (default) queues each completed payload's bytes on
         :attr:`payloads` for a consumer to pop (the streaming decoder's
         mode).  ``False`` records only the byte :attr:`ranges` — the
-        whole-buffer ``FrameIndex.scan`` mode, which already holds the
+        whole-buffer ``FrameIndex.walk`` mode, which already holds the
         stream and doesn't want a second copy.
     """
 
@@ -90,12 +90,6 @@ class ScanState:
     def frames_scanned(self) -> int:
         return len(self.ranges)
 
-    @property
-    def in_flight(self) -> bool:
-        """Whether a frame's framing has been consumed but its payload
-        has not yet fully arrived."""
-        return self._expected_end is not None
-
     # -- feeding ---------------------------------------------------------
 
     def feed(self, chunk: bytes) -> int:
@@ -106,16 +100,16 @@ class ScanState:
         tail trim — never a per-frame move of the remaining bytes.
         When the accumulator is empty the scan runs directly over
         ``chunk`` and retains only the unconsumed tail, so the
-        whole-buffer ``FrameIndex.scan`` (one feed of the whole stream)
+        whole-buffer ``FrameIndex.walk`` (one feed of the whole stream)
         stays O(frames) with no copy of the stream.
 
         Raises
         ------
         ValueError
-            On the same corruption the whole-buffer scan rejects, with
-            the offending absolute byte offset named: a stream that does
-            not open with version-2 framing, or garbage where a start
-            code belongs.
+            With the offending absolute byte offset named: a stream
+            that does not open with version-2 framing, or garbage where
+            a start code belongs.  :attr:`ranges` already holds every
+            payload completed before it.
         """
         if self._finished:
             raise ValueError("feed() after finish(): the stream was already closed")
@@ -177,19 +171,28 @@ class ScanState:
     def finish(self) -> None:
         """Declare end of stream and validate the tail.
 
-        A *version-2* fragment too short to hold a minimal frame is
-        ignored (the ``Decoder.has_more`` rule); an in-flight frame
-        whose declared payload never fully arrived raises the
-        whole-buffer scanner's "overruns" error with the frame's byte
-        offset and the declared vs actual extents; a whole stream too
-        short to have had its opening bytes judged yet raises the
-        version error if those bytes are not version-2 framing (the
-        same classification ``FrameIndex.scan`` applies — a short v1
+        A tail that holds a whole start code and length field opens a
+        frame, however short: it is judged like any other, so a frame
+        whose declared payload fully arrived is emitted (its parse then
+        decides), and one whose payload never fully arrived — in flight
+        or not — raises the "overruns" error with the frame's byte
+        offset and the declared vs actual extents.  Any other fragment
+        too short to hold a minimal frame is ignored.  A whole stream
+        too short to have had its opening bytes judged yet raises the
+        version error if those bytes cannot open version-2 framing (the
+        same classification ``FrameIndex.walk`` applies — a short v1
         feed must not pass for a clean empty stream).  Idempotent once
         it returns cleanly.
         """
         if self._finished:
             return
+        buf = self._buf
+        while self._expected_end is None and len(buf) >= FRAMING_BYTES and buf.startswith(START_BYTES):
+            length = int.from_bytes(buf[len(START_BYTES) : FRAMING_BYTES], "big")
+            self._frame_start = self._base
+            self._expected_end = self._base + FRAMING_BYTES + length
+            self.feed(b"")  # emits the frame if its payload is all here
+            buf = self._buf
         if self._expected_end is not None:
             total = self.bytes_fed
             length = self._expected_end - self._frame_start - FRAMING_BYTES
@@ -198,8 +201,8 @@ class ScanState:
                 f"length field declares a {length}-byte payload ending at byte "
                 f"{self._expected_end}, but the stream ends at byte {total}"
             )
-        if self._base == 0 and self._buf and bytes(self._buf[:3]) != START_BYTES[:3]:
-            raise self._version_error(bytes(self._buf[:3]))
+        if self._base == 0 and not START_BYTES.startswith(bytes(buf[:3])):
+            raise self._version_error(bytes(buf[:3]))
         self._finished = True
 
     def _version_error(self, opening: bytes) -> ValueError:

@@ -150,6 +150,21 @@ class TestFrameIndex:
         with pytest.raises(ValueError):
             FrameIndex.scan(corrupt)
 
+    def test_truncated_last_frame_is_not_dropped(self, v2):
+        """Cut 5 bytes into frame 2's payload, the 13-byte tail (start
+        code, length field, 5 payload bytes) is shorter than a minimal
+        frame but holds whole framing: every mode raises the overrun
+        instead of decoding 2 of 4 frames."""
+        start = FrameIndex.scan(v2.bitstream).ranges[2][0]
+        cut = v2.bitstream[: start + 5]
+        with pytest.raises(ValueError, match=f"frame at byte {start - 8} overruns"):
+            FrameIndex.scan(cut)
+        with pytest.raises(ValueError, match="overruns"):
+            decode_bitstream(cut)
+        with pytest.raises(ValueError, match="overruns"):
+            parse_bitstream_symbols(cut)
+        assert len(decode_bitstream(cut, frames=2)) == 2  # only the first 2 are judged
+
     def test_rejects_bad_start_code(self, v2):
         corrupt = bytearray(v2.bitstream)
         corrupt[3] ^= 0xFF
@@ -249,6 +264,14 @@ class TestParallelParse:
             parse_bitstream_symbols(corrupt)
         with pytest.raises(ValueError, match="length field"):
             ParseFrameJob(payload=index.payload(corrupt, len(index) - 1)).run()
+
+    def test_parse_frame_job_rejects_cut_payload_as_value_error(self, v2):
+        """A payload shorter than its picture is a corrupt stream, not
+        reader exhaustion: the job raises the ValueError every v2 mode
+        shares."""
+        payload = FrameIndex.scan(v2.bitstream).payload(v2.bitstream, 1)
+        with pytest.raises(ValueError, match="runs past its declared"):
+            ParseFrameJob(payload=payload[:-20]).run()
 
     def test_parse_frame_job_is_hashable_spec(self, v2):
         index = FrameIndex.scan(v2.bitstream)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec.decoder import FrameIndex, decode_bitstream
+from repro.codec.decoder import FrameIndex, decode_bitstream, parse_payload
 from repro.codec.encoder import FRAME_START_CODE, encode_sequence
 from repro.streaming import (
     DecodeSession,
@@ -31,7 +31,7 @@ from repro.streaming import (
     StreamEncoder,
     stream_decode,
 )
-from repro.streaming.pipeline import normalize_pipeline, parse_payload
+from repro.streaming.pipeline import normalize_pipeline
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 from repro.video.yuv_io import iter_yuv_frames, read_yuv, write_yuv
@@ -307,6 +307,54 @@ class TestStreamDecoder:
         with pytest.raises(ValueError, match="length field"):
             decoder.feed(corrupt)
             decoder.close()
+
+    def test_short_length_field_raises_value_error_like_whole_buffer(self, v2):
+        """Frame 1's length field one byte short: the picture runs past
+        its payload, which every mode reports as the same ValueError."""
+        corrupt = bytearray(v2.bitstream)
+        field = FrameIndex.scan(v2.bitstream).ranges[1][0] - 4
+        length = int.from_bytes(corrupt[field : field + 4], "big") - 1
+        corrupt[field : field + 4] = length.to_bytes(4, "big")
+        corrupt = bytes(corrupt)
+        with pytest.raises(ValueError, match="runs past its declared") as whole_err:
+            decode_bitstream(corrupt)
+        with pytest.raises(ValueError) as stream_err:
+            list(stream_decode([corrupt]))
+        assert str(stream_err.value) == str(whole_err.value)
+
+    @pytest.mark.parametrize("pipeline", [False, "thread"])
+    def test_truncated_last_frame_raises_like_whole_buffer(self, v2, pipeline):
+        """A stream cut 5 bytes into frame 2's payload leaves a tail
+        shorter than a minimal frame; it still raises the overrun, in
+        the push decoder as in decode_bitstream."""
+        start = FrameIndex.scan(v2.bitstream).ranges[2][0]
+        cut = v2.bitstream[: start + 5]
+        with pytest.raises(ValueError, match="overruns") as whole_err:
+            decode_bitstream(cut)
+        chunks = [cut[i : i + 7] for i in range(0, len(cut), 7)]
+        with pytest.raises(ValueError) as stream_err:
+            list(stream_decode(chunks, pipeline=pipeline))
+        assert str(stream_err.value) == str(whole_err.value)
+
+    @pytest.mark.parametrize("pipeline", [False, "thread"])
+    def test_scan_error_waits_for_earlier_payloads(self, v2, pipeline):
+        """Payload 1 corrupt and frame 2's start code bad, fed in one
+        chunk: the scanner meets the start code first, but stream order
+        puts payload 1's parse error ahead of it, as decode_bitstream
+        reports."""
+        corrupt = bytearray(v2.bitstream)
+        ranges = FrameIndex.scan(v2.bitstream).ranges
+        corrupt[ranges[1][0]] ^= 0xFF
+        corrupt[ranges[2][0] - 5] = 0x49
+        corrupt = bytes(corrupt)
+        with pytest.raises(ValueError, match="bad start code 0x") as whole_err:
+            decode_bitstream(corrupt)
+        decoder = StreamDecoder(max_buffered_frames=1, pipeline=pipeline)
+        with pytest.raises(ValueError) as stream_err:
+            decoder.feed(corrupt)
+            list(decoder.frames())
+            decoder.close()
+        assert str(stream_err.value) == str(whole_err.value)
 
     def test_v1_stream_rejected(self, v1):
         decoder = StreamDecoder()

@@ -31,9 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec.decoder import FrameIndex
+from repro.codec.decoder import FrameIndex, parse_payload
 from repro.codec.encoder import encode_sequence
-from repro.streaming.pipeline import parse_payload
 from repro.transport import (
     FrameArena,
     FrameHandle,
