@@ -22,6 +22,8 @@ H.263's MVD table.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.vlc import read_se_golomb, se_golomb_bits, se_golomb_code
 from repro.me.types import MotionField, MotionVector
@@ -50,10 +52,39 @@ def predict_mv(field: MotionField, mb_row: int, mb_col: int) -> MotionVector:
     )
 
 
+def predict_mv_arrays(
+    hx: np.ndarray, hy: np.ndarray, mb_rows: np.ndarray, mb_cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`predict_mv` for the blocks ``(mb_rows[i], mb_cols[i])`` of
+    a complete ``(rows, cols)`` field given as half-pel grids: the same
+    border rules, read off a zero-padded copy."""
+    out = []
+    for comp in (hx, hy):
+        pad = np.pad(np.asarray(comp, dtype=np.int64), 1)
+        left = pad[mb_rows + 1, mb_cols]
+        above = pad[mb_rows, mb_cols + 1]
+        above_right = pad[mb_rows, mb_cols + 2]
+        median = np.maximum(np.minimum(left, above), np.minimum(np.maximum(left, above), above_right))
+        out.append(np.where(mb_rows == 0, left, median))
+    return out[0], out[1]
+
+
 def mvd_bits(mv: MotionVector, predictor: MotionVector) -> int:
     """Exact bit cost of coding ``mv`` against ``predictor``."""
     d = mv - predictor
     return se_golomb_bits(d.hx) + se_golomb_bits(d.hy)
+
+
+def mvd_bits_arrays(dhx: np.ndarray, dhy: np.ndarray) -> np.ndarray:
+    """:func:`mvd_bits` of many differential vectors ``(dhx, dhy)``."""
+    total = 0
+    for d in (dhx, dhy):
+        d = np.asarray(d, dtype=np.int64)
+        mapped = np.where(d > 0, 2 * d - 1, -2 * d)
+        # ue(v) length: 2 * bit_length(v + 1) - 1; frexp's exponent is
+        # the bit length of a positive integer, exactly.
+        total = total + 2 * np.frexp((mapped + 1).astype(np.float64))[1].astype(np.int64) - 1
+    return total
 
 
 def write_mvd(writer: BitWriter, mv: MotionVector, predictor: MotionVector) -> int:

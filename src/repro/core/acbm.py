@@ -6,19 +6,35 @@ Per macroblock:
 2. Run the predictive search (PBM, [9]) → vector + ``SAD_PBM``.
 3. Classify with the two acceptance conditions
    (:func:`repro.core.classifier.classify_block`).
-4. If critical, run the full search — per-block SAD maps while the
-   frame's critical count is small, one lazily built whole-frame
-   surface (:func:`repro.me.engine.frame_sad_surfaces`, shared through
-   the frame driver's cache) once it isn't — and keep whichever vector
-   wins the arbitration (plain SAD by default; optionally the paper's Section
+4. If critical, run the full search and keep whichever vector wins the
+   arbitration (plain SAD by default; optionally the paper's Section
    2.1 Lagrangian ``J = SAD + λ(Qp)·R(mvd)``, which slightly favours
    the predictive vector's cheaper differential coding — the mechanism
-   behind ACBM's "slightly better rate-distortion than FSBM").
+   behind ACBM's "slightly better rate-distortion than FSBM").  The
+   arbitration is strict: the full-search vector must cost *less*.
 
 Cost accounting follows the paper: the positions charged to a block are
 the predictive search's evaluations plus — only on critical blocks —
 the full search's.  The Intra_SAD computation itself touches only the
 current block and is not a candidate position.
+
+:meth:`ACBMEstimator.search_block` is the per-block definition.  The
+frame driver, :meth:`ACBMEstimator.estimate_frame`, runs the same four
+steps as whole-frame sweeps (:func:`repro.me.predictive.sweep_frame`)
+and matches the raster walk byte for byte, for the reasons the
+:mod:`repro.me.predictive` docstring gives: the predictive stage's best
+is the lexicographic minimum of ``(SAD, max(|dx|, |dy|), |dy|, |dx|,
+dy, dx)`` over the visited set, and a block reads the field being built
+only at its left, top-left, top and top-right neighbours (the
+Lagrangian median predictor reads a subset of them), so the sweeps
+converge to the raster walk's unique fixed point.  ``Intra_SAD`` is
+exact in float64 in any summation order (every term is a multiple of
+2⁻⁸ and bounded), so the classifier sees identical inputs.  The full
+search does not depend on the field: each critical block's result is
+computed once per frame — per-block SAD maps while the frame's distinct
+critical blocks number at most ``surface_threshold``, one whole-frame
+surface (:func:`repro.me.engine.frame_sad_surfaces`) once they exceed
+it.
 """
 
 from __future__ import annotations
@@ -27,17 +43,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec.mv_coding import mvd_bits, predict_mv
-from repro.core.classifier import BlockDecision, classify_block
+from repro.codec.mv_coding import mvd_bits, mvd_bits_arrays, predict_mv, predict_mv_arrays
+from repro.core.classifier import (
+    CRITICAL_CODE,
+    DECISIONS,
+    BlockDecision,
+    classify_block,
+    classify_blocks,
+)
 from repro.core.parameters import ACBMParameters
 from repro.me.cost import lagrange_lambda
-from repro.me.engine.kernels import frame_sad_surfaces, supports_vectorized_search
+from repro.me.engine.kernels import frame_sad_surfaces, refine_half_pel_batch, select_minima
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
 from repro.me.full_search import full_search_sads, select_minimum
-from repro.me.metrics import intra_sad
-from repro.me.predictive import PredictiveEstimator
+from repro.me.metrics import block_activity_map, intra_sad
+from repro.me.predictive import PredictiveEstimator, SweepResult, initial_guess, sweep_frame
+from repro.me.stats import SearchStats
 from repro.me.subpel import refine_half_pel
-from repro.me.types import BlockResult, MotionVector
+from repro.me.types import BlockResult, MotionField, MotionVector
+from repro.obs import metrics
+
+_MET_CRITICAL = metrics.counter("me.acbm.critical")
+_MET_FS_WINS = metrics.counter("me.acbm.fs_wins")
+
+_DECISION_VALUES = np.array([d.value for d in DECISIONS])
 
 
 @dataclass(frozen=True)
@@ -68,15 +98,16 @@ class ACBMEstimator(MotionEstimator):
         MV bits against the H.263 median predictor) instead of raw SAD.
         Off by default — the paper's base algorithm compares SADs.
     surface_threshold:
-        Critical-block count per frame after which the remaining
-        critical full searches read one lazily built
+        Distinct critical blocks per frame after which the frame
+        driver serves every critical block's full search from one
         :func:`repro.me.engine.frame_sad_surfaces` pass instead of
-        per-block SAD maps.  The whole-frame surface costs roughly
-        20-25 per-block searches, so frames with few critical blocks
+        per-block SAD maps.  The whole-frame surface costs a few dozen
+        per-block searches, so frames with few critical blocks
         (high Qp, calm content) stay on the per-block path and busy
         frames amortize one batched pass; both paths return bit-exact
         SAD surfaces, so the decisions and position counts never
-        depend on the threshold.
+        depend on the threshold.  :meth:`search_block` alone always
+        runs the per-block map.
 
     >>> est = ACBMEstimator()
     >>> (est.p, est.params.alpha, est.params.beta, est.params.gamma)
@@ -114,35 +145,6 @@ class ACBMEstimator(MotionEstimator):
         predictor = predict_mv(ctx.field, ctx.mb_row, ctx.mb_col)
         return float(sad) + lagrange_lambda(ctx.qp) * mvd_bits(mv, predictor)
 
-    def _critical_surfaces(self, ctx: BlockContext):
-        """The frame's :class:`FrameSadSurfaces` for critical blocks, or
-        ``None`` while the per-block path is still cheaper.
-
-        Built lazily in the frame driver's shared cache once this
-        frame's critical-block count crosses ``surface_threshold``; a
-        single batched pass then serves every later critical block's
-        full search.  Returns ``None`` when the engine is off, the
-        frame has no shared cache (bare ``search_block`` calls), or the
-        geometry is outside the batched kernel's envelope.
-        """
-        cache = ctx.frame_cache
-        if cache is None or ctx.ref_plane is None or not self.use_engine:
-            return None
-        key = "acbm_critical_surfaces"
-        if key not in cache:
-            count = cache.get("acbm_critical_blocks", 0) + 1
-            cache["acbm_critical_blocks"] = count
-            if count <= self.surface_threshold:
-                return None
-            cur = np.asarray(ctx.current)
-            cache[key] = (
-                frame_sad_surfaces(cur, ctx.ref_plane, self.block_size, self.p)
-                if cur.dtype == np.uint8
-                and supports_vectorized_search(ctx.ref_plane.luma, self.block_size, self.p)
-                else None
-            )
-        return cache[key]
-
     def search_block(self, ctx: BlockContext) -> BlockResult:
         activity = intra_sad(ctx.block)
         pbm_result = self._pbm.search_block(ctx)
@@ -152,13 +154,10 @@ class ACBMEstimator(MotionEstimator):
         positions = pbm_result.positions
         used_full_search = False
         if not decision.accepts_pbm:
-            surfaces = self._critical_surfaces(ctx)
-            if surfaces is not None:
-                fs_sads, window = surfaces.block_surface(ctx.mb_row, ctx.mb_col)
-            else:
-                fs_sads, window = full_search_sads(
-                    ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.block_size, self.p
-                )
+            _MET_CRITICAL.inc()
+            fs_sads, window = full_search_sads(
+                ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.block_size, self.p
+            )
             fs_mv, fs_sad = select_minimum(fs_sads, window)
             positions += window.num_positions
             used_full_search = True
@@ -168,6 +167,7 @@ class ACBMEstimator(MotionEstimator):
                 )
                 positions += extra
             if self._vector_cost(fs_sad, fs_mv, ctx) < self._vector_cost(best_sad, mv, ctx):
+                _MET_FS_WINS.inc()
                 mv, best_sad = fs_mv, fs_sad
         return ACBMBlockResult(
             mv=mv,
@@ -178,3 +178,124 @@ class ACBMEstimator(MotionEstimator):
             intra_sad=activity,
             sad_pbm=pbm_result.sad,
         )
+
+    def sweep(
+        self,
+        current: np.ndarray,
+        plane: ReferencePlane,
+        prev_field: MotionField | None,
+        qp: int,
+    ) -> SweepResult:
+        """:meth:`search_block`'s four steps for every block as
+        whole-frame sweeps to the raster walk's fixed point (module
+        docstring); needs the predictive stage's
+        :meth:`~repro.me.predictive.PredictiveEstimator.sweeps_apply`."""
+        s = self.block_size
+        rows, cols = current.shape[0] // s, current.shape[1] // s
+        activity = block_activity_map(current, s).reshape(-1)
+        predictive = self._pbm.frame_search(current, plane, prev_field)
+        full_search = _CriticalFullSearch(self, current, plane)
+
+        def step(idx, hx, hy):
+            pbm_hx, pbm_hy, pbm_sad, positions = predictive(idx, hx, hy)
+            codes = classify_blocks(activity[idx], pbm_sad, qp, self.params)
+            critical = codes == CRITICAL_CODE
+            fs_won = np.zeros(idx.size, dtype=bool)
+            out_hx, out_hy, out_sad = pbm_hx.copy(), pbm_hy.copy(), pbm_sad.copy()
+            if critical.any():
+                crit_idx = idx[critical]
+                fs_hx, fs_hy, fs_sad, fs_positions = full_search(crit_idx)
+                positions[critical] += fs_positions
+                fs_cost, pbm_cost = fs_sad, pbm_sad[critical]
+                if self.lagrangian:
+                    lam = lagrange_lambda(qp)
+                    pred_hx, pred_hy = predict_mv_arrays(hx, hy, *np.divmod(crit_idx, cols))
+                    fs_cost = fs_cost + lam * mvd_bits_arrays(fs_hx - pred_hx, fs_hy - pred_hy)
+                    pbm_cost = pbm_cost + lam * mvd_bits_arrays(
+                        pbm_hx[critical] - pred_hx, pbm_hy[critical] - pred_hy
+                    )
+                wins = fs_cost < pbm_cost
+                fs_won[critical] = wins
+                out_hx[fs_won], out_hy[fs_won], out_sad[fs_won] = fs_hx[wins], fs_hy[wins], fs_sad[wins]
+            return out_hx, out_hy, out_sad, positions, codes, fs_won
+
+        (hx, hy, sad, positions, codes, fs_won), sweeps = sweep_frame(
+            rows, cols, initial_guess(prev_field, rows, cols), step
+        )
+        critical = codes == CRITICAL_CODE
+        _MET_CRITICAL.inc(int(np.count_nonzero(critical)))
+        _MET_FS_WINS.inc(int(np.count_nonzero(fs_won)))
+        return SweepResult(
+            *(a.reshape(rows, cols) for a in (hx, hy, sad, positions)),
+            sweeps=sweeps,
+            used_full_search=critical.reshape(rows, cols),
+            decisions=_DECISION_VALUES[codes].reshape(rows, cols),
+        )
+
+    def estimate_frame(
+        self,
+        current: np.ndarray,
+        reference: np.ndarray,
+        plane: ReferencePlane | None,
+        prev_field: MotionField | None,
+        qp: int,
+    ) -> tuple[MotionField, SearchStats]:
+        """:meth:`sweep`, or the raster walk where the predictive sweep
+        does not apply."""
+        if not self._pbm.sweeps_apply(current, plane):
+            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        return self.sweep(current, plane, prev_field, qp).motion()
+
+
+class _CriticalFullSearch:
+    """One frame's full-search results for ACBM's critical blocks.
+
+    The full search does not read the motion field, so each block's
+    result is computed once, however many sweeps classify it critical:
+    per-block SAD maps while the frame's distinct critical blocks number
+    at most ``surface_threshold``, then one whole-frame
+    :func:`frame_sad_surfaces` pass that serves every later block.
+    Calling it with flat block indices returns their ``(hx, hy, sad,
+    positions)``, half-pel refined when the estimator is.
+    """
+
+    def __init__(self, est: ACBMEstimator, current: np.ndarray, plane: ReferencePlane) -> None:
+        self.est = est
+        self.current = current
+        self.plane = plane
+        self.cols = current.shape[1] // est.block_size
+        n = (current.shape[0] // est.block_size) * self.cols
+        self.results = np.zeros((4, n), dtype=np.int64)
+        self.done = np.zeros(n, dtype=bool)
+        self.minima: tuple[np.ndarray, ...] | None = None
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        todo = idx[~self.done[idx]]
+        if todo.size:
+            self._compute(todo)
+        return self.results[:, idx]
+
+    def _compute(self, todo: np.ndarray) -> None:
+        est, s, p = self.est, self.est.block_size, self.est.p
+        if self.minima is None and np.count_nonzero(self.done) + todo.size > est.surface_threshold:
+            surfaces = frame_sad_surfaces(self.current, self.plane, s, p)
+            self.minima = tuple(a.reshape(-1) for a in select_minima(surfaces))
+        if self.minima is not None:
+            dx, dy, sads, positions = (a[todo] for a in self.minima)
+        else:
+            found = []
+            for i in todo.tolist():
+                r, c = divmod(i, self.cols)
+                fs_sads, window = full_search_sads(self.current, self.plane.luma, r * s, c * s, s, p)
+                mv, sad = select_minimum(fs_sads, window)
+                found.append((mv.hx // 2, mv.hy // 2, sad, window.num_positions))
+            dx, dy, sads, positions = np.array(found, dtype=np.int64).T
+        if est.half_pel:
+            hx, hy, sads, extra = refine_half_pel_batch(
+                self.current, self.plane, dx, dy, sads, s, p, blocks=np.divmod(todo, self.cols)
+            )
+            positions = positions + extra
+        else:
+            hx, hy = 2 * dx, 2 * dy
+        self.results[:, todo] = hx, hy, sads, positions
+        self.done[todo] = True

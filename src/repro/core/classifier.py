@@ -8,12 +8,15 @@ Section 3.1's characterization (our Fig. 4 rig regenerates it) showed:
 * low-texture blocks gain almost nothing from full search but pay for
   it in bits (incoherent vectors) and computation.
 
-:func:`classify_block` encodes the resulting two-condition rule.
+:func:`classify_block` encodes the resulting two-condition rule;
+:func:`classify_blocks` applies it to many blocks at once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+
+import numpy as np
 
 from repro.core.parameters import ACBMParameters
 
@@ -76,3 +79,34 @@ def classify_block(
     if sad_pbm < params.gamma * intra_sad:
         return BlockDecision.GOOD_PREDICTION
     return BlockDecision.CRITICAL
+
+
+#: :func:`classify_blocks` codes index this tuple.
+DECISIONS: tuple[BlockDecision, ...] = tuple(BlockDecision)
+CRITICAL_CODE = DECISIONS.index(BlockDecision.CRITICAL)
+
+
+def classify_blocks(
+    intra_sads: np.ndarray, sad_pbms: np.ndarray, qp: int, params: ACBMParameters
+) -> np.ndarray:
+    """:func:`classify_block` over arrays: the decision of every block
+    as an index into :data:`DECISIONS`.  The comparisons run in the same
+    float64 arithmetic as the scalar rule, so the verdicts are
+    identical block for block.
+
+    >>> params = ACBMParameters.paper_defaults()
+    >>> codes = classify_blocks(np.array([500.0, 9000.0, 9000.0]), np.array([400, 800, 5000]), 10, params)
+    >>> [DECISIONS[k].value for k in codes]
+    ['low_cost', 'good_prediction', 'critical']
+    """
+    intra = np.asarray(intra_sads, dtype=np.float64)
+    sad_pbm = np.asarray(sad_pbms)
+    return np.where(
+        intra + sad_pbm < params.threshold(qp),
+        DECISIONS.index(BlockDecision.LOW_COST),
+        np.where(
+            sad_pbm < params.gamma * intra,
+            DECISIONS.index(BlockDecision.GOOD_PREDICTION),
+            CRITICAL_CODE,
+        ),
+    )

@@ -11,7 +11,8 @@ implement this surface to accelerate the whole system:
   lists scored in one pass.  ``frame_ring_sad`` — the fast searches'
   batched opening ring — is this entry composed over the frame's block
   grid, so it accelerates for free and needs no field of its own;
-* ``refine_half_pel`` — the 8-neighbour half-pel stage for every block;
+* ``refine_half_pel`` — the 8-neighbour half-pel stage for any set of
+  blocks;
 * ``intra_mode_costs`` — open-loop DC/vertical/horizontal mode SADs;
 * ``mc_gather`` — the motion-compensated plane gather behind
   ``frame_mc_luma``/``frame_mc_chroma``;
@@ -70,9 +71,10 @@ class KernelBackend:
     #: -> (N, K) int64 SADs, -1 marking out-of-plane candidates.
     evaluate_candidates: Callable
 
-    #: (cur, half_plane u8, anchor_dx, anchor_dy, anchor_sads, s, p, h, w,
-    #:  neighbours (8,2) as (dhx, dhy)) -> (hx, hy, sads, evaluated), all
-    #: (rows, cols); strict-improvement update in neighbour order.
+    #: (cur, half_plane u8, mb_rows (N,), mb_cols (N,), anchor_dx (N,),
+    #:  anchor_dy (N,), anchor_sads (N,), s, p, h, w, neighbours (8,2) as
+    #:  (dhx, dhy)) -> (hx, hy, sads, evaluated), all (N,), for any subset
+    #: of macroblocks; strict-improvement update in neighbour order.
     refine_half_pel: Callable
 
     #: (y plane, block_size) -> (3, rows, cols) int64 mode-cost surface

@@ -423,55 +423,48 @@ def k_evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
     return out
 
 
-def k_refine_half_pel(cur, half, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs):
-    rows = h // s
-    cols = w // s
-    best_hx = np.empty((rows, cols), dtype=np.int64)
-    best_hy = np.empty((rows, cols), dtype=np.int64)
-    best_sad = np.empty((rows, cols), dtype=np.int64)
-    evaluated = np.empty((rows, cols), dtype=np.int64)
-    for r in range(rows):
-        y = r * s
+def k_refine_half_pel(cur, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs):
+    n = mb_rows.shape[0]
+    best_hx = np.empty(n, dtype=np.int64)
+    best_hy = np.empty(n, dtype=np.int64)
+    best_sad = np.empty(n, dtype=np.int64)
+    evaluated = np.empty(n, dtype=np.int64)
+    for b in range(n):
+        y = mb_rows[b] * s
+        x = mb_cols[b] * s
         dy_min = -p if y >= p else -y
         dy_max = p if p <= h - s - y else h - s - y
-        for c in range(cols):
-            x = c * s
-            dx_min = -p if x >= p else -x
-            dx_max = p if p <= w - s - x else w - s - x
-            ahx = 2 * anchor_dx[r, c]
-            ahy = 2 * anchor_dy[r, c]
-            bsad = anchor_sads[r, c]
-            bhx = ahx
-            bhy = ahy
-            count = 0
-            for t in range(8):
-                chx = ahx + offs[t, 0]
-                chy = ahy + offs[t, 1]
-                if (
-                    chx < 2 * dx_min
-                    or chx > 2 * dx_max
-                    or chy < 2 * dy_min
-                    or chy > 2 * dy_max
-                ):
-                    continue
-                count += 1
-                gy = 2 * y + chy
-                gx = 2 * x + chx
-                acc = np.int64(0)
-                for i in range(s):
-                    for j in range(s):
-                        d = np.int64(cur[y + i, x + j]) - np.int64(half[gy + 2 * i, gx + 2 * j])
-                        acc += d if d >= 0 else -d
-                # Strict improvement in neighbour order — ties keep the
-                # earlier winner, matching the vectorized update.
-                if acc < bsad:
-                    bsad = acc
-                    bhx = chx
-                    bhy = chy
-            best_hx[r, c] = bhx
-            best_hy[r, c] = bhy
-            best_sad[r, c] = bsad
-            evaluated[r, c] = count
+        dx_min = -p if x >= p else -x
+        dx_max = p if p <= w - s - x else w - s - x
+        ahx = 2 * anchor_dx[b]
+        ahy = 2 * anchor_dy[b]
+        bsad = anchor_sads[b]
+        bhx = ahx
+        bhy = ahy
+        count = 0
+        for t in range(8):
+            chx = ahx + offs[t, 0]
+            chy = ahy + offs[t, 1]
+            if chx < 2 * dx_min or chx > 2 * dx_max or chy < 2 * dy_min or chy > 2 * dy_max:
+                continue
+            count += 1
+            gy = 2 * y + chy
+            gx = 2 * x + chx
+            acc = np.int64(0)
+            for i in range(s):
+                for j in range(s):
+                    d = np.int64(cur[y + i, x + j]) - np.int64(half[gy + 2 * i, gx + 2 * j])
+                    acc += d if d >= 0 else -d
+            # Strict improvement in neighbour order — ties keep the
+            # earlier winner, matching the vectorized update.
+            if acc < bsad:
+                bsad = acc
+                bhx = chx
+                bhy = chy
+        best_hx[b] = bhx
+        best_hy[b] = bhy
+        best_sad[b] = bsad
+        evaluated[b] = count
     return best_hx, best_hy, best_sad, evaluated
 
 
@@ -609,16 +602,20 @@ def _evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
     )
 
 
-def _refine_half_pel(current, half, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs):
+def _refine_half_pel(
+    current, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs
+):
     if not (_u8(current) and _u8(half)):
         from repro.me.engine.kernels import refine_half_pel_numpy
 
         return refine_half_pel_numpy(
-            current, half, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs
+            current, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs
         )
     return k_refine_half_pel(
         np.ascontiguousarray(current),
         np.ascontiguousarray(half),
+        np.ascontiguousarray(mb_rows, dtype=np.int64),
+        np.ascontiguousarray(mb_cols, dtype=np.int64),
         np.ascontiguousarray(anchor_dx, dtype=np.int64),
         np.ascontiguousarray(anchor_dy, dtype=np.int64),
         np.ascontiguousarray(anchor_sads, dtype=np.int64),

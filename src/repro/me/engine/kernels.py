@@ -12,7 +12,8 @@ frame per NumPy pass:
 * :func:`select_minima` — vectorized minimum pick over all blocks with
   the full search's exact shortest-vector tie-break.
 * :func:`refine_half_pel_batch` — the 8-neighbour half-pel stage for
-  every block at once, reading :class:`ReferencePlane`'s cached plane.
+  every block (or any subset of blocks) at once, reading
+  :class:`ReferencePlane`'s cached plane.
 * :func:`evaluate_candidates_batch` — arbitrary (block, displacement)
   candidate lists scored in one gather, for the fast searches.
 * :func:`frame_ring_sad` — one fixed candidate ring scored for every
@@ -89,11 +90,12 @@ def supports_vectorized_search(plane: np.ndarray, block_size: int, p: int) -> bo
 # -- window geometry, vectorized over the block grid ---------------------
 
 
-def _window_bounds(
+def window_bounds(
     plane_h: int, plane_w: int, block_size: int, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(dx_min, dx_max, dy_min, dy_max) per block column/row, the
-    vectorized :func:`repro.me.search_window.clamped_window`."""
+    vectorized :func:`repro.me.search_window.clamped_window`: the
+    ``dx`` bounds index by block column, the ``dy`` bounds by block row."""
     s = block_size
     xs = np.arange(plane_w // s) * s
     ys = np.arange(plane_h // s) * s
@@ -156,7 +158,7 @@ class FrameSadSurfaces:
         """Valid candidate positions per block (``window.num_positions``
         of the clipped window), shape ``(rows, cols)`` int64."""
         h, w = self.plane_shape
-        dx_min, dx_max, dy_min, dy_max = _window_bounds(h, w, self.block_size, self.p)
+        dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, self.block_size, self.p)
         return (
             (dy_max - dy_min + 1)[:, None] * (dx_max - dx_min + 1)[None, :]
         ).astype(np.int64)
@@ -279,6 +281,22 @@ def _frame_sad_surfaces_generic(
     return FrameSadSurfaces(surfaces=surf, block_size=s, p=p, plane_shape=(h, w))
 
 
+def tiebreak_keys(dx: np.ndarray, dy: np.ndarray, p: int) -> np.ndarray:
+    """The shortest-vector tie-break key ``(max(|dx|, |dy|), |dy|, |dx|,
+    dy, dx)`` packed lexicographically into 30 bits (int64, broadcast
+    over ``dx``/``dy``).  Each field spans ``[0, 2p]``, so 6 bits per
+    field hold it up to ``p = 31`` — the
+    :func:`supports_vectorized_search` envelope.  Distinct displacements
+    get distinct keys, so ``SAD << 30 | key`` ranks candidates exactly
+    as :class:`repro.me.candidates.CandidateEvaluator` and
+    :func:`repro.me.full_search.select_minimum` do."""
+    dx = np.asarray(dx, dtype=np.int64)
+    dy = np.asarray(dy, dtype=np.int64)
+    adx, ady = np.abs(dx), np.abs(dy)
+    key = np.maximum(adx, ady)
+    return (((key * 64 + ady) * 64 + adx) * 64 + dy + p) * 64 + dx + p
+
+
 def select_minima(fss: FrameSadSurfaces) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-SAD displacement of every block with the full search's
     shortest-vector tie-break.
@@ -293,15 +311,8 @@ def select_minima(fss: FrameSadSurfaces) -> tuple[np.ndarray, np.ndarray, np.nda
     flat = fss.surfaces.reshape(rows, cols, n * n)
     minima = flat.min(axis=2)
     if p <= 31:
-        # Tie-break key (max(|dx|,|dy|), |dy|, |dx|, dy, dx) packed
-        # lexicographically into 30 bits; each field spans [0, 2p] so
-        # 6 bits per field only holds up to p = 31.
         d = np.arange(-p, p + 1)
-        ady, adx = np.abs(d)[:, None], np.abs(d)[None, :]
-        key = np.maximum(ady, adx)
-        key = (
-            (((key * 64 + ady) * 64 + adx) * 64 + d[:, None] + p) * 64 + d[None, :] + p
-        ).astype(np.int32)
+        key = tiebreak_keys(d[None, :], d[:, None], p).astype(np.int32)
         contenders = np.where(
             flat == minima[..., None], key.reshape(-1)[None, None, :], SURFACE_SENTINEL
         )
@@ -334,14 +345,19 @@ def refine_half_pel_batch(
     anchor_sads: np.ndarray,
     block_size: int,
     p: int,
+    blocks: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 8-neighbour half-pel stage for every block at once.
+    """The 8-neighbour half-pel stage for many blocks at once.
 
-    Anchors are integer-pel displacement grids (pixels); returns
+    Anchors are integer-pel displacements (pixels); returns
     ``(hx, hy, sads, evaluated)`` in half-pel units, replaying the
     strict-improvement update of
     :func:`repro.me.subpel.refine_half_pel` in the same neighbour
-    order so ties resolve identically.
+    order so ties resolve identically.  Without ``blocks`` the anchors
+    are ``(rows, cols)`` grids covering every macroblock; ``blocks =
+    (mb_rows, mb_cols)`` restricts the stage to those ``(N,)``
+    macroblocks, with the anchors and results as matching ``(N,)``
+    arrays.
     """
     # Imported at call time: subpel imports this package for
     # ReferencePlane, so a module-level import here would cycle
@@ -351,23 +367,34 @@ def refine_half_pel_batch(
     from repro.me.subpel import HALF_PEL_NEIGHBOURS
 
     h, w = plane.shape
-    return get_backend().refine_half_pel(
+    grid = blocks is None
+    if grid:
+        rows, cols = h // block_size, w // block_size
+        mb_rows, mb_cols = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
+    else:
+        mb_rows, mb_cols = blocks
+    out = get_backend().refine_half_pel(
         np.asarray(current),
         plane.half_plane,
-        np.asarray(anchor_dx, dtype=np.int64),
-        np.asarray(anchor_dy, dtype=np.int64),
-        np.asarray(anchor_sads, dtype=np.int64),
+        np.asarray(mb_rows, dtype=np.int64),
+        np.asarray(mb_cols, dtype=np.int64),
+        np.asarray(anchor_dx, dtype=np.int64).ravel(),
+        np.asarray(anchor_dy, dtype=np.int64).ravel(),
+        np.asarray(anchor_sads, dtype=np.int64).ravel(),
         block_size,
         p,
         h,
         w,
         np.asarray(HALF_PEL_NEIGHBOURS, dtype=np.int64),
     )
+    return tuple(a.reshape(rows, cols) for a in out) if grid else out
 
 
 def refine_half_pel_numpy(
     current: np.ndarray,
     half: np.ndarray,
+    mb_rows: np.ndarray,
+    mb_cols: np.ndarray,
     anchor_dx: np.ndarray,
     anchor_dy: np.ndarray,
     anchor_sads: np.ndarray,
@@ -380,40 +407,25 @@ def refine_half_pel_numpy(
     """Vectorized half-pel core — the numpy backend's binding for the
     ``refine_half_pel`` ABI entry.  ``half`` is the cached half-pel
     plane; ``offs`` is the (8, 2) neighbour table as (dhx, dhy) whose
-    order decides strict-improvement ties."""
-    rows, cols = h // s, w // s
-    cur_blocks = (
-        np.asarray(current)
-        .reshape(rows, s, cols, s)
-        .transpose(0, 2, 1, 3)
-        .astype(np.int16)
-    )  # (rows, cols, s, s)
-    dx_min, dx_max, dy_min, dy_max = _window_bounds(h, w, s, p)
+    order decides strict-improvement ties; every other array is one
+    entry per refined macroblock."""
+    by = mb_rows * s
+    bx = mb_cols * s
+    cur_blocks = sliding_window_view(np.asarray(current), (s, s))[by, bx].astype(np.int16)
+    dx_min, dx_max = np.maximum(-p, -bx), np.minimum(p, w - s - bx)
+    dy_min, dy_max = np.maximum(-p, -by), np.minimum(p, h - s - by)
     anchor_hx = 2 * anchor_dx
     anchor_hy = 2 * anchor_dy
-    # Half-pel coordinates of each block's anchor inside the half plane.
-    base_hy = 2 * (np.arange(rows) * s)[:, None] + anchor_hy
-    base_hx = 2 * (np.arange(cols) * s)[None, :] + anchor_hx
-    hx = anchor_hx[None, :, :] + offs[:, 0, None, None]  # (8, rows, cols)
-    hy = anchor_hy[None, :, :] + offs[:, 1, None, None]
-    valid = (
-        (hx >= 2 * dx_min[None, None, :])
-        & (hx <= 2 * dx_max[None, None, :])
-        & (hy >= 2 * dy_min[None, :, None])
-        & (hy <= 2 * dy_max[None, :, None])
-    )
-    gather_y = np.where(valid, base_hy[None, :, :] + offs[:, 1, None, None], 0)
-    gather_x = np.where(valid, base_hx[None, :, :] + offs[:, 0, None, None], 0)
-    step = 2 * np.arange(s)
-    pred = half[
-        gather_y[..., None, None] + step[None, None, None, :, None],
-        gather_x[..., None, None] + step[None, None, None, None, :],
-    ].astype(np.int16)  # (8, rows, cols, s, s)
-    sads = (
-        np.abs(pred - cur_blocks[None])
-        .reshape(8, rows, cols, s * s)
-        .sum(axis=3, dtype=np.int64)
-    )
+    hx = anchor_hx[None, :] + offs[:, 0, None]  # (8, N)
+    hy = anchor_hy[None, :] + offs[:, 1, None]
+    valid = (hx >= 2 * dx_min) & (hx <= 2 * dx_max) & (hy >= 2 * dy_min) & (hy <= 2 * dy_max)
+    # A candidate block reads every other half-plane sample from its
+    # half-pel origin: a strided window view, indexed per candidate.
+    windows = sliding_window_view(half, (2 * s - 1, 2 * s - 1))[:, :, ::2, ::2]
+    pred = windows[
+        np.where(valid, 2 * by + hy, 0), np.where(valid, 2 * bx + hx, 0)
+    ].astype(np.int16)  # (8, N, s, s)
+    sads = np.abs(pred - cur_blocks[None]).reshape(8, -1, s * s).sum(axis=2, dtype=np.int64)
     best_hx, best_hy = anchor_hx.copy(), anchor_hy.copy()
     best_sad = np.asarray(anchor_sads, dtype=np.int64).copy()
     unreachable = np.int64(1) << 60
@@ -545,25 +557,20 @@ def evaluate_candidates_numpy(
     binding for the ``evaluate_candidates`` ABI entry."""
     s = block_size
     h, w = ref.shape
-    by = np.asarray(block_ys, dtype=np.int64)[:, None]
-    bx = np.asarray(block_xs, dtype=np.int64)[:, None]
+    by = np.asarray(block_ys, dtype=np.int64)
+    bx = np.asarray(block_xs, dtype=np.int64)
     dy = np.asarray(dys, dtype=np.int64)
     dx = np.asarray(dxs, dtype=np.int64)
-    y0 = by + dy
-    x0 = bx + dx
+    y0 = by[:, None] + dy
+    x0 = bx[:, None] + dx
     valid = (y0 >= 0) & (y0 + s <= h) & (x0 >= 0) & (x0 + s <= w)
-    y0c = np.where(valid, y0, 0)
-    x0c = np.where(valid, x0, 0)
-    step = np.arange(s)
-    narrow = ref.dtype == np.uint8 and cur.dtype == np.uint8
-    ref_i = ref.astype(np.int16) if narrow else ref.astype(np.int64)
-    cand = ref_i[
-        y0c[..., None, None] + step[None, None, :, None],
-        x0c[..., None, None] + step[None, None, None, :],
-    ]  # (N, K, s, s)
-    blocks = cur[
-        (by + step[None, :])[:, :, None], (bx + step[None, :])[:, None, :]
-    ]  # (N, s, s)
-    diff = np.abs(cand - blocks[:, None].astype(cand.dtype))
+    if not (ref.dtype == np.uint8 and cur.dtype == np.uint8):
+        ref, cur = ref.astype(np.int64), cur.astype(np.int64)
+    # Indexing the (y, x) axes of a block-window view copies each
+    # candidate block whole — no per-pixel index arrays.
+    cand = sliding_window_view(ref, (s, s))[np.where(valid, y0, 0), np.where(valid, x0, 0)]
+    blocks = sliding_window_view(cur, (s, s))[by, bx][:, None]  # (N, 1, s, s)
+    # |a - b| as max - min never wraps, so uint8 needs no widening.
+    diff = np.maximum(cand, blocks) - np.minimum(cand, blocks)
     sads = diff.reshape(dy.shape[0], dy.shape[1], s * s).sum(axis=2, dtype=np.int64)
     return np.where(valid, sads, np.int64(-1))

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import get_backend
-from repro.me.engine.kernels import _window_bounds
+from repro.me.engine.kernels import window_bounds
 from repro.me.engine.reference_plane import ReferencePlane
 
 
@@ -135,7 +135,7 @@ def frame_mc_chroma(
             f"{rows}x{cols} block grid of chroma plane {plane.shape}"
         )
     chx, chy = chroma_mv_grids(hx, hy)
-    dx_min, dx_max, dy_min, dy_max = _window_bounds(h, w, s, p)
+    dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, s, p)
     chx = np.clip(chx, 2 * dx_min[None, :], 2 * dx_max[None, :])
     chy = np.clip(chy, 2 * dy_min[:, None], 2 * dy_max[:, None])
     base_hy = 2 * s * np.arange(rows, dtype=np.int64)[:, None] + chy

@@ -8,13 +8,16 @@ walks the macroblock grid in raster order (the order H.263 encodes, and
 the order that makes the left/top spatial predictors of Fig. 2
 available), assembling a :class:`MotionField` and a
 :class:`SearchStats`; estimators with a whole-frame vectorized path
-(FSBM) override it and batch every block through
-:mod:`repro.me.engine` instead, with bit-identical results.  The
-default walk itself batches what causality allows: searches that
-declare a fixed opening pattern (:meth:`MotionEstimator.first_ring`)
-get that ring scored for every block in one
-:func:`repro.me.engine.frame_ring_sad` gather before the walk starts,
-and each block's evaluator is seeded with the precomputed SADs.
+override it and batch every block through :mod:`repro.me.engine`
+instead, with bit-identical results.  FSBM computes every block's
+surface in one pass; predictive and ACBM iterate whole-frame sweeps to
+the raster walk's unique fixed point
+(:func:`repro.me.predictive.sweep_frame`).  The default walk itself
+batches what it can: searches that declare a fixed opening pattern
+(:meth:`MotionEstimator.first_ring`) get that ring scored for every
+block in one :func:`repro.me.engine.frame_ring_sad` gather before the
+walk starts, and each block's evaluator is seeded with the precomputed
+SADs.
 
 ``estimate`` also builds one :class:`repro.me.engine.ReferencePlane`
 per call (or accepts a shared one from the encoder) so every search's
@@ -62,12 +65,6 @@ class BlockContext:
     #: cache misses, so values are used (and counted) only for the
     #: positions the search actually visits.
     warm_sads: "Mapping[tuple[int, int], int] | None" = None
-    #: Per-frame scratch shared by every block of one
-    #: :meth:`MotionEstimator.estimate_frame` call — estimators are
-    #: stateless between frames, so lazily built frame-wide artifacts
-    #: (e.g. ACBM's full-search SAD surfaces) live here instead of on
-    #: the instance.
-    frame_cache: dict | None = None
 
     @property
     def block_y(self) -> int:
@@ -139,9 +136,9 @@ class MotionEstimator(ABC):
         diamond, ...) return it here; the frame driver then scores the
         ring for *all* blocks in one :func:`frame_ring_sad` gather and
         seeds each block's evaluator with the results.  Searches whose
-        first candidates depend on per-block state (predictive, ACBM)
-        return ``None`` — batching their openings would break Fig. 2's
-        causal predictor chain.
+        first candidates depend on the field being built (predictive,
+        ACBM) return ``None``; they batch through their own frame
+        driver instead.
         """
         return None
 
@@ -226,15 +223,17 @@ class MotionEstimator(ABC):
 
         The base implementation is the per-block raster walk every
         search supports; estimators with a whole-frame vectorized path
-        override this (and must stay bit-identical — searches whose
-        block decisions feed later blocks, like predictive/ACBM, keep
-        the raster walk so Fig. 2's causal predictors are available).
-        Inputs are pre-validated by :meth:`estimate`.
+        override this and must stay bit-identical to it.  FSBM batches
+        every block's full search; predictive and ACBM, whose block
+        decisions feed later blocks through Fig. 2's causal
+        predictors, run whole-frame sweeps to the raster walk's unique
+        fixed point.  Both fall back to this walk outside the batched
+        kernels' envelope.  Inputs are pre-validated by
+        :meth:`estimate`.
         """
         s = self.block_size
         rows, cols = current.shape[0] // s, current.shape[1] // s
         warm = self._first_ring_warm(current, plane, rows, cols)
-        frame_cache: dict = {}
         field = MotionField(rows, cols)
         stats = SearchStats()
         for r in range(rows):
@@ -250,7 +249,6 @@ class MotionEstimator(ABC):
                     qp=qp,
                     ref_plane=plane,
                     warm_sads=warm[r][c] if warm is not None else None,
-                    frame_cache=frame_cache,
                 )
                 result = self.search_block(ctx)
                 field.set(r, c, result.mv)

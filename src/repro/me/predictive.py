@@ -18,18 +18,78 @@ The whole search touches a handful of positions per block — the
 paper's "extremely low computational cost" — but inherits the failure
 mode ACBM exists to fix: on textured or erratically moving content all
 predictors can sit in the same wrong valley.
+
+Two paths, one result.  :meth:`PredictiveEstimator.search_block` is the
+definition: one macroblock, one
+:class:`repro.me.candidates.CandidateEvaluator`, called in raster order
+by the base frame driver.  :meth:`PredictiveEstimator.estimate_frame`
+computes the same field with a handful of whole-frame array passes
+(:func:`sweep_frame`, shared with ACBM).  Two facts make that exact:
+
+* **Tie-break chain.**  The evaluator's best is the lexicographic
+  minimum of ``(SAD, max(|dx|, |dy|), |dy|, |dx|, dy, dx)`` over the
+  distinct positions visited — the key orders every displacement
+  totally — so the order in which candidates are scored never matters,
+  only the visited set, and duplicate predictors change nothing.  The
+  half-pel step *is* order-dependent (strict improvement in
+  :data:`repro.me.subpel.HALF_PEL_NEIGHBOURS` order);
+  :func:`repro.me.engine.refine_half_pel_batch` replays that order.
+* **Unique fixed point.**  Block ``(r, c)`` reads the field being built
+  only at :data:`SPATIAL_NEIGHBOURS` — ``(r, c-1)``, ``(r-1, c-1)``,
+  ``(r-1, c)``, ``(r-1, c+1)`` — all on earlier wavefronts ``c + 2r``.
+  The causal system therefore has exactly one solution, and it is the
+  raster walk's.  Each sweep recomputes the blocks whose inputs changed
+  from the previous sweep's field; after sweep ``k`` every wavefront
+  below ``k`` is final, so at most ``cols + 2(rows - 1)`` sweeps reach
+  the raster walk's field and one more finds nothing to change.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
 from repro.me.candidates import CandidateEvaluator
+from repro.me.engine.kernels import (
+    evaluate_candidates_batch,
+    refine_half_pel_batch,
+    supports_vectorized_search,
+    tiebreak_keys,
+    window_bounds,
+)
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
 from repro.me.search_window import clamped_window
+from repro.me.stats import SearchStats
 from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField, MotionVector
+from repro.obs import metrics
 
 #: ±1 integer-pel ring used by the bounded refinement descent.
 _RING = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+_RING_DX = np.array([dx for dx, _ in _RING], dtype=np.int64)
+_RING_DY = np.array([dy for _, dy in _RING], dtype=np.int64)
+
+#: Fig. 2's spatial predictors as ``(dr, dc)``: left, top-left, top,
+#: top-right (mv4t, mv1t, mv2t, mv3t) — the only entries of the field
+#: being built that a block reads.
+SPATIAL_NEIGHBOURS = ((0, -1), (-1, -1), (-1, 0), (-1, 1))
+#: Fig. 2's temporal predictors from the previous field: collocated plus
+#: the neighbours unavailable spatially (mv0t-1, mv5t-1, mv7t-1, mv8t-1).
+TEMPORAL_NEIGHBOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Rank of a candidate outside its block's window: above any
+#: ``SAD << 30 | key`` (SADs stay below 2^16).
+_OUT_OF_WINDOW = np.int64(1) << 62
+
+_MET_SWEEPS = metrics.counter("me.sweeps")
+
+#: ``step(idx, hx, hy)``: new results for the flat macroblock indices
+#: ``idx`` given the current ``(rows, cols)`` field guess; the first two
+#: returned ``(len(idx),)`` arrays are the blocks' new ``hx``/``hy``.
+SweepStep = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
 def gather_predictors(
@@ -48,18 +108,9 @@ def gather_predictors(
     collapsed keeping first occurrence.
     """
     raw: list[MotionVector | None] = [MotionVector.zero()]
-    # Spatial: left, top-left, top, top-right (mv4t, mv1t, mv2t, mv3t).
-    raw.append(field.get(mb_row, mb_col - 1))
-    raw.append(field.get(mb_row - 1, mb_col - 1))
-    raw.append(field.get(mb_row - 1, mb_col))
-    raw.append(field.get(mb_row - 1, mb_col + 1))
+    raw += [field.get(mb_row + dr, mb_col + dc) for dr, dc in SPATIAL_NEIGHBOURS]
     if prev_field is not None:
-        # Temporal: collocated plus the neighbours unavailable spatially
-        # (mv0t-1, mv5t-1, mv7t-1, mv8t-1).
-        raw.append(prev_field.get(mb_row, mb_col))
-        raw.append(prev_field.get(mb_row, mb_col + 1))
-        raw.append(prev_field.get(mb_row + 1, mb_col))
-        raw.append(prev_field.get(mb_row + 1, mb_col + 1))
+        raw += [prev_field.get(mb_row + dr, mb_col + dc) for dr, dc in TEMPORAL_NEIGHBOURS]
     seen: set[MotionVector] = set()
     out: list[MotionVector] = []
     for mv in raw:
@@ -68,6 +119,102 @@ def gather_predictors(
         seen.add(mv)
         out.append(mv)
     return out
+
+
+def _readers(changed: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Flat indices (raster order) of the blocks that read any of the
+    ``changed`` field entries through :data:`SPATIAL_NEIGHBOURS`."""
+    r, c = np.divmod(changed, cols)
+    dirty = np.zeros((rows, cols), dtype=bool)
+    for dr, dc in SPATIAL_NEIGHBOURS:
+        rr, cc = r - dr, c - dc
+        ok = (rr < rows) & (cc >= 0) & (cc < cols)
+        dirty[rr[ok], cc[ok]] = True
+    return np.flatnonzero(dirty)
+
+
+def sweep_frame(
+    rows: int, cols: int, guess: tuple[np.ndarray, np.ndarray], step: SweepStep
+) -> tuple[list[np.ndarray], int]:
+    """Iterate whole-frame sweeps of ``step`` to the raster walk's field.
+
+    ``guess`` is the starting ``(hx, hy)`` field (the previous frame's,
+    or zeros); it only decides how many sweeps the iteration takes.
+    ``step`` must read the field only through :data:`SPATIAL_NEIGHBOURS`
+    (see the module docstring for why the result then equals the raster
+    walk's).  Sweep 1 runs every block; each later sweep reruns only the
+    blocks that read an entry the previous sweep changed, and the
+    iteration stops when nothing changed.  Returns ``step``'s outputs
+    as flat ``(rows * cols,)`` raster-order arrays and the sweep count.
+    """
+    hx, hy = (np.array(a, dtype=np.int64).reshape(-1) for a in guess)
+    idx = np.arange(rows * cols)
+    # After sweep k every wavefront below k is final; one more sweep
+    # confirms the last one.  Rerunning only the readers of changed
+    # entries moves the dirty set on by a wavefront per sweep, so only
+    # a non-causal neighbour table can exceed this.
+    bound = cols + 2 * (rows - 1) + 1
+    out: list[np.ndarray] | None = None
+    sweeps = 0
+    while idx.size:
+        sweeps += 1
+        if sweeps > bound:
+            raise RuntimeError(
+                f"motion sweep did not settle within {bound} sweeps on a "
+                f"{rows}x{cols} grid: a block reads outside its causal neighbours"
+            )
+        result = step(idx, hx.reshape(rows, cols), hy.reshape(rows, cols))
+        if out is None:
+            out = [np.array(a) for a in result]
+        else:
+            for full, part in zip(out, result):
+                full[idx] = part
+        new_hx, new_hy = result[0], result[1]
+        changed = idx[(new_hx != hx[idx]) | (new_hy != hy[idx])]
+        hx[idx], hy[idx] = new_hx, new_hy
+        idx = _readers(changed, rows, cols)
+    _MET_SWEEPS.inc(sweeps)
+    return out, sweeps
+
+
+@dataclass
+class SweepResult:
+    """One frame's per-block outcome of a sweep, as ``(rows, cols)``
+    grids — the fields of each block's :meth:`search_block` result."""
+
+    hx: np.ndarray
+    hy: np.ndarray
+    sad: np.ndarray
+    positions: np.ndarray
+    #: Sweeps the frame took to settle.
+    sweeps: int
+    #: ACBM only: whether each block ran the full search, and its
+    #: :class:`repro.core.classifier.BlockDecision` value.
+    used_full_search: np.ndarray | None = None
+    decisions: np.ndarray | None = None
+
+    def motion(self) -> tuple[MotionField, SearchStats]:
+        """The frame driver's output: the field and the stats the raster
+        walk would have recorded."""
+        stats = SearchStats()
+        if self.decisions is None:
+            stats.record_frame(self.positions)
+        else:
+            for count, used, decision in zip(
+                self.positions.ravel().tolist(),
+                self.used_full_search.ravel().tolist(),
+                self.decisions.ravel().tolist(),
+            ):
+                stats.record_block(count, used_full_search=used, decision=decision)
+        return MotionField.from_arrays(self.hx, self.hy), stats
+
+
+def initial_guess(prev_field: MotionField | None, rows: int, cols: int):
+    """The sweep's starting field: the previous frame's vectors, whose
+    temporal coherence makes most blocks right first time, else zeros."""
+    if prev_field is None:
+        return np.zeros((rows, cols), np.int64), np.zeros((rows, cols), np.int64)
+    return prev_field.to_arrays()
 
 
 @register_estimator("pbm")
@@ -124,3 +271,122 @@ class PredictiveEstimator(MotionEstimator):
             )
             positions += extra
         return BlockResult(mv=mv, sad=best_sad, positions=positions, used_full_search=False)
+
+    def sweeps_apply(self, current: np.ndarray, plane: ReferencePlane | None) -> bool:
+        """Whether the whole-frame sweep serves this frame — the same
+        envelope as FSBM's frame path; outside it the raster walk runs."""
+        return (
+            plane is not None
+            and current.dtype == np.uint8
+            and supports_vectorized_search(plane.luma, self.block_size, self.p)
+        )
+
+    def frame_search(
+        self, current: np.ndarray, plane: ReferencePlane, prev_field: MotionField | None
+    ) -> SweepStep:
+        """The batched :meth:`search_block` for one frame: a
+        :data:`SweepStep` returning ``(hx, hy, sad, positions)`` for any
+        set of blocks, given the current field guess."""
+        s, p = self.block_size, self.p
+        h, w = current.shape
+        rows, cols = h // s, w // s
+        dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, s, p)
+        prev = None
+        if prev_field is not None:
+            prev = tuple(np.pad(a, ((0, 1), (0, 1))) for a in prev_field.to_arrays())
+        n = 2 * p + 1
+
+        def search(idx, hx, hy):
+            r, c = np.divmod(idx, cols)
+            by, bx = r * s, c * s
+            lo_x, hi_x = dx_min[c][:, None], dx_max[c][:, None]
+            lo_y, hi_y = dy_min[r][:, None], dy_max[r][:, None]
+            # Predictors: zero, then the spatial and temporal neighbours.
+            # A missing neighbour reads the zero padding — a duplicate of
+            # the zero predictor, which changes neither the best nor the
+            # distinct-position count.
+            fx, fy = np.pad(hx, 1), np.pad(hy, 1)
+            cols_x = [np.zeros_like(idx)] + [fx[r + 1 + dr, c + 1 + dc] for dr, dc in SPATIAL_NEIGHBOURS]
+            cols_y = [np.zeros_like(idx)] + [fy[r + 1 + dr, c + 1 + dc] for dr, dc in SPATIAL_NEIGHBOURS]
+            if prev is not None:
+                cols_x += [prev[0][r + dr, c + dc] for dr, dc in TEMPORAL_NEIGHBOURS]
+                cols_y += [prev[1][r + dr, c + dc] for dr, dc in TEMPORAL_NEIGHBOURS]
+            # Integer projection: np.rint rounds half to even, like round().
+            cdx = np.clip(np.rint(np.stack(cols_x, axis=1) / 2).astype(np.int64), lo_x, hi_x)
+            cdy = np.clip(np.rint(np.stack(cols_y, axis=1) / 2).astype(np.int64), lo_y, hi_y)
+            sads = evaluate_candidates_batch(current, plane, by, bx, cdy, cdx, s)
+            rank = (sads << 30) | tiebreak_keys(cdx, cdy, p)
+            pick = rank.argmin(axis=1)
+            rows_n = np.arange(idx.size)
+            best_rank = rank[rows_n, pick]
+            best_dx, best_dy = cdx[rows_n, pick], cdy[rows_n, pick]
+            visited = [(cdy + p) * n + cdx + p]
+            active = rows_n
+            for _ in range(self.refine_steps):
+                rdx = best_dx[active, None] + _RING_DX
+                rdy = best_dy[active, None] + _RING_DY
+                inside = (
+                    (rdx >= lo_x[active]) & (rdx <= hi_x[active])
+                    & (rdy >= lo_y[active]) & (rdy <= hi_y[active])
+                )
+                rdx, rdy = np.where(inside, rdx, 0), np.where(inside, rdy, 0)
+                sads = evaluate_candidates_batch(current, plane, by[active], bx[active], rdy, rdx, s)
+                rank = np.where(inside, (sads << 30) | tiebreak_keys(rdx, rdy, p), _OUT_OF_WINDOW)
+                codes = np.full((idx.size, len(_RING)), -1, dtype=np.int64)
+                codes[active] = np.where(inside, (rdy + p) * n + rdx + p, -1)
+                visited.append(codes)
+                pick = rank.argmin(axis=1)
+                ring_best = rank[np.arange(active.size), pick]
+                moved = ring_best < best_rank[active]
+                active_moved = active[moved]
+                best_rank[active_moved] = ring_best[moved]
+                best_dx[active_moved] = rdx[moved, pick[moved]]
+                best_dy[active_moved] = rdy[moved, pick[moved]]
+                active = active_moved
+                if not active.size:
+                    break
+            codes = np.sort(np.concatenate(visited, axis=1), axis=1)
+            fresh = codes >= 0
+            fresh[:, 1:] &= codes[:, 1:] != codes[:, :-1]
+            positions = fresh.sum(axis=1, dtype=np.int64)
+            best_sad = best_rank >> 30
+            if not self.half_pel:
+                return 2 * best_dx, 2 * best_dy, best_sad, positions
+            mhx, mhy, best_sad, extra = refine_half_pel_batch(
+                current, plane, best_dx, best_dy, best_sad, s, p, blocks=(r, c)
+            )
+            return mhx, mhy, best_sad, positions + extra
+
+        return search
+
+    def sweep(
+        self,
+        current: np.ndarray,
+        plane: ReferencePlane,
+        prev_field: MotionField | None,
+        qp: int,
+    ) -> SweepResult:
+        """Every block's :meth:`search_block` outcome from whole-frame
+        sweeps (module docstring); needs :meth:`sweeps_apply`."""
+        s = self.block_size
+        rows, cols = current.shape[0] // s, current.shape[1] // s
+        out, sweeps = sweep_frame(
+            rows, cols, initial_guess(prev_field, rows, cols),
+            self.frame_search(current, plane, prev_field),
+        )
+        return SweepResult(*(a.reshape(rows, cols) for a in out), sweeps=sweeps)
+
+    def estimate_frame(
+        self,
+        current: np.ndarray,
+        reference: np.ndarray,
+        plane: ReferencePlane | None,
+        prev_field: MotionField | None,
+        qp: int,
+    ) -> tuple[MotionField, SearchStats]:
+        """:meth:`sweep`, or the raster walk where FSBM's frame path
+        also falls back (no plane, non-uint8 planes, outside
+        :func:`supports_vectorized_search`)."""
+        if not self.sweeps_apply(current, plane):
+            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        return self.sweep(current, plane, prev_field, qp).motion()
