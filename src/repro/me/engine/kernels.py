@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.kernels import get_backend
 from repro.me.engine.reference_plane import ReferencePlane
@@ -60,6 +60,22 @@ def _surface_workspace(h: int, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 #: Larger than any real SAD (16 x 16 x 255 = 65280) so plain ``min``
 #: never selects it, yet small enough that int32 arithmetic stays exact.
 SURFACE_SENTINEL = np.int32(1) << 30
+
+
+def _block_windows(plane: np.ndarray, s: int, step: int = 1) -> np.ndarray:
+    """Read-only view ``out[y, x]`` = the ``s x s`` block whose top-left
+    sample is ``plane[y, x]``, taking every ``step``-th sample.  Indexing
+    its first two axes with arrays of origins copies whole blocks — no
+    per-pixel index arrays, no cast of the plane — which is what makes
+    the candidate gathers cheap for one block and for a whole frame."""
+    span = step * (s - 1)
+    rs, cs = plane.strides
+    return as_strided(
+        plane,
+        (plane.shape[0] - span, plane.shape[1] - span, s, s),
+        (rs, cs, step * rs, step * cs),
+        writeable=False,
+    )
 
 
 def _luma(reference: np.ndarray | ReferencePlane) -> np.ndarray:
@@ -411,7 +427,7 @@ def refine_half_pel_numpy(
     entry per refined macroblock."""
     by = mb_rows * s
     bx = mb_cols * s
-    cur_blocks = sliding_window_view(np.asarray(current), (s, s))[by, bx].astype(np.int16)
+    cur_blocks = _block_windows(np.asarray(current), s)[by, bx].astype(np.int16)
     dx_min, dx_max = np.maximum(-p, -bx), np.minimum(p, w - s - bx)
     dy_min, dy_max = np.maximum(-p, -by), np.minimum(p, h - s - by)
     anchor_hx = 2 * anchor_dx
@@ -420,9 +436,8 @@ def refine_half_pel_numpy(
     hy = anchor_hy[None, :] + offs[:, 1, None]
     valid = (hx >= 2 * dx_min) & (hx <= 2 * dx_max) & (hy >= 2 * dy_min) & (hy <= 2 * dy_max)
     # A candidate block reads every other half-plane sample from its
-    # half-pel origin: a strided window view, indexed per candidate.
-    windows = sliding_window_view(half, (2 * s - 1, 2 * s - 1))[:, :, ::2, ::2]
-    pred = windows[
+    # half-pel origin.
+    pred = _block_windows(half, s, step=2)[
         np.where(valid, 2 * by + hy, 0), np.where(valid, 2 * bx + hx, 0)
     ].astype(np.int16)  # (8, N, s, s)
     sads = np.abs(pred - cur_blocks[None]).reshape(8, -1, s * s).sum(axis=2, dtype=np.int64)
@@ -566,10 +581,8 @@ def evaluate_candidates_numpy(
     valid = (y0 >= 0) & (y0 + s <= h) & (x0 >= 0) & (x0 + s <= w)
     if not (ref.dtype == np.uint8 and cur.dtype == np.uint8):
         ref, cur = ref.astype(np.int64), cur.astype(np.int64)
-    # Indexing the (y, x) axes of a block-window view copies each
-    # candidate block whole — no per-pixel index arrays.
-    cand = sliding_window_view(ref, (s, s))[np.where(valid, y0, 0), np.where(valid, x0, 0)]
-    blocks = sliding_window_view(cur, (s, s))[by, bx][:, None]  # (N, 1, s, s)
+    cand = _block_windows(ref, s)[np.where(valid, y0, 0), np.where(valid, x0, 0)]
+    blocks = _block_windows(cur, s)[by, bx][:, None]  # (N, 1, s, s)
     # |a - b| as max - min never wraps, so uint8 needs no widening.
     diff = np.maximum(cand, blocks) - np.minimum(cand, blocks)
     sads = diff.reshape(dy.shape[0], dy.shape[1], s * s).sum(axis=2, dtype=np.int64)
