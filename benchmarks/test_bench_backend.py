@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.codec.bitstream import ScalarBitReader
+from repro import reference as oracle
 from repro.codec.decoder import parse_bitstream_symbols
 from repro.codec.encoder import encode_sequence
 from repro.experiments.decode_bench import write_records
@@ -100,9 +100,7 @@ def test_backend_vlc_parse_numpy(benchmark, encoded):
     parsed = benchmark(parse_bitstream_symbols, encoded.bitstream)
     assert len(parsed) == len(encoded.reconstruction)
     numpy_s = benchmark.stats["min"]
-    seed_s = _best_of(
-        lambda: parse_bitstream_symbols(encoded.bitstream, ScalarBitReader), 3
-    )
+    seed_s = _best_of(lambda: oracle.parse_bitstream_symbols(encoded.bitstream), 3)
     _RECORDS["backend_vlc_parse_numpy_ms"] = numpy_s * 1000.0
     _RECORDS["backend_vlc_parse_numpy_speedup"] = seed_s / numpy_s
     assert _RECORDS["backend_vlc_parse_numpy_speedup"] > 1.0

@@ -18,11 +18,12 @@ import pytest
 
 from repro.codec.dct import forward_dct, inverse_dct
 from repro.experiments.decode_bench import write_records
-from repro.me.engine import frame_sad_surfaces
+from repro.me.engine import ReferencePlane, frame_sad_surfaces
 from repro.me.estimator import BlockContext
 from repro.me.full_search import FullSearchEstimator
 from repro.me.metrics import sad_map
 from repro.me.types import MotionField
+from repro.reference import estimate_motion
 
 from .conftest import bench_output_path
 
@@ -80,7 +81,9 @@ def test_fsbm_block_search(benchmark, planes):
     """Full FSBM block decision including half-pel refinement."""
     current, reference = planes
     est = FullSearchEstimator(p=15)
-    ctx = BlockContext(current, reference, 4, 5, 16, MotionField(9, 11), None, 16)
+    ctx = BlockContext(
+        current, reference, 4, 5, 16, MotionField(9, 11), None, 16, ReferencePlane(reference)
+    )
     result = benchmark(est.search_block, ctx)
     assert result.positions == 969
 
@@ -98,27 +101,28 @@ def test_fsbm_frame_estimate_batched(benchmark, planes):
     """Full FSBM frame estimation through the engine's estimate_frame
     (surfaces + vectorized minima + batched half-pel refinement)."""
     current, reference = planes
-    est = FullSearchEstimator(p=15, use_engine=True)
+    est = FullSearchEstimator(p=15)
     field, stats = benchmark(est.estimate, current, reference)
     assert stats.blocks == 99
     _RECORDS["fsbm_estimate_batched_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_fsbm_frame_estimate_per_block(benchmark, planes):
-    """The seed per-block FSBM path, kept as the engine's fallback —
-    the baseline the batched path is measured against."""
+    """Per-block FSBM through the ME oracle
+    (:func:`repro.reference.estimate_motion`) — the baseline the
+    batched path is measured against."""
     current, reference = planes
-    est = FullSearchEstimator(p=15, use_engine=False)
-    field, stats = benchmark.pedantic(
-        est.estimate, args=(current, reference), rounds=3, iterations=1
+    est = FullSearchEstimator(p=15)
+    field, stats, _ = benchmark.pedantic(
+        estimate_motion, args=(est, current, reference), rounds=3, iterations=1
     )
     assert stats.blocks == 99
     _RECORDS["fsbm_estimate_per_block_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_fsbm_frame_speedup_batch_vs_per_block():
-    """Golden perf claim: the batched frame path must beat the seed
-    per-block implementation by a wide margin (CIF, p=15, half-pel on;
+    """Golden perf claim: the batched frame path must beat the per-block
+    ME oracle by a wide margin (CIF, p=15, half-pel on;
     identical outputs are proven in tests/test_engine.py).
 
     The measured ratio lands around 4-5x on a single-core container
@@ -128,10 +132,9 @@ def test_fsbm_frame_speedup_batch_vs_per_block():
     noisy shared CI runner can't flake the suite.
     """
     current, reference = _cif_planes()
-    batched = FullSearchEstimator(p=15, use_engine=True)
-    per_block = FullSearchEstimator(p=15, use_engine=False)
-    t_batched = _best_of(lambda: batched.estimate(current, reference), rounds=5)
-    t_per_block = _best_of(lambda: per_block.estimate(current, reference), rounds=3)
+    est = FullSearchEstimator(p=15)
+    t_batched = _best_of(lambda: est.estimate(current, reference), rounds=5)
+    t_per_block = _best_of(lambda: estimate_motion(est, current, reference), rounds=3)
     speedup = t_per_block / t_batched
     _RECORDS["fsbm_estimate_per_block_cif_ms"] = t_per_block * 1000.0
     _RECORDS["fsbm_estimate_batched_cif_ms"] = t_batched * 1000.0

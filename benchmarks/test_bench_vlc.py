@@ -4,8 +4,9 @@ reader, plus the v2 encode→index→parallel-parse→decode smoke.
 The counterpart of ``test_bench_decode.py`` for the symbol-parse half
 of the decoder: one encode, then the same bytes parsed through the
 table-driven path (word-level :class:`BitReader`, ``read_vlc`` LUT
-hits, peeked exp-Golomb) and through the seed per-bit reader
-(``ScalarBitReader`` + tree-walk decode).  Symbol identity is verified
+hits, peeked exp-Golomb) and through the per-bit oracle
+(:func:`repro.reference.parse_bitstream_symbols`: ``ScalarBitReader``
++ tree-walk decode).  Symbol identity is verified
 before anything is timed.  Timings, the parse speedup and the
 parse/reconstruct split land in ``BENCH_vlc.json`` at the repo root
 for CI's regression gate.
@@ -13,7 +14,7 @@ for CI's regression gate.
 
 import pytest
 
-from repro.codec.bitstream import ScalarBitReader
+from repro import reference
 from repro.codec.decoder import FrameIndex, decode_bitstream, parse_bitstream_symbols
 from repro.codec.encoder import encode_sequence
 from repro.experiments.decode_bench import run_parse_bench, write_records
@@ -49,8 +50,8 @@ def test_parse_seed_reader(benchmark, encoded):
     """The seed per-bit reader + tree-walk decode over the same bytes —
     the baseline the LUT path is measured against."""
     parsed = benchmark.pedantic(
-        parse_bitstream_symbols,
-        args=(encoded.bitstream, ScalarBitReader),
+        reference.parse_bitstream_symbols,
+        args=(encoded.bitstream,),
         rounds=3,
         iterations=1,
     )

@@ -18,12 +18,8 @@ two fused primitives the VLC layer's hot loops are built on:
 * :meth:`BitReader.read_ue` — unsigned exp-Golomb via a single 64-bit
   peek and ``int.bit_length``.
 
-:class:`ScalarBitReader` preserves the seed's one-bit-at-a-time reader
-verbatim.  It is the golden reference the equivalence tests and the
-``BENCH_vlc.json`` benchmark compare the word-level/LUT path against;
-any reader-shaped object without the fused ``read_vlc``/``read_ue``
-primitives (such as this one) automatically routes the VLC layer
-through its seed bit-walk decode.
+The seed's one-bit-at-a-time reader, which the word-level reader is
+checked against, is :class:`repro.reference.ScalarBitReader`.
 """
 
 from __future__ import annotations
@@ -332,47 +328,3 @@ class BitReader:
         self._accumulator &= (1 << self._acc_bits) - 1
         return code - 1
 
-
-class ScalarBitReader:
-    """The seed one-bit-at-a-time reader, kept verbatim.
-
-    Golden reference for the word-level :class:`BitReader`: it exposes
-    only ``read_bit``/``read_bits``, so the VLC layer decodes through
-    its original per-bit tree walk when handed one — the equivalence
-    tests and ``benchmarks/test_bench_vlc.py`` rely on exactly that.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0  # bit position
-
-    @property
-    def bits_consumed(self) -> int:
-        return self._pos
-
-    @property
-    def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= 8 * len(self._data):
-            raise EOFError("bitstream exhausted")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_bits(self, count: int) -> int:
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        value = 0
-        for _ in range(count):
-            value = (value << 1) | self.read_bit()
-        return value
-
-    def align(self) -> int:
-        """Skip to the next byte boundary; returns bits skipped."""
-        padding = (-self._pos) & 7
-        if padding:
-            self.read_bits(padding)
-        return padding

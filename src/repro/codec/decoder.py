@@ -10,12 +10,10 @@ The decoder is split along the codec's two cost axes:
 
 * **symbol parse** — :func:`parse_picture` walks one picture's bits
   into a :class:`ParsedPicture` (quantized levels, DC levels, motion
-  arrays).  On a word-level :class:`BitReader` every VLC symbol is one
-  LUT hit (:meth:`~repro.codec.vlc.VLCTable.decode`) and every
-  exp-Golomb code one peek; handed a
-  :class:`~repro.codec.bitstream.ScalarBitReader` the identical walk
-  runs through the seed per-bit reader, which is the equivalence
-  baseline;
+  arrays).  On the word-level :class:`BitReader` every VLC symbol is
+  one LUT hit and every exp-Golomb code one peek, or the active kernel
+  backend's compiled body parser reads the whole picture.  The per-bit
+  walk it is checked against lives in :mod:`repro.reference`;
 * **reconstruction** — :func:`reconstruct_picture` turns a parsed
   picture into pixels with the batched engine kernels (one IDCT over
   every block, whole-frame luma/chroma motion compensation through the
@@ -54,12 +52,10 @@ from repro.codec.encoder import (
     START_CODE_EXT,
 )
 from repro.codec.intra import INTRA_MODE_BITS, intra_predict
-from repro.codec.macroblock import read_block_levels, read_events, reconstruct_macroblock
-from repro.codec.mv_coding import predict_mv, read_mvd
+from repro.codec.macroblock import read_block_levels, reconstruct_macroblock
 from repro.codec.quantizer import dequantize, dequantize_intra_dc
-from repro.codec.vlc import read_ue_golomb, read_ue_golomb_bitwise
+from repro.codec.vlc import read_ue_golomb_bitwise
 from repro.codec.vlc_tables import CBPY_TABLE, MCBPC_TABLE
-from repro.codec.zigzag import events_to_block
 from repro.me.engine import (
     ChromaReferencePlane,
     ReferencePlane,
@@ -69,7 +65,6 @@ from repro.me.engine import (
     tile_blocks,
     tile_luma_blocks,
 )
-from repro.me.types import MotionField, MotionVector
 from repro.obs import metrics, trace
 from repro.video.frame import Frame, FrameGeometry
 
@@ -173,97 +168,14 @@ class ParsedPicture:
         )
 
 
-def _read_coded_flags(reader) -> list[bool]:
-    """MCBPC + CBPY → the six per-block coded flags (Y0..Y3, Cb, Cr)."""
-    mcbpc = MCBPC_TABLE.decode(reader)
-    cbpy = CBPY_TABLE.decode(reader)
-    coded_flags = [bool(cbpy & (1 << k)) for k in range(4)]
-    coded_flags += [bool(mcbpc & 2), bool(mcbpc & 1)]
-    return coded_flags
-
-
-def _parse_intra_body(reader, header: PictureHeader) -> ParsedPicture:
-    """Reference intra parse: seed event-list walk, any reader."""
-    rows, cols = header.mb_rows, header.mb_cols
-    levels = np.zeros((rows * cols * 6, 8, 8), dtype=np.int64)
-    dc_levels = np.empty(rows * cols * 6, dtype=np.int64)
-    k = 0
-    for _ in range(rows * cols):
-        coded_flags = _read_coded_flags(reader)
-        for coded in coded_flags:
-            dc_levels[k] = reader.read_bits(8)
-            if coded:
-                levels[k] = events_to_block(read_events(reader), skip_first=1)
-            k += 1
-    return ParsedPicture(header=header, levels=levels, dc_levels=dc_levels)
-
-
-def _read_ref_index(reader, header: PictureHeader) -> int:
-    """One coded macroblock's exp-Golomb reference index, validated
-    against the header's active-reference count."""
-    ref = read_ue_golomb(reader)
-    if ref >= header.num_refs:
-        raise ValueError(
-            f"reference index {ref} out of range "
-            f"(picture codes {header.num_refs} active references)"
-        )
-    return ref
-
-
-def _parse_intra_pred_body(reader, header: PictureHeader) -> ParsedPicture:
-    """Reference parse of a GOP-syntax I-frame: per-MB mode bits, then
-    inter-style residual events (seed event-list walk, any reader)."""
-    rows, cols = header.mb_rows, header.mb_cols
-    levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
-    modes = np.empty((rows, cols), dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            mode = reader.read_bits(INTRA_MODE_BITS)
-            if mode > 2:
-                raise ValueError(f"illegal intra prediction mode {mode}")
-            modes[r, c] = mode
-            coded_flags = _read_coded_flags(reader)
-            for k, coded in enumerate(coded_flags):
-                if coded:
-                    levels[r, c, k] = events_to_block(read_events(reader))
-    return ParsedPicture(header=header, levels=levels, modes=modes)
-
-
-def _parse_inter_body(reader, header: PictureHeader) -> ParsedPicture:
-    """Reference inter parse: seed event-list walk, any reader.
-    Extended pictures additionally carry a per-MB reference index
-    between the CBPY and the MVD."""
-    rows, cols = header.mb_rows, header.mb_cols
-    multi = header.extended
-    coded_field = MotionField(rows, cols)
-    levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
-    ref_idx = np.zeros((rows, cols), dtype=np.int64) if multi else None
-    for r in range(rows):
-        for c in range(cols):
-            if reader.read_bit():  # COD = 1: skipped
-                coded_field.set(r, c, MotionVector.zero())
-                continue
-            coded_flags = _read_coded_flags(reader)
-            if multi:
-                ref_idx[r, c] = _read_ref_index(reader, header)
-            predictor = predict_mv(coded_field, r, c)
-            mv = read_mvd(reader, predictor)
-            coded_field.set(r, c, mv)
-            for k, coded in enumerate(coded_flags):
-                if coded:
-                    levels[r, c, k] = events_to_block(read_events(reader))
-    hx, hy = coded_field.to_arrays()
-    return ParsedPicture(header=header, levels=levels, hx=hx, hy=hy, ref_idx=ref_idx)
-
-
-# LUTs bound once for the fast bodies below.
+# LUTs bound once for the bodies below.
 _CBPY_LUT, _CBPY_BITS = CBPY_TABLE.lut, CBPY_TABLE.lut_first_bits
 _MCBPC_LUT, _MCBPC_BITS = MCBPC_TABLE.lut, MCBPC_TABLE.lut_first_bits
 
 
-def _parse_intra_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPicture:
-    """Word-level intra parse: LUT symbol hits, levels written straight
-    into the batched arrays.  Bit-identical to :func:`_parse_intra_body`."""
+def _parse_intra_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
+    """Seed-syntax intra parse: LUT symbol hits, levels written straight
+    into the batched arrays."""
     rows, cols = header.mb_rows, header.mb_cols
     levels = np.zeros((rows * cols * 6, 8, 8), dtype=np.int64)
     flat = levels.reshape(rows * cols * 6, 64)
@@ -282,10 +194,9 @@ def _parse_intra_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPi
     return ParsedPicture(header=header, levels=levels, dc_levels=dc_levels)
 
 
-def _parse_intra_pred_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPicture:
-    """Word-level GOP-syntax intra parse: LUT symbol hits, levels
-    written straight into the batched arrays.  Bit-identical to
-    :func:`_parse_intra_pred_body`."""
+def _parse_intra_pred_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
+    """GOP-syntax intra parse: per-MB mode bits, then inter-style
+    residual levels, written straight into the batched arrays."""
     rows, cols = header.mb_rows, header.mb_cols
     levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
     flat = levels.reshape(rows, cols, 6, 64)
@@ -316,10 +227,11 @@ def _parse_intra_pred_body_fast(reader: BitReader, header: PictureHeader) -> Par
     return ParsedPicture(header=header, levels=levels, modes=modes)
 
 
-def _parse_inter_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPicture:
-    """Word-level inter parse.  Bit-identical to :func:`_parse_inter_body`,
-    with the motion field held as plain int rows (the H.263 median
-    prediction inlined) instead of per-vector objects."""
+def _parse_inter_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
+    """Inter parse, with the motion field held as plain int rows (the
+    H.263 median prediction inlined) instead of per-vector objects.
+    Extended pictures carry a per-MB reference index between the CBPY
+    and the MVD."""
     rows, cols = header.mb_rows, header.mb_cols
     multi = header.extended
     levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
@@ -404,74 +316,60 @@ def _parse_body_compiled(reader: BitReader, header: PictureHeader) -> "ParsedPic
     position; the decoded symbols are bit-identical to the Python walk.
     """
     backend = get_backend()
-    data, bit_pos = reader.cursor()
-    buf = np.frombuffer(data, dtype=np.uint8)
-    nbits = 8 * len(data)
     rows, cols = header.mb_rows, header.mb_cols
-    if header.frame_type == "I":
-        if header.extended:
-            entry = backend.parse_intra_pred_body
-            if entry is None:
-                return None
-            result = entry(buf, bit_pos, nbits, rows, cols)
-            if result is None:
-                return None
-            new_pos, levels, modes = result
-            reader.advance_to(new_pos)
-            return ParsedPicture(
-                header=header, levels=levels.reshape(rows, cols, 6, 8, 8), modes=modes
-            )
-        entry = backend.parse_intra_body
-        if entry is None:
-            return None
-        result = entry(buf, bit_pos, nbits, rows, cols)
-        if result is None:
-            return None
-        new_pos, levels, dc_levels = result
-        reader.advance_to(new_pos)
-        return ParsedPicture(
-            header=header, levels=levels.reshape(rows * cols * 6, 8, 8), dc_levels=dc_levels
-        )
-    entry = backend.parse_inter_body
+    if header.frame_type == "P":
+        entry, args = backend.parse_inter_body, (header.extended, header.num_refs, rows, cols)
+    elif header.extended:
+        entry, args = backend.parse_intra_pred_body, (rows, cols)
+    else:
+        entry, args = backend.parse_intra_body, (rows, cols)
     if entry is None:
         return None
-    result = entry(buf, bit_pos, nbits, header.extended, header.num_refs, rows, cols)
+    data, bit_pos = reader.cursor()
+    result = entry(np.frombuffer(data, dtype=np.uint8), bit_pos, 8 * len(data), *args)
     if result is None:
         return None
-    new_pos, levels, hx, hy, ref_idx = result
-    reader.advance_to(new_pos)
-    return ParsedPicture(
-        header=header,
-        levels=levels.reshape(rows, cols, 6, 8, 8),
-        hx=hx,
-        hy=hy,
-        ref_idx=ref_idx if header.extended else None,
-    )
+    reader.advance_to(result[0])
+    if header.frame_type == "P":
+        _, levels, hx, hy, ref_idx = result
+        return ParsedPicture(
+            header, levels.reshape(rows, cols, 6, 8, 8), hx=hx, hy=hy,
+            ref_idx=ref_idx if header.extended else None,
+        )
+    if header.extended:
+        _, levels, modes = result
+        return ParsedPicture(header, levels.reshape(rows, cols, 6, 8, 8), modes=modes)
+    _, levels, dc_levels = result
+    return ParsedPicture(header, levels.reshape(rows * cols * 6, 8, 8), dc_levels=dc_levels)
 
 
-def parse_picture_body(reader, header: PictureHeader) -> ParsedPicture:
+def check_body_bits(reader, header: PictureHeader) -> None:
+    """Reject a header declaring more macroblocks than bits follow it.
+    Every picture syntax codes at least one bit per macroblock (COD,
+    MCBPC or the intra mode), so such a picture cannot parse; checking
+    first keeps a few hostile bytes from sizing the level arrays."""
+    mbs = header.mb_rows * header.mb_cols
+    if mbs > reader.bits_remaining:
+        raise ValueError(
+            f"picture header ending at bit {reader.bits_consumed} declares {mbs} "
+            f"macroblocks but only {reader.bits_remaining} bits follow"
+        )
+
+
+def parse_picture_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
     """Parse the macroblock layer of a picture whose header is already
-    consumed.  Word-level readers take the LUT fast bodies; readers
-    exposing only ``read_bit`` (``ScalarBitReader``) take the seed
-    event-list walk — the two are bit-identical on every stream.  When
-    the active kernel backend ships compiled body parsers
-    (:mod:`repro.kernels`), plain :class:`BitReader` parses go through
-    them first, falling back here on any deviation.
-    """
-    fast = hasattr(reader, "read_vlc")
-    if fast and type(reader) is BitReader:
-        parsed = _parse_body_compiled(reader, header)
-        if parsed is not None:
-            return parsed
-    if header.frame_type == "I":
-        if header.extended:
-            return (
-                _parse_intra_pred_body_fast(reader, header)
-                if fast
-                else _parse_intra_pred_body(reader, header)
-            )
-        return _parse_intra_body_fast(reader, header) if fast else _parse_intra_body(reader, header)
-    return _parse_inter_body_fast(reader, header) if fast else _parse_inter_body(reader, header)
+    consumed.  When the active kernel backend ships compiled body
+    parsers (:mod:`repro.kernels`) they run first, falling back to the
+    LUT bodies here on any deviation."""
+    check_body_bits(reader, header)
+    parsed = _parse_body_compiled(reader, header)
+    if parsed is not None:
+        return parsed
+    if header.frame_type == "P":
+        return _parse_inter_body(reader, header)
+    if header.extended:
+        return _parse_intra_pred_body(reader, header)
+    return _parse_intra_body(reader, header)
 
 
 def parse_picture(reader) -> ParsedPicture:
@@ -485,13 +383,13 @@ def parse_picture(reader) -> ParsedPicture:
         return parse_picture_body(reader, read_picture_header(reader))
 
 
-def parse_payload(payload: bytes, reader_factory=BitReader) -> ParsedPicture:
+def parse_payload(payload: bytes) -> ParsedPicture:
     """Parse one version-2 payload (a :class:`FrameIndex` range) and
     validate its length field — the one per-payload parse of every v2
     decode mode.  A picture that runs past the payload or ends short of
     it (:func:`check_frame_length`) raises :class:`ValueError`, with byte
     offsets counted from the start of the payload."""
-    reader = reader_factory(payload)
+    reader = BitReader(payload)
     try:
         parsed = parse_picture(reader)
     except EOFError as exc:
@@ -503,23 +401,19 @@ def parse_payload(payload: bytes, reader_factory=BitReader) -> ParsedPicture:
     return parsed
 
 
-def parse_bitstream_symbols(bitstream: bytes, reader_factory=BitReader) -> list[ParsedPicture]:
+def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
     """Parse every picture in a (version-1 or -2) stream sequentially.
-
-    ``reader_factory`` selects the bit-reader implementation — the
-    default word-level :class:`BitReader` drives the LUT decode path;
-    passing :class:`~repro.codec.bitstream.ScalarBitReader` replays the
-    seed per-bit walk over the same bytes, which is how the equivalence
-    tests and ``BENCH_vlc.json`` compare the two.  A version-2 framing
-    error is raised after every picture before it has parsed.
+    A version-2 framing error is raised after every picture before it
+    has parsed.  :func:`repro.reference.parse_bitstream_symbols` is the
+    per-bit oracle for the same symbols.
     """
     if detect_version(bitstream) == 2:
         index = FrameIndex.walk(bitstream)
-        parsed = [parse_payload(index.payload(bitstream, i), reader_factory) for i in range(len(index))]
+        parsed = [parse_payload(index.payload(bitstream, i)) for i in range(len(index))]
         if index.error is not None:
             raise index.error
         return parsed
-    reader = reader_factory(bitstream)
+    reader = BitReader(bitstream)
     parsed = []
     while reader.bits_remaining >= PICTURE_HEADER_BITS:
         parsed.append(parse_picture(reader))

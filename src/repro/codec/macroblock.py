@@ -38,7 +38,6 @@ from repro.codec.zigzag import (
     block_to_events,
     events_to_block,
 )
-from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.search_window import clamped_window, half_pel_window
 from repro.me.subpel import half_pel_block
 from repro.me.types import MotionVector
@@ -114,35 +113,27 @@ def chroma_mv(mv: MotionVector) -> MotionVector:
 
 
 def predict_chroma_block(
-    ref_plane: np.ndarray | ReferencePlane,
+    ref: np.ndarray,
     block_y: int,
     block_x: int,
     luma_mv: MotionVector,
     p: int,
 ) -> np.ndarray:
-    """Motion-compensated 8x8 chroma prediction.
+    """Motion-compensated 8x8 chroma prediction, interpolated from the
+    raw chroma plane: the per-block definition the whole-frame
+    :func:`repro.me.engine.frame_mc_chroma` is checked against (the
+    oracle decoder in :mod:`repro.reference` reconstructs with it).
 
     The derived chroma vector is clamped into the block's legal chroma
     window (the derivation's away-from-zero rounding can exceed the
-    luma-implied support by one half-pel at the frame border).  Both
-    encoder and decoder call this, so clamping stays in sync.
-
-    ``ref_plane`` may be a raw chroma array (per-candidate
-    interpolation, the seed path) or a wrapped
-    :class:`~repro.me.engine.reference_plane.ReferencePlane` — e.g. one
-    side of a :class:`~repro.me.engine.chroma_plane.ChromaReferencePlane`
-    — which reads the same samples from its per-frame half-pel cache.
+    luma-implied support by one half-pel at the frame border).
     """
     c_mv = chroma_mv(luma_mv)
-    window = clamped_window(
-        block_y, block_x, 8, 8, ref_plane.shape[0], ref_plane.shape[1], p
-    )
+    window = clamped_window(block_y, block_x, 8, 8, ref.shape[0], ref.shape[1], p)
     hwin = half_pel_window(window)
     hx = min(max(c_mv.hx, hwin.dx_min), hwin.dx_max)
     hy = min(max(c_mv.hy, hwin.dy_min), hwin.dy_max)
-    if isinstance(ref_plane, ReferencePlane):
-        return ref_plane.block(2 * block_y + hy, 2 * block_x + hx, 8, 8)
-    return half_pel_block(ref_plane, 2 * block_y + hy, 2 * block_x + hx, 8, 8)
+    return half_pel_block(ref, 2 * block_y + hy, 2 * block_x + hx, 8, 8)
 
 
 # -- TCOEF serialization -------------------------------------------------
@@ -166,28 +157,6 @@ def write_events(writer: BitWriter, events: list[CoefficientEvent]) -> int:
     return writer.bit_count - before
 
 
-def read_events(reader: BitReader) -> list[CoefficientEvent]:
-    """Parse events until (and including) the LAST-flagged one."""
-    events: list[CoefficientEvent] = []
-    while True:
-        symbol = TCOEF_TABLE.decode(reader)
-        if symbol is ESCAPE:
-            last = bool(reader.read_bit())
-            run = reader.read_bits(6)
-            raw = reader.read_bits(8)
-            level = raw - 256 if raw >= 128 else raw
-            if level == 0:
-                raise ValueError("escape-coded level of 0 is illegal")
-        else:
-            last_flag, run, magnitude = symbol
-            sign = reader.read_bit()
-            level = -magnitude if sign else magnitude
-            last = bool(last_flag)
-        events.append(CoefficientEvent(last=last, run=run, level=level))
-        if last:
-            return events
-
-
 #: TCOEF LUT bound once for the hot block reader below.
 _TCOEF_LUT = TCOEF_TABLE.lut
 _TCOEF_LUT_BITS = TCOEF_TABLE.lut_first_bits
@@ -197,16 +166,15 @@ _TCOEF_LUT_BITS = TCOEF_TABLE.lut_first_bits
 _ZIGZAG_FLAT: list[int] = ZIGZAG_INDEX.tolist()
 
 
-def read_block_levels(reader, out_flat, skip_first: int = 0) -> None:
+def read_block_levels(reader: BitReader, out_flat: np.ndarray, skip_first: int = 0) -> None:
     """Decode one coded block's events straight into ``out_flat``.
 
-    The fast-path equivalent of
-    ``events_to_block(read_events(reader), skip_first)`` for word-level
-    readers: TCOEF symbols come off the LUT via ``reader.read_vlc`` and
-    the levels land at their inverse-zig-zag positions in ``out_flat``
-    (a zeroed length-64 raster-order view of the block), with no
+    TCOEF symbols come off the LUT via ``reader.read_vlc`` and the
+    levels land at their inverse-zig-zag positions in ``out_flat`` (a
+    zeroed length-64 raster-order view of the block), with no
     intermediate :class:`CoefficientEvent` objects.  Structure errors
-    raise exactly like the event-list path.
+    raise exactly like the per-bit event-list walk,
+    ``events_to_block(repro.reference.read_events(reader), skip_first)``.
 
     When the active kernel backend offers a compiled block scan it runs
     first, from a cursor snapshot; a negative return means "replay in
@@ -214,7 +182,7 @@ def read_block_levels(reader, out_flat, skip_first: int = 0) -> None:
     partially written it — and raises this path's exact errors).
     """
     scan = get_backend().scan_block_levels
-    if scan is not None and type(reader) is BitReader and isinstance(out_flat, np.ndarray):
+    if scan is not None:
         data, bit_pos = reader.cursor()
         new_pos = scan(
             np.frombuffer(data, dtype=np.uint8), bit_pos, 8 * len(data), out_flat, skip_first
@@ -247,10 +215,10 @@ def read_block_levels(reader, out_flat, skip_first: int = 0) -> None:
                 out_flat[zigzag[pos]] = level
             else:
                 # Overflowing events are a ValueError, but only once the
-                # whole event list has been consumed — the reference
-                # path reads every event first (read_events) and
-                # validates second (events_to_block), so a stream that
-                # truncates mid-list must stay an EOFError on both.
+                # whole event list has been consumed — the oracle reads
+                # every event first (read_events) and validates second
+                # (events_to_block), so a stream that truncates mid-list
+                # must stay an EOFError on both.
                 overflow = pos
         pos += 1
         if last:

@@ -15,12 +15,9 @@ canonical codes into a peek-indexed lookup table at construction —
 ``LUT_FIRST_BITS`` bits of first level, nested sub-tables for longer
 codes — so :meth:`VLCTable.decode` is one
 :meth:`~repro.codec.bitstream.BitReader.read_vlc` call (peek + table
-hit + skip) instead of a per-bit tree walk.  The seed walk survives as
-:meth:`VLCTable.decode_bitwise`, both as the golden reference the
-equivalence tests compare against and as the automatic fallback for
-readers without ``read_vlc`` (``ScalarBitReader``).  The exp-Golomb
-readers dispatch the same way: a single 64-bit peek on word-level
-readers, the seed bit loop otherwise.
+hit + skip) instead of a per-bit tree walk, and an exp-Golomb code is
+one 64-bit peek.  The seed per-bit walks they are checked against live
+in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -134,9 +131,6 @@ class VLCTable(Generic[Symbol]):
     def __init__(self, symbols: Sequence[Symbol], weights: Sequence[float]) -> None:
         lengths = huffman_code_lengths(list(symbols), list(weights))
         self._codes = canonical_codes(lengths, list(symbols))
-        self._decode: dict[tuple[int, int], Symbol] = {
-            (value, length): sym for sym, (value, length) in self._codes.items()
-        }
         self.max_length = max(length for _, length in self._codes.values())
         self._lut_bits, self._lut = self._build_lut()
 
@@ -190,24 +184,9 @@ class VLCTable(Generic[Symbol]):
         return self.encode(symbol)[1]
 
     def decode(self, reader) -> Symbol:
-        """Pull one symbol off ``reader`` through the LUT (one peek +
-        one table hit).  Readers without the fused ``read_vlc``
-        primitive (``ScalarBitReader``) fall back to the seed bit walk."""
-        read_vlc = getattr(reader, "read_vlc", None)
-        if read_vlc is None:
-            return self.decode_bitwise(reader)
-        return read_vlc(self._lut, self._lut_bits)
-
-    def decode_bitwise(self, reader) -> Symbol:
-        """The seed per-bit tree walk, kept as the golden reference the
-        LUT path is tested (and benchmarked) against."""
-        value = 0
-        for length in range(1, self.max_length + 1):
-            value = (value << 1) | reader.read_bit()
-            sym = self._decode.get((value, length))
-            if sym is not None:
-                return sym
-        raise ValueError("invalid prefix: no VLC symbol matches")
+        """Pull one symbol off a :class:`~repro.codec.bitstream.BitReader`
+        through the LUT (one peek + one table hit)."""
+        return reader.read_vlc(self._lut, self._lut_bits)
 
     def kraft_sum(self) -> float:
         """Σ 2^-len over all codes; exactly 1.0 for a complete code."""
@@ -241,9 +220,9 @@ def se_golomb_bits(value: int) -> int:
 
 
 def read_ue_golomb_bitwise(reader) -> int:
-    """The seed bit-at-a-time ue(v) reader — golden reference, error
-    path (its EOF/malformed behaviour is the contract), and fallback
-    for readers without the fused ``read_ue`` primitive."""
+    """The seed bit-at-a-time ue(v) reader: the error path (its
+    EOF/malformed behaviour is the contract) behind the one-peek read,
+    and the oracle's reader."""
     zeros = 0
     while reader.read_bit() == 0:
         zeros += 1
@@ -256,15 +235,11 @@ def read_ue_golomb_bitwise(reader) -> int:
 
 
 def read_ue_golomb(reader) -> int:
-    """Unsigned exp-Golomb: one 64-bit peek on word-level readers
-    (:meth:`repro.codec.bitstream.BitReader.read_ue`), seed bit loop
-    otherwise.  The fast path defers degenerate cases — over-long
-    prefixes, truncated streams — to the bitwise loop so error
-    behaviour is identical everywhere."""
-    read_ue = getattr(reader, "read_ue", None)
-    if read_ue is None:
-        return read_ue_golomb_bitwise(reader)
-    value = read_ue()
+    """Unsigned exp-Golomb in one 64-bit peek
+    (:meth:`repro.codec.bitstream.BitReader.read_ue`).  Degenerate
+    codes — over-long prefixes, truncated streams — go to the bitwise
+    loop, so error behaviour is the seed's."""
+    value = reader.read_ue()
     if value < 0:
         return read_ue_golomb_bitwise(reader)
     return value

@@ -122,10 +122,9 @@ class ACBMEstimator(MotionEstimator):
         params: ACBMParameters | None = None,
         refine_steps: int = 2,
         lagrangian: bool = False,
-        use_engine: bool = True,
         surface_threshold: int = 12,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if surface_threshold < 0:
             raise ValueError(f"surface_threshold must be >= 0, got {surface_threshold}")
         self.params = params if params is not None else ACBMParameters.paper_defaults()
@@ -163,7 +162,7 @@ class ACBMEstimator(MotionEstimator):
             used_full_search = True
             if self.half_pel:
                 fs_mv, fs_sad, extra = refine_half_pel(
-                    ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, fs_mv, fs_sad, window
+                    ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, fs_mv, fs_sad, window
                 )
                 positions += extra
             if self._vector_cost(fs_sad, fs_mv, ctx) < self._vector_cost(best_sad, mv, ctx):
@@ -236,13 +235,13 @@ class ACBMEstimator(MotionEstimator):
         self,
         current: np.ndarray,
         reference: np.ndarray,
-        plane: ReferencePlane | None,
+        plane: ReferencePlane,
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
         """:meth:`sweep`, or the raster walk where the predictive sweep
         does not apply."""
-        if not self._pbm.sweeps_apply(current, plane):
+        if not self._pbm.sweeps_apply(plane):
             return super().estimate_frame(current, reference, plane, prev_field, qp)
         return self.sweep(current, plane, prev_field, qp).motion()
 

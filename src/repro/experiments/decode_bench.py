@@ -11,7 +11,8 @@ benchmarks, covering the decoder's two cost axes:
   also covers the start-code frame index and the parallel symbol parse
   (``decode_bitstream(..., jobs=N)`` vs serial).
 * :func:`run_parse_bench` — the symbol parse alone: the LUT + word-level
-  reader against the seed per-bit reader over the same bytes, after
+  reader against the per-bit oracle parse
+  (:func:`repro.reference.parse_bitstream_symbols`) over the same bytes, after
   asserting both produce identical :class:`ParsedPicture` symbols.  The
   reconstruction-only cost of the parsed stream is timed alongside, so
   parse vs reconstruct shares are reported separately
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import reference
-from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
     decode_bitstream,
@@ -268,7 +268,7 @@ def run_parse_bench(
     frames = len(encode.reconstruction)
     bitstream = encode.bitstream
     parsed_lut = parse_bitstream_symbols(bitstream)
-    parsed_seed = parse_bitstream_symbols(bitstream, reader_factory=ScalarBitReader)
+    parsed_seed = reference.parse_bitstream_symbols(bitstream)
     identical = len(parsed_lut) == len(parsed_seed) == frames and all(
         a == b for a, b in zip(parsed_lut, parsed_seed)
     )
@@ -279,9 +279,7 @@ def run_parse_bench(
             _frame, references = reconstruct_and_fold(picture, references, i)
 
     lut_s = _best_of(lambda: parse_bitstream_symbols(bitstream), rounds)
-    seed_s = _best_of(
-        lambda: parse_bitstream_symbols(bitstream, reader_factory=ScalarBitReader), rounds
-    )
+    seed_s = _best_of(lambda: reference.parse_bitstream_symbols(bitstream), rounds)
     reconstruct_s = _best_of(reconstruct_all, rounds)
     return ParseBenchResult(
         sequence=sequence,

@@ -6,6 +6,8 @@ displacement, skipping displacements outside the window and ones
 already visited, while counting evaluations.  :class:`CandidateEvaluator`
 centralizes that so every algorithm's position accounting is consistent
 with the paper's (each *distinct* candidate position counts once).
+Every evaluator reads the frame's one shared
+:class:`repro.me.engine.ReferencePlane`.
 
 Candidate *sets* (a predictor list, a search pattern ring) are scored
 through the engine's :func:`repro.me.engine.evaluate_candidates_batch`
@@ -35,9 +37,8 @@ class CandidateEvaluator:
     """Evaluates integer-pel candidates for one block, with memoization.
 
     Tracks the running best (SAD, shortest-vector tie-break identical to
-    the full search's) and the number of evaluated positions.
-    ``reference`` may be a raw plane or a shared
-    :class:`ReferencePlane`.  ``precomputed`` optionally maps
+    the full search's) and the number of evaluated positions against
+    the frame's shared :class:`ReferencePlane`.  ``precomputed`` optionally maps
     ``(dx, dy)`` to already-scored SADs (the frame driver's batched
     first ring): a miss in the evaluator's own cache consults it before
     computing, so precomputed positions still count as evaluated only
@@ -48,14 +49,14 @@ class CandidateEvaluator:
     def __init__(
         self,
         block: np.ndarray,
-        reference: np.ndarray | ReferencePlane,
+        plane: ReferencePlane,
         block_y: int,
         block_x: int,
         window: SearchWindow,
         precomputed: "Mapping[tuple[int, int], int] | None" = None,
     ) -> None:
         self.block = block
-        self.reference = reference.luma if isinstance(reference, ReferencePlane) else reference
+        self.reference = plane.luma
         self.block_y = block_y
         self.block_x = block_x
         self.window = window

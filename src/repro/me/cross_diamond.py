@@ -30,9 +30,8 @@ class CrossDiamondEstimator(MotionEstimator):
         block_size: int = 16,
         half_pel: bool = True,
         max_recentres: int = 32,
-        use_engine: bool = True,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if max_recentres < 1:
             raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
         self.max_recentres = max_recentres
@@ -55,7 +54,7 @@ class CrossDiamondEstimator(MotionEstimator):
             self.p,
         )
         evaluator = CandidateEvaluator(
-            ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, window,
+            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
             precomputed=ctx.warm_sads,
         )
         evaluator.evaluate(0, 0)
@@ -72,7 +71,7 @@ class CrossDiamondEstimator(MotionEstimator):
         positions = evaluator.positions
         if self.half_pel:
             mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, mv, best_sad, window
+                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
             )
             positions += extra
         return BlockResult(mv=mv, sad=best_sad, positions=positions)

@@ -8,10 +8,10 @@ once per block (the seed re-ran the bilinear interpolation inside
 :func:`repro.codec.macroblock.predict_chroma_block` for every
 macroblock's Cb *and* Cr prediction).
 
-Per-block reads stay available through
-:func:`repro.codec.macroblock.predict_chroma_block` (which accepts the
-wrapped planes); whole-frame motion compensation goes through
-:meth:`ChromaReferencePlane.mc_frame`.
+Whole-frame motion compensation goes through
+:meth:`ChromaReferencePlane.mc_frame`; its per-block definition,
+interpolating from the raw planes, is
+:func:`repro.codec.macroblock.predict_chroma_block`.
 """
 
 from __future__ import annotations
@@ -38,20 +38,8 @@ class ChromaReferencePlane:
     def __init__(self, cb: np.ndarray, cr: np.ndarray) -> None:
         self.cb = ReferencePlane.wrap(cb)
         self.cr = ReferencePlane.wrap(cr)
-        if self.cb is None or self.cr is None:
-            raise ValueError("chroma planes must be 2-D uint8 arrays of size >= 2x2")
         if self.cb.shape != self.cr.shape:
             raise ValueError(f"Cb/Cr shapes differ: {self.cb.shape} vs {self.cr.shape}")
-
-    @staticmethod
-    def wrap(cb: np.ndarray, cr: np.ndarray) -> "ChromaReferencePlane | None":
-        """Coerce to a chroma cache; ``None`` when either plane is not
-        cacheable (wrong dtype/shape), in which case callers fall back
-        to the per-block interpolation path."""
-        try:
-            return ChromaReferencePlane(cb, cr)
-        except ValueError:
-            return None
 
     @property
     def shape(self) -> tuple[int, int]:

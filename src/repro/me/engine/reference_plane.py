@@ -64,18 +64,15 @@ class ReferencePlane:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def wrap(reference: "np.ndarray | ReferencePlane") -> "ReferencePlane | None":
-        """Coerce to a plane; ``None`` when the array is not cacheable
-        (wrong dtype/shape), in which case callers fall back to the
-        per-candidate interpolation paths."""
+    def wrap(reference: "np.ndarray | ReferencePlane") -> "ReferencePlane":
+        """Coerce to a plane: a plane passes through, an array is
+        wrapped (raising :class:`ValueError` as the constructor does)."""
         if isinstance(reference, ReferencePlane):
             _MET_WRAP_HITS.inc()
             return reference
-        arr = np.asarray(reference)
-        if arr.ndim != 2 or arr.dtype != np.uint8 or arr.shape[0] < 2 or arr.shape[1] < 2:
-            return None
+        plane = ReferencePlane(reference)
         _MET_WRAP_MISSES.inc()
-        return ReferencePlane(arr)
+        return plane
 
     # -- planes ---------------------------------------------------------
 
@@ -118,23 +115,6 @@ class ReferencePlane:
         return self.half_plane[
             half_y : half_y + 2 * height - 1 : 2, half_x : half_x + 2 * width - 1 : 2
         ]
-
-    def integer_block(self, y: int, x: int, height: int, width: int) -> np.ndarray:
-        """Integer-pel reference patch (plain slice of the luma)."""
-        h, w = self.luma.shape
-        if not (0 <= y and y + height <= h and 0 <= x and x + width <= w):
-            raise ValueError(
-                f"block at ({y}, {x}) size {height}x{width} outside plane {self.luma.shape}"
-            )
-        return self.luma[y : y + height, x : x + width]
-
-    def predict(self, block_y: int, block_x: int, mv, height: int, width: int) -> np.ndarray:
-        """Motion-compensated prediction for one block: integer vectors
-        take the plain-slice fast path, half-pel vectors read the cached
-        plane.  Mirrors :func:`repro.me.subpel.predict_block`."""
-        if mv.hx % 2 == 0 and mv.hy % 2 == 0:
-            return self.integer_block(block_y + mv.hy // 2, block_x + mv.hx // 2, height, width)
-        return self.block(2 * block_y + mv.hy, 2 * block_x + mv.hx, height, width)
 
     def __repr__(self) -> str:
         built = self._half is not None

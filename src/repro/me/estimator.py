@@ -19,10 +19,12 @@ block in one :func:`repro.me.engine.frame_ring_sad` gather before the
 walk starts, and each block's evaluator is seeded with the precomputed
 SADs.
 
-``estimate`` also builds one :class:`repro.me.engine.ReferencePlane`
-per call (or accepts a shared one from the encoder) so every search's
-half-pel candidates read a single cached interpolation of the
-reference rather than re-deriving it per candidate.
+``estimate`` takes 2-D ``uint8`` planes only and builds one
+:class:`repro.me.engine.ReferencePlane` per call (or accepts a shared
+one from the encoder); every search reads that one plane, so half-pel
+candidates come from a single cached interpolation of the reference.
+The per-block oracle the frame drivers are checked against is
+:func:`repro.reference.estimate_motion`.
 
 Estimators are stateless between frames; temporal context (the previous
 frame's motion field) is passed in explicitly so the same instance can
@@ -55,9 +57,8 @@ class BlockContext:
     field: MotionField
     prev_field: MotionField | None
     qp: int
-    #: Shared per-frame cache (half-pel plane etc.); ``None`` when the
-    #: reference is not cacheable or the engine is disabled.
-    ref_plane: ReferencePlane | None = None
+    #: The per-frame cache of ``reference`` every search reads.
+    ref_plane: ReferencePlane
     #: Pre-scored first-ring SADs for *this* block, keyed by ``(dx, dy)``
     #: — filled by the frame driver from one :func:`frame_ring_sad`
     #: gather when the estimator declares a fixed first ring.  A
@@ -79,12 +80,6 @@ class BlockContext:
         s = self.block_size
         return self.current[self.block_y : self.block_y + s, self.block_x : self.block_x + s]
 
-    @property
-    def matcher_reference(self) -> "np.ndarray | ReferencePlane":
-        """What searches hand to the SAD/half-pel helpers: the cached
-        plane when available, the raw array otherwise."""
-        return self.ref_plane if self.ref_plane is not None else self.reference
-
 
 class MotionEstimator(ABC):
     """Base class for all block-matching estimators.
@@ -98,11 +93,6 @@ class MotionEstimator(ABC):
     half_pel:
         Whether the final vector is refined to half-pel precision, as
         in the paper's H.263 setting.
-    use_engine:
-        When True (default) the frame driver builds a shared
-        :class:`ReferencePlane` per call and batch paths may engage;
-        False forces the seed's per-block, per-candidate evaluation —
-        the golden tests and benchmarks compare the two.
     """
 
     #: Registry key; subclasses override.
@@ -113,7 +103,6 @@ class MotionEstimator(ABC):
         p: int = 15,
         block_size: int = 16,
         half_pel: bool = True,
-        use_engine: bool = True,
     ) -> None:
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
@@ -122,7 +111,6 @@ class MotionEstimator(ABC):
         self.p = p
         self.block_size = block_size
         self.half_pel = half_pel
-        self.use_engine = use_engine
 
     @abstractmethod
     def search_block(self, ctx: BlockContext) -> BlockResult:
@@ -143,14 +131,13 @@ class MotionEstimator(ABC):
         return None
 
     def _first_ring_warm(
-        self, current: np.ndarray, plane: ReferencePlane | None, rows: int, cols: int
+        self, current: np.ndarray, plane: ReferencePlane, rows: int, cols: int
     ) -> "list[list[dict[tuple[int, int], int]]] | None":
         """Per-block warm SAD dictionaries from one batched ring gather,
-        or ``None`` when ring batching does not apply.  Candidates whose
-        block leaves the plane are dropped (the evaluator's window test
-        rejects them before the warm cache is consulted anyway)."""
-        if plane is None or not self.use_engine:
-            return None
+        or ``None`` when the search declares no fixed first ring.
+        Candidates whose block leaves the plane are dropped (the
+        evaluator's window test rejects them before the warm cache is
+        consulted anyway)."""
         ring = self.first_ring()
         if not ring:
             return None
@@ -173,14 +160,19 @@ class MotionEstimator(ABC):
     ) -> tuple[MotionField, SearchStats]:
         """Estimate the motion field of ``current`` against ``reference``.
 
-        Planes must share shape and be exact multiples of the block
-        size.  ``ref_plane`` lets the encoder share one per-frame cache
-        across estimation and motion compensation; when omitted one is
-        built here.  Returns the completed field and the search-cost
-        stats.
+        Planes must be 2-D ``uint8``, share shape and be exact
+        multiples of the block size.  ``ref_plane`` lets the encoder
+        share one per-frame cache across estimation and motion
+        compensation; when omitted one is built here.  Returns the
+        completed field and the search-cost stats.
         """
         cur = np.asarray(current)
         ref = np.asarray(reference)
+        for role, arr in (("current", cur), ("reference", ref)):
+            if arr.ndim != 2 or arr.dtype != np.uint8:
+                raise ValueError(
+                    f"{role} plane must be 2-D uint8, got {arr.dtype} of shape {arr.shape}"
+                )
         if cur.shape != ref.shape:
             raise ValueError(f"plane shapes differ: {cur.shape} vs {ref.shape}")
         h, w = cur.shape
@@ -193,29 +185,25 @@ class MotionEstimator(ABC):
                 f"previous field {prev_field.mb_rows}x{prev_field.mb_cols} "
                 f"does not match {rows}x{cols} grid"
             )
-        plane: ReferencePlane | None = None
-        if self.use_engine:
-            if ref_plane is not None:
-                # A stale cache (e.g. hoisted out of a frame loop) would
-                # silently search the wrong frame; the equality check is
-                # trivially cheap next to one frame's search.
-                if ref_plane.luma is not ref and (
-                    ref_plane.shape != ref.shape or not np.array_equal(ref_plane.luma, ref)
-                ):
-                    raise ValueError(
-                        f"ref_plane {ref_plane.shape} does not wrap this reference "
-                        f"{ref.shape}: build one ReferencePlane per reference frame"
-                    )
-                plane = ref_plane
-            else:
-                plane = ReferencePlane.wrap(ref)
-        return self.estimate_frame(cur, ref, plane, prev_field, qp)
+        if ref_plane is None:
+            ref_plane = ReferencePlane.wrap(ref)
+        elif ref_plane.luma is not ref and (
+            ref_plane.shape != ref.shape or not np.array_equal(ref_plane.luma, ref)
+        ):
+            # A stale cache (e.g. hoisted out of a frame loop) would
+            # silently search the wrong frame; the equality check is
+            # trivially cheap next to one frame's search.
+            raise ValueError(
+                f"ref_plane {ref_plane.shape} does not wrap this reference "
+                f"{ref.shape}: build one ReferencePlane per reference frame"
+            )
+        return self.estimate_frame(cur, ref, ref_plane, prev_field, qp)
 
     def estimate_frame(
         self,
         current: np.ndarray,
         reference: np.ndarray,
-        plane: ReferencePlane | None,
+        plane: ReferencePlane,
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:

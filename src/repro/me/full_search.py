@@ -5,16 +5,17 @@ refines the winner over the 8 half-pel neighbours.  With p = 15 and no
 border clipping that is the paper's 961 + 8 = 969 candidate positions
 per macroblock.
 
-Two equivalent paths produce the decision:
+Two equivalent paths produce the decision, both reading the frame's
+shared :class:`repro.me.engine.ReferencePlane` for the half-pel stage:
 
-* the per-block path (:meth:`FullSearchEstimator.search_block`): a
-  vectorized SAD map over one block's window — the seed implementation,
-  kept as the fallback and the golden reference;
+* the per-block definition (:meth:`FullSearchEstimator.search_block`):
+  a vectorized SAD map over one block's window, run by the raster walk
+  outside the batched kernels' envelope (and by the oracle,
+  :func:`repro.reference.estimate_motion`);
 * the frame path (:meth:`FullSearchEstimator.estimate_frame`): the
   engine's :func:`repro.me.engine.frame_sad_surfaces` computes every
-  block's surface in one batched pass and the half-pel stage reads the
-  shared :class:`repro.me.engine.ReferencePlane` — ~5x faster,
-  bit-identical fields, SADs and position counts.
+  block's surface in one batched pass — ~5x faster, bit-identical
+  fields, SADs and position counts.
 
 Tie-breaking: among equal-SAD minima the vector with the smallest
 Chebyshev length wins (then smaller dy, then dx).  This mirrors real
@@ -100,7 +101,7 @@ class FullSearchEstimator(MotionEstimator):
         positions = window.num_positions
         if self.half_pel:
             mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, mv, best_sad, window
+                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
             )
             positions += extra
         return BlockResult(mv=mv, sad=best_sad, positions=positions, used_full_search=True)
@@ -109,22 +110,18 @@ class FullSearchEstimator(MotionEstimator):
         self,
         current: np.ndarray,
         reference: np.ndarray,
-        plane: ReferencePlane | None,
+        plane: ReferencePlane,
         prev_field,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
         """Whole-frame batched FSBM via the engine kernels.
 
-        Falls back to the per-block raster walk when the engine is off
-        or the geometry is outside the fast path's envelope; both paths
-        emit bit-identical fields, SADs and position counts (proven by
-        the golden tests in ``tests/test_engine.py``).
+        Falls back to the per-block raster walk when the geometry is
+        outside the fast path's envelope; both paths emit bit-identical
+        fields, SADs and position counts (proven by the golden tests in
+        ``tests/test_engine.py``).
         """
-        if (
-            plane is None
-            or np.asarray(current).dtype != np.uint8
-            or not supports_vectorized_search(plane.luma, self.block_size, self.p)
-        ):
+        if not supports_vectorized_search(plane.luma, self.block_size, self.p):
             return super().estimate_frame(current, reference, plane, prev_field, qp)
         surfaces = frame_sad_surfaces(current, plane, self.block_size, self.p)
         dx, dy, sads, positions = select_minima(surfaces)

@@ -50,7 +50,7 @@ class NewThreeStepEstimator(MotionEstimator):
             self.p,
         )
         evaluator = CandidateEvaluator(
-            ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, window,
+            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
             precomputed=ctx.warm_sads,
         )
         evaluator.evaluate(0, 0)
@@ -79,7 +79,7 @@ class NewThreeStepEstimator(MotionEstimator):
         positions = evaluator.positions
         if self.half_pel:
             mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, mv, best_sad, window
+                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
             )
             positions += extra
         return BlockResult(mv=mv, sad=best_sad, positions=positions)

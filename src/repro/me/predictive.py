@@ -22,7 +22,9 @@ predictors can sit in the same wrong valley.
 Two paths, one result.  :meth:`PredictiveEstimator.search_block` is the
 definition: one macroblock, one
 :class:`repro.me.candidates.CandidateEvaluator`, called in raster order
-by the base frame driver.  :meth:`PredictiveEstimator.estimate_frame`
+by the base frame driver outside the batched kernels' envelope and by
+the oracle, :func:`repro.reference.estimate_motion`.
+:meth:`PredictiveEstimator.estimate_frame`
 computes the same field with a handful of whole-frame array passes
 (:func:`sweep_frame`, shared with ACBM).  Two facts make that exact:
 
@@ -234,9 +236,8 @@ class PredictiveEstimator(MotionEstimator):
         block_size: int = 16,
         half_pel: bool = True,
         refine_steps: int = 2,
-        use_engine: bool = True,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if refine_steps < 0:
             raise ValueError(f"refine_steps must be >= 0, got {refine_steps}")
         self.refine_steps = refine_steps
@@ -252,7 +253,7 @@ class PredictiveEstimator(MotionEstimator):
             self.p,
         )
         evaluator = CandidateEvaluator(
-            ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, window
+            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window
         )
         predictors = gather_predictors(ctx.mb_row, ctx.mb_col, ctx.field, ctx.prev_field)
         for mv in predictors:
@@ -267,19 +268,16 @@ class PredictiveEstimator(MotionEstimator):
         positions = evaluator.positions
         if self.half_pel:
             mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.matcher_reference, ctx.block_y, ctx.block_x, mv, best_sad, window
+                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
             )
             positions += extra
         return BlockResult(mv=mv, sad=best_sad, positions=positions, used_full_search=False)
 
-    def sweeps_apply(self, current: np.ndarray, plane: ReferencePlane | None) -> bool:
+    def sweeps_apply(self, plane: ReferencePlane) -> bool:
         """Whether the whole-frame sweep serves this frame — the same
-        envelope as FSBM's frame path; outside it the raster walk runs."""
-        return (
-            plane is not None
-            and current.dtype == np.uint8
-            and supports_vectorized_search(plane.luma, self.block_size, self.p)
-        )
+        p/block-size envelope as FSBM's frame path; outside it the
+        raster walk runs."""
+        return supports_vectorized_search(plane.luma, self.block_size, self.p)
 
     def frame_search(
         self, current: np.ndarray, plane: ReferencePlane, prev_field: MotionField | None
@@ -380,13 +378,12 @@ class PredictiveEstimator(MotionEstimator):
         self,
         current: np.ndarray,
         reference: np.ndarray,
-        plane: ReferencePlane | None,
+        plane: ReferencePlane,
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
         """:meth:`sweep`, or the raster walk where FSBM's frame path
-        also falls back (no plane, non-uint8 planes, outside
-        :func:`supports_vectorized_search`)."""
-        if not self.sweeps_apply(current, plane):
+        also falls back (outside :func:`supports_vectorized_search`)."""
+        if not self.sweeps_apply(plane):
             return super().estimate_frame(current, reference, plane, prev_field, qp)
         return self.sweep(current, plane, prev_field, qp).motion()

@@ -9,10 +9,12 @@ samples with upward rounding:
 
 Both the estimators (candidate evaluation) and the codec (motion
 compensation) read the same samples, so the SAD a search reports is
-exactly the SAD the encoder's residual will see.  :func:`half_pel_block`
-is the per-patch reference implementation; when callers hold a
-:class:`repro.me.engine.ReferencePlane` the same samples come from its
-precomputed half-pel plane instead (bit-exact, built once per frame).
+exactly the SAD the encoder's residual will see.  Searches read them
+from a :class:`repro.me.engine.ReferencePlane`'s half-pel plane, built
+once per frame; :func:`half_pel_block` and :func:`predict_block`
+interpolate one patch from a raw plane, the per-block definition that
+plane and the oracle decoder (:mod:`repro.reference`) are checked
+against.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ HALF_PEL_NEIGHBOURS: tuple[tuple[int, int], ...] = (
 
 def refine_half_pel(
     block: np.ndarray,
-    ref: np.ndarray | ReferencePlane,
+    plane: ReferencePlane,
     block_y: int,
     block_x: int,
     anchor: MotionVector,
@@ -81,10 +83,9 @@ def refine_half_pel(
     ----------
     block:
         Current-frame block.
-    ref:
-        Reference plane — a raw array (per-candidate interpolation) or
-        a :class:`ReferencePlane` (reads the cached half-pel plane;
-        identical samples, built once per frame).
+    plane:
+        The reference's per-frame cache; candidates read its half-pel
+        plane.
     block_y, block_x:
         Block top-left pixel position in the current frame.
     anchor, anchor_sad:
@@ -100,7 +101,6 @@ def refine_half_pel(
     """
     if not anchor.is_integer_pel:
         raise ValueError(f"half-pel refinement anchor must be integer-pel, got {anchor}")
-    plane = ref if isinstance(ref, ReferencePlane) else None
     hwin = half_pel_window(window)
     best_mv, best_sad = anchor, anchor_sad
     evaluated = 0
@@ -109,11 +109,7 @@ def refine_half_pel(
         hx, hy = anchor.hx + dhx, anchor.hy + dhy
         if not hwin.contains(hx, hy):
             continue
-        if plane is not None:
-            pred = plane.block(2 * block_y + hy, 2 * block_x + hx, h, w)
-        else:
-            pred = half_pel_block(ref, 2 * block_y + hy, 2 * block_x + hx, h, w)
-        cand_sad = sad(block, pred)
+        cand_sad = sad(block, plane.block(2 * block_y + hy, 2 * block_x + hx, h, w))
         evaluated += 1
         if cand_sad < best_sad:
             best_mv, best_sad = MotionVector(hx, hy), cand_sad
@@ -121,19 +117,17 @@ def refine_half_pel(
 
 
 def predict_block(
-    ref: np.ndarray | ReferencePlane,
+    ref: np.ndarray,
     block_y: int,
     block_x: int,
     mv: MotionVector,
     height: int,
     width: int,
 ) -> np.ndarray:
-    """Motion-compensated prediction for a block: the reference patch the
-    codec subtracts.  Dispatches between the integer fast path and
-    half-pel interpolation; a :class:`ReferencePlane` serves both from
-    its caches."""
-    if isinstance(ref, ReferencePlane):
-        return ref.predict(block_y, block_x, mv, height, width)
+    """Motion-compensated prediction for a block, from the raw plane:
+    the integer slice or a freshly interpolated half-pel patch.  The
+    per-block definition of :meth:`ReferencePlane.predict` and
+    :func:`repro.me.engine.frame_mc_luma`."""
     if mv.is_integer_pel:
         y = block_y + mv.hy // 2
         x = block_x + mv.hx // 2

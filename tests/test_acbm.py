@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.acbm import ACBMBlockResult, ACBMEstimator
 from repro.core.parameters import ACBMParameters
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext
 from repro.me.full_search import FullSearchEstimator
 from repro.me.predictive import PredictiveEstimator
@@ -15,7 +16,7 @@ from .conftest import shifted_plane, textured_plane
 
 def context(cur, ref, r=1, c=1, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, qp)
+    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, qp, ReferencePlane(ref))
 
 
 class TestConstruction:

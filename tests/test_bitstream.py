@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.codec.bitstream import BitReader, BitWriter, ScalarBitReader
+from repro.codec.bitstream import BitReader, BitWriter
+from repro.reference import ScalarBitReader
 
 
 class TestBitWriter:

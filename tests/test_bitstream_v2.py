@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import reference
-from repro.codec.bitstream import BitReader, ScalarBitReader
+from repro.codec.bitstream import BitReader
 from repro.codec.decoder import (
     FrameIndex,
     ParsedPicture,
@@ -185,9 +185,7 @@ class TestDecodeEquivalence:
     def test_lut_parse_equals_seed_parse(self, v1, v2):
         for encode in (v1, v2):
             fast = parse_bitstream_symbols(encode.bitstream)
-            seed = parse_bitstream_symbols(
-                encode.bitstream, reader_factory=ScalarBitReader
-            )
+            seed = reference.parse_bitstream_symbols(encode.bitstream)
             assert len(fast) == len(seed) == len(encode.reconstruction)
             assert all(a == b for a, b in zip(fast, seed))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.me.candidates import CandidateEvaluator
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.metrics import sad
 from repro.me.search_window import SearchWindow
 from repro.me.types import MotionVector
@@ -16,7 +17,7 @@ def make_evaluator(seed=20, dy=0, dx=0, p=6):
     cur = shifted_plane(ref, dy, dx)
     window = SearchWindow(-p, p, -p, p)
     block = cur[16:32, 16:32]
-    return CandidateEvaluator(block, ref, 16, 16, window), ref, cur
+    return CandidateEvaluator(block, ReferencePlane(ref), 16, 16, window), ref, cur
 
 
 class TestEvaluate:
@@ -48,7 +49,9 @@ class TestEvaluate:
     def test_tiebreak_prefers_shorter_vector(self):
         # Flat content: every candidate ties at SAD ~0.
         flat = np.full((48, 64), 90, dtype=np.uint8)
-        ev = CandidateEvaluator(flat[16:32, 16:32], flat, 16, 16, SearchWindow(-3, 3, -3, 3))
+        ev = CandidateEvaluator(
+            flat[16:32, 16:32], ReferencePlane(flat), 16, 16, SearchWindow(-3, 3, -3, 3)
+        )
         ev.evaluate(3, 3)
         ev.evaluate(0, 0)
         ev.evaluate(-2, 0)

@@ -5,11 +5,15 @@ internal loop produced.  Any asymmetry in quantizer rounding, VLC
 tables, MV prediction or half-pel interpolation breaks these.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.codec.decoder import Decoder, decode_bitstream
+from repro import reference
+from repro.codec.decoder import Decoder, decode_bitstream, parse_bitstream_symbols
 from repro.codec.encoder import encode_sequence
+from repro.streaming import StreamDecoder
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
@@ -90,6 +94,53 @@ def test_decoder_requires_reference_for_p_frame():
     writer.write_bits(4, 8)   # mb_cols
     with pytest.raises(ValueError, match="reference"):
         Decoder(writer.getvalue()).decode_frame()
+
+
+#: An I-picture header declaring 255x255 macroblocks, then two zero
+#: bytes: 21 bits after the header, far fewer than one per macroblock.
+OVERSIZED_V1 = bytes.fromhex("7e7e41ffffe00000")
+OVERSIZED_V2 = bytes.fromhex("000001b6") + len(OVERSIZED_V1).to_bytes(4, "big") + OVERSIZED_V1
+
+
+def _push_decode(bitstream):
+    decoder = StreamDecoder()
+    decoder.feed(bitstream)
+    decoder.close()
+    return list(decoder.frames())
+
+
+#: Every decode entry point; the push decoder takes version 2 only.
+ENTRY_POINTS = {
+    "decode_bitstream": decode_bitstream,
+    "Decoder": lambda bs: Decoder(bs).decode_frame(),
+    "parse_bitstream_symbols": parse_bitstream_symbols,
+    "oracle": reference.decode_bitstream,
+    "oracle_parse": reference.parse_bitstream_symbols,
+}
+
+
+@pytest.mark.parametrize(
+    "entry,bitstream",
+    [
+        pytest.param(name, bitstream, id=f"{name}-v{version}")
+        for version, bitstream in ((1, OVERSIZED_V1), (2, OVERSIZED_V2))
+        for name in ENTRY_POINTS
+    ]
+    + [pytest.param("StreamDecoder", OVERSIZED_V2, id="StreamDecoder-v2")],
+)
+def test_oversized_picture_rejected_before_allocating(entry, bitstream):
+    """Every picture syntax codes at least one bit per macroblock, so a
+    header declaring more macroblocks than bits follow is rejected,
+    naming the bit offset, before any level array is sized by it."""
+    decode = _push_decode if entry == "StreamDecoder" else ENTRY_POINTS[entry]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"header ending at bit 43 declares 65025 macroblocks"):
+            decode(bitstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_half_pel_vectors_survive_round_trip():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.me.candidates import CandidateEvaluator
 from repro.me.engine import (
     SURFACE_SENTINEL,
@@ -41,6 +42,15 @@ kernel_backend = backend_matrix()
 
 def random_plane(seed: int, h: int = 48, w: int = 64) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+
+
+#: Planes no ReferencePlane accepts, with the dtype or shape the error
+#: must name.
+UNCACHEABLE = (
+    (np.zeros((8, 8), dtype=np.float64), "float64"),
+    (np.zeros((8, 8, 3), dtype=np.uint8), r"\(8, 8, 3\)"),
+    (np.zeros((1, 8), dtype=np.uint8), r"\(1, 8\)"),
+)
 
 
 def tie_heavy_plane(seed: int, h: int = 48, w: int = 64) -> np.ndarray:
@@ -95,26 +105,33 @@ class TestReferencePlane:
         plane.block(0, 0, 8, 8)  # integer position at the edge is fine
 
     def test_wrap_rejects_uncacheable(self):
-        assert ReferencePlane.wrap(np.zeros((8, 8), dtype=np.float64)) is None
-        assert ReferencePlane.wrap(np.zeros((8, 8, 3), dtype=np.uint8)) is None
+        """A float64, 3-D or smaller-than-2x2 plane raises, naming its
+        dtype or shape, whether wrapped or constructed."""
+        for make in (ReferencePlane, ReferencePlane.wrap):
+            for bad, named in UNCACHEABLE:
+                with pytest.raises(ValueError, match=named):
+                    make(bad)
         plane = ReferencePlane(np.zeros((8, 8), dtype=np.uint8))
         assert ReferencePlane.wrap(plane) is plane
+
+    @pytest.mark.parametrize("role", ["current", "reference"])
+    def test_estimate_rejects_uncacheable(self, role):
+        """``MotionEstimator.estimate`` takes 2-D uint8 planes only; no
+        plane-less fallback remains."""
+        for bad, named in UNCACHEABLE:
+            ok = np.zeros(bad.shape[:2], dtype=np.uint8)
+            planes = {"current": ok, "reference": ok, role: bad}
+            with pytest.raises(ValueError, match=named):
+                FullSearchEstimator(p=3, block_size=1).estimate(planes["current"], planes["reference"])
 
     def test_predict_matches_predict_block(self):
         ref = textured_plane(48, 64, seed=21)
         plane = ReferencePlane(ref)
         for mv in (MotionVector(4, -2), MotionVector(3, 1), MotionVector(-1, 0)):
             np.testing.assert_array_equal(
-                plane.predict(16, 16, mv, 16, 16), predict_block(ref, 16, 16, mv, 16, 16)
+                plane.block(32 + mv.hy, 32 + mv.hx, 16, 16), predict_block(ref, 16, 16, mv, 16, 16)
             )
 
-    def test_predict_block_dispatches_to_plane(self):
-        ref = textured_plane(48, 64, seed=22)
-        plane = ReferencePlane(ref)
-        mv = MotionVector(5, -3)
-        np.testing.assert_array_equal(
-            predict_block(plane, 16, 16, mv, 16, 16), predict_block(ref, 16, 16, mv, 16, 16)
-        )
 
 
 # -- frame_sad_surfaces --------------------------------------------------
@@ -240,7 +257,7 @@ class TestRefineHalfPelBatch:
                 anchor = MotionVector(2 * int(dx[r, c]), 2 * int(dy[r, c]))
                 block = cur[r * s : (r + 1) * s, c * s : (c + 1) * s]
                 mv, best, evaluated = refine_half_pel(
-                    block, ref, r * s, c * s, anchor, int(sads[r, c]), window
+                    block, plane, r * s, c * s, anchor, int(sads[r, c]), window
                 )
                 assert MotionVector(int(hx[r, c]), int(hy[r, c])) == mv
                 assert int(ref_sads[r, c]) == best
@@ -256,7 +273,7 @@ class TestEvaluateCandidatesBatch:
         cur = shifted_plane(ref, 1, -2)
         window = SearchWindow(-6, 6, -6, 6)
         cands = [(-6, -6), (0, 0), (3, -2), (6, 6), (-1, 4)]
-        seq = CandidateEvaluator(cur[16:32, 16:32], ref, 16, 16, window)
+        seq = CandidateEvaluator(cur[16:32, 16:32], ReferencePlane(ref), 16, 16, window)
         for dx, dy in cands:
             seq.evaluate(dx, dy)
         arr = np.array(cands)
@@ -287,9 +304,10 @@ class TestEvaluateCandidatesBatch:
         cur = tie_heavy_plane(61)
         window = SearchWindow(-7, 7, -7, 7)
         cands = [(0, 0), (2, 2), (-2, 2), (2, -2), (-2, -2), (0, 0), (7, 7), (1, 0)]
-        batched = CandidateEvaluator(cur[16:32, 16:32], ref, 16, 16, window)
+        plane = ReferencePlane(ref)
+        batched = CandidateEvaluator(cur[16:32, 16:32], plane, 16, 16, window)
         batched.evaluate_many(cands)
-        sequential = CandidateEvaluator(cur[16:32, 16:32], ref, 16, 16, window)
+        sequential = CandidateEvaluator(cur[16:32, 16:32], plane, 16, 16, window)
         for dx, dy in cands:
             sequential.evaluate(dx, dy)
         assert batched._cache == sequential._cache
@@ -321,13 +339,12 @@ class TestGoldenEstimators:
     def test_fsbm_batch_identical_to_per_block(self, half_pel, p, maker):
         """The tentpole guarantee: FSBM via the engine's estimate_frame
         emits bit-identical motion fields, SADs and SearchStats position
-        counts to the seed per-block path."""
+        counts to the per-block oracle."""
         ref = maker()
         cur = shifted_plane(ref, 1, 2)
-        batched = FullSearchEstimator(p=p, half_pel=half_pel, use_engine=True)
-        per_block = FullSearchEstimator(p=p, half_pel=half_pel, use_engine=False)
-        field_b, stats_b = batched.estimate(cur, ref)
-        field_s, stats_s = per_block.estimate(cur, ref)
+        est = FullSearchEstimator(p=p, half_pel=half_pel)
+        field_b, stats_b = est.estimate(cur, ref)
+        field_s, stats_s, _ = reference.estimate_motion(est, cur, ref)
         assert fields_identical(field_b, field_s)
         assert stats_b.positions == stats_s.positions
         assert stats_b.blocks == stats_s.blocks
@@ -339,42 +356,41 @@ class TestGoldenEstimators:
         from repro.video.synthesis.sequences import make_sequence
 
         seq = make_sequence("foreman", frames=3, seed=0)
-        batched = FullSearchEstimator(p=15, use_engine=True)
-        per_block = FullSearchEstimator(p=15, use_engine=False)
+        est = FullSearchEstimator(p=15)
         for i in range(1, len(seq)):
-            field_b, stats_b = batched.estimate(seq[i].y, seq[i - 1].y)
-            field_s, stats_s = per_block.estimate(seq[i].y, seq[i - 1].y)
+            field_b, stats_b = est.estimate(seq[i].y, seq[i - 1].y)
+            field_s, stats_s, _ = reference.estimate_motion(est, seq[i].y, seq[i - 1].y)
             assert fields_identical(field_b, field_s)
             assert stats_b.positions == stats_s.positions
 
     @pytest.mark.parametrize("name", sorted(available_estimators()))
     def test_every_estimator_unchanged_by_engine(self, name):
-        """All eight registered searches ride the shared plane and the
-        batched candidate scorer; none may change a single decision."""
+        """Every registered search's frame driver (batched kernels, warm
+        first ring, sweeps) matches the per-block oracle decision for
+        decision."""
         ref = textured_plane(48, 64, seed=80)
         cur = shifted_plane(ref, -1, 2)
-        on = create_estimator(name, p=7, use_engine=True)
-        off = create_estimator(name, p=7, use_engine=False)
-        prev = None
-        field_on, stats_on = on.estimate(cur, ref, prev_field=prev)
-        field_off, stats_off = off.estimate(cur, ref, prev_field=prev)
+        est = create_estimator(name, p=7)
+        field_on, stats_on = est.estimate(cur, ref)
+        field_off, stats_off, _ = reference.estimate_motion(est, cur, ref)
         assert fields_identical(field_on, field_off)
         assert stats_on.positions == stats_off.positions
         assert stats_on.decisions == stats_off.decisions
 
-    def test_encoder_bitstream_unchanged_by_engine(self):
-        """End to end: engine on/off produces byte-identical bitstreams
-        through the closed-loop encoder."""
+    def test_encoder_bitstream_unchanged_by_engine(self, monkeypatch):
+        """End to end: the encoder emits byte-identical bitstreams
+        whether FSBM's frame driver or the per-block oracle decides."""
         from repro.codec.encoder import encode_sequence
         from repro.video.synthesis.sequences import make_sequence
 
         seq = make_sequence("miss_america", frames=3, seed=1)
-        on = encode_sequence(
-            seq, qp=16, estimator="fsbm", estimator_kwargs={"use_engine": True}
+        on = encode_sequence(seq, qp=16, estimator="fsbm")
+        monkeypatch.setattr(
+            FullSearchEstimator,
+            "estimate_frame",
+            lambda est, cur, ref, _plane, prev, qp: reference.estimate_motion(est, cur, ref, prev, qp)[:2],
         )
-        off = encode_sequence(
-            seq, qp=16, estimator="fsbm", estimator_kwargs={"use_engine": False}
-        )
+        off = encode_sequence(seq, qp=16, estimator="fsbm")
         assert on.bitstream == off.bitstream
         assert on.mean_psnr_y == off.mean_psnr_y
         assert on.search_stats.positions == off.search_stats.positions

@@ -5,6 +5,7 @@ import pytest
 
 from repro.me.cross_diamond import CrossDiamondEstimator
 from repro.me.diamond import DiamondEstimator
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext
 from repro.me.four_step import FourStepEstimator
 from repro.me.full_search import FullSearchEstimator
@@ -27,7 +28,7 @@ ALL_FAST = [
 
 def context(cur, ref, r=1, c=1):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, 16)
+    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, 16, ReferencePlane(ref))
 
 
 class TestInitialStep:

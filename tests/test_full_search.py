@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext
 from repro.me.full_search import FullSearchEstimator, full_search_sads, select_minimum
 from repro.me.metrics import sad
@@ -14,7 +15,7 @@ from .conftest import shifted_plane, textured_plane
 def context(cur, ref, r=1, c=1, qp=16, block_size=16):
     rows = cur.shape[0] // block_size
     cols = cur.shape[1] // block_size
-    return BlockContext(cur, ref, r, c, block_size, MotionField(rows, cols), None, qp)
+    return BlockContext(cur, ref, r, c, block_size, MotionField(rows, cols), None, qp, ReferencePlane(ref))
 
 
 class TestFullSearchSads:

@@ -9,7 +9,7 @@ The contracts under test:
 * GOP-syntax (multi-reference, predictive-intra) encodes are pinned
   by SHA-256 too, and every golden stream round-trips bit-identically
   through every decode path (batched engine, the per-block oracle
-  :mod:`repro.reference`, seed ``ScalarBitReader``);
+  :mod:`repro.reference` and its per-bit ``ScalarBitReader`` parse);
 * an I-frame resets the reference list, so per-GOP parallel encode
   splices a stream **byte-identical** to the serial encoder for any
   ``--jobs``;
@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro import reference
-from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
     decode_bitstream,
@@ -213,7 +212,7 @@ class TestGopRoundTrip:
         assert per_block == result.reconstruction
         # The seed one-bit-at-a-time reader parses identical symbols.
         lut = parse_bitstream_symbols(result.bitstream)
-        seed = parse_bitstream_symbols(result.bitstream, reader_factory=ScalarBitReader)
+        seed = reference.parse_bitstream_symbols(result.bitstream)
         assert lut == seed
 
     def test_multi_reference_actually_used(self):

@@ -14,12 +14,12 @@ from repro.codec.macroblock import (
     events_bits,
     join_luma_blocks,
     predict_chroma_block,
-    read_events,
     split_luma_blocks,
     write_events,
 )
 from repro.codec.zigzag import CoefficientEvent
 from repro.me.types import MotionVector
+from repro.reference import read_events
 
 from .conftest import textured_plane
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext
 from repro.me.predictive import PredictiveEstimator, gather_predictors
 from repro.me.types import MotionField, MotionVector
@@ -59,7 +60,9 @@ class TestGatherPredictors:
 
 def context(cur, ref, r, c, field=None, prev=None, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, field or MotionField(rows, cols), prev, qp)
+    return BlockContext(
+        cur, ref, r, c, 16, field or MotionField(rows, cols), prev, qp, ReferencePlane(ref)
+    )
 
 
 class TestPredictiveEstimator:

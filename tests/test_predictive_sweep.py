@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.codec.encoder import encode_sequence
 from repro.codec.mv_coding import mvd_bits, mvd_bits_arrays, predict_mv, predict_mv_arrays
 from repro.core.acbm import ACBMEstimator
@@ -26,7 +27,7 @@ from repro.kernels import get_backend, set_backend
 from repro.kernels.numba_backend import make_backend
 from repro.me.engine.kernels import refine_half_pel_batch
 from repro.me.engine.reference_plane import ReferencePlane
-from repro.me.estimator import BlockContext, create_estimator
+from repro.me.estimator import create_estimator
 from repro.me.predictive import PredictiveEstimator, sweep_frame
 from repro.me.types import MotionField, MotionVector
 from repro.obs import metrics
@@ -47,20 +48,13 @@ PARAMS = {
 
 
 def raster_oracle(est, cur, ref, prev_field, qp):
-    """Per-block results of raster-order ``search_block`` calls."""
-    s = est.block_size
-    rows, cols = cur.shape[0] // s, cur.shape[1] // s
-    plane = ReferencePlane.wrap(ref)
-    field = MotionField(rows, cols)
-    out = []
-    for r in range(rows):
-        for c in range(cols):
-            ctx = BlockContext(cur, ref, r, c, s, field, prev_field, qp, ref_plane=plane)
-            res = est.search_block(ctx)
-            field.set(r, c, res.mv)
-            decision = getattr(res, "decision", None)
-            out.append((res.mv.hx, res.mv.hy, res.sad, res.positions, decision, res.used_full_search))
-    return out
+    """Per-block results of the oracle's raster-order ``search_block``
+    calls (:func:`repro.reference.estimate_motion`)."""
+    _, _, blocks = reference.estimate_motion(est, cur, ref, prev_field, qp)
+    return [
+        (res.mv.hx, res.mv.hy, res.sad, res.positions, getattr(res, "decision", None), res.used_full_search)
+        for res in blocks
+    ]
 
 
 def swept(est, cur, ref, prev_field, qp):
@@ -68,7 +62,7 @@ def swept(est, cur, ref, prev_field, qp):
     count stays within the wavefront bound."""
     plane = ReferencePlane.wrap(ref)
     pbm = est._pbm if isinstance(est, ACBMEstimator) else est
-    assert pbm.sweeps_apply(cur, plane)
+    assert pbm.sweeps_apply(plane)
     res = est.sweep(cur, plane, prev_field, qp)
     rows, cols = res.hx.shape
     assert 1 <= res.sweeps <= cols + 2 * (rows - 1) + 1
@@ -206,7 +200,7 @@ class TestFrameDriver:
     @pytest.mark.parametrize("name", ["pbm", "acbm"])
     def test_estimate_never_calls_search_block(self, qcif_pair, monkeypatch, name):
         ref, cur, prev = qcif_pair
-        expected = create_estimator(name, use_engine=False).estimate(cur, ref, prev, qp=16)
+        expected = reference.estimate_motion(create_estimator(name), cur, ref, prev, qp=16)
 
         def forbidden(self, ctx):
             raise AssertionError("search_block called on the default path")
@@ -228,7 +222,7 @@ class TestFrameDriver:
         runs, with the same results the oracle gives."""
         ref, cur, prev = qcif_pair
         est = ACBMEstimator(p=32)
-        assert not est._pbm.sweeps_apply(cur, ReferencePlane.wrap(ref))
+        assert not est._pbm.sweeps_apply(ReferencePlane.wrap(ref))
         field, stats = est.estimate(cur, ref, prev, qp=16)
         oracle = raster_oracle(est, cur, ref, prev, 16)
         hx, hy = field.to_arrays()
@@ -241,13 +235,13 @@ class TestFrameDriver:
         ref, cur, prev = qcif_pair
         counters = [metrics.counter(n) for n in ("me.acbm.critical", "me.acbm.fs_wins", "me.sweeps")]
 
-        def deltas(est):
+        def deltas(estimate):
             before = [c.value for c in counters]
-            _, stats = est.estimate(cur, ref, prev, qp=16)
+            _, stats, *_ = estimate(ACBMEstimator(), cur, ref, prev, qp=16)
             return [c.value - b for c, b in zip(counters, before)], stats
 
-        (crit_r, wins_r, sweeps_r), stats_r = deltas(ACBMEstimator(use_engine=False))
-        (crit_s, wins_s, sweeps_s), stats_s = deltas(ACBMEstimator())
+        (crit_r, wins_r, sweeps_r), stats_r = deltas(reference.estimate_motion)
+        (crit_s, wins_s, sweeps_s), stats_s = deltas(ACBMEstimator.estimate)
         assert crit_r == crit_s == stats_s.full_search_blocks == stats_r.full_search_blocks > 0
         assert wins_r == wins_s
         assert 0 < wins_s <= crit_s

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.codec.macroblock import coded_block_patterns, read_events, write_events
+from repro.codec.macroblock import coded_block_patterns, write_events
 from repro.codec.mv_coding import mvd_bits, read_mvd, write_mvd
 from repro.codec.quantizer import dequantize, quantize_inter
 from repro.codec.vlc import (
@@ -25,6 +25,7 @@ from repro.codec.zigzag import (
     unscan,
 )
 from repro.me.types import MotionVector
+from repro.reference import read_events
 
 # -- bitstream ----------------------------------------------------------
 

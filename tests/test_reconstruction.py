@@ -190,27 +190,21 @@ class TestFrameMcChroma:
 
 
 class TestChromaReferencePlane:
-    def test_predict_chroma_block_reads_cache(self):
-        """predict_chroma_block with a wrapped plane returns the exact
-        samples of the raw-array interpolation path."""
-        cb = random_plane(50, 24, 32)
-        cr = random_plane(51, 24, 32)
-        chroma = ChromaReferencePlane(cb, cr)
-        for mv in (MotionVector(5, -3), MotionVector(-1, 1), MotionVector(0, 0)):
-            np.testing.assert_array_equal(
-                predict_chroma_block(chroma.cb, 8, 16, mv, 7),
-                predict_chroma_block(cb, 8, 16, mv, 7),
-            )
-            np.testing.assert_array_equal(
-                predict_chroma_block(chroma.cr, 8, 16, mv, 7),
-                predict_chroma_block(cr, 8, 16, mv, 7),
-            )
-
     def test_wrap_rejects_uncacheable(self):
+        """A float64, 3-D or smaller-than-2x2 chroma plane raises, naming
+        its dtype or shape, as do mismatched Cb/Cr shapes."""
         ok = np.zeros((8, 8), dtype=np.uint8)
-        assert ChromaReferencePlane.wrap(ok.astype(np.float64), ok) is None
-        assert ChromaReferencePlane.wrap(ok, np.zeros((8, 10), dtype=np.uint8)) is None
-        assert ChromaReferencePlane.wrap(ok, ok) is not None
+        for bad, named in (
+            (ok.astype(np.float64), "float64"),
+            (np.zeros((8, 8, 2), dtype=np.uint8), r"\(8, 8, 2\)"),
+            (np.zeros((1, 1), dtype=np.uint8), r"\(1, 1\)"),
+        ):
+            for cb, cr in ((bad, ok), (ok, bad)):
+                with pytest.raises(ValueError, match=named):
+                    ChromaReferencePlane(cb, cr)
+        with pytest.raises(ValueError, match="Cb/Cr shapes differ"):
+            ChromaReferencePlane(ok, np.zeros((8, 10), dtype=np.uint8))
+        assert ChromaReferencePlane(ok, ok).shape == (8, 8)
 
     def test_mc_frame_matches_per_plane_calls(self):
         cb = random_plane(52, 24, 32)

@@ -1,16 +1,17 @@
 """Golden tests for the batched first-ring driver and ACBM's lazy
 per-frame SAD surface.
 
-The contract: enabling the engine's ring batching (``use_engine=True``,
-the default) changes **nothing observable** — motion fields, SADs,
-position counts and classifier decisions are bit-identical to the seed
-per-block path (``use_engine=False``) for all six fast searches and for
-ACBM at any ``surface_threshold``.
+The contract: the engine's ring batching changes **nothing
+observable** — motion fields, SADs, position counts and classifier
+decisions are bit-identical to the per-block oracle
+(:func:`repro.reference.estimate_motion`, no warm first ring) for all
+six fast searches and for ACBM at any ``surface_threshold``.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.parameters import ACBMParameters
 from repro.me.engine.kernels import frame_ring_sad
 from repro.me.engine.reference_plane import ReferencePlane
@@ -84,10 +85,9 @@ class TestFastSearchRingGolden:
     @pytest.mark.parametrize("name", FAST_SEARCHES)
     def test_bit_identical_to_per_block(self, frame_pair, name):
         ref, cur = frame_pair
-        batched = create_estimator(name, p=15)
-        seed_path = create_estimator(name, p=15, use_engine=False)
-        field_b, stats_b = batched.estimate(cur, ref)
-        field_s, stats_s = seed_path.estimate(cur, ref)
+        est = create_estimator(name, p=15)
+        field_b, stats_b = est.estimate(cur, ref)
+        field_s, stats_s, _ = reference.estimate_motion(est, cur, ref)
         assert fields_identical(field_b, field_s)
         assert stats_tuple(stats_b) == stats_tuple(stats_s)
 
@@ -103,10 +103,9 @@ class TestFastSearchRingGolden:
     def test_small_p_ring_stays_in_window(self, frame_pair, name):
         """The step-derived rings shrink with p and stay bit-identical."""
         ref, cur = frame_pair
-        batched = create_estimator(name, p=3)
-        seed_path = create_estimator(name, p=3, use_engine=False)
-        field_b, stats_b = batched.estimate(cur, ref)
-        field_s, stats_s = seed_path.estimate(cur, ref)
+        est = create_estimator(name, p=3)
+        field_b, stats_b = est.estimate(cur, ref)
+        field_s, stats_s, _ = reference.estimate_motion(est, cur, ref)
         assert fields_identical(field_b, field_s)
         assert stats_tuple(stats_b) == stats_tuple(stats_s)
 
@@ -123,12 +122,9 @@ class TestACBMSurfaceGolden:
     @pytest.mark.parametrize("threshold", [0, 3, 10**9])
     def test_bit_identical_for_any_threshold(self, frame_pair, params, threshold):
         ref, cur = frame_pair
-        batched = create_estimator(
-            "acbm", p=15, params=params, surface_threshold=threshold
-        )
-        seed_path = create_estimator("acbm", p=15, params=params, use_engine=False)
-        field_b, stats_b = batched.estimate(cur, ref, qp=16)
-        field_s, stats_s = seed_path.estimate(cur, ref, qp=16)
+        est = create_estimator("acbm", p=15, params=params, surface_threshold=threshold)
+        field_b, stats_b = est.estimate(cur, ref, qp=16)
+        field_s, stats_s, _ = reference.estimate_motion(est, cur, ref, qp=16)
         assert fields_identical(field_b, field_s)
         assert stats_tuple(stats_b) == stats_tuple(stats_s)
 

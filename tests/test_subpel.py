@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.search_window import SearchWindow, clamped_window
 from repro.me.subpel import half_pel_block, predict_block, refine_half_pel
 from repro.me.types import MotionVector
@@ -62,7 +63,7 @@ class TestRefineHalfPel:
         anchor = MotionVector(0, 0)
         anchor_sad = sad(cur_block, ref[16:32, 16:32])
         mv, best_sad, evaluated = refine_half_pel(
-            cur_block, ref, 16, 16, anchor, anchor_sad, window
+            cur_block, ReferencePlane(ref), 16, 16, anchor, anchor_sad, window
         )
         assert mv == MotionVector(1, 0)
         assert best_sad == 0
@@ -72,7 +73,7 @@ class TestRefineHalfPel:
         ref = np.zeros((32, 32), dtype=np.uint8)
         window = SearchWindow(-2, 2, -2, 2)
         with pytest.raises(ValueError, match="integer-pel"):
-            refine_half_pel(ref[:16, :16], ref, 8, 8, MotionVector(1, 0), 0, window)
+            refine_half_pel(ref[:16, :16], ReferencePlane(ref), 8, 8, MotionVector(1, 0), 0, window)
 
     def test_corner_block_skips_outside_candidates(self):
         ref = textured_plane(48, 64, seed=12)
@@ -82,7 +83,7 @@ class TestRefineHalfPel:
 
         anchor_sad = sad(cur[:16, :16], ref[:16, :16])
         _, _, evaluated = refine_half_pel(
-            cur[:16, :16], ref, 0, 0, MotionVector(0, 0), anchor_sad, window
+            cur[:16, :16], ReferencePlane(ref), 0, 0, MotionVector(0, 0), anchor_sad, window
         )
         # At the top-left corner only the 3 inward half-pel neighbours exist.
         assert evaluated == 3
@@ -95,7 +96,7 @@ class TestRefineHalfPel:
 
         anchor_sad = sad(cur[16:32, 16:32], ref[16:32, 16:32])
         _, best_sad, _ = refine_half_pel(
-            cur[16:32, 16:32], ref, 16, 16, MotionVector(0, 0), anchor_sad, window
+            cur[16:32, 16:32], ReferencePlane(ref), 16, 16, MotionVector(0, 0), anchor_sad, window
         )
         assert best_sad <= anchor_sad
 

@@ -3,9 +3,10 @@
 Three contracts:
 
 * **round trip** — random symbol sequences encode → LUT-decode back to
-  the identical sequence (and likewise through the seed bit-walk);
+  the identical sequence (and likewise through the per-bit oracle in
+  :mod:`repro.reference`);
 * **same bytes, same symbols** — the LUT + word-level reader and the
-  seed per-bit reader decode identical symbol streams from identical
+  oracle's per-bit reader decode identical symbol streams from identical
   bytes, including where and how they fail on corrupt/truncated input;
 * **Golomb parity** — the peeked exp-Golomb reader matches the seed bit
   loop value-for-value.
@@ -16,22 +17,26 @@ pictures and streams.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec.bitstream import BitReader, BitWriter, ScalarBitReader
-from repro.codec.macroblock import read_events, write_events
+from repro import reference
+from repro.codec.bitstream import BitReader, BitWriter
+from repro.codec.macroblock import read_block_levels, write_events
 from repro.codec.vlc import (
     LUT_FIRST_BITS,
     VLCTable,
     read_se_golomb,
     read_ue_golomb,
+    read_ue_golomb_bitwise,
     se_golomb_code,
     ue_golomb_code,
 )
 from repro.codec.vlc_tables import ALL_TABLES
-from repro.codec.zigzag import CoefficientEvent
+from repro.codec.zigzag import CoefficientEvent, events_to_block
+from repro.reference import ScalarBitReader
 
 from .conftest import backend_matrix
 
@@ -39,8 +44,18 @@ from .conftest import backend_matrix
 kernel_backend = backend_matrix()
 
 
-def _decode_all(table, reader, count):
-    return [table.decode(reader) for _ in range(count)]
+#: ``(decode, reader class)`` of the LUT path and of the per-bit oracle;
+#: both decoders take ``(table, reader)``.
+PATHS = ((VLCTable.decode, BitReader), (reference.decode_symbol, ScalarBitReader))
+
+
+def _decode_all(table, data, count):
+    """``count`` symbols off ``data`` along each path."""
+    outs = []
+    for decode, reader_cls in PATHS:
+        reader = reader_cls(data)
+        outs.append([decode(table, reader) for _ in range(count)])
+    return outs
 
 
 class TestLutStructure:
@@ -71,8 +86,7 @@ class TestExhaustiveEquivalence:
         for sym in symbols:
             writer.write_code(table.encode(sym))
         data = writer.getvalue()
-        lut_path = _decode_all(table, BitReader(data), len(symbols))
-        seed_path = _decode_all(table, ScalarBitReader(data), len(symbols))
+        lut_path, seed_path = _decode_all(table, data, len(symbols))
         assert lut_path == symbols
         assert seed_path == symbols
 
@@ -85,11 +99,12 @@ class TestExhaustiveEquivalence:
         for _ in range(200):
             data = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 10)))
             outcomes = []
-            for reader in (BitReader(data), ScalarBitReader(data)):
+            for decode, reader_cls in PATHS:
+                reader = reader_cls(data)
                 decoded, error = [], None
                 try:
                     while True:
-                        decoded.append(table.decode(reader))
+                        decoded.append(decode(table, reader))
                 except (EOFError, ValueError) as exc:
                     error = (type(exc).__name__, str(exc))
                 outcomes.append((decoded, error))
@@ -112,8 +127,7 @@ class TestHypothesisRoundTrip:
         for sym in symbols:
             writer.write_code(table.encode(sym))
         data = writer.getvalue()
-        assert _decode_all(table, BitReader(data), len(symbols)) == symbols
-        assert _decode_all(table, ScalarBitReader(data), len(symbols)) == symbols
+        assert _decode_all(table, data, len(symbols)) == [symbols, symbols]
 
     @settings(max_examples=60)
     @given(
@@ -135,9 +149,10 @@ class TestHypothesisRoundTrip:
             chosen.append((name, sym))
             writer.write_code(table.encode(sym))
         data = writer.getvalue()
-        for reader in (BitReader(data), ScalarBitReader(data)):
+        for decode, reader_cls in PATHS:
+            reader = reader_cls(data)
             for name, sym in chosen:
-                assert ALL_TABLES[name].decode(reader) == sym
+                assert decode(ALL_TABLES[name], reader) == sym
 
     @settings(max_examples=60)
     @given(st.lists(st.integers(min_value=-500, max_value=500), min_size=1, max_size=80))
@@ -148,7 +163,7 @@ class TestHypothesisRoundTrip:
         data = writer.getvalue()
         fast, seed = BitReader(data), ScalarBitReader(data)
         assert [read_se_golomb(fast) for _ in values] == values
-        assert [read_se_golomb(seed) for _ in values] == values
+        assert [reference.read_se_golomb(seed) for _ in values] == values
         assert fast.bits_consumed == seed.bits_consumed
 
     @settings(max_examples=60)
@@ -160,7 +175,7 @@ class TestHypothesisRoundTrip:
         data = writer.getvalue()
         fast, seed = BitReader(data), ScalarBitReader(data)
         assert [read_ue_golomb(fast) for _ in values] == values
-        assert [read_ue_golomb(seed) for _ in values] == values
+        assert [read_ue_golomb_bitwise(seed) for _ in values] == values
 
     @settings(max_examples=40)
     @given(
@@ -174,8 +189,9 @@ class TestHypothesisRoundTrip:
         )
     )
     def test_event_lists(self, raw_events):
-        """write_events → read_events through both readers, including
-        escape-coded events (runs/levels outside the table)."""
+        """write_events → the oracle's read_events through both readers
+        and the LUT block reader, including escape-coded events
+        (runs/levels outside the table)."""
         total = sum(run + 1 for run, _ in raw_events)
         if total > 64:
             raw_events = raw_events[:1]
@@ -186,22 +202,21 @@ class TestHypothesisRoundTrip:
         writer = BitWriter()
         write_events(writer, events)
         data = writer.getvalue()
-        assert read_events(BitReader(data)) == events
-        assert read_events(ScalarBitReader(data)) == events
+        assert reference.read_events(BitReader(data)) == events
+        assert reference.read_events(ScalarBitReader(data)) == events
+        levels = np.zeros(64, dtype=np.int64)
+        read_block_levels(BitReader(data), levels)
+        assert np.array_equal(levels.reshape(8, 8), events_to_block(events))
 
 
 class TestBlockLevelErrorParity:
-    """read_block_levels (LUT fast path) must fail exactly like
-    events_to_block(read_events(...)) (seed path) on corrupt bytes:
+    """read_block_levels (LUT path) must fail exactly like the oracle's
+    events_to_block(read_events(...)) on corrupt bytes:
     same exception type, message, and — when the list is readable —
     same decoded levels."""
 
     @staticmethod
     def _outcome_fast(data):
-        import numpy as np
-
-        from repro.codec.macroblock import read_block_levels
-
         out = np.zeros(64, dtype=np.int64)
         try:
             read_block_levels(BitReader(data), out)
@@ -211,10 +226,8 @@ class TestBlockLevelErrorParity:
 
     @staticmethod
     def _outcome_seed(data):
-        from repro.codec.zigzag import events_to_block
-
         try:
-            block = events_to_block(read_events(ScalarBitReader(data)))
+            block = events_to_block(reference.read_events(ScalarBitReader(data)))
         except (EOFError, ValueError) as exc:
             return (type(exc).__name__, str(exc)), None
         return None, block
@@ -230,8 +243,6 @@ class TestBlockLevelErrorParity:
         assert fast_err[0] == "EOFError"
 
     def test_random_bytes_block_parity(self):
-        import numpy as np
-
         rng = random.Random(99)
         for _ in range(400):
             data = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 24)))
@@ -242,20 +253,26 @@ class TestBlockLevelErrorParity:
                 assert np.array_equal(fast_block, seed_block), data.hex()
 
 
+def golomb_paths(data):
+    """The one-peek ue(v) read and the oracle's bit loop, each on its
+    own reader over ``data``."""
+    return ((read_ue_golomb, BitReader(data)), (read_ue_golomb_bitwise, ScalarBitReader(data)))
+
+
 class TestGolombErrorParity:
     def test_truncated_stream(self):
         # "0001" then EOF: prefix promises more bits than exist.
         data = bytes([0b00010000])
-        for reader in (BitReader(data), ScalarBitReader(data)):
-            read_ue_golomb(reader)  # consumes "0001000" -> value 7
+        for read, reader in golomb_paths(data):
+            read(reader)  # consumes "0001000" -> value 7
             with pytest.raises(EOFError):
-                read_ue_golomb(reader)
+                read(reader)
 
     def test_malformed_all_zeros(self):
         data = bytes(16)  # > 64 leading zeros
-        for reader in (BitReader(data), ScalarBitReader(data)):
+        for read, reader in golomb_paths(data):
             with pytest.raises(ValueError, match="malformed exp-Golomb"):
-                read_ue_golomb(reader)
+                read(reader)
 
 
 class TestCustomTableLut:
@@ -270,5 +287,4 @@ class TestCustomTableLut:
         for sym in symbols:
             writer.write_code(table.encode(sym))
         data = writer.getvalue()
-        assert _decode_all(table, BitReader(data), len(symbols)) == symbols
-        assert _decode_all(table, ScalarBitReader(data), len(symbols)) == symbols
+        assert _decode_all(table, data, len(symbols)) == [symbols, symbols]
