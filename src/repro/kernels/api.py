@@ -8,9 +8,7 @@ implement this surface to accelerate the whole system:
 * ``sad_surfaces`` — the full ±p SAD surface of every macroblock
   (:func:`repro.me.engine.kernels.frame_sad_surfaces`'s packed core);
 * ``evaluate_candidates`` — arbitrary (block, displacement) candidate
-  lists scored in one pass.  ``frame_ring_sad`` — the fast searches'
-  batched opening ring — is this entry composed over the frame's block
-  grid, so it accelerates for free and needs no field of its own;
+  lists scored in one pass;
 * ``refine_half_pel`` — the 8-neighbour half-pel stage for any set of
   blocks;
 * ``intra_mode_costs`` — open-loop DC/vertical/horizontal mode SADs;

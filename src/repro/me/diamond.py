@@ -4,15 +4,17 @@ The workhorse fast search of MPEG-4-era encoders: a large diamond
 pattern (9 points) is greedily re-centred until its best point is the
 centre, then one small diamond (4 points) finishes.  Serves as a
 baseline between TSS and the predictive search in the ablation bench.
+
+The whole-frame path (:class:`repro.me.estimator.PatternSearchEstimator`)
+walks every block's large diamond together — one gather per
+recentring, each block dropping out once its centre wins — then scores
+every block's small diamond in one more gather.
 """
 
 from __future__ import annotations
 
-from repro.me.candidates import CandidateEvaluator
-from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
-from repro.me.search_window import clamped_window
-from repro.me.subpel import refine_half_pel
-from repro.me.types import BlockResult
+from repro.me.candidates import BatchEvaluator, CandidateEvaluator
+from repro.me.estimator import PatternSearchEstimator, register_estimator
 
 #: Large diamond: centre plus 8 points at L1 radius 2.
 LARGE_DIAMOND = ((0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), (1, 1), (0, 2))
@@ -22,7 +24,7 @@ SMALL_DIAMOND = ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 
 @register_estimator("ds")
-class DiamondEstimator(MotionEstimator):
+class DiamondEstimator(PatternSearchEstimator):
     """Classic two-pattern diamond search with half-pel refinement.
 
     ``max_recentres`` bounds the large-diamond walk so worst-case cost
@@ -41,34 +43,13 @@ class DiamondEstimator(MotionEstimator):
             raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
         self.max_recentres = max_recentres
 
-    def first_ring(self):
-        """Centre plus the first large diamond, batched across blocks
-        by the frame driver."""
-        return ((0, 0),) + LARGE_DIAMOND
-
-    def search_block(self, ctx: BlockContext) -> BlockResult:
-        window = clamped_window(
-            ctx.block_y,
-            ctx.block_x,
-            self.block_size,
-            self.block_size,
-            ctx.reference.shape[0],
-            ctx.reference.shape[1],
-            self.p,
-        )
-        evaluator = CandidateEvaluator(
-            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
-            precomputed=ctx.warm_sads,
-        )
+    def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)
         evaluator.descend(LARGE_DIAMOND, self.max_recentres)
         cx, cy = evaluator.best_dx, evaluator.best_dy
         evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in SMALL_DIAMOND)
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+
+    def walk_frame(self, evaluator: BatchEvaluator) -> None:
+        evaluator.evaluate(evaluator.all, 0, 0)
+        evaluator.descend(evaluator.all, LARGE_DIAMOND, self.max_recentres)
+        evaluator.evaluate_around(evaluator.all, SMALL_DIAMOND)

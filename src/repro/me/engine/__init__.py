@@ -17,8 +17,8 @@ candidate evaluation; this package is that engine:
   minimum selection (full-search tie-break semantics) and batched
   8-neighbour half-pel refinement over all blocks at once.
 * :func:`evaluate_candidates_batch` — arbitrary candidate lists scored
-  for many blocks in one gather, used by the fast searches'
-  :class:`repro.me.candidates.CandidateEvaluator`.
+  for many blocks in one gather, behind the predictive and pattern
+  searches' :class:`repro.me.candidates.BatchEvaluator`.
 
 The reconstruction side gets the same treatment
 (:mod:`repro.me.engine.reconstruction` and
@@ -47,7 +47,6 @@ from repro.me.engine.kernels import (
     SURFACE_SENTINEL,
     FrameSadSurfaces,
     evaluate_candidates_batch,
-    frame_ring_sad,
     frame_sad_surfaces,
     intra_mode_cost_surfaces,
     refine_half_pel_batch,
@@ -78,7 +77,6 @@ __all__ = [
     "evaluate_candidates_batch",
     "frame_mc_chroma",
     "frame_mc_luma",
-    "frame_ring_sad",
     "frame_sad_surfaces",
     "intra_mode_cost_surfaces",
     "refine_half_pel_batch",

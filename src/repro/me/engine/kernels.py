@@ -15,10 +15,8 @@ frame per NumPy pass:
   every block (or any subset of blocks) at once, reading
   :class:`ReferencePlane`'s cached plane.
 * :func:`evaluate_candidates_batch` — arbitrary (block, displacement)
-  candidate lists scored in one gather, for the fast searches.
-* :func:`frame_ring_sad` — one fixed candidate ring scored for every
-  macroblock of the frame at once; backs the fast searches' batched
-  first-stage evaluations (their only data-independent stage).
+  candidate lists scored in one gather; every stage of the predictive
+  and pattern searches (:class:`repro.me.candidates.BatchEvaluator`).
 
 All outputs are bit-exact with the per-block reference implementations
 (:func:`repro.me.full_search.full_search_sads`,
@@ -494,45 +492,6 @@ def intra_mode_costs_numpy(y: np.ndarray, block_size: int) -> np.ndarray:
         left = cur[:, s - 1 :: s][:, : cols - 1].reshape(rows, s, cols - 1, 1)
         costs[2, :, 1:] = np.abs(blocks[:, :, 1:] - left).sum(axis=(1, 3))
     return costs
-
-
-def frame_ring_sad(
-    current: np.ndarray,
-    reference: np.ndarray | ReferencePlane,
-    offsets,
-    block_size: int,
-) -> np.ndarray:
-    """SADs of *every* macroblock at one fixed displacement ring.
-
-    The fast searches (TSS/NTSS/4SS/DS/HEXBS/CDS) all open with the
-    same candidate pattern around ``(0, 0)`` for every block of the
-    frame — the only stage of those searches that is data-independent
-    and therefore batchable across blocks.  ``offsets`` is a sequence
-    of ``(dx, dy)`` displacements; the return value has shape
-    ``(mb_rows, mb_cols, len(offsets))`` (int64) with ``-1`` marking
-    candidates whose block leaves the reference plane.  One gather
-    replaces ``mb_rows * mb_cols`` per-block round trips; values are
-    bit-exact with :func:`repro.me.metrics.sad` per candidate.
-    """
-    cur = np.asarray(current)
-    ref = _luma(reference)
-    if cur.shape != ref.shape:
-        raise ValueError(f"plane shapes differ: {cur.shape} vs {ref.shape}")
-    s = block_size
-    h, w = cur.shape
-    if h % s or w % s:
-        raise ValueError(f"plane {cur.shape} not a multiple of block size {s}")
-    offs = np.asarray(list(offsets), dtype=np.int64)
-    if offs.ndim != 2 or offs.shape[1] != 2 or not len(offs):
-        raise ValueError(f"offsets must be a non-empty sequence of (dx, dy) pairs, got {offs.shape}")
-    rows, cols = h // s, w // s
-    block_ys = np.repeat(np.arange(rows, dtype=np.int64) * s, cols)
-    block_xs = np.tile(np.arange(cols, dtype=np.int64) * s, rows)
-    k = offs.shape[0]
-    dxs = np.broadcast_to(offs[:, 0], (rows * cols, k))
-    dys = np.broadcast_to(offs[:, 1], (rows * cols, k))
-    sads = evaluate_candidates_batch(cur, reference, block_ys, block_xs, dys, dxs, s)
-    return sads.reshape(rows, cols, k)
 
 
 def evaluate_candidates_batch(

@@ -1,4 +1,4 @@
-"""Motion-estimator interface, frame driver and registry.
+"""Motion-estimator interface, frame drivers and registry.
 
 Every algorithm (full search, predictive, ACBM, the fast-search
 baselines) implements one method — :meth:`MotionEstimator.search_block`
@@ -7,17 +7,16 @@ baselines) implements one method — :meth:`MotionEstimator.search_block`
 walks the macroblock grid in raster order (the order H.263 encodes, and
 the order that makes the left/top spatial predictors of Fig. 2
 available), assembling a :class:`MotionField` and a
-:class:`SearchStats`; estimators with a whole-frame vectorized path
-override it and batch every block through :mod:`repro.me.engine`
-instead, with bit-identical results.  FSBM computes every block's
-surface in one pass; predictive and ACBM iterate whole-frame sweeps to
-the raster walk's unique fixed point
-(:func:`repro.me.predictive.sweep_frame`).  The default walk itself
-batches what it can: searches that declare a fixed opening pattern
-(:meth:`MotionEstimator.first_ring`) get that ring scored for every
-block in one :func:`repro.me.engine.frame_ring_sad` gather before the
-walk starts, and each block's evaluator is seeded with the precomputed
-SADs.
+:class:`SearchStats`; every estimator overrides it with a whole-frame
+vectorized path through :mod:`repro.me.engine`, bit-identical to the
+walk, and keeps the walk only outside the batched kernels' envelope
+(:func:`repro.me.engine.supports_vectorized_search`).  FSBM computes
+every block's surface in one pass; predictive and ACBM iterate
+whole-frame sweeps to the raster walk's unique fixed point
+(:func:`repro.me.predictive.sweep_frame`); the fixed-pattern searches
+(:class:`PatternSearchEstimator`: TSS, NTSS, 4SS, DS, HEXBS, CDS) read
+no neighbour's vector, so they run each stage for every macroblock in
+lockstep on one :class:`repro.me.candidates.BatchEvaluator`.
 
 ``estimate`` takes 2-D ``uint8`` planes only and builds one
 :class:`repro.me.engine.ReferencePlane` per call (or accepts a shared
@@ -35,13 +34,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from repro.me.engine.kernels import frame_ring_sad
+from repro.me.candidates import BatchEvaluator, CandidateEvaluator
+from repro.me.engine.kernels import supports_vectorized_search
 from repro.me.engine.reference_plane import ReferencePlane
+from repro.me.search_window import clamped_window
 from repro.me.stats import SearchStats
+from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField
 
 
@@ -59,13 +61,6 @@ class BlockContext:
     qp: int
     #: The per-frame cache of ``reference`` every search reads.
     ref_plane: ReferencePlane
-    #: Pre-scored first-ring SADs for *this* block, keyed by ``(dx, dy)``
-    #: — filled by the frame driver from one :func:`frame_ring_sad`
-    #: gather when the estimator declares a fixed first ring.  A
-    #: :class:`repro.me.candidates.CandidateEvaluator` consults it on
-    #: cache misses, so values are used (and counted) only for the
-    #: positions the search actually visits.
-    warm_sads: "Mapping[tuple[int, int], int] | None" = None
 
     @property
     def block_y(self) -> int:
@@ -115,40 +110,6 @@ class MotionEstimator(ABC):
     @abstractmethod
     def search_block(self, ctx: BlockContext) -> BlockResult:
         """Find the motion vector for the macroblock described by ``ctx``."""
-
-    def first_ring(self) -> "tuple[tuple[int, int], ...] | None":
-        """The fixed first-stage candidate displacements, or ``None``.
-
-        Pattern searches whose opening stage evaluates the same
-        ``(dx, dy)`` set for every block (TSS's step ring, DS's large
-        diamond, ...) return it here; the frame driver then scores the
-        ring for *all* blocks in one :func:`frame_ring_sad` gather and
-        seeds each block's evaluator with the results.  Searches whose
-        first candidates depend on the field being built (predictive,
-        ACBM) return ``None``; they batch through their own frame
-        driver instead.
-        """
-        return None
-
-    def _first_ring_warm(
-        self, current: np.ndarray, plane: ReferencePlane, rows: int, cols: int
-    ) -> "list[list[dict[tuple[int, int], int]]] | None":
-        """Per-block warm SAD dictionaries from one batched ring gather,
-        or ``None`` when the search declares no fixed first ring.
-        Candidates whose block leaves the plane are dropped (the
-        evaluator's window test rejects them before the warm cache is
-        consulted anyway)."""
-        ring = self.first_ring()
-        if not ring:
-            return None
-        sads = frame_ring_sad(current, plane, ring, self.block_size).tolist()
-        return [
-            [
-                {off: value for off, value in zip(ring, sads[r][c]) if value >= 0}
-                for c in range(cols)
-            ]
-            for r in range(rows)
-        ]
 
     def estimate(
         self,
@@ -215,13 +176,13 @@ class MotionEstimator(ABC):
         every block's full search; predictive and ACBM, whose block
         decisions feed later blocks through Fig. 2's causal
         predictors, run whole-frame sweeps to the raster walk's unique
-        fixed point.  Both fall back to this walk outside the batched
+        fixed point; the pattern searches run their stages in
+        lockstep.  All fall back to this walk outside the batched
         kernels' envelope.  Inputs are pre-validated by
         :meth:`estimate`.
         """
         s = self.block_size
         rows, cols = current.shape[0] // s, current.shape[1] // s
-        warm = self._first_ring_warm(current, plane, rows, cols)
         field = MotionField(rows, cols)
         stats = SearchStats()
         for r in range(rows):
@@ -236,7 +197,6 @@ class MotionEstimator(ABC):
                     prev_field=prev_field,
                     qp=qp,
                     ref_plane=plane,
-                    warm_sads=warm[r][c] if warm is not None else None,
                 )
                 result = self.search_block(ctx)
                 field.set(r, c, result.mv)
@@ -246,6 +206,77 @@ class MotionEstimator(ABC):
                     decision=getattr(result, "decision", None),
                 )
         return field, stats
+
+
+class PatternSearchEstimator(MotionEstimator):
+    """A fixed-pattern fast search (TSS, NTSS, 4SS, DS, HEXBS, CDS).
+
+    Subclasses state their stages twice, over the two evaluators:
+    :meth:`walk` for one block on a
+    :class:`~repro.me.candidates.CandidateEvaluator` — the definition,
+    run by :meth:`search_block` — and :meth:`walk_frame` for every
+    block at once on a :class:`~repro.me.candidates.BatchEvaluator`,
+    with per-block masks for the conditional stages.  Both must visit
+    the same positions per block; since these searches read no
+    neighbour's vector, a stage scored in one gather then gives each
+    block the best its own walk finds, and :meth:`estimate_frame`
+    equals the raster walk with no fixed point to iterate to.  Both
+    finish with the half-pel stage.
+    """
+
+    @abstractmethod
+    def walk(self, evaluator: CandidateEvaluator) -> None:
+        """The integer-pel stages for one block."""
+
+    @abstractmethod
+    def walk_frame(self, evaluator: BatchEvaluator) -> None:
+        """:meth:`walk` for every block of ``evaluator`` in lockstep."""
+
+    def search_block(self, ctx: BlockContext) -> BlockResult:
+        s = self.block_size
+        window = clamped_window(
+            ctx.block_y, ctx.block_x, s, s, ctx.reference.shape[0], ctx.reference.shape[1], self.p
+        )
+        evaluator = CandidateEvaluator(ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window)
+        self.walk(evaluator)
+        mv, best_sad = evaluator.best()
+        positions = evaluator.positions
+        if self.half_pel:
+            mv, best_sad, extra = refine_half_pel(
+                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
+            )
+            positions += extra
+        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+
+    def lockstep(
+        self, current: np.ndarray, plane: ReferencePlane
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every block's :meth:`search_block` outcome — ``(hx, hy, sad,
+        positions)`` as ``(rows, cols)`` grids — from :meth:`walk_frame`
+        over the whole grid; needs :func:`supports_vectorized_search`."""
+        s = self.block_size
+        rows, cols = current.shape[0] // s, current.shape[1] // s
+        mb_rows, mb_cols = np.divmod(np.arange(rows * cols), cols)
+        evaluator = BatchEvaluator(current, plane, mb_rows, mb_cols, s, self.p)
+        self.walk_frame(evaluator)
+        return tuple(a.reshape(rows, cols) for a in evaluator.result(self.half_pel))
+
+    def estimate_frame(
+        self,
+        current: np.ndarray,
+        reference: np.ndarray,
+        plane: ReferencePlane,
+        prev_field: MotionField | None,
+        qp: int,
+    ) -> tuple[MotionField, SearchStats]:
+        """:meth:`lockstep`, or the raster walk outside
+        :func:`supports_vectorized_search` (FSBM's envelope)."""
+        if not supports_vectorized_search(plane.luma, self.block_size, self.p):
+            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        hx, hy, _, positions = self.lockstep(current, plane)
+        stats = SearchStats()
+        stats.record_frame(positions)
+        return MotionField.from_arrays(hx, hy), stats
 
 
 # -- registry -----------------------------------------------------------

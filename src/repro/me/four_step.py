@@ -5,15 +5,20 @@ is the window centre the step drops to 1 (final 3x3 stage), otherwise
 the 5x5 pattern re-centres (classically at most twice before the final
 stage; we keep that bound).  Exploits the centre-biased motion-vector
 distribution of real video.
+
+The whole-frame path (:class:`repro.me.estimator.PatternSearchEstimator`)
+scores the opening pattern for every block in one gather, re-centres
+the blocks whose best moved off the centre together (at most
+``max_recentres`` gathers, blocks dropping out as their best settles)
+and finishes with one gather of every block's 3x3 stage.
 """
 
 from __future__ import annotations
 
-from repro.me.candidates import CandidateEvaluator
-from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
-from repro.me.search_window import clamped_window
-from repro.me.subpel import refine_half_pel
-from repro.me.types import BlockResult
+import numpy as np
+
+from repro.me.candidates import BatchEvaluator, CandidateEvaluator, pattern_offsets
+from repro.me.estimator import PatternSearchEstimator, register_estimator
 
 _OUTER = tuple(
     (ox, oy)
@@ -30,7 +35,7 @@ _INNER = tuple(
 
 
 @register_estimator("fss")
-class FourStepEstimator(MotionEstimator):
+class FourStepEstimator(PatternSearchEstimator):
     """Classic four-step search with half-pel refinement."""
 
     def __init__(
@@ -45,25 +50,7 @@ class FourStepEstimator(MotionEstimator):
             raise ValueError(f"max_recentres must be >= 0, got {max_recentres}")
         self.max_recentres = max_recentres
 
-    def first_ring(self):
-        """Centre plus the opening 5x5/step-2 pattern, batched across
-        blocks by the frame driver."""
-        return ((0, 0),) + _OUTER
-
-    def search_block(self, ctx: BlockContext) -> BlockResult:
-        window = clamped_window(
-            ctx.block_y,
-            ctx.block_x,
-            self.block_size,
-            self.block_size,
-            ctx.reference.shape[0],
-            ctx.reference.shape[1],
-            self.p,
-        )
-        evaluator = CandidateEvaluator(
-            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
-            precomputed=ctx.warm_sads,
-        )
+    def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)
         evaluator.evaluate_many(_OUTER)
         recentres = 0
@@ -75,11 +62,9 @@ class FourStepEstimator(MotionEstimator):
             recentres += 1
         cx, cy = evaluator.best_dx, evaluator.best_dy
         evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in _INNER)
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+
+    def walk_frame(self, evaluator: BatchEvaluator) -> None:
+        evaluator.evaluate(evaluator.all, *pattern_offsets(((0, 0),) + _OUTER))
+        moving = np.flatnonzero((evaluator.dx != 0) | (evaluator.dy != 0))
+        evaluator.descend(moving, _OUTER, self.max_recentres)
+        evaluator.evaluate_around(evaluator.all, _INNER)

@@ -6,23 +6,25 @@ re-centre adds only 3 new points thanks to pattern overlap — the
 evaluator's cache makes that automatic), then a 4-point small diamond
 finishes.  Included as the strongest classic baseline in the ablation
 bench.
+
+The whole-frame path (:class:`repro.me.estimator.PatternSearchEstimator`)
+walks every block's hexagon together, one gather per recentring with
+blocks dropping out as they settle, then one gather for the small
+diamonds.
 """
 
 from __future__ import annotations
 
-from repro.me.candidates import CandidateEvaluator
+from repro.me.candidates import BatchEvaluator, CandidateEvaluator
 from repro.me.diamond import SMALL_DIAMOND
-from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
-from repro.me.search_window import clamped_window
-from repro.me.subpel import refine_half_pel
-from repro.me.types import BlockResult
+from repro.me.estimator import PatternSearchEstimator, register_estimator
 
 #: Large hexagon: 6 points, radius 2 horizontally, (1, 2) diagonally.
 LARGE_HEXAGON = ((-2, 0), (2, 0), (-1, -2), (1, -2), (-1, 2), (1, 2))
 
 
 @register_estimator("hexbs")
-class HexagonEstimator(MotionEstimator):
+class HexagonEstimator(PatternSearchEstimator):
     """Hexagon-based search with half-pel refinement."""
 
     def __init__(
@@ -37,34 +39,13 @@ class HexagonEstimator(MotionEstimator):
             raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
         self.max_recentres = max_recentres
 
-    def first_ring(self):
-        """Centre plus the first large hexagon, batched across blocks
-        by the frame driver."""
-        return ((0, 0),) + LARGE_HEXAGON
-
-    def search_block(self, ctx: BlockContext) -> BlockResult:
-        window = clamped_window(
-            ctx.block_y,
-            ctx.block_x,
-            self.block_size,
-            self.block_size,
-            ctx.reference.shape[0],
-            ctx.reference.shape[1],
-            self.p,
-        )
-        evaluator = CandidateEvaluator(
-            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
-            precomputed=ctx.warm_sads,
-        )
+    def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)
         evaluator.descend(LARGE_HEXAGON, self.max_recentres)
         cx, cy = evaluator.best_dx, evaluator.best_dy
         evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in SMALL_DIAMOND)
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+
+    def walk_frame(self, evaluator: BatchEvaluator) -> None:
+        evaluator.evaluate(evaluator.all, 0, 0)
+        evaluator.descend(evaluator.all, LARGE_HEXAGON, self.max_recentres)
+        evaluator.evaluate_around(evaluator.all, SMALL_DIAMOND)

@@ -8,55 +8,33 @@ finishes (at most 5 new points); otherwise the ordinary TSS descent
 continues.  Real-video vector fields are strongly centre-biased, so
 the average cost drops well below TSS's while accuracy improves.
 
+The whole-frame path (:class:`repro.me.estimator.PatternSearchEstimator`)
+scores the first stage for every block in one gather, then splits the
+blocks by which stop they take: one gather for the unit winners' 3x3
+patches, one per remaining step size for the TSS continuation.
+
 Not cited by the paper directly but contemporary with its baselines;
 included in the ablation bench for completeness.
 """
 
 from __future__ import annotations
 
-from repro.me.candidates import CandidateEvaluator
-from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
-from repro.me.search_window import clamped_window
-from repro.me.subpel import refine_half_pel
-from repro.me.three_step import initial_step
-from repro.me.types import BlockResult
+import numpy as np
 
-_UNIT_RING = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+from repro.me.candidates import UNIT_RING, BatchEvaluator, CandidateEvaluator, pattern_offsets
+from repro.me.estimator import PatternSearchEstimator, register_estimator
+from repro.me.three_step import initial_step, scaled
 
 
 @register_estimator("ntss")
-class NewThreeStepEstimator(MotionEstimator):
+class NewThreeStepEstimator(PatternSearchEstimator):
     """Centre-biased new three-step search with half-pel refinement."""
 
-    def first_ring(self):
-        """Centre, the unit ring and the step-sized ring — NTSS's fixed
-        first stage, batched across blocks by the frame driver."""
+    def walk(self, evaluator: CandidateEvaluator) -> None:
         step = initial_step(self.p)
-        ring = [(0, 0)]
-        for ox, oy in _UNIT_RING:
-            ring.append((ox, oy))
-            if (ox * step, oy * step) not in ring:
-                ring.append((ox * step, oy * step))
-        return tuple(ring)
-
-    def search_block(self, ctx: BlockContext) -> BlockResult:
-        window = clamped_window(
-            ctx.block_y,
-            ctx.block_x,
-            self.block_size,
-            self.block_size,
-            ctx.reference.shape[0],
-            ctx.reference.shape[1],
-            self.p,
-        )
-        evaluator = CandidateEvaluator(
-            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
-            precomputed=ctx.warm_sads,
-        )
+        # First stage: centre, unit ring and step-sized ring.
         evaluator.evaluate(0, 0)
-        step = initial_step(self.p)
-        # First stage: step-sized ring plus the unit ring.
-        for ox, oy in _UNIT_RING:
+        for ox, oy in UNIT_RING:
             evaluator.evaluate(ox, oy)
             evaluator.evaluate(ox * step, oy * step)
         best = (evaluator.best_dx, evaluator.best_dy)
@@ -65,21 +43,23 @@ class NewThreeStepEstimator(MotionEstimator):
         elif max(abs(best[0]), abs(best[1])) <= 1:
             # Second-step stop: a 3x3 patch around the unit winner.
             cx, cy = best
-            evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in _UNIT_RING)
+            evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in UNIT_RING)
         else:
             # Ordinary TSS continuation from the step-ring winner.
             step //= 2
             while step >= 1:
                 cx, cy = evaluator.best_dx, evaluator.best_dy
-                evaluator.evaluate_many(
-                    (cx + ox * step, cy + oy * step) for ox, oy in _UNIT_RING
-                )
+                evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in scaled(UNIT_RING, step))
                 step //= 2
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+
+    def walk_frame(self, evaluator: BatchEvaluator) -> None:
+        step = initial_step(self.p)
+        evaluator.evaluate(evaluator.all, *pattern_offsets(((0, 0),) + UNIT_RING + scaled(UNIT_RING, step)))
+        reach = np.maximum(np.abs(evaluator.dx), np.abs(evaluator.dy))
+        unit, rest = np.flatnonzero(reach == 1), np.flatnonzero(reach > 1)
+        evaluator.evaluate_around(unit, UNIT_RING)
+        step //= 2
+        while step >= 1:
+            evaluator.evaluate_around(rest, scaled(UNIT_RING, step))
+            step //= 2
+

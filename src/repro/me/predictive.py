@@ -53,14 +53,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.me.candidates import CandidateEvaluator
-from repro.me.engine.kernels import (
-    evaluate_candidates_batch,
-    refine_half_pel_batch,
-    supports_vectorized_search,
-    tiebreak_keys,
-    window_bounds,
-)
+from repro.me.candidates import UNIT_RING, BatchEvaluator, CandidateEvaluator
+from repro.me.engine.kernels import supports_vectorized_search
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
 from repro.me.search_window import clamped_window
@@ -69,11 +63,6 @@ from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField, MotionVector
 from repro.obs import metrics
 
-#: ±1 integer-pel ring used by the bounded refinement descent.
-_RING = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-_RING_DX = np.array([dx for dx, _ in _RING], dtype=np.int64)
-_RING_DY = np.array([dy for _, dy in _RING], dtype=np.int64)
-
 #: Fig. 2's spatial predictors as ``(dr, dc)``: left, top-left, top,
 #: top-right (mv4t, mv1t, mv2t, mv3t) — the only entries of the field
 #: being built that a block reads.
@@ -81,10 +70,6 @@ SPATIAL_NEIGHBOURS = ((0, -1), (-1, -1), (-1, 0), (-1, 1))
 #: Fig. 2's temporal predictors from the previous field: collocated plus
 #: the neighbours unavailable spatially (mv0t-1, mv5t-1, mv7t-1, mv8t-1).
 TEMPORAL_NEIGHBOURS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-#: Rank of a candidate outside its block's window: above any
-#: ``SAD << 30 | key`` (SADs stay below 2^16).
-_OUT_OF_WINDOW = np.int64(1) << 62
 
 _MET_SWEEPS = metrics.counter("me.sweeps")
 
@@ -263,7 +248,7 @@ class PredictiveEstimator(MotionEstimator):
             dx, dy = window.clamp(round(mv.hx / 2), round(mv.hy / 2))
             evaluator.evaluate(dx, dy)
         if self.refine_steps:
-            evaluator.descend(_RING, self.refine_steps)
+            evaluator.descend(UNIT_RING, self.refine_steps)
         mv, best_sad = evaluator.best()
         positions = evaluator.positions
         if self.half_pel:
@@ -286,19 +271,14 @@ class PredictiveEstimator(MotionEstimator):
         :data:`SweepStep` returning ``(hx, hy, sad, positions)`` for any
         set of blocks, given the current field guess."""
         s, p = self.block_size, self.p
-        h, w = current.shape
-        rows, cols = h // s, w // s
-        dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, s, p)
+        cols = current.shape[1] // s
         prev = None
         if prev_field is not None:
             prev = tuple(np.pad(a, ((0, 1), (0, 1))) for a in prev_field.to_arrays())
-        n = 2 * p + 1
 
         def search(idx, hx, hy):
             r, c = np.divmod(idx, cols)
-            by, bx = r * s, c * s
-            lo_x, hi_x = dx_min[c][:, None], dx_max[c][:, None]
-            lo_y, hi_y = dy_min[r][:, None], dy_max[r][:, None]
+            evaluator = BatchEvaluator(current, plane, r, c, s, p)
             # Predictors: zero, then the spatial and temporal neighbours.
             # A missing neighbour reads the zero padding — a duplicate of
             # the zero predictor, which changes neither the best nor the
@@ -309,51 +289,19 @@ class PredictiveEstimator(MotionEstimator):
             if prev is not None:
                 cols_x += [prev[0][r + dr, c + dc] for dr, dc in TEMPORAL_NEIGHBOURS]
                 cols_y += [prev[1][r + dr, c + dc] for dr, dc in TEMPORAL_NEIGHBOURS]
-            # Integer projection: np.rint rounds half to even, like round().
-            cdx = np.clip(np.rint(np.stack(cols_x, axis=1) / 2).astype(np.int64), lo_x, hi_x)
-            cdy = np.clip(np.rint(np.stack(cols_y, axis=1) / 2).astype(np.int64), lo_y, hi_y)
-            sads = evaluate_candidates_batch(current, plane, by, bx, cdy, cdx, s)
-            rank = (sads << 30) | tiebreak_keys(cdx, cdy, p)
-            pick = rank.argmin(axis=1)
-            rows_n = np.arange(idx.size)
-            best_rank = rank[rows_n, pick]
-            best_dx, best_dy = cdx[rows_n, pick], cdy[rows_n, pick]
-            visited = [(cdy + p) * n + cdx + p]
-            active = rows_n
-            for _ in range(self.refine_steps):
-                rdx = best_dx[active, None] + _RING_DX
-                rdy = best_dy[active, None] + _RING_DY
-                inside = (
-                    (rdx >= lo_x[active]) & (rdx <= hi_x[active])
-                    & (rdy >= lo_y[active]) & (rdy <= hi_y[active])
-                )
-                rdx, rdy = np.where(inside, rdx, 0), np.where(inside, rdy, 0)
-                sads = evaluate_candidates_batch(current, plane, by[active], bx[active], rdy, rdx, s)
-                rank = np.where(inside, (sads << 30) | tiebreak_keys(rdx, rdy, p), _OUT_OF_WINDOW)
-                codes = np.full((idx.size, len(_RING)), -1, dtype=np.int64)
-                codes[active] = np.where(inside, (rdy + p) * n + rdx + p, -1)
-                visited.append(codes)
-                pick = rank.argmin(axis=1)
-                ring_best = rank[np.arange(active.size), pick]
-                moved = ring_best < best_rank[active]
-                active_moved = active[moved]
-                best_rank[active_moved] = ring_best[moved]
-                best_dx[active_moved] = rdx[moved, pick[moved]]
-                best_dy[active_moved] = rdy[moved, pick[moved]]
-                active = active_moved
-                if not active.size:
-                    break
-            codes = np.sort(np.concatenate(visited, axis=1), axis=1)
-            fresh = codes >= 0
-            fresh[:, 1:] &= codes[:, 1:] != codes[:, :-1]
-            positions = fresh.sum(axis=1, dtype=np.int64)
-            best_sad = best_rank >> 30
-            if not self.half_pel:
-                return 2 * best_dx, 2 * best_dy, best_sad, positions
-            mhx, mhy, best_sad, extra = refine_half_pel_batch(
-                current, plane, best_dx, best_dy, best_sad, s, p, blocks=(r, c)
+            # Integer projection (np.rint rounds half to even, like
+            # round()), clamped into each block's window.
+            cdx = np.clip(
+                np.rint(np.stack(cols_x, axis=1) / 2).astype(np.int64),
+                evaluator.lo_x[:, None], evaluator.hi_x[:, None],
             )
-            return mhx, mhy, best_sad, positions + extra
+            cdy = np.clip(
+                np.rint(np.stack(cols_y, axis=1) / 2).astype(np.int64),
+                evaluator.lo_y[:, None], evaluator.hi_y[:, None],
+            )
+            evaluator.evaluate(evaluator.all, cdx, cdy)
+            evaluator.descend(evaluator.all, UNIT_RING, self.refine_steps)
+            return evaluator.result(self.half_pel)
 
         return search
 

@@ -5,15 +5,16 @@ the classic ±7 window, 8 for the paper's ±15), evaluate the centre and
 its 8 neighbours at that step, re-centre on the winner, halve the step
 and repeat until step 1.  Included as the canonical member of the
 "reduce the number of search points" family ACBM competes with.
+
+Every stage runs for every block, so the whole-frame path
+(:class:`repro.me.estimator.PatternSearchEstimator`) is one gather per
+step size for the frame.
 """
 
 from __future__ import annotations
 
-from repro.me.candidates import CandidateEvaluator
-from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
-from repro.me.search_window import clamped_window
-from repro.me.subpel import refine_half_pel
-from repro.me.types import BlockResult
+from repro.me.candidates import UNIT_RING, BatchEvaluator, CandidateEvaluator, pattern_offsets
+from repro.me.estimator import PatternSearchEstimator, register_estimator
 
 
 def initial_step(p: int) -> int:
@@ -27,47 +28,27 @@ def initial_step(p: int) -> int:
     return step
 
 
+def scaled(pattern, step: int) -> tuple[tuple[int, int], ...]:
+    """``pattern`` with every offset multiplied by ``step``."""
+    return tuple((ox * step, oy * step) for ox, oy in pattern)
+
+
 @register_estimator("tss")
-class ThreeStepEstimator(MotionEstimator):
+class ThreeStepEstimator(PatternSearchEstimator):
     """Classic three-step search with half-pel refinement."""
 
-    def first_ring(self):
-        """Centre plus the 8 step-sized points of the first stage —
-        identical for every block, so the frame driver batches it."""
-        step = initial_step(self.p)
-        return ((0, 0),) + tuple(
-            (ox, oy) for ox in (-step, 0, step) for oy in (-step, 0, step) if (ox, oy) != (0, 0)
-        )
-
-    def search_block(self, ctx: BlockContext) -> BlockResult:
-        window = clamped_window(
-            ctx.block_y,
-            ctx.block_x,
-            self.block_size,
-            self.block_size,
-            ctx.reference.shape[0],
-            ctx.reference.shape[1],
-            self.p,
-        )
-        evaluator = CandidateEvaluator(
-            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window,
-            precomputed=ctx.warm_sads,
-        )
+    def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)
         step = initial_step(self.p)
         while step >= 1:
             cx, cy = evaluator.best_dx, evaluator.best_dy
-            for ox in (-step, 0, step):
-                for oy in (-step, 0, step):
-                    if ox == 0 and oy == 0:
-                        continue
-                    evaluator.evaluate(cx + ox, cy + oy)
+            evaluator.evaluate_many((cx + ox, cy + oy) for ox, oy in scaled(UNIT_RING, step))
             step //= 2
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+
+    def walk_frame(self, evaluator: BatchEvaluator) -> None:
+        step = initial_step(self.p)
+        evaluator.evaluate(evaluator.all, *pattern_offsets(((0, 0),) + scaled(UNIT_RING, step)))
+        step //= 2
+        while step >= 1:
+            evaluator.evaluate_around(evaluator.all, scaled(UNIT_RING, step))
+            step //= 2

@@ -7,8 +7,9 @@ seed way of doing each, sharing none of that machinery, so agreement
 with it pins every batched path:
 
 * :func:`estimate_motion` — raster-order
-  :meth:`~repro.me.estimator.MotionEstimator.search_block` calls, no
-  frame driver and no pre-scored first ring;
+  :meth:`~repro.me.estimator.MotionEstimator.search_block` calls on
+  :class:`~repro.me.candidates.CandidateEvaluator` (one
+  :func:`~repro.me.metrics.sad` per candidate), no frame driver;
 * :class:`ScalarBitReader`, :func:`decode_symbol` (the per-bit VLC tree
   walk), :func:`read_events`, the three picture-body walks and
   :func:`parse_bitstream_symbols` (v2 framing from the shared

@@ -29,7 +29,7 @@ from repro.me.engine import (
 from repro.me.engine.kernels import _frame_sad_surfaces_generic
 from repro.me.estimator import available_estimators, create_estimator
 from repro.me.full_search import FullSearchEstimator, full_search_sads, select_minimum
-from repro.me.metrics import sad_deviation
+from repro.me.metrics import sad, sad_deviation
 from repro.me.search_window import SearchWindow, clamped_window
 from repro.me.subpel import half_pel_block, predict_block, refine_half_pel
 from repro.me.types import MotionVector
@@ -297,9 +297,42 @@ class TestEvaluateCandidatesBatch:
         )[0]
         assert sads[0] == -1 and sads[2] == -1 and sads[1] == 0
 
+    def test_frame_grid_matches_per_candidate_sad(self):
+        """Every block of a frame against one displacement set: each
+        value is :func:`repro.me.metrics.sad` of the candidate, and
+        ``-1`` exactly where the candidate block leaves the plane."""
+        h, w, s = 80, 96, 16
+        ref = textured_plane(h, w, seed=42)
+        cur = shifted_plane(ref, 2, -1)
+        offsets = ((0, 0), (-2, 1), (3, -4), (8, 8), (-15, 0))
+        rows, cols = h // s, w // s
+        block_ys = np.repeat(np.arange(rows) * s, cols)
+        block_xs = np.tile(np.arange(cols) * s, rows)
+        dxs = np.array([[dx for dx, _ in offsets]] * (rows * cols))
+        dys = np.array([[dy for _, dy in offsets]] * (rows * cols))
+        out = evaluate_candidates_batch(cur, ref, block_ys, block_xs, dys, dxs, s)
+        assert out.shape == (rows * cols, len(offsets))
+        for i, (y, x) in enumerate(zip(block_ys.tolist(), block_xs.tolist())):
+            for k, (dx, dy) in enumerate(offsets):
+                y0, x0 = y + dy, x + dx
+                if 0 <= y0 <= h - s and 0 <= x0 <= w - s:
+                    expected = sad(cur[y : y + s, x : x + s], ref[y0 : y0 + s, x0 : x0 + s])
+                    assert out[i, k] == expected
+                else:
+                    assert out[i, k] == -1
+
+    def test_raw_reference_equivalent_to_plane(self):
+        ref = textured_plane(48, 64, seed=43)
+        cur = shifted_plane(ref, 1, 1)
+        args = (np.array([0, 16, 32]), np.array([16, 0, 48]), np.array([[0, 1, -8]] * 3), np.array([[3, 0, 1]] * 3), 16)
+        assert np.array_equal(
+            evaluate_candidates_batch(cur, ref, *args),
+            evaluate_candidates_batch(cur, ReferencePlane.wrap(ref), *args),
+        )
+
     def test_evaluate_many_identical_to_sequential(self):
-        """The batched evaluate_many must leave the evaluator in exactly
-        the state a sequential loop produces (cache, best, count)."""
+        """evaluate_many must leave the evaluator in exactly the state a
+        sequential loop produces (cache, best, count)."""
         ref = tie_heavy_plane(60)
         cur = tie_heavy_plane(61)
         window = SearchWindow(-7, 7, -7, 7)
@@ -365,9 +398,9 @@ class TestGoldenEstimators:
 
     @pytest.mark.parametrize("name", sorted(available_estimators()))
     def test_every_estimator_unchanged_by_engine(self, name):
-        """Every registered search's frame driver (batched kernels, warm
-        first ring, sweeps) matches the per-block oracle decision for
-        decision."""
+        """Every registered search's frame driver (batched surfaces,
+        pattern-search lockstep, sweeps) matches the per-block oracle
+        decision for decision."""
         ref = textured_plane(48, 64, seed=80)
         cur = shifted_plane(ref, -1, 2)
         est = create_estimator(name, p=7)

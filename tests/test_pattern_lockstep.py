@@ -1,0 +1,164 @@
+"""Golden tests for the fast searches' whole-frame lockstep.
+
+The contract: :meth:`PatternSearchEstimator.lockstep` — every stage of
+TSS, NTSS, 4SS, DS, HEXBS and CDS scored for all macroblocks in one
+:class:`repro.me.candidates.BatchEvaluator` gather — gives every block
+exactly the ``(hx, hy, sad, positions)`` that raster-order
+:meth:`search_block` calls give (:func:`repro.reference.estimate_motion`),
+and :meth:`estimate` reports the same field and :class:`SearchStats`.
+Checked over the pattern parameters, both block sizes, half-pel on and
+off, and planes whose edge and corner windows clamp; on hypothesis-drawn
+random and quantised planes (SAD ties); and on the envelope edge, where
+p = 32 must take the raster walk.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import reference
+from repro.me.candidates import BatchEvaluator
+from repro.me.engine.reference_plane import ReferencePlane
+from repro.me.estimator import PatternSearchEstimator, create_estimator
+from repro.video.frame import FrameGeometry
+from repro.video.synthesis.sequences import make_sequence
+
+from .conftest import backend_matrix
+
+kernel_backend = backend_matrix()
+
+#: Every pattern search with the recentring bounds worth pinning: 4SS's
+#: classic 2 and no recentring at all; DS/HEXBS/CDS's single step and
+#: their default walk.
+SEARCHES = (
+    ("tss", {}),
+    ("ntss", {}),
+    ("fss", {"max_recentres": 0}),
+    ("fss", {"max_recentres": 2}),
+    ("ds", {"max_recentres": 1}),
+    ("ds", {"max_recentres": 32}),
+    ("hexbs", {"max_recentres": 1}),
+    ("hexbs", {"max_recentres": 32}),
+    ("cds", {"max_recentres": 1}),
+    ("cds", {"max_recentres": 32}),
+)
+SEARCH_IDS = [name + "".join(f"-{v}" for v in kw.values()) for name, kw in SEARCHES]
+
+
+@pytest.fixture(scope="module")
+def frame_pairs():
+    """A 96x80 and a 48x64 foreman pair: every macroblock of the small
+    plane sits on an edge, so most windows clamp."""
+    pairs = []
+    for width, height in ((96, 80), (48, 64)):
+        seq = make_sequence("foreman", frames=2, seed=4, geometry=FrameGeometry(width, height))
+        pairs.append((seq[1].y, seq[0].y))
+    return pairs
+
+
+def oracle_blocks(est, cur, ref):
+    """Per-block ``(hx, hy, sad, positions)`` and stats of the raster walk."""
+    _, stats, blocks = reference.estimate_motion(est, cur, ref)
+    return [(b.mv.hx, b.mv.hy, b.sad, b.positions) for b in blocks], stats
+
+
+def lockstep_blocks(est, cur, ref):
+    grids = est.lockstep(cur, ReferencePlane.wrap(ref))
+    return list(zip(*(g.ravel().tolist() for g in grids)))
+
+
+def stats_tuple(stats):
+    return (stats.blocks, stats.positions, stats.full_search_blocks, stats.decisions)
+
+
+def assert_matches_oracle(est, cur, ref):
+    expected, oracle_stats = oracle_blocks(est, cur, ref)
+    assert lockstep_blocks(est, cur, ref) == expected
+    field, stats = est.estimate(cur, ref)
+    hx, hy = field.to_arrays()
+    assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
+    assert stats_tuple(stats) == stats_tuple(oracle_stats)
+
+
+@pytest.mark.parametrize("half_pel", [True, False])
+@pytest.mark.parametrize("block_size", [8, 16])
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 15, 31])
+@pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+def test_lockstep_matches_raster_walk(frame_pairs, search, p, block_size, half_pel):
+    name, kwargs = search
+    est = create_estimator(name, p=p, block_size=block_size, half_pel=half_pel, **kwargs)
+    for cur, ref in frame_pairs:
+        assert_matches_oracle(est, cur, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    search=st.sampled_from(SEARCHES),
+    p=st.sampled_from([1, 2, 4, 7, 15, 31]),
+    block_size=st.sampled_from([8, 16]),
+    half_pel=st.booleans(),
+    levels=st.sampled_from([2, 3, 256]),
+    seed=st.integers(0, 2**16),
+)
+def test_lockstep_matches_on_random_planes(search, p, block_size, half_pel, levels, seed):
+    """Few grey levels make whole neighbourhoods tie on SAD, so every
+    block's best is decided by the shortest-vector key."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(2, 6, size=2)
+    shape = (int(rows) * block_size, int(cols) * block_size)
+    step = 255 // (levels - 1)
+    cur = (rng.integers(0, levels, shape) * step).astype(np.uint8)
+    ref = (rng.integers(0, levels, shape) * step).astype(np.uint8)
+    name, kwargs = search
+    est = create_estimator(name, p=p, block_size=block_size, half_pel=half_pel, **kwargs)
+    assert_matches_oracle(est, cur, ref)
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+def test_estimate_never_walks_blocks_in_envelope(frame_pairs, search, monkeypatch):
+    """Inside the envelope the frame path serves every block:
+    ``search_block`` is never called."""
+    name, kwargs = search
+    est = create_estimator(name, p=15, **kwargs)
+    cur, ref = frame_pairs[0]
+    expected, oracle_stats = oracle_blocks(est, cur, ref)
+
+    def forbidden(ctx):
+        raise AssertionError("search_block called on the frame path")
+
+    monkeypatch.setattr(est, "search_block", forbidden)
+    field, stats = est.estimate(cur, ref)
+    hx, hy = field.to_arrays()
+    assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
+    assert stats_tuple(stats) == stats_tuple(oracle_stats)
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+def test_p32_takes_raster_walk(frame_pairs, search, monkeypatch):
+    """p = 32 is outside the packed tie-break key: the raster walk runs
+    (no :class:`BatchEvaluator` is built) and still matches the oracle."""
+    name, kwargs = search
+    est = create_estimator(name, p=32, **kwargs)
+    cur, ref = frame_pairs[0]
+    expected, oracle_stats = oracle_blocks(est, cur, ref)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lockstep used outside the envelope")
+
+    monkeypatch.setattr(BatchEvaluator, "__init__", forbidden)
+    field, stats = est.estimate(cur, ref)
+    hx, hy = field.to_arrays()
+    assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
+    assert stats_tuple(stats) == stats_tuple(oracle_stats)
+
+
+def test_every_pattern_search_is_registered():
+    from repro.me.estimator import available_estimators
+
+    pattern = {
+        name
+        for name in available_estimators()
+        if isinstance(create_estimator(name), PatternSearchEstimator)
+    }
+    assert pattern == {name for name, _ in SEARCHES}

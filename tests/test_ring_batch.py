@@ -1,11 +1,11 @@
-"""Golden tests for the batched first-ring driver and ACBM's lazy
-per-frame SAD surface.
+"""Golden tests for the fast searches' whole-frame lockstep and ACBM's
+lazy per-frame SAD surface.
 
-The contract: the engine's ring batching changes **nothing
-observable** — motion fields, SADs, position counts and classifier
-decisions are bit-identical to the per-block oracle
-(:func:`repro.reference.estimate_motion`, no warm first ring) for all
-six fast searches and for ACBM at any ``surface_threshold``.
+The contract: batching changes **nothing observable** — motion fields,
+SADs, position counts and classifier decisions are bit-identical to the
+per-block oracle (:func:`repro.reference.estimate_motion`) for all six
+fast searches and for ACBM at any ``surface_threshold``.  The full
+lockstep matrix lives in ``tests/test_pattern_lockstep.py``.
 """
 
 import numpy as np
@@ -13,10 +13,8 @@ import pytest
 
 from repro import reference
 from repro.core.parameters import ACBMParameters
-from repro.me.engine.kernels import frame_ring_sad
-from repro.me.engine.reference_plane import ReferencePlane
+from repro.me.candidates import BatchEvaluator
 from repro.me.estimator import create_estimator
-from repro.me.metrics import sad
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
@@ -40,47 +38,6 @@ def stats_tuple(stats):
     return (stats.blocks, stats.positions, stats.full_search_blocks, stats.decisions)
 
 
-class TestFrameRingSad:
-    def test_matches_per_candidate_sad(self, frame_pair):
-        ref, cur = frame_pair
-        offsets = ((0, 0), (-2, 1), (3, -4), (8, 8), (-15, 0))
-        out = frame_ring_sad(cur, ReferencePlane.wrap(ref), offsets, 16)
-        rows, cols = GEOMETRY.height // 16, GEOMETRY.width // 16
-        assert out.shape == (rows, cols, len(offsets))
-        for r in range(rows):
-            for c in range(cols):
-                y, x = r * 16, c * 16
-                for k, (dx, dy) in enumerate(offsets):
-                    y0, x0 = y + dy, x + dx
-                    inside = (
-                        0 <= y0 <= GEOMETRY.height - 16 and 0 <= x0 <= GEOMETRY.width - 16
-                    )
-                    if inside:
-                        expected = sad(
-                            cur[y : y + 16, x : x + 16], ref[y0 : y0 + 16, x0 : x0 + 16]
-                        )
-                        assert out[r, c, k] == expected
-                    else:
-                        assert out[r, c, k] == -1
-
-    def test_raw_reference_equivalent_to_plane(self, frame_pair):
-        ref, cur = frame_pair
-        offsets = ((0, 0), (1, 1), (-8, 3))
-        assert np.array_equal(
-            frame_ring_sad(cur, ref, offsets, 16),
-            frame_ring_sad(cur, ReferencePlane.wrap(ref), offsets, 16),
-        )
-
-    def test_rejects_bad_inputs(self, frame_pair):
-        ref, cur = frame_pair
-        with pytest.raises(ValueError):
-            frame_ring_sad(cur, ref[:, :-16], ((0, 0),), 16)
-        with pytest.raises(ValueError):
-            frame_ring_sad(cur, ref, (), 16)
-        with pytest.raises(ValueError):
-            frame_ring_sad(cur[:-1], ref[:-1], ((0, 0),), 16)
-
-
 class TestFastSearchRingGolden:
     @pytest.mark.parametrize("name", FAST_SEARCHES)
     def test_bit_identical_to_per_block(self, frame_pair, name):
@@ -92,12 +49,27 @@ class TestFastSearchRingGolden:
         assert stats_tuple(stats_b) == stats_tuple(stats_s)
 
     @pytest.mark.parametrize("name", FAST_SEARCHES)
-    def test_first_ring_is_fixed_and_in_window(self, name):
-        est = create_estimator(name, p=15)
-        ring = est.first_ring()
-        assert ring is not None and (0, 0) in ring
-        assert len(ring) == len(set(ring))  # no duplicate gathers
-        assert all(max(abs(dx), abs(dy)) <= 15 for dx, dy in ring)
+    def test_opening_stage_is_fixed_and_in_window(self, frame_pair, name, monkeypatch):
+        """The lockstep's first gather scores one data-independent
+        pattern, around the zero vector, for every block of the frame."""
+        ref, cur = frame_pair
+        calls = []
+        original = BatchEvaluator.evaluate
+
+        def recording(ev, active, dxs, dys):
+            calls.append((active.copy(), *np.broadcast_arrays(dxs, dys, active[:, None])[:2]))
+            return original(ev, active, dxs, dys)
+
+        monkeypatch.setattr(BatchEvaluator, "evaluate", recording)
+        create_estimator(name, p=15).estimate(cur, ref)
+        active, dxs, dys = calls[0]
+        rows, cols = GEOMETRY.height // 16, GEOMETRY.width // 16
+        assert np.array_equal(active, np.arange(rows * cols))
+        assert (dxs == dxs[:1]).all() and (dys == dys[:1]).all()
+        pattern = list(zip(dxs[0].tolist(), dys[0].tolist()))
+        assert (0, 0) in pattern
+        assert len(pattern) == len(set(pattern))  # no duplicate gathers
+        assert all(max(abs(dx), abs(dy)) <= 15 for dx, dy in pattern)
 
     @pytest.mark.parametrize("name", ("tss", "ntss"))
     def test_small_p_ring_stays_in_window(self, frame_pair, name):
