@@ -2,22 +2,14 @@
 
 Timed with pytest-benchmark's normal statistics (multiple rounds) so
 regressions in the vectorized SAD map, the frame-level engine kernels,
-the batched DCT or the encoder inner loop are visible.
-
-The frame-engine benchmarks also append their timings (and the
-batch-vs-per-block speedup) to ``BENCH_kernels.json`` at the repo root
-— regardless of the directory pytest was invoked from — so CI keeps a
-machine-readable record for the regression gate
-(``benchmarks/check_regression.py``).
+the batched DCT or the encoder inner loop are visible; one speed gate
+holds the batched FSBM frame path against the per-block ME oracle.
 """
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.experiments.decode_bench import write_records
 from repro.me.engine import ReferencePlane, frame_sad_surfaces
 from repro.me.estimator import BlockContext
 from repro.me.full_search import FullSearchEstimator
@@ -25,18 +17,7 @@ from repro.me.metrics import sad_map
 from repro.me.types import MotionField
 from repro.reference import estimate_motion
 
-from .conftest import bench_output_path
-
-#: Collected by the frame-engine benchmarks, flushed to
-#: BENCH_kernels.json when the module finishes.
-_RECORDS: dict[str, float] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_kernel_records():
-    yield
-    if _RECORDS:
-        write_records(_RECORDS, bench_output_path("BENCH_kernels.json"))
+from .conftest import best_of
 
 
 def _cif_planes(seed: int = 0):
@@ -46,15 +27,6 @@ def _cif_planes(seed: int = 0):
         current.astype(np.int16) + rng.integers(-6, 7, current.shape), 0, 255
     ).astype(np.uint8)
     return current, reference
-
-
-def _best_of(fn, rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +66,6 @@ def test_frame_sad_surfaces_kernel(benchmark, planes):
     current, reference = planes
     result = benchmark(frame_sad_surfaces, current, reference, 16, 15)
     assert result.surfaces.shape == (9, 11, 31, 31)
-    _RECORDS["frame_sad_surfaces_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_fsbm_frame_estimate_batched(benchmark, planes):
@@ -104,7 +75,6 @@ def test_fsbm_frame_estimate_batched(benchmark, planes):
     est = FullSearchEstimator(p=15)
     field, stats = benchmark(est.estimate, current, reference)
     assert stats.blocks == 99
-    _RECORDS["fsbm_estimate_batched_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_fsbm_frame_estimate_per_block(benchmark, planes):
@@ -117,33 +87,23 @@ def test_fsbm_frame_estimate_per_block(benchmark, planes):
         estimate_motion, args=(est, current, reference), rounds=3, iterations=1
     )
     assert stats.blocks == 99
-    _RECORDS["fsbm_estimate_per_block_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_fsbm_frame_speedup_batch_vs_per_block():
-    """Golden perf claim: the batched frame path must beat the per-block
-    ME oracle by a wide margin (CIF, p=15, half-pel on;
-    identical outputs are proven in tests/test_engine.py).
-
-    The measured ratio lands around 4-5x on a single-core container
-    (the per-candidate arithmetic is identical — the win is batching).
-    The recorded BENCH_kernels.json number is the real signal; the
-    assertion is only a regression backstop with enough margin that a
-    noisy shared CI runner can't flake the suite.
-    """
+    """The batched frame path must beat the per-block ME oracle by
+    >= 2.4x (CIF, p=15, half-pel on; identical outputs are proven in
+    tests/test_engine.py).  The per-candidate arithmetic is identical —
+    the win is batching."""
     current, reference = _cif_planes()
     est = FullSearchEstimator(p=15)
-    t_batched = _best_of(lambda: est.estimate(current, reference), rounds=5)
-    t_per_block = _best_of(lambda: estimate_motion(est, current, reference), rounds=3)
+    t_batched = best_of(lambda: est.estimate(current, reference), rounds=5)
+    t_per_block = best_of(lambda: estimate_motion(est, current, reference), rounds=3)
     speedup = t_per_block / t_batched
-    _RECORDS["fsbm_estimate_per_block_cif_ms"] = t_per_block * 1000.0
-    _RECORDS["fsbm_estimate_batched_cif_ms"] = t_batched * 1000.0
-    _RECORDS["fsbm_frame_speedup_cif"] = speedup
     print(
         f"\nFSBM CIF frame estimation: per-block {t_per_block * 1000.0:.1f} ms, "
         f"batched {t_batched * 1000.0:.1f} ms -> {speedup:.2f}x"
     )
-    assert speedup >= 2.0, f"batched frame path regressed: only {speedup:.2f}x"
+    assert speedup >= 2.4, f"batched frame path regressed: only {speedup:.2f}x"
 
 
 def test_batched_dct_round_trip(benchmark):

@@ -1,71 +1,57 @@
-"""Observability-overhead benchmarks: tracing must be free when off.
+"""Observability-overhead speed gate: tracing must be free when off.
 
-One encode→decode round trip (every instrumented seam hot) timed in
-three modes — instrumentation bypassed entirely, shipped default
-(tracer off, counters on), and fully traced.  Byte-identity across all
-three modes is verified inside the bench before timing
-(zero-interference), and the hard gate is the ISSUE's acceptance bound:
-disabled-mode throughput within 2% of the bypassed floor.  Timings land
-in ``BENCH_obs.json`` at the repo root for CI's regression gate; the
-``obs_disabled_speedup`` key gates on every machine (no parallel
-hardware involved), with the committed baseline kept as a conservative
-trend floor below the in-bench assert.
+One encode→decode round trip (foreman, 8 frames, Qp 16, TSS; every
+instrumented seam hot) timed in three modes — instrumentation bypassed
+(``tests.conftest.instrumentation_bypassed``), the shipped default
+(tracer off, counters on) and fully traced.  The modes interleave
+within each of 5 rounds, so slow drift on a shared machine — the
+dominant error at a 2% bound — hits all of them alike; best-of per
+mode.  The gate: disabled-mode throughput within 2% of the bypassed
+floor.  Zero interference (identical bytes in all three modes) is
+pinned by ``tests/test_obs.py``.
 """
 
-import pytest
+import time
 
-from repro.experiments.obs_bench import OVERHEAD_FLOOR, run_obs_bench, write_records
+from repro.codec.decoder import decode_bitstream
+from repro.codec.encoder import encode_sequence
+from repro.obs import trace
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import bench_output_path
+from tests.conftest import instrumentation_bypassed
 
-#: Flushed to BENCH_obs.json when the module finishes.
-_RECORDS: dict[str, float] = {}
-
-#: The overhead workload: enough frames that the ~2% bound is measured
-#: over hundreds of milliseconds, not timer noise.
+#: Enough frames that the ~2% bound is measured over hundreds of
+#: milliseconds, not timer noise.
 OBS_FRAMES = 8
+ROUNDS = 5
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _write_obs_records():
-    yield
-    if _RECORDS:
-        write_records(_RECORDS, bench_output_path("BENCH_obs.json"))
-
-
-@pytest.fixture(scope="module")
-def result():
+def test_obs_disabled_overhead_within_budget():
     clip = make_sequence("foreman", frames=OBS_FRAMES, seed=0)
-    return run_obs_bench(
-        sequence="foreman", frames=OBS_FRAMES, qp=16, estimator="tss",
-        rounds=5, clip=clip,
+
+    def round_trip() -> float:
+        start = time.perf_counter()
+        encode = encode_sequence(clip, qp=16, estimator="tss", keep_reconstruction=False)
+        decode_bitstream(encode.bitstream)
+        return time.perf_counter() - start
+
+    bypassed = disabled = traced = float("inf")
+    for _ in range(ROUNDS):
+        with instrumentation_bypassed():
+            bypassed = min(bypassed, round_trip())
+        disabled = min(disabled, round_trip())
+        trace.TRACER.enable()
+        try:
+            traced = min(traced, round_trip())
+        finally:
+            trace.TRACER.disable()
+            trace.TRACER.drain()
+    ratio = bypassed / disabled
+    print(
+        f"\nobs: bypassed {bypassed * 1e3:.1f} ms, disabled {disabled * 1e3:.1f} ms "
+        f"-> {ratio:.3f}x of floor; traced {traced * 1e3:.1f} ms "
+        f"-> {bypassed / traced:.3f}x"
     )
-
-
-def test_obs_zero_interference(result):
-    """Tracing never touches codec data: all three instrumentation
-    modes emit byte-identical bitstreams (the full golden property
-    lives in tests/test_obs.py; this pins the bench workload)."""
-    assert result.identical, "instrumentation changed the bitstream"
-    _RECORDS.update(result.records())
-    print(f"\n{result.as_text()}")
-
-
-def test_obs_disabled_overhead_within_budget(result):
-    """The acceptance gate: with tracing off, throughput stays within
-    2% of the fully bypassed floor (best-of-5 on both sides)."""
-    assert result.within_overhead, (
-        f"disabled-mode instrumentation costs too much: "
-        f"{result.disabled_speedup:.3f}x of the bypassed floor "
-        f"(gate >= {OVERHEAD_FLOOR:.2f})"
-    )
-
-
-def test_obs_traced_run_records_events(result):
-    """A traced round trip actually records the whole-stack timeline:
-    encoder frame spans with sub-phases, decode parse/reconstruct."""
-    assert result.trace_events >= 4 * result.frames, (
-        f"traced run recorded only {result.trace_events} events "
-        f"for {result.frames} frames"
+    assert ratio >= 0.98, (
+        f"disabled-mode instrumentation costs too much: {ratio:.3f}x of the bypassed floor"
     )

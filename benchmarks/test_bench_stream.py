@@ -1,97 +1,70 @@
-"""Streaming-codec benchmarks: push decode vs whole-buffer decode.
+"""Streaming speed gates: push decode vs whole-buffer decode, and the
+pipelined session vs serial push.
 
-The memory-bound counterpart of ``test_bench_decode.py``: a 30-frame
-QCIF version-2 stream is pushed through a bounded decode session in
-MTU-sized chunks and timed against ``decode_bitstream`` over the whole
-buffer.  Identity (streamed == whole-buffer == encoder loop, and
-StreamEncoder bytes == Encoder bytes for both wire formats) is verified
-inside the bench before timing; the session's peak buffered bytes must
-stay under the subsystem's bound of two frames' worth of payload plus
-one reconstruction window.  The same workload also runs through the
-pipelined session (``pipeline=...``, PR 6) — identity verified in
-thread *and* process mode, the thread mode timed.  Timings land in
-``BENCH_stream.json`` at the repo root for CI's regression gate (the
-gated keys are the stream-vs-whole throughput ratio and, on multi-core
-machines only, the pipelined speedup).
+A 30-frame QCIF v2 stream (foreman, Qp 16, TSS) is pushed through a
+:class:`repro.streaming.DecodeSession` in MTU-sized chunks and timed
+against :func:`decode_bitstream` over the whole buffer, best-of-3.
+Identity under every chunking, the pipelined modes and the memory bound
+are pinned by ``tests/test_streaming.py``.
 """
-
-import os
 
 import pytest
 
-from repro.experiments.stream_bench import run_stream_bench, write_records
+from repro.codec.decoder import decode_bitstream
+from repro.codec.encoder import encode_sequence
+from repro.streaming import DecodeSession
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import bench_output_path
+from .conftest import best_of, cores
 
-#: Flushed to BENCH_stream.json when the module finishes.
-_RECORDS: dict[str, float] = {}
-
-#: The acceptance workload: a 30-frame QCIF stream (independent of
-#: REPRO_BENCH_FRAMES — the memory bound is stated for this shape).
+#: The workload the memory bound is stated for (independent of
+#: REPRO_BENCHMARK_FRAMES).
 STREAM_FRAMES = 30
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_stream_records():
-    yield
-    if _RECORDS:
-        write_records(_RECORDS, bench_output_path("BENCH_stream.json"))
+CHUNK = 1500
 
 
 @pytest.fixture(scope="module")
-def result():
+def bitstream():
     clip = make_sequence("foreman", frames=STREAM_FRAMES, seed=0)
-    return run_stream_bench(
-        sequence="foreman", frames=STREAM_FRAMES, qp=16, estimator="tss",
-        rounds=3, chunk_size=1500, clip=clip,
-    )
+    return encode_sequence(clip, qp=16, estimator="tss", bitstream_version=2).bitstream
 
 
-def test_stream_decode_identity_and_bound(result):
-    """Golden claims: any chunking decodes bit-identically (the full
-    property lives in tests/test_streaming.py; this pins the 30-frame
-    workload), and peak buffered bytes stay inside the bound while the
-    whole-buffer path by definition holds the entire stream."""
-    assert result.identical, "streaming paths diverged — see tests/test_streaming.py"
-    assert result.within_bound, (
-        f"peak buffered {result.peak_buffered_bytes} bytes exceeds the "
-        f"{result.buffer_bound_bytes}-byte bound"
-    )
-    _RECORDS.update(result.records())
-    print(f"\n{result.as_text()}")
+def push_decode(bitstream: bytes, pipeline: bool | str = False) -> list:
+    """Feed fixed-size chunks, draining after every feed (the consumer
+    the backpressure contract assumes)."""
+    session = DecodeSession(max_buffered_frames=2, pipeline=pipeline)
+    out = []
+    for start in range(0, len(bitstream), CHUNK):
+        session.feed(bitstream[start : start + CHUNK])
+        out.extend(session.frames())
+    session.close()
+    out.extend(session.frames())
+    return out
 
 
-def test_stream_throughput_near_whole_buffer(result):
+def test_stream_throughput_near_whole_buffer(bitstream):
     """The push path re-runs the same parse + batched reconstruction;
     its only extra work is scanning and bookkeeping, so throughput must
-    stay within 2x of the whole-buffer decode (measured ~0.9-1.0x; the
-    assert leaves margin for noisy CI runners)."""
-    assert result.speedup >= 0.5, (
-        f"streaming tax regressed: push decode only {result.speedup:.2f}x "
-        f"of whole-buffer throughput"
+    stay >= 0.56x of the whole-buffer decode (measured ~0.9-1.0x)."""
+    assert push_decode(bitstream) == decode_bitstream(bitstream)
+    whole = best_of(lambda: decode_bitstream(bitstream), 3)
+    push = best_of(lambda: push_decode(bitstream), 3)
+    speedup = whole / push
+    print(f"\nstream: whole {whole * 1e3:.1f} ms, push {push * 1e3:.1f} ms -> {speedup:.2f}x")
+    assert speedup >= 0.56, (
+        f"streaming tax regressed: push decode only {speedup:.2f}x of whole-buffer throughput"
     )
 
 
-def test_pipelined_decode_identity_and_speedup(result):
-    """The PR 6 claims: the pipelined session decodes bit-identically
-    in both worker modes, its transport ledger shows the process mode
-    moving parsed arrays as handles (not pickled payload), and —
-    machine-shaped like ``parallel_*`` — the overlap wins on parallel
-    hardware.  On one core the honest measurement is recorded and only
-    guarded against pathology."""
-    assert result.pipeline_identical, "pipelined decode diverged from serial push"
-    # Process mode copies only the compressed feed; the decoded bulk
-    # returns as shared-memory handles (>= 1 per frame).
-    assert result.bytes_copied <= result.bitstream_bytes
-    assert result.handles_passed >= result.frames
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        assert result.pipeline_speedup >= 1.2, (
-            f"pipelined decode regressed: only {result.pipeline_speedup:.2f}x "
-            f"vs serial push on {cores} cores"
-        )
+def test_pipelined_decode_speedup(bitstream):
+    """On parallel hardware, parsing on a worker thread while the main
+    side reconstructs must beat serial push by >= 1.2x; on one core the
+    overlap cannot win and only pathology fails."""
+    serial = best_of(lambda: push_decode(bitstream), 3)
+    piped = best_of(lambda: push_decode(bitstream, pipeline="thread"), 3)
+    speedup = serial / piped
+    print(f"\npipelined (thread): {piped * 1e3:.1f} ms -> {speedup:.2f}x vs push ({cores()} cpu)")
+    if cores() >= 2:
+        assert speedup >= 1.2, f"pipelined decode regressed: only {speedup:.2f}x vs serial push"
     else:
-        assert result.pipeline_speedup >= 0.3, (
-            f"pipeline overhead exploded: {result.pipeline_speedup:.2f}x of serial push"
-        )
+        assert speedup >= 0.3, f"pipeline overhead exploded: {speedup:.2f}x of serial push"

@@ -23,7 +23,7 @@ Because every table is a :class:`~repro.codec.vlc.VLCTable`, each one
 compiles its peek-indexed decode LUT at import time — symbol decode on
 a word-level :class:`~repro.codec.bitstream.BitReader` is one
 ``read_vlc`` call per symbol.  :data:`ALL_TABLES` names them for the
-LUT-vs-bitwise equivalence tests and ``benchmarks/test_bench_vlc.py``.
+LUT-vs-bitwise equivalence tests.
 """
 
 from __future__ import annotations

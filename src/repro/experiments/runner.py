@@ -5,37 +5,26 @@ Usage::
     python -m repro.experiments.runner fig4
     python -m repro.experiments.runner fig5 --frames 21
     python -m repro.experiments.runner fig6 --frames 21 --jobs 4
-    python -m repro.experiments.runner all --jobs 4
     python -m repro.experiments.runner table1 --frames 21 --qps 30 22 16
-    python -m repro.experiments.runner all
-    python -m repro.experiments.runner decode-bench --frames 9 --json BENCH_decode.json
-    python -m repro.experiments.runner decode-bench --parse-only --json BENCH_vlc.json
-    python -m repro.experiments.runner decode-bench --bitstream-version 2 --jobs 2
+    python -m repro.experiments.runner all --jobs 4
     python -m repro.experiments.runner stream-encode --from-yuv clip.yuv --geometry qcif \\
         --bitstream-version 2 --out stream.v2
     python -m repro.experiments.runner stream-decode stream.v2 --chunk-size 1500 --verify
     python -m repro.experiments.runner stream-decode stream.v2 --pipeline process --verify
-    python -m repro.experiments.runner stream-bench --json BENCH_stream.json
-    python -m repro.experiments.runner decode-bench --bitstream-version 2 --jobs 2 --shm
-    python -m repro.experiments.runner transport-bench --json BENCH_transport.json
     python -m repro.experiments.runner gop-encode --frames 10 --i-period 5 --jobs 2 \\
         --out stream.v2
     python -m repro.experiments.runner seek-decode stream.v2 --frame 5 --verify
-    python -m repro.experiments.runner gop-bench --json BENCH_gop.json
-    python -m repro.experiments.runner decode-bench --backend numba
+    python -m repro.experiments.runner table1 --frames 4 --trace run.json
+    python -m repro.experiments.runner report run.json
 
 Every subcommand takes ``--backend {auto,numpy,numba}`` — the kernel
 backend for the hot loops (:mod:`repro.kernels`); it overrides the
 ``REPRO_BACKEND`` environment variable and travels to spawned workers.
 
 Each paper subcommand prints the same rows/series the corresponding
-table or figure reports; ``decode-bench`` runs an encode→decode round
-trip and times the batched reconstruction path against the per-block
-oracle :func:`repro.reference.decode_bitstream` (bit-identity verified
-first).  ``--parse-only``
-times the VLC symbol parse alone (LUT + word-level reader vs the seed
-per-bit reader); ``--bitstream-version 2`` exercises the start-code
-frame index and the parallel symbol parse.
+table or figure reports; ``all`` runs them over one shared sweep and
+ends with a small streaming pass (push decode, pipelined decode and
+streaming encode, each identity-checked, plus the memory bound).
 
 The ``stream-*`` subcommands drive the incremental codec
 (:mod:`repro.streaming`): ``stream-encode`` pulls frames straight off a
@@ -43,44 +32,30 @@ raw YUV file (never materializing the sequence) and writes the
 bitstream as pictures close; ``stream-decode`` pushes a bitstream file
 (or stdin) through a bounded-memory decode session in fixed-size chunks
 and optionally re-decodes the whole buffer to gate bit-identity
-(``--verify``, the CI smoke); ``stream-bench`` times push vs
-whole-buffer decode and records ``BENCH_stream.json``.
+(``--verify``, the CI smoke).  ``--pipeline`` overlaps symbol parse and
+reconstruction on a worker thread or spawned process.
 
 The GOP subcommands drive the stream structure layer: ``gop-encode``
 encodes with ``i_Period`` I-frames and optional multi-reference
 P-frames — serially, or per-GOP across workers with a byte-identical
 splice; ``seek-decode`` random-accesses a v2 stream at an I-frame and
-optionally gates the tail against the full decode; ``gop-bench`` times
-serial vs parallel GOP encode and records ``BENCH_gop.json``.
-``--pipeline``
-(on ``stream-decode`` and ``stream-bench``) overlaps symbol parse and
-reconstruction on a worker thread or spawned process.
+optionally gates the tail against the full decode.
 
 Every subcommand that shards work with ``--jobs`` also takes
 ``--shm``/``--no-shm`` to pin the transport (shared-memory handles vs
 pickled payloads); the default is automatic — shm exactly when workers
 spawn — and stdout is byte-identical in every mode.
-``transport-bench`` measures the difference (parallel decode plus the
-experiment sweep specs), recording what actually crosses the worker
-pipe into ``BENCH_transport.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.analysis.reporting import format_histogram
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.decode_bench import (
-    run_decode_bench,
-    run_parse_bench,
-    write_records,
-)
 from repro.experiments.fig4_characterization import run_fig4
 from repro.experiments.rd_curves import run_rd_sweep
-from repro.experiments.stream_bench import run_stream_bench
 from repro.experiments.table1_complexity import run_table1
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -164,66 +139,6 @@ def cmd_table1(args: argparse.Namespace) -> None:
     )
     print(table.as_text())
     print(f"\nmax reduction vs FSBM: {table.max_reduction():.1%}")
-
-
-def cmd_decode_bench(args: argparse.Namespace) -> int:
-    # The common --sequences/--qps options are multi-valued for the
-    # sweep commands; this bench times exactly one configuration.
-    if args.sequences and len(args.sequences) > 1:
-        print("error: decode-bench takes a single --sequences value", file=sys.stderr)
-        return 2
-    if args.qps and len(args.qps) > 1:
-        print("error: decode-bench takes a single --qps value", file=sys.stderr)
-        return 2
-    common = dict(
-        sequence=(args.sequences or ["foreman"])[0],
-        frames=args.frames,
-        qp=(args.qps or [16])[0],
-        estimator=args.estimator,
-        seed=args.seed,
-        rounds=args.rounds,
-    )
-    if args.parse_only:
-        if args.bitstream_version != 1:
-            print("error: --parse-only times the version-1 parse", file=sys.stderr)
-            return 2
-        if args.jobs != 1:
-            print(
-                "error: --parse-only times the serial symbol parse; --jobs does "
-                "not apply (use --bitstream-version 2 --jobs N for the parallel "
-                "parse path)",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_parse_bench(**common)
-        failure = "ERROR: parse paths disagree (LUT reader != seed bit reader)"
-    else:
-        if args.shm and args.bitstream_version != 2:
-            print(
-                "error: --shm exercises the parallel symbol parse; pair it with "
-                "--bitstream-version 2",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_decode_bench(
-            **common,
-            jobs=args.jobs,
-            bitstream_version=args.bitstream_version,
-            use_shm=bool(args.shm),
-        )
-        if getattr(result, "parallel_identical", None) is False:
-            failure = "ERROR: v2 parallel parse decode diverged from the serial decode"
-        else:
-            failure = "ERROR: decode paths disagree (batched != per-block oracle)"
-    print(result.as_text())
-    if args.json:
-        path = Path(args.json)
-        write_records(result.records(), path)
-        print(f"recorded -> {path}", file=sys.stderr)
-    if not result.identical:
-        print(failure, file=sys.stderr)
-        return 1
-    return 0
 
 
 def cmd_stream_encode(args: argparse.Namespace) -> int:
@@ -340,88 +255,6 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stream_bench(args: argparse.Namespace) -> int:
-    if args.chunk_size < 1:
-        print(f"error: --chunk-size must be >= 1, got {args.chunk_size}", file=sys.stderr)
-        return 2
-    if args.sequences and len(args.sequences) > 1:
-        print("error: stream-bench takes a single --sequences value", file=sys.stderr)
-        return 2
-    if args.qps and len(args.qps) > 1:
-        print("error: stream-bench takes a single --qps value", file=sys.stderr)
-        return 2
-    result = run_stream_bench(
-        sequence=(args.sequences or ["foreman"])[0],
-        frames=args.frames,
-        qp=(args.qps or [16])[0],
-        estimator=args.estimator,
-        seed=args.seed,
-        rounds=args.rounds,
-        chunk_size=args.chunk_size,
-        pipeline=args.pipeline,
-    )
-    print(result.as_text())
-    if args.json:
-        path = Path(args.json)
-        write_records(result.records(), path)
-        print(f"recorded -> {path}", file=sys.stderr)
-    if not result.identical:
-        print("ERROR: streaming paths diverged from the whole-buffer codec", file=sys.stderr)
-        return 1
-    if not result.within_bound:
-        print(
-            f"ERROR: peak buffered {result.peak_buffered_bytes} bytes exceeds the "
-            f"{result.buffer_bound_bytes}-byte bound",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_transport_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.transport_bench import (
-        run_transport_bench,
-        run_transport_sweep_bench,
-    )
-
-    if args.sequences and len(args.sequences) > 1:
-        print("error: transport-bench takes a single --sequences value", file=sys.stderr)
-        return 2
-    if args.qps and len(args.qps) > 1:
-        print("error: transport-bench takes a single --qps value", file=sys.stderr)
-        return 2
-    common = dict(
-        sequence=(args.sequences or ["foreman"])[0],
-        frames=args.frames,
-        qp=(args.qps or [16])[0],
-        estimator=args.estimator,
-        seed=args.seed,
-        rounds=args.rounds,
-        jobs=max(args.jobs, 2),
-    )
-    result = run_transport_bench(**common)
-    print(result.as_text())
-    sweep = run_transport_sweep_bench(**common)
-    print(sweep.as_text())
-    if args.json:
-        path = Path(args.json)
-        write_records({**result.records(), **sweep.records()}, path)
-        print(f"recorded -> {path}", file=sys.stderr)
-    if not result.decode_identical:
-        print("ERROR: shared-memory decode diverged from the pickling decode", file=sys.stderr)
-        return 1
-    if not sweep.sweep_identical:
-        print("ERROR: shared-memory sweep diverged from the pickling sweep", file=sys.stderr)
-        return 1
-    if sweep.payload_bytes_per_job_shm != 0:
-        print("ERROR: shm-packed sweep specs still carry payload bytes", file=sys.stderr)
-        return 1
-    if not (result.no_leaks and sweep.no_leaks):
-        print("ERROR: shared-memory segments leaked in /dev/shm", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_gop_encode(args: argparse.Namespace) -> int:
     """Encode one clip with GOP structure — serially, or per-GOP across
     workers (``--jobs``) with the spliced stream byte-identical to the
@@ -491,23 +324,26 @@ def cmd_seek_decode(args: argparse.Namespace) -> int:
     if detect_version(bitstream) != 2:
         print("error: seek-decode needs a version-2 stream (FrameIndex)", file=sys.stderr)
         return 1
-    index = FrameIndex.scan(bitstream)
-    keyframes = index.keyframes(bitstream)
-    types = "".join(index.frame_types(bitstream))
-    frame = args.frame
-    if frame is None:
+    # Scan, seek and the verifying full decode all read untrusted bytes:
+    # a truncated or corrupt stream reports its ValueError, like
+    # stream-decode, instead of a traceback.
+    try:
+        index = FrameIndex.scan(bitstream)
+        keyframes = index.keyframes(bitstream)
+        types = "".join(index.frame_types(bitstream))
+        if not keyframes:
+            raise ValueError("the stream holds no frames")
         # Default to the middle keyframe — the interesting seek target
         # (0 is just a full decode).
-        frame = keyframes[len(keyframes) // 2]
-    print(f"seek-decode: {len(index)} frames ({types}), keyframes {list(keyframes)}")
-    try:
+        frame = keyframes[len(keyframes) // 2] if args.frame is None else args.frame
+        print(f"seek-decode: {len(index)} frames ({types}), keyframes {list(keyframes)}")
         tail = decode_bitstream(bitstream, start_frame=frame)
+        print(f"  decoded {len(tail)} frames from keyframe {frame}")
+        full = decode_bitstream(bitstream) if args.verify else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"  decoded {len(tail)} frames from keyframe {frame}")
-    if args.verify:
-        full = decode_bitstream(bitstream)
+    if full is not None:
         identical = len(tail) == len(full) - frame and all(
             a == b for a, b in zip(tail, full[frame:])
         )
@@ -518,38 +354,67 @@ def cmd_seek_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gop_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.gop_bench import run_gop_bench
+def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: int = 1500) -> None:
+    """``all``'s streaming pass: encode a clip as v2, push-decode it in
+    MTU-sized chunks (serial, then thread- and process-pipelined) and
+    stream-encode it in both wire formats.  Prints one line per check
+    and raises ``SystemExit`` unless every identity holds and the
+    session's peak buffered bytes stay under two frames' worth of
+    payload plus one reconstruction window."""
+    from repro.codec.decoder import FrameIndex, decode_bitstream
+    from repro.codec.encoder import encode_sequence
+    from repro.streaming import DecodeSession, StreamEncoder
+    from repro.video.synthesis.sequences import make_sequence
+    from repro.video.yuv_io import frame_size_bytes
 
-    if args.sequences and len(args.sequences) > 1:
-        print("error: gop-bench takes a single --sequences value", file=sys.stderr)
-        return 2
-    if args.qps and len(args.qps) > 1:
-        print("error: gop-bench takes a single --qps value", file=sys.stderr)
-        return 2
-    result = run_gop_bench(
-        sequence=(args.sequences or ["foreman"])[0],
-        frames=args.frames,
-        qp=(args.qps or [16])[0],
-        estimator=args.estimator,
-        seed=args.seed,
-        rounds=args.rounds,
-        i_period=args.i_period,
-        n_ref_frames=args.n_ref_frames,
-        jobs=max(args.jobs, 2),
+    clip = make_sequence(sequence, frames=frames, seed=seed)
+    encode = encode_sequence(
+        clip, qp=qp, estimator="tss", keep_reconstruction=True, bitstream_version=2
     )
-    print(result.as_text())
-    if args.json:
-        path = Path(args.json)
-        write_records(result.records(), path)
-        print(f"recorded -> {path}", file=sys.stderr)
-    if not result.encode_identical:
-        print("ERROR: parallel GOP splice diverged from the serial encode", file=sys.stderr)
-        return 1
-    if not result.seek_identical:
-        print("ERROR: keyframe seek diverged from the full decode", file=sys.stderr)
-        return 1
-    return 0
+    bitstream = encode.bitstream
+
+    def push(pipeline: bool | str = False):
+        session = DecodeSession(max_buffered_frames=2, pipeline=pipeline)
+        out = []
+        for start in range(0, len(bitstream), chunk_size):
+            session.feed(bitstream[start : start + chunk_size])
+            out.extend(session.frames())
+        session.close()
+        out.extend(session.frames())
+        return out, session.stats()
+
+    streamed, stats = push()
+    stream_identical = streamed == decode_bitstream(bitstream) == encode.reconstruction
+    piped = {kind: push(kind) for kind in ("thread", "process")}
+    pipeline_identical = all(out == streamed for out, _ in piped.values())
+    ledger = piped["process"][1]
+    v1 = encode_sequence(clip, qp=qp, estimator="tss").bitstream
+    encode_identical = all(
+        b"".join(StreamEncoder(estimator="tss", qp=qp, bitstream_version=v).encode_iter(iter(clip)))
+        == reference
+        for v, reference in ((1, v1), (2, bitstream))
+    )
+    # A frame's worth of payload is a raw frame's bytes, widened by any
+    # compressed payload that expands past it.
+    raw_frame = frame_size_bytes(clip.geometry)
+    max_payload = max(end - start for start, end in FrameIndex.scan(bitstream).ranges)
+    bound = 2 * max(raw_frame, max_payload) + raw_frame
+    within = stats.peak_buffered_bytes < bound
+    # The header keeps its earlier wording so `all`'s stdout stays
+    # byte-identical across versions.
+    print(
+        f"stream bench: {encode.name}, {len(encode.reconstruction)} frames, qp={qp}, tss, "
+        f"{len(bitstream)} bytes (v2), {chunk_size}-byte chunks\n"
+        f"  bit-identical (streamed == whole-buffer == encoder loop): {stream_identical}\n"
+        f"  stream-encode byte-identical (v1 and v2): {encode_identical}\n"
+        f"  pipelined bit-identical (thread and process): {pipeline_identical}\n"
+        f"  transport (process pipeline): {ledger.bytes_copied} B copied in, "
+        f"{ledger.handles_passed} handles back\n"
+        f"  peak buffered {stats.peak_buffered_bytes} bytes "
+        f"(bound {bound}: within={within}; whole buffer holds {len(bitstream)})"
+    )
+    if not (stream_identical and pipeline_identical and encode_identical and within):
+        raise SystemExit("streaming stage failed: identity or memory bound broken")
 
 
 def cmd_all(args: argparse.Namespace) -> None:
@@ -600,24 +465,7 @@ def cmd_all(args: argparse.Namespace) -> None:
     print("\n" + "=" * 70 + "\n")
 
     def streaming_report() -> None:
-        # A small but end-to-end pass over the streaming subsystem:
-        # v2 encode, push decode in MTU-sized chunks, every identity
-        # and the memory bound checked inside the bench.  Only the
-        # deterministic lines go to stdout — measured timings land on
-        # stderr, preserving cmd_all's byte-identical-stdout contract.
-        result = run_stream_bench(
-            sequence=config.sequences[0],
-            frames=min(args.frames, 6),
-            qp=config.qps[0],
-            estimator="tss",
-            seed=args.seed,
-            rounds=1,
-        )
-        lines = result.as_text().splitlines()
-        print("\n".join(lines[:-1]))
-        print(lines[-1], file=sys.stderr)
-        if not (result.identical and result.within_bound):
-            raise SystemExit("streaming stage failed: identity or memory bound broken")
+        _stream_stage(config.sequences[0], min(args.frames, 6), config.qps[0], args.seed)
 
     timed("streaming", streaming_report)
     total = sum(stage_span.duration_s for _, stage_span in timings)
@@ -708,34 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fig6", parents=[common], help="Fig. 6 RD curves, QCIF @ 10 fps")
     sub.add_parser("table1", parents=[common], help="Table 1 search-cost table")
     sub.add_parser("all", parents=[common], help="everything, sharing one sweep")
-    decode = sub.add_parser(
-        "decode-bench", parents=[common],
-        help="encode→decode round trip timing batched reconstruction vs the per-block oracle",
-    )
-    decode.add_argument(
-        "--estimator", default="fsbm", metavar="NAME",
-        help="registry name of the search used for the encode (default fsbm)",
-    )
-    decode.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
-        help="timing repetitions per path, best-of (default 3)",
-    )
-    decode.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="merge the timings into this JSON file (e.g. BENCH_decode.json)",
-    )
-    decode.add_argument(
-        "--parse-only", action="store_true",
-        help="time the symbol parse alone (LUT + word reader vs the seed "
-        "per-bit reader) and report the parse/reconstruct split — record "
-        "with --json BENCH_vlc.json",
-    )
-    decode.add_argument(
-        "--bitstream-version", type=int, default=1, choices=(1, 2), metavar="V",
-        help="bitstream format for the encode: 1 = seed format (default), "
-        "2 = byte-aligned start codes + frame lengths; v2 additionally "
-        "verifies the frame index and the parallel symbol parse",
-    )
     stream_encode = sub.add_parser(
         "stream-encode",
         help="encode a raw YUV file incrementally (bounded memory, bytes out "
@@ -807,48 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_option(stream_decode)
     _add_obs_options(stream_decode)
-    stream_bench = sub.add_parser(
-        "stream-bench", parents=[common],
-        help="push decode vs whole-buffer decode timing + peak-memory bound",
-    )
-    stream_bench.add_argument(
-        "--estimator", default="tss", metavar="NAME",
-        help="registry name of the search used for the encode (default tss)",
-    )
-    stream_bench.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
-        help="timing repetitions per path, best-of (default 3)",
-    )
-    stream_bench.add_argument(
-        "--chunk-size", type=int, default=1500, metavar="N",
-        help="bytes per feed for the push path (default 1500, MTU-ish)",
-    )
-    stream_bench.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="merge the timings into this JSON file (e.g. BENCH_stream.json)",
-    )
-    stream_bench.add_argument(
-        "--pipeline", choices=("thread", "process"), default="thread",
-        help="worker mode for the pipelined timing pass (default thread; "
-        "identity is always verified in both modes)",
-    )
-    transport = sub.add_parser(
-        "transport-bench", parents=[common],
-        help="shared-memory vs pickling transport: bytes crossing the worker "
-        "pipe per frame + parallel decode timing both ways",
-    )
-    transport.add_argument(
-        "--estimator", default="tss", metavar="NAME",
-        help="registry name of the search used for the encode (default tss)",
-    )
-    transport.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
-        help="timing repetitions per path, best-of (default 3)",
-    )
-    transport.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="merge the measurements into this JSON file (e.g. BENCH_transport.json)",
-    )
     gop_encode = sub.add_parser(
         "gop-encode", parents=[common],
         help="encode with GOP structure (i_Period I-frames, multi-reference); "
@@ -885,30 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_option(seek)
     _add_obs_options(seek)
-    gop_bench = sub.add_parser(
-        "gop-bench", parents=[common],
-        help="per-GOP parallel encode speedup + keyframe-seek identity",
-    )
-    gop_bench.add_argument(
-        "--estimator", default="tss", metavar="NAME",
-        help="registry name of the search used for the encodes (default tss)",
-    )
-    gop_bench.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
-        help="timing repetitions per path, best-of (default 3)",
-    )
-    gop_bench.add_argument(
-        "--i-period", type=int, default=3, metavar="N",
-        help="GOP length in frames (default 3)",
-    )
-    gop_bench.add_argument(
-        "--n-ref-frames", type=int, default=1, metavar="N",
-        help="reference frames each P-frame may select from (default 1)",
-    )
-    gop_bench.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="merge the measurements into this JSON file (e.g. BENCH_gop.json)",
-    )
     report = sub.add_parser(
         "report",
         help="per-frame timing/bits breakdown table from a --trace file",
@@ -928,22 +682,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         cmd_table1(args)
     elif args.command == "all":
         cmd_all(args)
-    elif args.command == "decode-bench":
-        return cmd_decode_bench(args)
     elif args.command == "stream-encode":
         return cmd_stream_encode(args)
     elif args.command == "stream-decode":
         return cmd_stream_decode(args)
-    elif args.command == "stream-bench":
-        return cmd_stream_bench(args)
-    elif args.command == "transport-bench":
-        return cmd_transport_bench(args)
     elif args.command == "gop-encode":
         return cmd_gop_encode(args)
     elif args.command == "seek-decode":
         return cmd_seek_decode(args)
-    elif args.command == "gop-bench":
-        return cmd_gop_bench(args)
     elif args.command == "report":
         return cmd_report(args)
     return 0

@@ -17,8 +17,9 @@ Design constraints, in order:
    :func:`span` / :func:`phases` / :func:`instant` functions, which
    check one attribute (``TRACER.enabled``) and return a shared
    singleton no-op when tracing is off.  No allocation, no timestamp,
-   no branch inside the codec loops; the obs bench
-   (``BENCH_obs.json``) pins the disabled-mode overhead under 2%.
+   no branch inside the codec loops;
+   ``benchmarks/test_bench_obs.py`` gates the disabled-mode overhead
+   under 2%.
 3. **Mergeable across processes** — events are picklable dicts stamped
    with the recording process's pid and thread id, so worker-side
    events ship back through :func:`repro.parallel.run_jobs` (and the

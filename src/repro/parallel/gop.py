@@ -13,8 +13,8 @@ The splice is only valid for version-2 streams, whose pictures end
 byte-aligned behind a length field; version-1 pictures end mid-byte, so
 their concatenation is not the serial encoder's output.  With that
 restriction the splice is *byte-identical* to the serial encode for
-every worker count — ``tests/test_gop.py`` and ``BENCH_gop.json`` pin
-the identity, the benchmark measures the speedup.
+every worker count — ``tests/test_gop.py`` pins the identity,
+``benchmarks/test_bench_gop.py`` gates the speedup.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ with it pins every batched path:
   :func:`~repro.codec.macroblock.predict_chroma_block`) or, in GOP
   I-frames, :func:`~repro.codec.intra.intra_predict`.
 
-Tests, benchmarks and ``repro.experiments.decode_bench`` import it;
-nothing in the codec or the estimators does.
+Tests and benchmarks import it; nothing in the codec or the
+estimators does.
 """
 
 from __future__ import annotations

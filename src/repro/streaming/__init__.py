@@ -33,7 +33,7 @@ directions incremental without touching the wire format or the math:
 * :class:`DecodeSession` / :class:`EncodeSession` — thin stat-keeping
   wrappers (frames in/out, bytes buffered, peak, wall clock, transport
   counters) behind the ``runner stream-decode`` / ``stream-encode``
-  subcommands and ``experiments/stream_bench.py``.
+  subcommands and ``runner all``'s streaming stage.
 
 ``tests/test_streaming.py`` pins the golden properties: StreamDecoder
 output is bit-identical to :func:`decode_bitstream` under *every*

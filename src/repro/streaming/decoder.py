@@ -122,7 +122,7 @@ class StreamDecoder:
         self._closed = False
         #: Peak bytes held across the scanner accumulator, completed-but-
         #: undecoded payloads and decoded-but-undrained frames — the
-        #: quantity the streaming bench bounds.
+        #: quantity ``runner all`` and the streaming tests bound.
         self.peak_buffered_bytes = 0
         self._pipeline_kind = normalize_pipeline(pipeline)
         self._stage = None  # created on the first completed payload

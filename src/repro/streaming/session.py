@@ -1,8 +1,8 @@
 """Stat-keeping session wrappers around the streaming codec.
 
 :class:`DecodeSession` and :class:`EncodeSession` are the thin layer the
-CLI subcommands (``runner stream-decode`` / ``stream-encode``) and the
-streaming benchmark talk to: the same push/pull surfaces as
+CLI subcommands (``runner stream-decode`` / ``stream-encode``) and
+``runner all``'s streaming stage talk to: the same push/pull surfaces as
 :class:`~repro.streaming.decoder.StreamDecoder` /
 :class:`~repro.streaming.encoder.StreamEncoder`, plus a
 :class:`SessionStats` snapshot — frames and bytes in and out, current

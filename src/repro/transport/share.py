@@ -26,8 +26,8 @@ Two directions:
 
 :func:`payload_bytes` and :func:`handle_count` are the accounting
 surface: what a value would cost to pickle by payload, and how many
-handles replaced that cost — the numbers ``BENCH_transport.json`` and
-``SessionStats`` report.
+handles replaced that cost — the numbers ``tests/test_transport.py``
+pins and ``SessionStats`` reports.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ so the whole suite stays fast while exercising real code paths.
 
 from __future__ import annotations
 
+import glob
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -106,3 +109,48 @@ def small_frame(textured) -> Frame:
 def small_sequence(textured) -> Sequence:
     frames = [Frame(shifted_plane(textured, 0, i), index=i) for i in range(4)]
     return Sequence(frames, fps=30.0, name="unit")
+
+
+def shm_segments(prefix: str = "repro-") -> list[str]:
+    """Live ``/dev/shm`` segments whose names start with ``prefix`` —
+    the leak sweep every shared-memory test ends with (empty on
+    platforms without ``/dev/shm``)."""
+    return sorted(glob.glob(f"/dev/shm/{prefix}*"))
+
+
+@contextmanager
+def instrumentation_bypassed():
+    """Replace every :mod:`repro.obs` entry point the codec seams call
+    with a bare no-op for the duration — the closest runnable stand-in
+    for instrumentation compiled out.
+
+    The seams call ``trace.span(...)`` through the module attribute and
+    hold direct references to their metric instruments, so patching the
+    module functions and the instrument *methods* leaves one attribute
+    load per seam.  The zero-interference test compares this mode's
+    bytes against the shipped default; ``benchmarks/test_bench_obs.py``
+    times against it.  Always restores, even when the body raises.
+    """
+    from repro.obs import metrics, trace
+
+    noop_span, noop_phases = trace._NOOP_SPAN, trace._NOOP_PHASES
+    patches = [
+        (trace, "span", lambda name, **attrs: noop_span),
+        (trace, "phases", lambda: noop_phases),
+        (trace, "instant", lambda name, **attrs: None),
+        (trace, "begin", lambda name, **attrs: None),
+        (trace, "end", lambda token: None),
+        (metrics.Counter, "inc", lambda self, amount=1: None),
+        (metrics.Counter, "advance_to", lambda self, value: None),
+        (metrics.Gauge, "set", lambda self, value: None),
+        (metrics.Gauge, "add", lambda self, delta: None),
+        (metrics.Histogram, "observe", lambda self, value: None),
+    ]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, noop in patches:
+        setattr(owner, name, noop)
+    try:
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)

@@ -127,11 +127,9 @@ class TestRegistry:
         without numba exits 2 with the registry's error."""
         from repro.experiments.runner import main
 
-        assert main(["decode-bench", "--frames", "1", "--rounds", "1",
-                     "--backend", "numpy"]) == 0
+        assert main(["fig4", "--backend", "numpy"]) == 0
         if not numba_available():
-            assert main(["decode-bench", "--frames", "1", "--rounds", "1",
-                         "--backend", "numba"]) == 2
+            assert main(["fig4", "--backend", "numba"]) == 2
             assert BACKEND_ENV_VAR in capsys.readouterr().err
 
     def test_spawn_name_filter(self, sim_backend):

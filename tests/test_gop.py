@@ -195,6 +195,10 @@ class TestGopRoundTrip:
         index = FrameIndex.scan(result.bitstream)
         assert index.frame_types(result.bitstream) == tuple("IPPIPPIP")
         assert index.keyframes(result.bitstream) == (0, 3, 6)
+        # Random access costs real bits: the I-frames carry a share of
+        # the stream strictly between nothing and everything.
+        intra_bits = sum(r.bits for r in result.frames if r.frame_type == "I")
+        assert 0 < intra_bits < result.total_bits
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_decode_paths_bit_identical(self, clip, version):

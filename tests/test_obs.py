@@ -32,6 +32,8 @@ from repro.parallel import EncodeJob, JobSpec, ParseFrameJob, run_jobs
 from repro.streaming import DecodeSession, EncodeSession
 from repro.video.synthesis.sequences import make_sequence
 
+from .conftest import instrumentation_bypassed
+
 TINY = ExperimentConfig(
     sequences=("miss_america",), qps=(20,), fps_list=(30,), frames=4
 )
@@ -230,7 +232,8 @@ class TestReport:
 
 
 class TestZeroInterference:
-    """Tracing on or off, every backend emits the seed's exact bytes."""
+    """Instrumentation bypassed, shipped default or fully traced, every
+    backend emits the seed's exact bytes."""
 
     @pytest.mark.parametrize("backend", available_backend_names())
     @pytest.mark.parametrize("version", [1, 2])
@@ -238,6 +241,10 @@ class TestZeroInterference:
         clip = make_sequence("miss_america", frames=3, seed=0)
         set_backend(backend)
         try:
+            with instrumentation_bypassed():
+                bypassed = encode_sequence(
+                    clip, qp=20, estimator="tss", bitstream_version=version
+                )
             untraced = encode_sequence(
                 clip, qp=20, estimator="tss", bitstream_version=version
             )
@@ -250,9 +257,11 @@ class TestZeroInterference:
             untraced_frames = decode_bitstream(untraced.bitstream)
         finally:
             reset_backend()
-        assert traced.bitstream == untraced.bitstream
+        assert traced.bitstream == untraced.bitstream == bypassed.bitstream
         assert all(a == b for a, b in zip(traced_frames, untraced_frames))
-        assert len(trace.TRACER.drain()) > 0
+        # The traced round trip records the whole-stack timeline: frame
+        # spans and sub-phases on both sides, several per frame.
+        assert len(trace.TRACER.drain()) >= 4 * len(clip)
 
 
 class TestCrossProcessMerge:
@@ -478,28 +487,26 @@ class TestCodecMetricsLedger:
 
 class TestRunnerIntegration:
     def test_trace_and_metrics_flags_write_files(self, tmp_path, capsys):
+        """An encoding and a decoding subcommand each write their trace
+        and metrics files, then tear the global tracer down."""
         from repro.experiments.runner import main
 
-        trace_path = tmp_path / "run_trace.json"
-        metrics_path = tmp_path / "run_metrics.json"
-        rc = main(
-            [
-                "decode-bench",
-                "--frames", "2",
-                "--rounds", "1",
-                "--trace", str(trace_path),
-                "--metrics", str(metrics_path),
-            ]
+        stream = tmp_path / "gop.v2"
+        runs = (
+            ("encode", ["gop-encode", "--frames", "2", "--i-period", "2", "--out", str(stream)]),
+            ("decode", ["seek-decode", str(stream), "--frame", "0", "--verify"]),
         )
-        assert rc == 0
-        data = load_trace(trace_path)
-        names = {e["name"] for e in data["traceEvents"]}
-        assert {"encode.frame", "decode.frame"} <= names
-        snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["encode.frames"] >= 2
-        # The global tracer was torn down after the run.
-        assert not trace.TRACER.enabled
-        assert trace.TRACER.events == []
+        for side, argv in runs:
+            trace_path = tmp_path / f"{side}_trace.json"
+            metrics_path = tmp_path / f"{side}_metrics.json"
+            assert main(argv + ["--trace", str(trace_path), "--metrics", str(metrics_path)]) == 0
+            names = {e["name"] for e in load_trace(trace_path)["traceEvents"]}
+            assert f"{side}.frame" in names
+            snapshot = json.loads(metrics_path.read_text())
+            assert snapshot[f"{side}.frames"] >= 2
+            # The global tracer was torn down after the run.
+            assert not trace.TRACER.enabled
+            assert trace.TRACER.events == []
         capsys.readouterr()
 
     def test_report_subcommand_renders_table(self, tmp_path, capsys):
@@ -507,7 +514,8 @@ class TestRunnerIntegration:
 
         trace_path = tmp_path / "report_trace.json"
         assert main(
-            ["decode-bench", "--frames", "2", "--rounds", "1", "--trace", str(trace_path)]
+            ["table1", "--frames", "4", "--sequences", "miss_america", "--qps", "30",
+             "--fps", "30", "--trace", str(trace_path)]
         ) == 0
         capsys.readouterr()
         assert main(["report", str(trace_path)]) == 0

@@ -9,7 +9,6 @@ Process-spawning tests are deliberately few and tiny (each worker pays
 a spawn + import); the cheap determinism properties run in-process.
 """
 
-import glob
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,8 @@ from repro.parallel import (
 )
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
+
+from .conftest import shm_segments
 
 TINY = ExperimentConfig(
     sequences=("miss_america",), qps=(30, 16), fps_list=(30,), frames=4
@@ -171,12 +172,6 @@ class TestSharedMemoryTransport:
         clip = make_sequence("miss_america", frames=3, seed=0)
         return encode_sequence(clip, qp=20, estimator="tss", bitstream_version=2)
 
-    @staticmethod
-    def shm_leftovers() -> list[str]:
-        return sorted(
-            glob.glob("/dev/shm/repro-jobs*") + glob.glob("/dev/shm/repro-result*")
-        )
-
     def test_shm_results_byte_identical_and_leak_free(self, v2):
         """Parse jobs and a decode job — payload handles down, result
         exports back — against spawned workers, compared to the
@@ -188,14 +183,14 @@ class TestSharedMemoryTransport:
         serial = run_jobs(jobs, workers=1)
         shm = run_jobs(jobs, workers=2, use_shm=True)
         assert shm == serial
-        assert not self.shm_leftovers()
+        assert not shm_segments("repro-jobs") + shm_segments("repro-result")
 
     def test_use_shm_in_process_is_a_noop(self, v2):
         """workers=1 has no boundary to cross: the flag is ignored and
         no segment is ever created."""
         jobs = [SquareJob(3), DecodeJob(v2.bitstream)]
         assert run_jobs(jobs, workers=1, use_shm=True) == run_jobs(jobs, workers=1)
-        assert not self.shm_leftovers()
+        assert not shm_segments("repro-jobs") + shm_segments("repro-result")
 
     def test_pack_shm_defaults_to_identity(self):
         """Specs without array payloads ride the pickle stream unchanged
@@ -222,7 +217,7 @@ class TestSharedMemoryTransport:
         ] + [FailJob()]
         with pytest.raises(RuntimeError, match="injected failure"):
             run_jobs(jobs, workers=2, use_shm=True)
-        assert not self.shm_leftovers()
+        assert not shm_segments("repro-jobs") + shm_segments("repro-result")
 
 
 class TestJobSpecs:
@@ -359,10 +354,6 @@ class TestGopShmTransport:
     def clip(self):
         return make_sequence("miss_america", frames=6, seed=0)
 
-    @staticmethod
-    def shm_leftovers() -> list[str]:
-        return sorted(glob.glob("/dev/shm/repro-*"))
-
     def test_gop_shm_byte_identical_and_leak_free(self, clip):
         from repro.parallel import encode_sequence_parallel
 
@@ -374,7 +365,7 @@ class TestGopShmTransport:
             clip, qp=20, estimator="tss", i_period=3, jobs=2, use_shm=True
         )
         assert shm.bitstream == serial.bitstream
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_gop_shm_in_process_matches(self, clip):
         from repro.parallel import encode_sequence_parallel
@@ -386,7 +377,7 @@ class TestGopShmTransport:
             clip, qp=20, estimator="tss", i_period=3, jobs=1, use_shm=True
         )
         assert shm.bitstream == plain.bitstream
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_pack_shm_roundtrips_planes(self, clip):
         """pack_shm replaces pickled plane bytes with FrameHandles; the
@@ -417,7 +408,7 @@ class TestGopShmTransport:
             for original, shipped in zip(job._frames(), packed._frames()):
                 assert original == shipped
             assert packed.describe() == job.describe()
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
 
 class TestExperimentShmTransport:
@@ -433,10 +424,6 @@ class TestExperimentShmTransport:
         seed=3,
     )
 
-    @staticmethod
-    def shm_leftovers() -> list[str]:
-        return sorted(glob.glob("/dev/shm/repro-*"))
-
     def test_encode_job_pack_shm_runs_identically(self):
         from repro.transport import FrameArena, FrameStore
 
@@ -449,7 +436,7 @@ class TestExperimentShmTransport:
             assert packed.run() == plain
             # Re-packing an already-packed spec is the identity.
             assert packed.pack_shm(store) is packed
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_store_renders_each_distinct_source_once(self):
         from repro.transport import FrameArena, FrameStore
@@ -462,7 +449,7 @@ class TestExperimentShmTransport:
             # Every cell of the one clip carries the *same* handles —
             # one placed copy, no duplicate slabs.
             assert all(spec.source is packed[0].source for spec in packed)
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_sweep_job_pack_shm_packs_cells(self):
         from repro.transport import FrameArena, FrameStore
@@ -475,7 +462,7 @@ class TestExperimentShmTransport:
             assert all(cell.source is not None for cell in packed.cells)
             assert packed.expand() == packed.cells
             assert packed.run() == plain
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_fig4_pair_job_pack_shm_runs_identically(self):
         from repro.transport import FrameArena, FrameStore
@@ -490,7 +477,7 @@ class TestExperimentShmTransport:
             # The worker only holds two frames, yet the observations
             # must still carry the rig-wide pair index.
             assert all(obs.frame_pair == 1 for obs in observations)
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_use_shm_auto_resolution(self):
         from repro.parallel.pool import _resolve_use_shm
@@ -512,13 +499,13 @@ class TestExperimentShmTransport:
         serial = run_jobs(jobs, workers=1)
         shm = run_jobs(jobs, workers=2, use_shm=True)
         assert shm == serial
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
     def test_experiment_shm_failure_path_leaves_dev_shm_clean(self):
         jobs = list(SweepJob(TINY, ("pbm",)).expand()) + [FailJob()]
         with pytest.raises(RuntimeError, match="injected failure"):
             run_jobs(jobs, workers=2, use_shm=True)
-        assert not self.shm_leftovers()
+        assert not shm_segments()
 
 
 class TestBackendThreading:

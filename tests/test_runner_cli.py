@@ -3,40 +3,24 @@
 import pytest
 
 from repro.experiments.runner import build_parser, main
-from repro.kernels import numba_available
 
-#: Provenance keys write_records stamps into every BENCH_*.json.
-STAMP_KEYS = {"backend", "machine_numba"} | (
-    {"backend_numba_version"} if numba_available() else set()
-)
+from .conftest import shm_segments
 
 
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
-        for command in ("fig4", "fig5", "fig6", "table1", "all", "decode-bench"):
+        for command in ("fig4", "fig5", "fig6", "table1", "all"):
             args = parser.parse_args([command])
             assert args.command == command
 
-    def test_decode_bench_options(self):
-        args = build_parser().parse_args(
-            ["decode-bench", "--frames", "2", "--rounds", "1", "--json", "out.json"]
-        )
-        assert args.frames == 2
-        assert args.rounds == 1
-        assert args.json == "out.json"
-        assert args.estimator == "fsbm"
-        assert args.parse_only is False
-        assert args.bitstream_version == 1
-
-    def test_decode_bench_parse_and_version_options(self):
-        args = build_parser().parse_args(
-            ["decode-bench", "--parse-only", "--bitstream-version", "2"]
-        )
-        assert args.parse_only is True
-        assert args.bitstream_version == 2
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["decode-bench", "--bitstream-version", "3"])
+    def test_bench_subcommands_removed(self):
+        """Timing lives in benchmarks/ and perfbench/; the runner keeps
+        no bench subcommands."""
+        parser = build_parser()
+        for command in ("decode-bench", "stream-bench", "transport-bench", "gop-bench"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command])
 
     def test_common_options_after_command(self):
         args = build_parser().parse_args(["table1", "--frames", "9", "--seed", "3"])
@@ -53,9 +37,6 @@ class TestParser:
         assert args.command == "stream-decode"
         assert args.chunk_size == 7
         assert args.verify is False
-        args = parser.parse_args(["stream-bench", "--frames", "4"])
-        assert args.command == "stream-bench"
-        assert args.chunk_size == 1500
 
     def test_stream_encode_geometry_parses(self):
         parser = build_parser()
@@ -72,13 +53,6 @@ class TestParser:
 
     def test_transport_and_shm_options(self):
         parser = build_parser()
-        args = parser.parse_args(["transport-bench", "--frames", "4"])
-        assert args.command == "transport-bench"
-        assert args.rounds == 3 and args.estimator == "tss"
-        args = parser.parse_args(
-            ["decode-bench", "--bitstream-version", "2", "--jobs", "2", "--shm"]
-        )
-        assert args.shm is True
         # Every --jobs subcommand takes the tri-state --shm/--no-shm.
         for command in ("fig4", "fig5", "fig6", "table1", "all"):
             assert parser.parse_args([command]).shm is None
@@ -87,7 +61,6 @@ class TestParser:
         args = parser.parse_args(["stream-decode", "s.v2", "--pipeline", "process"])
         assert args.pipeline == "process"
         assert parser.parse_args(["stream-decode", "s.v2"]).pipeline == "off"
-        assert parser.parse_args(["stream-bench"]).pipeline == "thread"
         with pytest.raises(SystemExit):
             parser.parse_args(["stream-decode", "s.v2", "--pipeline", "fork"])
 
@@ -142,68 +115,14 @@ class TestMain:
         """The transport is invisible in the report: jobs ∈ {1, 2} ×
         shm ∈ {on, off} print byte-identical stdout, and nothing
         outlives the run in /dev/shm."""
-        import glob
-
         outputs = []
         for jobs in ("1", "2"):
             for shm_flag in ("--shm", "--no-shm"):
                 assert main(base_argv + ["--jobs", jobs, shm_flag]) == 0
                 outputs.append(capsys.readouterr().out)
-                assert not glob.glob("/dev/shm/repro-*")
+                assert not shm_segments()
         assert outputs[0]  # the runs actually printed a report
         assert len(set(outputs)) == 1
-
-    def test_decode_bench_small_run(self, capsys, tmp_path):
-        """A 2-frame encode→decode round trip: verifies bit-identity,
-        prints a speedup and records the JSON payload."""
-        import json
-
-        out_path = tmp_path / "BENCH_decode.json"
-        argv = [
-            "decode-bench", "--frames", "2", "--sequences", "miss_america",
-            "--rounds", "1", "--json", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical" in out and "True" in out
-        assert "speedup" in out
-        records = json.loads(out_path.read_text())
-        assert set(records) == {
-            "decode_per_block_ms", "decode_batched_ms", "decode_speedup",
-        } | STAMP_KEYS
-        assert records["decode_per_block_ms"] > 0
-        assert records["decode_batched_ms"] > 0
-
-    def test_decode_bench_parse_only(self, capsys, tmp_path):
-        """--parse-only reports the parse/reconstruct split and records
-        the VLC payload (BENCH_vlc.json keys)."""
-        import json
-
-        out_path = tmp_path / "BENCH_vlc.json"
-        argv = [
-            "decode-bench", "--frames", "2", "--sequences", "miss_america",
-            "--rounds", "1", "--parse-only", "--json", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "symbols identical" in out and "True" in out
-        assert "decode split" in out
-        records = json.loads(out_path.read_text())
-        assert set(records) == {
-            "vlc_parse_lut_ms", "vlc_parse_seed_ms", "vlc_parse_speedup",
-            "vlc_parse_mbps", "vlc_reconstruct_ms",
-        } | STAMP_KEYS
-        assert records["vlc_parse_speedup"] > 0
-
-    def test_decode_bench_parse_only_rejects_v2(self, capsys):
-        argv = ["decode-bench", "--parse-only", "--bitstream-version", "2"]
-        assert main(argv) == 2
-
-    def test_decode_bench_parse_only_rejects_jobs(self, capsys):
-        """--jobs has no effect on the serial parse timing — reject it
-        loudly instead of silently ignoring it."""
-        argv = ["decode-bench", "--parse-only", "--jobs", "4"]
-        assert main(argv) == 2
 
     def test_stream_encode_decode_round_trip(self, capsys, tmp_path):
         """The CI smoke in miniature: YUV file → stream-encode (v2) →
@@ -263,107 +182,61 @@ class TestMain:
         assert main(["stream-decode", str(bad)]) == 1
         assert "overruns" in capsys.readouterr().err
 
-    def test_stream_bench_small_run(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_stream.json"
+    @pytest.fixture
+    def gop_stream(self, tmp_path):
+        """Two 3-frame GOPs (keyframes 0 and 3), as gop-encode writes them."""
+        stream = tmp_path / "gop.v2"
         argv = [
-            "stream-bench", "--frames", "3", "--sequences", "miss_america",
-            "--qps", "20", "--rounds", "1", "--json", str(out_path),
+            "gop-encode", "--frames", "6", "--i-period", "3",
+            "--sequences", "miss_america", "--out", str(stream),
         ]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical (streamed == whole-buffer == encoder loop): True" in out
-        assert "stream-encode byte-identical (v1 and v2): True" in out
-        records = json.loads(out_path.read_text())
-        assert set(records) == {
-            "stream_whole_decode_ms", "stream_push_decode_ms",
-            "stream_vs_whole_speedup", "stream_decode_mbps",
-            "stream_peak_buffered_bytes", "stream_buffer_bound_bytes",
-            "stream_pipeline_decode_ms", "stream_pipeline_speedup",
-            "stream_pipeline_peak_buffered_bytes",
-            "stream_bytes_copied", "stream_handles_passed",
-            "machine_cpu_count",
-        } | STAMP_KEYS
-        assert records["stream_peak_buffered_bytes"] < records["stream_buffer_bound_bytes"]
-        assert records["stream_pipeline_decode_ms"] > 0
+        return stream.read_bytes()
 
-    def test_decode_bench_shm_requires_a_parallel_transport(self, capsys):
-        """--shm changes how payloads cross the worker pipe; without a
-        parallel path (the v2 parallel parse) there is nothing to smoke,
-        whatever --jobs says."""
-        assert main(["decode-bench", "--shm"]) == 2
-        assert "--shm" in capsys.readouterr().err
-        assert main(["decode-bench", "--shm", "--jobs", "2"]) == 2
-        assert "--shm" in capsys.readouterr().err
+    def test_seek_decode_reports_truncated_stream(self, capsys, tmp_path, gop_stream):
+        """A stream cut mid-frame, or one holding no frame at all:
+        seek-decode prints the scan's error and returns 1, as
+        stream-decode does, instead of a traceback."""
+        cut = tmp_path / "cut.v2"
+        for data, message in ((gop_stream[:300], "overruns"), (gop_stream[:4], "no frames")):
+            cut.write_bytes(data)
+            capsys.readouterr()
+            for argv in (["seek-decode", str(cut)], ["seek-decode", str(cut), "--verify"]):
+                assert main(argv) == 1
+                assert message in capsys.readouterr().err
+        cut.write_bytes(gop_stream[:300])
+        assert main(["stream-decode", str(cut)]) == 1
+        assert "overruns" in capsys.readouterr().err
 
-    def test_transport_bench_small_run(self, capsys, tmp_path):
-        """The zero-copy claims in miniature: spec/result pickles shrink
-        to handles, the 2-worker shm decode and RD sweep are
-        bit-identical, and the run leaves /dev/shm clean."""
-        import json
+    def test_seek_decode_reports_corrupt_stream(self, capsys, tmp_path, gop_stream):
+        """Damage in the first GOP: the seek from keyframe 3 still
+        decodes, and the --verify full decode reports its error and
+        returns 1, as stream-decode does."""
+        from repro.codec.decoder import FrameIndex, decode_bitstream
 
-        out_path = tmp_path / "BENCH_transport.json"
-        argv = [
-            "transport-bench", "--frames", "2", "--sequences", "miss_america",
-            "--qps", "20", "--rounds", "1", "--json", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical" in out and "True" in out
-        assert "transport sweep bench" in out
-        records = json.loads(out_path.read_text())
-        assert set(records) == {
-            "transport_spec_pickle_bytes_plain", "transport_spec_pickle_bytes_shm",
-            "transport_payload_bytes_per_frame_plain",
-            "transport_payload_bytes_per_frame_shm",
-            "transport_result_pickle_bytes_plain", "transport_result_pickle_bytes_shm",
-            "transport_decode_plain_ms", "transport_decode_shm_ms",
-            "transport_shm_speedup",
-            "transport_sweep_encode_spec_bytes_value",
-            "transport_sweep_encode_spec_bytes_shm",
-            "transport_sweep_encode_pickle_shrink",
-            "transport_sweep_sweepjob_spec_bytes_value",
-            "transport_sweep_sweepjob_spec_bytes_shm",
-            "transport_sweep_sweepjob_pickle_shrink",
-            "transport_sweep_fig4_spec_bytes_value",
-            "transport_sweep_fig4_spec_bytes_shm",
-            "transport_sweep_fig4_pickle_shrink",
-            "transport_sweep_payload_bytes_per_job_value",
-            "transport_sweep_payload_bytes_per_job_shm",
-            "transport_sweep_plain_ms", "transport_sweep_shm_ms",
-            "transport_sweep_shm_speedup",
-            "machine_cpu_count",
-        } | STAMP_KEYS
-        assert records["transport_payload_bytes_per_frame_shm"] == 0.0
-        assert records["transport_spec_pickle_bytes_shm"] < records[
-            "transport_spec_pickle_bytes_plain"
-        ]
-        assert records["transport_sweep_payload_bytes_per_job_shm"] == 0.0
-        for kind in ("encode", "sweepjob", "fig4"):
-            assert records[f"transport_sweep_{kind}_pickle_shrink"] >= 3.0
+        def damaged() -> bytes:
+            start, end = FrameIndex.scan(gop_stream).ranges[0]
+            for offset in range(start + 4, end):
+                corrupt = bytearray(gop_stream)
+                corrupt[offset] ^= 0xFF
+                corrupt = bytes(corrupt)
+                try:
+                    FrameIndex.scan(corrupt).frame_types(corrupt)
+                    decode_bitstream(corrupt, start_frame=3)
+                except ValueError:
+                    continue  # visible before the seek: not this case
+                try:
+                    decode_bitstream(corrupt)
+                except ValueError:
+                    return corrupt
+            pytest.fail("no byte of frame 0 breaks only the full decode")
 
-    def test_decode_bench_v2(self, capsys, tmp_path):
-        """--bitstream-version 2 verifies the frame index and the
-        parallel symbol parse alongside the usual decode identity.
-        Note this spawns a small 2-worker pool: run_decode_bench
-        always drives the indexed parse with at least two workers so
-        the verification covers the real parallel path (the same
-        pipeline CI smokes via --jobs 2)."""
-        import json
-
-        out_path = tmp_path / "BENCH_decode.json"
-        argv = [
-            "decode-bench", "--frames", "2", "--sequences", "miss_america",
-            "--rounds", "1", "--bitstream-version", "2", "--json", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "(v2)" in out
-        assert "parallel parse" in out and "True" in out
-        # v2 records are version-suffixed so they can never collide
-        # with the v1 keys the committed baselines gate on.
-        records = json.loads(out_path.read_text())
-        assert set(records) == {
-            "decode_v2_per_block_ms", "decode_v2_batched_ms", "decode_v2_speedup",
-        } | STAMP_KEYS
+        bad = tmp_path / "bad.v2"
+        bad.write_bytes(damaged())
+        capsys.readouterr()
+        assert main(["seek-decode", str(bad), "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert "decoded 3 frames from keyframe 3" in captured.out
+        assert captured.err.startswith("error: ")
+        assert main(["stream-decode", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

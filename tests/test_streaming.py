@@ -12,7 +12,6 @@ The two contracts everything else hangs off:
   the whole-sequence :class:`Encoder`, in both wire formats.
 """
 
-import glob
 import time
 
 import numpy as np
@@ -34,7 +33,10 @@ from repro.streaming import (
 from repro.streaming.pipeline import normalize_pipeline
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
-from repro.video.yuv_io import iter_yuv_frames, read_yuv, write_yuv
+from repro.video.synthesis.sequences import make_sequence
+from repro.video.yuv_io import frame_size_bytes, iter_yuv_frames, read_yuv, write_yuv
+
+from .conftest import shm_segments
 
 SMALL = FrameGeometry(32, 32)
 
@@ -70,6 +72,15 @@ def v2(clip):
 def v1(clip):
     return encode_sequence(
         clip, qp=18, estimator="tss", keep_reconstruction=True, bitstream_version=1
+    )
+
+
+@pytest.fixture(scope="module")
+def qcif_v2():
+    """A 30-frame QCIF v2 stream: the shape the memory bound is stated for."""
+    return encode_sequence(
+        make_sequence("foreman", frames=30, seed=0),
+        qp=16, estimator="tss", keep_reconstruction=True, bitstream_version=2,
     )
 
 
@@ -369,11 +380,6 @@ class TestStreamDecoder:
 # -- pipelined decode ------------------------------------------------------
 
 
-def shm_pipe_segments() -> list[str]:
-    """Shared segments the process-mode parse stage may have leaked."""
-    return sorted(glob.glob("/dev/shm/repro-pipe*"))
-
-
 @pytest.fixture(scope="module")
 def payloads(v2):
     index = FrameIndex.scan(v2.bitstream)
@@ -439,7 +445,7 @@ class TestParseStage:
         # came back as shared-memory handles, >= 1 per picture.
         assert stage.bytes_copied == sum(len(p) for p in payloads)
         assert stage.handles_passed >= len(payloads)
-        assert not shm_pipe_segments()
+        assert not shm_segments("repro-pipe")
 
     def test_close_discards_in_flight_without_leaks(self, payloads):
         stage = ParseStage(kind="process", depth=2)
@@ -447,7 +453,7 @@ class TestParseStage:
             stage.submit(payload)
         stage.close()  # results never collected — discarded and unlinked
         stage.close()  # idempotent
-        assert not shm_pipe_segments()
+        assert not shm_segments("repro-pipe")
         with pytest.raises(ValueError, match="closed"):
             stage.submit(b"")
 
@@ -463,7 +469,7 @@ class TestPipelinedDecoder:
     def test_process_mode_bit_identical_and_leak_free(self, v2, whole):
         chunks = [v2.bitstream[i : i + 7] for i in range(0, len(v2.bitstream), 7)]
         assert_frames_equal(list(stream_decode(chunks, pipeline="process")), whole)
-        assert not shm_pipe_segments()
+        assert not shm_segments("repro-pipe")
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -492,7 +498,7 @@ class TestPipelinedDecoder:
             decoder.close()
             list(decoder.frames())
         assert str(err.value) == str(serial_exc)
-        assert not shm_pipe_segments()
+        assert not shm_segments("repro-pipe")
 
     def test_backpressure_bound_holds(self, v2, whole):
         """A demand-honoring producer never sees more decoded frames
@@ -607,24 +613,33 @@ class TestStreamEncoder:
 
 
 class TestSessions:
-    def test_decode_session_stats(self, v2, whole):
-        session = DecodeSession(max_buffered_frames=2)
-        out = []
-        for i in range(0, len(v2.bitstream), 100):
-            session.feed(v2.bitstream[i : i + 100])
+    def test_decode_session_stats(self, v2, qcif_v2):
+        """Stats add up, and peak buffered bytes stay under the
+        subsystem's memory bound — two frames' worth of payload plus one
+        reconstruction window — on the small clip in 100-byte feeds and
+        on a 30-frame QCIF stream in MTU-sized ones."""
+        for encode, chunk in ((v2, 100), (qcif_v2, 1500)):
+            bitstream = encode.bitstream
+            session = DecodeSession(max_buffered_frames=2)
+            out = []
+            for i in range(0, len(bitstream), chunk):
+                session.feed(bitstream[i : i + chunk])
+                out.extend(session.frames())
+            session.close()
             out.extend(session.frames())
-        session.close()
-        out.extend(session.frames())
-        assert_frames_equal(out, whole)
-        stats = session.stats()
-        raw_frame = 32 * 32 + 2 * 16 * 16
-        assert stats.frames_in == stats.frames_out == len(whole)
-        assert stats.bytes_in == len(v2.bitstream)
-        assert stats.bytes_out == len(whole) * raw_frame
-        assert stats.buffered_bytes == 0
-        assert 0 < stats.peak_buffered_bytes <= 2 * raw_frame + len(v2.bitstream)
-        assert stats.wall_s > 0
-        assert "frames" in stats.as_text()
+            assert_frames_equal(out, decode_bitstream(bitstream))
+            assert_frames_equal(out, encode.reconstruction)
+            stats = session.stats()
+            raw_frame = frame_size_bytes(out[0].geometry)
+            max_payload = max(end - start for start, end in FrameIndex.scan(bitstream).ranges)
+            assert stats.frames_in == stats.frames_out == len(out)
+            assert stats.bytes_in == len(bitstream)
+            assert stats.bytes_out == len(out) * raw_frame
+            assert stats.buffered_bytes == 0
+            assert 0 < stats.peak_buffered_bytes <= 2 * raw_frame + len(bitstream)
+            assert stats.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
+            assert stats.wall_s > 0
+            assert "frames" in stats.as_text()
 
     @pytest.mark.parametrize("pipeline", [False, "thread"])
     def test_decode_session_in_process_modes_copy_nothing(self, v2, whole, pipeline):
@@ -645,7 +660,7 @@ class TestSessions:
     def test_decode_session_process_mode_ledger(self, v2, whole):
         """Process mode copies exactly the compressed payload bytes down
         and brings the parsed bulk back as handles — what the stats
-        surface (and ``stream-bench --json``) report."""
+        surface (and ``runner all``'s streaming stage) report."""
         index = FrameIndex.scan(v2.bitstream)
         compressed = sum(len(index.payload(v2.bitstream, i)) for i in range(len(index)))
         session = DecodeSession(max_buffered_frames=len(index), pipeline="process")
@@ -659,7 +674,7 @@ class TestSessions:
         assert stats.bytes_copied == compressed
         assert stats.handles_passed >= len(whole)
         assert "transport" in stats.as_text()
-        assert not shm_pipe_segments()
+        assert not shm_segments("repro-pipe")
 
     def test_encode_session_stats(self, clip, v2):
         session = EncodeSession(estimator="tss", qp=18, bitstream_version=2)

@@ -24,7 +24,6 @@ Spawn-side attach-on-first-use is exercised end to end by the
 in-process.
 """
 
-import glob
 
 import numpy as np
 import pytest
@@ -52,12 +51,9 @@ from repro.transport import (
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 
+from .conftest import shm_segments
+
 SMALL = FrameGeometry(32, 32)
-
-
-def shm_entries(prefix: str) -> list[str]:
-    """Live ``/dev/shm`` segments under ``prefix`` (the leak sweep)."""
-    return sorted(glob.glob(f"/dev/shm/{prefix}*"))
 
 
 def random_frame(seed=0, geometry=SMALL, index=0) -> Frame:
@@ -110,7 +106,7 @@ class TestFrameArena:
             out = read_array(handle)
             assert out.dtype == arr.dtype and out.shape == arr.shape
             np.testing.assert_array_equal(out, arr)
-        assert not shm_entries("repro-t-rt")
+        assert not shm_segments("repro-t-rt")
 
     def test_bytes_place_as_uint8(self):
         with FrameArena(name_prefix="repro-t-bytes") as arena:
@@ -131,7 +127,7 @@ class TestFrameArena:
             handle = arena.place(big)
             assert handle.segment != small.segment
             np.testing.assert_array_equal(read_array(handle), big)
-        assert not shm_entries("repro-t-big")
+        assert not shm_segments("repro-t-big")
 
     def test_release_refcounts_sealed_segments(self):
         """Filling a slab seals it; the sealed slab dies with its last
@@ -143,11 +139,11 @@ class TestFrameArena:
             assert arena.outstanding_handles == 2
             arena.release(first)  # sealed slab, last ref → destroyed now
             assert arena.open_segments == 1
-            assert not glob.glob(f"/dev/shm/{first.segment}")
+            assert not shm_segments(first.segment)
             arena.release(second)  # open slab → survives for allocation
             assert arena.open_segments == 1
             assert arena.outstanding_handles == 0
-        assert not shm_entries("repro-t-refs")
+        assert not shm_segments("repro-t-refs")
 
     def test_over_release_raises(self):
         with FrameArena(name_prefix="repro-t-over") as arena:
@@ -167,7 +163,7 @@ class TestFrameArena:
         arena.close()
         arena.close()  # no-op, no raise
         assert arena.open_segments == 0
-        assert not shm_entries("repro-t-closed")
+        assert not shm_segments("repro-t-closed")
         with pytest.raises(ValueError, match="close"):
             arena.place(np.zeros(4, dtype=np.uint8))
 
@@ -178,9 +174,9 @@ class TestFrameArena:
         for i in range(8):
             arena.place(np.full(100, i, dtype=np.uint8))
         assert arena.open_segments > 1
-        assert shm_entries("repro-t-abandon")
+        assert shm_segments("repro-t-abandon")
         arena.close()
-        assert not shm_entries("repro-t-abandon")
+        assert not shm_segments("repro-t-abandon")
 
     def test_empty_array_placement(self):
         with FrameArena(name_prefix="repro-t-empty") as arena:
@@ -222,21 +218,21 @@ class TestExportSegment:
         ]
         handles = export_segment(arrays, name_prefix="repro-t-tx")
         assert len({h.segment for h in handles}) == 1  # one segment per export
-        assert shm_entries("repro-t-tx")
+        assert shm_segments("repro-t-tx")
         for handle, arr in zip(handles, arrays):
             np.testing.assert_array_equal(read_array(handle), arr)
         unlink_segment(handles[0].segment)
-        assert not shm_entries("repro-t-tx")
+        assert not shm_segments("repro-t-tx")
 
     def test_empty_export(self):
         assert export_segment([], name_prefix="repro-t-none") == []
-        assert not shm_entries("repro-t-none")
+        assert not shm_segments("repro-t-none")
 
     def test_unlink_is_idempotent(self):
         handles = export_segment([np.zeros(4, dtype=np.uint8)], name_prefix="repro-t-dbl")
         unlink_segment(handles[0].segment)
         unlink_segment(handles[0].segment)  # second unlink is a no-op
-        assert not shm_entries("repro-t-dbl")
+        assert not shm_segments("repro-t-dbl")
 
 
 # -- typed sharing ---------------------------------------------------------
@@ -250,7 +246,7 @@ class TestShare:
             assert handle_count(shared) == 3
             rebuilt = materialize(shared, unlink=False)  # arena owns lifetime
             assert rebuilt == frame and rebuilt.index == 7
-        assert not shm_entries("repro-t-frame")
+        assert not shm_segments("repro-t-frame")
 
     def test_parsed_picture_round_trip_via_export(self, parsed_pictures):
         for parsed in parsed_pictures:
@@ -260,7 +256,7 @@ class TestShare:
                  if a is not None]
             )
             assert materialize(shared, unlink=True) == parsed
-        assert not shm_entries("repro-t-parsed")
+        assert not shm_segments("repro-t-parsed")
 
     def test_intra_and_inter_shapes_covered(self, parsed_pictures):
         """The fixture really exercises both optional-member layouts."""
@@ -305,7 +301,7 @@ class TestShare:
             assert isinstance(rebuilt, Sequence)
             assert rebuilt.name == clip.name and rebuilt.fps == clip.fps
             assert list(rebuilt) == list(clip)
-        assert not shm_entries("repro-t-seq")
+        assert not shm_segments("repro-t-seq")
 
     def test_bare_array_round_trip(self):
         array = np.arange(64, dtype=np.uint8).reshape(8, 8)
@@ -314,7 +310,7 @@ class TestShare:
             assert isinstance(shared, FrameHandle)
             assert handle_count(shared) == 1
             np.testing.assert_array_equal(materialize(shared, unlink=False), array)
-        assert not shm_entries("repro-t-arr")
+        assert not shm_segments("repro-t-arr")
 
     def test_payload_bytes_recurses_experiment_shapes(self):
         """The accounting covers what experiment specs actually carry:
@@ -350,7 +346,7 @@ class TestFrameStore:
             assert store.distinct_sources == 1
             rebuilt = materialize(first, unlink=False)
             assert list(rebuilt) == list(rendered_source("miss_america", config))
-        assert not shm_entries("repro-t-store")
+        assert not shm_segments("repro-t-store")
 
     def test_rig_frames_memoized_and_identical(self):
         from repro.experiments.fig4_characterization import rig_frames_cached
@@ -368,7 +364,7 @@ class TestFrameStore:
                 first, rig_frames_cached(motions, geometry, 7, 3)
             ):
                 np.testing.assert_array_equal(read_array(handle), frame)
-        assert not shm_entries("repro-t-rig")
+        assert not shm_segments("repro-t-rig")
 
     def test_place_delegates_to_arena(self):
         with FrameArena(name_prefix="repro-t-deleg") as arena:
@@ -377,7 +373,108 @@ class TestFrameStore:
             np.testing.assert_array_equal(
                 read_array(handle), np.arange(6, dtype=np.int16)
             )
-        assert not shm_entries("repro-t-deleg")
+        assert not shm_segments("repro-t-deleg")
+
+
+# -- what a spec costs to ship ---------------------------------------------
+
+
+class _ByValueStore:
+    """:class:`FrameStore` stand-in whose "handles" are the arrays
+    themselves: packing a spec against it yields the frames-inline twin
+    a shared-memory spec is priced against.  A sizing artifact only —
+    the twin never runs."""
+
+    def place(self, array):
+        return array
+
+    def source_frames(self, name, config):
+        from repro.parallel.jobs import rendered_source
+
+        return rendered_source(name, config)
+
+    def rig_frames(self, motions, geometry, p, seed):
+        from repro.experiments.fig4_characterization import rig_frames_cached
+
+        return tuple(rig_frames_cached(tuple(motions), geometry, p, seed))
+
+
+def _spec_payload(job) -> int:
+    """Array/bytes payload riding in one spec's fields, nested cell
+    lists included; zero for a fully packed shared-memory spec."""
+    from dataclasses import fields
+
+    from repro.parallel.jobs import JobSpec
+
+    total = 0
+    for spec_field in fields(job):
+        value = getattr(job, spec_field.name)
+        if isinstance(value, tuple) and value and isinstance(value[0], JobSpec):
+            total += sum(_spec_payload(item) for item in value)
+        else:
+            total += payload_bytes(value)
+    return total
+
+
+class TestSpecPickles:
+    """Under shared memory the worker pipe carries handles, never
+    payload: on a 12-frame QCIF workload every packed spec pickles zero
+    payload bytes, a parse spec and its result pickle stay a few hundred
+    bytes, and each experiment spec shrinks >= 40x against its by-value
+    twin (measured 107-141x).  ``/dev/shm`` ends clean."""
+
+    FRAMES = 12
+
+    def test_parse_specs_and_results_ship_handles(self):
+        import pickle
+
+        from repro.parallel.jobs import ParseFrameJob
+        from repro.video.synthesis.sequences import make_sequence
+
+        clip = make_sequence("foreman", frames=self.FRAMES, seed=0)
+        bitstream = encode_sequence(clip, qp=16, estimator="tss", bitstream_version=2).bitstream
+        index = FrameIndex.scan(bitstream)
+        specs = [ParseFrameJob(payload=index.payload(bitstream, i)) for i in range(len(index))]
+        parsed = [spec.run() for spec in specs]
+        with FrameArena(name_prefix="repro-t-spec") as arena:
+            packed = [spec.pack_shm(FrameStore(arena)) for spec in specs]
+            spec_shm = np.mean([len(pickle.dumps(spec)) for spec in packed])
+            assert all(payload_bytes(spec.payload) == 0 for spec in packed if spec.payload)
+        shared = [export(p, name_prefix="repro-t-spec") for p in parsed]
+        result_shm = np.mean([len(pickle.dumps(s)) for s in shared])
+        assert [materialize(s, unlink=True) for s in shared] == parsed
+        assert np.mean([payload_bytes(spec.payload) for spec in specs]) > 0
+        assert spec_shm < 512
+        assert spec_shm < np.mean([len(pickle.dumps(spec)) for spec in specs])
+        assert result_shm < 2048
+        assert result_shm < np.mean([len(pickle.dumps(p)) for p in parsed])
+        assert not shm_segments("repro-t-spec")
+
+    def test_experiment_specs_shrink_against_by_value_twins(self):
+        import pickle
+
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.fig4_characterization import DEFAULT_GLOBAL_MOTIONS
+        from repro.parallel.jobs import EncodeJob, Fig4PairJob, SweepJob
+        from repro.video.frame import QCIF
+
+        config = ExperimentConfig(sequences=("foreman",), qps=(16,), frames=self.FRAMES)
+        specs = (
+            EncodeJob(sequence="foreman", fps=config.fps_list[0], estimator="tss", qp=16, config=config),
+            SweepJob(config=config, estimators=("tss",)),
+            Fig4PairJob(pair_index=0, motions=DEFAULT_GLOBAL_MOTIONS, geometry=QCIF, seed=0),
+        )
+        value_packed = [spec.pack_shm(_ByValueStore()) for spec in specs]
+        with FrameArena(name_prefix="repro-t-spec") as arena:
+            store = FrameStore(arena)
+            shm_packed = [spec.pack_shm(store) for spec in specs]
+            for spec, twin, shipped in zip(specs, value_packed, shm_packed):
+                kind = type(spec).__name__
+                assert _spec_payload(twin) > 0, kind
+                assert _spec_payload(shipped) == 0, kind
+                shrink = len(pickle.dumps(twin)) / len(pickle.dumps(shipped))
+                assert shrink >= 40, f"{kind} spec pickle only shrank {shrink:.1f}x"
+        assert not shm_segments("repro-t-spec")
 
 
 # -- property round trips --------------------------------------------------
@@ -406,7 +503,7 @@ class TestShareProperties:
         assert isinstance(rebuilt, tuple)
         for original, copy in zip(pair, rebuilt):
             np.testing.assert_array_equal(copy, original)
-        assert not shm_entries("repro-t-prop")
+        assert not shm_segments("repro-t-prop")
 
     @given(
         seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
@@ -431,4 +528,4 @@ class TestShareProperties:
             for original, copy in zip(clips, rebuilt):
                 assert copy.name == original.name and copy.fps == original.fps
                 assert list(copy) == list(original)
-        assert not shm_entries("repro-t-prop")
+        assert not shm_segments("repro-t-prop")
