@@ -2,8 +2,9 @@
 rows when numba is installed.
 
 Two hot paths anchor the backend ABI (``repro.kernels``): the
-whole-frame SAD-surface kernel (the motion-search workhorse) and the
-whole-stream VLC symbol parse (the decoder front half).
+block-list SAD-surface kernel, run over every block of a frame (the
+motion-search workhorse), and the whole-stream VLC symbol parse (the
+decoder front half).
 
 * numpy rows — the numpy backend against the generic per-block SAD
   fallback (>= 2.0x) and against the per-bit oracle parse (>= 2.8x);
@@ -46,6 +47,12 @@ def encoded(sequence_cache):
     return encode_sequence(sequence_cache["foreman"], qp=16, estimator="fsbm")
 
 
+def _all_blocks(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mb_rows, mb_cols) of every 16x16 block, raster order."""
+    cols = plane.shape[1] // 16
+    return np.divmod(np.arange((plane.shape[0] // 16) * cols), cols)
+
+
 def _gate(label: str, baseline_s: float, fast_s: float, floor: float) -> None:
     speedup = baseline_s / fast_s
     print(f"\n{label}: {baseline_s * 1e3:.2f} ms -> {fast_s * 1e3:.2f} ms, {speedup:.2f}x")
@@ -55,8 +62,9 @@ def _gate(label: str, baseline_s: float, fast_s: float, floor: float) -> None:
 def test_backend_sad_numpy(planes):
     """Numpy-backend SAD surfaces vs the generic per-block fallback."""
     current, reference = planes
-    assert sad_surfaces_numpy(current, reference, 16, 15).shape == (9, 11, 31, 31)
-    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, 16, 15), 5)
+    blocks = _all_blocks(current)
+    assert sad_surfaces_numpy(current, reference, *blocks, 16, 15).shape == (99, 31, 31)
+    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 16, 15), 5)
     generic_s = best_of(lambda: _frame_sad_surfaces_generic(current, reference, 16, 15), 3)
     _gate("numpy SAD surfaces vs generic", generic_s, numpy_s, 2.0)
 
@@ -75,10 +83,11 @@ def test_backend_sad_numba(numba_backend, planes):
     """Compiled SAD surfaces vs the numpy row (the first call pays the
     JIT warm-up, so compile before timing)."""
     current, reference = planes
+    blocks = _all_blocks(current)
     backend = numba_backend
-    backend.sad_surfaces(current, reference, 16, 15)  # JIT warm-up
-    numba_s = best_of(lambda: backend.sad_surfaces(current, reference, 16, 15), 5)
-    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, 16, 15), 5)
+    backend.sad_surfaces(current, reference, *blocks, 16, 15)  # JIT warm-up
+    numba_s = best_of(lambda: backend.sad_surfaces(current, reference, *blocks, 16, 15), 5)
+    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 16, 15), 5)
     _gate("numba SAD surfaces vs numpy", numpy_s, numba_s, 3.0)
 
 

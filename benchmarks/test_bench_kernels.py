@@ -2,17 +2,21 @@
 
 Timed with pytest-benchmark's normal statistics (multiple rounds) so
 regressions in the vectorized SAD map, the frame-level engine kernels,
-the batched DCT or the encoder inner loop are visible; one speed gate
-holds the batched FSBM frame path against the per-block ME oracle.
+the batched DCT or the encoder inner loop are visible.  Three speed
+gates: the batched FSBM frame path against the per-block ME oracle, and
+the block-list surface kernel on a subset of blocks against the same
+kernel on every block (critical-only full search must pay for what it
+surfaces) and against per-block SAD maps (no per-block path is worth
+keeping for a handful of critical blocks).
 """
 
 import numpy as np
 import pytest
 
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.me.engine import ReferencePlane, frame_sad_surfaces
+from repro.me.engine import ReferencePlane, block_sad_surfaces, frame_sad_surfaces
 from repro.me.estimator import BlockContext
-from repro.me.full_search import FullSearchEstimator
+from repro.me.full_search import FullSearchEstimator, full_search_sads
 from repro.me.metrics import sad_map
 from repro.me.types import MotionField
 from repro.reference import estimate_motion
@@ -61,8 +65,9 @@ def test_fsbm_block_search(benchmark, planes):
 
 
 def test_frame_sad_surfaces_kernel(benchmark, planes):
-    """The engine's whole-frame SAD-surface kernel on one QCIF frame:
-    every macroblock's full ±15 surface in one batched pass."""
+    """The engine's block-list SAD-surface kernel over every block of
+    one QCIF frame: each macroblock's full ±15 surface in one batched
+    pass."""
     current, reference = planes
     result = benchmark(frame_sad_surfaces, current, reference, 16, 15)
     assert result.surfaces.shape == (9, 11, 31, 31)
@@ -104,6 +109,45 @@ def test_fsbm_frame_speedup_batch_vs_per_block():
         f"batched {t_batched * 1000.0:.1f} ms -> {speedup:.2f}x"
     )
     assert speedup >= 2.4, f"batched frame path regressed: only {speedup:.2f}x"
+
+
+def test_block_list_scales_with_blocks():
+    """Surfacing every other CIF block must beat surfacing all of them
+    by >= 1.4x: the kernel's cost follows the block count, which is
+    what lets ACBM pay only for its critical blocks."""
+    current, reference = _cif_planes()
+    rows, cols = np.divmod(np.arange(396), 22)  # CIF: 18 x 22 blocks
+    t_all = best_of(lambda: block_sad_surfaces(current, reference, rows, cols, 16, 15), 5)
+    t_half = best_of(
+        lambda: block_sad_surfaces(current, reference, rows[::2], cols[::2], 16, 15), 5
+    )
+    speedup = t_all / t_half
+    print(
+        f"\nCIF surfaces: all 396 blocks {t_all * 1000.0:.1f} ms, "
+        f"every other block {t_half * 1000.0:.1f} ms -> {speedup:.2f}x"
+    )
+    assert speedup >= 1.4, f"block-list kernel does not scale with N: only {speedup:.2f}x"
+
+
+def test_block_list_beats_per_block_maps():
+    """Twelve blocks through the block-list kernel must beat twelve
+    per-block ``full_search_sads`` maps by >= 1.2x — the evidence that
+    frames with few critical blocks need no per-block path."""
+    current, reference = _cif_planes()
+    rows, cols = np.divmod(np.arange(0, 396, 33), 22)
+
+    def per_block():
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            full_search_sads(current, reference, r * 16, c * 16, 16, 15)
+
+    t_kernel = best_of(lambda: block_sad_surfaces(current, reference, rows, cols, 16, 15), 7)
+    t_maps = best_of(per_block, 7)
+    speedup = t_maps / t_kernel
+    print(
+        f"\n12 CIF blocks: per-block maps {t_maps * 1000.0:.2f} ms, "
+        f"block-list kernel {t_kernel * 1000.0:.2f} ms -> {speedup:.2f}x"
+    )
+    assert speedup >= 1.2, f"block-list kernel lost to per-block maps: only {speedup:.2f}x"
 
 
 def test_batched_dct_round_trip(benchmark):

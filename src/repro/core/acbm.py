@@ -30,11 +30,11 @@ Lagrangian median predictor reads a subset of them), so the sweeps
 converge to the raster walk's unique fixed point.  ``Intra_SAD`` is
 exact in float64 in any summation order (every term is a multiple of
 2⁻⁸ and bounded), so the classifier sees identical inputs.  The full
-search does not depend on the field: each critical block's result is
-computed once per frame — per-block SAD maps while the frame's distinct
-critical blocks number at most ``surface_threshold``, one whole-frame
-surface (:func:`repro.me.engine.frame_sad_surfaces`) once they exceed
-it.
+search does not depend on the field: as the paper prescribes, it runs
+on the critical blocks only, each one once per frame — every sweep
+hands the blocks it newly classifies critical to the block-list surface
+kernel (:func:`repro.me.engine.block_sad_surfaces`), whatever their
+count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.core.classifier import (
 )
 from repro.core.parameters import ACBMParameters
 from repro.me.cost import lagrange_lambda
-from repro.me.engine.kernels import frame_sad_surfaces, refine_half_pel_batch, select_minima
+from repro.me.engine.kernels import block_sad_surfaces, refine_half_pel_batch, select_minima
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
 from repro.me.full_search import full_search_sads, select_minimum
@@ -97,17 +97,11 @@ class ACBMEstimator(MotionEstimator):
         full-search vector by ``J = SAD + λ(Qp)·R(mvd)`` (differential
         MV bits against the H.263 median predictor) instead of raw SAD.
         Off by default — the paper's base algorithm compares SADs.
-    surface_threshold:
-        Distinct critical blocks per frame after which the frame
-        driver serves every critical block's full search from one
-        :func:`repro.me.engine.frame_sad_surfaces` pass instead of
-        per-block SAD maps.  The whole-frame surface costs a few dozen
-        per-block searches, so frames with few critical blocks
-        (high Qp, calm content) stay on the per-block path and busy
-        frames amortize one batched pass; both paths return bit-exact
-        SAD surfaces, so the decisions and position counts never
-        depend on the threshold.  :meth:`search_block` alone always
-        runs the per-block map.
+
+    The frame driver (:meth:`sweep`) surfaces only the critical blocks,
+    each once per frame, through the block-list kernel;
+    :meth:`search_block` runs the per-block SAD map and stays the
+    definition the driver is checked against.
 
     >>> est = ACBMEstimator()
     >>> (est.p, est.params.alpha, est.params.beta, est.params.gamma)
@@ -122,14 +116,10 @@ class ACBMEstimator(MotionEstimator):
         params: ACBMParameters | None = None,
         refine_steps: int = 2,
         lagrangian: bool = False,
-        surface_threshold: int = 12,
     ) -> None:
         super().__init__(p=p, block_size=block_size, half_pel=half_pel)
-        if surface_threshold < 0:
-            raise ValueError(f"surface_threshold must be >= 0, got {surface_threshold}")
         self.params = params if params is not None else ACBMParameters.paper_defaults()
         self.lagrangian = lagrangian
-        self.surface_threshold = surface_threshold
         # The embedded predictive stage; half-pel kept on so SAD_PBM is
         # the SAD of the vector PBM would actually deliver.
         self._pbm = PredictiveEstimator(
@@ -249,13 +239,12 @@ class ACBMEstimator(MotionEstimator):
 class _CriticalFullSearch:
     """One frame's full-search results for ACBM's critical blocks.
 
-    The full search does not read the motion field, so each block's
-    result is computed once, however many sweeps classify it critical:
-    per-block SAD maps while the frame's distinct critical blocks number
-    at most ``surface_threshold``, then one whole-frame
-    :func:`frame_sad_surfaces` pass that serves every later block.
-    Calling it with flat block indices returns their ``(hx, hy, sad,
-    positions)``, half-pel refined when the estimator is.
+    The full search does not read the motion field, so each block is
+    surfaced once per frame, however many sweeps classify it critical:
+    a call runs the block-list kernel (:func:`block_sad_surfaces`) on
+    just the blocks no earlier call surfaced.  Calling it with flat
+    block indices returns their ``(hx, hy, sad, positions)``, half-pel
+    refined when the estimator is.
     """
 
     def __init__(self, est: ACBMEstimator, current: np.ndarray, plane: ReferencePlane) -> None:
@@ -266,7 +255,6 @@ class _CriticalFullSearch:
         n = (current.shape[0] // est.block_size) * self.cols
         self.results = np.zeros((4, n), dtype=np.int64)
         self.done = np.zeros(n, dtype=bool)
-        self.minima: tuple[np.ndarray, ...] | None = None
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         todo = idx[~self.done[idx]]
@@ -276,22 +264,13 @@ class _CriticalFullSearch:
 
     def _compute(self, todo: np.ndarray) -> None:
         est, s, p = self.est, self.est.block_size, self.est.p
-        if self.minima is None and np.count_nonzero(self.done) + todo.size > est.surface_threshold:
-            surfaces = frame_sad_surfaces(self.current, self.plane, s, p)
-            self.minima = tuple(a.reshape(-1) for a in select_minima(surfaces))
-        if self.minima is not None:
-            dx, dy, sads, positions = (a[todo] for a in self.minima)
-        else:
-            found = []
-            for i in todo.tolist():
-                r, c = divmod(i, self.cols)
-                fs_sads, window = full_search_sads(self.current, self.plane.luma, r * s, c * s, s, p)
-                mv, sad = select_minimum(fs_sads, window)
-                found.append((mv.hx // 2, mv.hy // 2, sad, window.num_positions))
-            dx, dy, sads, positions = np.array(found, dtype=np.int64).T
+        blocks = np.divmod(todo, self.cols)
+        dx, dy, sads, positions = select_minima(
+            block_sad_surfaces(self.current, self.plane, *blocks, s, p)
+        )
         if est.half_pel:
             hx, hy, sads, extra = refine_half_pel_batch(
-                self.current, self.plane, dx, dy, sads, s, p, blocks=np.divmod(todo, self.cols)
+                self.current, self.plane, dx, dy, sads, s, p, blocks=blocks
             )
             positions = positions + extra
         else:

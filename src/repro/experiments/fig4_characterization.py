@@ -248,7 +248,7 @@ def observe_frames(
     dx, dy = motion
     truth = MotionVector(2 * dx, 2 * dy)
     surfaces = frame_sad_surfaces(current, reference, block_size, p)
-    best_dx, best_dy, sad_mins, _ = select_minima(surfaces)
+    best_dx, best_dy, sad_mins, _ = select_minima(surfaces.surfaces)
     deviations = surfaces.deviations()
     activity = block_activity_map(current, block_size)
     mb_rows, mb_cols = current.shape[0] // block_size, current.shape[1] // block_size

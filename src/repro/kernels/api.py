@@ -5,8 +5,9 @@ named here — a deliberate bottleneck so an alternative backend (today
 :mod:`repro.kernels.numba_backend`, tomorrow Cython/C) only has to
 implement this surface to accelerate the whole system:
 
-* ``sad_surfaces`` — the full ±p SAD surface of every macroblock
-  (:func:`repro.me.engine.kernels.frame_sad_surfaces`'s packed core);
+* ``sad_surfaces`` — the full ±p SAD surface of any list of
+  macroblocks (the core of :func:`repro.me.engine.block_sad_surfaces`:
+  ACBM's critical blocks, or every block for FSBM);
 * ``evaluate_candidates`` — arbitrary (block, displacement) candidate
   lists scored in one pass;
 * ``refine_half_pel`` — the 8-neighbour half-pel stage for any set of
@@ -59,9 +60,10 @@ class KernelBackend:
     #: Registry name ("numpy", "numba"); also stamped into BENCH records.
     name: str
 
-    #: (cur u8 (h,w), ref u8 (h,w), block_size, p) -> (rows, cols, 2p+1, 2p+1)
-    #: int32 surface with SURFACE_SENTINEL at out-of-plane displacements.
-    #: Only dispatched inside the packed envelope
+    #: (cur u8 (h,w), ref u8 (h,w), mb_rows (N,), mb_cols (N,), block_size,
+    #:  p) -> (N, 2p+1, 2p+1) int32 surfaces with SURFACE_SENTINEL at
+    #: out-of-plane displacements, for any block list (unsorted, repeats
+    #: and N = 0 allowed).  Only dispatched inside the batched envelope
     #: (:func:`repro.me.engine.kernels.supports_vectorized_search`).
     sad_surfaces: Callable
 

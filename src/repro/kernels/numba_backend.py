@@ -374,30 +374,27 @@ def k_parse_intra_pred_body(
 # -- compute kernels -------------------------------------------------------
 
 
-def k_sad_surfaces(cur, ref, s, p):
+def k_sad_surfaces(cur, ref, mb_rows, mb_cols, s, p):
     h, w = cur.shape
-    rows = h // s
-    cols = w // s
     n = 2 * p + 1
-    surf = np.full((rows, cols, n, n), _SENTINEL, dtype=np.int32)
-    for r in range(rows):
-        y = r * s
+    surf = np.full((mb_rows.shape[0], n, n), _SENTINEL, dtype=np.int32)
+    for b in range(mb_rows.shape[0]):
+        y = mb_rows[b] * s
+        x = mb_cols[b] * s
         dy_lo = -p if y >= p else -y
         dy_hi = p if y + s + p <= h else h - s - y
-        for c in range(cols):
-            x = c * s
-            dx_lo = -p if x >= p else -x
-            dx_hi = p if x + s + p <= w else w - s - x
-            for dy in range(dy_lo, dy_hi + 1):
-                for dx in range(dx_lo, dx_hi + 1):
-                    acc = 0
-                    for i in range(s):
-                        yy = y + i
-                        ry = yy + dy
-                        for j in range(s):
-                            d = np.int64(cur[yy, x + j]) - np.int64(ref[ry, x + dx + j])
-                            acc += d if d >= 0 else -d
-                    surf[r, c, dy + p, dx + p] = acc
+        dx_lo = -p if x >= p else -x
+        dx_hi = p if x + s + p <= w else w - s - x
+        for dy in range(dy_lo, dy_hi + 1):
+            for dx in range(dx_lo, dx_hi + 1):
+                acc = 0
+                for i in range(s):
+                    yy = y + i
+                    ry = yy + dy
+                    for j in range(s):
+                        d = np.int64(cur[yy, x + j]) - np.int64(ref[ry, x + dx + j])
+                        acc += d if d >= 0 else -d
+                surf[b, dy + p, dx + p] = acc
     return surf
 
 
@@ -580,12 +577,13 @@ def _u8(arr):
     return arr.dtype == np.uint8 and arr.ndim == 2
 
 
-def _sad_surfaces(cur, ref, s, p):
+def _sad_surfaces(cur, ref, mb_rows, mb_cols, s, p):
     if not (_u8(cur) and _u8(ref)):
         from repro.me.engine.kernels import sad_surfaces_numpy
 
-        return sad_surfaces_numpy(cur, ref, s, p)
-    return k_sad_surfaces(np.ascontiguousarray(cur), np.ascontiguousarray(ref), s, p)
+        return sad_surfaces_numpy(cur, ref, mb_rows, mb_cols, s, p)
+    rows, cols = (np.ascontiguousarray(a, dtype=np.int64) for a in (mb_rows, mb_cols))
+    return k_sad_surfaces(np.ascontiguousarray(cur), np.ascontiguousarray(ref), rows, cols, s, p)
 
 
 def _evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):

@@ -1,7 +1,7 @@
 """The always-on reference backend: the existing NumPy kernels.
 
 Nothing here is new code — this module re-exports the vectorized
-implementations that live next to their call sites (the engine's packed
+implementations that live next to their call sites (the engine's batched
 SAD kernels, the reconstruction gather, the quantizer arithmetic) as a
 :class:`~repro.kernels.api.KernelBackend` record.  The compiled VLC
 entries are ``None``: the Python word-level reader + LUT walk *is* the

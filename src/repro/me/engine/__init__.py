@@ -11,11 +11,13 @@ candidate evaluation; this package is that engine:
   bit-exact with :func:`repro.me.subpel.half_pel_block`), built once
   and shared by every estimator, the half-pel refinement and the
   encoder's motion compensation.
-* :func:`frame_sad_surfaces` — the full +-p SAD surface of *every*
-  macroblock of a frame in one vectorized pass.
+* :func:`block_sad_surfaces` — the full +-p SAD surface of any list
+  of macroblocks in one vectorized pass (ACBM's critical blocks);
+  :func:`frame_sad_surfaces` runs it over every macroblock (FSBM, the
+  Fig. 4 rig).
 * :func:`select_minima` / :func:`refine_half_pel_batch` — vectorized
   minimum selection (full-search tie-break semantics) and batched
-  8-neighbour half-pel refinement over all blocks at once.
+  8-neighbour half-pel refinement over any set of blocks at once.
 * :func:`evaluate_candidates_batch` — arbitrary candidate lists scored
   for many blocks in one gather, behind the predictive and pattern
   searches' :class:`repro.me.candidates.BatchEvaluator`.
@@ -46,6 +48,7 @@ from repro.me.engine.kernels import (
     INTRA_UNAVAILABLE_COST,
     SURFACE_SENTINEL,
     FrameSadSurfaces,
+    block_sad_surfaces,
     evaluate_candidates_batch,
     frame_sad_surfaces,
     intra_mode_cost_surfaces,
@@ -72,6 +75,7 @@ __all__ = [
     "FrameSadSurfaces",
     "ReferencePlane",
     "add_residual_clip",
+    "block_sad_surfaces",
     "chroma_mv_grids",
     "composite_predictions",
     "evaluate_candidates_batch",

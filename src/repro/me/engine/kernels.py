@@ -4,13 +4,14 @@ The hot path of the reproduction is candidate evaluation.  The seed did
 it one block and one candidate at a time; these kernels process a whole
 frame per NumPy pass:
 
-* :func:`frame_sad_surfaces` — the complete +-p SAD surface of every
-  macroblock against the reference, one displacement-row at a time,
-  with the per-displacement abs-difference reduced through a packed
-  two-lane tree (two int16 partial sums ride in each int32 add) so the
-  reduction stays SIMD- and cache-friendly.
-* :func:`select_minima` — vectorized minimum pick over all blocks with
-  the full search's exact shortest-vector tie-break.
+* :func:`block_sad_surfaces` — the complete +-p SAD surface of any
+  list of macroblocks against the reference: ACBM's critical blocks,
+  or every block through :func:`frame_sad_surfaces` (FSBM, the Fig. 4
+  rig).  The listed blocks' windows are gathered with the block index
+  as the innermost axis, so each displacement row is a handful of
+  NumPy passes over all N blocks at once.
+* :func:`select_minima` — vectorized minimum pick over any stack of
+  surfaces with the full search's exact shortest-vector tie-break.
 * :func:`refine_half_pel_batch` — the 8-neighbour half-pel stage for
   every block (or any subset of blocks) at once, reading
   :class:`ReferencePlane`'s cached plane.
@@ -27,7 +28,6 @@ asserts the equivalence property-style.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,23 +36,11 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from repro.kernels import get_backend
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.search_window import SearchWindow
+from repro.obs import metrics
 
-#: Per-thread scratch for the surface kernel: a video encode calls it
-#: once per frame with a constant geometry, so the padded reference and
-#: the abs-difference buffer are reused instead of reallocated.
-#: Thread-local keeps concurrent encodes (the estimator API contract)
-#: from sharing buffers.
-_SCRATCH = threading.local()
-
-
-def _surface_workspace(h: int, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rpad, buf) scratch arrays for an ``h x w`` plane at window p."""
-    key = (h, w, p)
-    if getattr(_SCRATCH, "key", None) != key:
-        _SCRATCH.key = key
-        _SCRATCH.rpad = np.zeros((h, w + 2 * p), dtype=np.int16)
-        _SCRATCH.buf = np.empty((h, 2 * p + 1, w), dtype=np.int16)
-    return _SCRATCH.rpad, _SCRATCH.buf
+#: Blocks whose full +-p surface the kernel computed (every block of an
+#: FSBM frame, each critical block once per ACBM frame).
+_MET_FS_BLOCKS = metrics.counter("me.fs_blocks")
 
 #: Marks displacements whose candidate block leaves the reference plane.
 #: Larger than any real SAD (16 x 16 x 255 = 65280) so plain ``min``
@@ -81,14 +69,14 @@ def _luma(reference: np.ndarray | ReferencePlane) -> np.ndarray:
 
 
 def supports_vectorized_search(plane: np.ndarray, block_size: int, p: int) -> bool:
-    """Whether the packed fast path applies.
+    """Whether the batched fast path applies.
 
-    The packed-lane tree needs a power-of-two block edge small enough
-    that the per-block-row partial sums (``block_size^2 / 2 * 255``)
-    stay below an int16 lane, and the vectorized tie-break packs each
-    displacement component into 6 bits.  The paper's 16x16 / p=15
-    setting sits comfortably inside; anything else falls back to the
-    per-block path with identical results.
+    The surface kernel's uint16 tree needs a power-of-two block edge
+    whose whole-block SAD fits a 16-bit lane (``16^2 * 255 = 65280 <
+    2^16``), and the vectorized tie-break packs each displacement
+    component into 6 bits.  The paper's 16x16 / p=15 setting sits
+    comfortably inside; anything else falls back to the per-block path
+    with identical results.
     """
     s = block_size
     return (
@@ -168,15 +156,6 @@ class FrameSadSurfaces:
         ]
         return sads.astype(np.int64), win
 
-    def positions(self) -> np.ndarray:
-        """Valid candidate positions per block (``window.num_positions``
-        of the clipped window), shape ``(rows, cols)`` int64."""
-        h, w = self.plane_shape
-        dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, self.block_size, self.p)
-        return (
-            (dy_max - dy_min + 1)[:, None] * (dx_max - dx_min + 1)[None, :]
-        ).astype(np.int64)
-
     def deviations(self) -> np.ndarray:
         """Per-block ``SAD_deviation`` (paper Section 3.1): the sum of
         ``SAD(u, v) - SAD_min`` over every valid candidate, vectorized
@@ -185,7 +164,7 @@ class FrameSadSurfaces:
         valid = surf != SURFACE_SENTINEL
         totals = np.where(valid, surf.astype(np.int64), 0).sum(axis=(2, 3))
         minima = np.where(valid, surf, np.int32(np.iinfo(np.int32).max)).min(axis=(2, 3))
-        return totals - minima.astype(np.int64) * self.positions()
+        return totals - minima.astype(np.int64) * valid.sum(axis=(2, 3))
 
 
 def frame_sad_surfaces(
@@ -194,16 +173,13 @@ def frame_sad_surfaces(
     block_size: int = 16,
     p: int = 15,
 ) -> FrameSadSurfaces:
-    """Full +-p SAD surfaces for every macroblock of a frame in one
-    vectorized pass.
-
-    For each vertical displacement ``dy`` the whole frame's absolute
-    differences against every horizontal displacement are materialized
-    once (a sliding window over the x-padded reference) and reduced to
-    per-block sums through a packed two-int16-lane tree.  Equivalent to
-    calling :func:`repro.me.full_search.full_search_sads` per block,
-    ~5x faster, and the backing store of the Fig. 4 rig's
-    ``SAD_deviation``.
+    """Full +-p SAD surfaces for every macroblock of a frame:
+    :func:`block_sad_surfaces` over the whole grid, reshaped to
+    ``(rows, cols, 2p+1, 2p+1)``.  Equivalent to calling
+    :func:`repro.me.full_search.full_search_sads` per block, and the
+    backing store of the Fig. 4 rig's ``SAD_deviation``; outside the
+    batched envelope it runs the generic one-displacement-at-a-time
+    path with the same result.
     """
     cur = np.asarray(current)
     ref = _luma(reference)
@@ -217,51 +193,99 @@ def frame_sad_surfaces(
         raise ValueError(f"plane {cur.shape} not a multiple of block size {s}")
     if not supports_vectorized_search(ref, s, p) or cur.dtype != np.uint8:
         return _frame_sad_surfaces_generic(cur, ref, s, p)
-    surf = get_backend().sad_surfaces(cur, ref, s, p)
-    return FrameSadSurfaces(surfaces=surf, block_size=s, p=p, plane_shape=(h, w))
-
-
-def sad_surfaces_numpy(cur: np.ndarray, ref: np.ndarray, s: int, p: int) -> np.ndarray:
-    """The packed two-lane surface kernel — the numpy backend's binding
-    for the ``sad_surfaces`` ABI entry.  Callers guarantee the packed
-    envelope (uint8 planes inside :func:`supports_vectorized_search`)."""
-    h, w = cur.shape
     rows, cols = h // s, w // s
+    surf = block_sad_surfaces(cur, ref, *np.divmod(np.arange(rows * cols), cols), s, p)
+    return FrameSadSurfaces(
+        surfaces=surf.reshape(rows, cols, 2 * p + 1, 2 * p + 1),
+        block_size=s,
+        p=p,
+        plane_shape=(h, w),
+    )
+
+
+def block_sad_surfaces(
+    current: np.ndarray,
+    reference: np.ndarray | ReferencePlane,
+    mb_rows: np.ndarray,
+    mb_cols: np.ndarray,
+    block_size: int,
+    p: int,
+) -> np.ndarray:
+    """Full +-p SAD surfaces of the listed macroblocks.
+
+    ``mb_rows``/``mb_cols`` are ``(N,)`` macroblock coordinates, in any
+    order and with repeats allowed.  Returns ``(N, 2p+1, 2p+1)`` int32
+    where ``out[b, i, j]`` is block ``b``'s SAD at ``(dy, dx) = (i - p,
+    j - p)`` and :data:`SURFACE_SENTINEL` marks displacements whose
+    candidate leaves the plane.  Callers stay inside
+    :func:`supports_vectorized_search` with uint8 planes.  Counts the
+    blocks into ``me.fs_blocks``.
+    """
+    _MET_FS_BLOCKS.inc(len(mb_rows))
+    return get_backend().sad_surfaces(
+        np.asarray(current),
+        _luma(reference),
+        np.asarray(mb_rows, dtype=np.int64),
+        np.asarray(mb_cols, dtype=np.int64),
+        block_size,
+        p,
+    )
+
+
+def sad_surfaces_numpy(
+    cur: np.ndarray, ref: np.ndarray, mb_rows: np.ndarray, mb_cols: np.ndarray, s: int, p: int
+) -> np.ndarray:
+    """Block-list surface core — the numpy backend's binding for the
+    ``sad_surfaces`` ABI entry.
+
+    Each listed block's ``(s+2p)^2`` window of the zero-padded
+    reference is gathered with the block index innermost, so one
+    strided view per ``dy`` lines up every ``(y, dx, x)`` candidate
+    sample of all N blocks and each NumPy pass runs over N contiguous
+    lanes.  The abs-differences are summed in uint16 — a whole block's
+    SAD is at most ``16^2 * 255 = 65280 < 2^16`` — by a tree over y,
+    then x (s is a power of two).  The zero padding makes out-of-plane
+    displacements finite garbage; the sentinel is stamped over them
+    from :func:`window_bounds`.
+    """
+    h, w = cur.shape
     n = 2 * p + 1
-    ci = cur.astype(np.int16)
-    rpad, buf = _surface_workspace(h, w, p)
-    rpad[:, p : p + w] = ref
-    surf = np.full((rows, cols, n, n), SURFACE_SENTINEL, dtype=np.int32)
-    # s is a power of two, so s//2 packed int32 lanes tree-halve to one.
-    tree_levels = (s // 2).bit_length() - 1
-    for dy in range(-p, p + 1):
-        # Block rows whose displaced candidate stays inside the plane.
-        r0 = 0 if dy >= 0 else (-dy + s - 1) // s
-        r1 = rows if dy <= 0 else (h - dy) // s
-        if r0 >= r1:
-            continue
-        y0, y1 = r0 * s, r1 * s
-        # view[y, k, x] = rpad[y0 + dy + y, x + k]  (k = dx + p)
-        view = sliding_window_view(rpad[y0 + dy : y1 + dy], w, axis=1)
-        diff = buf[: y1 - y0]
-        np.abs(np.subtract(ci[y0:y1, None, :], view, out=diff), out=diff)
-        # Packed tree: each int32 add sums two int16 lanes at once.
-        # Lane bound after the tree: (s/2) * 255 <= 2040; after the
-        # s-row block sum: s * (s/2) * 255 <= 32640 < 2^15 — no carry
-        # ever crosses the lane boundary.
-        acc = diff.view(np.int32)
-        for _ in range(tree_levels):
-            acc = acc[..., ::2] + acc[..., 1::2]
-        packed = acc.reshape(r1 - r0, s, n, cols).sum(axis=1)
-        sums = (packed & 0xFFFF) + (packed >> 16)  # (rblocks, n, cols)
-        surf[r0:r1, :, dy + p, :] = sums.transpose(0, 2, 1)
-    # The x-padding made out-of-plane dx finite garbage; stamp the
-    # sentinel back in.  Only border block columns are affected.
-    dxs = np.arange(-p, p + 1)
-    for c in range(cols):
-        bad = (c * s + dxs < 0) | (c * s + s + dxs > w)
-        if bad.any():
-            surf[:, c, :, bad] = SURFACE_SENTINEL
+    dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, s, p)
+    dy_lo, dy_hi = dy_min[mb_rows], dy_max[mb_rows]
+    dx_lo, dx_hi = dx_min[mb_cols], dx_max[mb_cols]
+    d = np.arange(-p, p + 1)
+    outside = ((d < dy_lo[:, None]) | (d > dy_hi[:, None]))[:, :, None] | (
+        (d < dx_lo[:, None]) | (d > dx_hi[:, None])
+    )[:, None, :]
+    surf = np.zeros((mb_rows.size, n, n), dtype=np.int32)
+    if mb_rows.size:
+        ys, xs = mb_rows * s, mb_cols * s
+        rpad = np.zeros((h + 2 * p, w + 2 * p), dtype=np.uint8)
+        rpad[p : p + h, p : p + w] = ref
+        # win[y, x, b]: block b's window, padded coordinates; blk likewise.
+        win = np.ascontiguousarray(
+            _block_windows(rpad, s + 2 * p)[ys, xs].transpose(1, 2, 0), np.int16
+        )
+        blk = np.ascontiguousarray(_block_windows(cur, s)[ys, xs].transpose(1, 2, 0), np.int16)
+        # Only the displacement rows/columns some listed block can use.
+        k0, k1 = dx_lo.min() + p, dx_hi.max() + p + 1
+        diff = np.empty((s, k1 - k0, s, mb_rows.size), dtype=np.int16)
+        for i in range(dy_lo.min() + p, dy_hi.max() + p + 1):
+            # view[y, k, x, b] = win[i + y, k0 + k + x, b]
+            view = sliding_window_view(win[i : i + s, k0 : k1 + s - 1], s, axis=1)
+            np.abs(np.subtract(blk[:, None], view.transpose(0, 1, 3, 2), out=diff), out=diff)
+            # Fold y in place (contiguous halves, no temporaries), then
+            # tree-sum x on the one remaining (k, s, N) slab.
+            acc = diff.view(np.uint16)
+            half = s // 2
+            while half:
+                np.add(acc[:half], acc[half : 2 * half], out=acc[:half])
+                half //= 2
+            acc = acc[0]
+            while acc.shape[1] > 1:
+                acc = acc[:, : acc.shape[1] // 2] + acc[:, acc.shape[1] // 2 :]
+            surf[:, i, k0:k1] = acc[:, 0].T
+    surf[outside] = SURFACE_SENTINEL
     return surf
 
 
@@ -311,44 +335,36 @@ def tiebreak_keys(dx: np.ndarray, dy: np.ndarray, p: int) -> np.ndarray:
     return (((key * 64 + ady) * 64 + adx) * 64 + dy + p) * 64 + dx + p
 
 
-def select_minima(fss: FrameSadSurfaces) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum-SAD displacement of every block with the full search's
+def select_minima(surfaces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-SAD displacement of every surface with the full search's
     shortest-vector tie-break.
 
-    Returns ``(dx, dy, sads, positions)`` — integer-pel displacement
-    grids, the winning SADs (int64) and the valid-position counts, all
-    shaped ``(rows, cols)``.  Identical block-for-block to
+    ``surfaces`` is any stack ``(..., 2p+1, 2p+1)`` in the
+    :func:`block_sad_surfaces` layout: ``(N, n, n)`` for a block list,
+    :attr:`FrameSadSurfaces.surfaces` for the whole grid.  Returns
+    ``(dx, dy, sads, positions)`` shaped like the leading axes — the
+    integer-pel displacement, the winning SAD (int64) and the number of
+    valid positions (the entries that are not
+    :data:`SURFACE_SENTINEL`, i.e. the clipped window's
+    ``num_positions``).  Identical block-for-block to
     :func:`repro.me.full_search.select_minimum`.
     """
-    p, n = fss.p, 2 * fss.p + 1
-    rows, cols = fss.mb_rows, fss.mb_cols
-    flat = fss.surfaces.reshape(rows, cols, n * n)
-    minima = flat.min(axis=2)
-    if p <= 31:
-        d = np.arange(-p, p + 1)
-        key = tiebreak_keys(d[None, :], d[:, None], p).astype(np.int32)
-        contenders = np.where(
-            flat == minima[..., None], key.reshape(-1)[None, None, :], SURFACE_SENTINEL
-        )
-        idx = contenders.argmin(axis=2)
-        dy = idx // n - p
-        dx = idx % n - p
-    else:
-        # Wider windows: resolve ties per block with the reference
-        # tuple key (ties are few; the surface min above stays
-        # vectorized).
-        dy = np.zeros((rows, cols), dtype=np.int64)
-        dx = np.zeros((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            for c in range(cols):
-                ys, xs = np.nonzero(fss.surfaces[r, c] == minima[r, c])
-                best = None
-                for i, j in zip((ys - p).tolist(), (xs - p).tolist()):
-                    key = (max(abs(j), abs(i)), abs(i), abs(j), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, j, i)
-                dx[r, c], dy[r, c] = best[1], best[2]
-    return dx, dy, minima.astype(np.int64), fss.positions()
+    n = surfaces.shape[-1]
+    d = np.arange(n * n)
+    dy, dx = d // n - n // 2, d % n - n // 2
+    # rank[k]: displacement k's place in the order of the key
+    # (max(|dx|, |dy|), |dy|, |dx|, dy, dx) — any p, no bit packing.
+    rank = np.empty(n * n, dtype=np.int32)
+    rank[np.lexsort((dx, dy, abs(dx), abs(dy), np.maximum(abs(dx), abs(dy))))] = d
+    flat = surfaces.reshape(-1, n * n)
+    minima = flat.min(axis=1)
+    best = np.where(flat == minima[:, None], rank, n * n).argmin(axis=1)
+    dy, dx = dy[best], dx[best]
+    positions = np.count_nonzero(flat != SURFACE_SENTINEL, axis=1)
+    return tuple(
+        a.astype(np.int64).reshape(surfaces.shape[:-2])
+        for a in (dx, dy, minima, positions)
+    )
 
 
 def refine_half_pel_batch(

@@ -13,9 +13,10 @@ shared :class:`repro.me.engine.ReferencePlane` for the half-pel stage:
   outside the batched kernels' envelope (and by the oracle,
   :func:`repro.reference.estimate_motion`);
 * the frame path (:meth:`FullSearchEstimator.estimate_frame`): the
-  engine's :func:`repro.me.engine.frame_sad_surfaces` computes every
-  block's surface in one batched pass — ~5x faster, bit-identical
-  fields, SADs and position counts.
+  engine's :func:`repro.me.engine.frame_sad_surfaces` runs the
+  block-list surface kernel over every block in one batched pass —
+  bit-identical fields, SADs and position counts.  ACBM runs the same
+  kernel on its critical blocks only.
 
 Tie-breaking: among equal-SAD minima the vector with the smallest
 Chebyshev length wins (then smaller dy, then dx).  This mirrors real
@@ -124,7 +125,7 @@ class FullSearchEstimator(MotionEstimator):
         if not supports_vectorized_search(plane.luma, self.block_size, self.p):
             return super().estimate_frame(current, reference, plane, prev_field, qp)
         surfaces = frame_sad_surfaces(current, plane, self.block_size, self.p)
-        dx, dy, sads, positions = select_minima(surfaces)
+        dx, dy, sads, positions = select_minima(surfaces.surfaces)
         if self.half_pel:
             hx, hy, sads, extra = refine_half_pel_batch(
                 current, plane, dx, dy, sads, self.block_size, self.p

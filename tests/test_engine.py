@@ -20,12 +20,15 @@ from repro.me.candidates import CandidateEvaluator
 from repro.me.engine import (
     SURFACE_SENTINEL,
     ReferencePlane,
+    block_sad_surfaces,
     evaluate_candidates_batch,
     frame_sad_surfaces,
     refine_half_pel_batch,
     select_minima,
     supports_vectorized_search,
 )
+from repro.kernels import numba_available, numpy_backend
+from repro.kernels.numba_backend import make_backend
 from repro.me.engine.kernels import _frame_sad_surfaces_generic
 from repro.me.estimator import available_estimators, create_estimator
 from repro.me.full_search import FullSearchEstimator, full_search_sads, select_minimum
@@ -33,6 +36,7 @@ from repro.me.metrics import sad, sad_deviation
 from repro.me.search_window import SearchWindow, clamped_window
 from repro.me.subpel import half_pel_block, predict_block, refine_half_pel
 from repro.me.types import MotionVector
+from repro.obs import metrics
 
 from .conftest import backend_matrix, shifted_plane, textured_plane
 
@@ -182,7 +186,7 @@ class TestFrameSadSurfaces:
 
     def test_positions_match_windows(self):
         fss = frame_sad_surfaces(random_plane(8), random_plane(9), 16, 15)
-        pos = fss.positions()
+        pos = select_minima(fss.surfaces)[3]
         for r in range(fss.mb_rows):
             for c in range(fss.mb_cols):
                 assert pos[r, c] == fss.window(r, c).num_positions
@@ -200,6 +204,117 @@ class TestFrameSadSurfaces:
             frame_sad_surfaces(random_plane(1, 48, 64), random_plane(2, 48, 48), 16, 7)
 
 
+# -- block_sad_surfaces: the block-list kernel against the oracle --------
+
+
+#: The surface kernel's bodies: the numpy binding, the numba kernel run
+#: un-jitted (the compiled body's code path, without numba) and, where
+#: numba imports, the compiled kernel itself.
+SURFACE_BACKENDS = {"numpy": numpy_backend.BACKEND, "numba-sim": make_backend(jit=False)}
+if numba_available():
+    SURFACE_BACKENDS["numba"] = make_backend(jit=True)
+
+#: Grid (rows, cols) per backend; the sim runs plain Python loops, so it
+#: gets planes small enough that every block is a border block.
+BORDER_GRIDS = {"numpy": (4, 5), "numba-sim": (2, 3), "numba": (4, 5)}
+
+
+def oracle_surfaces(cur, ref, mb_rows, mb_cols, s, p) -> np.ndarray:
+    """Per-block :func:`full_search_sads` laid out as the kernel's
+    ``(N, 2p+1, 2p+1)`` stack, the sentinel outside each window."""
+    n = 2 * p + 1
+    out = np.full((len(mb_rows), n, n), SURFACE_SENTINEL, dtype=np.int64)
+    for b, (r, c) in enumerate(zip(mb_rows, mb_cols)):
+        sads, win = full_search_sads(cur, ref, r * s, c * s, s, p)
+        out[b, win.dy_min + p : win.dy_max + p + 1, win.dx_min + p : win.dx_max + p + 1] = sads
+    return out
+
+
+def surface_planes(seed: int, h: int, w: int, saturated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Random planes, or current all 255 against reference all 0 — every
+    SAD then hits the s^2 * 255 lane bound (65,280 at s = 16)."""
+    if saturated:
+        return np.full((h, w), 255, dtype=np.uint8), np.zeros((h, w), dtype=np.uint8)
+    return random_plane(seed, h, w), random_plane(seed + 1, h, w)
+
+
+@st.composite
+def block_lists(draw, max_grid: int, max_blocks: int):
+    """A plane geometry and an arbitrary block list on it: unsorted,
+    with repeats, possibly empty, any parity."""
+    s = draw(st.sampled_from([4, 8, 16]))
+    p = draw(st.sampled_from([1, 2, 7, 15, 31]))
+    rows = draw(st.integers(1, max_grid))
+    cols = draw(st.integers(1, max_grid))
+    blocks = draw(
+        st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), max_size=max_blocks
+        )
+    )
+    planes = surface_planes(draw(st.integers(0, 2**16)), rows * s, cols * s, draw(st.booleans()))
+    return planes, blocks, s, p
+
+
+class TestBlockSadSurfaces:
+    @staticmethod
+    def check(backend, cur, ref, blocks, s, p):
+        mb_rows = np.array([r for r, _ in blocks], dtype=np.int64)
+        mb_cols = np.array([c for _, c in blocks], dtype=np.int64)
+        got = SURFACE_BACKENDS[backend].sad_surfaces(cur, ref, mb_rows, mb_cols, s, p)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, oracle_surfaces(cur, ref, mb_rows, mb_cols, s, p))
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_lists(max_grid=5, max_blocks=12))
+    def test_numpy_matches_per_block_oracle(self, case):
+        (cur, ref), blocks, s, p = case
+        self.check("numpy", cur, ref, blocks, s, p)
+
+    @settings(max_examples=15, deadline=None)
+    @given(block_lists(max_grid=2, max_blocks=3))
+    def test_numba_sim_matches_per_block_oracle(self, case):
+        (cur, ref), blocks, s, p = case
+        self.check("numba-sim", cur, ref, blocks, s, p)
+
+    @pytest.mark.parametrize("backend", sorted(SURFACE_BACKENDS))
+    @pytest.mark.parametrize("p", [1, 2, 7, 15, 31])
+    @pytest.mark.parametrize("s", [4, 8, 16])
+    def test_every_border_block(self, backend, s, p):
+        rows, cols = BORDER_GRIDS[backend]
+        border = [
+            (r, c)
+            for r in range(rows)
+            for c in range(cols)
+            if r in (0, rows - 1) or c in (0, cols - 1)
+        ]
+        border = [border[i] for i in np.random.default_rng(s * p).permutation(len(border))]
+        cur, ref = surface_planes(s + p, rows * s, cols * s, saturated=False)
+        self.check(backend, cur, ref, border, s, p)
+
+    @pytest.mark.parametrize("backend", sorted(SURFACE_BACKENDS))
+    def test_saturated_lane_bound_and_odd_duplicated_list(self, backend):
+        cur, ref = surface_planes(0, 32, 48, saturated=True)
+        got = self.check(backend, cur, ref, [(1, 2), (0, 0), (1, 2)], 16, 2)
+        assert got[got != SURFACE_SENTINEL].min() == got[got != SURFACE_SENTINEL].max() == 65280
+
+    @pytest.mark.parametrize("backend", sorted(SURFACE_BACKENDS))
+    def test_empty_list(self, backend):
+        cur, ref = surface_planes(1, 32, 32, saturated=False)
+        assert self.check(backend, cur, ref, [], 16, 7).shape == (0, 15, 15)
+
+    def test_engine_entry_counts_blocks(self):
+        fs_blocks = metrics.counter("me.fs_blocks")
+        before = fs_blocks.value
+        cur, ref = random_plane(3), random_plane(4)
+        rows, cols = np.array([2, 0, 2]), np.array([1, 3, 1])
+        got = block_sad_surfaces(cur, ReferencePlane(ref), rows, cols, 16, 15)
+        np.testing.assert_array_equal(got, oracle_surfaces(cur, ref, rows, cols, 16, 15))
+        assert fs_blocks.value - before == 3
+        frame_sad_surfaces(cur, ref, 16, 15)
+        assert fs_blocks.value - before == 3 + 12
+
+
 # -- select_minima -------------------------------------------------------
 
 
@@ -209,7 +324,7 @@ class TestSelectMinima:
     def test_matches_select_minimum(self, maker, p):
         cur, ref = maker(11), maker(12)
         fss = frame_sad_surfaces(cur, ref, 16, p)
-        dx, dy, sads, positions = select_minima(fss)
+        dx, dy, sads, positions = select_minima(fss.surfaces)
         for r in range(fss.mb_rows):
             for c in range(fss.mb_cols):
                 block_sads, window = full_search_sads(cur, ref, r * 16, c * 16, 16, p)
@@ -220,7 +335,7 @@ class TestSelectMinima:
 
     def test_flat_plane_ties_resolve_to_zero(self):
         flat = np.full((48, 64), 90, dtype=np.uint8)
-        dx, dy, sads, _ = select_minima(frame_sad_surfaces(flat, flat, 16, 7))
+        dx, dy, sads, _ = select_minima(frame_sad_surfaces(flat, flat, 16, 7).surfaces)
         assert (dx == 0).all() and (dy == 0).all() and (sads == 0).all()
 
     def test_wide_window_beyond_packed_key(self):
@@ -230,7 +345,7 @@ class TestSelectMinima:
         cur, ref = tie_heavy_plane(21, 96, 112), tie_heavy_plane(22, 96, 112)
         p = 35
         fss = frame_sad_surfaces(cur, ref, 16, p)
-        dx, dy, sads, _ = select_minima(fss)
+        dx, dy, sads, _ = select_minima(fss.surfaces)
         for r in range(fss.mb_rows):
             for c in range(fss.mb_cols):
                 block_sads, window = full_search_sads(cur, ref, r * 16, c * 16, 16, p)
@@ -249,7 +364,7 @@ class TestRefineHalfPelBatch:
         p, s = 7, 16
         plane = ReferencePlane(ref)
         fss = frame_sad_surfaces(cur, plane, s, p)
-        dx, dy, sads, _ = select_minima(fss)
+        dx, dy, sads, _ = select_minima(fss.surfaces)
         hx, hy, ref_sads, extra = refine_half_pel_batch(cur, plane, dx, dy, sads, s, p)
         for r in range(fss.mb_rows):
             for c in range(fss.mb_cols):

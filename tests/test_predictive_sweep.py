@@ -177,7 +177,6 @@ def sweep_cases(draw):
                 gamma=draw(st.floats(min_value=0, max_value=1)),
             ),
             lagrangian=draw(st.booleans()),
-            surface_threshold=draw(st.sampled_from([0, 2, 10**9])),
             **kwargs,
         )
     return est, frames, prev, draw(st.integers(min_value=1, max_value=31))
@@ -248,6 +247,30 @@ class TestFrameDriver:
         assert sweeps_r == 0
         res = ACBMEstimator().sweep(cur, ReferencePlane.wrap(ref), prev, 16)
         assert sweeps_s == res.sweeps >= 2
+
+    def test_fs_blocks_counts_distinct_critical_blocks(self, monkeypatch):
+        """``me.fs_blocks`` on an ACBM encode is the number of distinct
+        blocks any sweep of a frame classified critical — each surfaced
+        once — and never more than the frame's grid."""
+        from repro.core import acbm as acbm_module
+
+        asked = {}
+        original = acbm_module._CriticalFullSearch.__call__
+
+        def recording(fs, idx):
+            asked.setdefault(id(fs), (fs, set()))[1].update(idx.tolist())
+            return original(fs, idx)
+
+        monkeypatch.setattr(acbm_module._CriticalFullSearch, "__call__", recording)
+        counters = [metrics.counter(n) for n in ("me.fs_blocks", "me.acbm.critical")]
+        before = [c.value for c in counters]
+        seq = make_sequence("foreman", frames=4, seed=2)
+        encode_sequence(seq, qp=16, estimator="acbm")
+        fs_blocks, critical = (c.value - b for c, b in zip(counters, before))
+        per_frame = [len(blocks) for _, blocks in asked.values()]
+        assert len(per_frame) == 3  # one per P-frame
+        assert fs_blocks == sum(per_frame) >= critical > 0
+        assert max(per_frame) <= (seq[0].y.shape[0] // 16) * (seq[0].y.shape[1] // 16)
 
     def test_sim_backend_sweep_matches_raster(self):
         """The compiled kernels' bodies (run un-jitted) drive the sweep

@@ -1,10 +1,10 @@
 """Golden tests for the fast searches' whole-frame lockstep and ACBM's
-lazy per-frame SAD surface.
+critical-only full search.
 
 The contract: batching changes **nothing observable** — motion fields,
 SADs, position counts and classifier decisions are bit-identical to the
 per-block oracle (:func:`repro.reference.estimate_motion`) for all six
-fast searches and for ACBM at any ``surface_threshold``.  The full
+fast searches and for ACBM at every operating point.  The full
 lockstep matrix lives in ``tests/test_pattern_lockstep.py``.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from repro import reference
 from repro.core.parameters import ACBMParameters
 from repro.me.candidates import BatchEvaluator
+from repro.me.engine import ReferencePlane
 from repro.me.estimator import create_estimator
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
@@ -91,47 +92,42 @@ class TestACBMSurfaceGolden:
             ACBMParameters.never_full_search(),
         ],
     )
-    @pytest.mark.parametrize("threshold", [0, 3, 10**9])
-    def test_bit_identical_for_any_threshold(self, frame_pair, params, threshold):
+    def test_bit_identical_to_raster_walk(self, frame_pair, params):
         ref, cur = frame_pair
-        est = create_estimator("acbm", p=15, params=params, surface_threshold=threshold)
+        est = create_estimator("acbm", p=15, params=params)
         field_b, stats_b = est.estimate(cur, ref, qp=16)
         field_s, stats_s, _ = reference.estimate_motion(est, cur, ref, qp=16)
         assert fields_identical(field_b, field_s)
         assert stats_tuple(stats_b) == stats_tuple(stats_s)
 
-    def test_surface_built_lazily(self, frame_pair):
-        """Frames whose critical count stays at/below the threshold never
-        pay the whole-frame surface; above it the surface is built once."""
-        ref, cur = frame_pair
-        calls = []
-        est = create_estimator(
-            "acbm", p=15, params=ACBMParameters.always_full_search(), surface_threshold=2
-        )
+    def test_each_critical_block_surfaced_once(self, frame_pair, monkeypatch):
+        """The kernel sees only critical blocks, each exactly once per
+        frame however many sweeps classify it; a frame with no critical
+        block never calls it."""
         import repro.core.acbm as acbm_module
 
-        original = acbm_module.frame_sad_surfaces
+        ref, cur = frame_pair
+        lists = []
+        original = acbm_module.block_sad_surfaces
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(current, reference, mb_rows, mb_cols, *args):
+            lists.append(list(zip(mb_rows.tolist(), mb_cols.tolist())))
+            return original(current, reference, mb_rows, mb_cols, *args)
 
-        acbm_module.frame_sad_surfaces = counting
-        try:
-            est.estimate(cur, ref, qp=16)
-            assert len(calls) == 1  # built once, shared by all later blocks
-            calls.clear()
-            lazy = create_estimator(
-                "acbm",
-                p=15,
-                params=ACBMParameters.never_full_search(),
-                surface_threshold=2,
+        monkeypatch.setattr(acbm_module, "block_sad_surfaces", counting)
+        rows, cols = GEOMETRY.height // 16, GEOMETRY.width // 16
+        for params in (None, ACBMParameters.always_full_search()):
+            lists.clear()
+            sweep = create_estimator("acbm", p=15, params=params).sweep(
+                cur, ReferencePlane.wrap(ref), None, 16
             )
-            lazy.estimate(cur, ref, qp=16)
-            assert calls == []  # no critical block ever crossed the threshold
-        finally:
-            acbm_module.frame_sad_surfaces = original
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            create_estimator("acbm", surface_threshold=-1)
+            surfaced = [block for blocks in lists for block in blocks]
+            assert len(surfaced) == len(set(surfaced))
+            final = set(zip(*np.nonzero(sweep.used_full_search)))
+            assert final <= set(surfaced) and len(surfaced) <= rows * cols
+        assert len(surfaced) == rows * cols  # always_full_search: every block, once
+        lists.clear()
+        create_estimator("acbm", p=15, params=ACBMParameters.never_full_search()).estimate(
+            cur, ref, qp=16
+        )
+        assert lists == []
