@@ -14,8 +14,9 @@ import pytest
 from repro import reference
 from repro.core.parameters import ACBMParameters
 from repro.me.candidates import BatchEvaluator
-from repro.me.engine import ReferencePlane
+from repro.me.engine import SURFACE_SENTINEL, ReferencePlane
 from repro.me.estimator import create_estimator
+from repro.me.full_search import full_search_sads
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
@@ -92,8 +93,31 @@ class TestACBMSurfaceGolden:
             ACBMParameters.never_full_search(),
         ],
     )
-    def test_bit_identical_to_raster_walk(self, frame_pair, params):
+    @pytest.mark.parametrize("threshold", [0, 3, 10**9])
+    def test_bit_identical_for_any_threshold(self, frame_pair, params, threshold, monkeypatch):
+        """The first ``threshold`` blocks of each list the kernel is
+        handed are surfaced by per-block :func:`full_search_sads` maps
+        instead — the two paths the retired ``surface_threshold`` knob
+        chose between.  Which path surfaces a block changes nothing: 0
+        runs the kernel only, 10**9 the per-block maps only, 3 mixes
+        them within one list."""
+        import repro.core.acbm as acbm_module
+
         ref, cur = frame_pair
+        kernel = acbm_module.block_sad_surfaces
+
+        def switching(current, reference, mb_rows, mb_cols, s, p):
+            out = np.empty((len(mb_rows), 2 * p + 1, 2 * p + 1), dtype=np.int32)
+            k = min(threshold, len(mb_rows))
+            if k < len(mb_rows):
+                out[k:] = kernel(current, reference, mb_rows[k:], mb_cols[k:], s, p)
+            out[:k] = SURFACE_SENTINEL
+            for b, (r, c) in enumerate(zip(mb_rows[:k].tolist(), mb_cols[:k].tolist())):
+                sads, w = full_search_sads(current, reference.luma, r * s, c * s, s, p)
+                out[b, w.dy_min + p : w.dy_max + p + 1, w.dx_min + p : w.dx_max + p + 1] = sads
+            return out
+
+        monkeypatch.setattr(acbm_module, "block_sad_surfaces", switching)
         est = create_estimator("acbm", p=15, params=params)
         field_b, stats_b = est.estimate(cur, ref, qp=16)
         field_s, stats_s, _ = reference.estimate_motion(est, cur, ref, qp=16)
