@@ -61,7 +61,7 @@ def test_pipelined_decode_speedup(bitstream):
     side reconstructs must beat serial push by >= 1.2x; on one core the
     overlap cannot win and only pathology fails."""
     serial = best_of(lambda: push_decode(bitstream), 3)
-    piped = best_of(lambda: push_decode(bitstream, pipeline="thread"), 3)
+    piped = best_of(lambda: push_decode(bitstream, pipeline=True), 3)
     speedup = serial / piped
     print(f"\npipelined (thread): {piped * 1e3:.1f} ms -> {speedup:.2f}x vs push ({cores()} cpu)")
     if cores() >= 2:

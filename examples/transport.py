@@ -10,10 +10,9 @@ Demonstrates the `repro.transport` subsystem end to end:
 3. run the parse jobs through the process pool both ways —
    `run_jobs(..., use_shm=True)` against the default pickling
    transport — and verify the results are identical,
-4. push the same stream through a process-pipelined `DecodeSession`
-   (parse in a spawned child, reconstruct here) and print its transport
-   ledger: compressed bytes copied down, parsed arrays returned as
-   handles,
+4. decode the whole stream with `decode_bitstream(jobs=2,
+   use_shm=True)`: the parse jobs' payloads go out and their parsed
+   arrays come back as handles, reconstruction runs here,
 5. sweep `/dev/shm` to show nothing outlived the arenas.
 
 Run:
@@ -29,7 +28,6 @@ from repro import make_sequence
 from repro.codec.decoder import FrameIndex, decode_bitstream
 from repro.codec.encoder import encode_sequence
 from repro.parallel import ParseFrameJob, run_jobs
-from repro.streaming import DecodeSession
 from repro.transport import FrameArena, FrameStore
 
 
@@ -38,7 +36,9 @@ def main() -> None:
     parser.add_argument("--frames", type=int, default=6)
     parser.add_argument("--qp", type=int, default=18)
     parser.add_argument("--estimator", default="tss")
-    parser.add_argument("--chunk-size", type=int, default=1500)
+    # The decode below is whole-buffer, so chunking no longer applies;
+    # the option is still accepted so existing command lines run.
+    parser.add_argument("--chunk-size", type=int, default=1500, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     print(f"Encoding {args.frames} QCIF frames "
@@ -64,26 +64,17 @@ def main() -> None:
     shared = run_jobs(jobs, workers=2, use_shm=True)
     print(f"  results identical: {shared == pickled}")
 
-    print(f"\nProcess-pipelined decode in {args.chunk_size}-byte chunks...")
-    session = DecodeSession(max_buffered_frames=2, pipeline="process")
-    decoded = []
-    for start in range(0, len(encode.bitstream), args.chunk_size):
-        session.feed(encode.bitstream[start : start + args.chunk_size])
-        decoded.extend(session.frames())
-    session.close()
-    decoded.extend(session.frames())
-    stats = session.stats()
-    print(f"  decode session: {stats.as_text()}")
-
+    print("\nDecoding with parse jobs on 2 workers through shared memory...")
+    decoded = decode_bitstream(encode.bitstream, jobs=2, use_shm=True)
     whole = decode_bitstream(encode.bitstream)
     identical = len(decoded) == len(whole) and all(
         a == b for a, b in zip(decoded, whole)
     )
     print(f"\nbit-identical to whole-buffer decode: {identical}")
-    print(f"transport ledger: {stats.bytes_copied} compressed bytes copied to the "
-          f"parse child, {stats.handles_passed} handles back "
-          f"({sum(f.y.nbytes + f.cb.nbytes + f.cr.nbytes for f in decoded)} decoded "
-          "bytes never pickled)")
+    print(f"transport: {sum(len(job.payload) for job in jobs)} compressed bytes out "
+          "and the parsed symbols back as handles; reconstruction ran here, so "
+          f"{sum(f.y.nbytes + f.cb.nbytes + f.cr.nbytes for f in decoded)} decoded "
+          "bytes were never pickled")
     leftovers = glob.glob("/dev/shm/repro-*")
     print(f"/dev/shm leftovers: {leftovers or 'none'}")
 

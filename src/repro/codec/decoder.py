@@ -37,6 +37,7 @@ message, or returns the same frames, bit-identical to
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,6 +402,26 @@ def parse_payload(payload: bytes) -> ParsedPicture:
     return parsed
 
 
+@contextmanager
+def v1_picture(reader, index: int):
+    """Scope one version-1 picture's parse.  A v1 stream has no length
+    fields, so a picture cut short meets the end of the stream; that
+    :class:`EOFError` leaves as one :class:`ValueError` naming the
+    picture and its starting bit — the v1 twin of :func:`parse_payload`'s
+    overrun error, raised alike by :class:`Decoder`,
+    :func:`parse_bitstream_symbols` and the :mod:`repro.reference`
+    oracle."""
+    start = reader.bits_consumed
+    total = start + reader.bits_remaining
+    try:
+        yield
+    except EOFError as exc:
+        raise ValueError(
+            f"picture {index} starting at bit {start} runs past the end of the "
+            f"{total}-bit stream: the stream is cut short or corrupt"
+        ) from exc
+
+
 def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
     """Parse every picture in a (version-1 or -2) stream sequentially.
     A version-2 framing error is raised after every picture before it
@@ -416,7 +437,8 @@ def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
     reader = BitReader(bitstream)
     parsed = []
     while reader.bits_remaining >= PICTURE_HEADER_BITS:
-        parsed.append(parse_picture(reader))
+        with v1_picture(reader, len(parsed)):
+            parsed.append(parse_picture(reader))
     return parsed
 
 
@@ -700,7 +722,9 @@ class Decoder:
 
     def _parse_next(self) -> ParsedPicture:
         if self.version == 1:
-            with trace.span("decode.parse") as parse_span:
+            with trace.span("decode.parse") as parse_span, v1_picture(
+                self._reader, self._frame_index
+            ):
                 header = read_picture_header(self._reader)
                 if header.frame_type == "P" and not self._references:
                     raise ValueError("P-frame without a decoded reference")

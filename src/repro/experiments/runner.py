@@ -10,7 +10,7 @@ Usage::
     python -m repro.experiments.runner stream-encode --from-yuv clip.yuv --geometry qcif \\
         --bitstream-version 2 --out stream.v2
     python -m repro.experiments.runner stream-decode stream.v2 --chunk-size 1500 --verify
-    python -m repro.experiments.runner stream-decode stream.v2 --pipeline process --verify
+    python -m repro.experiments.runner stream-decode stream.v2 --pipeline thread --verify
     python -m repro.experiments.runner gop-encode --frames 10 --i-period 5 --jobs 2 \\
         --out stream.v2
     python -m repro.experiments.runner seek-decode stream.v2 --frame 5 --verify
@@ -32,8 +32,8 @@ raw YUV file (never materializing the sequence) and writes the
 bitstream as pictures close; ``stream-decode`` pushes a bitstream file
 (or stdin) through a bounded-memory decode session in fixed-size chunks
 and optionally re-decodes the whole buffer to gate bit-identity
-(``--verify``, the CI smoke).  ``--pipeline`` overlaps symbol parse and
-reconstruction on a worker thread or spawned process.
+(``--verify``, the CI smoke).  ``--pipeline thread`` overlaps symbol
+parse and reconstruction on a worker thread.
 
 The GOP subcommands drive the stream structure layer: ``gop-encode``
 encodes with ``i_Period`` I-frames and optional multi-reference
@@ -210,7 +210,7 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
     try:
         session = DecodeSession(
             max_buffered_frames=args.max_buffered,
-            pipeline=args.pipeline if args.pipeline != "off" else False,
+            pipeline=args.pipeline == "thread",
         )
 
         def drain() -> None:
@@ -232,7 +232,7 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
                 drain()
             session.close()
             drain()
-        except (ValueError, EOFError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:
@@ -356,7 +356,7 @@ def cmd_seek_decode(args: argparse.Namespace) -> int:
 
 def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: int = 1500) -> None:
     """``all``'s streaming pass: encode a clip as v2, push-decode it in
-    MTU-sized chunks (serial, then thread- and process-pipelined) and
+    MTU-sized chunks (serial, then thread-pipelined) and
     stream-encode it in both wire formats.  Prints one line per check
     and raises ``SystemExit`` unless every identity holds and the
     session's peak buffered bytes stay under two frames' worth of
@@ -373,7 +373,7 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
     )
     bitstream = encode.bitstream
 
-    def push(pipeline: bool | str = False):
+    def push(pipeline: bool = False):
         session = DecodeSession(max_buffered_frames=2, pipeline=pipeline)
         out = []
         for start in range(0, len(bitstream), chunk_size):
@@ -385,9 +385,7 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
 
     streamed, stats = push()
     stream_identical = streamed == decode_bitstream(bitstream) == encode.reconstruction
-    piped = {kind: push(kind) for kind in ("thread", "process")}
-    pipeline_identical = all(out == streamed for out, _ in piped.values())
-    ledger = piped["process"][1]
+    pipeline_identical = push(pipeline=True)[0] == streamed
     v1 = encode_sequence(clip, qp=qp, estimator="tss").bitstream
     encode_identical = all(
         b"".join(StreamEncoder(estimator="tss", qp=qp, bitstream_version=v).encode_iter(iter(clip)))
@@ -407,9 +405,7 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
         f"{len(bitstream)} bytes (v2), {chunk_size}-byte chunks\n"
         f"  bit-identical (streamed == whole-buffer == encoder loop): {stream_identical}\n"
         f"  stream-encode byte-identical (v1 and v2): {encode_identical}\n"
-        f"  pipelined bit-identical (thread and process): {pipeline_identical}\n"
-        f"  transport (process pipeline): {ledger.bytes_copied} B copied in, "
-        f"{ledger.handles_passed} handles back\n"
+        f"  pipelined bit-identical (thread): {pipeline_identical}\n"
         f"  peak buffered {stats.peak_buffered_bytes} bytes "
         f"(bound {bound}: within={within}; whole buffer holds {len(bitstream)})"
     )
@@ -621,9 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         "streamed frames are bit-identical (the CI smoke)",
     )
     stream_decode.add_argument(
-        "--pipeline", choices=("off", "thread", "process"), default="off",
-        help="overlap symbol parse and reconstruction on a worker thread or "
-        "spawned process (default off; output is bit-identical either way)",
+        "--pipeline", choices=("off", "thread"), default="off",
+        help="overlap symbol parse and reconstruction on a worker thread "
+        "(default off; output is bit-identical either way)",
     )
     _add_backend_option(stream_decode)
     _add_obs_options(stream_decode)

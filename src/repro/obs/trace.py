@@ -22,11 +22,12 @@ Design constraints, in order:
    under 2%.
 3. **Mergeable across processes** — events are picklable dicts stamped
    with the recording process's pid and thread id, so worker-side
-   events ship back through :func:`repro.parallel.run_jobs` (and the
-   process-mode :class:`~repro.streaming.pipeline.ParseStage`) and
+   events ship back through :func:`repro.parallel.run_jobs` and
    :meth:`Tracer.adopt` splices them into the parent's timeline.
    ``time.perf_counter_ns`` reads ``CLOCK_MONOTONIC`` on Linux, which
    is system-wide — parent and worker timestamps share one clock.
+   The pipelined :class:`~repro.streaming.StreamDecoder`'s parse
+   thread needs no shipping: it records into this process's tracer.
 
 Three recording shapes:
 
@@ -197,9 +198,9 @@ class Tracer:
 
     ``enabled`` is the one attribute every instrumented seam checks;
     everything else only runs while tracing is on.  Event appends are
-    GIL-atomic, so thread-mode pipeline workers record into the same
-    tracer without locking; cross-*process* events arrive via
-    :meth:`adopt`.
+    GIL-atomic, so the pipelined stream decoder's parse thread records
+    into the same tracer without locking; cross-*process* events arrive
+    via :meth:`adopt`.
     """
 
     def __init__(self) -> None:

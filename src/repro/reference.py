@@ -38,6 +38,7 @@ from repro.codec.decoder import (
     check_frame_length,
     detect_version,
     read_picture_header,
+    v1_picture,
 )
 from repro.codec.encoder import MAX_REF_FRAMES, PICTURE_HEADER_BITS
 from repro.codec.intra import INTRA_MODE_BITS, intra_predict
@@ -289,7 +290,8 @@ def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
     reader = ScalarBitReader(bitstream)
     parsed = []
     while reader.bits_remaining >= PICTURE_HEADER_BITS:
-        parsed.append(parse_picture(reader))
+        with v1_picture(reader, len(parsed)):
+            parsed.append(parse_picture(reader))
     return parsed
 
 

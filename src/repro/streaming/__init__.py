@@ -18,22 +18,19 @@ directions incremental without touching the wire format or the math:
   → batched :func:`~repro.codec.decoder.reconstruct_and_fold`, frames
   emitted as soon as they complete, memory bounded by
   ``max_buffered_frames`` with backpressure (``feed`` returns the
-  remaining demand);
+  remaining demand); ``pipeline=True`` parses frame *n+1*'s symbols on
+  one worker thread while frame *n* reconstructs, with at most
+  ``max_buffered_frames + 1`` parses in flight;
 * :class:`StreamEncoder` — pulls frames from any iterator (e.g.
   :func:`repro.video.yuv_io.iter_yuv_frames`, so a multi-gigabyte YUV
   file encodes without materializing a sequence), runs the closed loop
   over the reference list (one frame, or up to ``n_ref_frames`` under
   the GOP syntax) and yields encoded bytes per picture, byte-identical
   to the whole-sequence encoder in both wire formats;
-* :class:`ParseStage` — the pipelined parse worker (thread or spawned
-  process) behind ``StreamDecoder(pipeline=...)``: frame *n+1*'s
-  symbols parse while frame *n* reconstructs, results joined by a
-  bounded queue; process mode returns parsed arrays as shared-memory
-  handles via :mod:`repro.transport`;
 * :class:`DecodeSession` / :class:`EncodeSession` — thin stat-keeping
-  wrappers (frames in/out, bytes buffered, peak, wall clock, transport
-  counters) behind the ``runner stream-decode`` / ``stream-encode``
-  subcommands and ``runner all``'s streaming stage.
+  wrappers (frames in/out, bytes buffered, peak, wall clock, stalls)
+  behind the ``runner stream-decode`` / ``stream-encode`` subcommands
+  and ``runner all``'s streaming stage.
 
 ``tests/test_streaming.py`` pins the golden properties: StreamDecoder
 output is bit-identical to :func:`decode_bitstream` under *every*
@@ -45,13 +42,11 @@ bitstream byte for byte.
 from repro.streaming.scanner import ScanState
 from repro.streaming.decoder import StreamDecoder, stream_decode
 from repro.streaming.encoder import StreamEncoder
-from repro.streaming.pipeline import ParseStage
 from repro.streaming.session import DecodeSession, EncodeSession, SessionStats
 
 __all__ = [
     "DecodeSession",
     "EncodeSession",
-    "ParseStage",
     "ScanState",
     "SessionStats",
     "StreamDecoder",

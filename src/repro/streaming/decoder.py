@@ -27,20 +27,23 @@ boundaries without parsing) and are rejected on the first bytes with a
 precise error; the whole-buffer :func:`decode_bitstream` remains the
 tool for those.
 
-``pipeline=True`` (or ``"thread"`` / ``"process"``) overlaps the two
-halves of the per-frame work: a :class:`~repro.streaming.pipeline.ParseStage`
-worker parses frame *n+1*'s symbols while this side reconstructs frame
-*n*.  Output remains bit-identical and in order for any chunking; the
-``max_buffered_frames`` bound still governs decoded frames, with
-parse-ahead additionally bounded by the stage's out-queue.  Errors
-surface with the serial path's exact message and order — possibly on a
-later ``feed``/``frames`` call, since the parse runs asynchronously.
+``pipeline=True`` overlaps the two halves of the per-frame work: a
+one-thread :class:`~concurrent.futures.ThreadPoolExecutor` parses frame
+*n+1*'s symbols while this side reconstructs frame *n*.  At most
+``max_buffered_frames + 1`` parses are in flight, oldest first; the
+rest stay compressed, as in serial mode.  Output remains bit-identical
+and in order for any chunking.  Errors surface with the serial path's
+exact message and order (the oldest future's ``result()`` re-raises
+the parse's own exception) — possibly on a later ``feed``/``frames``
+call, since the parse runs asynchronously.  :meth:`close` stops the
+worker; whatever has not parsed by then parses inline as it drains.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Iterator
 
 from repro.codec.decoder import parse_payload, reconstruct_and_fold
 
@@ -52,6 +55,9 @@ from repro.video.frame import Frame
 
 _MET_STALLS = metrics.counter("stream.stalls")
 _MET_BYTES_IN = metrics.counter("stream.bytes_in")
+
+#: Name prefix of the pipelined parse worker's thread.
+PARSE_THREAD_PREFIX = "repro-parse"
 
 
 def frame_bytes(frame: Frame) -> int:
@@ -68,16 +74,9 @@ class StreamDecoder:
         Decoded-frame buffer depth (>= 1).  When full, newly completed
         payloads stay compressed in a pending queue and :meth:`feed`
         reports zero demand until the consumer drains :meth:`frames`.
-    on_frame:
-        Optional callback invoked with each decoded :class:`Frame` the
-        moment it completes.  In callback mode frames are *not* also
-        queued on :meth:`frames` — the callback is the consumer, so
-        demand never drops and decode keeps pace with the feed.
     pipeline:
-        ``False`` (serial, the default), ``True``/``"thread"`` (parse
-        on a worker thread), or ``"process"`` (parse in a spawned
-        child, symbols returning through shared memory).  Transport
-        and overlap only — decoded output is bit-identical.
+        ``False`` (serial, the default) or ``True`` (parse on a worker
+        thread).  Overlap only — decoded output is bit-identical.
 
     Usage::
 
@@ -91,20 +90,17 @@ class StreamDecoder:
             consume(frame)
     """
 
-    def __init__(
-        self,
-        max_buffered_frames: int = 2,
-        on_frame: Callable[[Frame], None] | None = None,
-        pipeline: bool | str = False,
-    ) -> None:
+    def __init__(self, max_buffered_frames: int = 2, pipeline: bool = False) -> None:
         if max_buffered_frames < 1:
             raise ValueError(
                 f"max_buffered_frames must be >= 1, got {max_buffered_frames}"
             )
-        from repro.streaming.pipeline import normalize_pipeline
-
+        if not isinstance(pipeline, bool):
+            raise ValueError(
+                f"pipeline must be True (parse on a worker thread) or False, got "
+                f"{pipeline!r}; the 'process' parse stage was removed"
+            )
         self.max_buffered_frames = max_buffered_frames
-        self._on_frame = on_frame
         self._scanner = ScanState(keep_payloads=True)
         self._ready: deque[Frame] = deque()
         #: Decoded reference list, most recent first; I-frames reset it.
@@ -124,16 +120,13 @@ class StreamDecoder:
         #: undecoded payloads and decoded-but-undrained frames — the
         #: quantity ``runner all`` and the streaming tests bound.
         self.peak_buffered_bytes = 0
-        self._pipeline_kind = normalize_pipeline(pipeline)
-        self._stage = None  # created on the first completed payload
-        self._stage_error: Exception | None = None
+        self._pipeline = pipeline
+        self._executor: ThreadPoolExecutor | None = None  # started on the first payload
+        #: Payloads handed to the worker, oldest first, with their parses.
+        self._in_flight: deque[tuple[bytes, Future]] = deque()
+        self._parse_error: Exception | None = None
         #: Scanner error, held until the payloads before it decode.
         self._scan_error: ValueError | None = None
-        #: Compressed sizes of payloads submitted to the stage but not
-        #: yet collected, oldest first (the in-flight byte accounting).
-        self._in_flight_sizes: deque[int] = deque()
-        self._bytes_copied = 0
-        self._handles_passed = 0
 
     # -- introspection ---------------------------------------------------
 
@@ -155,11 +148,11 @@ class StreamDecoder:
     def buffered_bytes(self) -> int:
         """Bytes currently buffered: scanner accumulator + pending
         compressed payloads (including any in flight on the parse
-        stage) + decoded frames awaiting :meth:`frames`."""
+        worker) + decoded frames awaiting :meth:`frames`."""
         return (
             self._scanner.buffered_bytes
             + sum(len(p) for p in self._scanner.payloads)
-            + sum(self._in_flight_sizes)
+            + sum(len(p) for p, _ in self._in_flight)
             + sum(frame_bytes(f) for f in self._ready)
         )
 
@@ -167,25 +160,8 @@ class StreamDecoder:
     def demand(self) -> int:
         """How many more frames the session is willing to buffer —
         zero means "drain :meth:`frames` before feeding more"."""
-        if self._on_frame is not None:
-            return self.max_buffered_frames
-        backlog = (
-            len(self._ready) + len(self._scanner.payloads) + len(self._in_flight_sizes)
-        )
+        backlog = len(self._ready) + len(self._scanner.payloads) + len(self._in_flight)
         return max(0, self.max_buffered_frames - backlog)
-
-    @property
-    def bytes_copied(self) -> int:
-        """Payload bytes that crossed a process boundary by value —
-        zero in serial and thread modes, the compressed feed in
-        process-pipeline mode (the decoded bulk returns as handles)."""
-        return self._bytes_copied
-
-    @property
-    def handles_passed(self) -> int:
-        """Shared-memory handles received from a process-mode parse
-        stage (zero when nothing crosses a process boundary)."""
-        return self._handles_passed
 
     # -- the push surface ------------------------------------------------
 
@@ -223,21 +199,19 @@ class StreamDecoder:
         decode as the iterator advances — a consumer looping over this
         after every :meth:`feed` keeps the session inside its memory
         bound.  In pipelined mode the drain additionally *waits* for
-        in-flight parses when it would otherwise stall the producer
-        (demand is zero, or no more input will come: the stream is
-        closed or a framing error is held) — so the serial consumer
-        loop works unchanged and never livelocks.  Once nothing is left
-        ahead of a held framing error, the drain raises it.
+        the oldest in-flight parse when it would otherwise stall the
+        producer (demand is zero, or a framing error is held so no more
+        input will come) — so the serial consumer loop works unchanged
+        and never livelocks.  Once nothing is left ahead of a held
+        framing error, the drain raises it.
         """
         while True:
             self._advance()
-            if not self._ready and self._stage is not None:
-                in_flight = len(self._in_flight_sizes)
-                no_more_input = self._closed or self._scan_error is not None
-                if in_flight and (no_more_input or self.demand == 0):
+            if not self._ready and self._in_flight:
+                if self._scan_error is not None or self.demand == 0:
                     self.stalls += 1
                     _MET_STALLS.inc()
-                    with trace.span("stream.stall", in_flight=in_flight):
+                    with trace.span("stream.stall", in_flight=len(self._in_flight)):
                         self._pump_pipeline(block=True)
             if not self._ready:
                 self._raise_scan_error_when_due()
@@ -251,7 +225,9 @@ class StreamDecoder:
         (:meth:`ScanState.finish`); its "overruns" error surfaces here,
         or from :meth:`frames` while payloads before it are undecoded.
         Frames already completed remain drainable via :meth:`frames`.
-        Idempotent.
+        In pipelined mode the parse worker stops here: the parse it is
+        running finishes, queued ones are cancelled and parse inline
+        as :meth:`frames` drains.  Idempotent.
         """
         if self._closed:
             return
@@ -261,18 +237,15 @@ class StreamDecoder:
             except ValueError as exc:
                 self._scan_error = exc
         self._closed = True
-        if self._pipeline_kind is not None:
-            # Submit the tail payload(s) the finish() call completed;
-            # serial mode leaves decode to frames(), as it always has.
-            self._advance()
+        self._shutdown()
         self._raise_scan_error_when_due()
 
     # -- internals -------------------------------------------------------
 
     def _advance(self) -> None:
         """Decode pending payloads into the ready queue up to the
-        buffer bound (no bound applies in callback mode)."""
-        if self._pipeline_kind is not None:
+        buffer bound."""
+        if self._pipeline:
             self._pump_pipeline(block=False)
             return
         payloads = self._scanner.payloads
@@ -281,45 +254,55 @@ class StreamDecoder:
             self._note_frame(parse_payload(payload), len(payload))
 
     def _pump_pipeline(self, block: bool) -> None:
-        """Pipelined advance: submit every completed payload to the
-        parse stage, then reconstruct collected results up to the
-        buffer bound.  ``block=True`` waits for at least one in-flight
-        result (the :meth:`frames` stall-breaker)."""
-        if self._stage_error is not None:
-            raise self._stage_error
+        """Pipelined advance: keep up to ``max_buffered_frames + 1``
+        payloads parsing on the worker, then reconstruct finished
+        parses in order up to the buffer bound.  ``block=True`` waits
+        on the oldest parse when no frame is ready (the :meth:`frames`
+        stall-breaker).  Once closed, parses the worker never ran and
+        payloads it never saw parse inline."""
+        if self._parse_error is not None:
+            raise self._parse_error
         payloads = self._scanner.payloads
-        while payloads:
-            payload = payloads.popleft()
-            self._ensure_stage().submit(payload)
-            self._in_flight_sizes.append(len(payload))
-        stage = self._stage
-        if stage is None:
-            return
-        while self._in_flight_sizes and self._has_room:
-            item = stage.poll(block=block and not self._ready)
-            if item is None:
-                break
-            tag, _seq, value = item
-            payload_size = self._in_flight_sizes.popleft()
-            self._sync_stage_counters()
-            if tag == "err":
-                self._stage_error = value
-                self._teardown_stage()
-                raise value
-            self._note_frame(value, payload_size)
-        if self._closed and not self._in_flight_sizes:
-            self._teardown_stage()
+        in_flight = self._in_flight
+        while True:
+            while payloads and not self._closed and len(in_flight) <= self.max_buffered_frames:
+                if self._executor is None:
+                    self._executor = ThreadPoolExecutor(
+                        max_workers=1, thread_name_prefix=PARSE_THREAD_PREFIX
+                    )
+                payload = payloads.popleft()
+                in_flight.append((payload, self._executor.submit(parse_payload, payload)))
+            if not self._has_room:
+                return
+            if in_flight:
+                payload, future = in_flight[0]
+                if not (future.done() or (block and not self._ready)):
+                    return
+                in_flight.popleft()
+            elif payloads:
+                payload, future = payloads.popleft(), None
+            else:
+                return
+            try:
+                if future is None or future.cancelled():
+                    parsed = parse_payload(payload)
+                else:
+                    parsed = future.result()
+            except Exception as exc:
+                self._parse_error = exc
+                self._shutdown()
+                raise
+            self._note_frame(parsed, len(payload))
 
     @property
     def _has_room(self) -> bool:
-        """Whether another decoded frame fits the buffer bound (always,
-        in callback mode)."""
-        return self._on_frame is not None or len(self._ready) < self.max_buffered_frames
+        """Whether another decoded frame fits the buffer bound."""
+        return len(self._ready) < self.max_buffered_frames
 
     def _note_frame(self, parsed, payload_size: int) -> None:
         """Reconstruct one parsed picture, fold it into the running
         reference list (I-frames also mark a random-access point) and
-        hand it to the consumer."""
+        queue it for :meth:`frames`."""
         frame, self._references = reconstruct_and_fold(
             parsed, self._references, self._frame_index
         )
@@ -327,38 +310,22 @@ class StreamDecoder:
             self.keyframes.append(self._frame_index)
         self.frame_bits.append(8 * payload_size)
         self._frame_index += 1
-        if self._on_frame is not None:
-            self._on_frame(frame)
-        else:
-            self._ready.append(frame)
+        self._ready.append(frame)
 
     def _raise_scan_error_when_due(self) -> None:
         """Raise the held framing error once no payload before it is
         left undecoded (decoded frames may still await :meth:`frames`)."""
-        if self._scan_error is None or self._scanner.payloads or self._in_flight_sizes:
+        if self._scan_error is None or self._scanner.payloads or self._in_flight:
             return
-        self._teardown_stage()
+        self._shutdown()
         raise self._scan_error
 
-    def _ensure_stage(self):
-        if self._stage is None:
-            from repro.streaming.pipeline import ParseStage
-
-            self._stage = ParseStage(
-                kind=self._pipeline_kind, depth=self.max_buffered_frames + 1
-            )
-        return self._stage
-
-    def _sync_stage_counters(self) -> None:
-        if self._stage is not None:
-            self._bytes_copied = self._stage.bytes_copied
-            self._handles_passed = self._stage.handles_passed
-
-    def _teardown_stage(self) -> None:
-        if self._stage is not None:
-            self._sync_stage_counters()
-            self._stage.close()
-            self._stage = None
+    def _shutdown(self) -> None:
+        """Stop the parse worker: its running parse finishes, queued
+        ones are cancelled, and its thread is joined."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
 
     def _note_peak(self) -> None:
         self.peak_buffered_bytes = max(self.peak_buffered_bytes, self.buffered_bytes)
@@ -367,7 +334,7 @@ class StreamDecoder:
 def stream_decode(
     chunks,
     max_buffered_frames: int = 2,
-    pipeline: bool | str = False,
+    pipeline: bool = False,
 ) -> Iterator[Frame]:
     """Decode an iterable of byte chunks, yielding frames as they
     complete — the generator face of :class:`StreamDecoder`.

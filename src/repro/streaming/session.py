@@ -9,7 +9,9 @@ CLI subcommands (``runner stream-decode`` / ``stream-encode``) and
 and peak buffered bytes, backpressure stalls, per-frame bits, wall
 clock since the session opened — so a serving harness can report
 throughput and verify the memory bound without instrumenting the
-internals.
+internals.  ``DecodeSession(pipeline=True)`` parses on the decoder's
+one worker thread; every stat reads the same in either mode, since
+nothing leaves the process.
 
 Each session owns a private :class:`~repro.obs.metrics.MetricsRegistry`
 and :class:`SessionStats` is a read-out of it: counters the session
@@ -37,11 +39,7 @@ from repro.video.frame import Frame
 class SessionStats:
     """One session's counters at a point in time.
 
-    ``bytes_copied`` and ``handles_passed`` are the transport ledger:
-    payload bytes that crossed a process boundary by value, and
-    shared-memory handles that crossed instead.  Both stay zero unless
-    the session runs a process-mode parse pipeline — in-process work
-    has no boundary to account for.  ``keyframes`` counts the session's
+    ``keyframes`` counts the session's
     I-frames — more than one means the stream carries GOP structure
     (``i_Period``) and supports mid-stream random access.  ``stalls``
     counts backpressure waits — feeds the producer had to pause on plus
@@ -58,8 +56,6 @@ class SessionStats:
     buffered_bytes: int
     peak_buffered_bytes: int
     wall_s: float
-    bytes_copied: int = 0
-    handles_passed: int = 0
     keyframes: int = 0
     stalls: int = 0
     bits_out: tuple[int, ...] = ()
@@ -71,11 +67,6 @@ class SessionStats:
             f"buffered {self.buffered_bytes} (peak {self.peak_buffered_bytes}), "
             f"{self.wall_s:.3f}s"
         )
-        if self.bytes_copied or self.handles_passed:
-            text += (
-                f", transport {self.bytes_copied} B copied / "
-                f"{self.handles_passed} handles"
-            )
         if self.keyframes > 1:
             text += f", {self.keyframes} keyframes"
         if self.stalls:
@@ -89,13 +80,11 @@ class DecodeSession:
     ``frames_in`` counts completed input pictures (scanner frames),
     ``frames_out`` counts frames the consumer drained, ``bytes_out``
     counts their decoded pixel bytes.  ``pipeline`` passes through to
-    :class:`StreamDecoder` (overlapped parse/reconstruct); the stats
-    then include the decoder's transport counters.
+    :class:`StreamDecoder` (parse on a worker thread, overlapped with
+    reconstruction).
     """
 
-    def __init__(
-        self, max_buffered_frames: int = 2, pipeline: bool | str = False
-    ) -> None:
+    def __init__(self, max_buffered_frames: int = 2, pipeline: bool = False) -> None:
         self._decoder = StreamDecoder(
             max_buffered_frames=max_buffered_frames, pipeline=pipeline
         )
@@ -125,8 +114,6 @@ class DecodeSession:
         reg.counter("session.frames_in").advance_to(decoder.frames_scanned)
         reg.counter("session.bytes_in").advance_to(decoder.bytes_fed)
         reg.counter("session.stalls").advance_to(decoder.stalls)
-        reg.counter("session.bytes_copied").advance_to(decoder.bytes_copied)
-        reg.counter("session.handles_passed").advance_to(decoder.handles_passed)
         reg.counter("session.keyframes").advance_to(len(decoder.keyframes))
         buffered = reg.gauge("session.buffered_bytes")
         buffered.set(decoder.buffered_bytes)
@@ -148,8 +135,6 @@ class DecodeSession:
             buffered_bytes=buffered.value,
             peak_buffered_bytes=buffered.peak,
             wall_s=time.perf_counter() - self._started,
-            bytes_copied=reg.counter("session.bytes_copied").value,
-            handles_passed=reg.counter("session.handles_passed").value,
             keyframes=reg.counter("session.keyframes").value,
             stalls=reg.counter("session.stalls").value,
             bits_out=tuple(int(v) for v in reg.histogram("session.frame_bits").values),

@@ -19,13 +19,15 @@ of pickled arrays:
   the parent renders each distinct experiment source a single time and
   every job spec that packs against the store receives the same
   handles;
-* :func:`payload_bytes` / :func:`handle_count` — the accounting the
-  transport benchmark and session stats report.
+* :func:`payload_bytes` / :func:`handle_count` — what a shared value
+  moves: its array bytes and its handle count.
 
-``repro.parallel.run_jobs(..., use_shm=True)`` and the process-mode
-pipelined :class:`repro.streaming.StreamDecoder` are the two consumers;
-``use_shm=False`` everywhere falls back to the byte-identical pickling
-path.
+``repro.parallel.run_jobs(..., use_shm=True)`` is the one consumer —
+the experiment fan-out, per-GOP encode and ``decode_bitstream(jobs=N,
+use_shm=True)``'s parse jobs all reach it; ``use_shm=False`` everywhere
+falls back to the byte-identical pickling path.  The pipelined
+:class:`repro.streaming.StreamDecoder` parses on a thread and moves
+nothing through here.
 """
 
 from repro.transport.arena import (

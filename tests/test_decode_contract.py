@@ -9,7 +9,7 @@ message:
 * ``decode_bitstream`` serially, with ``frames=k`` (which judges only the
   first *k* pictures), with ``jobs=2`` and with ``start_frame``;
 * :class:`StreamDecoder` at any chunking and buffer depth, serial or
-  pipelined (thread or process parse stage);
+  pipelined (``pipeline=True``: parse on a worker thread);
 * on framing and truncation damage, also ``parse_bitstream_symbols`` and
   the :mod:`repro.reference` oracle (on payload damage the per-bit parse
   may word an error differently, so those two are not compared there).
@@ -17,9 +17,17 @@ message:
 The reference outcome is a :class:`Decoder` loop that records the frames
 it decodes before the first error.  Hypothesis mutates a small GOP
 stream (byte flips, truncation, length fields off by a few bytes, two
-streams' frames spliced together); the spawn-backed modes run on a fixed
-list of cases.
+streams' frames spliced together); the spawn-backed ``jobs=2`` modes run
+on a fixed list of cases.
+
+Version-1 streams have no framing, so only the whole-buffer entry points
+take them: a truncated or corrupt v1 stream raises :class:`ValueError`
+(a picture cut short names its starting bit), never :class:`EOFError`,
+and on truncation the decoder, ``parse_bitstream_symbols`` and the oracle
+agree.
 """
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -127,7 +135,7 @@ def assert_contract(bitstream, data=None, chunk=37, depth=2, limit=2):
     if data is not None:
         chunk = data.draw(st.integers(1, max(1, len(bitstream))), label="chunk")
         depth = data.draw(st.integers(1, 3), label="depth")
-    for pipeline in (False, "thread"):
+    for pipeline in (False, True):
         result, got = stream_outcome(bitstream, chunk, depth, pipeline)
         assert result == expected(trace)
         assert got == trace[0][: len(got)]  # frames before an error are the serial ones
@@ -173,7 +181,7 @@ class TestMutatedStreams:
             # only) refuses up front.  Both must reject the bytes.
             with pytest.raises(ValueError, match="version-2"):
                 StreamDecoder().feed(corrupt)
-            with pytest.raises((ValueError, EOFError)):
+            with pytest.raises(ValueError):
                 decode_bitstream(corrupt)
             return
         trace = assert_contract(corrupt, data)
@@ -215,6 +223,50 @@ class TestMutatedStreams:
             + donor[data.draw(st.sampled_from(tail), label="tail") :]
         )
         assert_contract(spliced, data)
+
+
+# -- version-1 streams -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def v1_streams():
+    """Three pictures in the v1 seed syntax and in the v1 GOP syntax
+    (I-frames every two pictures, two references)."""
+    clip = make_sequence("foreman", frames=3, seed=0, geometry=GEOMETRY)
+    return {
+        "seed": encode_sequence(clip, qp=18, estimator="tss").bitstream,
+        "gop": encode_sequence(clip, qp=18, estimator="tss", i_period=2, n_ref_frames=2).bitstream,
+    }
+
+
+class TestVersion1Streams:
+    @pytest.mark.parametrize("syntax", ["seed", "gop"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_truncation(self, v1_streams, syntax, data):
+        """A v1 stream cut anywhere decodes its whole pictures or raises
+        a ValueError naming a bit offset, identically from the decoder,
+        ``parse_bitstream_symbols`` and both oracle entry points."""
+        stream = v1_streams[syntax]
+        cut = stream[: data.draw(st.integers(0, len(stream)), label="cut")]
+        decoded = outcome(lambda: decode_bitstream(cut))
+        assert outcome(lambda: reference.decode_bitstream(cut)) == decoded
+        parsed = outcome(lambda: parse_bitstream_symbols(cut))
+        assert outcome(lambda: reference.parse_bitstream_symbols(cut)) == parsed
+        if decoded[0] == "ok":
+            assert parsed[0] == "ok" and len(parsed[1]) == len(decoded[1])
+        else:
+            assert decoded[0] is ValueError and re.search(r"\bbit \d+", decoded[1])
+            assert parsed == decoded
+
+    def test_cut_picture_names_its_start(self, v1_streams):
+        stream = v1_streams["seed"]
+        message = outcome(lambda: decode_bitstream(stream[: len(stream) // 2]))[1]
+        assert re.fullmatch(
+            r"picture \d+ starting at bit \d+ runs past the end of the \d+-bit stream: "
+            r"the stream is cut short or corrupt",
+            message,
+        )
 
 
 # -- fixed cases for the spawn-backed modes --------------------------------
@@ -269,12 +321,12 @@ class TestFixedCases:
     @pytest.mark.parametrize("case", list(CASES)[1:])
     def test_spawned_modes_agree(self, gop, case):
         """``jobs=2`` (with and without a frame limit) and the
-        process-pipelined push decoder."""
+        pipelined push decoder at a different chunking and depth."""
         corrupt = make_case(gop, case)
         trace = serial_trace(corrupt)
         assert outcome(lambda: decode_bitstream(corrupt, jobs=2)) == expected(trace)
         assert outcome(lambda: decode_bitstream(corrupt, jobs=2, frames=1)) == expected(trace, 1)
-        result, _ = stream_outcome(corrupt, 64, 2, "process")
+        result, _ = stream_outcome(corrupt, 64, 2, True)
         assert result == expected(trace)
 
     def test_seek_judges_pictures_from_the_keyframe_on(self, gop):

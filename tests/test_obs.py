@@ -16,6 +16,7 @@ The two load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 
 import pytest
@@ -362,7 +363,7 @@ class TestCrossProcessMerge:
 class TestParseStageTracing:
     def test_thread_pipeline_records_into_process_tracer(self, v2_encode):
         trace.TRACER.enable()
-        session = DecodeSession(pipeline="thread")
+        session = DecodeSession(pipeline=True)
         _, encode = v2_encode
         session.feed(encode.bitstream)
         frames = list(session.frames())
@@ -375,28 +376,8 @@ class TestParseStageTracing:
         parses = [e for e in events if e["name"] == "decode.parse"]
         assert len(parses) >= len(frames)
         assert all(e["pid"] == os.getpid() for e in events)
-
-    def test_process_pipeline_ships_child_events(self, v2_encode):
-        trace.TRACER.enable()
-        session = DecodeSession(pipeline="process")
-        _, encode = v2_encode
-        session.feed(encode.bitstream)
-        frames = list(session.frames())
-        session.close()
-        frames += list(session.frames())
-        trace.TRACER.disable()
-        events = trace.TRACER.drain()
-        import os
-
-        child_parses = [
-            e
-            for e in events
-            if e["name"] == "decode.parse" and e["pid"] != os.getpid()
-        ]
-        assert len(frames) == 3
-        assert len(child_parses) >= len(frames), (
-            "process-mode parse spans did not ship back"
-        )
+        # At least one parse ran on the worker thread, not this one.
+        assert any(e["tid"] != threading.get_native_id() for e in parses)
 
 
 class TestSessionStats:

@@ -58,11 +58,12 @@ class TestParser:
             assert parser.parse_args([command]).shm is None
             assert parser.parse_args([command, "--shm"]).shm is True
             assert parser.parse_args([command, "--no-shm"]).shm is False
-        args = parser.parse_args(["stream-decode", "s.v2", "--pipeline", "process"])
-        assert args.pipeline == "process"
+        args = parser.parse_args(["stream-decode", "s.v2", "--pipeline", "thread"])
+        assert args.pipeline == "thread"
         assert parser.parse_args(["stream-decode", "s.v2"]).pipeline == "off"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["stream-decode", "s.v2", "--pipeline", "fork"])
+        for removed in ("process", "fork"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["stream-decode", "s.v2", "--pipeline", removed])
 
     def test_stream_encode_requires_input(self):
         with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ The two contracts everything else hangs off:
   the whole-sequence :class:`Encoder`, in both wire formats.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -24,21 +25,27 @@ from repro.codec.encoder import FRAME_START_CODE, encode_sequence
 from repro.streaming import (
     DecodeSession,
     EncodeSession,
-    ParseStage,
     ScanState,
     StreamDecoder,
     StreamEncoder,
     stream_decode,
 )
-from repro.streaming.pipeline import normalize_pipeline
+from repro.streaming.decoder import PARSE_THREAD_PREFIX
+from repro.streaming import decoder as stream_decoder_module
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
 from repro.video.yuv_io import frame_size_bytes, iter_yuv_frames, read_yuv, write_yuv
 
-from .conftest import shm_segments
 
 SMALL = FrameGeometry(32, 32)
+
+THREAD = pytest.param(True, id="thread")  # the parse-thread pipeline
+
+
+def parse_threads():
+    """Live threads of pipelined decoders' parse workers."""
+    return [t for t in threading.enumerate() if t.name.startswith(PARSE_THREAD_PREFIX)]
 
 
 def random_sequence(n=4, seed=7, geometry=SMALL):
@@ -274,15 +281,6 @@ class TestStreamDecoder:
         assert decoder.buffered_bytes < raw_frame + len(v2.bitstream)
         assert decoder.frames_decoded == 1
 
-    def test_callback_mode(self, v2, whole):
-        got = []
-        decoder = StreamDecoder(on_frame=got.append)
-        for i in range(0, len(v2.bitstream), 11):
-            assert decoder.feed(v2.bitstream[i : i + 11]) > 0  # demand never drops
-        decoder.close()
-        assert_frames_equal(got, whole)
-        assert list(decoder.frames()) == []  # callback consumed everything
-
     def test_feed_after_close_rejected(self, v2):
         decoder = StreamDecoder()
         decoder.feed(v2.bitstream)
@@ -333,7 +331,7 @@ class TestStreamDecoder:
             list(stream_decode([corrupt]))
         assert str(stream_err.value) == str(whole_err.value)
 
-    @pytest.mark.parametrize("pipeline", [False, "thread"])
+    @pytest.mark.parametrize("pipeline", [False, THREAD])
     def test_truncated_last_frame_raises_like_whole_buffer(self, v2, pipeline):
         """A stream cut 5 bytes into frame 2's payload leaves a tail
         shorter than a minimal frame; it still raises the overrun, in
@@ -347,7 +345,7 @@ class TestStreamDecoder:
             list(stream_decode(chunks, pipeline=pipeline))
         assert str(stream_err.value) == str(whole_err.value)
 
-    @pytest.mark.parametrize("pipeline", [False, "thread"])
+    @pytest.mark.parametrize("pipeline", [False, THREAD])
     def test_scan_error_waits_for_earlier_payloads(self, v2, pipeline):
         """Payload 1 corrupt and frame 2's start code bad, fed in one
         chunk: the scanner meets the start code first, but stream order
@@ -403,73 +401,20 @@ def corrupt_stream(v2):
     pytest.fail("no corrupting offset found in the last payload")
 
 
-class TestParseStage:
-    def test_normalize_pipeline(self):
-        assert normalize_pipeline(False) is None
-        assert normalize_pipeline(None) is None
-        assert normalize_pipeline(True) == "thread"
-        assert normalize_pipeline("thread") == "thread"
-        assert normalize_pipeline("process") == "process"
-        with pytest.raises(ValueError, match="pipeline"):
-            normalize_pipeline("fork")
-
-    def test_kind_and_depth_validated(self):
-        with pytest.raises(ValueError, match="kind"):
-            ParseStage(kind="fork")
-        with pytest.raises(ValueError, match="depth"):
-            ParseStage(depth=0)
-
-    def test_thread_stage_results_in_order_nothing_copied(self, payloads):
-        stage = ParseStage(kind="thread", depth=len(payloads))
-        try:
-            for payload in payloads:
-                stage.submit(payload)
-            results = [stage.poll(block=True) for _ in payloads]
-        finally:
-            stage.close()
-        assert [seq for _tag, seq, _v in results] == list(range(len(payloads)))
-        assert all(tag == "ok" for tag, _seq, _v in results)
-        assert [v for _tag, _seq, v in results] == [parse_payload(p) for p in payloads]
-        assert stage.bytes_copied == 0 and stage.handles_passed == 0
-
-    def test_process_stage_ships_handles_and_cleans_up(self, payloads):
-        stage = ParseStage(kind="process", depth=len(payloads))
-        try:
-            for payload in payloads:
-                stage.submit(payload)
-            results = [stage.poll(block=True) for _ in payloads]
-        finally:
-            stage.close()
-        assert [v for _tag, _seq, v in results] == [parse_payload(p) for p in payloads]
-        # Only the compressed feed crossed by value; the parsed arrays
-        # came back as shared-memory handles, >= 1 per picture.
-        assert stage.bytes_copied == sum(len(p) for p in payloads)
-        assert stage.handles_passed >= len(payloads)
-        assert not shm_segments("repro-pipe")
-
-    def test_close_discards_in_flight_without_leaks(self, payloads):
-        stage = ParseStage(kind="process", depth=2)
-        for payload in payloads:
-            stage.submit(payload)
-        stage.close()  # results never collected — discarded and unlinked
-        stage.close()  # idempotent
-        assert not shm_segments("repro-pipe")
-        with pytest.raises(ValueError, match="closed"):
-            stage.submit(b"")
-
-
 class TestPipelinedDecoder:
     @pytest.mark.parametrize("chunk", [1, 7, 64, 10**6])
     def test_thread_chunkings_bit_identical(self, v2, whole, chunk):
         """Any chunking — including 1-byte feeds — through the
         thread-pipelined session decodes bit-identically to serial."""
         chunks = [v2.bitstream[i : i + chunk] for i in range(0, len(v2.bitstream), chunk)]
-        assert_frames_equal(list(stream_decode(chunks, pipeline="thread")), whole)
+        assert_frames_equal(list(stream_decode(chunks, pipeline=True)), whole)
 
-    def test_process_mode_bit_identical_and_leak_free(self, v2, whole):
+    def test_pipelined_bit_identical_and_leak_free(self, v2, whole):
+        """``stream_decode`` closes its session, which joins the parse
+        worker: no thread outlives the decode."""
         chunks = [v2.bitstream[i : i + 7] for i in range(0, len(v2.bitstream), 7)]
-        assert_frames_equal(list(stream_decode(chunks, pipeline="process")), whole)
-        assert not shm_segments("repro-pipe")
+        assert_frames_equal(list(stream_decode(chunks, pipeline=True)), whole)
+        assert not parse_threads()
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -484,13 +429,76 @@ class TestPipelinedDecoder:
         chunks = [v2.bitstream[a:b] for a, b in zip(points, points[1:])]
         assert_frames_equal(list(stream_decode(chunks, pipeline=True)), whole)
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_error_parity_mid_pipeline(self, corrupt_stream, kind):
-        """A corrupt payload fed mid-stream raises the serial path's
-        exact error — same type, same message — from the pipelined
-        session, and tears the stage down without leaking."""
+    def test_results_arrive_in_order(self, v2, whole, payloads, monkeypatch):
+        """Every payload parses on the worker thread, and the frames come
+        out in stream order with each payload's bits credited to its own
+        frame."""
+        parsed_on = []
+
+        def spy(payload):
+            parsed_on.append(threading.current_thread().name)
+            return parse_payload(payload)
+
+        monkeypatch.setattr(stream_decoder_module, "parse_payload", spy)
+        decoder = StreamDecoder(max_buffered_frames=1, pipeline=True)
+        decoder.feed(v2.bitstream)  # demand stays 0, so every drain waits
+        out = list(decoder.frames())
+        decoder.close()
+        assert list(decoder.frames()) == []
+        assert_frames_equal(out, whole)
+        assert decoder.frame_bits == [8 * len(p) for p in payloads]
+        assert len(parsed_on) == len(payloads)
+        assert all(name.startswith(PARSE_THREAD_PREFIX) for name in parsed_on)
+
+    def test_failing_payload_raises_serial_error_at_same_frame(self, corrupt_stream):
+        """The pipelined session yields the same frames as the serial one
+        before a corrupt payload, then raises the same error."""
         corrupt, serial_exc = corrupt_stream
-        decoder = StreamDecoder(max_buffered_frames=10, pipeline=kind)
+        outcomes = []
+        for pipeline in (False, True):
+            decoder = StreamDecoder(max_buffered_frames=1, pipeline=pipeline)
+            got = []
+            with pytest.raises(type(serial_exc)) as err:
+                decoder.feed(corrupt)
+                for frame in decoder.frames():
+                    got.append(frame)
+                decoder.close()
+                got.extend(decoder.frames())
+            outcomes.append((got, decoder.frames_decoded, str(err.value)))
+        (serial, serial_count, serial_msg), (piped, piped_count, piped_msg) = outcomes
+        assert_frames_equal(piped, serial)
+        assert piped_count == serial_count == len(FrameIndex.scan(corrupt)) - 1
+        assert piped_msg == serial_msg == str(serial_exc)
+        assert not parse_threads()
+
+    def test_close_with_parses_in_flight_stops_worker(self, v2, whole, monkeypatch):
+        """close() joins the worker while parses are still queued — the
+        queued ones are cancelled and parse inline as the frames drain —
+        and a second close() is a no-op."""
+
+        def slow_on_worker(payload):
+            if threading.current_thread().name.startswith(PARSE_THREAD_PREFIX):
+                time.sleep(0.02)
+            return parse_payload(payload)
+
+        monkeypatch.setattr(stream_decoder_module, "parse_payload", slow_on_worker)
+        decoder = StreamDecoder(max_buffered_frames=len(whole), pipeline=True)
+        decoder.feed(v2.bitstream)
+        assert parse_threads() and decoder.frames_decoded == 0
+        decoder.close()
+        assert not parse_threads()
+        decoder.close()
+        assert not parse_threads()
+        assert_frames_equal(list(decoder.frames()), whole)
+
+    @pytest.mark.parametrize("pipeline", [False, THREAD])
+    def test_error_parity_mid_pipeline(self, corrupt_stream, pipeline):
+        """A corrupt payload fed mid-stream in 11-byte chunks raises the
+        one-chunk serial decode's exact error — same type, same message —
+        from the serial and the pipelined session, and no parse worker
+        outlives it."""
+        corrupt, serial_exc = corrupt_stream
+        decoder = StreamDecoder(max_buffered_frames=10, pipeline=pipeline)
         with pytest.raises(type(serial_exc)) as err:
             for i in range(0, len(corrupt), 11):
                 decoder.feed(corrupt[i : i + 11])
@@ -498,12 +506,12 @@ class TestPipelinedDecoder:
             decoder.close()
             list(decoder.frames())
         assert str(err.value) == str(serial_exc)
-        assert not shm_segments("repro-pipe")
+        assert not parse_threads()
 
     def test_backpressure_bound_holds(self, v2, whole):
         """A demand-honoring producer never sees more decoded frames
         buffered than ``max_buffered_frames``, pipeline or not."""
-        decoder = StreamDecoder(max_buffered_frames=1, pipeline="thread")
+        decoder = StreamDecoder(max_buffered_frames=1, pipeline=True)
         out = []
         pos = 0
         while pos < len(v2.bitstream):
@@ -517,15 +525,6 @@ class TestPipelinedDecoder:
         out.extend(decoder.frames())
         assert_frames_equal(out, whole)
 
-    def test_callback_mode_pipelined(self, v2, whole):
-        got = []
-        decoder = StreamDecoder(on_frame=got.append, pipeline="thread")
-        for i in range(0, len(v2.bitstream), 11):
-            decoder.feed(v2.bitstream[i : i + 11])
-        decoder.close()
-        assert list(decoder.frames()) == []  # the callback consumed everything
-        assert_frames_equal(got, whole)
-
     def test_truncated_tail_raises_on_close(self, v2):
         """Complete frames decode despite a truncated tail, and close()
         raises the scanner's overrun error.  The pipelined drain is
@@ -534,7 +533,7 @@ class TestPipelinedDecoder:
         in-flight parses land."""
         index = FrameIndex.scan(v2.bitstream)
         cut = index.ranges[-1][1] - 3
-        decoder = StreamDecoder(max_buffered_frames=len(index), pipeline="thread")
+        decoder = StreamDecoder(max_buffered_frames=len(index), pipeline=True)
         decoder.feed(v2.bitstream[:cut])
         got = []
         for _ in range(10_000):
@@ -547,8 +546,11 @@ class TestPipelinedDecoder:
             decoder.close()
 
     def test_invalid_pipeline_flag_rejected(self):
-        with pytest.raises(ValueError, match="pipeline"):
-            StreamDecoder(pipeline="fork")
+        """``pipeline`` is a bool; anything else, the removed
+        ``"process"`` mode included, is refused by name."""
+        for flag in ("process", "thread", "fork", None, 1):
+            with pytest.raises(ValueError, match="'process' parse stage was removed"):
+                StreamDecoder(pipeline=flag)
 
 
 # -- iterator encoder ------------------------------------------------------
@@ -641,11 +643,11 @@ class TestSessions:
             assert stats.wall_s > 0
             assert "frames" in stats.as_text()
 
-    @pytest.mark.parametrize("pipeline", [False, "thread"])
+    @pytest.mark.parametrize("pipeline", [False, THREAD])
     def test_decode_session_in_process_modes_copy_nothing(self, v2, whole, pipeline):
-        """Serial and thread-pipelined sessions move every payload by
-        reference: the transport ledger stays at zero and stays out of
-        the stats text."""
+        """Serial and thread-pipelined sessions decode identically and
+        in-process: the stats report no transport ledger and no parse
+        thread outlives the session."""
         session = DecodeSession(max_buffered_frames=4, pipeline=pipeline)
         out = []
         session.feed(v2.bitstream)
@@ -654,27 +656,9 @@ class TestSessions:
         out.extend(session.frames())
         assert_frames_equal(out, whole)
         stats = session.stats()
-        assert stats.bytes_copied == 0 and stats.handles_passed == 0
-        assert "transport" not in stats.as_text()
-
-    def test_decode_session_process_mode_ledger(self, v2, whole):
-        """Process mode copies exactly the compressed payload bytes down
-        and brings the parsed bulk back as handles — what the stats
-        surface (and ``runner all``'s streaming stage) report."""
-        index = FrameIndex.scan(v2.bitstream)
-        compressed = sum(len(index.payload(v2.bitstream, i)) for i in range(len(index)))
-        session = DecodeSession(max_buffered_frames=len(index), pipeline="process")
-        out = []
-        session.feed(v2.bitstream)
-        out.extend(session.frames())
-        session.close()
-        out.extend(session.frames())
-        assert_frames_equal(out, whole)
-        stats = session.stats()
-        assert stats.bytes_copied == compressed
-        assert stats.handles_passed >= len(whole)
-        assert "transport" in stats.as_text()
-        assert not shm_segments("repro-pipe")
+        assert not hasattr(stats, "bytes_copied") and "transport" not in stats.as_text()
+        assert stats.frames_in == stats.frames_out == len(whole)
+        assert not parse_threads()
 
     def test_encode_session_stats(self, clip, v2):
         session = EncodeSession(estimator="tss", qp=18, bitstream_version=2)
