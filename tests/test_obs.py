@@ -7,9 +7,8 @@ The two load-bearing guarantees:
   byte-identical bitstreams and frames (the codec never reads obs
   state).
 * **Mergeable timelines** — spans recorded inside spawned workers (the
-  job pool in both transports, the process-mode parse stage) ship back
-  and splice into the parent tracer with their own pid/tid stamps,
-  nesting under the parent's ``job`` spans by timestamp containment;
+  job pool in both transports) ship back and splice into the parent
+  tracer with their own pid/tid stamps, nesting under the parent's ``job`` spans by timestamp containment;
   a failing worker still delivers the events it collected before dying.
 """
 
