@@ -2,7 +2,7 @@
 pipelined session vs serial push.
 
 A 30-frame QCIF v2 stream (foreman, Qp 16, TSS) is pushed through a
-:class:`repro.streaming.DecodeSession` in MTU-sized chunks and timed
+:class:`repro.streaming.StreamDecoder` in MTU-sized chunks and timed
 against :func:`decode_bitstream` over the whole buffer, best-of-3.
 Identity under every chunking, the pipelined modes and the memory bound
 are pinned by ``tests/test_streaming.py``.
@@ -12,7 +12,7 @@ import pytest
 
 from repro.codec.decoder import decode_bitstream
 from repro.codec.encoder import encode_sequence
-from repro.streaming import DecodeSession
+from repro.streaming import StreamDecoder
 from repro.video.synthesis.sequences import make_sequence
 
 from .conftest import best_of, cores
@@ -32,13 +32,13 @@ def bitstream():
 def push_decode(bitstream: bytes, pipeline: bool | str = False) -> list:
     """Feed fixed-size chunks, draining after every feed (the consumer
     the backpressure contract assumes)."""
-    session = DecodeSession(max_buffered_frames=2, pipeline=pipeline)
+    decoder = StreamDecoder(max_buffered_frames=2, pipeline=pipeline)
     out = []
     for start in range(0, len(bitstream), CHUNK):
-        session.feed(bitstream[start : start + CHUNK])
-        out.extend(session.frames())
-    session.close()
-    out.extend(session.frames())
+        decoder.feed(bitstream[start : start + CHUNK])
+        out.extend(decoder.frames())
+    decoder.close()
+    out.extend(decoder.frames())
     return out
 
 

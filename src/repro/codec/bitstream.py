@@ -126,8 +126,9 @@ class BitWriter:
         buffer; a trailing partial byte (``bit_count % 8`` bits) stays
         in the accumulator for later writes.
 
-        The streaming encoder emits the bitstream incrementally through
-        this: concatenating every drained chunk plus the final
+        Byte-streaming callers of
+        :meth:`~repro.codec.encoder.Encoder.encode_frames` emit the
+        bitstream incrementally through this: concatenating every drained chunk plus the final
         :meth:`getvalue` reproduces the undrained writer's bytes
         exactly.  Byte positions stay *absolute* — :attr:`byte_length`
         keeps counting drained bytes, and :meth:`patch_u32` rejects

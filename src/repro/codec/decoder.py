@@ -37,7 +37,7 @@ message, or returns the same frames, bit-identical to
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,13 +404,18 @@ def parse_payload(payload: bytes) -> ParsedPicture:
 
 @contextmanager
 def v1_picture(reader, index: int):
-    """Scope one version-1 picture's parse.  A v1 stream has no length
-    fields, so a picture cut short meets the end of the stream; that
-    :class:`EOFError` leaves as one :class:`ValueError` naming the
-    picture and its starting bit — the v1 twin of :func:`parse_payload`'s
-    overrun error, raised alike by :class:`Decoder`,
-    :func:`parse_bitstream_symbols` and the :mod:`repro.reference`
-    oracle."""
+    """Scope one version-1 picture's decode, so every error in it names
+    the picture and its starting bit — a v1 stream has no framing to
+    locate damage by.  A picture cut short meets the end of the stream;
+    that :class:`EOFError` leaves as one :class:`ValueError` (the v1
+    twin of :func:`parse_payload`'s overrun error).  Any other
+    :class:`ValueError` — a bad start code, an illegal symbol, a vector
+    leaving the reference — is re-raised with the prefix
+    ``picture k starting at bit b: ``.  :class:`Decoder`,
+    :func:`parse_bitstream_symbols` and both :mod:`repro.reference`
+    entry points scope each v1 picture with it (the decoders over
+    reconstruction too), so a parse error reads the same from all
+    four."""
     start = reader.bits_consumed
     total = start + reader.bits_remaining
     try:
@@ -420,6 +425,8 @@ def v1_picture(reader, index: int):
             f"picture {index} starting at bit {start} runs past the end of the "
             f"{total}-bit stream: the stream is cut short or corrupt"
         ) from exc
+    except ValueError as exc:
+        raise ValueError(f"picture {index} starting at bit {start}: {exc}") from exc
 
 
 def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
@@ -722,9 +729,7 @@ class Decoder:
 
     def _parse_next(self) -> ParsedPicture:
         if self.version == 1:
-            with trace.span("decode.parse") as parse_span, v1_picture(
-                self._reader, self._frame_index
-            ):
+            with trace.span("decode.parse") as parse_span:
                 header = read_picture_header(self._reader)
                 if header.frame_type == "P" and not self._references:
                     raise ValueError("P-frame without a decoded reference")
@@ -738,7 +743,9 @@ class Decoder:
         return parse_payload(self._index.payload(self._bitstream, self._next - 1))
 
     def decode_frame(self) -> Frame:
-        with trace.span("decode.frame", frame=self._frame_index) as frame_span:
+        # A v1 picture's parse and reconstruction share one error scope.
+        scope = v1_picture(self._reader, self._frame_index) if self.version == 1 else nullcontext()
+        with trace.span("decode.frame", frame=self._frame_index) as frame_span, scope:
             parsed = self._parse_next()
             frame, self._references = reconstruct_and_fold(
                 parsed, self._references, self._frame_index

@@ -40,6 +40,7 @@ nothing in the codec imports it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -321,11 +322,7 @@ class Encoder:
         callers).  Returns ``(record, reconstruction, motion_field)`` —
         thread the reconstruction back through
         :meth:`advance_references` and pass the field to the next call.
-        This is the single per-frame step :meth:`encode`, the streaming
-        encoder (:class:`repro.streaming.StreamEncoder`) and the
-        per-GOP job (:class:`repro.parallel.jobs.GopEncodeJob`) all
-        drive, which is what makes their emitted bytes identical by
-        construction.
+        :meth:`encode_frames` is the one loop that does so.
         """
         with trace.span("encode.frame", position=position) as frame_span:
             refs = self._as_reference_list(references)
@@ -415,19 +412,54 @@ class Encoder:
             return [recon]
         return [recon, *self._as_reference_list(references)][: self.n_ref_frames]
 
+    def encode_frames(
+        self, writer: BitWriter, frames: Iterable[Frame], start: int = 0
+    ) -> Iterator[tuple[FrameRecord, Frame]]:
+        """The closed prediction loop: encode ``frames`` into ``writer``
+        one at a time, yielding ``(record, reconstruction)`` per frame.
+
+        Frame positions count from ``start`` (a GOP's offset in its
+        sequence), and the reference list and motion field thread from
+        frame to frame through :meth:`advance_references`.  Everything
+        that encodes drives this one loop — :meth:`encode`,
+        :class:`~repro.parallel.jobs.GopEncodeJob`, and byte-streaming
+        callers, which ``writer.drain()`` after every yield and take
+        ``writer.getvalue()`` at the end (version 1's zero-padded last
+        byte) — so their bytes are identical by construction.  Between
+        frames only the reference list and the previous field are held,
+        so a frame iterator such as
+        :func:`repro.video.yuv_io.iter_yuv_frames` encodes in bounded
+        memory.
+
+        Raises
+        ------
+        ValueError
+            If ``frames`` yields no frame, or a frame whose geometry
+            differs from the first one's.
+        """
+        references: list[Frame] = []
+        prev_field: MotionField | None = None
+        geometry = None
+        for position, frame in enumerate(frames, start):
+            if geometry is None:
+                geometry = frame.geometry
+            elif frame.geometry != geometry:
+                raise ValueError(f"mixed geometries in stream: {geometry} vs {frame.geometry}")
+            record, recon, prev_field = self.encode_frame_into(
+                writer, frame, position, references, prev_field
+            )
+            references = self.advance_references(references, record, recon)
+            yield record, recon
+        if geometry is None:
+            raise ValueError("encode needs at least one frame")
+
     def encode(self, sequence: Sequence) -> EncodeResult:
         """Encode a whole sequence (GOP openings intra, rest inter)."""
         writer = BitWriter()
         records: list[FrameRecord] = []
         reconstruction: list[Frame] = []
-        references: list[Frame] = []
-        prev_field: MotionField | None = None
-        for i, frame in enumerate(sequence):
-            record, recon, prev_field = self.encode_frame_into(
-                writer, frame, i, references, prev_field
-            )
+        for record, recon in self.encode_frames(writer, sequence):
             records.append(record)
-            references = self.advance_references(references, record, recon)
             if self.keep_reconstruction:
                 reconstruction.append(recon)
         return EncodeResult(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.analysis.reporting import format_histogram
 from repro.experiments.config import ExperimentConfig
@@ -143,15 +144,19 @@ def cmd_table1(args: argparse.Namespace) -> None:
 
 def cmd_stream_encode(args: argparse.Namespace) -> int:
     """Encode a raw YUV file incrementally: frames stream in through
-    ``iter_yuv_frames``, bytes stream out as pictures close — the
-    whole file is never resident."""
-    from repro.streaming import EncodeSession
-    from repro.video.yuv_io import iter_yuv_frames
+    ``iter_yuv_frames`` and :meth:`Encoder.encode_frames`, and each
+    picture's bytes are drained to the output as it closes — the whole
+    file is never resident."""
+    from repro.codec.bitstream import BitWriter
+    from repro.codec.encoder import Encoder
+    from repro.video.yuv_io import frame_size_bytes, iter_yuv_frames
 
+    started = time.perf_counter()
     try:
-        session = EncodeSession(
+        encoder = Encoder(
             estimator=args.estimator,
             qp=args.qp,
+            keep_reconstruction=False,
             bitstream_version=args.bitstream_version,
             i_period=args.i_period,
             n_ref_frames=args.n_ref_frames,
@@ -160,24 +165,56 @@ def cmd_stream_encode(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     frames = iter_yuv_frames(args.from_yuv, args.geometry, max_frames=args.max_frames)
+    writer = BitWriter()
+    records = []
     try:
-        if args.out == "-":
-            written = session.encode_to(sys.stdout.buffer, frames)
-        else:
-            with open(args.out, "wb") as sink:
-                written = session.encode_to(sink, frames)
+        sink = sys.stdout.buffer if args.out == "-" else open(args.out, "wb")
+        try:
+            for record, _recon in encoder.encode_frames(writer, frames):
+                records.append(record)
+                sink.write(writer.drain())
+            sink.write(writer.getvalue())  # version 1's zero-padded last byte
+        finally:
+            if sink is not sys.stdout.buffer:
+                sink.close()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    stats = session.stats()
+    written = (writer.bit_count + 7) // 8
+    keyframes = sum(r.frame_type == "I" for r in records)
     print(
-        f"stream-encode: {stats.frames_in} frames from {args.from_yuv} "
+        f"stream-encode: {len(records)} frames from {args.from_yuv} "
         f"({args.geometry.width}x{args.geometry.height}) -> {written} bytes "
         f"(v{args.bitstream_version}, {args.estimator}, qp={args.qp})",
         file=sys.stderr,
     )
-    print(f"  {stats.as_text()}", file=sys.stderr)
+    summary = (
+        f"  bytes {len(records) * frame_size_bytes(args.geometry)} in / {written} out, "
+        f"{time.perf_counter() - started:.3f}s"
+    )
+    if keyframes > 1:
+        summary += f", {keyframes} keyframes"
+    print(summary, file=sys.stderr)
     return 0
+
+
+def decode_summary(decoder, wall_s: float) -> str:
+    """One line of a push decode's own counters (see
+    :class:`~repro.streaming.StreamDecoder`) and its wall time."""
+    bits = decoder.frame_bits
+    text = (
+        f"frames {decoder.frames_scanned} in / {decoder.frames_decoded} out, "
+        f"bytes {decoder.bytes_fed} in, "
+        f"buffered {decoder.buffered_bytes} (peak {decoder.peak_buffered_bytes}), "
+        f"{wall_s:.3f}s"
+    )
+    if bits:
+        text += f", {sum(bits) / len(bits):.0f} bits/frame"
+    if len(decoder.keyframes) > 1:
+        text += f", {len(decoder.keyframes)} keyframes"
+    if decoder.stalls:
+        text += f", {decoder.stalls} stalls"
+    return text
 
 
 def cmd_stream_decode(args: argparse.Namespace) -> int:
@@ -185,7 +222,7 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
     fixed-size chunks; optionally re-decode the whole buffer and gate
     bit-identity (``--verify``)."""
     from repro.codec.decoder import decode_bitstream
-    from repro.streaming import DecodeSession
+    from repro.streaming import StreamDecoder
 
     if args.chunk_size < 1:
         print(f"error: --chunk-size must be >= 1, got {args.chunk_size}", file=sys.stderr)
@@ -207,14 +244,15 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
         return 1
     decoded = []  # kept only under --verify
     fed = bytearray() if args.verify else None
+    started = time.perf_counter()
     try:
-        session = DecodeSession(
+        decoder = StreamDecoder(
             max_buffered_frames=args.max_buffered,
             pipeline=args.pipeline == "thread",
         )
 
         def drain() -> None:
-            for frame in session.frames():
+            for frame in decoder.frames():
                 if fed is not None:
                     decoded.append(frame)
                 if sink is not None:
@@ -228,9 +266,9 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
                     break
                 if fed is not None:
                     fed += chunk
-                session.feed(chunk)
+                decoder.feed(chunk)
                 drain()
-            session.close()
+            decoder.close()
             drain()
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -240,9 +278,9 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
             source.close()
         if sink is not None:
             sink.close()
-    stats = session.stats()
-    print(f"stream-decode: {stats.frames_out} frames in {args.chunk_size}-byte chunks")
-    print(f"  {stats.as_text()}")
+    wall_s = time.perf_counter() - started
+    print(f"stream-decode: {decoder.frames_decoded} frames in {args.chunk_size}-byte chunks")
+    print(f"  {decode_summary(decoder, wall_s)}")
     if args.verify:
         whole = decode_bitstream(bytes(fed))
         identical = len(whole) == len(decoded) and all(
@@ -359,11 +397,12 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
     MTU-sized chunks (serial, then thread-pipelined) and
     stream-encode it in both wire formats.  Prints one line per check
     and raises ``SystemExit`` unless every identity holds and the
-    session's peak buffered bytes stay under two frames' worth of
+    decoder's peak buffered bytes stay under two frames' worth of
     payload plus one reconstruction window."""
+    from repro.codec.bitstream import BitWriter
     from repro.codec.decoder import FrameIndex, decode_bitstream
-    from repro.codec.encoder import encode_sequence
-    from repro.streaming import DecodeSession, StreamEncoder
+    from repro.codec.encoder import Encoder, encode_sequence
+    from repro.streaming import StreamDecoder
     from repro.video.synthesis.sequences import make_sequence
     from repro.video.yuv_io import frame_size_bytes
 
@@ -374,30 +413,34 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
     bitstream = encode.bitstream
 
     def push(pipeline: bool = False):
-        session = DecodeSession(max_buffered_frames=2, pipeline=pipeline)
+        decoder = StreamDecoder(max_buffered_frames=2, pipeline=pipeline)
         out = []
         for start in range(0, len(bitstream), chunk_size):
-            session.feed(bitstream[start : start + chunk_size])
-            out.extend(session.frames())
-        session.close()
-        out.extend(session.frames())
-        return out, session.stats()
+            decoder.feed(bitstream[start : start + chunk_size])
+            out.extend(decoder.frames())
+        decoder.close()
+        out.extend(decoder.frames())
+        return out, decoder
 
-    streamed, stats = push()
+    def stream_encode(version: int) -> bytes:
+        encoder = Encoder(
+            estimator="tss", qp=qp, keep_reconstruction=False, bitstream_version=version
+        )
+        writer = BitWriter()
+        chunks = [writer.drain() for _ in encoder.encode_frames(writer, iter(clip))]
+        return b"".join(chunks) + writer.getvalue()
+
+    streamed, decoder = push()
     stream_identical = streamed == decode_bitstream(bitstream) == encode.reconstruction
     pipeline_identical = push(pipeline=True)[0] == streamed
     v1 = encode_sequence(clip, qp=qp, estimator="tss").bitstream
-    encode_identical = all(
-        b"".join(StreamEncoder(estimator="tss", qp=qp, bitstream_version=v).encode_iter(iter(clip)))
-        == reference
-        for v, reference in ((1, v1), (2, bitstream))
-    )
+    encode_identical = stream_encode(1) == v1 and stream_encode(2) == bitstream
     # A frame's worth of payload is a raw frame's bytes, widened by any
     # compressed payload that expands past it.
     raw_frame = frame_size_bytes(clip.geometry)
     max_payload = max(end - start for start, end in FrameIndex.scan(bitstream).ranges)
     bound = 2 * max(raw_frame, max_payload) + raw_frame
-    within = stats.peak_buffered_bytes < bound
+    within = decoder.peak_buffered_bytes < bound
     # The header keeps its earlier wording so `all`'s stdout stays
     # byte-identical across versions.
     print(
@@ -406,7 +449,7 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
         f"  bit-identical (streamed == whole-buffer == encoder loop): {stream_identical}\n"
         f"  stream-encode byte-identical (v1 and v2): {encode_identical}\n"
         f"  pipelined bit-identical (thread): {pipeline_identical}\n"
-        f"  peak buffered {stats.peak_buffered_bytes} bytes "
+        f"  peak buffered {decoder.peak_buffered_bytes} bytes "
         f"(bound {bound}: within={within}; whole buffer holds {len(bitstream)})"
     )
     if not (stream_identical and pipeline_identical and encode_identical and within):

@@ -48,13 +48,6 @@ class Counter:
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
 
-    def advance_to(self, value: int | float) -> None:
-        """Raise the count to ``value`` if it is ahead — how a session
-        mirrors a lower layer's own monotonic counter into the
-        registry without double counting."""
-        if value > self.value:
-            self.value = value
-
     def reset(self) -> None:
         self.value = 0
 
@@ -93,7 +86,7 @@ class Histogram:
 
     Keeps the raw observations — the scales here are frames, not
     packets, and the per-frame history *is* the product (it feeds
-    ``SessionStats.bits_out`` and the rate-control ledgers to come).
+    ``encode.bits_per_frame`` and the rate-control ledgers to come).
     """
 
     __slots__ = ("name", "values")

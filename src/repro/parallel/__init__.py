@@ -1,18 +1,19 @@
 """Process-parallel experiment orchestration.
 
 The paper's experiments decompose into independent units — one encode
-per RD-sweep cell, one frame pair per Fig. 4 observation batch, one
-bitstream per decode — and every estimator is stateless, so the layer
-above the frame-level kernels shards *jobs* across processes:
+per RD-sweep cell, one frame pair per Fig. 4 observation batch, one GOP
+per parallel encode, one frame per parallel parse — and every estimator
+is stateless, so the layer above the frame-level kernels shards *jobs*
+across processes:
 
 * :mod:`repro.parallel.jobs` — hashable, picklable job specs
-  (:class:`EncodeJob`, :class:`DecodeJob`, :class:`SweepJob`,
-  :class:`Fig4PairJob`) with module-level execution recipes and
-  per-process render memoization.
+  (:class:`EncodeJob`, :class:`SweepJob`, :class:`GopEncodeJob`,
+  :class:`ParseFrameJob`, :class:`Fig4PairJob`) with module-level
+  execution recipes and per-process render memoization.
 * :mod:`repro.parallel.pool` — :func:`run_jobs`, a
   ``ProcessPoolExecutor``/``spawn`` wrapper with deterministic per-job
-  ``SeedSequence`` seeding, chunked dispatch, progress callbacks and an
-  in-process fallback for ``--jobs 1``.
+  ``SeedSequence`` seeding, one future per job, progress callbacks and
+  an in-process fallback for ``--jobs 1``.
 
 Results always merge in job order, so a harness's output is
 byte-identical for any worker count; the golden tests in
@@ -21,7 +22,6 @@ byte-identical for any worker count; the golden tests in
 
 from repro.parallel.gop import encode_sequence_parallel, split_gops
 from repro.parallel.jobs import (
-    DecodeJob,
     EncodeJob,
     Fig4PairJob,
     GopEncodeJob,
@@ -35,7 +35,6 @@ from repro.parallel.jobs import (
 from repro.parallel.pool import WorkerTraceFailure, derive_job_seeds, execute_job, run_jobs
 
 __all__ = [
-    "DecodeJob",
     "EncodeJob",
     "Fig4PairJob",
     "GopEncodeJob",

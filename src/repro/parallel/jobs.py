@@ -2,7 +2,7 @@
 
 Each spec is a frozen dataclass describing one self-contained unit of
 work — an encode of one ``(sequence, fps, estimator, Qp)`` cell, one
-bitstream decode, one Fig. 4 frame pair — plus ``run()``, the
+GOP, one frame's symbol parse, one Fig. 4 frame pair — plus ``run()``, the
 module-level execution recipe :func:`repro.parallel.pool.run_jobs`
 invokes in whatever process the job lands.  Specs are hashable and
 carry only primitives/frozen configs, so they pickle cheaply across the
@@ -207,8 +207,7 @@ class SweepJob(JobSpec):
     """A whole RD sweep as one spec; :meth:`expand` yields the per-cell
     :class:`EncodeJob` list in the canonical (sequence, fps, estimator,
     Qp) order every consumer merges by.  Running the spec itself
-    executes its cells serially — the coarse-grained unit for remote or
-    chunked dispatch.
+    executes its cells serially — the whole sweep as one dispatch unit.
 
     :meth:`pack_shm` packs the *expanded* cells, so the sweep's sources
     ride as handles: the store memoizes per distinct render, meaning a
@@ -248,39 +247,6 @@ class SweepJob(JobSpec):
 
 
 @dataclass(frozen=True)
-class DecodeJob(JobSpec):
-    """Decode one emitted bitstream; returns the decoded frame list.
-
-    The bitstream travels either by value (``bitstream``, the pickling
-    path) or by reference (``bitstream_handle``, a shared-memory handle
-    a worker attaches on first use — see :meth:`pack_shm`); exactly one
-    of the two is set.  Both decode bit-identically.
-    """
-
-    bitstream: bytes | None
-    bitstream_handle: "FrameHandle | None" = None
-
-    def describe(self) -> str:
-        size = len(self.bitstream) if self.bitstream is not None else self.bitstream_handle.nbytes
-        return f"decode {size}B"
-
-    def pack_shm(self, store: "FrameStore") -> "DecodeJob":
-        if self.bitstream is None:
-            return self
-        return replace(self, bitstream=None, bitstream_handle=store.place(self.bitstream))
-
-    def run(self, rng: np.random.Generator | None = None):
-        from repro.codec.decoder import decode_bitstream
-
-        data = self.bitstream
-        if data is None:
-            from repro.transport import read_array
-
-            data = read_array(self.bitstream_handle).tobytes()
-        return decode_bitstream(data)
-
-
-@dataclass(frozen=True)
 class ParseFrameJob(JobSpec):
     """Parse one indexed frame's symbols into a
     :class:`~repro.codec.decoder.ParsedPicture`.
@@ -295,9 +261,8 @@ class ParseFrameJob(JobSpec):
     per-payload parse and length check every decode mode runs, so a
     corrupt length field fails here with the serial decoder's error.
 
-    Like :class:`DecodeJob`, the payload travels by value or as a
-    shared-memory handle (:meth:`pack_shm`); the parsed symbols are
-    identical either way.
+    The payload travels by value or as a shared-memory handle
+    (:meth:`pack_shm`); the parsed symbols are identical either way.
     """
 
     payload: bytes | None
@@ -418,16 +383,10 @@ class GopEncodeJob(JobSpec):
             n_ref_frames=self.n_ref_frames,
         )
         writer = BitWriter()
-        records = []
-        references: list = []
-        prev_field = None
-        for offset, frame in enumerate(self._frames()):
-            record, recon, prev_field = encoder.encode_frame_into(
-                writer, frame, self.start + offset, references, prev_field
-            )
-            references = encoder.advance_references(references, record, recon)
-            records.append(record)
-        return writer.getvalue(), tuple(records)
+        records = tuple(
+            record for record, _recon in encoder.encode_frames(writer, self._frames(), self.start)
+        )
+        return writer.getvalue(), records
 
 
 @dataclass(frozen=True)
@@ -485,7 +444,6 @@ class Fig4PairJob(JobSpec):
 
 
 __all__ = [
-    "DecodeJob",
     "EncodeJob",
     "Fig4PairJob",
     "GopEncodeJob",

@@ -19,8 +19,9 @@ Execution model
   importables (the job specs are frozen dataclasses for exactly this
   reason) and the calling ``__main__`` must be re-importable — a
   script file or ``python -m``, not code piped through stdin (a
-  standard ``spawn`` constraint).  Jobs are dispatched in chunks to
-  amortize IPC for large fine-grained job lists.
+  standard ``spawn`` constraint).  Every job is its own future: the
+  experiment jobs are whole encodes, parses or frame pairs, so the
+  per-job IPC is small against the work.
 
 Deterministic seeding
 ---------------------
@@ -44,7 +45,7 @@ are repacked via ``JobSpec.pack_shm`` against a run-scoped
 :class:`~repro.transport.FrameArena`; workers attach segments on first
 use), and workers :func:`~repro.transport.export` their results'
 arrays into one-shot segments the parent materializes and unlinks as
-each chunk completes.  What crosses the pipe is handles — a few
+each job completes.  What crosses the pipe is handles — a few
 hundred bytes per value.  Results are bit-identical to the default
 pickling path (``use_shm=False``, which remains exactly the historical
 code path); the flag only changes how bytes travel.  In-process runs
@@ -66,7 +67,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from multiprocessing import get_context
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -79,12 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``describe()``).  The guarantee: **exactly one call per job**, fired
 #: in-process immediately *before* the job runs (live progress,
 #: matching the serial harnesses' historical timing) and in parallel
-#: mode as the job *completes*, in completion order.  To keep the
-#: parallel guarantee per-job rather than per-batch, supplying a
-#: callback makes the dispatch unit a single job (``chunk_size`` is
-#: ignored — per-job completion cannot be observed from inside a
-#: worker-side batch).  Lines are not deduplicated — two jobs with
-#: equal descriptions produce two calls.
+#: mode as the job *completes*, in completion order.  Lines are not
+#: deduplicated — two jobs with equal descriptions produce two calls.
 ProgressFn = Callable[[str], None]
 
 
@@ -114,16 +111,11 @@ def execute_job(job: "JobSpec", seed_seq: np.random.SeedSequence):
     return job.run(rng=np.random.default_rng(seed_seq))
 
 
-def _chunks(items: Sequence, size: int) -> Iterable[tuple[int, list]]:
-    for start in range(0, len(items), size):
-        yield start, list(items[start : start + size])
-
-
 class WorkerTraceFailure(RuntimeError):
     """A traced worker's job failure, carrying the worker's partial
     trace events across the pickle boundary.
 
-    Raised by :func:`_run_chunk` in place of the job's own exception
+    Raised by :func:`_run_worker_job` in place of the job's own exception
     when the parent asked for trace collection: ``str()`` is the
     original exception's message (so the parent's ``parallel job
     failed`` report reads identically to the untraced path), and
@@ -141,60 +133,55 @@ class WorkerTraceFailure(RuntimeError):
         return (type(self), (self.args[0], self.events, self.cause_type))
 
 
-def _run_chunk(
-    payload: list,
+def _run_worker_job(
+    job: "JobSpec",
+    seed_seq: np.random.SeedSequence,
     use_shm: bool = False,
     backend: str | None = None,
     collect_trace: bool = False,
-) -> list:
-    """Worker-side chunk executor: ``payload`` is a list of
-    ``(job, seed_sequence)`` pairs, results returned in chunk order.
+):
+    """Worker-side executor for one job.
 
     ``backend`` pins the worker's kernel backend by registry name before
-    any job runs — how the parent's backend choice survives the spawn
+    the job runs — how the parent's backend choice survives the spawn
     boundary (a spawned child would otherwise re-resolve from its own
     environment).
 
     ``collect_trace`` enables this worker's own tracer (spawned
     children start with it off) and changes the return shape to
-    ``(results, events)``: each job runs under a ``"job"`` span, and the
+    ``(result, events)``: the job runs under a ``"job"`` span, and the
     drained events — stamped with the *worker's* pid — ship back with
-    the results for the parent to adopt.  A failing job raises
+    the result for the parent to adopt.  A failing job raises
     :class:`WorkerTraceFailure` so the partial events still cross.
 
-    Under ``use_shm`` each result's arrays are exported to a one-shot
+    Under ``use_shm`` the result's arrays are exported to a one-shot
     shared segment before the return value crosses the pickle boundary
-    — the parent materializes (and unlinks) them as the chunk lands.
+    — the parent materializes (and unlinks) them as the job lands.
     Results without array payloads are returned as-is either way.
     """
     if backend is not None:
         from repro.kernels import set_backend
 
         set_backend(backend)
+    events = None
     if not collect_trace:
-        results = [execute_job(job, seed_seq) for job, seed_seq in payload]
-        if use_shm:
-            from repro.transport import export
-
-            results = [export(result, name_prefix="repro-result") for result in results]
-        return results
-    tracer = trace.TRACER
-    tracer.enable()
-    try:
-        results = []
-        for job, seed_seq in payload:
+        result = execute_job(job, seed_seq)
+    else:
+        tracer = trace.TRACER
+        tracer.enable()
+        try:
             with trace.span("job", job=job.describe()):
-                results.append(execute_job(job, seed_seq))
-    except Exception as exc:
+                result = execute_job(job, seed_seq)
+        except Exception as exc:
+            tracer.disable()
+            raise WorkerTraceFailure(str(exc), tracer.drain(), type(exc).__name__) from exc
         tracer.disable()
-        raise WorkerTraceFailure(str(exc), tracer.drain(), type(exc).__name__) from exc
-    tracer.disable()
-    events = tracer.drain()
+        events = tracer.drain()
     if use_shm:
         from repro.transport import export
 
-        results = [export(result, name_prefix="repro-result") for result in results]
-    return results, events
+        result = export(result, name_prefix="repro-result")
+    return (result, events) if collect_trace else result
 
 
 @contextmanager
@@ -247,7 +234,6 @@ def run_jobs(
     *,
     base_seed: int = 0,
     progress: ProgressFn | None = None,
-    chunk_size: int = 1,
     use_shm: bool | str = False,
     backend: str | None = None,
 ) -> list:
@@ -266,12 +252,7 @@ def run_jobs(
         :func:`derive_job_seeds`).
     progress:
         Optional per-job callable; see :data:`ProgressFn` for the
-        exactly-once-per-job guarantee.  Enabling it in parallel mode
-        forces per-job dispatch (``chunk_size`` is ignored).
-    chunk_size:
-        Jobs per dispatch unit.  The default of 1 suits the experiment
-        harnesses, whose jobs are whole encodes (seconds each); raise
-        it for large lists of sub-second jobs.
+        exactly-once-per-job guarantee.
     use_shm:
         Move payload arrays through shared memory instead of the pickle
         stream (see the module docstring).  ``"auto"`` turns shm on
@@ -289,8 +270,6 @@ def run_jobs(
     job_list = list(jobs)
     if not job_list:
         return []
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     seeds = derive_job_seeds(base_seed, len(job_list))
     workers = max(1, int(workers))
     use_shm = _resolve_use_shm(use_shm, job_list, workers)
@@ -323,11 +302,11 @@ def run_jobs(
         spawn_backend = _spawn_backend_name(backend)
         # Workers are fresh spawned processes whose tracer starts
         # disabled; ship the parent's tracing state so their spans come
-        # back with the results (see _run_chunk).
+        # back with the results (see _run_worker_job).
         collect_trace = trace.TRACER.enabled
         if not use_shm:
             return _run_parallel(
-                job_list, seeds, workers, progress, chunk_size, use_shm=False,
+                job_list, seeds, workers, progress, use_shm=False,
                 backend=spawn_backend, collect_trace=collect_trace,
             )
         from repro.transport import FrameArena, FrameStore
@@ -336,12 +315,12 @@ def run_jobs(
         # the whole parallel run; its exit unlinks all input segments
         # (including every source the store rendered).  Result segments are
         # one-shot exports the parent materializes (and unlinks) as each
-        # chunk completes — see _run_chunk.
+        # job completes — see _run_worker_job.
         with FrameArena(name_prefix="repro-jobs") as arena:
             store = FrameStore(arena)
             packed = [job.pack_shm(store) for job in job_list]
             return _run_parallel(
-                packed, seeds, workers, progress, chunk_size, use_shm=True,
+                packed, seeds, workers, progress, use_shm=True,
                 backend=spawn_backend, collect_trace=collect_trace,
             )
 
@@ -372,67 +351,60 @@ def _run_parallel(
     seeds: list,
     workers: int,
     progress: ProgressFn | None,
-    chunk_size: int,
     use_shm: bool,
     backend: str | None = None,
     collect_trace: bool = False,
 ) -> list:
-    if progress is not None:
-        chunk_size = 1  # per-job completion reporting (see ProgressFn)
     results_by_index: list = [None] * len(job_list)
     workers = min(workers, len(job_list))
     with _exported_package_path():
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as executor:
-            futures = {}
-            for start, chunk in _chunks(list(zip(job_list, seeds)), chunk_size):
-                futures[
-                    executor.submit(_run_chunk, chunk, use_shm, backend, collect_trace)
-                ] = (
-                    start,
-                    len(chunk),
-                )
-            failure: tuple[Exception, int, int] | None = None
+            futures = {
+                executor.submit(
+                    _run_worker_job, job, seed_seq, use_shm, backend, collect_trace
+                ): index
+                for index, (job, seed_seq) in enumerate(zip(job_list, seeds))
+            }
+            failure: tuple[Exception, int] | None = None
             for future in as_completed(futures):
-                start, length = futures[future]
+                index = futures[future]
                 try:
-                    chunk_results = future.result()
+                    result = future.result()
                 except Exception as exc:
                     # Fail fast: without cancel_futures the context
                     # manager's shutdown would first run every queued
-                    # chunk to completion and discard the results.
+                    # job to completion and discard the results.
                     executor.shutdown(wait=False, cancel_futures=True)
-                    failure = (exc, start, length)
+                    failure = (exc, index)
                     break
                 if collect_trace:
-                    chunk_results, worker_events = chunk_results
+                    result, worker_events = result
                     trace.TRACER.adopt(worker_events)
                 if use_shm:
                     from repro.transport import materialize
 
-                    chunk_results = [materialize(r, unlink=True) for r in chunk_results]
-                results_by_index[start : start + length] = chunk_results
+                    result = materialize(result, unlink=True)
+                results_by_index[index] = result
                 if progress is not None:
-                    for job in job_list[start : start + length]:
-                        progress(job.describe())
+                    progress(job_list[index].describe())
         if failure is not None:
-            exc, start, length = failure
+            exc, index = failure
             if isinstance(exc, WorkerTraceFailure) and exc.events:
                 # The failing worker's partial timeline still merges —
                 # a crashed --jobs N --trace run stays diagnosable.
                 trace.TRACER.adopt(exc.events)
             if use_shm:
                 _reap_exported_results(futures, traced=collect_trace)
-            descriptions = ", ".join(
-                j.describe() for j in job_list[start : start + length]
-            )
-            raise RuntimeError(f"parallel job failed ({descriptions}): {exc}") from exc
+            raise RuntimeError(
+                f"parallel job failed ({job_list[index].describe()}): {exc}"
+            ) from exc
     return results_by_index
 
 
 def _reap_exported_results(futures: dict, traced: bool = False) -> None:
-    """Failure-path hygiene under shm transport: chunks that completed
+    """Failure-path hygiene under shm transport: jobs that completed
     before the failure surfaced may have exported result segments the
     parent never materialized — unlink them so the error leaves
     ``/dev/shm`` as clean as success does."""
@@ -441,10 +413,7 @@ def _reap_exported_results(futures: dict, traced: bool = False) -> None:
     for future in futures:
         if future.done() and not future.cancelled() and future.exception() is None:
             try:
-                chunk = future.result()
-                if traced:
-                    chunk = chunk[0]
-                for result in chunk:
-                    materialize(result, unlink=True)
+                result = future.result()
+                materialize(result[0] if traced else result, unlink=True)
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass

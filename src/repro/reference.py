@@ -300,16 +300,29 @@ def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
 
 def decode_bitstream(bitstream: bytes) -> list[Frame]:
     """Decode every picture of a version-1 or -2 stream, one
-    macroblock at a time."""
+    macroblock at a time.  A version-1 picture parses and reconstructs
+    inside one :func:`v1_picture` scope, as in the production decoder,
+    so a reconstruction error names its picture too."""
     frames: list[Frame] = []
     references: list[Frame] = []
-    for index, picture in enumerate(parse_bitstream_symbols(bitstream)):
-        frame = _reconstruct(picture, references, index)
+
+    def fold(picture: ParsedPicture) -> None:
+        nonlocal references
+        frame = _reconstruct(picture, references, len(frames))
         if picture.header.frame_type == "I":
             references = [frame]
         else:
             references = [frame, *references][:MAX_REF_FRAMES]
         frames.append(frame)
+
+    if detect_version(bitstream) == 2:
+        for picture in parse_bitstream_symbols(bitstream):
+            fold(picture)
+        return frames
+    reader = ScalarBitReader(bitstream)
+    while reader.bits_remaining >= PICTURE_HEADER_BITS:
+        with v1_picture(reader, len(frames)):
+            fold(parse_picture(reader))
     return frames
 
 

@@ -106,13 +106,12 @@ class StreamDecoder:
         #: Decoded reference list, most recent first; I-frames reset it.
         self._references: list[Frame] = []
         #: Positions of the I-frames decoded so far — the stream's
-        #: random-access points, reported by ``SessionStats``.
+        #: random-access points.
         self.keyframes: list[int] = []
         #: Backpressure wait count: feeds the producer had to pause on
         #: (zero demand) plus blocking waits for an in-flight parse.
         self.stalls = 0
-        #: Compressed bits per decoded frame, in decode order — the
-        #: per-frame history ``SessionStats.bits_out`` reports.
+        #: Compressed bits per decoded frame, in decode order.
         self.frame_bits: list[int] = []
         self._frame_index = 0
         self._closed = False
@@ -186,8 +185,7 @@ class StreamDecoder:
         self._note_peak()
         demand = self.demand
         if demand == 0:
-            # The producer must pause until frames() drains — the wait
-            # SessionStats.stalls counts.
+            # The producer must pause until frames() drains — one stall.
             self.stalls += 1
             _MET_STALLS.inc()
         return demand

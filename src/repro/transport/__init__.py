@@ -18,9 +18,7 @@ of pickled arrays:
 * :class:`FrameStore` — memoizing render-once front-end over one arena:
   the parent renders each distinct experiment source a single time and
   every job spec that packs against the store receives the same
-  handles;
-* :func:`payload_bytes` / :func:`handle_count` — what a shared value
-  moves: its array bytes and its handle count.
+  handles.
 
 ``repro.parallel.run_jobs(..., use_shm=True)`` is the one consumer —
 the experiment fan-out, per-GOP encode and ``decode_bitstream(jobs=N,
@@ -46,10 +44,8 @@ from repro.transport.share import (
     SharedParsedPicture,
     SharedSequence,
     export,
-    handle_count,
     iter_arrays,
     materialize,
-    payload_bytes,
     share,
 )
 from repro.transport.store import FrameStore
@@ -67,10 +63,8 @@ __all__ = [
     "detach_segment",
     "export",
     "export_segment",
-    "handle_count",
     "iter_arrays",
     "materialize",
-    "payload_bytes",
     "read_array",
     "share",
     "unlink_segment",

@@ -23,11 +23,6 @@ Two directions:
   owned copies and unlinks every segment it read, leaving ``/dev/shm``
   clean.  ``materialize`` also reverses :func:`share`, with
   ``unlink=False`` so arena-owned segments survive for other consumers.
-
-:func:`payload_bytes` and :func:`handle_count` are the accounting
-surface: what a value would cost to pickle by payload, and how many
-handles replaced that cost — the numbers ``tests/test_transport.py``
-pins and ``SessionStats`` reports.
 """
 
 from __future__ import annotations
@@ -214,35 +209,3 @@ def materialize(value, unlink: bool = True):
         for name in segments:
             unlink_segment(name)
     return rebuilt
-
-
-# -- accounting -----------------------------------------------------------
-
-
-def payload_bytes(value) -> int:
-    """Bytes of array/bytes payload ``value`` would drag through a
-    pickle: the quantity shared-memory transport removes.  Handles and
-    scalar skeletons do not count.  Containers recurse, so ``bytes``
-    leaves nested in Fig. 4 frame-pair tuples or GOP plane lists are
-    counted too, not just top-level blobs."""
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return len(value)
-    if isinstance(value, (list, tuple)):
-        return sum(payload_bytes(item) for item in value)
-    return sum(arr.nbytes for arr in iter_arrays(value))
-
-
-def handle_count(value) -> int:
-    """How many :class:`FrameHandle` leaves a (shared) value carries."""
-    if isinstance(value, FrameHandle):
-        return 1
-    if isinstance(value, SharedFrame):
-        return 3
-    if isinstance(value, SharedSequence):
-        return handle_count(value.frames)
-    if isinstance(value, SharedParsedPicture):
-        members = (value.levels, value.dc_levels, value.hx, value.hy, value.modes, value.ref_idx)
-        return sum(1 for h in members if h is not None)
-    if isinstance(value, (list, tuple)):
-        return sum(handle_count(item) for item in value)
-    return 0

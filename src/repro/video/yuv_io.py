@@ -33,8 +33,8 @@ def iter_yuv_frames(
 
     This is the bounded-memory ingest path: only one frame's bytes are
     resident at a time, so it feeds
-    :class:`repro.streaming.StreamEncoder` directly for files of any
-    size.  ``max_frames`` stops after that many frames without reading
+    :meth:`repro.codec.encoder.Encoder.encode_frames` directly for files
+    of any size.  ``max_frames`` stops after that many frames without reading
     the rest of the file.
 
     Raises

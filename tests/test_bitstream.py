@@ -104,8 +104,8 @@ class TestBitWriter:
     def test_positions_stay_absolute_across_drain(self):
         """byte_length keeps counting drained bytes, patch_u32 still
         targets absolute offsets, and already-drained bytes are
-        rejected — the contract the streaming encoder's v2 length
-        backpatching rides on."""
+        rejected — the contract v2 length backpatching rides on when
+        a caller drains the writer after every picture."""
         w = BitWriter()
         w.write_bits(0xAB, 8)
         assert w.drain() == bytes([0xAB])

@@ -22,9 +22,11 @@ on a fixed list of cases.
 
 Version-1 streams have no framing, so only the whole-buffer entry points
 take them: a truncated or corrupt v1 stream raises :class:`ValueError`
-(a picture cut short names its starting bit), never :class:`EOFError`,
-and on truncation the decoder, ``parse_bitstream_symbols`` and the oracle
-agree.
+naming the damaged picture and its starting bit, never :class:`EOFError`,
+whether the damage shows in the parse or in the reconstruction.  On
+truncation the decoder, ``parse_bitstream_symbols`` and the oracle agree
+word for word; on byte flips the decoder and the oracle agree on the
+frames or on the picture that fails.
 """
 
 import re
@@ -48,6 +50,8 @@ from repro.video.synthesis.sequences import make_sequence
 
 GEOMETRY = FrameGeometry(64, 48)
 FRAMING = 8  # start code + length field
+#: How every v1 decode error opens.
+PICTURE_AT = re.compile(r"picture \d+ starting at bit \d+")
 
 
 def _encode(name, frames, seed, **config):
@@ -258,6 +262,43 @@ class TestVersion1Streams:
         else:
             assert decoded[0] is ValueError and re.search(r"\bbit \d+", decoded[1])
             assert parsed == decoded
+
+    @pytest.mark.parametrize("syntax", ["seed", "gop"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_byte_flips(self, v1_streams, syntax, data):
+        """One to three flipped bytes: every entry point decodes the
+        stream or raises a ValueError naming a picture and its starting
+        bit — parse errors (a bad start code, an illegal symbol) and
+        reconstruction errors (a vector leaving the reference, an
+        out-of-range DC level) alike.  The decoder and the oracle agree
+        on the frames, or on the picture that fails."""
+        stream = v1_streams[syntax]
+        corrupt = bytearray(stream)
+        positions = data.draw(
+            st.lists(st.integers(0, len(stream) - 1), min_size=1, max_size=3), label="positions"
+        )
+        for pos in positions:
+            corrupt[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        corrupt = bytes(corrupt)
+        if detect_version(corrupt) != 1:
+            return  # the flips spelled a version-2 opening
+        entry_points = (
+            decode_bitstream,
+            reference.decode_bitstream,
+            parse_bitstream_symbols,
+            reference.parse_bitstream_symbols,
+        )
+        outcomes = [outcome(lambda decode=decode: decode(corrupt)) for decode in entry_points]
+        for kind, result in outcomes:
+            if kind != "ok":
+                assert kind is ValueError and PICTURE_AT.match(result), result
+        decoded, oracle = outcomes[:2]
+        if decoded[0] == "ok":
+            assert oracle == decoded
+        else:
+            assert oracle[0] is ValueError
+            assert PICTURE_AT.match(oracle[1]).group() == PICTURE_AT.match(decoded[1]).group()
 
     def test_cut_picture_names_its_start(self, v1_streams):
         stream = v1_streams["seed"]

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import reference
+from repro.codec.bitstream import BitWriter
 from repro.codec.decoder import (
     FrameIndex,
     decode_bitstream,
@@ -42,13 +43,13 @@ from repro.codec.intra import (
 )
 from repro.me.engine import intra_mode_cost_surfaces
 from repro.parallel import encode_sequence_parallel, split_gops
-from repro.streaming import StreamDecoder, StreamEncoder
-from repro.transport import export, handle_count, materialize
+from repro.streaming import StreamDecoder
+from repro.transport import export, materialize
 from repro.video.frame import Frame
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix, shifted_plane, textured_plane
+from .conftest import backend_matrix, handle_count, shifted_plane, textured_plane
 
 #: Every golden equivalence below re-runs per available kernel backend.
 kernel_backend = backend_matrix()
@@ -317,12 +318,35 @@ class TestStreamingGop:
         )
 
     def test_stream_encode_byte_identical_and_tracks_keyframes(self, clip, whole):
-        encoder = StreamEncoder(
-            estimator="tss", qp=18, bitstream_version=2, i_period=I_PERIOD
+        encoder = Encoder(
+            estimator="tss", qp=18, keep_reconstruction=False, bitstream_version=2,
+            i_period=I_PERIOD,
         )
-        streamed = b"".join(encoder.encode_iter(iter(clip)))
-        assert streamed == whole.bitstream
-        assert encoder.keyframes == (0, 3, 6)
+        writer = BitWriter()
+        chunks, keyframes = [], []
+        for position, (record, _recon) in enumerate(encoder.encode_frames(writer, iter(clip))):
+            chunks.append(writer.drain())
+            if record.frame_type == "I":
+                keyframes.append(position)
+        assert b"".join(chunks) + writer.getvalue() == whole.bitstream
+        assert keyframes == [0, 3, 6]
+
+    def test_encode_frames_from_a_gop_start_matches_serial(self, clip, whole):
+        """``encode_frames(start=k)`` over one GOP's frames — what a
+        per-GOP job runs — reproduces the serial encoder's records and
+        byte run for that GOP."""
+        encoder = Encoder(
+            estimator="tss", qp=18, keep_reconstruction=False, bitstream_version=2,
+            i_period=I_PERIOD,
+        )
+        ranges = FrameIndex.scan(whole.bitstream).ranges
+        frames = list(clip)
+        for start, end in split_gops(len(frames), I_PERIOD):
+            writer = BitWriter()
+            records = [r for r, _recon in encoder.encode_frames(writer, frames[start:end], start)]
+            assert records == whole.frames[start:end]
+            first, last = ranges[start][0] - 8, ranges[end - 1][1]  # with framing
+            assert writer.getvalue() == whole.bitstream[first:last]
 
     def test_stream_decode_tracks_keyframes(self, whole):
         decoder = StreamDecoder(max_buffered_frames=16)

@@ -29,7 +29,10 @@ from repro.obs.export import chrome_trace, load_trace, validate_trace, write_tra
 from repro.obs.report import frame_rows, render_report
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import EncodeJob, JobSpec, ParseFrameJob, run_jobs
-from repro.streaming import DecodeSession, EncodeSession
+from repro.codec.bitstream import BitWriter
+from repro.codec.encoder import Encoder
+from repro.experiments.runner import decode_summary
+from repro.streaming import StreamDecoder
 from repro.video.synthesis.sequences import make_sequence
 
 from .conftest import instrumentation_bypassed
@@ -151,17 +154,15 @@ class TestMetrics:
         c, g, h = reg.counter("c"), reg.gauge("g"), reg.histogram("h")
         c.inc()
         c.inc(4)
-        c.advance_to(3)  # behind: no-op
-        c.advance_to(9)
         g.set(5)
         g.add(-2)
         h.observe(10)
         h.observe(20)
-        assert c.value == 9
+        assert c.value == 5
         assert (g.value, g.peak) == (3, 5)
         assert (h.count, h.total, h.mean) == (2, 30.0, 15.0)
         snap = reg.snapshot()
-        assert snap["c"] == 9
+        assert snap["c"] == 5
         assert snap["g"] == {"value": 3, "peak": 5}
         assert snap["h"]["values"] == [10, 20]
         json.loads(reg.to_json())  # snapshot is JSON-clean
@@ -347,7 +348,7 @@ class TestCrossProcessMerge:
         ] + [ObsFailJob()]
         trace.TRACER.enable()
         with pytest.raises(RuntimeError, match=r"parallel job failed .*injected obs failure"):
-            run_jobs(jobs, workers=2, chunk_size=len(jobs))
+            run_jobs(jobs, workers=2)
         trace.TRACER.disable()
         events = trace.TRACER.drain()
         foreign = [e for e in events if e["pid"] != os.getpid()]
@@ -362,12 +363,12 @@ class TestCrossProcessMerge:
 class TestParseStageTracing:
     def test_thread_pipeline_records_into_process_tracer(self, v2_encode):
         trace.TRACER.enable()
-        session = DecodeSession(pipeline=True)
+        decoder = StreamDecoder(pipeline=True)
         _, encode = v2_encode
-        session.feed(encode.bitstream)
-        frames = list(session.frames())
-        session.close()
-        frames += list(session.frames())
+        decoder.feed(encode.bitstream)
+        frames = list(decoder.frames())
+        decoder.close()
+        frames += list(decoder.frames())
         trace.TRACER.disable()
         events = trace.TRACER.drain()
         import os
@@ -384,41 +385,49 @@ class TestSessionStats:
         _, encode = v2_encode
         index = FrameIndex.scan(encode.bitstream)
         payload_bits = [8 * (e - s) for s, e in index.ranges]
-        session = DecodeSession(max_buffered_frames=1)
+        stalls_before = metrics.REGISTRY.counter("stream.stalls").value
+        decoder = StreamDecoder(max_buffered_frames=1)
         # Feed everything without draining: once demand hits zero every
         # further feed is a backpressure stall.
         for start in range(0, len(encode.bitstream), 64):
-            session.feed(encode.bitstream[start : start + 64])
-        frames = list(session.frames())
-        session.close()
-        frames += list(session.frames())
-        stats = session.stats()
+            decoder.feed(encode.bitstream[start : start + 64])
+        frames = list(decoder.frames())
+        decoder.close()
+        frames += list(decoder.frames())
         assert len(frames) == len(payload_bits)
-        assert stats.stalls > 0
-        assert f"{stats.stalls} stalls" in stats.as_text()
-        assert list(stats.bits_out) == payload_bits
-        # The mirrors live in the session's own registry too.
-        assert session.registry.counter("session.stalls").value == stats.stalls
+        assert decoder.stalls > 0
+        assert f"{decoder.stalls} stalls" in decode_summary(decoder, 0.0)
+        assert decoder.frame_bits == payload_bits
+        # The process registry counts the same stalls.
+        stalls = metrics.REGISTRY.counter("stream.stalls").value - stalls_before
+        assert stalls == decoder.stalls
 
     def test_stats_without_stalls_stay_quiet(self, v2_encode):
         _, encode = v2_encode
-        session = DecodeSession(max_buffered_frames=8)
-        session.feed(encode.bitstream)
-        list(session.frames())
-        session.close()
-        list(session.frames())
-        stats = session.stats()
-        assert stats.stalls == 0
-        assert "stalls" not in stats.as_text()
+        decoder = StreamDecoder(max_buffered_frames=8)
+        decoder.feed(encode.bitstream)
+        list(decoder.frames())
+        decoder.close()
+        list(decoder.frames())
+        assert decoder.stalls == 0
+        assert "stalls" not in decode_summary(decoder, 0.0)
 
     def test_encode_session_bits_out_history(self):
+        """Each frame's record carries the bits it emitted — for v2,
+        exactly its drained framed picture — and the registry's
+        ``encode.bits_per_frame`` history observes the same values."""
         clip = make_sequence("miss_america", frames=3, seed=0)
-        session = EncodeSession(estimator="tss", qp=20, bitstream_version=2)
-        b"".join(session.encode_iter(iter(clip)))
-        stats = session.stats()
-        assert stats.bits_out == tuple(r.bits for r in session.records)
-        assert len(stats.bits_out) == 3
-        assert stats.frames_in == 3
+        history = metrics.REGISTRY.histogram("encode.bits_per_frame")
+        seen = len(history.values)
+        encoder = Encoder(estimator="tss", qp=20, keep_reconstruction=False, bitstream_version=2)
+        writer = BitWriter()
+        bits = [
+            (record.bits, 8 * len(writer.drain()))
+            for record, _recon in encoder.encode_frames(writer, iter(clip))
+        ]
+        assert len(bits) == 3
+        assert all(recorded == emitted for recorded, emitted in bits)
+        assert history.values[seen:] == [recorded for recorded, _ in bits]
 
 
 class TestCodecMetricsLedger:

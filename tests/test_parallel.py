@@ -26,9 +26,9 @@ from repro.experiments.rd_curves import (
 )
 from repro.experiments.table1_complexity import run_table1
 from repro.parallel import (
-    DecodeJob,
     EncodeJob,
     Fig4PairJob,
+    GopEncodeJob,
     JobSpec,
     ParseFrameJob,
     SweepJob,
@@ -109,10 +109,6 @@ class TestPoolMechanics:
     def test_empty_job_list(self):
         assert run_jobs([], workers=4) == []
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            run_jobs([SquareJob(1)], chunk_size=0)
-
     def test_draws_deterministic_per_job(self):
         jobs = [DrawJob(i) for i in range(4)]
         forward = run_jobs(jobs, base_seed=11)
@@ -126,7 +122,7 @@ class TestPoolMechanics:
         workers as from the serial fallback."""
         jobs = [SquareJob(v) for v in range(6)] + [DrawJob(i) for i in range(2)]
         serial = run_jobs(jobs, workers=1, base_seed=5)
-        parallel = run_jobs(jobs, workers=2, base_seed=5, chunk_size=3)
+        parallel = run_jobs(jobs, workers=2, base_seed=5)
         assert parallel == serial
 
     def test_caller_rng_stream_preserved(self):
@@ -168,18 +164,30 @@ class TestSharedMemoryTransport:
     errors — matches the pickling path, and ``/dev/shm`` ends clean."""
 
     @pytest.fixture(scope="class")
-    def v2(self):
-        clip = make_sequence("miss_america", frames=3, seed=0)
+    def clip(self):
+        return make_sequence("miss_america", frames=3, seed=0)
+
+    @pytest.fixture(scope="class")
+    def v2(self, clip):
         return encode_sequence(clip, qp=20, estimator="tss", bitstream_version=2)
 
-    def test_shm_results_byte_identical_and_leak_free(self, v2):
-        """Parse jobs and a decode job — payload handles down, result
+    def test_shm_results_byte_identical_and_leak_free(self, clip, v2):
+        """Parse jobs and a GOP encode job — payload handles down, result
         exports back — against spawned workers, compared to the
         in-process serial reference."""
         index = FrameIndex.scan(v2.bitstream)
+        gop = GopEncodeJob(
+            width=clip.geometry.width,
+            height=clip.geometry.height,
+            start=0,
+            planes=tuple((f.y.tobytes(), f.cb.tobytes(), f.cr.tobytes(), f.index) for f in clip),
+            estimator="tss",
+            qp=20,
+            i_period=len(clip),
+        )
         jobs = [
             ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))
-        ] + [DecodeJob(v2.bitstream)]
+        ] + [gop]
         serial = run_jobs(jobs, workers=1)
         shm = run_jobs(jobs, workers=2, use_shm=True)
         assert shm == serial
@@ -188,7 +196,7 @@ class TestSharedMemoryTransport:
     def test_use_shm_in_process_is_a_noop(self, v2):
         """workers=1 has no boundary to cross: the flag is ignored and
         no segment is ever created."""
-        jobs = [SquareJob(3), DecodeJob(v2.bitstream)]
+        jobs = [SquareJob(3), ParseFrameJob(FrameIndex.scan(v2.bitstream).payload(v2.bitstream, 0))]
         assert run_jobs(jobs, workers=1, use_shm=True) == run_jobs(jobs, workers=1)
         assert not shm_segments("repro-jobs") + shm_segments("repro-result")
 
@@ -198,13 +206,12 @@ class TestSharedMemoryTransport:
         job = SquareJob(5)
         assert job.pack_shm(store=None) is job
 
-    def test_progress_fires_per_completed_job_despite_chunking(self):
+    def test_progress_fires_once_per_completed_job(self):
         """The ProgressFn guarantee: exactly one call per job as it
-        completes — supplying a callback forces per-job dispatch, so
-        chunk_size cannot batch the reporting."""
+        completes in a spawned worker."""
         jobs = [SquareJob(v) for v in range(5)]
         messages = []
-        results = run_jobs(jobs, workers=2, chunk_size=3, progress=messages.append)
+        results = run_jobs(jobs, workers=2, progress=messages.append)
         assert results == [0, 1, 4, 9, 16]
         assert sorted(messages) == sorted(job.describe() for job in jobs)
 
@@ -224,7 +231,7 @@ class TestJobSpecs:
     def test_specs_hashable(self):
         jobs = {
             EncodeJob("miss_america", 30, "pbm", 16, TINY),
-            DecodeJob(b"\x00\x01"),
+            ParseFrameJob(b"\x00\x01"),
             Fig4PairJob(0, ((1, 0),), FrameGeometry(96, 80), 7, 16, 3),
             SweepJob(TINY, ("pbm",)),
         }

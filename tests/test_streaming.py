@@ -7,9 +7,10 @@ The two contracts everything else hangs off:
   random cuts (hypothesis) — produces frames bit-identical to
   :func:`decode_bitstream` over the whole buffer, and truncated or
   corrupt tails raise the same errors the whole-buffer scan raises;
-* **encode**: :class:`StreamEncoder` pulling frames from an iterator
-  (including straight off an on-disk YUV file) emits bytes identical to
-  the whole-sequence :class:`Encoder`, in both wire formats.
+* **encode**: :meth:`Encoder.encode_frames` pulling frames from an
+  iterator (including straight off an on-disk YUV file), its writer
+  drained after every picture, emits bytes identical to the
+  whole-sequence :meth:`Encoder.encode`, in both wire formats.
 """
 
 import threading
@@ -20,18 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec.bitstream import BitWriter
 from repro.codec.decoder import FrameIndex, decode_bitstream, parse_payload
-from repro.codec.encoder import FRAME_START_CODE, encode_sequence
-from repro.streaming import (
-    DecodeSession,
-    EncodeSession,
-    ScanState,
-    StreamDecoder,
-    StreamEncoder,
-    stream_decode,
-)
+from repro.codec.encoder import FRAME_START_CODE, Encoder, encode_sequence
+from repro.experiments.runner import decode_summary
+from repro.streaming import ScanState, StreamDecoder, stream_decode
 from repro.streaming.decoder import PARSE_THREAD_PREFIX
 from repro.streaming import decoder as stream_decoder_module
+from repro.streaming.decoder import frame_bytes
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
@@ -556,18 +553,33 @@ class TestPipelinedDecoder:
 # -- iterator encoder ------------------------------------------------------
 
 
+def stream_encode(frames, version=2):
+    """Drive :meth:`Encoder.encode_frames` as a byte-streaming caller
+    does: drain the writer after every picture, then take the final
+    ``getvalue()``.  Returns the non-empty chunks in emission order and
+    the per-frame records."""
+    encoder = Encoder(
+        estimator="tss", qp=18, keep_reconstruction=False, bitstream_version=version
+    )
+    writer = BitWriter()
+    chunks, records = [], []
+    for record, _recon in encoder.encode_frames(writer, frames):
+        records.append(record)
+        chunks.append(writer.drain())
+    chunks.append(writer.getvalue())
+    return [chunk for chunk in chunks if chunk], records
+
+
 class TestStreamEncoder:
     @pytest.mark.parametrize("version", [1, 2])
     def test_byte_identical_to_whole_sequence_encoder(self, clip, v1, v2, version):
         reference = v1 if version == 1 else v2
-        encoder = StreamEncoder(estimator="tss", qp=18, bitstream_version=version)
-        streamed = b"".join(encoder.encode_iter(iter(clip)))
-        assert streamed == reference.bitstream
-        assert [r.bits for r in encoder.records] == [r.bits for r in reference.frames]
+        chunks, records = stream_encode(iter(clip), version)
+        assert b"".join(chunks) == reference.bitstream
+        assert [r.bits for r in records] == [r.bits for r in reference.frames]
 
     def test_v2_chunks_are_framed_pictures(self, clip, v2):
-        encoder = StreamEncoder(estimator="tss", qp=18, bitstream_version=2)
-        chunks = list(encoder.encode_iter(iter(clip)))
+        chunks, _records = stream_encode(iter(clip), 2)
         assert len(chunks) == len(clip)
         start = FRAME_START_CODE.to_bytes(4, "big")
         assert all(chunk.startswith(start) for chunk in chunks)
@@ -579,29 +591,30 @@ class TestStreamEncoder:
     def test_v1_emits_incrementally_with_final_padding(self, clip, v1):
         """v1 pictures pack unaligned: whole bytes flow out per picture
         and the zero-padded final partial byte arrives last."""
-        encoder = StreamEncoder(estimator="tss", qp=18, bitstream_version=1)
-        chunks = list(encoder.encode_iter(iter(clip)))
-        assert b"".join(chunks) == v1.bitstream
-        assert len(chunks) >= len(clip)
+        encoder = Encoder(estimator="tss", qp=18, keep_reconstruction=False)
+        writer = BitWriter()
+        chunks = [writer.drain() for _ in encoder.encode_frames(writer, iter(clip))]
+        tail = writer.getvalue()
+        assert all(chunks)  # every picture emitted bytes as it closed
+        assert b"".join(chunks) + tail == v1.bitstream
+        assert len(tail) == (1 if writer.bit_count % 8 else 0)
 
     def test_empty_iterator_raises(self):
-        encoder = StreamEncoder(estimator="tss", qp=18)
         with pytest.raises(ValueError, match="at least one frame"):
-            list(encoder.encode_iter(iter([])))
+            stream_encode(iter([]))
 
     def test_mixed_geometry_raises(self, clip):
         other = random_sequence(1, seed=9, geometry=FrameGeometry(48, 32))
-        encoder = StreamEncoder(estimator="tss", qp=18)
         with pytest.raises(ValueError, match="mixed geometries"):
-            list(encoder.encode_iter([clip[0], other[0]]))
+            stream_encode([clip[0], other[0]])
 
     def test_encode_straight_from_yuv_file(self, clip, tmp_path):
-        """The bounded-ingest path: iter_yuv_frames → StreamEncoder →
+        """The bounded-ingest path: iter_yuv_frames → encode_frames →
         StreamDecoder round trip, no Sequence ever materialized."""
         path = tmp_path / "clip.yuv"
         write_yuv(path, clip)
-        encoder = StreamEncoder(estimator="tss", qp=18, bitstream_version=2)
-        streamed = b"".join(encoder.encode_iter(iter_yuv_frames(path, SMALL)))
+        chunks, _records = stream_encode(iter_yuv_frames(path, SMALL), 2)
+        streamed = b"".join(chunks)
         reference = encode_sequence(
             read_yuv(path, SMALL), qp=18, estimator="tss",
             keep_reconstruction=True, bitstream_version=2,
@@ -611,62 +624,62 @@ class TestStreamEncoder:
         assert_frames_equal(decoded, reference.reconstruction)
 
 
-# -- sessions --------------------------------------------------------------
+# -- session counters ------------------------------------------------------
+
+
+def push_decode(bitstream, chunk, **options):
+    """Feed ``chunk``-byte pieces, draining after every feed; returns
+    the frames and the closed decoder."""
+    decoder = StreamDecoder(**options)
+    out = []
+    for i in range(0, len(bitstream), chunk):
+        decoder.feed(bitstream[i : i + chunk])
+        out.extend(decoder.frames())
+    decoder.close()
+    out.extend(decoder.frames())
+    return out, decoder
 
 
 class TestSessions:
     def test_decode_session_stats(self, v2, qcif_v2):
-        """Stats add up, and peak buffered bytes stay under the
-        subsystem's memory bound — two frames' worth of payload plus one
-        reconstruction window — on the small clip in 100-byte feeds and
-        on a 30-frame QCIF stream in MTU-sized ones."""
+        """The decoder's counters add up, and peak buffered bytes stay
+        under the subsystem's memory bound — two frames' worth of
+        payload plus one reconstruction window — on the small clip in
+        100-byte feeds and on a 30-frame QCIF stream in MTU-sized ones."""
         for encode, chunk in ((v2, 100), (qcif_v2, 1500)):
             bitstream = encode.bitstream
-            session = DecodeSession(max_buffered_frames=2)
-            out = []
-            for i in range(0, len(bitstream), chunk):
-                session.feed(bitstream[i : i + chunk])
-                out.extend(session.frames())
-            session.close()
-            out.extend(session.frames())
+            out, decoder = push_decode(bitstream, chunk, max_buffered_frames=2)
             assert_frames_equal(out, decode_bitstream(bitstream))
             assert_frames_equal(out, encode.reconstruction)
-            stats = session.stats()
             raw_frame = frame_size_bytes(out[0].geometry)
             max_payload = max(end - start for start, end in FrameIndex.scan(bitstream).ranges)
-            assert stats.frames_in == stats.frames_out == len(out)
-            assert stats.bytes_in == len(bitstream)
-            assert stats.bytes_out == len(out) * raw_frame
-            assert stats.buffered_bytes == 0
-            assert 0 < stats.peak_buffered_bytes <= 2 * raw_frame + len(bitstream)
-            assert stats.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
-            assert stats.wall_s > 0
-            assert "frames" in stats.as_text()
+            assert decoder.frames_scanned == decoder.frames_decoded == len(out)
+            assert decoder.bytes_fed == len(bitstream)
+            assert sum(frame_bytes(f) for f in out) == len(out) * raw_frame
+            assert decoder.buffered_bytes == 0
+            assert 0 < decoder.peak_buffered_bytes <= 2 * raw_frame + len(bitstream)
+            assert decoder.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
+            summary = decode_summary(decoder, 0.25)
+            assert summary.startswith(f"frames {len(out)} in / {len(out)} out, ")
+            assert f"bytes {len(bitstream)} in" in summary and "0.250s" in summary
 
     @pytest.mark.parametrize("pipeline", [False, THREAD])
     def test_decode_session_in_process_modes_copy_nothing(self, v2, whole, pipeline):
-        """Serial and thread-pipelined sessions decode identically and
-        in-process: the stats report no transport ledger and no parse
-        thread outlives the session."""
-        session = DecodeSession(max_buffered_frames=4, pipeline=pipeline)
-        out = []
-        session.feed(v2.bitstream)
-        out.extend(session.frames())
-        session.close()
-        out.extend(session.frames())
+        """Serial and thread-pipelined decoders decode identically and
+        in-process: no transport ledger, and no parse thread outlives
+        the decoder."""
+        out, decoder = push_decode(
+            v2.bitstream, len(v2.bitstream), max_buffered_frames=4, pipeline=pipeline
+        )
         assert_frames_equal(out, whole)
-        stats = session.stats()
-        assert not hasattr(stats, "bytes_copied") and "transport" not in stats.as_text()
-        assert stats.frames_in == stats.frames_out == len(whole)
+        assert not hasattr(decoder, "bytes_copied")
+        assert "transport" not in decode_summary(decoder, 0.0)
+        assert decoder.frames_scanned == decoder.frames_decoded == len(whole)
         assert not parse_threads()
 
     def test_encode_session_stats(self, clip, v2):
-        session = EncodeSession(estimator="tss", qp=18, bitstream_version=2)
-        streamed = b"".join(session.encode_iter(iter(clip)))
-        assert streamed == v2.bitstream
-        stats = session.stats()
-        raw_frame = 32 * 32 + 2 * 16 * 16
-        assert stats.frames_in == stats.frames_out == len(clip)
-        assert stats.bytes_in == len(clip) * raw_frame
-        assert stats.bytes_out == len(v2.bitstream)
-        assert len(session.records) == len(clip)
+        chunks, records = stream_encode(iter(clip), 2)
+        assert b"".join(chunks) == v2.bitstream
+        assert len(records) == len(clip)
+        assert [8 * len(c) for c in chunks] == [r.bits for r in records]
+        assert sum(len(c) for c in chunks) == len(v2.bitstream)

@@ -12,9 +12,9 @@ The contracts under test:
 * **typed sharing** — ``Frame``, whole ``Sequence`` renders
   (``SharedSequence``), bare arrays and ``ParsedPicture`` survive the
   handle round trip bit-identically, scalar skeletons pass through
-  untouched, and the accounting (:func:`payload_bytes`,
-  :func:`handle_count`) matches what actually moved — including nested
-  Fig. 4 frame-pair tuples and sweep source lists;
+  untouched, and what moved (the :func:`payload_bytes` and
+  ``handle_count`` helpers) adds up — including nested Fig. 4
+  frame-pair tuples and sweep source lists;
 * **render-once store** — :class:`FrameStore` places each distinct
   experiment source a single time and hands every caller the same
   handles.
@@ -41,9 +41,8 @@ from repro.transport import (
     detach_segment,
     export,
     export_segment,
-    handle_count,
+    iter_arrays,
     materialize,
-    payload_bytes,
     read_array,
     share,
     unlink_segment,
@@ -51,9 +50,20 @@ from repro.transport import (
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 
-from .conftest import shm_segments
+from .conftest import handle_count, shm_segments
 
 SMALL = FrameGeometry(32, 32)
+
+
+def payload_bytes(value) -> int:
+    """Bytes of array/bytes payload ``value`` would drag through a
+    pickle: what shared-memory transport removes.  Handles and scalar
+    skeletons do not count; containers recurse."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return len(value)
+    if isinstance(value, (list, tuple)):
+        return sum(payload_bytes(item) for item in value)
+    return sum(arr.nbytes for arr in iter_arrays(value))
 
 
 def random_frame(seed=0, geometry=SMALL, index=0) -> Frame:
