@@ -28,13 +28,16 @@ byte.
 Seed-syntax I-frames and P-frames (one P-frame coder for every
 reference-list depth) are coded a whole frame at a time: one
 ``(rows, cols, 6, 8, 8)`` block grid, one DCT → quantise → IDCT pass,
-and a local decode through the decoder's own kernels.  Only the entropy
-walk visits macroblocks, because MVD prediction reads the vectors
-already coded.  GOP-syntax I-frames predict from reconstructed
-neighbours, so they still code one macroblock at a time.  The
-independent per-block decoder that checks these reconstructions bit
-for bit is :mod:`repro.reference` (a test and benchmark oracle;
-nothing in the codec imports it).
+and a local decode through the decoder's own kernels.  Entropy coding
+visits no macroblock either: every picture body — seed I, GOP I and P
+— is derived as whole-picture field arrays and packed into one
+``write_bits`` call (:mod:`repro.codec.entropy`).  GOP-syntax I-frames
+predict from reconstructed neighbours, so they still transform and
+reconstruct one macroblock at a time, collecting their levels for one
+packed body after the loop.  The independent oracles that check these
+bytes and reconstructions bit for bit — a per-symbol body writer and a
+per-block decoder — are in :mod:`repro.reference` (test and benchmark
+oracles; nothing in the codec imports it).
 """
 
 from __future__ import annotations
@@ -47,13 +50,9 @@ import numpy as np
 from repro.analysis.psnr import psnr
 from repro.codec.bitstream import BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.codec.intra import INTRA_MODE_BITS, choose_intra_modes, intra_predict
-from repro.codec.macroblock import (
-    coded_block_patterns,
-    macroblock_views,
-    reconstruct_macroblock,
-    write_events,
-)
+from repro.codec.entropy import write_inter_body, write_intra_body, write_intra_pred_body
+from repro.codec.intra import choose_intra_modes, intra_predict
+from repro.codec.macroblock import macroblock_views, reconstruct_macroblock
 from repro.codec.quantizer import (
     check_qp,
     dequantize,
@@ -62,9 +61,6 @@ from repro.codec.quantizer import (
     quantize_intra_ac,
     quantize_intra_dc,
 )
-from repro.codec.mv_coding import predict_mv, write_mvd
-from repro.codec.vlc_tables import CBPY_TABLE, MCBPC_TABLE
-from repro.codec.zigzag import blocks_to_events
 from repro.me.engine import (
     ChromaReferencePlane,
     ReferencePlane,
@@ -79,13 +75,15 @@ from repro.me.engine import (
 from repro.me.estimator import MotionEstimator, create_estimator
 from repro.me.stats import SearchStats
 from repro.obs import metrics, trace
-from repro.me.types import MotionField, MotionVector
+from repro.me.types import MotionField
 
-# Per-block twins of the whole-frame quantisation and MC above.  The
-# frame coders no longer call them; they stay bound here because
-# perfbench's layer instrumentation wraps them by name on this module.
-from repro.codec.macroblock import code_inter_block, code_intra_block  # noqa: F401
+# Per-block twins of the whole-frame quantisation, MC and entropy
+# coding above.  The frame coders no longer call them; they stay bound
+# here because perfbench's layer instrumentation wraps them by name on
+# this module.
+from repro.codec.macroblock import code_inter_block, code_intra_block, write_events  # noqa: F401
 from repro.codec.macroblock import predict_chroma_block  # noqa: F401
+from repro.codec.mv_coding import predict_mv, write_mvd  # noqa: F401
 from repro.me.subpel import predict_block  # noqa: F401
 from repro.video.frame import Frame
 from repro.video.sequence import Sequence
@@ -498,7 +496,7 @@ class Encoder:
     def _encode_intra_frame(self, writer: BitWriter, frame: Frame) -> tuple[int, Frame, int]:
         """Seed-syntax I-frame: every block is intra coded with no
         prediction, so the whole frame is one DCT → quantise → IDCT
-        pass and only the symbol writes walk the macroblocks."""
+        pass and one packed body."""
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I")
         phase = trace.phases()
@@ -506,20 +504,8 @@ class Encoder:
             coefficients = forward_dct(split_frame_blocks(frame.y, frame.cb, frame.cr))
             dc_levels = quantize_intra_dc(coefficients[..., 0, 0])
             levels = quantize_intra_ac(coefficients, self.qp)
-            levels[..., 0, 0] = 0
-            coded, events = blocks_to_events(levels, skip_first=1)
-        cbpy, mcbpc = coded_block_patterns(coded)
-        coef_bits = 0
         with phase("encode.entropy"):
-            for m, (mb_cbpy, mb_mcbpc, mb_dc) in enumerate(
-                zip(cbpy.ravel().tolist(), mcbpc.ravel().tolist(), dc_levels.reshape(-1, 6).tolist())
-            ):
-                writer.write_code(MCBPC_TABLE.encode(mb_mcbpc))
-                writer.write_code(CBPY_TABLE.encode(mb_cbpy))
-                for dc_level, block_events in zip(mb_dc, events[6 * m : 6 * m + 6]):
-                    writer.write_bits(dc_level, 8)
-                    if block_events:
-                        coef_bits += write_events(writer, block_events)
+            coef_bits = write_intra_body(writer, levels, dc_levels).coefficient_bits
         coefficients = dequantize(levels, self.qp)
         coefficients[..., 0, 0] = dequantize_intra_dc(dc_levels)
         recon = _local_decode(coefficients, (0.0, 0.0, 0.0))
@@ -534,7 +520,9 @@ class Encoder:
         The mode decision is open-loop on the source luma (batched
         :func:`intra_mode_cost_surfaces`); the prediction itself reads
         the reconstructed neighbours the decoder will have, so this
-        coder transforms and reconstructs one macroblock at a time.
+        coder transforms and reconstructs one macroblock at a time,
+        collecting the levels into one grid whose body is packed after
+        the loop.
         """
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I", extended=True)
@@ -542,24 +530,19 @@ class Encoder:
         modes = choose_intra_modes(intra_mode_cost_surfaces(frame.y))
         source = (frame.y, frame.cb, frame.cr)
         recon = tuple(np.empty_like(plane) for plane in source)
-        coef_bits = 0
+        levels = np.empty((geometry.mb_rows, geometry.mb_cols, 6, 8, 8), dtype=np.int32)
         phase = trace.phases()
         for r in range(geometry.mb_rows):
             for c in range(geometry.mb_cols):
                 mode = int(modes[r, c])
-                writer.write_bits(mode, INTRA_MODE_BITS)
                 pred = [
                     intra_predict(plane, r, c, size, mode) for plane, size in zip(recon, (16, 8, 8))
                 ]
-                levels, events, cbpy, mcbpc = self._transform_quantise(
-                    macroblock_views(source, r, c), pred, phase
-                )
-                with phase("encode.entropy"):
-                    writer.write_code(MCBPC_TABLE.encode(int(mcbpc[0, 0])))
-                    writer.write_code(CBPY_TABLE.encode(int(cbpy[0, 0])))
-                    coef_bits += _write_coefficients(writer, events)
-                residual = inverse_dct(dequantize(levels, self.qp))
-                reconstruct_macroblock(recon, r, c, residual[0, 0], pred)
+                levels[r, c] = self._transform_quantise(macroblock_views(source, r, c), pred, phase)
+                residual = inverse_dct(dequantize(levels[r, c], self.qp))
+                reconstruct_macroblock(recon, r, c, residual, pred)
+        with phase("encode.entropy"):
+            coef_bits = write_intra_pred_body(writer, levels, modes).coefficient_bits
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
         return total, Frame(*recon, index=frame.index), coef_bits
@@ -583,9 +566,9 @@ class Encoder:
         reference index per coded macroblock.
 
         Once the vectors are fixed nothing spatial remains: the residual
-        takes one whole-frame DCT → quantise → IDCT pass, and only the
-        entropy walk (COD, MCBPC/CBPY, reference index, MVD, TCOEF) runs
-        per macroblock.
+        takes one whole-frame DCT → quantise → IDCT pass, and the body
+        (COD, MCBPC/CBPY, reference index, MVD, TCOEF) is one packed
+        write.
         """
         active = references[: self.n_ref_frames]
         extended = self.n_ref_frames > 1
@@ -635,65 +618,27 @@ class Encoder:
 
         pred = composite_predictions(choice, predict)
         phase = trace.phases()
-        levels, events, cbpy, mcbpc = self._transform_quantise(
-            (frame.y, frame.cb, frame.cr), pred, phase
-        )
-        # Vectors as the decoder will see them (skip forces zero); used
-        # for median prediction of subsequent MVDs.
-        coded_field = MotionField(rows, cols)
-        skipped = 0
-        mv_bits_total = 0
-        coef_bits_total = 0
+        levels = self._transform_quantise((frame.y, frame.cb, frame.cr), pred, phase)
         with phase("encode.entropy"):
-            cbpy, mcbpc, choice = cbpy.tolist(), mcbpc.tolist(), choice.tolist()
-            for r in range(rows):
-                for c in range(cols):
-                    k = choice[r][c]
-                    mv = field.get(r, c)
-                    if k == 0 and mv.is_zero and cbpy[r][c] == 0 and mcbpc[r][c] == 0:
-                        writer.write_bit(1)  # COD: skipped (reference 0, zero vector)
-                        skipped += 1
-                        coded_field.set(r, c, MotionVector.zero())
-                        continue
-                    writer.write_bit(0)  # COD: coded
-                    writer.write_code(MCBPC_TABLE.encode(mcbpc[r][c]))
-                    writer.write_code(CBPY_TABLE.encode(cbpy[r][c]))
-                    if extended:
-                        writer.write_ue(k)
-                    predictor = predict_mv(coded_field, r, c)
-                    mv_bits_total += write_mvd(writer, mv, predictor)
-                    coded_field.set(r, c, mv)
-                    m = 6 * (r * cols + c)
-                    coef_bits_total += _write_coefficients(writer, events[m : m + 6])
+            ledger = write_inter_body(
+                writer, levels, field_hx, field_hy, choice if extended else None
+            )
         # A skipped macroblock has all-zero levels, so its residual is
         # zero and it reconstructs to the prediction, as in the decoder.
         recon = _local_decode(dequantize(levels, self.qp), pred)
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
         recon_frame = Frame(*recon, index=frame.index)
-        return total, recon_frame, skipped, mv_bits_total, coef_bits_total, field, stats
+        return total, recon_frame, *ledger, field, stats
 
-    def _transform_quantise(self, source, pred, phase) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    def _transform_quantise(self, source, pred, phase) -> np.ndarray:
         """Transform and quantise the prediction error of (Y, Cb, Cr)
-        planes — a whole frame or one macroblock's views.
-
-        Returns the ``(rows, cols, 6, 8, 8)`` level grid, the blocks'
-        event lists in C order (see :func:`blocks_to_events`) and the
-        per-macroblock CBPY and MCBPC grids they imply.
-        """
+        planes — a whole frame or one macroblock's views — into the
+        ``(rows, cols, 6, 8, 8)`` level grid."""
         residual = [plane.astype(np.int16) - p for plane, p in zip(source, pred)]
         with phase("encode.transform_quant"):
             # Nested so the float64 block grid is freed before quantising.
-            levels = quantize_inter(forward_dct(split_frame_blocks(*residual)), self.qp)
-            coded, events = blocks_to_events(levels)
-        cbpy, mcbpc = coded_block_patterns(coded)
-        return levels, events, cbpy, mcbpc
-
-
-def _write_coefficients(writer: BitWriter, events) -> int:
-    """TCOEF events of every coded block, in block order; returns the
-    bits written."""
-    return sum(write_events(writer, block_events) for block_events in events if block_events)
+            return quantize_inter(forward_dct(split_frame_blocks(*residual)), self.qp)
 
 
 def _local_decode(coefficients: np.ndarray, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

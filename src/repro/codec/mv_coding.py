@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codec.bitstream import BitReader, BitWriter
-from repro.codec.vlc import read_se_golomb, se_golomb_bits, se_golomb_code
+from repro.codec.vlc import read_se_golomb, se_golomb_arrays, se_golomb_bits, se_golomb_code
 from repro.me.types import MotionField, MotionVector
 
 
@@ -77,14 +77,7 @@ def mvd_bits(mv: MotionVector, predictor: MotionVector) -> int:
 
 def mvd_bits_arrays(dhx: np.ndarray, dhy: np.ndarray) -> np.ndarray:
     """:func:`mvd_bits` of many differential vectors ``(dhx, dhy)``."""
-    total = 0
-    for d in (dhx, dhy):
-        d = np.asarray(d, dtype=np.int64)
-        mapped = np.where(d > 0, 2 * d - 1, -2 * d)
-        # ue(v) length: 2 * bit_length(v + 1) - 1; frexp's exponent is
-        # the bit length of a positive integer, exactly.
-        total = total + 2 * np.frexp((mapped + 1).astype(np.float64))[1].astype(np.int64) - 1
-    return total
+    return se_golomb_arrays(dhx)[1] + se_golomb_arrays(dhy)[1]
 
 
 def write_mvd(writer: BitWriter, mv: MotionVector, predictor: MotionVector) -> int:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import heapq
 from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from repro.obs import metrics
 
 Symbol = TypeVar("Symbol", bound=Hashable)
@@ -217,6 +219,20 @@ def se_golomb_code(value: int) -> tuple[int, int]:
 def se_golomb_bits(value: int) -> int:
     """Length in bits of the signed exp-Golomb code for ``value``."""
     return se_golomb_code(value)[1]
+
+
+def ue_golomb_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ue_golomb_code` of many ``values >= 0``: the code value
+    and length arrays."""
+    v = np.asarray(values, dtype=np.int64) + 1
+    # frexp's exponent is the bit length of a positive integer, exactly.
+    return v, 2 * np.frexp(v.astype(np.float64))[1].astype(np.int64) - 1
+
+
+def se_golomb_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`se_golomb_code` of many values."""
+    d = np.asarray(values, dtype=np.int64)
+    return ue_golomb_arrays(np.where(d > 0, 2 * d - 1, -2 * d))
 
 
 def read_ue_golomb_bitwise(reader) -> int:

@@ -40,16 +40,18 @@ ESCAPE = "escape"
 #: complement, −127..127 excluding 0 and −128).
 ESCAPE_PAYLOAD_BITS = 1 + 6 + 8
 
-_TCOEF_MAX_RUN = 20
-_TCOEF_MAX_LEVEL = 8
+#: Largest RUN and LEVEL magnitude with a table code; events beyond
+#: either take the escape.
+TCOEF_MAX_RUN = 20
+TCOEF_MAX_LEVEL = 8
 
 
 def _tcoef_model() -> tuple[list, list]:
     symbols: list = []
     weights: list[float] = []
     for last in (0, 1):
-        for run in range(_TCOEF_MAX_RUN + 1):
-            for level in range(1, _TCOEF_MAX_LEVEL + 1):
+        for run in range(TCOEF_MAX_RUN + 1):
+            for level in range(1, TCOEF_MAX_LEVEL + 1):
                 symbols.append((last, run, level))
                 weight = (0.22 if last else 1.0) * (0.58 ** run) * (0.38 ** (level - 1))
                 weights.append(weight)
@@ -65,7 +67,7 @@ TCOEF_TABLE: VLCTable = VLCTable(_sym, _w)
 def tcoef_symbol(event: CoefficientEvent):
     """Table symbol for an event, or ESCAPE when out of range."""
     magnitude = abs(event.level)
-    if event.run <= _TCOEF_MAX_RUN and magnitude <= _TCOEF_MAX_LEVEL:
+    if event.run <= TCOEF_MAX_RUN and magnitude <= TCOEF_MAX_LEVEL:
         return (1 if event.last else 0, event.run, magnitude)
     return ESCAPE
 

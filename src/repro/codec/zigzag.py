@@ -85,44 +85,6 @@ def block_to_events(levels: np.ndarray, skip_first: int = 0) -> list[Coefficient
     return events
 
 
-def blocks_to_events(
-    levels: np.ndarray, skip_first: int = 0
-) -> tuple[np.ndarray, list[list[CoefficientEvent]]]:
-    """:func:`block_to_events` over a whole ``(..., 8, 8)`` level grid.
-
-    Returns ``(coded, events)``: ``coded`` is the ``levels.shape[:-2]``
-    mask of blocks with at least one event, and ``events`` holds one
-    list per block in C order — empty for uncoded blocks, otherwise
-    equal to ``block_to_events(block, skip_first)``.  The scan, the
-    nonzero search and the RUN / LAST arithmetic run on the whole grid
-    at once; only the event objects of nonzero coefficients are built
-    one by one.
-    """
-    if skip_first not in (0, 1):
-        raise ValueError(f"skip_first must be 0 or 1, got {skip_first}")
-    lv = np.asarray(levels)
-    if lv.shape[-2:] != (BLOCK, BLOCK):
-        raise ValueError(f"level grid must end in (8, 8), got {lv.shape}")
-    scanned = lv.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG_INDEX[skip_first:]]
-    block, pos = np.nonzero(scanned)  # row-major: by block, then scan position
-    values = scanned[block, pos]
-    opens = np.ones(block.size, dtype=bool)
-    opens[1:] = block[1:] != block[:-1]
-    closes = np.ones(block.size, dtype=bool)
-    closes[:-1] = opens[1:]
-    prev = np.empty_like(pos)
-    prev[1:] = pos[:-1]
-    prev[opens] = -1
-    events: list[list[CoefficientEvent]] = [[] for _ in range(scanned.shape[0])]
-    for b, last, run, level in zip(
-        block.tolist(), closes.tolist(), (pos - prev - 1).tolist(), values.tolist()
-    ):
-        events[b].append(CoefficientEvent(last=last, run=run, level=level))
-    coded = np.zeros(scanned.shape[0], dtype=bool)
-    coded[block] = True
-    return coded.reshape(lv.shape[:-2]), events
-
-
 def events_to_block(events: list[CoefficientEvent], skip_first: int = 0) -> np.ndarray:
     """Rebuild the quantized 8x8 block from its event list.
 

@@ -14,6 +14,12 @@ with it pins every batched path:
   walk), :func:`read_events`, the three picture-body walks and
   :func:`parse_bitstream_symbols` (v2 framing from the shared
   :meth:`FrameIndex.walk` and :func:`check_frame_length`);
+* :func:`write_picture_body` — the three body walks' writing twin, one
+  symbol at a time through :func:`~repro.codec.macroblock.write_events`,
+  :func:`~repro.codec.mv_coding.predict_mv`,
+  :func:`~repro.codec.mv_coding.write_mvd` and
+  :meth:`~repro.codec.vlc.VLCTable.encode`, against which the encoder's
+  whole-picture packer (:mod:`repro.codec.entropy`) is checked;
 * :func:`decode_bitstream` — one macroblock at a time, predicting from
   the raw reference planes (:func:`~repro.me.subpel.predict_block`,
   :func:`~repro.codec.macroblock.predict_chroma_block`) or, in GOP
@@ -42,12 +48,12 @@ from repro.codec.decoder import (
 )
 from repro.codec.encoder import MAX_REF_FRAMES, PICTURE_HEADER_BITS
 from repro.codec.intra import INTRA_MODE_BITS, intra_predict
-from repro.codec.macroblock import join_luma_blocks, predict_chroma_block
-from repro.codec.mv_coding import predict_mv
+from repro.codec.macroblock import join_luma_blocks, predict_chroma_block, write_events
+from repro.codec.mv_coding import predict_mv, write_mvd
 from repro.codec.quantizer import dequantize, dequantize_intra_dc
 from repro.codec.vlc import VLCTable, read_ue_golomb_bitwise
 from repro.codec.vlc_tables import CBPY_TABLE, ESCAPE, MCBPC_TABLE, TCOEF_TABLE
-from repro.codec.zigzag import CoefficientEvent, events_to_block
+from repro.codec.zigzag import CoefficientEvent, block_to_events, events_to_block
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator
 from repro.me.stats import SearchStats
@@ -293,6 +299,67 @@ def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
         with v1_picture(reader, len(parsed)):
             parsed.append(parse_picture(reader))
     return parsed
+
+
+# -- picture write --------------------------------------------------------
+
+
+def _block_events(levels, skip_first: int) -> tuple[list, int, int]:
+    """The six blocks' event lists and the ``(CBPY, MCBPC)`` they imply."""
+    events = [block_to_events(block, skip_first=skip_first) for block in levels]
+    cbpy = sum(1 << k for k in range(4) if events[k])
+    mcbpc = (2 if events[4] else 0) | (1 if events[5] else 0)
+    return events, cbpy, mcbpc
+
+
+def _write_blocks(writer, events, dc=None) -> int:
+    """Each block's DC level (seed I-frames) and events; returns the
+    TCOEF bits."""
+    bits = 0
+    for k, block_events in enumerate(events):
+        if dc is not None:
+            writer.write_bits(int(dc[k]), 8)
+        if block_events:
+            bits += write_events(writer, block_events)
+    return bits
+
+
+def write_picture_body(writer, parsed: ParsedPicture) -> tuple[int, int, int]:
+    """Re-emit a parsed picture's macroblock layer one symbol at a time,
+    as the seed encoder wrote it; returns the body's ``(skipped,
+    mv_bits, coefficient_bits)`` ledger.  A P macroblock predicting
+    from reference 0 with a zero vector and no coded block is skipped."""
+    header = parsed.header
+    rows, cols = header.mb_rows, header.mb_cols
+    levels = parsed.levels.reshape(rows, cols, 6, 8, 8)
+    skip_first = 0 if parsed.dc_levels is None else 1
+    skipped = mv_bits = coefficient_bits = 0
+    coded_field = MotionField(rows, cols)
+    for r in range(rows):
+        for c in range(cols):
+            m = r * cols + c
+            events, cbpy, mcbpc = _block_events(levels[r, c], skip_first)
+            if header.frame_type == "P":
+                ref = 0 if parsed.ref_idx is None else int(parsed.ref_idx[r, c])
+                mv = MotionVector(int(parsed.hx[r, c]), int(parsed.hy[r, c]))
+                if ref == 0 and mv.is_zero and cbpy == 0 and mcbpc == 0:
+                    writer.write_bit(1)  # COD: skipped
+                    coded_field.set(r, c, mv)
+                    skipped += 1
+                    continue
+                writer.write_bit(0)
+            elif header.extended:
+                writer.write_bits(int(parsed.modes[r, c]), INTRA_MODE_BITS)
+            writer.write_code(MCBPC_TABLE.encode(mcbpc))
+            writer.write_code(CBPY_TABLE.encode(cbpy))
+            if header.frame_type == "P":
+                if header.extended:
+                    writer.write_ue(ref)
+                mv_bits += write_mvd(writer, mv, predict_mv(coded_field, r, c))
+                coded_field.set(r, c, mv)
+            dc = None if parsed.dc_levels is None else parsed.dc_levels[6 * m : 6 * m + 6]
+            coefficient_bits += _write_blocks(writer, events, dc)
+    return skipped, mv_bits, coefficient_bits
 
 
 # -- reconstruction -------------------------------------------------------

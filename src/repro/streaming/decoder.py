@@ -309,6 +309,9 @@ class StreamDecoder:
         self.frame_bits.append(8 * payload_size)
         self._frame_index += 1
         self._ready.append(frame)
+        # Pipelined sessions reconstruct most frames inside frames(),
+        # and those can drain before the next feed samples the peak.
+        self._note_peak()
 
     def _raise_scan_error_when_due(self) -> None:
         """Raise the held framing error once no payload before it is

@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.codec.macroblock import coded_block_patterns, write_events
+from repro.codec.entropy import pack_fields, tcoef_fields
+from repro.codec.macroblock import write_events
 from repro.codec.mv_coding import mvd_bits, read_mvd, write_mvd
 from repro.codec.quantizer import dequantize, quantize_inter
 from repro.codec.vlc import (
@@ -19,7 +20,6 @@ from repro.codec.vlc import (
 from repro.codec.zigzag import (
     CoefficientEvent,
     block_to_events,
-    blocks_to_events,
     events_to_block,
     scan,
     unscan,
@@ -123,21 +123,23 @@ def level_grids(draw):
 @given(level_grids(), st.integers(min_value=0, max_value=1))
 @settings(max_examples=80, deadline=None)
 def test_grid_events_match_per_block_rule(levels, skip_first):
-    """The whole-frame symbol extraction equals ``block_to_events`` and
-    the per-macroblock CBP arithmetic, block by block."""
-    coded, events = blocks_to_events(levels, skip_first=skip_first)
-    cbpy, mcbpc = coded_block_patterns(coded)
-    rows, cols = levels.shape[:2]
-    assert coded.shape == (rows, cols, 6)
-    assert len(events) == rows * cols * 6
-    for r in range(rows):
-        for c in range(cols):
-            per_block = [block_to_events(levels[r, c, k], skip_first=skip_first) for k in range(6)]
-            assert events[6 * (r * cols + c) : 6 * (r * cols + c) + 6] == per_block
-            flags = [bool(e) for e in per_block]
-            assert coded[r, c].tolist() == flags
-            assert cbpy[r, c] == sum((1 << k) for k in range(4) if flags[k])
-            assert mcbpc[r, c] == (2 if flags[4] else 0) | (1 if flags[5] else 0)
+    """The whole-frame TCOEF field builder equals the per-block rule,
+    block by block: a block's fields are its events in order, and they
+    pack to exactly the bits ``write_events(block_to_events(...))``
+    writes (no fields for an uncoded block)."""
+    block, values, lengths = tcoef_fields(levels, skip_first=skip_first)
+    assert np.all(np.diff(block) >= 0)
+    for b, block_levels in enumerate(levels.reshape(-1, 8, 8)):
+        events = block_to_events(block_levels, skip_first=skip_first)
+        mine = block == b
+        assert int(mine.sum()) == len(events)
+        if not events:
+            continue
+        writer = BitWriter()
+        write_events(writer, events)
+        nbits = writer.bit_count
+        expected = int.from_bytes(writer.getvalue(), "big") >> (-nbits % 8)
+        assert pack_fields(values[mine], lengths[mine]) == (expected, nbits)
 
 
 # -- TCOEF serialization --------------------------------------------------

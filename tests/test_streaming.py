@@ -643,12 +643,22 @@ def push_decode(bitstream, chunk, **options):
 class TestSessions:
     def test_decode_session_stats(self, v2, qcif_v2):
         """The decoder's counters add up, and peak buffered bytes stay
-        under the subsystem's memory bound — two frames' worth of
-        payload plus one reconstruction window — on the small clip in
-        100-byte feeds and on a 30-frame QCIF stream in MTU-sized ones."""
-        for encode, chunk in ((v2, 100), (qcif_v2, 1500)):
+        under the subsystem's memory bound — serially, two frames' worth
+        of payload plus one reconstruction window; pipelined, the
+        ``max_buffered_frames + 1`` payloads in flight, the
+        ``max_buffered_frames`` decoded frames and one chunk arriving —
+        on the small clip in 100-byte feeds and on a 30-frame QCIF
+        stream in MTU-sized ones.  A pipelined session reconstructs most
+        frames while :meth:`frames` drains, and its peak still counts
+        them: at least one raw frame."""
+        depth = 2
+        cases = [(encode, chunk, pipeline) for encode, chunk in ((v2, 100), (qcif_v2, 1500))
+                 for pipeline in (False, True)]
+        for encode, chunk, pipeline in cases:
             bitstream = encode.bitstream
-            out, decoder = push_decode(bitstream, chunk, max_buffered_frames=2)
+            out, decoder = push_decode(
+                bitstream, chunk, max_buffered_frames=depth, pipeline=pipeline
+            )
             assert_frames_equal(out, decode_bitstream(bitstream))
             assert_frames_equal(out, encode.reconstruction)
             raw_frame = frame_size_bytes(out[0].geometry)
@@ -658,7 +668,13 @@ class TestSessions:
             assert sum(frame_bytes(f) for f in out) == len(out) * raw_frame
             assert decoder.buffered_bytes == 0
             assert 0 < decoder.peak_buffered_bytes <= 2 * raw_frame + len(bitstream)
-            assert decoder.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
+            if pipeline:
+                assert decoder.peak_buffered_bytes >= raw_frame
+                assert decoder.peak_buffered_bytes <= (
+                    (depth + 1) * max_payload + depth * raw_frame + chunk
+                )
+            else:
+                assert decoder.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
             summary = decode_summary(decoder, 0.25)
             assert summary.startswith(f"frames {len(out)} in / {len(out)} out, ")
             assert f"bytes {len(bitstream)} in" in summary and "0.250s" in summary

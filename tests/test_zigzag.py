@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.codec.entropy import tcoef_fields
 from repro.codec.zigzag import (
     CoefficientEvent,
     ZIGZAG_INDEX,
     block_to_events,
-    blocks_to_events,
     events_to_block,
     scan,
     unscan,
@@ -117,11 +117,11 @@ class TestRoundTrip:
             events_to_block(events)
 
 
-class TestBlocksToEvents:
-    # Equality with block_to_events is property-tested in
+class TestTcoefFields:
+    # Equality with block_to_events + write_events is property-tested in
     # test_property_codec.py; these are the argument checks.
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="skip_first"):
-            blocks_to_events(np.zeros((1, 8, 8)), skip_first=2)
+            tcoef_fields(np.zeros((1, 8, 8)), skip_first=2)
         with pytest.raises(ValueError, match="must end in"):
-            blocks_to_events(np.zeros((1, 8, 4)))
+            tcoef_fields(np.zeros((1, 8, 4)))
