@@ -10,10 +10,13 @@ across processes:
   (:class:`EncodeJob`, :class:`SweepJob`, :class:`GopEncodeJob`,
   :class:`ParseFrameJob`, :class:`Fig4PairJob`) with module-level
   execution recipes and per-process render memoization.
-* :mod:`repro.parallel.pool` — :func:`run_jobs`, a
-  ``ProcessPoolExecutor``/``spawn`` wrapper with deterministic per-job
-  ``SeedSequence`` seeding, one future per job, progress callbacks and
-  an in-process fallback for ``--jobs 1``.
+* :mod:`repro.parallel.pool` — :func:`run_jobs`, dispatch over a warm
+  set of ``spawn`` workers (started on first use, reused across calls,
+  closed after a short idle period) with deterministic per-job
+  ``SeedSequence`` seeding, one pipe message per job, progress
+  callbacks and an in-process fallback for ``--jobs 1``.  Worker-side
+  memos (the render memo, ``rig_frames_cached``) live as long as the
+  warm worker.
 
 Results always merge in job order, so a harness's output is
 byte-identical for any worker count; the golden tests in

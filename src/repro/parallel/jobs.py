@@ -12,7 +12,8 @@ On the **pickling transport** workers re-derive their inputs from the
 spec: sequence renders are memoized **per process**
 (:func:`rendered_source`), so a worker that executes several cells of
 the same clip pays the synthesis cost once, exactly like the serial
-harness's shared cache.  All rendering takes explicit seeds from the
+harness's shared cache.  Pool workers stay warm across ``run_jobs``
+calls, so the memo lives as long as the worker does.  All rendering takes explicit seeds from the
 spec, which is what makes job outputs independent of placement and
 execution order.
 

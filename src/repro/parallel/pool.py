@@ -10,18 +10,47 @@ Execution model
 ---------------
 
 * ``workers <= 1`` (or a single job): the in-process fallback — no
-  executor, no pickling, no spawn cost.  This is the path CI smoke runs
+  worker, no pickling, no spawn cost.  This is the path CI smoke runs
   and the golden tests compare against.
-* ``workers > 1``: a ``ProcessPoolExecutor`` over the ``spawn`` start
-  method.  ``spawn`` (rather than ``fork``) keeps workers identical
-  across platforms and free of inherited NumPy threading state; each
-  worker re-imports the package, so job functions must be module-level
-  importables (the job specs are frozen dataclasses for exactly this
-  reason) and the calling ``__main__`` must be re-importable — a
-  script file or ``python -m``, not code piped through stdin (a
-  standard ``spawn`` constraint).  Every job is its own future: the
-  experiment jobs are whole encodes, parses or frame pairs, so the
-  per-job IPC is small against the work.
+* ``workers > 1``: a warm set of ``spawn`` workers, one per process
+  and reused across calls.  ``spawn`` (rather than ``fork``) keeps
+  workers identical across platforms and free of inherited NumPy
+  threading state; each worker re-imports the package, so job
+  functions must be module-level importables (the job specs are frozen
+  dataclasses for exactly this reason) and the calling ``__main__``
+  must be re-importable — a script file or ``python -m``, not code
+  piped through stdin (a standard ``spawn`` constraint).  Each job is
+  one message down the worker's own ``multiprocessing.Pipe`` and one
+  reply back: the experiment jobs are whole encodes, parses or frame
+  pairs, so the per-job IPC is small against the work.
+
+Worker lifetime
+---------------
+
+Workers start on first use and stay up while calls keep coming, so a
+run pays spawn and import only once rather than per call.  The set is
+keyed by ``(workers, backend)``; a call with another key replaces it,
+and a call that finds it busy (another thread, or a nested call from a
+progress callback) runs on a set of its own.  A set unused for
+:data:`IDLE_CLOSE_SECONDS` is closed: its pipes shut and the workers
+exit on EOF, as they do when the parent goes away.  A set goes back
+into the cache only when the parent has read the reply to every job it
+sent — after a failure the in-flight jobs are drained first — and
+never after a worker died.
+
+The idle close, rather than an ``atexit`` hook, is what lets a caller
+stop multiprocessing's resource tracker before interpreter exit (as
+``perfbench/run.py`` does): the tracker exits only once every process
+holding its descriptor has, and ``atexit`` hooks run too late for
+that.  Plain pipes register nothing with the tracker, unlike the named
+semaphores behind ``multiprocessing`` queues, so closing a set at any
+time leaves the tracker clean.
+
+Worker-side memos — the render memo ``_RENDER_CACHE`` and
+``rig_frames_cached`` — now live as long as the warm worker, across
+``run_jobs`` calls.  Their keys carry every input, so a hit is always
+the same render; shared-memory mappings, by contrast, are dropped
+after every job (see :func:`_run_worker_job`).
 
 Deterministic seeding
 ---------------------
@@ -39,7 +68,7 @@ Shared-memory transport
 -----------------------
 
 ``use_shm=True`` moves job payloads and result arrays through
-:mod:`repro.transport` instead of the executor's pickle stream: specs
+:mod:`repro.transport` instead of the pipe's pickle stream: specs
 are repacked via ``JobSpec.pack_shm`` against a run-scoped
 :class:`~repro.transport.FrameStore` (a render-once memo over a
 :class:`~repro.transport.FrameArena`; workers attach segments on first
@@ -61,11 +90,15 @@ behaviour.
 
 from __future__ import annotations
 
+import atexit
 import os
+import pickle
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import threading
 from contextlib import contextmanager
 from multiprocessing import get_context
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -83,6 +116,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: mode as the job *completes*, in completion order.  Lines are not
 #: deduplicated — two jobs with equal descriptions produce two calls.
 ProgressFn = Callable[[str], None]
+
+#: Seconds a warm worker set may sit unused before it is closed (see
+#: "Worker lifetime" in the module docstring).
+IDLE_CLOSE_SECONDS = 1.0
+
+#: How long closing a worker set waits for each worker to exit on EOF
+#: before terminating it.
+_CLOSE_TIMEOUT_SECONDS = 5.0
 
 
 def derive_job_seeds(base_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -157,7 +198,10 @@ def _run_worker_job(
     Under ``use_shm`` the result's arrays are exported to a one-shot
     shared segment before the return value crosses the pickle boundary
     — the parent materializes (and unlinks) them as the job lands.
-    Results without array payloads are returned as-is either way.
+    Results without array payloads are returned as-is either way.  The
+    worker then drops its mappings of the run's input segments: it
+    outlives the run, and the parent unlinks those segments when the
+    run ends, so a cached mapping would only pin their memory.
     """
     if backend is not None:
         from repro.kernels import set_backend
@@ -178,9 +222,10 @@ def _run_worker_job(
         tracer.disable()
         events = tracer.drain()
     if use_shm:
-        from repro.transport import export
+        from repro.transport import detach_all, export
 
         result = export(result, name_prefix="repro-result")
+        detach_all()
     return (result, events) if collect_trace else result
 
 
@@ -192,7 +237,7 @@ def _exported_package_path():
     the normal ``PYTHONPATH=src`` invocation; exporting the package root
     through the environment additionally covers parents that grew their
     path at runtime (embedding, notebooks).  The variable is restored on
-    exit — every spawn happens inside the executor's lifetime, and the
+    exit — spawned children copy the environment at start-up, and the
     caller's environment is not ours to rewrite."""
     import repro
 
@@ -346,6 +391,160 @@ def _resolve_use_shm(use_shm: bool | str, job_list: list, workers: int) -> bool:
     return any(type(job).pack_shm is not JobSpec.pack_shm for job in job_list)
 
 
+class _WorkerSet:
+    """Spawned workers, each behind its own duplex pipe, started on
+    demand up to the run's need (see "Worker lifetime" in the module
+    docstring)."""
+
+    def __init__(self, key: tuple[int, str | None]) -> None:
+        self.key = key
+        self.conns: list = []
+        self.procs: list = []
+        #: A worker died or a reply may still be in flight: never reuse.
+        self.broken = False
+        self.idle_timer: threading.Timer | None = None
+
+    def grow(self, count: int) -> None:
+        ctx = get_context("spawn")
+        with _exported_package_path():
+            while len(self.conns) < count:
+                parent_end, child_end = ctx.Pipe()
+                proc = ctx.Process(target=_worker_loop, args=(child_end,))
+                proc.start()
+                child_end.close()
+                self.conns.append(parent_end)
+                self.procs.append(proc)
+
+    def exit_code(self, conn) -> int | None:
+        proc = self.procs[self.conns.index(conn)]
+        proc.join(_CLOSE_TIMEOUT_SECONDS)
+        return proc.exitcode
+
+    def close(self, kill: bool = False) -> None:
+        """Shut every pipe and reap the workers; ``kill`` stops workers
+        that may still be mid-job instead of letting them finish."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if kill:
+                proc.terminate()
+            proc.join(_CLOSE_TIMEOUT_SECONDS)
+            if proc.exitcode is None:  # pragma: no cover - a wedged worker
+                proc.terminate()
+                proc.join()
+
+
+_cache_lock = threading.Lock()
+_cached: _WorkerSet | None = None
+
+
+def _checkout(key: tuple[int, str | None]) -> _WorkerSet:
+    """Take the cached worker set when it matches ``key`` (closing it
+    when it does not); a fresh, still empty set otherwise."""
+    global _cached
+    with _cache_lock:
+        pool, _cached = _cached, None
+    if pool is not None:
+        pool.idle_timer.cancel()
+        if pool.key == key:
+            return pool
+        pool.close()
+    return _WorkerSet(key)
+
+
+def _checkin(pool: _WorkerSet) -> None:
+    """Cache ``pool`` with a fresh idle timer, or close it when it is
+    broken or another set already took the slot."""
+    global _cached
+    if not pool.broken:
+        with _cache_lock:
+            if _cached is None:
+                _cached = pool
+                pool.idle_timer = threading.Timer(IDLE_CLOSE_SECONDS, _close_cached, (pool,))
+                pool.idle_timer.daemon = True
+                pool.idle_timer.start()
+                return
+    pool.close(kill=pool.broken)
+
+
+def _close_cached(expected: _WorkerSet | None = None) -> None:
+    """Close the cached worker set: the idle timer's action (a no-op
+    unless ``expected`` is still the cached set) and, with no argument,
+    the interpreter-exit hook."""
+    global _cached
+    with _cache_lock:
+        pool = _cached
+        if pool is None or expected not in (None, pool):
+            return
+        _cached = None
+    pool.idle_timer.cancel()
+    pool.close()
+
+
+# Workers are not daemonic (a job may start processes of its own), so
+# close a still-warm set before multiprocessing joins its children.
+atexit.register(_close_cached)
+
+
+def _worker_loop(conn) -> None:
+    """A warm worker's body: run each job that arrives on ``conn`` and
+    send back ``(True, result)`` or ``(False, exception)``, until the
+    parent closes its end or goes away."""
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        except Exception as exc:  # a job that does not unpickle in this process
+            conn.send_bytes(_reply_bytes((False, exc), False, False))
+            continue
+        job, seed_seq, use_shm, backend, collect_trace = task
+        try:
+            reply = (True, _run_worker_job(job, seed_seq, use_shm, backend, collect_trace))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send_bytes(_reply_bytes(reply, use_shm, collect_trace))
+        except OSError:  # the parent is gone: nobody will unlink the export
+            if reply[0] and use_shm:
+                _discard_exported(reply[1], collect_trace)
+            return
+
+
+def _reply_bytes(reply: tuple, use_shm: bool, collect_trace: bool) -> bytes:
+    """Pickle a worker reply so the parent can always rebuild it.
+
+    A job exception that does not survive a pickle round trip (unpicklable
+    state, or an ``__init__`` its ``args`` cannot satisfy) is replaced by
+    a ``RuntimeError`` with the same message, and a result that does not
+    pickle becomes a failure reply — the parent then still reports
+    ``parallel job failed (...)`` instead of losing the worker."""
+    ok, payload = reply
+    try:
+        data = ForkingPickler.dumps(reply)
+        if not ok:
+            pickle.loads(data)
+        return data
+    except Exception as exc:
+        if ok:
+            if use_shm:
+                _discard_exported(payload, collect_trace)
+            return ForkingPickler.dumps((False, RuntimeError(f"result could not be pickled: {exc}")))
+        return ForkingPickler.dumps((False, RuntimeError(str(payload))))
+
+
+def _discard_exported(payload, traced: bool) -> None:
+    """Unlink the result segment of an exported reply nobody will
+    materialize, so every exit path leaves ``/dev/shm`` as clean as
+    success does."""
+    from repro.transport import materialize
+
+    try:
+        materialize(payload[0] if traced else payload, unlink=True)
+    except Exception:  # pragma: no cover - best-effort cleanup
+        pass
+
+
 def _run_parallel(
     job_list: list,
     seeds: list,
@@ -355,65 +554,98 @@ def _run_parallel(
     backend: str | None = None,
     collect_trace: bool = False,
 ) -> list:
-    results_by_index: list = [None] * len(job_list)
-    workers = min(workers, len(job_list))
-    with _exported_package_path():
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        ) as executor:
-            futures = {
-                executor.submit(
-                    _run_worker_job, job, seed_seq, use_shm, backend, collect_trace
-                ): index
-                for index, (job, seed_seq) in enumerate(zip(job_list, seeds))
-            }
-            failure: tuple[Exception, int] | None = None
-            for future in as_completed(futures):
-                index = futures[future]
+    pool = _checkout((workers, backend))
+    try:
+        pool.grow(min(workers, len(job_list)))
+        return _dispatch(pool, job_list, seeds, progress, use_shm, backend, collect_trace)
+    finally:
+        _checkin(pool)
+
+
+def _dispatch(
+    pool: _WorkerSet,
+    job_list: list,
+    seeds: list,
+    progress: ProgressFn | None,
+    use_shm: bool,
+    backend: str | None,
+    collect_trace: bool,
+) -> list:
+    """Feed ``job_list`` through ``pool``'s workers, one job per idle
+    worker, and collect results in job order.
+
+    Fail-fast: the first failure stops dispatch; the jobs already in
+    flight are drained (their replies read, their exports unlinked)
+    before the error propagates, which is also what keeps ``pool``
+    reusable."""
+    results: list = [None] * len(job_list)
+    idle = pool.conns[: len(job_list)]
+    busy: dict = {}
+    next_index = 0
+    try:
+        while next_index < len(job_list) or busy:
+            # Before waiting, give every idle worker a job: any run of
+            # two or more jobs lands on at least two workers.
+            while idle and next_index < len(job_list):
+                conn = idle.pop()
+                job = job_list[next_index]
                 try:
-                    result = future.result()
-                except Exception as exc:
-                    # Fail fast: without cancel_futures the context
-                    # manager's shutdown would first run every queued
-                    # job to completion and discard the results.
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    failure = (exc, index)
-                    break
+                    conn.send((job, seeds[next_index], use_shm, backend, collect_trace))
+                except Exception as exc:  # an unpicklable spec, or the worker is gone
+                    pool.broken |= isinstance(exc, OSError)
+                    raise _job_failed(job, exc) from exc
+                busy[conn] = next_index
+                next_index += 1
+            for conn in wait(list(busy)):
+                index = busy.pop(conn)
+                ok, payload = _receive(pool, conn)
+                if not ok:
+                    if isinstance(payload, WorkerTraceFailure) and payload.events:
+                        # The failing worker's partial timeline still
+                        # merges — a crashed --jobs N --trace run stays
+                        # diagnosable.
+                        trace.TRACER.adopt(payload.events)
+                    raise _job_failed(job_list[index], payload) from payload
+                idle.append(conn)
                 if collect_trace:
-                    result, worker_events = result
+                    payload, worker_events = payload
                     trace.TRACER.adopt(worker_events)
                 if use_shm:
                     from repro.transport import materialize
 
-                    result = materialize(result, unlink=True)
-                results_by_index[index] = result
+                    payload = materialize(payload, unlink=True)
+                results[index] = payload
                 if progress is not None:
                     progress(job_list[index].describe())
-        if failure is not None:
-            exc, index = failure
-            if isinstance(exc, WorkerTraceFailure) and exc.events:
-                # The failing worker's partial timeline still merges —
-                # a crashed --jobs N --trace run stays diagnosable.
-                trace.TRACER.adopt(exc.events)
-            if use_shm:
-                _reap_exported_results(futures, traced=collect_trace)
-            raise RuntimeError(
-                f"parallel job failed ({job_list[index].describe()}): {exc}"
-            ) from exc
-    return results_by_index
+    except Exception:
+        _drain(pool, busy, use_shm, collect_trace)
+        raise
+    except BaseException:  # e.g. KeyboardInterrupt: do not wait for the workers
+        pool.broken = True
+        raise
+    return results
 
 
-def _reap_exported_results(futures: dict, traced: bool = False) -> None:
-    """Failure-path hygiene under shm transport: jobs that completed
-    before the failure surfaced may have exported result segments the
-    parent never materialized — unlink them so the error leaves
-    ``/dev/shm`` as clean as success does."""
-    from repro.transport import materialize
+def _job_failed(job: "JobSpec", cause) -> RuntimeError:
+    return RuntimeError(f"parallel job failed ({job.describe()}): {cause}")
 
-    for future in futures:
-        if future.done() and not future.cancelled() and future.exception() is None:
-            try:
-                result = future.result()
-                materialize(result[0] if traced else result, unlink=True)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
+
+def _receive(pool: _WorkerSet, conn) -> tuple:
+    """One reply from ``conn``; a dead worker reads as a failure."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        pool.broken = True
+        code = pool.exit_code(conn)
+        return False, RuntimeError(f"worker process exited unexpectedly (exit code {code})")
+
+
+def _drain(pool: _WorkerSet, busy: dict, use_shm: bool, collect_trace: bool) -> None:
+    """Read the reply of every job still in flight and unlink its
+    exported result, so no stale reply is left for a later run."""
+    while busy:
+        for conn in wait(list(busy)):
+            del busy[conn]
+            ok, payload = _receive(pool, conn)
+            if ok and use_shm:
+                _discard_exported(payload, collect_trace)

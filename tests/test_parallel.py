@@ -5,8 +5,10 @@ The contract under test: every experiment harness produces
 job order and all job inputs derive from explicit seeds — and the job
 pool's per-job seeding is a pure function of ``(base_seed, index)``.
 
-Process-spawning tests are deliberately few and tiny (each worker pays
-a spawn + import); the cheap determinism properties run in-process.
+Process-spawning tests are deliberately few and tiny (each new worker
+set pays a spawn + import; consecutive calls share the warm set); the
+cheap determinism properties run in-process.  ``TestWarmPool`` and
+``TestPoolProtocol`` pin the warm set's lifetime and its reuse rule.
 """
 
 from dataclasses import dataclass
@@ -530,3 +532,243 @@ class TestBackendThreading:
             [BackendProbeJob(1), BackendProbeJob(2)], workers=2, backend="numpy"
         )
         assert names == ["numpy", "numpy"]
+
+
+@dataclass(frozen=True)
+class PidJob(JobSpec):
+    """Reports which process ran it: ``(tag, pid)``."""
+
+    tag: int
+    sleep_s: float = 0.0
+
+    def describe(self) -> str:
+        return f"pid {self.tag}"
+
+    def run(self, rng=None):
+        import os
+        import time
+
+        time.sleep(self.sleep_s)
+        return self.tag, os.getpid()
+
+
+@dataclass(frozen=True)
+class CrashJob(JobSpec):
+    """Kills its worker without a reply."""
+
+    def describe(self) -> str:
+        return "crash"
+
+    def run(self, rng=None):
+        import os
+
+        os._exit(1)
+
+
+class LockedError(Exception):
+    """Carries a lock, so it cannot be pickled."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        import threading
+
+        self.lock = threading.Lock()
+
+
+class TwoArgError(Exception):
+    """Pickles, but its ``args`` cannot rebuild it."""
+
+    def __init__(self, what: str, why: str) -> None:
+        super().__init__(f"{what} because {why}")
+
+
+@dataclass(frozen=True)
+class RaiseJob(JobSpec):
+    """Raises an exception that cannot cross the pipe as itself."""
+
+    kind: str
+
+    def describe(self) -> str:
+        return f"raise {self.kind}"
+
+    def run(self, rng=None):
+        if self.kind == "locked":
+            raise LockedError("locked failure")
+        raise TwoArgError("two-arg failure", "args mismatch")
+
+
+@dataclass(frozen=True)
+class AttachedProbeJob(JobSpec):
+    """Reports ``(pid, shared-memory segments this worker keeps mapped)``."""
+
+    tag: int = 0
+
+    def describe(self) -> str:
+        return f"attached {self.tag}"
+
+    def run(self, rng=None):
+        import os
+
+        from repro.transport.arena import _ATTACHED
+
+        return os.getpid(), len(_ATTACHED)
+
+
+def _worker_pids(workers=2, backend=None, count=2):
+    results = run_jobs([PidJob(i) for i in range(count)], workers=workers, backend=backend)
+    assert [tag for tag, _ in results] == list(range(count))
+    return {pid for _, pid in results}
+
+
+def _wait_until(predicate, timeout=20.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _pid_alive(pid: int) -> bool:
+    import os
+
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestWarmPool:
+    """Spawned workers start once, serve later calls and close when idle."""
+
+    def test_back_to_back_calls_reuse_workers(self):
+        first = _worker_pids()
+        assert len(first) == 2  # one job per idle worker before waiting
+        assert _worker_pids() == first
+
+    def test_idle_workers_close(self, monkeypatch):
+        import multiprocessing
+
+        from repro.parallel import pool
+
+        monkeypatch.setattr(pool, "IDLE_CLOSE_SECONDS", 0.2)
+        pids = _worker_pids()
+        assert _wait_until(lambda: not multiprocessing.active_children())
+        assert not any(_pid_alive(pid) for pid in pids)
+
+    def test_other_backend_gets_new_workers(self):
+        numpy_pids = _worker_pids(backend="numpy")
+        auto_pids = _worker_pids(backend="auto")
+        assert not numpy_pids & auto_pids
+
+    def test_shm_jobs_leave_no_mapping_in_warm_workers(self):
+        """Workers drop their mappings of a run's input segments once
+        the job's result is exported; the parent unlinks those
+        segments, so a kept mapping would only pin their memory."""
+        clip = make_sequence("miss_america", frames=3, seed=0)
+        v2 = encode_sequence(clip, qp=20, estimator="tss", bitstream_version=2)
+        index = FrameIndex.scan(v2.bitstream)
+        jobs = [ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))]
+        pids = _worker_pids()
+        assert run_jobs(jobs, workers=2, use_shm=True) == run_jobs(jobs, workers=1)
+        probes = run_jobs([AttachedProbeJob(0), AttachedProbeJob(1)], workers=2)
+        assert {pid for pid, _ in probes} == pids
+        assert [mapped for _, mapped in probes] == [0, 0]
+        assert not shm_segments()
+
+
+class TestPoolProtocol:
+    """A worker set returns to the cache only when every reply it owes
+    was read, so no later call can read a stale result."""
+
+    def test_dead_worker_fails_the_run_and_the_pool_is_rebuilt(self):
+        jobs = [SquareJob(1), CrashJob(), SquareJob(3), SquareJob(4)]
+        with pytest.raises(RuntimeError, match=r"parallel job failed \(crash\)"):
+            run_jobs(jobs, workers=2)
+        assert run_jobs([SquareJob(v) for v in range(4)], workers=2) == [0, 1, 4, 9]
+
+    def test_raising_progress_propagates_and_leaves_no_stale_reply(self):
+        def progress(_line):
+            raise KeyError("progress broke")
+
+        with pytest.raises(KeyError, match="progress broke"):
+            run_jobs([SquareJob(v) for v in range(6)], workers=2, progress=progress)
+        assert run_jobs([SquareJob(10), SquareJob(11)], workers=2) == [100, 121]
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("locked", "locked failure"), ("two-arg", "two-arg failure because args mismatch")],
+    )
+    def test_exception_that_cannot_cross_keeps_its_message(self, kind, message):
+        with pytest.raises(RuntimeError, match=rf"parallel job failed \(raise {kind}\): {message}"):
+            run_jobs([SquareJob(2), RaiseJob(kind)], workers=2)
+        assert run_jobs([SquareJob(5), SquareJob(6)], workers=2) == [25, 36]
+
+    def test_busy_pool_is_not_shared(self):
+        """A call made while the warm set is checked out — here from the
+        outer run's progress callback — runs on workers of its own."""
+        inner: list = []
+
+        def progress(_line):
+            if not inner:
+                inner.append(_worker_pids())
+
+        warm = _worker_pids()
+        outer = run_jobs([PidJob(i) for i in range(4)], workers=2, progress=progress)
+        assert [tag for tag, _ in outer] == [0, 1, 2, 3]
+        assert {pid for _, pid in outer} == warm
+        assert inner and not inner[0] & warm
+
+    def test_concurrent_callers_get_their_own_results(self):
+        import threading
+
+        barrier = threading.Barrier(2)
+        results: dict = {}
+
+        def call(base):
+            barrier.wait()
+            jobs = [PidJob(base + i, sleep_s=0.1) for i in range(4)]
+            results[base] = [tag for tag, _ in run_jobs(jobs, workers=2)]
+
+        threads = [threading.Thread(target=call, args=(base,)) for base in (0, 100)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert results == {0: [0, 1, 2, 3], 100: [100, 101, 102, 103]}
+
+
+def test_resource_tracker_stops_after_a_parallel_run():
+    """Stopping multiprocessing's resource tracker right after a 2-worker
+    shm run, before interpreter exit (what ``perfbench/run.py`` does),
+    must neither hang on warm workers holding the tracker's descriptor
+    nor report leaked semaphores or segments."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from multiprocessing import resource_tracker\n"
+        "from repro.codec.decoder import FrameIndex\n"
+        "from repro.codec.encoder import encode_sequence\n"
+        "from repro.parallel import ParseFrameJob, run_jobs\n"
+        "from repro.video.synthesis.sequences import make_sequence\n"
+        "clip = make_sequence('miss_america', frames=3, seed=0)\n"
+        "v2 = encode_sequence(clip, qp=20, estimator='tss', bitstream_version=2)\n"
+        "index = FrameIndex.scan(v2.bitstream)\n"
+        "jobs = [ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))]\n"
+        "assert run_jobs(jobs, workers=2, use_shm=True) == run_jobs(jobs, workers=1)\n"
+        "resource_tracker._resource_tracker._stop()\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "leaked" not in done.stderr
