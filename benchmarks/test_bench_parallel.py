@@ -37,15 +37,12 @@ def test_parallel_sweep_speedup_and_identity(sweep_config):
     # sources (the CLI's situation), so the serial leg pays its two
     # renders in-process and each worker pays its own — clear the
     # process memo in case an earlier bench in this session filled it.
-    # use_shm is pinned off so this bench keeps measuring the historical
-    # pickling transport ("auto" would switch the jobs=2 leg to shm —
-    # that path is timed separately in test_bench_transport.py).
     clear_render_cache()
     started = time.perf_counter()
-    serial = run_rd_sweep(sweep_config, estimators=("acbm",), jobs=1, use_shm=False)
+    serial = run_rd_sweep(sweep_config, estimators=("acbm",), jobs=1)
     serial_s = time.perf_counter() - started
     started = time.perf_counter()
-    parallel = run_rd_sweep(sweep_config, estimators=("acbm",), jobs=2, use_shm=False)
+    parallel = run_rd_sweep(sweep_config, estimators=("acbm",), jobs=2)
     parallel_s = time.perf_counter() - started
 
     assert parallel.cells == serial.cells

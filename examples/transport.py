@@ -1,23 +1,22 @@
 """Frame transport: shared-memory handles instead of pickled payloads.
 
-Demonstrates the `repro.transport` subsystem end to end:
+Demonstrates the `repro.transport` subsystem on the one path that uses
+it, the per-GOP parallel encode:
 
-1. encode a clip to a version-2 bitstream and split it into per-frame
-   parse jobs,
-2. place the payloads in a `FrameArena` and compare what actually
-   crosses a process boundary: the pickled spec shrinks from the whole
-   payload to a ~200-byte `FrameHandle`,
-3. run the parse jobs through the process pool both ways —
-   `run_jobs(..., use_shm=True)` against the default pickling
-   transport — and verify the results are identical,
-4. decode the whole stream with `decode_bitstream(jobs=2,
-   use_shm=True)`: the parse jobs' payloads go out and their parsed
-   arrays come back as handles, reconstruction runs here,
+1. cut a clip into GOPs and build one `GopEncodeJob` per GOP,
+2. place the first GOP's planes in a `FrameArena` and compare what
+   actually crosses a process boundary: the pickled spec shrinks from
+   every plane byte to a handful of ~100-byte `FrameHandle`s,
+3. encode with `encode_sequence_parallel(jobs=2, use_shm=True)` — the
+   workers read the planes out of shared memory — and verify the
+   spliced stream is byte-identical to the serial encode,
+4. decode the spliced stream and check it against the whole-buffer
+   decode of the serial stream,
 5. sweep `/dev/shm` to show nothing outlived the arenas.
 
 Run:
     python examples/transport.py
-    python examples/transport.py --frames 12 --qp 16
+    python examples/transport.py --frames 12 --qp 16 --i-period 4
 """
 
 import argparse
@@ -25,10 +24,10 @@ import glob
 import pickle
 
 from repro import make_sequence
-from repro.codec.decoder import FrameIndex, decode_bitstream
-from repro.codec.encoder import encode_sequence
-from repro.parallel import ParseFrameJob, run_jobs
-from repro.transport import FrameArena, FrameStore
+from repro.codec.decoder import decode_bitstream
+from repro.codec.encoder import Encoder
+from repro.parallel import GopEncodeJob, encode_sequence_parallel, split_gops
+from repro.transport import FrameArena
 
 
 def main() -> None:
@@ -36,45 +35,62 @@ def main() -> None:
     parser.add_argument("--frames", type=int, default=6)
     parser.add_argument("--qp", type=int, default=18)
     parser.add_argument("--estimator", default="tss")
-    # The decode below is whole-buffer, so chunking no longer applies;
-    # the option is still accepted so existing command lines run.
+    parser.add_argument("--i-period", type=int, default=2)
+    # Nothing here is chunked; the option is still accepted so existing
+    # command lines run.
     parser.add_argument("--chunk-size", type=int, default=1500, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    print(f"Encoding {args.frames} QCIF frames "
-          f"({args.estimator}, qp={args.qp}, v2)...")
     clip = make_sequence("carphone", frames=args.frames, seed=0)
-    encode = encode_sequence(
-        clip, qp=args.qp, estimator=args.estimator, bitstream_version=2
-    )
-    index = FrameIndex.scan(encode.bitstream)
-    jobs = [
-        ParseFrameJob(index.payload(encode.bitstream, i)) for i in range(len(index))
-    ]
+    geometry = clip.geometry
+    gops = split_gops(len(clip), args.i_period)
+    print(f"{args.frames} QCIF frames, i_period={args.i_period}: {len(gops)} GOPs "
+          f"({args.estimator}, qp={args.qp}, v2)")
 
-    print("\nWhat one parse job costs to pickle:")
+    start, end = gops[0]
+    job = GopEncodeJob(
+        width=geometry.width,
+        height=geometry.height,
+        start=start,
+        planes=tuple(
+            (f.y.tobytes(), f.cb.tobytes(), f.cr.tobytes(), f.index)
+            for f in list(clip)[start:end]
+        ),
+        estimator=args.estimator,
+        qp=args.qp,
+        i_period=args.i_period,
+    )
+    print("\nWhat one GOP job costs to pickle:")
     with FrameArena(name_prefix="repro-example") as arena:
-        plain, packed = jobs[0], jobs[0].pack_shm(FrameStore(arena))
-        print(f"  payload by value : {len(pickle.dumps(plain)):6d} bytes")
-        print(f"  payload by handle: {len(pickle.dumps(packed)):6d} bytes "
-              "(segment name + offset + shape + dtype)")
+        packed = job.pack_shm(arena)
+        print(f"  planes by value  : {len(pickle.dumps(job)):7d} bytes")
+        print(f"  planes by handle : {len(pickle.dumps(packed)):7d} bytes "
+              f"({3 * (end - start)} handles: segment name + offset + shape + dtype)")
 
-    print("\nParsing on 2 workers, both transports...")
-    pickled = run_jobs(jobs, workers=2)
-    shared = run_jobs(jobs, workers=2, use_shm=True)
-    print(f"  results identical: {shared == pickled}")
-
-    print("\nDecoding with parse jobs on 2 workers through shared memory...")
-    decoded = decode_bitstream(encode.bitstream, jobs=2, use_shm=True)
-    whole = decode_bitstream(encode.bitstream)
-    identical = len(decoded) == len(whole) and all(
-        a == b for a, b in zip(decoded, whole)
+    print("\nEncoding GOPs on 2 workers through shared memory...")
+    serial = Encoder(
+        estimator=args.estimator,
+        qp=args.qp,
+        i_period=args.i_period,
+        bitstream_version=2,
+        keep_reconstruction=False,
+    ).encode(clip)
+    shared = encode_sequence_parallel(
+        clip,
+        qp=args.qp,
+        estimator=args.estimator,
+        i_period=args.i_period,
+        jobs=2,
+        use_shm=True,
     )
-    print(f"\nbit-identical to whole-buffer decode: {identical}")
-    print(f"transport: {sum(len(job.payload) for job in jobs)} compressed bytes out "
-          "and the parsed symbols back as handles; reconstruction ran here, so "
-          f"{sum(f.y.nbytes + f.cb.nbytes + f.cr.nbytes for f in decoded)} decoded "
-          "bytes were never pickled")
+    print(f"  results identical: {shared.bitstream == serial.bitstream} "
+          f"({len(shared.bitstream)} bytes)")
+
+    decoded = decode_bitstream(shared.bitstream, jobs=2)
+    whole = decode_bitstream(serial.bitstream)
+    identical = len(decoded) == len(whole) and all(a == b for a, b in zip(decoded, whole))
+    print(f"\n2-worker decode of the spliced stream, bit-identical to whole-buffer decode: "
+          f"{identical}")
     leftovers = glob.glob("/dev/shm/repro-*")
     print(f"/dev/shm leftovers: {leftovers or 'none'}")
 

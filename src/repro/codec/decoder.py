@@ -702,7 +702,7 @@ class Decoder:
             return self._reader.bits_remaining >= PICTURE_HEADER_BITS
         return self._next < len(self._index) or self._index.error is not None
 
-    def _parse_in_workers(self, jobs: int, count: int | None, use_shm: bool) -> None:
+    def _parse_in_workers(self, jobs: int, count: int | None) -> None:
         """Parse the next ``count`` payloads (all when ``None``) as
         :class:`~repro.parallel.jobs.ParseFrameJob`\\ s on ``jobs``
         workers, for :meth:`decode_frame` to reconstruct in order.  A
@@ -717,9 +717,7 @@ class Decoder:
             ranges = ranges[:count]
         try:
             parsed = run_jobs(
-                [ParseFrameJob(payload=self._bitstream[s:e]) for s, e in ranges],
-                workers=jobs,
-                use_shm=use_shm,
+                [ParseFrameJob(payload=self._bitstream[s:e]) for s, e in ranges], workers=jobs
             )
         except RuntimeError:
             for _ in ranges:
@@ -760,7 +758,6 @@ def decode_bitstream(
     bitstream: bytes,
     frames: int | None = None,
     jobs: int = 1,
-    use_shm: bool = False,
     start_frame: int = 0,
 ) -> list[Frame]:
     """Decode ``frames`` pictures (or all that fit) from a bitstream.
@@ -771,11 +768,6 @@ def decode_bitstream(
     streams ignore ``jobs``.  Every mode returns bit-identical frames or
     raises the same first error in stream order, judging only the first
     ``frames`` pictures.
-
-    ``use_shm=True`` moves the parse jobs' frame payloads and parsed
-    symbols through shared memory instead of the worker pipe
-    (``run_jobs(..., use_shm=True)``); it changes transport only, never
-    bits, and is ignored when ``jobs`` stay serial.
 
     ``start_frame`` seeks: decoding starts at that picture (version 2
     only; must be an I-frame), with frame indices matching the full
@@ -791,7 +783,7 @@ def decode_bitstream(
     """
     decoder = Decoder(bitstream, start_frame=start_frame)
     if jobs > 1 and decoder.version == 2:
-        decoder._parse_in_workers(jobs, frames, use_shm)
+        decoder._parse_in_workers(jobs, frames)
     out = []
     while decoder.has_more and (frames is None or len(out) < frames):
         out.append(decoder.decode_frame())

@@ -213,31 +213,7 @@ def observe_pair(
     p: int = 15,
 ) -> list[BlockObservation]:
     """Every block's Fig. 4 observation for one consecutive frame pair
-    of a full rig stack — slices the pair out and delegates to
-    :func:`observe_frames`."""
-    return observe_frames(
-        frames[pair_index],
-        frames[pair_index + 1],
-        pair_index,
-        motion,
-        block_size=block_size,
-        p=p,
-    )
-
-
-def observe_frames(
-    reference: np.ndarray,
-    current: np.ndarray,
-    pair_index: int,
-    motion: tuple[int, int],
-    block_size: int = 16,
-    p: int = 15,
-) -> list[BlockObservation]:
-    """Every block's Fig. 4 observation for one explicit frame pair.
-
-    The two-frame seam exists so shared-memory workers holding just the
-    pair's handles (not the whole rig) can still stamp the correct
-    ``frame_pair`` index on each observation.
+    of a full rig stack.
 
     One engine pass per frame pair: every block's full SAD surface
     (also the backing store of SAD_deviation), the FSBM minima with
@@ -245,6 +221,7 @@ def observe_frames(
     block-for-block identical to running full_search_sads /
     select_minimum / sad_deviation per macroblock.
     """
+    reference, current = frames[pair_index], frames[pair_index + 1]
     dx, dy = motion
     truth = MotionVector(2 * dx, 2 * dy)
     surfaces = frame_sad_surfaces(current, reference, block_size, p)
@@ -281,7 +258,6 @@ def run_fig4(
     seed: int = 0,
     jobs: int = 1,
     progress=None,
-    use_shm: bool | str = "auto",
 ) -> Fig4Result:
     """Run the Fig. 3 rig and return the Fig. 4 observations.
 
@@ -300,11 +276,6 @@ def run_fig4(
         in pair order, so the result is identical for any value.
     progress:
         Optional per-pair progress callable.
-    use_shm:
-        Transport for parallel runs, forwarded to
-        :func:`~repro.parallel.pool.run_jobs`; the default ``"auto"``
-        ships the rig as shared-memory handles whenever workers spawn.
-        Observations are identical under every mode.
     """
     motions = tuple(motions)
     result = Fig4Result()
@@ -335,8 +306,6 @@ def run_fig4(
         )
         for i in range(len(motions))
     ]
-    for observations in run_jobs(
-        pair_jobs, workers=jobs, base_seed=seed, progress=progress, use_shm=use_shm
-    ):
+    for observations in run_jobs(pair_jobs, workers=jobs, base_seed=seed, progress=progress):
         result.observations.extend(observations)
     return result

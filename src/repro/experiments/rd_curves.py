@@ -139,7 +139,6 @@ def run_rd_sweep(
     sequences_cache: dict[str, Sequence] | None = None,
     progress=None,
     jobs: int = 1,
-    use_shm: bool | str = "auto",
 ) -> RDSweepResult:
     """Run the full sweep.
 
@@ -160,13 +159,6 @@ def run_rd_sweep(
         Worker processes; 1 (the default) runs in-process.  The result
         is byte-identical for any value — cells merge in job order and
         every job's inputs are derived from explicit seeds.
-    use_shm:
-        Transport for parallel runs, forwarded to
-        :func:`~repro.parallel.pool.run_jobs`.  The default ``"auto"``
-        ships each clip's source render to workers as shared-memory
-        handles (rendered once in this process, including from
-        ``sequences_cache`` via the borrowed memo) whenever workers
-        actually spawn.  Cells are byte-identical under every mode.
     """
     config = config or ExperimentConfig()
     with borrowed_renders(sequences_cache or {}, config):
@@ -175,6 +167,5 @@ def run_rd_sweep(
             workers=jobs,
             base_seed=config.seed,
             progress=progress,
-            use_shm=use_shm,
         )
     return RDSweepResult(config=config, cells=list(cells))

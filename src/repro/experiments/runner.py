@@ -41,10 +41,9 @@ P-frames — serially, or per-GOP across workers with a byte-identical
 splice; ``seek-decode`` random-accesses a v2 stream at an I-frame and
 optionally gates the tail against the full decode.
 
-Every subcommand that shards work with ``--jobs`` also takes
-``--shm``/``--no-shm`` to pin the transport (shared-memory handles vs
-pickled payloads); the default is automatic — shm exactly when workers
-spawn — and stdout is byte-identical in every mode.
+``gop-encode --jobs N --shm`` ships each GOP's source planes to the
+workers through shared memory instead of pickling them; the spliced
+stream and stdout are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -98,20 +97,11 @@ def _progress(message: str) -> None:
     print(f"  ... {message}", file=sys.stderr, flush=True)
 
 
-def _use_shm(args: argparse.Namespace) -> bool | str:
-    """The transport mode the experiment drivers receive: an explicit
-    ``--shm``/``--no-shm`` wins, otherwise ``"auto"`` (shared memory
-    exactly when workers spawn).  Output is byte-identical either way —
-    the flag exists for benchmarking and for pinning one path in CI."""
-    return "auto" if args.shm is None else args.shm
-
-
 def cmd_fig4(args: argparse.Namespace) -> None:
     result = run_fig4(
         seed=args.seed,
         jobs=args.jobs,
         progress=_progress if args.verbose else None,
-        use_shm=_use_shm(args),
     )
     print(result.as_text())
     print()
@@ -125,7 +115,6 @@ def cmd_rd(args: argparse.Namespace, fps: int) -> None:
         config,
         progress=_progress if args.verbose else None,
         jobs=args.jobs,
-        use_shm=_use_shm(args),
     )
     print(sweep.as_text(fps))
 
@@ -136,7 +125,6 @@ def cmd_table1(args: argparse.Namespace) -> None:
         config,
         progress=_progress if args.verbose else None,
         jobs=args.jobs,
-        use_shm=_use_shm(args),
     )
     print(table.as_text())
     print(f"\nmax reduction vs FSBM: {table.max_reduction():.1%}")
@@ -321,7 +309,7 @@ def cmd_gop_encode(args: argparse.Namespace) -> int:
                 n_ref_frames=args.n_ref_frames,
                 jobs=args.jobs,
                 progress=_progress if args.verbose else None,
-                use_shm=_use_shm(args),
+                use_shm=args.shm,
             )
         else:
             result = Encoder(
@@ -487,7 +475,6 @@ def cmd_all(args: argparse.Namespace) -> None:
             config,
             progress=_progress if args.verbose else None,
             jobs=args.jobs,
-            use_shm=_use_shm(args),
         ),
     )
     for fps in config.fps_list:
@@ -576,12 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--fps", nargs="+", type=int, default=None, metavar="FPS",
         help="frame rates to sweep (default: 30 10)",
-    )
-    common.add_argument(
-        "--shm", action=argparse.BooleanOptionalAction, default=None,
-        help="transport for parallel runs: --shm forces the shared-memory "
-        "path, --no-shm forces pickling; default is automatic (shm whenever "
-        "workers spawn).  Output is byte-identical in every mode",
     )
     _add_backend_option(common)
     _add_obs_options(common)
@@ -685,6 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     gop_encode.add_argument(
         "--estimator", default="tss", metavar="NAME",
         help="registry name of the motion search (default tss)",
+    )
+    gop_encode.add_argument(
+        "--shm", action="store_true",
+        help="with --jobs N, ship each GOP's source planes to the workers "
+        "through shared memory instead of pickling them (output is "
+        "byte-identical either way)",
     )
     seek = sub.add_parser(
         "seek-decode",

@@ -95,20 +95,16 @@ def run_table1(
     sweep: RDSweepResult | None = None,
     progress=None,
     jobs: int = 1,
-    use_shm: bool | str = "auto",
 ) -> Table1Result:
     """Produce Table 1, reusing a prior RD sweep when given one.
 
     ``jobs`` shards the underlying encode jobs across processes (see
-    :func:`repro.experiments.rd_curves.run_rd_sweep`) and ``use_shm``
-    picks their transport (default ``"auto"``: shared memory whenever
-    workers spawn); the table is byte-identical for any combination.
+    :func:`repro.experiments.rd_curves.run_rd_sweep`); the table is
+    byte-identical for any value.
     """
     config = config or ExperimentConfig()
     if sweep is None:
-        sweep = run_rd_sweep(
-            config, estimators=("acbm",), progress=progress, jobs=jobs, use_shm=use_shm
-        )
+        sweep = run_rd_sweep(config, estimators=("acbm",), progress=progress, jobs=jobs)
     columns: dict[tuple[str, int], dict[int, float]] = {}
     for cell in sweep.cells:
         if cell.estimator != "acbm":

@@ -45,7 +45,7 @@ def encode_sequence_parallel(
     base_seed: int = 0,
     bitstream_version: int = 2,
     progress: ProgressFn | None = None,
-    use_shm: bool | str = False,
+    use_shm: bool = False,
 ) -> EncodeResult:
     """Encode ``sequence`` GOP-by-GOP across ``jobs`` workers.
 
@@ -62,9 +62,7 @@ def encode_sequence_parallel(
     ``use_shm=True`` ships each GOP's source planes to workers as
     shared-memory :class:`~repro.transport.FrameHandle` references
     (``GopEncodeJob.pack_shm``) instead of pickled bytes — byte-identical
-    output, cheaper transport for large sequences.  ``"auto"`` defers
-    to :func:`~repro.parallel.pool.run_jobs`: shm exactly when workers
-    actually spawn.
+    output; ignored when ``jobs`` stay serial.
     """
     if i_period is None:
         raise ValueError("parallel GOP encode needs i_period: without GOP cuts there "

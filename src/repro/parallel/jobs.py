@@ -8,23 +8,18 @@ invokes in whatever process the job lands.  Specs are hashable and
 carry only primitives/frozen configs, so they pickle cheaply across the
 ``spawn`` boundary and can key caches and dedup sets.
 
-On the **pickling transport** workers re-derive their inputs from the
-spec: sequence renders are memoized **per process**
-(:func:`rendered_source`), so a worker that executes several cells of
-the same clip pays the synthesis cost once, exactly like the serial
-harness's shared cache.  Pool workers stay warm across ``run_jobs``
-calls, so the memo lives as long as the worker does.  All rendering takes explicit seeds from the
-spec, which is what makes job outputs independent of placement and
-execution order.
+Workers re-derive their inputs from the spec: sequence renders are
+memoized **per process** (:func:`rendered_source`), so a worker that
+executes several cells of the same clip pays the synthesis cost once,
+exactly like the serial harness's shared cache.  Pool workers stay warm
+across ``run_jobs`` calls, so the memo lives as long as the worker
+does.  All rendering takes explicit seeds from the spec, which is what
+makes job outputs independent of placement and execution order.
 
-On the **shared-memory transport** the per-process memo is retired
-from the worker side entirely: ``pack_shm`` rewrites each spec against
-a parent-owned :class:`~repro.transport.FrameStore`, which renders each
-distinct source exactly once and hands every spec the same handles —
-workers attach the segments and never render (or memo) anything.  The
-memo keeps serving the parent and the pickling path; both transports
-produce byte-identical results because the render recipes are
-deterministic in ``(name, frames, seed, geometry)``.
+:class:`GopEncodeJob` is the one spec that carries pixels; under
+``run_jobs(..., use_shm=True)`` its ``pack_shm`` moves them into a
+parent-owned :class:`~repro.transport.FrameArena` and the spec carries
+handles instead.  Every other spec is the base-class identity.
 
 Heavy imports (codec, experiments) happen inside ``run`` bodies: the
 experiment modules import this package to build job lists, so importing
@@ -43,7 +38,7 @@ from repro.experiments.config import ExperimentConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.rd_curves import SweepCell
-    from repro.transport import FrameHandle, FrameStore, SharedSequence
+    from repro.transport import FrameArena, FrameHandle
     from repro.video.frame import FrameGeometry
     from repro.video.sequence import Sequence
 
@@ -53,15 +48,11 @@ class JobSpec:
     one-line progress label.  Subclasses are frozen dataclasses.
 
     ``pack_shm`` is the zero-copy seam: handed a
-    :class:`~repro.transport.FrameStore` it returns a spec whose bulk
+    :class:`~repro.transport.FrameArena` it returns a spec whose bulk
     payloads live in shared memory
     (:class:`~repro.transport.FrameHandle`\\ s instead of the bytes).
-    Specs that carry one-off blobs use :meth:`FrameStore.place`
-    directly; the experiment specs (:class:`EncodeJob`,
-    :class:`SweepJob`, :class:`Fig4PairJob`) go through the store's
-    memoized render surface, so every cell of a sweep shares one placed
-    copy of its source.  The default is the identity — a spec with no
-    bulk payload behaves identically under both transports.
+    Only :class:`GopEncodeJob` overrides it; the default is the
+    identity.
     """
 
     def run(self, rng: np.random.Generator | None = None):
@@ -70,15 +61,13 @@ class JobSpec:
     def describe(self) -> str:
         return repr(self)
 
-    def pack_shm(self, store: "FrameStore") -> "JobSpec":
+    def pack_shm(self, arena: "FrameArena") -> "JobSpec":
         return self
 
 
 #: Per-process memo of 30 fps source renders keyed by
 #: ``(name, frames, seed, geometry)``.  Bounded by the experiment's
 #: sequence roster (four clips in the paper's setup), so no eviction.
-#: Pickle-path only in workers: under shared-memory transport specs
-#: arrive pre-packed with handles and never consult this memo.
 _RENDER_CACHE: dict = {}
 
 
@@ -86,11 +75,8 @@ def rendered_source(name: str, config: ExperimentConfig) -> "Sequence":
     """The 30 fps source render for ``name`` under ``config``, memoized
     in this process.
 
-    Callers: the parent (directly and through
-    :meth:`repro.transport.FrameStore.source_frames`) and
-    pickle-transport workers re-deriving an :class:`EncodeJob`'s
-    source.  Shm-transport workers read handles instead and never reach
-    this function."""
+    Callers: the parent and the workers re-deriving an
+    :class:`EncodeJob`'s source."""
     key = (name, config.frames, config.seed, config.geometry)
     source = _RENDER_CACHE.get(key)
     if source is None:
@@ -144,13 +130,8 @@ def clear_render_cache() -> None:
 class EncodeJob(JobSpec):
     """One RD-sweep cell: encode one clip variant, summarize the run.
 
-    The 30 fps source travels one of two ways: absent ``source`` (the
-    pickling path) the worker re-renders it from ``(sequence, config)``
-    through the per-process memo; with ``source`` set (:meth:`pack_shm`
-    against a :class:`~repro.transport.FrameStore`) the pixels stay in
-    shared memory and the spec carries only handles — every cell of the
-    same clip shares one placed render.  Both paths feed the encoder
-    the same frames, so the resulting :class:`SweepCell` is identical.
+    The worker re-renders the 30 fps source from ``(sequence, config)``
+    through the per-process memo, so the spec carries no pixels.
     """
 
     sequence: str
@@ -158,28 +139,15 @@ class EncodeJob(JobSpec):
     estimator: str
     qp: int
     config: ExperimentConfig
-    #: Shared-memory twin of the rendered source (``None`` ⇒ render in
-    #: the worker).
-    source: "SharedSequence | None" = None
 
     def describe(self) -> str:
         return f"{self.sequence}@{self.fps}fps {self.estimator} qp={self.qp}"
-
-    def pack_shm(self, store: "FrameStore") -> "EncodeJob":
-        if self.source is not None:
-            return self
-        return replace(self, source=store.source_frames(self.sequence, self.config))
 
     def run(self, rng: np.random.Generator | None = None) -> "SweepCell":
         from repro.codec.encoder import Encoder
         from repro.experiments.rd_curves import SweepCell, build_estimator
 
-        if self.source is not None:
-            from repro.transport import materialize
-
-            source = materialize(self.source, unlink=False)
-        else:
-            source = rendered_source(self.sequence, self.config)
+        source = rendered_source(self.sequence, self.config)
         clip = source.subsample(self.config.subsample_factor(self.fps))
         encoder = Encoder(
             estimator=build_estimator(self.estimator, self.config),
@@ -208,22 +176,12 @@ class SweepJob(JobSpec):
     """A whole RD sweep as one spec; :meth:`expand` yields the per-cell
     :class:`EncodeJob` list in the canonical (sequence, fps, estimator,
     Qp) order every consumer merges by.  Running the spec itself
-    executes its cells serially — the whole sweep as one dispatch unit.
-
-    :meth:`pack_shm` packs the *expanded* cells, so the sweep's sources
-    ride as handles: the store memoizes per distinct render, meaning a
-    four-clip sweep places four source copies no matter how many cells
-    reference them."""
+    executes its cells serially — the whole sweep as one dispatch unit."""
 
     config: ExperimentConfig
     estimators: tuple[str, ...]
-    #: Shared-memory twin of :meth:`expand`'s cell list (``None`` ⇒
-    #: expand and render in the worker).
-    cells: tuple[EncodeJob, ...] | None = None
 
     def expand(self) -> tuple[EncodeJob, ...]:
-        if self.cells is not None:
-            return self.cells
         return tuple(
             EncodeJob(sequence=name, fps=fps, estimator=estimator, qp=qp, config=self.config)
             for name in self.config.sequences
@@ -237,11 +195,6 @@ class SweepJob(JobSpec):
             f"sweep {'/'.join(self.config.sequences)} x {'/'.join(self.estimators)} "
             f"x {len(self.config.qps)} qps"
         )
-
-    def pack_shm(self, store: "FrameStore") -> "SweepJob":
-        if self.cells is not None:
-            return self
-        return replace(self, cells=tuple(cell.pack_shm(store) for cell in self.expand()))
 
     def run(self, rng: np.random.Generator | None = None) -> "tuple[SweepCell, ...]":
         return tuple(job.run(rng=rng) for job in self.expand())
@@ -261,32 +214,17 @@ class ParseFrameJob(JobSpec):
     The job runs :func:`~repro.codec.decoder.parse_payload`, the same
     per-payload parse and length check every decode mode runs, so a
     corrupt length field fails here with the serial decoder's error.
-
-    The payload travels by value or as a shared-memory handle
-    (:meth:`pack_shm`); the parsed symbols are identical either way.
     """
 
-    payload: bytes | None
-    payload_handle: "FrameHandle | None" = None
+    payload: bytes
 
     def describe(self) -> str:
-        size = len(self.payload) if self.payload is not None else self.payload_handle.nbytes
-        return f"parse {size}B frame"
-
-    def pack_shm(self, store: "FrameStore") -> "ParseFrameJob":
-        if self.payload is None:
-            return self
-        return replace(self, payload=None, payload_handle=store.place(self.payload))
+        return f"parse {len(self.payload)}B frame"
 
     def run(self, rng: np.random.Generator | None = None):
         from repro.codec.decoder import parse_payload
 
-        payload = self.payload
-        if payload is None:
-            from repro.transport import read_array
-
-            payload = read_array(self.payload_handle).tobytes()
-        return parse_payload(payload)
+        return parse_payload(self.payload)
 
 
 @dataclass(frozen=True)
@@ -304,7 +242,7 @@ class GopEncodeJob(JobSpec):
     decisions because a GOP never outlives ``i_period`` frames.
 
     Frames travel as raw plane bytes (hashable, pickle-cheap), or — when
-    the pool runs under shared-memory transport — as
+    the pool runs with ``use_shm=True`` — as
     :class:`~repro.transport.FrameHandle` references (:meth:`pack_shm`),
     so a GOP's source planes cross the spawn boundary as ~200-byte
     handles instead of megabytes of pickled bytes.  Workers rebuild the
@@ -332,10 +270,10 @@ class GopEncodeJob(JobSpec):
         frames = self.planes if self.planes is not None else self.plane_handles
         return f"gop @{self.start} ({len(frames)} frames)"
 
-    def pack_shm(self, store: "FrameStore") -> "GopEncodeJob":
+    def pack_shm(self, arena: "FrameArena") -> "GopEncodeJob":
         if self.planes is None:
             return self
-        place = store.place
+        place = arena.place
         return replace(
             self,
             planes=None,
@@ -395,13 +333,8 @@ class Fig4PairJob(JobSpec):
     """One frame pair of the Fig. 3 rig: run batched FSBM over the
     pair, classify every block.
 
-    Pickling path: the worker renders the whole rig (memoized per
-    process via ``rig_frames_cached``) and slices out its pair.
-    Shared-memory path (:meth:`pack_shm`): the parent's
-    :class:`~repro.transport.FrameStore` places the rig stack once and
-    the spec carries just the two :class:`~repro.transport.FrameHandle`
-    leaves it observes — the worker never renders the rig.  Both paths
-    classify identical pixels, so observations match bit-for-bit.
+    The worker renders the whole rig (memoized per process via
+    ``rig_frames_cached``) and slices out its pair.
     """
 
     pair_index: int
@@ -410,33 +343,16 @@ class Fig4PairJob(JobSpec):
     p: int = 15
     block_size: int = 16
     seed: int = 0
-    #: Shared-memory twin of ``(frames[i], frames[i+1])`` (``None`` ⇒
-    #: render the rig in the worker).
-    pair: "tuple[FrameHandle, FrameHandle] | None" = None
 
     def describe(self) -> str:
         dx, dy = self.motions[self.pair_index]
         return f"fig4 pair {self.pair_index} (commanded {dx:+d},{dy:+d})"
 
-    def pack_shm(self, store: "FrameStore") -> "Fig4PairJob":
-        if self.pair is not None:
-            return self
-        handles = store.rig_frames(self.motions, self.geometry, self.p, self.seed)
-        return replace(self, pair=(handles[self.pair_index], handles[self.pair_index + 1]))
-
     def run(self, rng: np.random.Generator | None = None):
-        from repro.experiments.fig4_characterization import observe_frames, rig_frames_cached
+        from repro.experiments.fig4_characterization import observe_pair, rig_frames_cached
 
-        if self.pair is not None:
-            from repro.transport import read_array
-
-            reference, current = (read_array(h) for h in self.pair)
-        else:
-            frames = rig_frames_cached(self.motions, self.geometry, self.p, self.seed)
-            reference, current = frames[self.pair_index], frames[self.pair_index + 1]
-        return observe_frames(
-            reference,
-            current,
+        return observe_pair(
+            rig_frames_cached(self.motions, self.geometry, self.p, self.seed),
             self.pair_index,
             self.motions[self.pair_index],
             block_size=self.block_size,

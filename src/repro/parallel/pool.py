@@ -67,25 +67,17 @@ order.  Jobs that want explicit randomness receive a
 Shared-memory transport
 -----------------------
 
-``use_shm=True`` moves job payloads and result arrays through
-:mod:`repro.transport` instead of the pipe's pickle stream: specs
-are repacked via ``JobSpec.pack_shm`` against a run-scoped
-:class:`~repro.transport.FrameStore` (a render-once memo over a
-:class:`~repro.transport.FrameArena`; workers attach segments on first
-use), and workers :func:`~repro.transport.export` their results'
-arrays into one-shot segments the parent materializes and unlinks as
-each job completes.  What crosses the pipe is handles — a few
-hundred bytes per value.  Results are bit-identical to the default
-pickling path (``use_shm=False``, which remains exactly the historical
-code path); the flag only changes how bytes travel.  In-process runs
-(``workers <= 1``) have no boundary to cross and ignore the flag.
-
-``use_shm="auto"`` resolves per call: shared memory when the run will
-actually spawn workers (``workers >= 2`` and more than one job) *and*
-at least one spec overrides ``pack_shm`` — otherwise the pickling
-path.  This is what the experiment harnesses pass by default, so
-``--jobs N`` gets zero-copy for free without changing single-process
-behaviour.
+``use_shm=True`` is how :func:`repro.parallel.encode_sequence_parallel`
+ships GOP source planes: each spec is repacked through
+``JobSpec.pack_shm`` against a run-scoped
+:class:`~repro.transport.FrameArena`, so what crosses the pipe is
+:class:`~repro.transport.FrameHandle`\\ s and the workers read the
+planes out of shared memory.  Only
+:class:`~repro.parallel.jobs.GopEncodeJob` packs anything; every other
+spec, and every result, travels by pickle.  The arena closes when the
+run ends, on success and failure alike.  Results are bit-identical to
+the default ``use_shm=False``; in-process runs (``workers <= 1``) have
+no boundary to cross and ignore the flag.
 """
 
 from __future__ import annotations
@@ -105,6 +97,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.obs import trace
+from repro.transport import FrameArena, detach_all
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.jobs import JobSpec
@@ -177,7 +170,6 @@ class WorkerTraceFailure(RuntimeError):
 def _run_worker_job(
     job: "JobSpec",
     seed_seq: np.random.SeedSequence,
-    use_shm: bool = False,
     backend: str | None = None,
     collect_trace: bool = False,
 ):
@@ -195,22 +187,18 @@ def _run_worker_job(
     the result for the parent to adopt.  A failing job raises
     :class:`WorkerTraceFailure` so the partial events still cross.
 
-    Under ``use_shm`` the result's arrays are exported to a one-shot
-    shared segment before the return value crosses the pickle boundary
-    — the parent materializes (and unlinks) them as the job lands.
-    Results without array payloads are returned as-is either way.  The
-    worker then drops its mappings of the run's input segments: it
-    outlives the run, and the parent unlinks those segments when the
-    run ends, so a cached mapping would only pin their memory.
+    The worker then drops whatever shared-memory mappings the job
+    opened: it outlives the run, and the parent unlinks the run's
+    segments when the run ends, so a cached mapping would only pin
+    their memory.
     """
     if backend is not None:
         from repro.kernels import set_backend
 
         set_backend(backend)
-    events = None
-    if not collect_trace:
-        result = execute_job(job, seed_seq)
-    else:
+    try:
+        if not collect_trace:
+            return execute_job(job, seed_seq)
         tracer = trace.TRACER
         tracer.enable()
         try:
@@ -220,13 +208,9 @@ def _run_worker_job(
             tracer.disable()
             raise WorkerTraceFailure(str(exc), tracer.drain(), type(exc).__name__) from exc
         tracer.disable()
-        events = tracer.drain()
-    if use_shm:
-        from repro.transport import detach_all, export
-
-        result = export(result, name_prefix="repro-result")
+        return result, tracer.drain()
+    finally:
         detach_all()
-    return (result, events) if collect_trace else result
 
 
 @contextmanager
@@ -255,18 +239,16 @@ def _exported_package_path():
             os.environ["PYTHONPATH"] = before
 
 
-def _spawn_backend_name(backend: str | None) -> str | None:
+def _spawn_backend_name() -> str | None:
     """The kernel-backend name to pin in spawned workers.
 
-    An explicit request wins; otherwise the parent's *active* backend is
-    shipped when it carries a registry name, so a runner-level
-    ``--backend`` (or ``REPRO_BACKEND``) choice survives the spawn
-    boundary without each call site threading it through.  Instance
-    backends without a registry name (e.g. the ``numba-sim`` test
-    backend) never cross — workers re-resolve from their environment.
+    The parent's *active* backend is shipped when it carries a registry
+    name, so a runner-level ``--backend`` (or ``REPRO_BACKEND``) choice
+    survives the spawn boundary without each call site threading it
+    through.  Instance backends without a registry name (e.g. the
+    ``numba-sim`` test backend) never cross — workers re-resolve from
+    their environment.
     """
-    if backend is not None:
-        return backend
     from repro.kernels import get_backend
 
     name = get_backend().name
@@ -279,8 +261,7 @@ def run_jobs(
     *,
     base_seed: int = 0,
     progress: ProgressFn | None = None,
-    use_shm: bool | str = False,
-    backend: str | None = None,
+    use_shm: bool = False,
 ) -> list:
     """Execute ``jobs`` and return their results in job order.
 
@@ -299,39 +280,27 @@ def run_jobs(
         Optional per-job callable; see :data:`ProgressFn` for the
         exactly-once-per-job guarantee.
     use_shm:
-        Move payload arrays through shared memory instead of the pickle
-        stream (see the module docstring).  ``"auto"`` turns shm on
-        exactly when the run spawns workers and at least one spec is
-        shm-capable (overrides ``pack_shm``).  Results are
-        bit-identical in every mode; ``False`` is exactly the
-        historical pickling path.
-    backend:
-        Kernel-backend registry name to pin in workers (and, for the
-        in-process path, around the run).  ``None`` ships the parent's
-        active backend's name automatically — see
-        :func:`_spawn_backend_name`.  Backends are bit-identical, so
-        this never changes results, only worker speed.
+        Pack the specs' payloads into shared memory instead of the
+        pickle stream (see the module docstring).  Results are
+        bit-identical either way.
+
+    Spawned workers run on the parent's active kernel backend (see
+    :func:`_spawn_backend_name`); backends are bit-identical, so this
+    never changes results, only worker speed.
     """
     job_list = list(jobs)
     if not job_list:
         return []
     seeds = derive_job_seeds(base_seed, len(job_list))
     workers = max(1, int(workers))
-    use_shm = _resolve_use_shm(use_shm, job_list, workers)
     with trace.span("run_jobs", jobs=len(job_list), workers=workers, use_shm=use_shm):
         if workers == 1 or len(job_list) == 1:
             # Per-job reseeding must happen here too (or jobs consuming the
             # global RNG would differ between worker counts), but the
             # caller's global RNG stream is not ours to consume — save and
             # restore it so ``run_jobs`` is side-effect-free in-process,
-            # exactly like the parallel path (which reseeds only workers,
-            # and likewise pins the backend only in workers).
-            from repro.kernels import get_backend, set_backend
-
+            # exactly like the parallel path (which reseeds only workers).
             rng_state = np.random.get_state()
-            previous_backend = get_backend() if backend is not None else None
-            if backend is not None:
-                set_backend(backend)
             try:
                 results = []
                 for job, seed_seq in zip(job_list, seeds):
@@ -342,53 +311,18 @@ def run_jobs(
                 return results
             finally:
                 np.random.set_state(rng_state)
-                if previous_backend is not None:
-                    set_backend(previous_backend)
-        spawn_backend = _spawn_backend_name(backend)
+        backend = _spawn_backend_name()
         # Workers are fresh spawned processes whose tracer starts
         # disabled; ship the parent's tracing state so their spans come
         # back with the results (see _run_worker_job).
         collect_trace = trace.TRACER.enabled
         if not use_shm:
-            return _run_parallel(
-                job_list, seeds, workers, progress, use_shm=False,
-                backend=spawn_backend, collect_trace=collect_trace,
-            )
-        from repro.transport import FrameArena, FrameStore
-
+            return _run_parallel(job_list, seeds, workers, progress, backend, collect_trace)
         # The arena must outlive every worker read of a packed spec, i.e.
-        # the whole parallel run; its exit unlinks all input segments
-        # (including every source the store rendered).  Result segments are
-        # one-shot exports the parent materializes (and unlinks) as each
-        # job completes — see _run_worker_job.
+        # the whole parallel run; its exit unlinks every segment.
         with FrameArena(name_prefix="repro-jobs") as arena:
-            store = FrameStore(arena)
-            packed = [job.pack_shm(store) for job in job_list]
-            return _run_parallel(
-                packed, seeds, workers, progress, use_shm=True,
-                backend=spawn_backend, collect_trace=collect_trace,
-            )
-
-
-def _resolve_use_shm(use_shm: bool | str, job_list: list, workers: int) -> bool:
-    """Resolve the ``use_shm`` mode to a concrete bool.
-
-    ``"auto"`` means: shared memory exactly when the run will spawn
-    workers (``workers >= 2`` and more than one job — otherwise the
-    in-process fallback runs and there is no boundary to cross) and at
-    least one spec is shm-capable, i.e. overrides
-    ``JobSpec.pack_shm``.  An all-identity job list would pay arena
-    setup for nothing, so it stays on the pickling path.
-    """
-    if isinstance(use_shm, bool):
-        return use_shm
-    if use_shm != "auto":
-        raise ValueError(f"use_shm must be True, False or 'auto', got {use_shm!r}")
-    if workers < 2 or len(job_list) < 2:
-        return False
-    from repro.parallel.jobs import JobSpec
-
-    return any(type(job).pack_shm is not JobSpec.pack_shm for job in job_list)
+            packed = [job.pack_shm(arena) for job in job_list]
+            return _run_parallel(packed, seeds, workers, progress, backend, collect_trace)
 
 
 class _WorkerSet:
@@ -496,22 +430,19 @@ def _worker_loop(conn) -> None:
         except EOFError:
             return
         except Exception as exc:  # a job that does not unpickle in this process
-            conn.send_bytes(_reply_bytes((False, exc), False, False))
+            conn.send_bytes(_reply_bytes((False, exc)))
             continue
-        job, seed_seq, use_shm, backend, collect_trace = task
         try:
-            reply = (True, _run_worker_job(job, seed_seq, use_shm, backend, collect_trace))
+            reply = (True, _run_worker_job(*task))
         except Exception as exc:
             reply = (False, exc)
         try:
-            conn.send_bytes(_reply_bytes(reply, use_shm, collect_trace))
-        except OSError:  # the parent is gone: nobody will unlink the export
-            if reply[0] and use_shm:
-                _discard_exported(reply[1], collect_trace)
+            conn.send_bytes(_reply_bytes(reply))
+        except OSError:  # the parent is gone
             return
 
 
-def _reply_bytes(reply: tuple, use_shm: bool, collect_trace: bool) -> bytes:
+def _reply_bytes(reply: tuple) -> bytes:
     """Pickle a worker reply so the parent can always rebuild it.
 
     A job exception that does not survive a pickle round trip (unpicklable
@@ -527,22 +458,8 @@ def _reply_bytes(reply: tuple, use_shm: bool, collect_trace: bool) -> bytes:
         return data
     except Exception as exc:
         if ok:
-            if use_shm:
-                _discard_exported(payload, collect_trace)
             return ForkingPickler.dumps((False, RuntimeError(f"result could not be pickled: {exc}")))
         return ForkingPickler.dumps((False, RuntimeError(str(payload))))
-
-
-def _discard_exported(payload, traced: bool) -> None:
-    """Unlink the result segment of an exported reply nobody will
-    materialize, so every exit path leaves ``/dev/shm`` as clean as
-    success does."""
-    from repro.transport import materialize
-
-    try:
-        materialize(payload[0] if traced else payload, unlink=True)
-    except Exception:  # pragma: no cover - best-effort cleanup
-        pass
 
 
 def _run_parallel(
@@ -550,14 +467,13 @@ def _run_parallel(
     seeds: list,
     workers: int,
     progress: ProgressFn | None,
-    use_shm: bool,
-    backend: str | None = None,
-    collect_trace: bool = False,
+    backend: str | None,
+    collect_trace: bool,
 ) -> list:
     pool = _checkout((workers, backend))
     try:
         pool.grow(min(workers, len(job_list)))
-        return _dispatch(pool, job_list, seeds, progress, use_shm, backend, collect_trace)
+        return _dispatch(pool, job_list, seeds, progress, backend, collect_trace)
     finally:
         _checkin(pool)
 
@@ -567,7 +483,6 @@ def _dispatch(
     job_list: list,
     seeds: list,
     progress: ProgressFn | None,
-    use_shm: bool,
     backend: str | None,
     collect_trace: bool,
 ) -> list:
@@ -575,9 +490,8 @@ def _dispatch(
     worker, and collect results in job order.
 
     Fail-fast: the first failure stops dispatch; the jobs already in
-    flight are drained (their replies read, their exports unlinked)
-    before the error propagates, which is also what keeps ``pool``
-    reusable."""
+    flight are drained (their replies read) before the error
+    propagates, which is also what keeps ``pool`` reusable."""
     results: list = [None] * len(job_list)
     idle = pool.conns[: len(job_list)]
     busy: dict = {}
@@ -590,7 +504,7 @@ def _dispatch(
                 conn = idle.pop()
                 job = job_list[next_index]
                 try:
-                    conn.send((job, seeds[next_index], use_shm, backend, collect_trace))
+                    conn.send((job, seeds[next_index], backend, collect_trace))
                 except Exception as exc:  # an unpicklable spec, or the worker is gone
                     pool.broken |= isinstance(exc, OSError)
                     raise _job_failed(job, exc) from exc
@@ -610,15 +524,11 @@ def _dispatch(
                 if collect_trace:
                     payload, worker_events = payload
                     trace.TRACER.adopt(worker_events)
-                if use_shm:
-                    from repro.transport import materialize
-
-                    payload = materialize(payload, unlink=True)
                 results[index] = payload
                 if progress is not None:
                     progress(job_list[index].describe())
     except Exception:
-        _drain(pool, busy, use_shm, collect_trace)
+        _drain(pool, busy)
         raise
     except BaseException:  # e.g. KeyboardInterrupt: do not wait for the workers
         pool.broken = True
@@ -640,12 +550,10 @@ def _receive(pool: _WorkerSet, conn) -> tuple:
         return False, RuntimeError(f"worker process exited unexpectedly (exit code {code})")
 
 
-def _drain(pool: _WorkerSet, busy: dict, use_shm: bool, collect_trace: bool) -> None:
-    """Read the reply of every job still in flight and unlink its
-    exported result, so no stale reply is left for a later run."""
+def _drain(pool: _WorkerSet, busy: dict) -> None:
+    """Read the reply of every job still in flight, so no stale reply
+    is left for a later run."""
     while busy:
         for conn in wait(list(busy)):
             del busy[conn]
-            ok, payload = _receive(pool, conn)
-            if ok and use_shm:
-                _discard_exported(payload, collect_trace)
+            _receive(pool, conn)

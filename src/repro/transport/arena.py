@@ -1,22 +1,19 @@
 """Shared-memory frame arena: payloads cross process boundaries as handles.
 
-The parallel layer (PR 3) moves whole frame and bitstream payloads
-through the spawn pool by *pickling* them — every byte is serialized in
-the parent, shipped over a pipe, and deserialized in the worker, and
-results make the same trip back.  This module provides the zero-copy
-alternative: payload arrays live in ``multiprocessing.shared_memory``
-blocks, and what actually crosses the pickle boundary is a
-:class:`FrameHandle` — segment name, byte offset, shape, dtype — a few
-hundred bytes regardless of payload size.
+The job pool moves payloads to its spawned workers by *pickling* them:
+every byte is serialized in the parent, shipped over a pipe and
+deserialized in the worker.  This module is the alternative the
+per-GOP encode can opt into: payload arrays live in
+``multiprocessing.shared_memory`` blocks, and what crosses the pickle
+boundary is a :class:`FrameHandle` — segment name, byte offset, shape,
+dtype — a few hundred bytes regardless of payload size.
 
-Three roles, three surfaces:
+Two roles, two surfaces:
 
 * **Producer-owned lifetime** — :class:`FrameArena` places arrays into
   slab segments it owns (bump allocation, 64-byte aligned) and hands
-  out handles.  Lifetime is explicit: :meth:`FrameArena.release`
-  decrements a per-segment refcount (a sealed segment is destroyed when
-  its last handle is released), and the arena is a context manager
-  whose exit force-unlinks every segment it ever created — no
+  out handles.  A segment lives until the arena closes: the arena is a
+  context manager whose exit unlinks every segment it created, so no
   ``/dev/shm`` entry survives a ``with`` block.
 * **Consumer attach** — :func:`attach_array` maps a handle to a NumPy
   view over the segment, attaching each segment **on first use** and
@@ -25,19 +22,13 @@ Three roles, three surfaces:
   until the segment is evicted from the bounded cache or detached;
   :func:`read_array` returns an owned copy with no lifetime string
   attached.
-* **Ownership transfer** — :func:`export_segment` creates a one-shot
-  segment for result payloads in a *worker*, which then closes its own
-  mapping and forgets it; the receiving process reads the arrays and
-  calls :func:`unlink_segment` to destroy it.  This is how job results
-  travel parent-ward without a parent-side arena having to exist in
-  the worker.
 
 Resource-tracker hygiene: every process that creates *or* attaches a
 segment registers it with the (shared, spawn-inherited) resource
 tracker, whose registry is a name set — so the protocol "exactly one
 process unlinks, and nobody attaches after the unlink" leaves the
-tracker clean and warning-free at exit.  Both the arena and the
-transfer protocol follow it.
+tracker clean and warning-free at exit.  The arena is that one
+unlinker.
 """
 
 from __future__ import annotations
@@ -159,88 +150,12 @@ def detach_all() -> None:
         detach_segment(name)
 
 
-# -- ownership transfer: worker-created result segments ------------------
-
-
-def export_segment(
-    arrays: "list[np.ndarray]", name_prefix: str = "repro-tx"
-) -> list[FrameHandle]:
-    """Copy ``arrays`` into one fresh segment and hand its ownership to
-    whoever receives the returned handles.
-
-    The calling process closes its own mapping before returning and
-    keeps no record of the segment — the receiver must call
-    :func:`unlink_segment` (directly or via
-    :func:`repro.transport.share.materialize`) once it has read the
-    payloads, or the segment outlives both processes.
-    """
-    if not arrays:
-        return []
-    arrays = [np.ascontiguousarray(a) for a in arrays]
-    total = 0
-    offsets = []
-    for arr in arrays:
-        total = _aligned(total)
-        offsets.append(total)
-        total += arr.nbytes
-    seg = shared_memory.SharedMemory(
-        create=True, size=max(total, 1), name=_new_segment_name(name_prefix)
-    )
-    try:
-        handles = []
-        for arr, offset in zip(arrays, offsets):
-            if arr.nbytes:
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf, offset=offset)
-                view[...] = arr
-                del view
-            handles.append(
-                FrameHandle(
-                    segment=seg.name,
-                    offset=offset,
-                    shape=tuple(arr.shape),
-                    dtype=arr.dtype.str,
-                )
-            )
-    except BaseException:
-        seg.close()
-        seg.unlink()
-        raise
-    seg.close()
-    return handles
-
-
-def unlink_segment(name: str) -> None:
-    """Destroy a transferred segment after reading it: detach the local
-    cache entry and unlink the ``/dev/shm`` name.  Unlinking an
-    already-destroyed segment is a no-op (a double release must not
-    mask the first one's success)."""
-    seg = _ATTACHED.pop(name, None)
-    try:
-        if seg is None:
-            seg = shared_memory.SharedMemory(name=name)
-        seg.close()
-        seg.unlink()
-    except FileNotFoundError:
-        pass
-
-
 # -- producer side: the arena --------------------------------------------
 
 
-class _Slab:
-    """One shared segment under bump allocation."""
-
-    __slots__ = ("shm", "used", "refs", "sealed")
-
-    def __init__(self, shm: shared_memory.SharedMemory) -> None:
-        self.shm = shm
-        self.used = 0
-        self.refs = 0
-        self.sealed = False
-
-
 class FrameArena:
-    """Bump-allocating shared-memory arena with refcounted release.
+    """Bump-allocating shared-memory arena whose segments live until it
+    closes.
 
     Parameters
     ----------
@@ -256,8 +171,7 @@ class FrameArena:
         with FrameArena() as arena:
             handle = arena.place(frame.y)
             ...                      # ship the handle, not the pixels
-            arena.release(handle)    # refcounted; optional before exit
-        # every segment unlinked here, whatever was released
+        # every segment unlinked here
 
     The arena object itself must never cross a process boundary — only
     handles do (workers attach on first use).  ``place`` after ``close``
@@ -271,22 +185,15 @@ class FrameArena:
             raise ValueError(f"slab_bytes must be >= 1, got {slab_bytes}")
         self._slab_bytes = slab_bytes
         self._prefix = name_prefix
-        self._slabs: dict[str, _Slab] = {}
-        self._active: _Slab | None = None
+        #: Every live segment; the last one takes new placements.
+        self._segments: list[shared_memory.SharedMemory] = []
+        self._used = 0
         self._closed = False
-
-    # -- introspection ---------------------------------------------------
 
     @property
     def open_segments(self) -> int:
         """Segments currently alive (the leak-check quantity)."""
-        return len(self._slabs)
-
-    @property
-    def outstanding_handles(self) -> int:
-        return sum(slab.refs for slab in self._slabs.values())
-
-    # -- allocation ------------------------------------------------------
+        return len(self._segments)
 
     def place(self, array: np.ndarray | bytes) -> FrameHandle:
         """Copy ``array`` into shared memory; returns its handle.
@@ -300,84 +207,48 @@ class FrameArena:
         if isinstance(array, (bytes, bytearray, memoryview)):
             array = np.frombuffer(array, dtype=np.uint8)
         array = np.ascontiguousarray(array)
-        slab = self._slab_with_room(array.nbytes)
-        offset = _aligned(slab.used)
+        offset = _aligned(self._used)
+        if not self._segments or offset + array.nbytes > self._segments[-1].size:
+            self._new_segment(array.nbytes)
+            offset = 0
+        shm = self._segments[-1]
         if array.nbytes:
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=slab.shm.buf, offset=offset)
+            view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf, offset=offset)
             view[...] = array
             del view
-        slab.used = offset + array.nbytes
-        slab.refs += 1
+        self._used = offset + array.nbytes
         _MET_PLACEMENTS.inc()
         return FrameHandle(
-            segment=slab.shm.name,
+            segment=shm.name,
             offset=offset,
             shape=tuple(array.shape),
             dtype=array.dtype.str,
         )
 
-    def _slab_with_room(self, nbytes: int) -> _Slab:
-        active = self._active
-        if active is not None:
-            if _aligned(active.used) + nbytes <= active.shm.size:
-                return active
-            self._seal(active)
-        size = max(self._slab_bytes, nbytes, 1)
+    def _new_segment(self, nbytes: int) -> None:
         shm = shared_memory.SharedMemory(
-            create=True, size=size, name=_new_segment_name(self._prefix)
+            create=True,
+            size=max(self._slab_bytes, nbytes, 1),
+            name=_new_segment_name(self._prefix),
         )
-        slab = _Slab(shm)
-        self._slabs[shm.name] = slab
-        self._active = slab
+        self._segments.append(shm)
         _MET_SEGMENTS.inc()
         _MET_BYTES_IN_FLIGHT.add(shm.size)
-        return slab
-
-    def _seal(self, slab: _Slab) -> None:
-        slab.sealed = True
-        if self._active is slab:
-            self._active = None
-        if slab.refs == 0:
-            self._destroy(slab)
-
-    # -- lifetime --------------------------------------------------------
-
-    def release(self, handle: FrameHandle) -> None:
-        """Release one handle.  When a sealed segment's last handle is
-        released the segment is destroyed immediately; the segment still
-        open for allocation lives until it seals or the arena closes."""
-        slab = self._slabs.get(handle.segment)
-        if slab is None:
-            raise ValueError(
-                f"release of unknown handle: segment {handle.segment!r} is not "
-                "(or no longer) owned by this arena"
-            )
-        if slab.refs <= 0:
-            raise ValueError(f"segment {handle.segment!r} released more times than placed")
-        slab.refs -= 1
-        if slab.refs == 0 and slab.sealed:
-            self._destroy(slab)
-
-    def _destroy(self, slab: _Slab) -> None:
-        del self._slabs[slab.shm.name]
-        if self._active is slab:
-            self._active = None
-        detach_segment(slab.shm.name)  # a same-process consumer may hold a mapping
-        size = slab.shm.size
-        slab.shm.close()
-        slab.shm.unlink()
-        _MET_BYTES_IN_FLIGHT.add(-size)
 
     def close(self) -> None:
-        """Unlink every segment, released or not.  Idempotent.  Handles
-        already shipped become dangling — close only after every
-        consumer is done (for pool runs: after ``run_jobs`` returns)."""
+        """Unlink every segment.  Idempotent.  Handles already shipped
+        become dangling — close only after every consumer is done (for
+        pool runs: after ``run_jobs`` returns)."""
         if self._closed:
             return
         self._closed = True
-        for slab in list(self._slabs.values()):
-            self._destroy(slab)
-        self._active = None
+        while self._segments:
+            shm = self._segments.pop()
+            detach_segment(shm.name)  # a same-process consumer may hold a mapping
+            size = shm.size
+            shm.close()
+            shm.unlink()
+            _MET_BYTES_IN_FLIGHT.add(-size)
 
     def __enter__(self) -> "FrameArena":
         return self

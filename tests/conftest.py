@@ -118,23 +118,28 @@ def shm_segments(prefix: str = "repro-") -> list[str]:
     return sorted(glob.glob(f"/dev/shm/{prefix}*"))
 
 
-def handle_count(value) -> int:
-    """How many :class:`~repro.transport.FrameHandle` leaves a shared
-    value carries — three per frame, one per present picture array."""
-    from repro.transport import FrameHandle, SharedFrame, SharedParsedPicture, SharedSequence
+def gop_encode_jobs(clip: Sequence, i_period: int, qp: int = 20, estimator: str = "tss"):
+    """One by-value :class:`~repro.parallel.GopEncodeJob` per GOP of
+    ``clip`` — the spec list ``encode_sequence_parallel`` dispatches,
+    and the one spec kind whose ``pack_shm`` moves pixels."""
+    from repro.parallel import GopEncodeJob, split_gops
 
-    if isinstance(value, FrameHandle):
-        return 1
-    if isinstance(value, SharedFrame):
-        return 3
-    if isinstance(value, SharedSequence):
-        return handle_count(value.frames)
-    if isinstance(value, SharedParsedPicture):
-        members = (value.levels, value.dc_levels, value.hx, value.hy, value.modes, value.ref_idx)
-        return sum(1 for h in members if h is not None)
-    if isinstance(value, (list, tuple)):
-        return sum(handle_count(item) for item in value)
-    return 0
+    frames = list(clip)
+    return [
+        GopEncodeJob(
+            width=clip.geometry.width,
+            height=clip.geometry.height,
+            start=start,
+            planes=tuple(
+                (f.y.tobytes(), f.cb.tobytes(), f.cr.tobytes(), f.index)
+                for f in frames[start:end]
+            ),
+            estimator=estimator,
+            qp=qp,
+            i_period=i_period,
+        )
+        for start, end in split_gops(len(frames), i_period)
+    ]
 
 
 @contextmanager

@@ -134,16 +134,14 @@ class TestRegistry:
 
     def test_spawn_name_filter(self, sim_backend):
         """Only real installable backend names cross the spawn boundary:
-        an explicit request wins; a pinned sim instance (unknown to a
-        fresh child process) must not travel."""
+        the parent's active named backend travels; a pinned sim instance
+        (unknown to a fresh child process) must not."""
         from repro.parallel.pool import _spawn_backend_name
 
-        assert _spawn_backend_name("numpy") == "numpy"
         set_backend("numpy")
-        assert _spawn_backend_name(None) == "numpy"
+        assert _spawn_backend_name() == "numpy"
         set_backend(sim_backend)
-        assert _spawn_backend_name(None) is None
-        assert _spawn_backend_name("numba") == "numba"
+        assert _spawn_backend_name() is None
 
 
 # -- packed LUTs ----------------------------------------------------------

@@ -31,8 +31,6 @@ from repro.codec.encoder import (
 from repro.parallel import ParseFrameJob, run_jobs
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import shm_segments
-
 
 @pytest.fixture(scope="module")
 def clip():
@@ -214,19 +212,16 @@ class TestParallelParse:
         assert all(a == b for a, b in zip(parsed, serial))
 
     def test_jobs_path_bit_identical(self, v2):
-        """The spawn tests here (kept tiny, like test_parallel.py): two
-        workers parse the indexed frames — payloads pickled, then as
-        shared-memory handles — and the result must be bit-identical to
-        the serial decoder and the encoder's closed loop, leaving
-        ``/dev/shm`` clean."""
+        """The spawn test here (kept tiny, like test_parallel.py): two
+        workers parse the indexed frames and the result must be
+        bit-identical to the serial decoder and the encoder's closed
+        loop."""
         serial = decode_bitstream(v2.bitstream, jobs=1)
         assert len(FrameIndex.scan(v2.bitstream)) == len(serial)
         assert serial == v2.reconstruction
-        for use_shm in (False, True):
-            indexed = decode_bitstream(v2.bitstream, jobs=2, use_shm=use_shm)
-            assert all(a == b for a, b in zip(indexed, serial))
-            assert len(indexed) == len(serial)
-        assert not shm_segments()
+        indexed = decode_bitstream(v2.bitstream, jobs=2)
+        assert all(a == b for a, b in zip(indexed, serial))
+        assert len(indexed) == len(serial)
 
     def test_jobs_respects_frame_limit(self, v2):
         assert len(decode_bitstream(v2.bitstream, frames=2, jobs=2)) == 2

@@ -44,12 +44,11 @@ from repro.codec.intra import (
 from repro.me.engine import intra_mode_cost_surfaces
 from repro.parallel import encode_sequence_parallel, split_gops
 from repro.streaming import StreamDecoder
-from repro.transport import export, materialize
 from repro.video.frame import Frame
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix, handle_count, shifted_plane, textured_plane
+from .conftest import backend_matrix, shifted_plane, textured_plane
 
 #: Every golden equivalence below re-runs per available kernel backend.
 kernel_backend = backend_matrix()
@@ -386,26 +385,3 @@ class TestIntraModes:
         corrupt[PICTURE_HEADER_BITS // 8] |= 0b11 << shift
         with pytest.raises(ValueError, match="illegal intra prediction mode 3"):
             parse_bitstream_symbols(bytes(corrupt))
-
-
-class TestTransportGop:
-    def test_extended_pictures_round_trip_shared_memory(self):
-        result = encode_sequence(
-            oscillating_clip(),
-            qp=18,
-            estimator="tss",
-            bitstream_version=2,
-            i_period=6,
-            n_ref_frames=2,
-        )
-        pictures = parse_bitstream_symbols(result.bitstream)
-        assert pictures[0].modes is not None  # extended I carries modes
-        assert any(p.ref_idx is not None for p in pictures[1:])
-        for parsed in pictures:
-            shared = export(parsed, name_prefix="repro-t-gop")
-            arrays = (
-                parsed.levels, parsed.dc_levels, parsed.hx, parsed.hy,
-                parsed.modes, parsed.ref_idx,
-            )
-            assert handle_count(shared) == sum(1 for a in arrays if a is not None)
-            assert materialize(shared, unlink=True) == parsed

@@ -35,7 +35,7 @@ from repro.experiments.runner import decode_summary
 from repro.streaming import StreamDecoder
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import instrumentation_bypassed
+from .conftest import gop_encode_jobs, instrumentation_bypassed
 
 TINY = ExperimentConfig(
     sequences=("miss_america",), qps=(20,), fps_list=(30,), frames=4
@@ -311,15 +311,12 @@ class TestCrossProcessMerge:
         assert any(e["name"] == "decode.parse" for e in events)
 
     def test_shm_transport_merges_worker_spans(self, v2_encode):
-        _, encode = v2_encode
-        index = FrameIndex.scan(encode.bitstream)
-        jobs = [
-            ParseFrameJob(index.payload(encode.bitstream, i))
-            for i in range(len(index))
-        ]
+        clip, _ = v2_encode
+        jobs = gop_encode_jobs(clip, i_period=2)
         results, events = self._run_traced(jobs, use_shm=True)
         assert results == run_jobs(jobs, workers=1)
         self._assert_worker_nesting(events)
+        assert any(e["name"] == "encode.frame" for e in events)
 
     def test_encode_jobs_ship_frame_spans(self, v2_encode):
         jobs = [

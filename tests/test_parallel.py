@@ -11,13 +11,13 @@ cheap determinism properties run in-process.  ``TestWarmPool`` and
 ``TestPoolProtocol`` pin the warm set's lifetime and its reuse rule.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.codec.decoder import FrameIndex
-from repro.codec.encoder import Encoder, encode_sequence
+from repro.codec.encoder import Encoder
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig4_characterization import run_fig4
 from repro.experiments.rd_curves import (
@@ -30,7 +30,6 @@ from repro.experiments.table1_complexity import run_table1
 from repro.parallel import (
     EncodeJob,
     Fig4PairJob,
-    GopEncodeJob,
     JobSpec,
     ParseFrameJob,
     SweepJob,
@@ -40,7 +39,7 @@ from repro.parallel import (
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import shm_segments
+from .conftest import gop_encode_jobs, shm_segments
 
 TINY = ExperimentConfig(
     sequences=("miss_america",), qps=(30, 16), fps_list=(30,), frames=4
@@ -161,52 +160,36 @@ class FailJob(JobSpec):
 
 
 class TestSharedMemoryTransport:
-    """``use_shm=True`` moves payloads and results as shared-memory
-    handles; everything observable — results, ordering, progress,
-    errors — matches the pickling path, and ``/dev/shm`` ends clean."""
+    """``use_shm=True`` moves GOP source planes as shared-memory handles;
+    everything observable — results, ordering, progress, errors —
+    matches the pickling path, and ``/dev/shm`` ends clean."""
 
     @pytest.fixture(scope="class")
     def clip(self):
-        return make_sequence("miss_america", frames=3, seed=0)
+        return make_sequence("miss_america", frames=4, seed=0)
 
-    @pytest.fixture(scope="class")
-    def v2(self, clip):
-        return encode_sequence(clip, qp=20, estimator="tss", bitstream_version=2)
-
-    def test_shm_results_byte_identical_and_leak_free(self, clip, v2):
-        """Parse jobs and a GOP encode job — payload handles down, result
-        exports back — against spawned workers, compared to the
-        in-process serial reference."""
-        index = FrameIndex.scan(v2.bitstream)
-        gop = GopEncodeJob(
-            width=clip.geometry.width,
-            height=clip.geometry.height,
-            start=0,
-            planes=tuple((f.y.tobytes(), f.cb.tobytes(), f.cr.tobytes(), f.index) for f in clip),
-            estimator="tss",
-            qp=20,
-            i_period=len(clip),
-        )
-        jobs = [
-            ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))
-        ] + [gop]
+    def test_shm_results_byte_identical_and_leak_free(self, clip):
+        """GOP encode jobs — plane handles down, byte runs back —
+        against spawned workers, compared to the in-process serial
+        reference and the pickling path."""
+        jobs = gop_encode_jobs(clip, i_period=2)
         serial = run_jobs(jobs, workers=1)
-        shm = run_jobs(jobs, workers=2, use_shm=True)
-        assert shm == serial
-        assert not shm_segments("repro-jobs") + shm_segments("repro-result")
+        assert run_jobs(jobs, workers=2, use_shm=True) == serial
+        assert run_jobs(jobs, workers=2) == serial
+        assert not shm_segments("repro-jobs")
 
-    def test_use_shm_in_process_is_a_noop(self, v2):
+    def test_use_shm_in_process_is_a_noop(self, clip):
         """workers=1 has no boundary to cross: the flag is ignored and
         no segment is ever created."""
-        jobs = [SquareJob(3), ParseFrameJob(FrameIndex.scan(v2.bitstream).payload(v2.bitstream, 0))]
+        jobs = [SquareJob(3)] + gop_encode_jobs(clip, i_period=2)
         assert run_jobs(jobs, workers=1, use_shm=True) == run_jobs(jobs, workers=1)
-        assert not shm_segments("repro-jobs") + shm_segments("repro-result")
+        assert not shm_segments("repro-jobs")
 
     def test_pack_shm_defaults_to_identity(self):
         """Specs without array payloads ride the pickle stream unchanged
         (pack_shm is the base-class identity)."""
-        job = SquareJob(5)
-        assert job.pack_shm(store=None) is job
+        for job in (SquareJob(5), ParseFrameJob(b"\x00\x01"), SweepJob(TINY, ("pbm",))):
+            assert job.pack_shm(None) is job
 
     def test_progress_fires_once_per_completed_job(self):
         """The ProgressFn guarantee: exactly one call per job as it
@@ -217,16 +200,13 @@ class TestSharedMemoryTransport:
         assert results == [0, 1, 4, 9, 16]
         assert sorted(messages) == sorted(job.describe() for job in jobs)
 
-    def test_shm_failure_path_leaves_dev_shm_clean(self, v2):
-        """A failing job mid-run must not orphan input slabs or result
-        exports from jobs that already completed."""
-        index = FrameIndex.scan(v2.bitstream)
-        jobs = [
-            ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))
-        ] + [FailJob()]
+    def test_shm_failure_path_leaves_dev_shm_clean(self, clip):
+        """A failing job mid-run must not orphan the run's input slabs,
+        whichever GOP jobs already completed."""
+        jobs = gop_encode_jobs(clip, i_period=2) + [FailJob()]
         with pytest.raises(RuntimeError, match="injected failure"):
             run_jobs(jobs, workers=2, use_shm=True)
-        assert not shm_segments("repro-jobs") + shm_segments("repro-result")
+        assert not shm_segments("repro-jobs")
 
 
 class TestJobSpecs:
@@ -391,27 +371,11 @@ class TestGopShmTransport:
     def test_pack_shm_roundtrips_planes(self, clip):
         """pack_shm replaces pickled plane bytes with FrameHandles; the
         worker-side frame iteration reconstructs identical frames."""
-        from repro.parallel.jobs import GopEncodeJob
-        from repro.transport import FrameArena, FrameStore
+        from repro.transport import FrameArena
 
-        frames = list(clip)[0:3]
-        geometry = clip.geometry
-        job = GopEncodeJob(
-            width=geometry.width,
-            height=geometry.height,
-            start=0,
-            planes=tuple(
-                (f.y.tobytes(), f.cb.tobytes(), f.cr.tobytes(), f.index) for f in frames
-            ),
-            estimator="tss",
-            qp=20,
-            i_period=3,
-            n_ref_frames=1,
-            bitstream_version=2,
-            estimator_kwargs=(),
-        )
+        job = gop_encode_jobs(clip, i_period=3)[0]
         with FrameArena(name_prefix="repro-jobs-test") as arena:
-            packed = job.pack_shm(FrameStore(arena))
+            packed = job.pack_shm(arena)
             assert packed.planes is None
             assert len(packed.plane_handles) == 3
             for original, shipped in zip(job._frames(), packed._frames()):
@@ -420,117 +384,35 @@ class TestGopShmTransport:
         assert not shm_segments()
 
 
-class TestExperimentShmTransport:
-    """The experiment fan-out specs — ``EncodeJob``, ``SweepJob``,
-    ``Fig4PairJob`` — travel zero-copy: sources render once in the
-    parent through a :class:`FrameStore`, workers read handles, results
-    are identical and ``/dev/shm`` ends clean on every path."""
+@contextmanager
+def active_backend(backend):
+    """Run the body with ``backend`` (a registry name or an instance)
+    as the parent's active kernel backend, then restore the previous
+    one."""
+    from repro.kernels import get_backend, set_backend
 
-    FIG4_KWARGS = dict(
-        motions=((2, -1), (-3, 2), (5, 4)),
-        geometry=FrameGeometry(96, 80),
-        p=7,
-        seed=3,
-    )
-
-    def test_encode_job_pack_shm_runs_identically(self):
-        from repro.transport import FrameArena, FrameStore
-
-        job = EncodeJob("miss_america", 30, "pbm", 16, TINY)
-        plain = job.run()
-        with FrameArena(name_prefix="repro-jobs-test") as arena:
-            store = FrameStore(arena)
-            packed = job.pack_shm(store)
-            assert packed.source is not None
-            assert packed.run() == plain
-            # Re-packing an already-packed spec is the identity.
-            assert packed.pack_shm(store) is packed
-        assert not shm_segments()
-
-    def test_store_renders_each_distinct_source_once(self):
-        from repro.transport import FrameArena, FrameStore
-
-        with FrameArena(name_prefix="repro-jobs-test") as arena:
-            store = FrameStore(arena)
-            cells = SweepJob(TINY, ("pbm", "acbm")).expand()
-            packed = [cell.pack_shm(store) for cell in cells]
-            assert store.distinct_sources == 1
-            # Every cell of the one clip carries the *same* handles —
-            # one placed copy, no duplicate slabs.
-            assert all(spec.source is packed[0].source for spec in packed)
-        assert not shm_segments()
-
-    def test_sweep_job_pack_shm_packs_cells(self):
-        from repro.transport import FrameArena, FrameStore
-
-        job = SweepJob(TINY, ("pbm",))
-        plain = job.run()
-        with FrameArena(name_prefix="repro-jobs-test") as arena:
-            packed = job.pack_shm(FrameStore(arena))
-            assert packed.cells is not None
-            assert all(cell.source is not None for cell in packed.cells)
-            assert packed.expand() == packed.cells
-            assert packed.run() == plain
-        assert not shm_segments()
-
-    def test_fig4_pair_job_pack_shm_runs_identically(self):
-        from repro.transport import FrameArena, FrameStore
-
-        job = Fig4PairJob(pair_index=1, **self.FIG4_KWARGS)
-        plain = job.run()
-        with FrameArena(name_prefix="repro-jobs-test") as arena:
-            packed = job.pack_shm(FrameStore(arena))
-            assert packed.pair is not None
-            observations = packed.run()
-            assert observations == plain
-            # The worker only holds two frames, yet the observations
-            # must still carry the rig-wide pair index.
-            assert all(obs.frame_pair == 1 for obs in observations)
-        assert not shm_segments()
-
-    def test_use_shm_auto_resolution(self):
-        from repro.parallel.pool import _resolve_use_shm
-
-        encode_jobs = [EncodeJob("miss_america", 30, "pbm", qp, TINY) for qp in (30, 16)]
-        plain_jobs = [SquareJob(1), SquareJob(2)]
-        assert _resolve_use_shm("auto", encode_jobs, workers=2) is True
-        assert _resolve_use_shm("auto", encode_jobs, workers=1) is False
-        assert _resolve_use_shm("auto", encode_jobs[:1], workers=2) is False
-        assert _resolve_use_shm("auto", plain_jobs, workers=2) is False
-        assert _resolve_use_shm(True, plain_jobs, workers=1) is True
-        with pytest.raises(ValueError, match="use_shm"):
-            run_jobs(plain_jobs, workers=1, use_shm="maybe")
-
-    def test_experiment_jobs_spawned_shm_identical_and_leak_free(self):
-        jobs = list(SweepJob(TINY, ("pbm",)).expand()) + [
-            Fig4PairJob(pair_index=0, **self.FIG4_KWARGS)
-        ]
-        serial = run_jobs(jobs, workers=1)
-        shm = run_jobs(jobs, workers=2, use_shm=True)
-        assert shm == serial
-        assert not shm_segments()
-
-    def test_experiment_shm_failure_path_leaves_dev_shm_clean(self):
-        jobs = list(SweepJob(TINY, ("pbm",)).expand()) + [FailJob()]
-        with pytest.raises(RuntimeError, match="injected failure"):
-            run_jobs(jobs, workers=2, use_shm=True)
-        assert not shm_segments()
+    before = get_backend()
+    set_backend(backend)
+    try:
+        yield
+    finally:
+        set_backend(before)
 
 
 class TestBackendThreading:
-    """The kernel-backend choice survives both run_jobs paths."""
+    """The parent's active kernel backend holds on both run_jobs paths."""
 
     def test_backend_pinned_in_process_and_restored(self):
         from repro.kernels import get_backend
 
-        before = get_backend()
-        assert run_jobs([BackendProbeJob(1)], workers=1, backend="numpy") == ["numpy"]
-        assert get_backend() is before
+        with active_backend("numpy"):
+            before = get_backend()
+            assert run_jobs([BackendProbeJob(1)], workers=1) == ["numpy"]
+            assert get_backend() is before
 
     def test_backend_ships_to_spawned_workers(self):
-        names = run_jobs(
-            [BackendProbeJob(1), BackendProbeJob(2)], workers=2, backend="numpy"
-        )
+        with active_backend("numpy"):
+            names = run_jobs([BackendProbeJob(1), BackendProbeJob(2)], workers=2)
         assert names == ["numpy", "numpy"]
 
 
@@ -614,8 +496,8 @@ class AttachedProbeJob(JobSpec):
         return os.getpid(), len(_ATTACHED)
 
 
-def _worker_pids(workers=2, backend=None, count=2):
-    results = run_jobs([PidJob(i) for i in range(count)], workers=workers, backend=backend)
+def _worker_pids(workers=2, count=2):
+    results = run_jobs([PidJob(i) for i in range(count)], workers=workers)
     assert [tag for tag, _ in results] == list(range(count))
     return {pid for _, pid in results}
 
@@ -660,18 +542,23 @@ class TestWarmPool:
         assert not any(_pid_alive(pid) for pid in pids)
 
     def test_other_backend_gets_new_workers(self):
-        numpy_pids = _worker_pids(backend="numpy")
-        auto_pids = _worker_pids(backend="auto")
-        assert not numpy_pids & auto_pids
+        """The worker set is keyed by the backend name it ships: a named
+        backend and a nameless instance (the ``numba-sim`` test backend,
+        whose workers re-resolve from their environment) never share
+        workers."""
+        from repro.kernels.numba_backend import make_backend
+
+        with active_backend("numpy"):
+            numpy_pids = _worker_pids()
+        with active_backend(make_backend(jit=False)):
+            sim_pids = _worker_pids()
+        assert not numpy_pids & sim_pids
 
     def test_shm_jobs_leave_no_mapping_in_warm_workers(self):
         """Workers drop their mappings of a run's input segments once
-        the job's result is exported; the parent unlinks those
-        segments, so a kept mapping would only pin their memory."""
-        clip = make_sequence("miss_america", frames=3, seed=0)
-        v2 = encode_sequence(clip, qp=20, estimator="tss", bitstream_version=2)
-        index = FrameIndex.scan(v2.bitstream)
-        jobs = [ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))]
+        the job is done; the parent unlinks those segments, so a kept
+        mapping would only pin their memory."""
+        jobs = gop_encode_jobs(make_sequence("miss_america", frames=4, seed=0), i_period=2)
         pids = _worker_pids()
         assert run_jobs(jobs, workers=2, use_shm=True) == run_jobs(jobs, workers=1)
         probes = run_jobs([AttachedProbeJob(0), AttachedProbeJob(1)], workers=2)
@@ -753,15 +640,12 @@ def test_resource_tracker_stops_after_a_parallel_run():
 
     script = (
         "from multiprocessing import resource_tracker\n"
-        "from repro.codec.decoder import FrameIndex\n"
-        "from repro.codec.encoder import encode_sequence\n"
-        "from repro.parallel import ParseFrameJob, run_jobs\n"
+        "from repro.parallel import encode_sequence_parallel\n"
         "from repro.video.synthesis.sequences import make_sequence\n"
-        "clip = make_sequence('miss_america', frames=3, seed=0)\n"
-        "v2 = encode_sequence(clip, qp=20, estimator='tss', bitstream_version=2)\n"
-        "index = FrameIndex.scan(v2.bitstream)\n"
-        "jobs = [ParseFrameJob(index.payload(v2.bitstream, i)) for i in range(len(index))]\n"
-        "assert run_jobs(jobs, workers=2, use_shm=True) == run_jobs(jobs, workers=1)\n"
+        "clip = make_sequence('miss_america', frames=4, seed=0)\n"
+        "kwargs = dict(qp=20, estimator='tss', i_period=2)\n"
+        "shm = encode_sequence_parallel(clip, jobs=2, use_shm=True, **kwargs)\n"
+        "assert shm.bitstream == encode_sequence_parallel(clip, jobs=1, **kwargs).bitstream\n"
         "resource_tracker._resource_tracker._stop()\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

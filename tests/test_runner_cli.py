@@ -53,11 +53,15 @@ class TestParser:
 
     def test_transport_and_shm_options(self):
         parser = build_parser()
-        # Every --jobs subcommand takes the tri-state --shm/--no-shm.
+        # Only gop-encode takes --shm (off by default); the experiment
+        # subcommands always pickle their jobs.
+        gop = ["gop-encode", "--out", "s.v2", "--i-period", "2"]
+        assert parser.parse_args(gop).shm is False
+        assert parser.parse_args(gop + ["--shm"]).shm is True
         for command in ("fig4", "fig5", "fig6", "table1", "all"):
-            assert parser.parse_args([command]).shm is None
-            assert parser.parse_args([command, "--shm"]).shm is True
-            assert parser.parse_args([command, "--no-shm"]).shm is False
+            for flag in ("--shm", "--no-shm"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, flag])
         args = parser.parse_args(["stream-decode", "s.v2", "--pipeline", "thread"])
         assert args.pipeline == "thread"
         assert parser.parse_args(["stream-decode", "s.v2"]).pipeline == "off"
@@ -112,18 +116,34 @@ class TestMain:
             pytest.param(["fig4"], id="fig4"),
         ],
     )
-    def test_stdout_byte_identical_across_jobs_and_shm(self, capsys, base_argv):
-        """The transport is invisible in the report: jobs ∈ {1, 2} ×
-        shm ∈ {on, off} print byte-identical stdout, and nothing
-        outlives the run in /dev/shm."""
+    def test_stdout_byte_identical_across_jobs(self, capsys, base_argv):
+        """The worker count is invisible in the report: jobs ∈ {1, 2}
+        print byte-identical stdout."""
         outputs = []
         for jobs in ("1", "2"):
-            for shm_flag in ("--shm", "--no-shm"):
-                assert main(base_argv + ["--jobs", jobs, shm_flag]) == 0
-                outputs.append(capsys.readouterr().out)
-                assert not shm_segments()
+            assert main(base_argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
         assert outputs[0]  # the runs actually printed a report
         assert len(set(outputs)) == 1
+
+    def test_gop_encode_byte_identical_across_jobs_and_shm(self, capsys, tmp_path):
+        """The transport is invisible in the stream and the summary:
+        serial, 2-worker pickled and 2-worker shm gop-encode runs write
+        the same bytes and print the same stdout, and nothing outlives
+        the run in /dev/shm."""
+        outputs, streams = [], []
+        for extra in ([], ["--jobs", "2"], ["--jobs", "2", "--shm"]):
+            out = tmp_path / f"gop{len(streams)}.v2"
+            argv = [
+                "gop-encode", "--frames", "4", "--sequences", "miss_america",
+                "--qps", "20", "--i-period", "2", "--out", str(out),
+            ]
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+            streams.append(out.read_bytes())
+            assert not shm_segments()
+        assert outputs[0] and streams[0]
+        assert len(set(outputs)) == 1 and len(set(streams)) == 1
 
     def test_stream_encode_decode_round_trip(self, capsys, tmp_path):
         """The CI smoke in miniature: YUV file → stream-encode (v2) →
