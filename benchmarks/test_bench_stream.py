@@ -1,11 +1,10 @@
-"""Streaming speed gates: push decode vs whole-buffer decode, and the
-pipelined session vs serial push.
+"""Streaming speed gate: push decode vs whole-buffer decode.
 
 A 30-frame QCIF v2 stream (foreman, Qp 16, TSS) is pushed through a
 :class:`repro.streaming.StreamDecoder` in MTU-sized chunks and timed
 against :func:`decode_bitstream` over the whole buffer, best-of-3.
-Identity under every chunking, the pipelined modes and the memory bound
-are pinned by ``tests/test_streaming.py``.
+Identity under every chunking and the memory bound are pinned by
+``tests/test_streaming.py``.
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro.codec.encoder import encode_sequence
 from repro.streaming import StreamDecoder
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import best_of, cores
+from .conftest import best_of
 
 #: The workload the memory bound is stated for (independent of
 #: REPRO_BENCHMARK_FRAMES).
@@ -29,10 +28,10 @@ def bitstream():
     return encode_sequence(clip, qp=16, estimator="tss", bitstream_version=2).bitstream
 
 
-def push_decode(bitstream: bytes, pipeline: bool | str = False) -> list:
+def push_decode(bitstream: bytes) -> list:
     """Feed fixed-size chunks, draining after every feed (the consumer
     the backpressure contract assumes)."""
-    decoder = StreamDecoder(max_buffered_frames=2, pipeline=pipeline)
+    decoder = StreamDecoder(max_buffered_frames=2)
     out = []
     for start in range(0, len(bitstream), CHUNK):
         decoder.feed(bitstream[start : start + CHUNK])
@@ -55,16 +54,3 @@ def test_stream_throughput_near_whole_buffer(bitstream):
         f"streaming tax regressed: push decode only {speedup:.2f}x of whole-buffer throughput"
     )
 
-
-def test_pipelined_decode_speedup(bitstream):
-    """On parallel hardware, parsing on a worker thread while the main
-    side reconstructs must beat serial push by >= 1.2x; on one core the
-    overlap cannot win and only pathology fails."""
-    serial = best_of(lambda: push_decode(bitstream), 3)
-    piped = best_of(lambda: push_decode(bitstream, pipeline=True), 3)
-    speedup = serial / piped
-    print(f"\npipelined (thread): {piped * 1e3:.1f} ms -> {speedup:.2f}x vs push ({cores()} cpu)")
-    if cores() >= 2:
-        assert speedup >= 1.2, f"pipelined decode regressed: only {speedup:.2f}x vs serial push"
-    else:
-        assert speedup >= 0.3, f"pipeline overhead exploded: {speedup:.2f}x of serial push"

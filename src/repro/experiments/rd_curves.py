@@ -31,7 +31,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.me.estimator import MotionEstimator
 from repro.me.full_search import FullSearchEstimator
 from repro.me.predictive import PredictiveEstimator
-from repro.parallel import SweepJob, borrowed_renders, run_jobs
+from repro.parallel import EncodeJob, borrowed_renders, run_jobs
 from repro.video.sequence import Sequence
 
 #: The figures' three curves.
@@ -128,9 +128,16 @@ def build_estimator(name: str, config: ExperimentConfig) -> MotionEstimator:
 
 def sweep_jobs(
     config: ExperimentConfig, estimators: tuple[str, ...] = PAPER_ESTIMATORS
-):
-    """The sweep's per-cell job list in canonical merge order."""
-    return SweepJob(config=config, estimators=tuple(estimators)).expand()
+) -> tuple[EncodeJob, ...]:
+    """The sweep's per-cell :class:`EncodeJob` list in the canonical
+    (sequence, fps, estimator, Qp) order every consumer merges by."""
+    return tuple(
+        EncodeJob(sequence=name, fps=fps, estimator=estimator, qp=qp, config=config)
+        for name in config.sequences
+        for fps in config.fps_list
+        for estimator in estimators
+        for qp in config.qps
+    )
 
 
 def run_rd_sweep(

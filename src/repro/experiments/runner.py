@@ -10,7 +10,6 @@ Usage::
     python -m repro.experiments.runner stream-encode --from-yuv clip.yuv --geometry qcif \\
         --bitstream-version 2 --out stream.v2
     python -m repro.experiments.runner stream-decode stream.v2 --chunk-size 1500 --verify
-    python -m repro.experiments.runner stream-decode stream.v2 --pipeline thread --verify
     python -m repro.experiments.runner gop-encode --frames 10 --i-period 5 --jobs 2 \\
         --out stream.v2
     python -m repro.experiments.runner seek-decode stream.v2 --frame 5 --verify
@@ -23,8 +22,8 @@ backend for the hot loops (:mod:`repro.kernels`); it overrides the
 
 Each paper subcommand prints the same rows/series the corresponding
 table or figure reports; ``all`` runs them over one shared sweep and
-ends with a small streaming pass (push decode, pipelined decode and
-streaming encode, each identity-checked, plus the memory bound).
+ends with a small streaming pass (push decode and streaming encode,
+each identity-checked, plus the memory bound).
 
 The ``stream-*`` subcommands drive the incremental codec
 (:mod:`repro.streaming`): ``stream-encode`` pulls frames straight off a
@@ -32,8 +31,7 @@ raw YUV file (never materializing the sequence) and writes the
 bitstream as pictures close; ``stream-decode`` pushes a bitstream file
 (or stdin) through a bounded-memory decode session in fixed-size chunks
 and optionally re-decodes the whole buffer to gate bit-identity
-(``--verify``, the CI smoke).  ``--pipeline thread`` overlaps symbol
-parse and reconstruction on a worker thread.
+(``--verify``, the CI smoke).
 
 The GOP subcommands drive the stream structure layer: ``gop-encode``
 encodes with ``i_Period`` I-frames and optional multi-reference
@@ -234,10 +232,7 @@ def cmd_stream_decode(args: argparse.Namespace) -> int:
     fed = bytearray() if args.verify else None
     started = time.perf_counter()
     try:
-        decoder = StreamDecoder(
-            max_buffered_frames=args.max_buffered,
-            pipeline=args.pipeline == "thread",
-        )
+        decoder = StreamDecoder(max_buffered_frames=args.max_buffered)
 
         def drain() -> None:
             for frame in decoder.frames():
@@ -382,11 +377,10 @@ def cmd_seek_decode(args: argparse.Namespace) -> int:
 
 def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: int = 1500) -> None:
     """``all``'s streaming pass: encode a clip as v2, push-decode it in
-    MTU-sized chunks (serial, then thread-pipelined) and
-    stream-encode it in both wire formats.  Prints one line per check
-    and raises ``SystemExit`` unless every identity holds and the
-    decoder's peak buffered bytes stay under two frames' worth of
-    payload plus one reconstruction window."""
+    MTU-sized chunks and stream-encode it in both wire formats.  Prints
+    one line per check and raises ``SystemExit`` unless every identity
+    holds and the decoder's peak buffered bytes stay under two frames'
+    worth of payload plus one reconstruction window."""
     from repro.codec.bitstream import BitWriter
     from repro.codec.decoder import FrameIndex, decode_bitstream
     from repro.codec.encoder import Encoder, encode_sequence
@@ -400,16 +394,6 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
     )
     bitstream = encode.bitstream
 
-    def push(pipeline: bool = False):
-        decoder = StreamDecoder(max_buffered_frames=2, pipeline=pipeline)
-        out = []
-        for start in range(0, len(bitstream), chunk_size):
-            decoder.feed(bitstream[start : start + chunk_size])
-            out.extend(decoder.frames())
-        decoder.close()
-        out.extend(decoder.frames())
-        return out, decoder
-
     def stream_encode(version: int) -> bytes:
         encoder = Encoder(
             estimator="tss", qp=qp, keep_reconstruction=False, bitstream_version=version
@@ -418,9 +402,14 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
         chunks = [writer.drain() for _ in encoder.encode_frames(writer, iter(clip))]
         return b"".join(chunks) + writer.getvalue()
 
-    streamed, decoder = push()
+    decoder = StreamDecoder(max_buffered_frames=2)
+    streamed = []
+    for start in range(0, len(bitstream), chunk_size):
+        decoder.feed(bitstream[start : start + chunk_size])
+        streamed.extend(decoder.frames())
+    decoder.close()
+    streamed.extend(decoder.frames())
     stream_identical = streamed == decode_bitstream(bitstream) == encode.reconstruction
-    pipeline_identical = push(pipeline=True)[0] == streamed
     v1 = encode_sequence(clip, qp=qp, estimator="tss").bitstream
     encode_identical = stream_encode(1) == v1 and stream_encode(2) == bitstream
     # A frame's worth of payload is a raw frame's bytes, widened by any
@@ -436,11 +425,10 @@ def _stream_stage(sequence: str, frames: int, qp: int, seed: int, chunk_size: in
         f"{len(bitstream)} bytes (v2), {chunk_size}-byte chunks\n"
         f"  bit-identical (streamed == whole-buffer == encoder loop): {stream_identical}\n"
         f"  stream-encode byte-identical (v1 and v2): {encode_identical}\n"
-        f"  pipelined bit-identical (thread): {pipeline_identical}\n"
         f"  peak buffered {decoder.peak_buffered_bytes} bytes "
         f"(bound {bound}: within={within}; whole buffer holds {len(bitstream)})"
     )
-    if not (stream_identical and pipeline_identical and encode_identical and within):
+    if not (stream_identical and encode_identical and within):
         raise SystemExit("streaming stage failed: identity or memory bound broken")
 
 
@@ -639,11 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="also decode the whole buffer at once and fail unless the "
         "streamed frames are bit-identical (the CI smoke)",
-    )
-    stream_decode.add_argument(
-        "--pipeline", choices=("off", "thread"), default="off",
-        help="overlap symbol parse and reconstruction on a worker thread "
-        "(default off; output is bit-identical either way)",
     )
     _add_backend_option(stream_decode)
     _add_obs_options(stream_decode)

@@ -3,8 +3,8 @@
 The always-on half of the observability layer (:mod:`repro.obs`):
 where the tracer answers *when*, the registry answers *how much* —
 frames and bytes in and out, bits per frame split by syntax element,
-SAD evaluations, cache hits, arena bytes in flight, parse-queue depth
-and backpressure stalls.  Instruments are plain Python attribute adds
+SAD evaluations, cache hits, arena bytes in flight and backpressure
+stalls.  Instruments are plain Python attribute adds
 at call sites that fire at most a few times per frame, so the registry
 stays on unconditionally; truly per-symbol work is never instrumented
 (that is the tracer's <2% disabled-overhead budget, and the registry

@@ -2,8 +2,8 @@
 
 The tracer answers "where did this frame's milliseconds go?" across
 every layer of the stack — encoder sub-phases, decode parse vs
-reconstruct, worker processes, the streaming pipeline's backpressure
-stalls — by recording **Chrome trace events**: plain dicts in the
+reconstruct, worker processes, the runner's stages — by recording
+**Chrome trace events**: plain dicts in the
 `trace-event format <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 that ``chrome://tracing`` and Perfetto load directly (see
 :mod:`repro.obs.export`).
@@ -26,8 +26,6 @@ Design constraints, in order:
    :meth:`Tracer.adopt` splices them into the parent's timeline.
    ``time.perf_counter_ns`` reads ``CLOCK_MONOTONIC`` on Linux, which
    is system-wide — parent and worker timestamps share one clock.
-   The pipelined :class:`~repro.streaming.StreamDecoder`'s parse
-   thread needs no shipping: it records into this process's tracer.
 
 Three recording shapes:
 
@@ -198,9 +196,9 @@ class Tracer:
 
     ``enabled`` is the one attribute every instrumented seam checks;
     everything else only runs while tracing is on.  Event appends are
-    GIL-atomic, so the pipelined stream decoder's parse thread records
-    into the same tracer without locking; cross-*process* events arrive
-    via :meth:`adopt`.
+    GIL-atomic, so any thread of this process (the pool's idle-close
+    timer, a caller's own threads) records into the same tracer without
+    locking; cross-*process* events arrive via :meth:`adopt`.
     """
 
     def __init__(self) -> None:

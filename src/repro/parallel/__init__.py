@@ -7,8 +7,8 @@ is stateless, so the layer above the frame-level kernels shards *jobs*
 across processes:
 
 * :mod:`repro.parallel.jobs` — hashable, picklable job specs
-  (:class:`EncodeJob`, :class:`SweepJob`, :class:`GopEncodeJob`,
-  :class:`ParseFrameJob`, :class:`Fig4PairJob`) with module-level
+  (:class:`EncodeJob`, :class:`GopEncodeJob`, :class:`ParseFrameJob`,
+  :class:`Fig4PairJob`) with module-level
   execution recipes and per-process render memoization.
 * :mod:`repro.parallel.pool` — :func:`run_jobs`, dispatch over a warm
   set of ``spawn`` workers (started on first use, reused across calls,
@@ -30,7 +30,6 @@ from repro.parallel.jobs import (
     GopEncodeJob,
     JobSpec,
     ParseFrameJob,
-    SweepJob,
     borrowed_renders,
     clear_render_cache,
     rendered_source,
@@ -43,7 +42,6 @@ __all__ = [
     "GopEncodeJob",
     "JobSpec",
     "ParseFrameJob",
-    "SweepJob",
     "WorkerTraceFailure",
     "borrowed_renders",
     "clear_render_cache",

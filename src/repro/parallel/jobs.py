@@ -172,35 +172,6 @@ class EncodeJob(JobSpec):
 
 
 @dataclass(frozen=True)
-class SweepJob(JobSpec):
-    """A whole RD sweep as one spec; :meth:`expand` yields the per-cell
-    :class:`EncodeJob` list in the canonical (sequence, fps, estimator,
-    Qp) order every consumer merges by.  Running the spec itself
-    executes its cells serially — the whole sweep as one dispatch unit."""
-
-    config: ExperimentConfig
-    estimators: tuple[str, ...]
-
-    def expand(self) -> tuple[EncodeJob, ...]:
-        return tuple(
-            EncodeJob(sequence=name, fps=fps, estimator=estimator, qp=qp, config=self.config)
-            for name in self.config.sequences
-            for fps in self.config.fps_list
-            for estimator in self.estimators
-            for qp in self.config.qps
-        )
-
-    def describe(self) -> str:
-        return (
-            f"sweep {'/'.join(self.config.sequences)} x {'/'.join(self.estimators)} "
-            f"x {len(self.config.qps)} qps"
-        )
-
-    def run(self, rng: np.random.Generator | None = None) -> "tuple[SweepCell, ...]":
-        return tuple(job.run(rng=rng) for job in self.expand())
-
-
-@dataclass(frozen=True)
 class ParseFrameJob(JobSpec):
     """Parse one indexed frame's symbols into a
     :class:`~repro.codec.decoder.ParsedPicture`.
@@ -366,7 +337,6 @@ __all__ = [
     "GopEncodeJob",
     "JobSpec",
     "ParseFrameJob",
-    "SweepJob",
     "borrowed_renders",
     "clear_render_cache",
     "rendered_source",

@@ -18,11 +18,11 @@ iterator, and ``writer.drain()`` after each frame emits its bytes):
   → batched :func:`~repro.codec.decoder.reconstruct_and_fold`, frames
   emitted as soon as they complete, memory bounded by
   ``max_buffered_frames`` with backpressure (``feed`` returns the
-  remaining demand); ``pipeline=True`` parses frame *n+1*'s symbols on
-  one worker thread while frame *n* reconstructs, with at most
-  ``max_buffered_frames + 1`` parses in flight.  It keeps its own
-  session counters — frames scanned and decoded, bytes fed, current and
-  peak buffered bytes, stalls, keyframes and per-frame bits — which the
+  remaining demand).  Every step runs inline on the caller's thread:
+  ``frames()`` never blocks, and ``stalls`` counts only the feeds that
+  returned zero demand.  It keeps its own session counters — frames
+  scanned and decoded, bytes fed, current and peak buffered bytes,
+  stalls, keyframes and per-frame bits — which the
   ``runner stream-decode`` / ``all`` summaries read directly.
 
 ``tests/test_streaming.py`` pins the golden properties: StreamDecoder

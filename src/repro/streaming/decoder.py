@@ -6,7 +6,7 @@ chunks of a version-2 stream in whatever sizes the transport delivers
 length fields — all equivalent), and decoded frames come out as soon as
 their last byte lands, bit-identical to what
 :func:`repro.codec.decoder.decode_bitstream` produces from the whole
-buffer.  The pipeline per frame is the one every whole-buffer mode
+buffer.  The steps per frame are the ones every whole-buffer mode
 runs: :class:`ScanState` completes the payload,
 :func:`~repro.codec.decoder.parse_payload` parses and length-checks it,
 and :func:`~repro.codec.decoder.reconstruct_and_fold` rebuilds pixels
@@ -27,37 +27,26 @@ boundaries without parsing) and are rejected on the first bytes with a
 precise error; the whole-buffer :func:`decode_bitstream` remains the
 tool for those.
 
-``pipeline=True`` overlaps the two halves of the per-frame work: a
-one-thread :class:`~concurrent.futures.ThreadPoolExecutor` parses frame
-*n+1*'s symbols while this side reconstructs frame *n*.  At most
-``max_buffered_frames + 1`` parses are in flight, oldest first; the
-rest stay compressed, as in serial mode.  Output remains bit-identical
-and in order for any chunking.  Errors surface with the serial path's
-exact message and order (the oldest future's ``result()`` re-raises
-the parse's own exception) — possibly on a later ``feed``/``frames``
-call, since the parse runs asynchronously.  :meth:`close` stops the
-worker; whatever has not parsed by then parses inline as it drains.
+Every step runs inline on the caller's thread, so each call does its
+work before it returns: :meth:`feed` and :meth:`frames` never wait on
+anything but the decode itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterator
 
 from repro.codec.decoder import parse_payload, reconstruct_and_fold
 
 # Also bound here: perfbench/layers.py times these per-frame calls by module attribute.
 from repro.codec.decoder import check_frame_length, parse_picture, reconstruct_picture  # noqa: F401
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.streaming.scanner import ScanState
 from repro.video.frame import Frame
 
 _MET_STALLS = metrics.counter("stream.stalls")
 _MET_BYTES_IN = metrics.counter("stream.bytes_in")
-
-#: Name prefix of the pipelined parse worker's thread.
-PARSE_THREAD_PREFIX = "repro-parse"
 
 
 def frame_bytes(frame: Frame) -> int:
@@ -74,9 +63,9 @@ class StreamDecoder:
         Decoded-frame buffer depth (>= 1).  When full, newly completed
         payloads stay compressed in a pending queue and :meth:`feed`
         reports zero demand until the consumer drains :meth:`frames`.
-    pipeline:
-        ``False`` (serial, the default) or ``True`` (parse on a worker
-        thread).  Overlap only — decoded output is bit-identical.
+
+    Each payload is scanned, parsed and reconstructed inline, in stream
+    order; :attr:`stalls` counts the feeds that returned zero demand.
 
     Usage::
 
@@ -90,15 +79,10 @@ class StreamDecoder:
             consume(frame)
     """
 
-    def __init__(self, max_buffered_frames: int = 2, pipeline: bool = False) -> None:
+    def __init__(self, max_buffered_frames: int = 2) -> None:
         if max_buffered_frames < 1:
             raise ValueError(
                 f"max_buffered_frames must be >= 1, got {max_buffered_frames}"
-            )
-        if not isinstance(pipeline, bool):
-            raise ValueError(
-                f"pipeline must be True (parse on a worker thread) or False, got "
-                f"{pipeline!r}; the 'process' parse stage was removed"
             )
         self.max_buffered_frames = max_buffered_frames
         self._scanner = ScanState(keep_payloads=True)
@@ -108,8 +92,8 @@ class StreamDecoder:
         #: Positions of the I-frames decoded so far — the stream's
         #: random-access points.
         self.keyframes: list[int] = []
-        #: Backpressure wait count: feeds the producer had to pause on
-        #: (zero demand) plus blocking waits for an in-flight parse.
+        #: Backpressure count: feeds that returned zero demand, each one
+        #: a pause the producer owes until :meth:`frames` drains.
         self.stalls = 0
         #: Compressed bits per decoded frame, in decode order.
         self.frame_bits: list[int] = []
@@ -119,11 +103,6 @@ class StreamDecoder:
         #: undecoded payloads and decoded-but-undrained frames — the
         #: quantity ``runner all`` and the streaming tests bound.
         self.peak_buffered_bytes = 0
-        self._pipeline = pipeline
-        self._executor: ThreadPoolExecutor | None = None  # started on the first payload
-        #: Payloads handed to the worker, oldest first, with their parses.
-        self._in_flight: deque[tuple[bytes, Future]] = deque()
-        self._parse_error: Exception | None = None
         #: Scanner error, held until the payloads before it decode.
         self._scan_error: ValueError | None = None
 
@@ -146,12 +125,10 @@ class StreamDecoder:
     @property
     def buffered_bytes(self) -> int:
         """Bytes currently buffered: scanner accumulator + pending
-        compressed payloads (including any in flight on the parse
-        worker) + decoded frames awaiting :meth:`frames`."""
+        compressed payloads + decoded frames awaiting :meth:`frames`."""
         return (
             self._scanner.buffered_bytes
             + sum(len(p) for p in self._scanner.payloads)
-            + sum(len(p) for p, _ in self._in_flight)
             + sum(frame_bytes(f) for f in self._ready)
         )
 
@@ -159,7 +136,7 @@ class StreamDecoder:
     def demand(self) -> int:
         """How many more frames the session is willing to buffer —
         zero means "drain :meth:`frames` before feeding more"."""
-        backlog = len(self._ready) + len(self._scanner.payloads) + len(self._in_flight)
+        backlog = len(self._ready) + len(self._scanner.payloads)
         return max(0, self.max_buffered_frames - backlog)
 
     # -- the push surface ------------------------------------------------
@@ -196,21 +173,12 @@ class StreamDecoder:
         Draining frees buffer slots, so pending compressed payloads
         decode as the iterator advances — a consumer looping over this
         after every :meth:`feed` keeps the session inside its memory
-        bound.  In pipelined mode the drain additionally *waits* for
-        the oldest in-flight parse when it would otherwise stall the
-        producer (demand is zero, or a framing error is held so no more
-        input will come) — so the serial consumer loop works unchanged
-        and never livelocks.  Once nothing is left ahead of a held
-        framing error, the drain raises it.
+        bound.  The drain never blocks: it decodes on the caller's
+        thread and ends as soon as nothing is ready.  Once nothing is
+        left ahead of a held framing error, the drain raises it.
         """
         while True:
             self._advance()
-            if not self._ready and self._in_flight:
-                if self._scan_error is not None or self.demand == 0:
-                    self.stalls += 1
-                    _MET_STALLS.inc()
-                    with trace.span("stream.stall", in_flight=len(self._in_flight)):
-                        self._pump_pipeline(block=True)
             if not self._ready:
                 self._raise_scan_error_when_due()
                 return
@@ -222,10 +190,9 @@ class StreamDecoder:
         Validates the tail exactly as the whole-buffer scan does
         (:meth:`ScanState.finish`); its "overruns" error surfaces here,
         or from :meth:`frames` while payloads before it are undecoded.
-        Frames already completed remain drainable via :meth:`frames`.
-        In pipelined mode the parse worker stops here: the parse it is
-        running finishes, queued ones are cancelled and parse inline
-        as :meth:`frames` drains.  Idempotent.
+        Frames already completed remain drainable via :meth:`frames`,
+        and completed payloads still waiting on the buffer bound decode
+        as it drains.  No decode happens here.  Idempotent.
         """
         if self._closed:
             return
@@ -235,108 +202,42 @@ class StreamDecoder:
             except ValueError as exc:
                 self._scan_error = exc
         self._closed = True
-        self._shutdown()
         self._raise_scan_error_when_due()
 
     # -- internals -------------------------------------------------------
 
     def _advance(self) -> None:
-        """Decode pending payloads into the ready queue up to the
-        buffer bound."""
-        if self._pipeline:
-            self._pump_pipeline(block=False)
-            return
+        """Parse and reconstruct pending payloads into the ready queue up
+        to the buffer bound, folding each frame into the running
+        reference list (I-frames also mark a random-access point)."""
         payloads = self._scanner.payloads
-        while payloads and self._has_room:
+        while payloads and len(self._ready) < self.max_buffered_frames:
             payload = payloads.popleft()
-            self._note_frame(parse_payload(payload), len(payload))
-
-    def _pump_pipeline(self, block: bool) -> None:
-        """Pipelined advance: keep up to ``max_buffered_frames + 1``
-        payloads parsing on the worker, then reconstruct finished
-        parses in order up to the buffer bound.  ``block=True`` waits
-        on the oldest parse when no frame is ready (the :meth:`frames`
-        stall-breaker).  Once closed, parses the worker never ran and
-        payloads it never saw parse inline."""
-        if self._parse_error is not None:
-            raise self._parse_error
-        payloads = self._scanner.payloads
-        in_flight = self._in_flight
-        while True:
-            while payloads and not self._closed and len(in_flight) <= self.max_buffered_frames:
-                if self._executor is None:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix=PARSE_THREAD_PREFIX
-                    )
-                payload = payloads.popleft()
-                in_flight.append((payload, self._executor.submit(parse_payload, payload)))
-            if not self._has_room:
-                return
-            if in_flight:
-                payload, future = in_flight[0]
-                if not (future.done() or (block and not self._ready)):
-                    return
-                in_flight.popleft()
-            elif payloads:
-                payload, future = payloads.popleft(), None
-            else:
-                return
-            try:
-                if future is None or future.cancelled():
-                    parsed = parse_payload(payload)
-                else:
-                    parsed = future.result()
-            except Exception as exc:
-                self._parse_error = exc
-                self._shutdown()
-                raise
-            self._note_frame(parsed, len(payload))
-
-    @property
-    def _has_room(self) -> bool:
-        """Whether another decoded frame fits the buffer bound."""
-        return len(self._ready) < self.max_buffered_frames
-
-    def _note_frame(self, parsed, payload_size: int) -> None:
-        """Reconstruct one parsed picture, fold it into the running
-        reference list (I-frames also mark a random-access point) and
-        queue it for :meth:`frames`."""
-        frame, self._references = reconstruct_and_fold(
-            parsed, self._references, self._frame_index
-        )
-        if parsed.header.frame_type == "I":
-            self.keyframes.append(self._frame_index)
-        self.frame_bits.append(8 * payload_size)
-        self._frame_index += 1
-        self._ready.append(frame)
-        # Pipelined sessions reconstruct most frames inside frames(),
-        # and those can drain before the next feed samples the peak.
-        self._note_peak()
+            parsed = parse_payload(payload)
+            frame, self._references = reconstruct_and_fold(
+                parsed, self._references, self._frame_index
+            )
+            if parsed.header.frame_type == "I":
+                self.keyframes.append(self._frame_index)
+            self.frame_bits.append(8 * len(payload))
+            self._frame_index += 1
+            self._ready.append(frame)
+            # frames() decodes too, and its frames can drain before the
+            # next feed samples the peak.
+            self._note_peak()
 
     def _raise_scan_error_when_due(self) -> None:
         """Raise the held framing error once no payload before it is
         left undecoded (decoded frames may still await :meth:`frames`)."""
-        if self._scan_error is None or self._scanner.payloads or self._in_flight:
+        if self._scan_error is None or self._scanner.payloads:
             return
-        self._shutdown()
         raise self._scan_error
-
-    def _shutdown(self) -> None:
-        """Stop the parse worker: its running parse finishes, queued
-        ones are cancelled, and its thread is joined."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
 
     def _note_peak(self) -> None:
         self.peak_buffered_bytes = max(self.peak_buffered_bytes, self.buffered_bytes)
 
 
-def stream_decode(
-    chunks,
-    max_buffered_frames: int = 2,
-    pipeline: bool = False,
-) -> Iterator[Frame]:
+def stream_decode(chunks, max_buffered_frames: int = 2) -> Iterator[Frame]:
     """Decode an iterable of byte chunks, yielding frames as they
     complete — the generator face of :class:`StreamDecoder`.
 
@@ -350,7 +251,7 @@ def stream_decode(
     >>> all(d == r for d, r in zip(decoded, enc.reconstruction))
     True
     """
-    decoder = StreamDecoder(max_buffered_frames=max_buffered_frames, pipeline=pipeline)
+    decoder = StreamDecoder(max_buffered_frames=max_buffered_frames)
     for chunk in chunks:
         decoder.feed(chunk)
         yield from decoder.frames()

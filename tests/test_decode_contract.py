@@ -8,8 +8,7 @@ message:
 
 * ``decode_bitstream`` serially, with ``frames=k`` (which judges only the
   first *k* pictures), with ``jobs=2`` and with ``start_frame``;
-* :class:`StreamDecoder` at any chunking and buffer depth, serial or
-  pipelined (``pipeline=True``: parse on a worker thread);
+* :class:`StreamDecoder` at any chunking and buffer depth;
 * on framing and truncation damage, also ``parse_bitstream_symbols`` and
   the :mod:`repro.reference` oracle (on payload damage the per-bit parse
   may word an error differently, so those two are not compared there).
@@ -111,9 +110,9 @@ def expected(trace, limit=None):
     return type(error), str(error)
 
 
-def stream_outcome(bitstream, chunk, depth, pipeline):
+def stream_outcome(bitstream, chunk, depth):
     """Push-decode outcome, plus the frames yielded before any error."""
-    decoder = StreamDecoder(max_buffered_frames=depth, pipeline=pipeline)
+    decoder = StreamDecoder(max_buffered_frames=depth)
     got = []
     try:
         for offset in range(0, len(bitstream), chunk):
@@ -127,10 +126,9 @@ def stream_outcome(bitstream, chunk, depth, pipeline):
 
 
 def assert_contract(bitstream, data=None, chunk=37, depth=2, limit=2):
-    """Serial decode, a ``frames=`` limit and the serial and
-    thread-pipelined push decoders against :func:`serial_trace`; with
-    hypothesis ``data``, the limit, chunk size and buffer depth are
-    drawn."""
+    """Serial decode, a ``frames=`` limit and the push decoder against
+    :func:`serial_trace`; with hypothesis ``data``, the limit, chunk
+    size and buffer depth are drawn."""
     trace = serial_trace(bitstream)
     if data is not None:
         limit = data.draw(st.integers(0, 8), label="frames")
@@ -139,10 +137,9 @@ def assert_contract(bitstream, data=None, chunk=37, depth=2, limit=2):
     if data is not None:
         chunk = data.draw(st.integers(1, max(1, len(bitstream))), label="chunk")
         depth = data.draw(st.integers(1, 3), label="depth")
-    for pipeline in (False, True):
-        result, got = stream_outcome(bitstream, chunk, depth, pipeline)
-        assert result == expected(trace)
-        assert got == trace[0][: len(got)]  # frames before an error are the serial ones
+    result, got = stream_outcome(bitstream, chunk, depth)
+    assert result == expected(trace)
+    assert got == trace[0][: len(got)]  # frames before an error are the serial ones
     return trace
 
 
@@ -361,13 +358,13 @@ class TestFixedCases:
 
     @pytest.mark.parametrize("case", list(CASES)[1:])
     def test_spawned_modes_agree(self, gop, case):
-        """``jobs=2`` (with and without a frame limit) and the
-        pipelined push decoder at a different chunking and depth."""
+        """``jobs=2`` (with and without a frame limit) and the push
+        decoder at a different chunking and depth."""
         corrupt = make_case(gop, case)
         trace = serial_trace(corrupt)
         assert outcome(lambda: decode_bitstream(corrupt, jobs=2)) == expected(trace)
         assert outcome(lambda: decode_bitstream(corrupt, jobs=2, frames=1)) == expected(trace, 1)
-        result, _ = stream_outcome(corrupt, 64, 2, True)
+        result, _ = stream_outcome(corrupt, 64, 2)
         assert result == expected(trace)
 
     def test_seek_judges_pictures_from_the_keyframe_on(self, gop):

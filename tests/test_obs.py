@@ -358,9 +358,11 @@ class TestCrossProcessMerge:
 
 
 class TestParseStageTracing:
-    def test_thread_pipeline_records_into_process_tracer(self, v2_encode):
+    def test_push_decode_records_one_parse_per_frame(self, v2_encode):
+        """A push decode parses every payload inline: one
+        ``decode.parse`` span per frame, all on the calling thread."""
         trace.TRACER.enable()
-        decoder = StreamDecoder(pipeline=True)
+        decoder = StreamDecoder()
         _, encode = v2_encode
         decoder.feed(encode.bitstream)
         frames = list(decoder.frames())
@@ -371,10 +373,9 @@ class TestParseStageTracing:
         import os
 
         parses = [e for e in events if e["name"] == "decode.parse"]
-        assert len(parses) >= len(frames)
+        assert len(parses) == len(frames)
         assert all(e["pid"] == os.getpid() for e in events)
-        # At least one parse ran on the worker thread, not this one.
-        assert any(e["tid"] != threading.get_native_id() for e in parses)
+        assert all(e["tid"] == threading.get_native_id() for e in parses)
 
 
 class TestSessionStats:

@@ -12,7 +12,7 @@ cheap determinism properties run in-process.  ``TestWarmPool`` and
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from repro.parallel import (
     Fig4PairJob,
     JobSpec,
     ParseFrameJob,
-    SweepJob,
     derive_job_seeds,
     run_jobs,
 )
@@ -188,7 +187,7 @@ class TestSharedMemoryTransport:
     def test_pack_shm_defaults_to_identity(self):
         """Specs without array payloads ride the pickle stream unchanged
         (pack_shm is the base-class identity)."""
-        for job in (SquareJob(5), ParseFrameJob(b"\x00\x01"), SweepJob(TINY, ("pbm",))):
+        for job in (SquareJob(5), ParseFrameJob(b"\x00\x01"), EncodeJob("miss_america", 30, "pbm", 16, TINY)):
             assert job.pack_shm(None) is job
 
     def test_progress_fires_once_per_completed_job(self):
@@ -215,16 +214,20 @@ class TestJobSpecs:
             EncodeJob("miss_america", 30, "pbm", 16, TINY),
             ParseFrameJob(b"\x00\x01"),
             Fig4PairJob(0, ((1, 0),), FrameGeometry(96, 80), 7, 16, 3),
-            SweepJob(TINY, ("pbm",)),
         }
-        assert len(jobs) == 4
+        assert len(jobs) == 3
 
     def test_sweep_job_expansion_order(self):
-        expanded = SweepJob(TINY, ("acbm", "pbm")).expand()
-        assert [(j.estimator, j.qp) for j in expanded] == [
-            ("acbm", 30), ("acbm", 16), ("pbm", 30), ("pbm", 16),
+        config = replace(TINY, sequences=("miss_america", "foreman"), fps_list=(30, 10))
+        expanded = sweep_jobs(config, ("acbm", "pbm"))
+        assert all(isinstance(j, EncodeJob) and j.config == config for j in expanded)
+        assert [(j.sequence, j.fps, j.estimator, j.qp) for j in expanded] == [
+            (name, fps, estimator, qp)
+            for name in ("miss_america", "foreman")
+            for fps in (30, 10)
+            for estimator in ("acbm", "pbm")
+            for qp in (30, 16)
         ]
-        assert sweep_jobs(TINY, ("acbm", "pbm")) == expanded
 
     def test_borrowed_renders_rejects_mismatched_renders(self):
         from repro.parallel import borrowed_renders

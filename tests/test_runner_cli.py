@@ -62,12 +62,11 @@ class TestParser:
             for flag in ("--shm", "--no-shm"):
                 with pytest.raises(SystemExit):
                     parser.parse_args([command, flag])
-        args = parser.parse_args(["stream-decode", "s.v2", "--pipeline", "thread"])
-        assert args.pipeline == "thread"
-        assert parser.parse_args(["stream-decode", "s.v2"]).pipeline == "off"
-        for removed in ("process", "fork"):
+        # stream-decode has one decode schedule: no --pipeline option.
+        assert not hasattr(parser.parse_args(["stream-decode", "s.v2"]), "pipeline")
+        for mode in ("off", "thread", "process"):
             with pytest.raises(SystemExit):
-                parser.parse_args(["stream-decode", "s.v2", "--pipeline", removed])
+                parser.parse_args(["stream-decode", "s.v2", "--pipeline", mode])
 
     def test_stream_encode_requires_input(self):
         with pytest.raises(SystemExit):

@@ -13,21 +13,16 @@ The two contracts everything else hangs off:
   whole-sequence :meth:`Encoder.encode`, in both wire formats.
 """
 
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec.bitstream import BitWriter
-from repro.codec.decoder import FrameIndex, decode_bitstream, parse_payload
+from repro.codec.decoder import FrameIndex, decode_bitstream
 from repro.codec.encoder import FRAME_START_CODE, Encoder, encode_sequence
 from repro.experiments.runner import decode_summary
 from repro.streaming import ScanState, StreamDecoder, stream_decode
-from repro.streaming.decoder import PARSE_THREAD_PREFIX
-from repro.streaming import decoder as stream_decoder_module
 from repro.streaming.decoder import frame_bytes
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
@@ -36,13 +31,6 @@ from repro.video.yuv_io import frame_size_bytes, iter_yuv_frames, read_yuv, writ
 
 
 SMALL = FrameGeometry(32, 32)
-
-THREAD = pytest.param(True, id="thread")  # the parse-thread pipeline
-
-
-def parse_threads():
-    """Live threads of pipelined decoders' parse workers."""
-    return [t for t in threading.enumerate() if t.name.startswith(PARSE_THREAD_PREFIX)]
 
 
 def random_sequence(n=4, seed=7, geometry=SMALL):
@@ -91,6 +79,29 @@ def qcif_v2():
 @pytest.fixture(scope="module")
 def whole(v2):
     return decode_bitstream(v2.bitstream)
+
+
+@pytest.fixture(scope="module")
+def payloads(v2):
+    index = FrameIndex.scan(v2.bitstream)
+    return [index.payload(v2.bitstream, i) for i in range(len(index))]
+
+
+@pytest.fixture(scope="module")
+def corrupt_stream(v2):
+    """``v2`` with one payload byte flipped so the decode raises —
+    found by scanning offsets, since a flip can land in dead padding
+    and decode cleanly."""
+    start, end = FrameIndex.scan(v2.bitstream).ranges[-1]
+    for offset in range(start + 4, end, 3):
+        corrupt = bytearray(v2.bitstream)
+        corrupt[offset] ^= 0xFF
+        corrupt = bytes(corrupt)
+        try:
+            list(stream_decode([corrupt]))
+        except Exception as exc:  # noqa: BLE001 - parity is about *any* error
+            return corrupt, exc
+    pytest.fail("no corrupting offset found in the last payload")
 
 
 def assert_frames_equal(actual, expected):
@@ -328,8 +339,7 @@ class TestStreamDecoder:
             list(stream_decode([corrupt]))
         assert str(stream_err.value) == str(whole_err.value)
 
-    @pytest.mark.parametrize("pipeline", [False, THREAD])
-    def test_truncated_last_frame_raises_like_whole_buffer(self, v2, pipeline):
+    def test_truncated_last_frame_raises_like_whole_buffer(self, v2):
         """A stream cut 5 bytes into frame 2's payload leaves a tail
         shorter than a minimal frame; it still raises the overrun, in
         the push decoder as in decode_bitstream."""
@@ -339,11 +349,10 @@ class TestStreamDecoder:
             decode_bitstream(cut)
         chunks = [cut[i : i + 7] for i in range(0, len(cut), 7)]
         with pytest.raises(ValueError) as stream_err:
-            list(stream_decode(chunks, pipeline=pipeline))
+            list(stream_decode(chunks))
         assert str(stream_err.value) == str(whole_err.value)
 
-    @pytest.mark.parametrize("pipeline", [False, THREAD])
-    def test_scan_error_waits_for_earlier_payloads(self, v2, pipeline):
+    def test_scan_error_waits_for_earlier_payloads(self, v2):
         """Payload 1 corrupt and frame 2's start code bad, fed in one
         chunk: the scanner meets the start code first, but stream order
         puts payload 1's parse error ahead of it, as decode_bitstream
@@ -355,7 +364,7 @@ class TestStreamDecoder:
         corrupt = bytes(corrupt)
         with pytest.raises(ValueError, match="bad start code 0x") as whole_err:
             decode_bitstream(corrupt)
-        decoder = StreamDecoder(max_buffered_frames=1, pipeline=pipeline)
+        decoder = StreamDecoder(max_buffered_frames=1)
         with pytest.raises(ValueError) as stream_err:
             decoder.feed(corrupt)
             list(decoder.frames())
@@ -371,144 +380,52 @@ class TestStreamDecoder:
         with pytest.raises(ValueError, match="max_buffered_frames"):
             StreamDecoder(max_buffered_frames=0)
 
-
-# -- pipelined decode ------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def payloads(v2):
-    index = FrameIndex.scan(v2.bitstream)
-    return [index.payload(v2.bitstream, i) for i in range(len(index))]
-
-
-@pytest.fixture(scope="module")
-def corrupt_stream(v2):
-    """``v2`` with one payload byte flipped so the serial decode raises
-    — found by scanning offsets, since a flip can land in dead padding
-    and decode cleanly."""
-    start, end = FrameIndex.scan(v2.bitstream).ranges[-1]
-    for offset in range(start + 4, end, 3):
-        corrupt = bytearray(v2.bitstream)
-        corrupt[offset] ^= 0xFF
-        corrupt = bytes(corrupt)
-        try:
-            list(stream_decode([corrupt]))
-        except Exception as exc:  # noqa: BLE001 - parity is about *any* error
-            return corrupt, exc
-    pytest.fail("no corrupting offset found in the last payload")
-
-
-class TestPipelinedDecoder:
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 10**6])
-    def test_thread_chunkings_bit_identical(self, v2, whole, chunk):
-        """Any chunking — including 1-byte feeds — through the
-        thread-pipelined session decodes bit-identically to serial."""
-        chunks = [v2.bitstream[i : i + chunk] for i in range(0, len(v2.bitstream), chunk)]
-        assert_frames_equal(list(stream_decode(chunks, pipeline=True)), whole)
-
-    def test_pipelined_bit_identical_and_leak_free(self, v2, whole):
-        """``stream_decode`` closes its session, which joins the parse
-        worker: no thread outlives the decode."""
-        chunks = [v2.bitstream[i : i + 7] for i in range(0, len(v2.bitstream), 7)]
-        assert_frames_equal(list(stream_decode(chunks, pipeline=True)), whole)
-        assert not parse_threads()
-
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_random_chunkings_bit_identical(self, v2, whole, data):
-        cuts = sorted(
-            data.draw(
-                st.lists(st.integers(0, len(v2.bitstream)), min_size=0, max_size=40),
-                label="cuts",
-            )
-        )
-        points = [0, *cuts, len(v2.bitstream)]
-        chunks = [v2.bitstream[a:b] for a, b in zip(points, points[1:])]
-        assert_frames_equal(list(stream_decode(chunks, pipeline=True)), whole)
-
-    def test_results_arrive_in_order(self, v2, whole, payloads, monkeypatch):
-        """Every payload parses on the worker thread, and the frames come
-        out in stream order with each payload's bits credited to its own
-        frame."""
-        parsed_on = []
-
-        def spy(payload):
-            parsed_on.append(threading.current_thread().name)
-            return parse_payload(payload)
-
-        monkeypatch.setattr(stream_decoder_module, "parse_payload", spy)
-        decoder = StreamDecoder(max_buffered_frames=1, pipeline=True)
-        decoder.feed(v2.bitstream)  # demand stays 0, so every drain waits
+    def test_frame_bits_credit_each_payload(self, v2, whole, payloads):
+        """Frames come out in stream order with each payload's bits
+        credited to its own frame, also when every payload past the
+        first waits on a one-frame buffer."""
+        decoder = StreamDecoder(max_buffered_frames=1)
+        assert decoder.feed(v2.bitstream) == 0
         out = list(decoder.frames())
         decoder.close()
         assert list(decoder.frames()) == []
         assert_frames_equal(out, whole)
         assert decoder.frame_bits == [8 * len(p) for p in payloads]
-        assert len(parsed_on) == len(payloads)
-        assert all(name.startswith(PARSE_THREAD_PREFIX) for name in parsed_on)
 
-    def test_failing_payload_raises_serial_error_at_same_frame(self, corrupt_stream):
-        """The pipelined session yields the same frames as the serial one
-        before a corrupt payload, then raises the same error."""
-        corrupt, serial_exc = corrupt_stream
-        outcomes = []
-        for pipeline in (False, True):
-            decoder = StreamDecoder(max_buffered_frames=1, pipeline=pipeline)
-            got = []
-            with pytest.raises(type(serial_exc)) as err:
-                decoder.feed(corrupt)
-                for frame in decoder.frames():
-                    got.append(frame)
-                decoder.close()
-                got.extend(decoder.frames())
-            outcomes.append((got, decoder.frames_decoded, str(err.value)))
-        (serial, serial_count, serial_msg), (piped, piped_count, piped_msg) = outcomes
-        assert_frames_equal(piped, serial)
-        assert piped_count == serial_count == len(FrameIndex.scan(corrupt)) - 1
-        assert piped_msg == serial_msg == str(serial_exc)
-        assert not parse_threads()
+    def test_failing_payload_raises_after_the_frames_before_it(self, whole, corrupt_stream):
+        """A corrupt last payload behind a one-frame buffer: every
+        frame before it drains, then the one-chunk decode's error
+        surfaces with its exact message."""
+        corrupt, first_exc = corrupt_stream
+        decoder = StreamDecoder(max_buffered_frames=1)
+        got = []
+        with pytest.raises(type(first_exc)) as err:
+            decoder.feed(corrupt)
+            for frame in decoder.frames():
+                got.append(frame)
+            decoder.close()
+            got.extend(decoder.frames())
+        assert decoder.frames_decoded == len(got) == len(FrameIndex.scan(corrupt)) - 1
+        assert_frames_equal(got, whole[: len(got)])
+        assert str(err.value) == str(first_exc)
 
-    def test_close_with_parses_in_flight_stops_worker(self, v2, whole, monkeypatch):
-        """close() joins the worker while parses are still queued — the
-        queued ones are cancelled and parse inline as the frames drain —
-        and a second close() is a no-op."""
-
-        def slow_on_worker(payload):
-            if threading.current_thread().name.startswith(PARSE_THREAD_PREFIX):
-                time.sleep(0.02)
-            return parse_payload(payload)
-
-        monkeypatch.setattr(stream_decoder_module, "parse_payload", slow_on_worker)
-        decoder = StreamDecoder(max_buffered_frames=len(whole), pipeline=True)
-        decoder.feed(v2.bitstream)
-        assert parse_threads() and decoder.frames_decoded == 0
-        decoder.close()
-        assert not parse_threads()
-        decoder.close()
-        assert not parse_threads()
-        assert_frames_equal(list(decoder.frames()), whole)
-
-    @pytest.mark.parametrize("pipeline", [False, THREAD])
-    def test_error_parity_mid_pipeline(self, corrupt_stream, pipeline):
+    def test_error_parity_mid_stream(self, corrupt_stream):
         """A corrupt payload fed mid-stream in 11-byte chunks raises the
-        one-chunk serial decode's exact error — same type, same message —
-        from the serial and the pipelined session, and no parse worker
-        outlives it."""
-        corrupt, serial_exc = corrupt_stream
-        decoder = StreamDecoder(max_buffered_frames=10, pipeline=pipeline)
-        with pytest.raises(type(serial_exc)) as err:
+        one-chunk decode's exact error — same type, same message."""
+        corrupt, first_exc = corrupt_stream
+        decoder = StreamDecoder(max_buffered_frames=10)
+        with pytest.raises(type(first_exc)) as err:
             for i in range(0, len(corrupt), 11):
                 decoder.feed(corrupt[i : i + 11])
                 list(decoder.frames())
             decoder.close()
             list(decoder.frames())
-        assert str(err.value) == str(serial_exc)
-        assert not parse_threads()
+        assert str(err.value) == str(first_exc)
 
     def test_backpressure_bound_holds(self, v2, whole):
         """A demand-honoring producer never sees more decoded frames
-        buffered than ``max_buffered_frames``, pipeline or not."""
-        decoder = StreamDecoder(max_buffered_frames=1, pipeline=True)
+        buffered than ``max_buffered_frames``."""
+        decoder = StreamDecoder(max_buffered_frames=1)
         out = []
         pos = 0
         while pos < len(v2.bitstream):
@@ -522,32 +439,16 @@ class TestPipelinedDecoder:
         out.extend(decoder.frames())
         assert_frames_equal(out, whole)
 
-    def test_truncated_tail_raises_on_close(self, v2):
-        """Complete frames decode despite a truncated tail, and close()
-        raises the scanner's overrun error.  The pipelined drain is
-        asynchronous while demand remains (frames() only *waits* when
-        it would otherwise stall the producer), so poll until the
-        in-flight parses land."""
-        index = FrameIndex.scan(v2.bitstream)
-        cut = index.ranges[-1][1] - 3
-        decoder = StreamDecoder(max_buffered_frames=len(index), pipeline=True)
-        decoder.feed(v2.bitstream[:cut])
-        got = []
-        for _ in range(10_000):
-            got.extend(decoder.frames())
-            if len(got) == len(index) - 1:
-                break
-            time.sleep(0.001)
-        assert len(got) == len(index) - 1
-        with pytest.raises(ValueError, match="overruns"):
-            decoder.close()
-
-    def test_invalid_pipeline_flag_rejected(self):
-        """``pipeline`` is a bool; anything else, the removed
-        ``"process"`` mode included, is refused by name."""
-        for flag in ("process", "thread", "fork", None, 1):
-            with pytest.raises(ValueError, match="'process' parse stage was removed"):
-                StreamDecoder(pipeline=flag)
+    def test_close_is_idempotent_and_pending_payloads_drain(self, v2, whole):
+        """close() decodes nothing: payloads still waiting on the
+        buffer bound decode as :meth:`frames` drains, and a second
+        close() is a no-op."""
+        decoder = StreamDecoder(max_buffered_frames=1)
+        decoder.feed(v2.bitstream)
+        decoder.close()
+        decoder.close()
+        assert decoder.frames_decoded == 1
+        assert_frames_equal(list(decoder.frames()), whole)
 
 
 # -- iterator encoder ------------------------------------------------------
@@ -643,22 +544,14 @@ def push_decode(bitstream, chunk, **options):
 class TestSessions:
     def test_decode_session_stats(self, v2, qcif_v2):
         """The decoder's counters add up, and peak buffered bytes stay
-        under the subsystem's memory bound — serially, two frames' worth
-        of payload plus one reconstruction window; pipelined, the
-        ``max_buffered_frames + 1`` payloads in flight, the
-        ``max_buffered_frames`` decoded frames and one chunk arriving —
-        on the small clip in 100-byte feeds and on a 30-frame QCIF
-        stream in MTU-sized ones.  A pipelined session reconstructs most
-        frames while :meth:`frames` drains, and its peak still counts
-        them: at least one raw frame."""
-        depth = 2
-        cases = [(encode, chunk, pipeline) for encode, chunk in ((v2, 100), (qcif_v2, 1500))
-                 for pipeline in (False, True)]
-        for encode, chunk, pipeline in cases:
+        under the subsystem's memory bound — two frames' worth of
+        payload plus one reconstruction window — on the small clip in
+        100-byte feeds and on a 30-frame QCIF stream in MTU-sized ones.
+        The peak counts the frames :meth:`frames` decodes as it drains:
+        at least one raw frame."""
+        for encode, chunk in ((v2, 100), (qcif_v2, 1500)):
             bitstream = encode.bitstream
-            out, decoder = push_decode(
-                bitstream, chunk, max_buffered_frames=depth, pipeline=pipeline
-            )
+            out, decoder = push_decode(bitstream, chunk, max_buffered_frames=2)
             assert_frames_equal(out, decode_bitstream(bitstream))
             assert_frames_equal(out, encode.reconstruction)
             raw_frame = frame_size_bytes(out[0].geometry)
@@ -667,31 +560,19 @@ class TestSessions:
             assert decoder.bytes_fed == len(bitstream)
             assert sum(frame_bytes(f) for f in out) == len(out) * raw_frame
             assert decoder.buffered_bytes == 0
-            assert 0 < decoder.peak_buffered_bytes <= 2 * raw_frame + len(bitstream)
-            if pipeline:
-                assert decoder.peak_buffered_bytes >= raw_frame
-                assert decoder.peak_buffered_bytes <= (
-                    (depth + 1) * max_payload + depth * raw_frame + chunk
-                )
-            else:
-                assert decoder.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
+            assert raw_frame <= decoder.peak_buffered_bytes <= 2 * raw_frame + len(bitstream)
+            assert decoder.peak_buffered_bytes < 2 * max(raw_frame, max_payload) + raw_frame
             summary = decode_summary(decoder, 0.25)
             assert summary.startswith(f"frames {len(out)} in / {len(out)} out, ")
             assert f"bytes {len(bitstream)} in" in summary and "0.250s" in summary
 
-    @pytest.mark.parametrize("pipeline", [False, THREAD])
-    def test_decode_session_in_process_modes_copy_nothing(self, v2, whole, pipeline):
-        """Serial and thread-pipelined decoders decode identically and
-        in-process: no transport ledger, and no parse thread outlives
-        the decoder."""
-        out, decoder = push_decode(
-            v2.bitstream, len(v2.bitstream), max_buffered_frames=4, pipeline=pipeline
-        )
+    def test_decode_session_in_process_copies_nothing(self, v2, whole):
+        """The decoder decodes in-process: no transport ledger."""
+        out, decoder = push_decode(v2.bitstream, len(v2.bitstream), max_buffered_frames=4)
         assert_frames_equal(out, whole)
         assert not hasattr(decoder, "bytes_copied")
         assert "transport" not in decode_summary(decoder, 0.0)
         assert decoder.frames_scanned == decoder.frames_decoded == len(whole)
-        assert not parse_threads()
 
     def test_encode_session_stats(self, clip, v2):
         chunks, records = stream_encode(iter(clip), 2)
