@@ -6,8 +6,8 @@ block-list SAD-surface kernel, run over every block of a frame (the
 motion-search workhorse), and the whole-stream VLC symbol parse (the
 decoder front half).
 
-* numpy rows — the numpy backend against the generic per-block SAD
-  fallback (>= 2.0x) and against the per-bit oracle parse (>= 2.8x);
+* numpy rows — the numpy backend against the dense SAD-surface oracle
+  (>= 2.0x) and against the per-bit oracle parse (>= 2.8x);
   gated on every machine;
 * numba rows — the compiled backend against the numpy rows (>= 3.0x
   each); skipped visibly when numba is not importable.
@@ -20,7 +20,7 @@ from repro import reference as oracle
 from repro.codec.decoder import parse_bitstream_symbols
 from repro.codec.encoder import encode_sequence
 from repro.kernels import get_backend, reset_backend, set_backend
-from repro.me.engine.kernels import _frame_sad_surfaces_generic, sad_surfaces_numpy
+from repro.me.engine.kernels import sad_surfaces_numpy
 
 from .conftest import best_of
 
@@ -60,12 +60,13 @@ def _gate(label: str, baseline_s: float, fast_s: float, floor: float) -> None:
 
 
 def test_backend_sad_numpy(planes):
-    """Numpy-backend SAD surfaces vs the generic per-block fallback."""
+    """Numpy-backend SAD surfaces vs the dense one-displacement-at-a-time
+    oracle (:func:`repro.reference.frame_sad_surfaces`)."""
     current, reference = planes
     blocks = _all_blocks(current)
     assert sad_surfaces_numpy(current, reference, *blocks, 16, 15).shape == (99, 31, 31)
     numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 16, 15), 5)
-    generic_s = best_of(lambda: _frame_sad_surfaces_generic(current, reference, 16, 15), 3)
+    generic_s = best_of(lambda: oracle.frame_sad_surfaces(current, reference, 16, 15), 3)
     _gate("numpy SAD surfaces vs generic", generic_s, numpy_s, 2.0)
 
 

@@ -18,10 +18,12 @@ the predictive search's evaluations plus — only on critical blocks —
 the full search's.  The Intra_SAD computation itself touches only the
 current block and is not a candidate position.
 
-:meth:`ACBMEstimator.search_block` is the per-block definition.  The
-frame driver, :meth:`ACBMEstimator.estimate_frame`, runs the same four
-steps as whole-frame sweeps (:func:`repro.me.predictive.sweep_frame`)
-and matches the raster walk byte for byte, for the reasons the
+:meth:`ACBMEstimator.search_block` is the per-block definition, which
+only the oracle (:func:`repro.reference.estimate_motion`) walks in
+raster order.  The frame driver, :meth:`ACBMEstimator.estimate_frame`,
+runs the same four steps as whole-frame sweeps
+(:func:`repro.me.predictive.sweep_frame`) and matches the raster walk
+byte for byte, for the reasons the
 :mod:`repro.me.predictive` docstring gives: the predictive stage's best
 is the lexicographic minimum of ``(SAD, max(|dx|, |dy|), |dy|, |dx|,
 dy, dx)`` over the visited set, and a block reads the field being built
@@ -177,8 +179,7 @@ class ACBMEstimator(MotionEstimator):
     ) -> SweepResult:
         """:meth:`search_block`'s four steps for every block as
         whole-frame sweeps to the raster walk's fixed point (module
-        docstring); needs the predictive stage's
-        :meth:`~repro.me.predictive.PredictiveEstimator.sweeps_apply`."""
+        docstring)."""
         s = self.block_size
         rows, cols = current.shape[0] // s, current.shape[1] // s
         activity = block_activity_map(current, s).reshape(-1)
@@ -229,10 +230,7 @@ class ACBMEstimator(MotionEstimator):
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
-        """:meth:`sweep`, or the raster walk where the predictive sweep
-        does not apply."""
-        if not self._pbm.sweeps_apply(plane):
-            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        """:meth:`sweep` as a field and stats."""
         return self.sweep(current, plane, prev_field, qp).motion()
 
 

@@ -63,8 +63,8 @@ class KernelBackend:
     #: (cur u8 (h,w), ref u8 (h,w), mb_rows (N,), mb_cols (N,), block_size,
     #:  p) -> (N, 2p+1, 2p+1) int32 surfaces with SURFACE_SENTINEL at
     #: out-of-plane displacements, for any block list (unsorted, repeats
-    #: and N = 0 allowed).  Only dispatched inside the batched envelope
-    #: (:func:`repro.me.engine.kernels.supports_vectorized_search`).
+    #: and N = 0 allowed).  Block sizes 4/8/16 and 1 <= p <= 31 only
+    #: (:func:`repro.me.engine.kernels.check_search_envelope`).
     sad_surfaces: Callable
 
     #: (cur, ref, block_ys (N,), block_xs (N,), dys (N,K), dxs (N,K), s)

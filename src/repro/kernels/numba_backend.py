@@ -566,10 +566,12 @@ def _ensure_jitted() -> None:
 
 # -- ABI wrappers ----------------------------------------------------------
 #
-# Thin Python shims: validate that the arguments sit inside the compiled
-# envelope (uint8 planes, int64 index arrays, contiguous buffers),
-# prepare dtypes, and fall back to the numpy cores otherwise so the
-# backend never changes behaviour, only speed.  They look kernels up in
+# Thin Python shims: prepare dtypes and contiguous buffers for the
+# compiled kernels.  The ME shims (surfaces, candidates, half-pel) take
+# the uint8 planes their callers already validated (estimate(),
+# frame_sad_surfaces, ReferencePlane.half_plane); the intra and MC
+# shims fall back to the numpy cores on other input so the backend
+# never changes behaviour, only speed.  They look kernels up in
 # globals() at call time so the jit rebinding takes effect everywhere.
 
 
@@ -578,19 +580,11 @@ def _u8(arr):
 
 
 def _sad_surfaces(cur, ref, mb_rows, mb_cols, s, p):
-    if not (_u8(cur) and _u8(ref)):
-        from repro.me.engine.kernels import sad_surfaces_numpy
-
-        return sad_surfaces_numpy(cur, ref, mb_rows, mb_cols, s, p)
     rows, cols = (np.ascontiguousarray(a, dtype=np.int64) for a in (mb_rows, mb_cols))
     return k_sad_surfaces(np.ascontiguousarray(cur), np.ascontiguousarray(ref), rows, cols, s, p)
 
 
 def _evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
-    if not (_u8(cur) and _u8(ref)):
-        from repro.me.engine.kernels import evaluate_candidates_numpy
-
-        return evaluate_candidates_numpy(cur, ref, block_ys, block_xs, dys, dxs, s)
     by = np.ascontiguousarray(block_ys, dtype=np.int64)
     bx = np.ascontiguousarray(block_xs, dtype=np.int64)
     dy = np.ascontiguousarray(dys, dtype=np.int64)
@@ -603,12 +597,6 @@ def _evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
 def _refine_half_pel(
     current, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs
 ):
-    if not (_u8(current) and _u8(half)):
-        from repro.me.engine.kernels import refine_half_pel_numpy
-
-        return refine_half_pel_numpy(
-            current, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs
-        )
     return k_refine_half_pel(
         np.ascontiguousarray(current),
         np.ascontiguousarray(half),

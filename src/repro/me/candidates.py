@@ -150,9 +150,9 @@ class BatchEvaluator:
     a stage runs for any subset.  Per block it holds the best rank
     ``SAD << 30 | tiebreak_keys(dx, dy, p)`` with its ``(dx, dy)``
     (:attr:`dx`, :attr:`dy`), the :func:`window_bounds` limits and the
-    codes of the positions visited.  Needs the
-    :func:`repro.me.engine.supports_vectorized_search` envelope (the
-    rank packs displacements for ``p <= 31``).
+    codes of the positions visited.  The rank packs displacements for
+    ``p <= 31``, the :data:`repro.me.engine.kernels.MAX_P` every
+    estimator is held to.
     """
 
     def __init__(

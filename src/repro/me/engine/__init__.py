@@ -54,7 +54,6 @@ from repro.me.engine.kernels import (
     intra_mode_cost_surfaces,
     refine_half_pel_batch,
     select_minima,
-    supports_vectorized_search,
 )
 from repro.me.engine.reconstruction import (
     add_residual_clip,
@@ -86,7 +85,6 @@ __all__ = [
     "refine_half_pel_batch",
     "select_minima",
     "split_frame_blocks",
-    "supports_vectorized_search",
     "tile_blocks",
     "tile_luma_blocks",
 ]

@@ -19,10 +19,14 @@ frame per NumPy pass:
   candidate lists scored in one gather; every stage of the predictive
   and pattern searches (:class:`repro.me.candidates.BatchEvaluator`).
 
-All outputs are bit-exact with the per-block reference implementations
-(:func:`repro.me.full_search.full_search_sads`,
+The kernels take 2-D ``uint8`` planes, block edges of 4, 8 or 16 and
+``1 <= p <= 31`` (:func:`check_search_envelope`, which every estimator
+enforces at construction); nothing outside that envelope has a second
+path.  All outputs are bit-exact with the per-block reference
+implementations (:func:`repro.me.full_search.full_search_sads`,
 :func:`repro.me.full_search.select_minimum`,
-:func:`repro.me.subpel.refine_half_pel`); ``tests/test_engine.py``
+:func:`repro.me.subpel.refine_half_pel`, and the dense oracle
+:func:`repro.reference.frame_sad_surfaces`); ``tests/test_engine.py``
 asserts the equivalence property-style.
 """
 
@@ -68,25 +72,42 @@ def _luma(reference: np.ndarray | ReferencePlane) -> np.ndarray:
     return reference.luma if isinstance(reference, ReferencePlane) else np.asarray(reference)
 
 
-def supports_vectorized_search(plane: np.ndarray, block_size: int, p: int) -> bool:
-    """Whether the batched fast path applies.
+#: Block edges the surface kernel serves: a power of two whose
+#: whole-block SAD fits a uint16 lane (``16^2 * 255 = 65280 < 2^16``).
+BLOCK_SIZES = (4, 8, 16)
+#: Largest search range: the packed tie-break key holds each
+#: displacement field in 6 bits (``2p <= 63``), and the picture header
+#: carries p in 5 bits.
+MAX_P = 31
 
-    The surface kernel's uint16 tree needs a power-of-two block edge
-    whose whole-block SAD fits a 16-bit lane (``16^2 * 255 = 65280 <
-    2^16``), and the vectorized tie-break packs each displacement
-    component into 6 bits.  The paper's 16x16 / p=15 setting sits
-    comfortably inside; anything else falls back to the per-block path
-    with identical results.
-    """
-    s = block_size
-    return (
-        plane.ndim == 2
-        and plane.dtype == np.uint8
-        and s in (4, 8, 16)
-        and 1 <= p <= 31
-        and plane.shape[0] % s == 0
-        and plane.shape[1] % s == 0
-    )
+
+def check_search_envelope(block_size: int, p: int) -> None:
+    """Raise ``ValueError`` unless ``block_size``/``p`` sit inside the
+    batched kernels' envelope (:data:`BLOCK_SIZES`, ``1 <= p <=``
+    :data:`MAX_P`) — the only geometry an estimator accepts."""
+    if block_size not in BLOCK_SIZES:
+        raise ValueError(
+            f"block_size must be one of {BLOCK_SIZES} (a power of two whose "
+            f"block SAD fits the uint16 SAD lane), got {block_size}"
+        )
+    if not 1 <= p <= MAX_P:
+        raise ValueError(
+            f"p must be in 1..{MAX_P} (the tie-break key packs each displacement "
+            f"in 6 bits and the picture header stores p in 5 bits), got {p}"
+        )
+
+
+def check_planes(current: np.ndarray, reference: np.ndarray, block_size: int) -> None:
+    """Raise ``ValueError`` unless both planes are 2-D ``uint8`` of one
+    shape whose sides are multiples of ``block_size``."""
+    for role, arr in (("current", current), ("reference", reference)):
+        if arr.ndim != 2 or arr.dtype != np.uint8:
+            raise ValueError(f"{role} plane must be 2-D uint8, got {arr.dtype} of shape {arr.shape}")
+    if current.shape != reference.shape:
+        raise ValueError(f"plane shapes differ: {current.shape} vs {reference.shape}")
+    h, w = current.shape
+    if h % block_size or w % block_size:
+        raise ValueError(f"plane {current.shape} not a multiple of block size {block_size}")
 
 
 # -- window geometry, vectorized over the block grid ---------------------
@@ -118,7 +139,7 @@ class FrameSadSurfaces:
     candidate block leaves the plane hold :data:`SURFACE_SENTINEL`.
     """
 
-    surfaces: np.ndarray  # (rows, cols, 2p+1, 2p+1) int32 (int64 via the generic fallback)
+    surfaces: np.ndarray  # (rows, cols, 2p+1, 2p+1) int32
     block_size: int
     p: int
     plane_shape: tuple[int, int]
@@ -177,22 +198,17 @@ def frame_sad_surfaces(
     :func:`block_sad_surfaces` over the whole grid, reshaped to
     ``(rows, cols, 2p+1, 2p+1)``.  Equivalent to calling
     :func:`repro.me.full_search.full_search_sads` per block, and the
-    backing store of the Fig. 4 rig's ``SAD_deviation``; outside the
-    batched envelope it runs the generic one-displacement-at-a-time
-    path with the same result.
+    backing store of the Fig. 4 rig's ``SAD_deviation``.  Takes 2-D
+    ``uint8`` planes inside :func:`check_search_envelope`; the dense
+    one-displacement-at-a-time oracle is
+    :func:`repro.reference.frame_sad_surfaces`.
     """
     cur = np.asarray(current)
     ref = _luma(reference)
-    if cur.shape != ref.shape:
-        raise ValueError(f"plane shapes differ: {cur.shape} vs {ref.shape}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_search_envelope(block_size, p)
+    check_planes(cur, ref, block_size)
     s = block_size
     h, w = cur.shape
-    if h % s or w % s:
-        raise ValueError(f"plane {cur.shape} not a multiple of block size {s}")
-    if not supports_vectorized_search(ref, s, p) or cur.dtype != np.uint8:
-        return _frame_sad_surfaces_generic(cur, ref, s, p)
     rows, cols = h // s, w // s
     surf = block_sad_surfaces(cur, ref, *np.divmod(np.arange(rows * cols), cols), s, p)
     return FrameSadSurfaces(
@@ -218,7 +234,7 @@ def block_sad_surfaces(
     where ``out[b, i, j]`` is block ``b``'s SAD at ``(dy, dx) = (i - p,
     j - p)`` and :data:`SURFACE_SENTINEL` marks displacements whose
     candidate leaves the plane.  Callers stay inside
-    :func:`supports_vectorized_search` with uint8 planes.  Counts the
+    :func:`check_search_envelope` with uint8 planes.  Counts the
     blocks into ``me.fs_blocks``.
     """
     _MET_FS_BLOCKS.inc(len(mb_rows))
@@ -289,42 +305,11 @@ def sad_surfaces_numpy(
     return surf
 
 
-def _frame_sad_surfaces_generic(
-    cur: np.ndarray, ref: np.ndarray, s: int, p: int
-) -> FrameSadSurfaces:
-    """Dtype/geometry-agnostic fallback: same output (int64 surface),
-    one displacement at a time without the packed-lane tricks."""
-    h, w = cur.shape
-    rows, cols = h // s, w // s
-    n = 2 * p + 1
-    ci = cur.astype(np.int64)
-    ri = ref.astype(np.int64)
-    surf = np.full((rows, cols, n, n), SURFACE_SENTINEL, dtype=np.int64)
-    for dy in range(-p, p + 1):
-        r0 = 0 if dy >= 0 else (-dy + s - 1) // s
-        r1 = rows if dy <= 0 else (h - dy) // s
-        if r0 >= r1:
-            continue
-        for dx in range(-p, p + 1):
-            c0 = 0 if dx >= 0 else (-dx + s - 1) // s
-            c1 = cols if dx <= 0 else (w - dx) // s
-            if c0 >= c1:
-                continue
-            a = ci[r0 * s : r1 * s, c0 * s : c1 * s]
-            b = ri[r0 * s + dy : r1 * s + dy, c0 * s + dx : c1 * s + dx]
-            diff = np.abs(a - b)
-            surf[r0:r1, c0:c1, dy + p, dx + p] = diff.reshape(
-                r1 - r0, s, c1 - c0, s
-            ).sum(axis=(1, 3))
-    return FrameSadSurfaces(surfaces=surf, block_size=s, p=p, plane_shape=(h, w))
-
-
 def tiebreak_keys(dx: np.ndarray, dy: np.ndarray, p: int) -> np.ndarray:
     """The shortest-vector tie-break key ``(max(|dx|, |dy|), |dy|, |dx|,
     dy, dx)`` packed lexicographically into 30 bits (int64, broadcast
     over ``dx``/``dy``).  Each field spans ``[0, 2p]``, so 6 bits per
-    field hold it up to ``p = 31`` — the
-    :func:`supports_vectorized_search` envelope.  Distinct displacements
+    field hold it up to :data:`MAX_P`.  Distinct displacements
     get distinct keys, so ``SAD << 30 | key`` ranks candidates exactly
     as :class:`repro.me.candidates.CandidateEvaluator` and
     :func:`repro.me.full_search.select_minimum` do."""
@@ -554,8 +539,6 @@ def evaluate_candidates_numpy(
     y0 = by[:, None] + dy
     x0 = bx[:, None] + dx
     valid = (y0 >= 0) & (y0 + s <= h) & (x0 >= 0) & (x0 + s <= w)
-    if not (ref.dtype == np.uint8 and cur.dtype == np.uint8):
-        ref, cur = ref.astype(np.int64), cur.astype(np.int64)
     cand = _block_windows(ref, s)[np.where(valid, y0, 0), np.where(valid, x0, 0)]
     blocks = _block_windows(cur, s)[by, bx][:, None]  # (N, 1, s, s)
     # |a - b| as max - min never wraps, so uint8 needs no widening.

@@ -1,29 +1,28 @@
 """Motion-estimator interface, frame drivers and registry.
 
 Every algorithm (full search, predictive, ACBM, the fast-search
-baselines) implements one method — :meth:`MotionEstimator.search_block`
-— and inherits :meth:`MotionEstimator.estimate`.  The frame driver,
-:meth:`MotionEstimator.estimate_frame`, is *overridable*: the default
-walks the macroblock grid in raster order (the order H.263 encodes, and
-the order that makes the left/top spatial predictors of Fig. 2
-available), assembling a :class:`MotionField` and a
-:class:`SearchStats`; every estimator overrides it with a whole-frame
-vectorized path through :mod:`repro.me.engine`, bit-identical to the
-walk, and keeps the walk only outside the batched kernels' envelope
-(:func:`repro.me.engine.supports_vectorized_search`).  FSBM computes
-every block's surface in one pass; predictive and ACBM iterate
-whole-frame sweeps to the raster walk's unique fixed point
-(:func:`repro.me.predictive.sweep_frame`); the fixed-pattern searches
-(:class:`PatternSearchEstimator`: TSS, NTSS, 4SS, DS, HEXBS, CDS) read
-no neighbour's vector, so they run each stage for every macroblock in
-lockstep on one :class:`repro.me.candidates.BatchEvaluator`.
+baselines) states its per-block definition,
+:meth:`MotionEstimator.search_block`, and one whole-frame driver,
+:meth:`MotionEstimator.estimate_frame`, through :mod:`repro.me.engine`,
+bit-identical to raster-order ``search_block`` calls (the order H.263
+encodes, and the order that makes the left/top spatial predictors of
+Fig. 2 available).  FSBM computes every block's surface in one pass;
+predictive and ACBM iterate whole-frame sweeps to the raster walk's
+unique fixed point (:func:`repro.me.predictive.sweep_frame`); the
+fixed-pattern searches (:class:`PatternSearchEstimator`: TSS, NTSS,
+4SS, DS, HEXBS, CDS) read no neighbour's vector, so they run each stage
+for every macroblock in lockstep on one
+:class:`repro.me.candidates.BatchEvaluator`.  The only raster walk of
+``search_block`` is the oracle the drivers are checked against,
+:func:`repro.reference.estimate_motion`.
 
-``estimate`` takes 2-D ``uint8`` planes only and builds one
+The batched kernels' envelope is the estimator contract: the
+constructor rejects any ``block_size``/``p`` outside it
+(:func:`repro.me.engine.kernels.check_search_envelope`), and
+``estimate`` takes 2-D ``uint8`` planes only.  ``estimate`` builds one
 :class:`repro.me.engine.ReferencePlane` per call (or accepts a shared
 one from the encoder); every search reads that one plane, so half-pel
 candidates come from a single cached interpolation of the reference.
-The per-block oracle the frame drivers are checked against is
-:func:`repro.reference.estimate_motion`.
 
 Estimators are stateless between frames; temporal context (the previous
 frame's motion field) is passed in explicitly so the same instance can
@@ -39,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.me.candidates import BatchEvaluator, CandidateEvaluator
-from repro.me.engine.kernels import supports_vectorized_search
+from repro.me.engine.kernels import check_planes, check_search_envelope
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.search_window import clamped_window
 from repro.me.stats import SearchStats
@@ -82,9 +81,10 @@ class MotionEstimator(ABC):
     Parameters
     ----------
     p:
-        Maximum integer displacement (the paper evaluates p = 15).
+        Maximum integer displacement, 1..31 (the paper evaluates
+        p = 15).
     block_size:
-        Luma block edge (16 throughout the paper).
+        Luma block edge: 4, 8 or 16 (16 throughout the paper).
     half_pel:
         Whether the final vector is refined to half-pel precision, as
         in the paper's H.263 setting.
@@ -99,10 +99,7 @@ class MotionEstimator(ABC):
         block_size: int = 16,
         half_pel: bool = True,
     ) -> None:
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        check_search_envelope(block_size, p)
         self.p = p
         self.block_size = block_size
         self.half_pel = half_pel
@@ -129,18 +126,8 @@ class MotionEstimator(ABC):
         """
         cur = np.asarray(current)
         ref = np.asarray(reference)
-        for role, arr in (("current", cur), ("reference", ref)):
-            if arr.ndim != 2 or arr.dtype != np.uint8:
-                raise ValueError(
-                    f"{role} plane must be 2-D uint8, got {arr.dtype} of shape {arr.shape}"
-                )
-        if cur.shape != ref.shape:
-            raise ValueError(f"plane shapes differ: {cur.shape} vs {ref.shape}")
-        h, w = cur.shape
-        s = self.block_size
-        if h % s or w % s:
-            raise ValueError(f"plane {cur.shape} not a multiple of block size {s}")
-        rows, cols = h // s, w // s
+        check_planes(cur, ref, self.block_size)
+        rows, cols = cur.shape[0] // self.block_size, cur.shape[1] // self.block_size
         if prev_field is not None and (prev_field.mb_rows, prev_field.mb_cols) != (rows, cols):
             raise ValueError(
                 f"previous field {prev_field.mb_rows}x{prev_field.mb_cols} "
@@ -160,6 +147,7 @@ class MotionEstimator(ABC):
             )
         return self.estimate_frame(cur, ref, ref_plane, prev_field, qp)
 
+    @abstractmethod
     def estimate_frame(
         self,
         current: np.ndarray,
@@ -168,44 +156,10 @@ class MotionEstimator(ABC):
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
-        """Frame driver: produce the complete field and stats.
-
-        The base implementation is the per-block raster walk every
-        search supports; estimators with a whole-frame vectorized path
-        override this and must stay bit-identical to it.  FSBM batches
-        every block's full search; predictive and ACBM, whose block
-        decisions feed later blocks through Fig. 2's causal
-        predictors, run whole-frame sweeps to the raster walk's unique
-        fixed point; the pattern searches run their stages in
-        lockstep.  All fall back to this walk outside the batched
-        kernels' envelope.  Inputs are pre-validated by
-        :meth:`estimate`.
-        """
-        s = self.block_size
-        rows, cols = current.shape[0] // s, current.shape[1] // s
-        field = MotionField(rows, cols)
-        stats = SearchStats()
-        for r in range(rows):
-            for c in range(cols):
-                ctx = BlockContext(
-                    current=current,
-                    reference=reference,
-                    mb_row=r,
-                    mb_col=c,
-                    block_size=s,
-                    field=field,
-                    prev_field=prev_field,
-                    qp=qp,
-                    ref_plane=plane,
-                )
-                result = self.search_block(ctx)
-                field.set(r, c, result.mv)
-                stats.record_block(
-                    result.positions,
-                    used_full_search=result.used_full_search,
-                    decision=getattr(result, "decision", None),
-                )
-        return field, stats
+        """Frame driver: the complete field and stats, bit-identical to
+        raster-order :meth:`search_block` calls
+        (:func:`repro.reference.estimate_motion`).  Inputs are
+        pre-validated by :meth:`estimate`."""
 
 
 class PatternSearchEstimator(MotionEstimator):
@@ -253,7 +207,7 @@ class PatternSearchEstimator(MotionEstimator):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every block's :meth:`search_block` outcome — ``(hx, hy, sad,
         positions)`` as ``(rows, cols)`` grids — from :meth:`walk_frame`
-        over the whole grid; needs :func:`supports_vectorized_search`."""
+        over the whole grid."""
         s = self.block_size
         rows, cols = current.shape[0] // s, current.shape[1] // s
         mb_rows, mb_cols = np.divmod(np.arange(rows * cols), cols)
@@ -269,10 +223,7 @@ class PatternSearchEstimator(MotionEstimator):
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
-        """:meth:`lockstep`, or the raster walk outside
-        :func:`supports_vectorized_search` (FSBM's envelope)."""
-        if not supports_vectorized_search(plane.luma, self.block_size, self.p):
-            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        """:meth:`lockstep` as a field and stats."""
         hx, hy, _, positions = self.lockstep(current, plane)
         stats = SearchStats()
         stats.record_frame(positions)

@@ -5,18 +5,15 @@ refines the winner over the 8 half-pel neighbours.  With p = 15 and no
 border clipping that is the paper's 961 + 8 = 969 candidate positions
 per macroblock.
 
-Two equivalent paths produce the decision, both reading the frame's
-shared :class:`repro.me.engine.ReferencePlane` for the half-pel stage:
-
-* the per-block definition (:meth:`FullSearchEstimator.search_block`):
-  a vectorized SAD map over one block's window, run by the raster walk
-  outside the batched kernels' envelope (and by the oracle,
-  :func:`repro.reference.estimate_motion`);
-* the frame path (:meth:`FullSearchEstimator.estimate_frame`): the
-  engine's :func:`repro.me.engine.frame_sad_surfaces` runs the
-  block-list surface kernel over every block in one batched pass —
-  bit-identical fields, SADs and position counts.  ACBM runs the same
-  kernel on its critical blocks only.
+The per-block definition, :meth:`FullSearchEstimator.search_block`, is
+a vectorized SAD map over one block's window, run only by the oracle
+(:func:`repro.reference.estimate_motion`).  The frame path,
+:meth:`FullSearchEstimator.estimate_frame`, runs the block-list surface
+kernel over every block in one batched pass
+(:func:`repro.me.engine.frame_sad_surfaces`) — bit-identical fields,
+SADs and position counts.  ACBM runs the same kernel on its critical
+blocks only.  Both read the frame's shared
+:class:`repro.me.engine.ReferencePlane` for the half-pel stage.
 
 Tie-breaking: among equal-SAD minima the vector with the smallest
 Chebyshev length wins (then smaller dy, then dx).  This mirrors real
@@ -28,12 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.me.engine.kernels import (
-    frame_sad_surfaces,
-    refine_half_pel_batch,
-    select_minima,
-    supports_vectorized_search,
-)
+from repro.me.engine.kernels import frame_sad_surfaces, refine_half_pel_batch, select_minima
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
 from repro.me.metrics import sad_map
@@ -115,15 +107,7 @@ class FullSearchEstimator(MotionEstimator):
         prev_field,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
-        """Whole-frame batched FSBM via the engine kernels.
-
-        Falls back to the per-block raster walk when the geometry is
-        outside the fast path's envelope; both paths emit bit-identical
-        fields, SADs and position counts (proven by the golden tests in
-        ``tests/test_engine.py``).
-        """
-        if not supports_vectorized_search(plane.luma, self.block_size, self.p):
-            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        """Whole-frame batched FSBM via the engine kernels."""
         surfaces = frame_sad_surfaces(current, plane, self.block_size, self.p)
         dx, dy, sads, positions = select_minima(surfaces.surfaces)
         if self.half_pel:

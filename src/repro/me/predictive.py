@@ -19,14 +19,13 @@ paper's "extremely low computational cost" — but inherits the failure
 mode ACBM exists to fix: on textured or erratically moving content all
 predictors can sit in the same wrong valley.
 
-Two paths, one result.  :meth:`PredictiveEstimator.search_block` is the
-definition: one macroblock, one
+One definition, one frame path.  :meth:`PredictiveEstimator.search_block`
+is the definition: one macroblock, one
 :class:`repro.me.candidates.CandidateEvaluator`, called in raster order
-by the base frame driver outside the batched kernels' envelope and by
-the oracle, :func:`repro.reference.estimate_motion`.
-:meth:`PredictiveEstimator.estimate_frame`
-computes the same field with a handful of whole-frame array passes
-(:func:`sweep_frame`, shared with ACBM).  Two facts make that exact:
+only by the oracle, :func:`repro.reference.estimate_motion`.
+:meth:`PredictiveEstimator.estimate_frame` computes the same field with
+a handful of whole-frame array passes (:func:`sweep_frame`, shared with
+ACBM).  Two facts make that exact:
 
 * **Tie-break chain.**  The evaluator's best is the lexicographic
   minimum of ``(SAD, max(|dx|, |dy|), |dy|, |dx|, dy, dx)`` over the
@@ -54,7 +53,6 @@ from typing import Callable
 import numpy as np
 
 from repro.me.candidates import UNIT_RING, BatchEvaluator, CandidateEvaluator
-from repro.me.engine.kernels import supports_vectorized_search
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
 from repro.me.search_window import clamped_window
@@ -258,12 +256,6 @@ class PredictiveEstimator(MotionEstimator):
             positions += extra
         return BlockResult(mv=mv, sad=best_sad, positions=positions, used_full_search=False)
 
-    def sweeps_apply(self, plane: ReferencePlane) -> bool:
-        """Whether the whole-frame sweep serves this frame — the same
-        p/block-size envelope as FSBM's frame path; outside it the
-        raster walk runs."""
-        return supports_vectorized_search(plane.luma, self.block_size, self.p)
-
     def frame_search(
         self, current: np.ndarray, plane: ReferencePlane, prev_field: MotionField | None
     ) -> SweepStep:
@@ -313,7 +305,7 @@ class PredictiveEstimator(MotionEstimator):
         qp: int,
     ) -> SweepResult:
         """Every block's :meth:`search_block` outcome from whole-frame
-        sweeps (module docstring); needs :meth:`sweeps_apply`."""
+        sweeps (module docstring)."""
         s = self.block_size
         rows, cols = current.shape[0] // s, current.shape[1] // s
         out, sweeps = sweep_frame(
@@ -330,8 +322,5 @@ class PredictiveEstimator(MotionEstimator):
         prev_field: MotionField | None,
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
-        """:meth:`sweep`, or the raster walk where FSBM's frame path
-        also falls back (outside :func:`supports_vectorized_search`)."""
-        if not self.sweeps_apply(plane):
-            return super().estimate_frame(current, reference, plane, prev_field, qp)
+        """:meth:`sweep` as a field and stats."""
         return self.sweep(current, plane, prev_field, qp).motion()

@@ -10,6 +10,8 @@ with it pins every batched path:
   :meth:`~repro.me.estimator.MotionEstimator.search_block` calls on
   :class:`~repro.me.candidates.CandidateEvaluator` (one
   :func:`~repro.me.metrics.sad` per candidate), no frame driver;
+* :func:`frame_sad_surfaces` — every block's dense +-p SAD surface, one
+  displacement at a time in int64, for any block size and ``p``;
 * :class:`ScalarBitReader`, :func:`decode_symbol` (the per-bit VLC tree
   walk), :func:`read_events`, the three picture-body walks and
   :func:`parse_bitstream_symbols` (v2 framing from the shared
@@ -54,6 +56,7 @@ from repro.codec.quantizer import dequantize, dequantize_intra_dc
 from repro.codec.vlc import VLCTable, read_ue_golomb_bitwise
 from repro.codec.vlc_tables import CBPY_TABLE, ESCAPE, MCBPC_TABLE, TCOEF_TABLE
 from repro.codec.zigzag import CoefficientEvent, block_to_events, events_to_block
+from repro.me.engine.kernels import SURFACE_SENTINEL, FrameSadSurfaces
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator
 from repro.me.stats import SearchStats
@@ -93,6 +96,37 @@ def estimate_motion(
             )
             blocks.append(result)
     return field, stats, blocks
+
+
+def frame_sad_surfaces(
+    cur: np.ndarray, ref: np.ndarray, s: int, p: int
+) -> FrameSadSurfaces:
+    """:func:`repro.me.engine.frame_sad_surfaces` for any dtype, block
+    size and ``p``: the same output (an int64 surface), one displacement
+    at a time without the packed-lane tricks."""
+    h, w = cur.shape
+    rows, cols = h // s, w // s
+    n = 2 * p + 1
+    ci = cur.astype(np.int64)
+    ri = ref.astype(np.int64)
+    surf = np.full((rows, cols, n, n), SURFACE_SENTINEL, dtype=np.int64)
+    for dy in range(-p, p + 1):
+        r0 = 0 if dy >= 0 else (-dy + s - 1) // s
+        r1 = rows if dy <= 0 else (h - dy) // s
+        if r0 >= r1:
+            continue
+        for dx in range(-p, p + 1):
+            c0 = 0 if dx >= 0 else (-dx + s - 1) // s
+            c1 = cols if dx <= 0 else (w - dx) // s
+            if c0 >= c1:
+                continue
+            a = ci[r0 * s : r1 * s, c0 * s : c1 * s]
+            b = ri[r0 * s + dy : r1 * s + dy, c0 * s + dx : c1 * s + dx]
+            diff = np.abs(a - b)
+            surf[r0:r1, c0:c1, dy + p, dx + p] = diff.reshape(
+                r1 - r0, s, c1 - c0, s
+            ).sum(axis=(1, 3))
+    return FrameSadSurfaces(surfaces=surf, block_size=s, p=p, plane_shape=(h, w))
 
 
 # -- bits and symbols -----------------------------------------------------

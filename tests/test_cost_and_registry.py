@@ -37,6 +37,19 @@ class TestLagrange:
         assert smooth < jagged
 
 
+#: Geometries outside the batched kernels' envelope: p beyond 1..31 (the
+#: 6-bit tie-break fields, the 5-bit header field) and block edges the
+#: uint16 SAD lane does not serve.
+OUTSIDE_ENVELOPE = [("p", 0), ("p", 32), ("block_size", 0), ("block_size", 12), ("block_size", 32)]
+
+
+@pytest.mark.parametrize("key,value", OUTSIDE_ENVELOPE)
+@pytest.mark.parametrize("name", available_estimators())
+def test_constructor_rejects_outside_envelope(name, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        create_estimator(name, **{key: value})
+
+
 class TestRegistry:
     def test_all_builtins_registered(self):
         names = available_estimators()

@@ -49,6 +49,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Encoder(qp=32)
 
+    def test_non_macroblock_block_size_rejected(self):
+        """An 8x8 search would give a motion grid MC cannot use; the
+        encoder refuses it when built, not after the I-frame."""
+        with pytest.raises(ValueError, match="16x16 macroblock"):
+            Encoder(estimator="fsbm", estimator_kwargs={"block_size": 8})
+        with pytest.raises(ValueError, match="16x16 macroblock"):
+            Encoder(estimator=FullSearchEstimator(block_size=8))
+
+    def test_p_beyond_header_field_rejected_by_estimator(self):
+        """p = 32 does not fit the picture header's 5-bit field; the
+        estimator rejects it when the encoder is built, not the bit
+        writer once a header is written."""
+        with pytest.raises(ValueError, match=r"p must be in 1\.\.31"):
+            Encoder(estimator_kwargs={"p": 32})
+
 
 class TestEncode:
     def test_first_frame_intra_rest_inter(self):
@@ -139,10 +154,10 @@ class HoleyEstimator(MotionEstimator):
 
     name = "holey"
 
-    def search_block(self, ctx):  # pragma: no cover - estimate() is overridden
+    def search_block(self, ctx):  # pragma: no cover - estimate_frame() is overridden
         raise NotImplementedError
 
-    def estimate(self, current, reference, prev_field=None, qp=16, ref_plane=None):
+    def estimate_frame(self, current, reference, plane, prev_field, qp):
         rows, cols = current.shape[0] // 16, current.shape[1] // 16
         field = MotionField(rows, cols)
         for r in range(rows):

@@ -25,11 +25,9 @@ from repro.me.engine import (
     frame_sad_surfaces,
     refine_half_pel_batch,
     select_minima,
-    supports_vectorized_search,
 )
 from repro.kernels import numba_available, numpy_backend
 from repro.kernels.numba_backend import make_backend
-from repro.me.engine.kernels import _frame_sad_surfaces_generic
 from repro.me.estimator import available_estimators, create_estimator
 from repro.me.full_search import FullSearchEstimator, full_search_sads, select_minimum
 from repro.me.metrics import sad, sad_deviation
@@ -126,7 +124,7 @@ class TestReferencePlane:
             ok = np.zeros(bad.shape[:2], dtype=np.uint8)
             planes = {"current": ok, "reference": ok, role: bad}
             with pytest.raises(ValueError, match=named):
-                FullSearchEstimator(p=3, block_size=1).estimate(planes["current"], planes["reference"])
+                FullSearchEstimator(p=3, block_size=4).estimate(planes["current"], planes["reference"])
 
     def test_predict_matches_predict_block(self):
         ref = textured_plane(48, 64, seed=21)
@@ -172,7 +170,7 @@ class TestFrameSadSurfaces:
     def test_generic_path_identical_to_fast_path(self):
         cur, ref = random_plane(100), random_plane(101)
         fast = frame_sad_surfaces(cur, ref, 16, 7)
-        generic = _frame_sad_surfaces_generic(cur, ref, 16, 7)
+        generic = reference.frame_sad_surfaces(cur, ref, 16, 7)
         np.testing.assert_array_equal(fast.surfaces, generic.surfaces)
 
     def test_deviations_match_sad_deviation(self):
@@ -190,14 +188,6 @@ class TestFrameSadSurfaces:
         for r in range(fss.mb_rows):
             for c in range(fss.mb_cols):
                 assert pos[r, c] == fss.window(r, c).num_positions
-
-    def test_supports_vectorized_search_envelope(self):
-        u8 = np.zeros((48, 64), dtype=np.uint8)
-        assert supports_vectorized_search(u8, 16, 15)
-        assert supports_vectorized_search(u8, 8, 31)
-        assert not supports_vectorized_search(u8, 32, 15)  # lane overflow
-        assert not supports_vectorized_search(u8, 16, 32)  # tie-break packing
-        assert not supports_vectorized_search(u8.astype(np.int16), 16, 15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -339,12 +329,13 @@ class TestSelectMinima:
         assert (dx == 0).all() and (dy == 0).all() and (sads == 0).all()
 
     def test_wide_window_beyond_packed_key(self):
-        """p > 31 exceeds the packed tie-break key's 6-bit fields; the
-        per-block fallback must still match select_minimum exactly —
-        tie-heavy content so the tie-break actually decides."""
+        """p > 31 exceeds the packed tie-break key's 6-bit fields, but
+        select_minima ranks without packing: on the dense oracle's
+        surfaces it must still match select_minimum exactly — tie-heavy
+        content so the tie-break actually decides."""
         cur, ref = tie_heavy_plane(21, 96, 112), tie_heavy_plane(22, 96, 112)
         p = 35
-        fss = frame_sad_surfaces(cur, ref, 16, p)
+        fss = reference.frame_sad_surfaces(cur, ref, 16, p)
         dx, dy, sads, _ = select_minima(fss.surfaces)
         for r in range(fss.mb_rows):
             for c in range(fss.mb_cols):

@@ -8,8 +8,8 @@ exactly the ``(hx, hy, sad, positions)`` that raster-order
 and :meth:`estimate` reports the same field and :class:`SearchStats`.
 Checked over the pattern parameters, both block sizes, half-pel on and
 off, and planes whose edge and corner windows clamp; on hypothesis-drawn
-random and quantised planes (SAD ties); and on the envelope edge, where
-p = 32 must take the raster walk.
+random and quantised planes (SAD ties), with p up to the envelope edge
+(31).
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import reference
-from repro.me.candidates import BatchEvaluator
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import PatternSearchEstimator, create_estimator
 from repro.video.frame import FrameGeometry
@@ -128,25 +127,6 @@ def test_estimate_never_walks_blocks_in_envelope(frame_pairs, search, monkeypatc
         raise AssertionError("search_block called on the frame path")
 
     monkeypatch.setattr(est, "search_block", forbidden)
-    field, stats = est.estimate(cur, ref)
-    hx, hy = field.to_arrays()
-    assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
-    assert stats_tuple(stats) == stats_tuple(oracle_stats)
-
-
-@pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
-def test_p32_takes_raster_walk(frame_pairs, search, monkeypatch):
-    """p = 32 is outside the packed tie-break key: the raster walk runs
-    (no :class:`BatchEvaluator` is built) and still matches the oracle."""
-    name, kwargs = search
-    est = create_estimator(name, p=32, **kwargs)
-    cur, ref = frame_pairs[0]
-    expected, oracle_stats = oracle_blocks(est, cur, ref)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("lockstep used outside the envelope")
-
-    monkeypatch.setattr(BatchEvaluator, "__init__", forbidden)
     field, stats = est.estimate(cur, ref)
     hx, hy = field.to_arrays()
     assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
