@@ -85,7 +85,7 @@ from repro.codec.macroblock import code_inter_block, code_intra_block, write_eve
 from repro.codec.macroblock import predict_chroma_block  # noqa: F401
 from repro.codec.mv_coding import predict_mv, write_mvd  # noqa: F401
 from repro.me.subpel import predict_block  # noqa: F401
-from repro.video.frame import MACROBLOCK_SIZE, Frame
+from repro.video.frame import Frame
 from repro.video.sequence import Sequence
 
 #: Picture start code value and width (stand-in for H.263's PSC).
@@ -224,8 +224,7 @@ class Encoder:
     ----------
     estimator:
         A :class:`MotionEstimator` instance or a registry name
-        (``"acbm"``, ``"fsbm"``, ``"pbm"``, ``"tss"``, ...); its
-        ``block_size`` must be the 16x16 macroblock.
+        (``"acbm"``, ``"fsbm"``, ``"pbm"``, ``"tss"``, ...).
     qp:
         H.263 quantizer step (1..31), constant for the whole sequence.
     estimator_kwargs:
@@ -273,11 +272,6 @@ class Encoder:
             estimator = create_estimator(estimator, **(estimator_kwargs or {}))
         elif estimator_kwargs:
             raise ValueError("estimator_kwargs only applies when estimator is a name")
-        if estimator.block_size != MACROBLOCK_SIZE:
-            raise ValueError(
-                f"estimator block_size {estimator.block_size} does not match the codec's "
-                f"{MACROBLOCK_SIZE}x{MACROBLOCK_SIZE} macroblock"
-            )
         self.estimator = estimator
         self.keep_reconstruction = keep_reconstruction
         if bitstream_version not in (1, 2):

@@ -1,17 +1,19 @@
 """The Adaptive Cost Block Matching estimator (Section 3.2).
 
-Per macroblock:
+Per 16x16 macroblock:
 
 1. Compute ``Intra_SAD`` of the reference (current-frame) block.
-2. Run the predictive search (PBM, [9]) → vector + ``SAD_PBM``.
+2. Run the predictive search (PBM, [9]) → half-pel vector +
+   ``SAD_PBM``.
 3. Classify with the two acceptance conditions
    (:func:`repro.core.classifier.classify_block`).
-4. If critical, run the full search and keep whichever vector wins the
-   arbitration (plain SAD by default; optionally the paper's Section
-   2.1 Lagrangian ``J = SAD + λ(Qp)·R(mvd)``, which slightly favours
-   the predictive vector's cheaper differential coding — the mechanism
-   behind ACBM's "slightly better rate-distortion than FSBM").  The
-   arbitration is strict: the full-search vector must cost *less*.
+4. If critical, run the full search (with its own half-pel step) and
+   keep whichever vector wins the arbitration (plain SAD by default;
+   optionally the paper's Section 2.1 Lagrangian
+   ``J = SAD + λ(Qp)·R(mvd)``, which slightly favours the predictive
+   vector's cheaper differential coding — the mechanism behind ACBM's
+   "slightly better rate-distortion than FSBM").  The arbitration is
+   strict: the full-search vector must cost *less*.
 
 Cost accounting follows the paper: the positions charged to a block are
 the predictive search's evaluations plus — only on critical blocks —
@@ -87,13 +89,11 @@ class ACBMEstimator(MotionEstimator):
 
     Parameters
     ----------
-    p, block_size, half_pel:
-        As in :class:`repro.me.estimator.MotionEstimator`; paper values
-        are p=15, 16x16 blocks, half-pel on.
+    p:
+        As in :class:`repro.me.estimator.MotionEstimator`; the paper
+        evaluates p=15.
     params:
         α/β/γ configuration; defaults to the paper's tuned values.
-    refine_steps:
-        Bound on the predictive stage's integer refinement descent.
     lagrangian:
         When True, critical blocks pick between the predictive and the
         full-search vector by ``J = SAD + λ(Qp)·R(mvd)`` (differential
@@ -113,20 +113,15 @@ class ACBMEstimator(MotionEstimator):
     def __init__(
         self,
         p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
         params: ACBMParameters | None = None,
-        refine_steps: int = 2,
         lagrangian: bool = False,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
+        super().__init__(p=p)
         self.params = params if params is not None else ACBMParameters.paper_defaults()
         self.lagrangian = lagrangian
-        # The embedded predictive stage; half-pel kept on so SAD_PBM is
-        # the SAD of the vector PBM would actually deliver.
-        self._pbm = PredictiveEstimator(
-            p=p, block_size=block_size, half_pel=half_pel, refine_steps=refine_steps
-        )
+        # The embedded predictive stage: SAD_PBM is the (half-pel) SAD
+        # of the vector PBM would actually deliver.
+        self._pbm = PredictiveEstimator(p=p)
 
     def _vector_cost(self, sad: int, mv: MotionVector, ctx: BlockContext) -> float:
         """Arbitration metric between candidate vectors on a critical
@@ -149,14 +144,12 @@ class ACBMEstimator(MotionEstimator):
             fs_sads, window = full_search_sads(
                 ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.block_size, self.p
             )
-            fs_mv, fs_sad = select_minimum(fs_sads, window)
-            positions += window.num_positions
+            fs_mv, fs_sad, extra = refine_half_pel(
+                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x,
+                *select_minimum(fs_sads, window), window,
+            )
+            positions += window.num_positions + extra
             used_full_search = True
-            if self.half_pel:
-                fs_mv, fs_sad, extra = refine_half_pel(
-                    ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, fs_mv, fs_sad, window
-                )
-                positions += extra
             if self._vector_cost(fs_sad, fs_mv, ctx) < self._vector_cost(best_sad, mv, ctx):
                 _MET_FS_WINS.inc()
                 mv, best_sad = fs_mv, fs_sad
@@ -241,8 +234,7 @@ class _CriticalFullSearch:
     surfaced once per frame, however many sweeps classify it critical:
     a call runs the block-list kernel (:func:`block_sad_surfaces`) on
     just the blocks no earlier call surfaced.  Calling it with flat
-    block indices returns their ``(hx, hy, sad, positions)``, half-pel
-    refined when the estimator is.
+    block indices returns their half-pel ``(hx, hy, sad, positions)``.
     """
 
     def __init__(self, est: ACBMEstimator, current: np.ndarray, plane: ReferencePlane) -> None:
@@ -261,17 +253,13 @@ class _CriticalFullSearch:
         return self.results[:, idx]
 
     def _compute(self, todo: np.ndarray) -> None:
-        est, s, p = self.est, self.est.block_size, self.est.p
+        s, p = self.est.block_size, self.est.p
         blocks = np.divmod(todo, self.cols)
         dx, dy, sads, positions = select_minima(
             block_sad_surfaces(self.current, self.plane, *blocks, s, p)
         )
-        if est.half_pel:
-            hx, hy, sads, extra = refine_half_pel_batch(
-                self.current, self.plane, dx, dy, sads, s, p, blocks=blocks
-            )
-            positions = positions + extra
-        else:
-            hx, hy = 2 * dx, 2 * dy
-        self.results[:, todo] = hx, hy, sads, positions
+        hx, hy, sads, extra = refine_half_pel_batch(
+            self.current, self.plane, dx, dy, sads, s, p, blocks=blocks
+        )
+        self.results[:, todo] = hx, hy, sads, positions + extra
         self.done[todo] = True

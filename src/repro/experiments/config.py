@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.parameters import ACBMParameters
-from repro.video.frame import QCIF, FrameGeometry
+from repro.me.engine.kernels import check_search_envelope
+from repro.video.frame import MACROBLOCK_SIZE, QCIF, FrameGeometry
 
 #: The paper's Qp rows in Table 1 (descending, as printed).
 PAPER_QPS: tuple[int, ...] = (30, 28, 26, 24, 22, 20, 18, 16)
@@ -48,6 +49,7 @@ class ExperimentConfig:
             raise ValueError(f"unsupported fps values {sorted(unknown_fps)}; known: {sorted(PAPER_FPS)}")
         if not self.qps:
             raise ValueError("qps must be non-empty")
+        check_search_envelope(MACROBLOCK_SIZE, self.p)
 
     def subsample_factor(self, fps: int) -> int:
         return PAPER_FPS[fps]

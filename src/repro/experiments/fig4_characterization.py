@@ -30,7 +30,7 @@ from repro.analysis.reporting import format_table
 from repro.me.engine import frame_sad_surfaces, select_minima
 from repro.me.metrics import block_activity_map
 from repro.me.types import MotionVector
-from repro.video.frame import QCIF, FrameGeometry
+from repro.video.frame import MACROBLOCK_SIZE, QCIF, FrameGeometry
 from repro.video.synthesis.texture import (
     flat_field,
     gradient_field,
@@ -209,7 +209,6 @@ def observe_pair(
     frames: list[np.ndarray],
     pair_index: int,
     motion: tuple[int, int],
-    block_size: int = 16,
     p: int = 15,
 ) -> list[BlockObservation]:
     """Every block's Fig. 4 observation for one consecutive frame pair
@@ -224,11 +223,11 @@ def observe_pair(
     reference, current = frames[pair_index], frames[pair_index + 1]
     dx, dy = motion
     truth = MotionVector(2 * dx, 2 * dy)
-    surfaces = frame_sad_surfaces(current, reference, block_size, p)
+    surfaces = frame_sad_surfaces(current, reference, MACROBLOCK_SIZE, p)
     best_dx, best_dy, sad_mins, _ = select_minima(surfaces.surfaces)
     deviations = surfaces.deviations()
-    activity = block_activity_map(current, block_size)
-    mb_rows, mb_cols = current.shape[0] // block_size, current.shape[1] // block_size
+    activity = block_activity_map(current, MACROBLOCK_SIZE)
+    mb_rows, mb_cols = activity.shape
     observations = []
     for r in range(mb_rows):
         for c in range(mb_cols):
@@ -254,7 +253,6 @@ def run_fig4(
     motions: tuple[tuple[int, int], ...] = DEFAULT_GLOBAL_MOTIONS,
     geometry: FrameGeometry = QCIF,
     p: int = 15,
-    block_size: int = 16,
     seed: int = 0,
     jobs: int = 1,
     progress=None,
@@ -285,7 +283,7 @@ def run_fig4(
             if progress is not None:
                 progress(f"fig4 pair {pair_index}")
             result.observations.extend(
-                observe_pair(frames, pair_index, motion, block_size=block_size, p=p)
+                observe_pair(frames, pair_index, motion, p=p)
             )
         return result
 
@@ -301,7 +299,6 @@ def run_fig4(
             motions=motions,
             geometry=geometry,
             p=p,
-            block_size=block_size,
             seed=seed,
         )
         for i in range(len(motions))

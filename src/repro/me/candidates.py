@@ -244,16 +244,12 @@ class BatchEvaluator:
         n = 2 * self.p + 1
         return np.bincount(codes[fresh] // (n * n), minlength=self.all.size).astype(np.int64)
 
-    def result(self, half_pel: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every block's ``(hx, hy, sad, positions)`` — the
-        ``search_block`` outcome — after the half-pel stage when
-        ``half_pel`` (one :func:`refine_half_pel_batch` over the set)."""
-        best_sad = self.rank >> 30
-        positions = self.positions()
-        if not half_pel:
-            return 2 * self.dx, 2 * self.dy, best_sad, positions
+        ``search_block`` outcome — after the half-pel stage (one
+        :func:`refine_half_pel_batch` over the set)."""
         hx, hy, best_sad, extra = refine_half_pel_batch(
-            self.current, self.plane, self.dx, self.dy, best_sad,
+            self.current, self.plane, self.dx, self.dy, self.rank >> 30,
             self.block_size, self.p, blocks=(self.mb_rows, self.mb_cols),
         )
-        return hx, hy, best_sad, positions + extra
+        return hx, hy, best_sad, self.positions() + extra

@@ -29,17 +29,8 @@ _CROSS_ARMS = ((0, -2), (-2, 0), (2, 0), (0, 2))
 class CrossDiamondEstimator(PatternSearchEstimator):
     """Cross-diamond search with half-pel refinement."""
 
-    def __init__(
-        self,
-        p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
-        max_recentres: int = 32,
-    ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
-        if max_recentres < 1:
-            raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
-        self.max_recentres = max_recentres
+    #: Bound on the diamond walk of the moving blocks (as in DS).
+    max_recentres = 32
 
     def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)

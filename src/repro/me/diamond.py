@@ -7,8 +7,10 @@ baseline between TSS and the predictive search in the ablation bench.
 
 The whole-frame path (:class:`repro.me.estimator.PatternSearchEstimator`)
 walks every block's large diamond together — one gather per
-recentring, each block dropping out once its centre wins — then scores
-every block's small diamond in one more gather.
+recentring, at most :attr:`DiamondEstimator.max_recentres` (32), each
+block dropping out once its centre wins — then scores every block's
+small diamond in one more gather.  HEXBS and CDS bound their walks the
+same way.
 """
 
 from __future__ import annotations
@@ -25,23 +27,11 @@ SMALL_DIAMOND = ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 @register_estimator("ds")
 class DiamondEstimator(PatternSearchEstimator):
-    """Classic two-pattern diamond search with half-pel refinement.
+    """Classic two-pattern diamond search with half-pel refinement."""
 
-    ``max_recentres`` bounds the large-diamond walk so worst-case cost
-    stays finite even on pathological (periodic) content.
-    """
-
-    def __init__(
-        self,
-        p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
-        max_recentres: int = 32,
-    ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
-        if max_recentres < 1:
-            raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
-        self.max_recentres = max_recentres
+    #: Bound on the large-diamond walk, so worst-case cost stays finite
+    #: even on pathological (periodic) content.
+    max_recentres = 32
 
     def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)

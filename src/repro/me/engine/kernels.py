@@ -20,9 +20,9 @@ frame per NumPy pass:
   and pattern searches (:class:`repro.me.candidates.BatchEvaluator`).
 
 The kernels take 2-D ``uint8`` planes, block edges of 4, 8 or 16 and
-``1 <= p <= 31`` (:func:`check_search_envelope`, which every estimator
-enforces at construction); nothing outside that envelope has a second
-path.  All outputs are bit-exact with the per-block reference
+``1 <= p <= 31`` (:func:`check_search_envelope`); every estimator
+searches 16x16 macroblocks and enforces the ``p`` range at
+construction, and nothing outside that envelope has a second path.  All outputs are bit-exact with the per-block reference
 implementations (:func:`repro.me.full_search.full_search_sads`,
 :func:`repro.me.full_search.select_minimum`,
 :func:`repro.me.subpel.refine_half_pel`, and the dense oracle
@@ -84,7 +84,7 @@ MAX_P = 31
 def check_search_envelope(block_size: int, p: int) -> None:
     """Raise ``ValueError`` unless ``block_size``/``p`` sit inside the
     batched kernels' envelope (:data:`BLOCK_SIZES`, ``1 <= p <=``
-    :data:`MAX_P`) — the only geometry an estimator accepts."""
+    :data:`MAX_P`) — the only geometry the kernels serve."""
     if block_size not in BLOCK_SIZES:
         raise ValueError(
             f"block_size must be one of {BLOCK_SIZES} (a power of two whose "

@@ -16,10 +16,13 @@ for every macroblock in lockstep on one
 ``search_block`` is the oracle the drivers are checked against,
 :func:`repro.reference.estimate_motion`.
 
-The batched kernels' envelope is the estimator contract: the
-constructor rejects any ``block_size``/``p`` outside it
-(:func:`repro.me.engine.kernels.check_search_envelope`), and
-``estimate`` takes 2-D ``uint8`` planes only.  ``estimate`` builds one
+Every estimator searches the codec's 16x16 macroblocks
+(:data:`repro.video.frame.MACROBLOCK_SIZE`) and ends with the half-pel
+stage, as in the paper's H.263 setting; the search range ``p`` is the
+one constructor argument they share, and a ``p`` outside the batched
+kernels' envelope (:func:`repro.me.engine.kernels.check_search_envelope`)
+is rejected when the estimator is built.  ``estimate`` takes 2-D
+``uint8`` planes only.  ``estimate`` builds one
 :class:`repro.me.engine.ReferencePlane` per call (or accepts a shared
 one from the encoder); every search reads that one plane, so half-pel
 candidates come from a single cached interpolation of the reference.
@@ -44,6 +47,7 @@ from repro.me.search_window import clamped_window
 from repro.me.stats import SearchStats
 from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField
+from repro.video.frame import MACROBLOCK_SIZE
 
 
 @dataclass
@@ -83,26 +87,16 @@ class MotionEstimator(ABC):
     p:
         Maximum integer displacement, 1..31 (the paper evaluates
         p = 15).
-    block_size:
-        Luma block edge: 4, 8 or 16 (16 throughout the paper).
-    half_pel:
-        Whether the final vector is refined to half-pel precision, as
-        in the paper's H.263 setting.
     """
 
     #: Registry key; subclasses override.
     name: str = ""
+    #: Luma block edge: the codec's macroblock.
+    block_size: int = MACROBLOCK_SIZE
 
-    def __init__(
-        self,
-        p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
-    ) -> None:
-        check_search_envelope(block_size, p)
+    def __init__(self, p: int = 15) -> None:
+        check_search_envelope(self.block_size, p)
         self.p = p
-        self.block_size = block_size
-        self.half_pel = half_pel
 
     @abstractmethod
     def search_block(self, ctx: BlockContext) -> BlockResult:
@@ -193,14 +187,10 @@ class PatternSearchEstimator(MotionEstimator):
         )
         evaluator = CandidateEvaluator(ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window)
         self.walk(evaluator)
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions)
+        mv, best_sad, extra = refine_half_pel(
+            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, *evaluator.best(), window
+        )
+        return BlockResult(mv=mv, sad=best_sad, positions=evaluator.positions + extra)
 
     def lockstep(
         self, current: np.ndarray, plane: ReferencePlane
@@ -213,7 +203,7 @@ class PatternSearchEstimator(MotionEstimator):
         mb_rows, mb_cols = np.divmod(np.arange(rows * cols), cols)
         evaluator = BatchEvaluator(current, plane, mb_rows, mb_cols, s, self.p)
         self.walk_frame(evaluator)
-        return tuple(a.reshape(rows, cols) for a in evaluator.result(self.half_pel))
+        return tuple(a.reshape(rows, cols) for a in evaluator.result())
 
     def estimate_frame(
         self,

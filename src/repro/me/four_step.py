@@ -38,17 +38,8 @@ _INNER = tuple(
 class FourStepEstimator(PatternSearchEstimator):
     """Classic four-step search with half-pel refinement."""
 
-    def __init__(
-        self,
-        p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
-        max_recentres: int = 2,
-    ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
-        if max_recentres < 0:
-            raise ValueError(f"max_recentres must be >= 0, got {max_recentres}")
-        self.max_recentres = max_recentres
+    #: Re-centrings of the 5x5 pattern before the final 3x3 stage.
+    max_recentres = 2
 
     def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)

@@ -90,14 +90,12 @@ class FullSearchEstimator(MotionEstimator):
         sads, window = full_search_sads(
             ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.block_size, self.p
         )
-        mv, best_sad = select_minimum(sads, window)
-        positions = window.num_positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions, used_full_search=True)
+        mv, best_sad, extra = refine_half_pel(
+            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, *select_minimum(sads, window), window
+        )
+        return BlockResult(
+            mv=mv, sad=best_sad, positions=window.num_positions + extra, used_full_search=True
+        )
 
     def estimate_frame(
         self,
@@ -110,14 +108,9 @@ class FullSearchEstimator(MotionEstimator):
         """Whole-frame batched FSBM via the engine kernels."""
         surfaces = frame_sad_surfaces(current, plane, self.block_size, self.p)
         dx, dy, sads, positions = select_minima(surfaces.surfaces)
-        if self.half_pel:
-            hx, hy, sads, extra = refine_half_pel_batch(
-                current, plane, dx, dy, sads, self.block_size, self.p
-            )
-            positions = positions + extra
-        else:
-            hx, hy = 2 * dx, 2 * dy
-        field = MotionField.from_arrays(hx, hy)
+        hx, hy, _, extra = refine_half_pel_batch(
+            current, plane, dx, dy, sads, self.block_size, self.p
+        )
         stats = SearchStats()
-        stats.record_frame(positions, used_full_search=True)
-        return field, stats
+        stats.record_frame(positions + extra, used_full_search=True)
+        return MotionField.from_arrays(hx, hy), stats

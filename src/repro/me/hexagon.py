@@ -27,17 +27,8 @@ LARGE_HEXAGON = ((-2, 0), (2, 0), (-1, -2), (1, -2), (-1, 2), (1, 2))
 class HexagonEstimator(PatternSearchEstimator):
     """Hexagon-based search with half-pel refinement."""
 
-    def __init__(
-        self,
-        p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
-        max_recentres: int = 32,
-    ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
-        if max_recentres < 1:
-            raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
-        self.max_recentres = max_recentres
+    #: Bound on the hexagon walk (as DS bounds its large diamond).
+    max_recentres = 32
 
     def walk(self, evaluator: CandidateEvaluator) -> None:
         evaluator.evaluate(0, 0)

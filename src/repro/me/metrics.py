@@ -83,44 +83,6 @@ def sad_map(block: np.ndarray, window: np.ndarray) -> np.ndarray:
     return diff.sum(axis=(2, 3), dtype=np.int64)
 
 
-def satd(block_a: np.ndarray, block_b: np.ndarray) -> int:
-    """Sum of absolute Hadamard-transformed differences.
-
-    Not used by the paper's algorithms but provided because modern
-    encoders (x264 et al.) rank sub-pel candidates with it; the ablation
-    bench compares SAD- vs SATD-driven refinement.  Requires block edges
-    that are powers of two.
-    """
-    a = _as_int(block_a)
-    b = _as_int(block_b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    n, m = a.shape
-    if n & (n - 1) or m & (m - 1):
-        raise ValueError(f"SATD needs power-of-two block edges, got {a.shape}")
-    diff = (a - b).astype(np.int64)
-
-    def hadamard_rows(mat: np.ndarray) -> np.ndarray:
-        size = mat.shape[1]
-        step = 1
-        out = mat.copy()
-        while step < size:
-            # Butterfly over interleaved column pairs.
-            for offset in range(step):
-                i = np.arange(offset, size, 2 * step)
-                j = i + step
-                s = out[:, i] + out[:, j]
-                d = out[:, i] - out[:, j]
-                out[:, i] = s
-                out[:, j] = d
-            step *= 2
-        return out
-
-    diff = hadamard_rows(diff)
-    diff = hadamard_rows(diff.T).T
-    return int(np.abs(diff).sum())
-
-
 def block_activity_map(plane: np.ndarray, block_size: int = 16) -> np.ndarray:
     """Intra_SAD for every aligned block of a plane at once.
 

@@ -11,8 +11,9 @@ paper plugs into ACBM:
    the zero vector.
 2. Evaluate the SAD of each distinct predictor (at integer precision)
    and keep the minimum.
-3. Refine: a bounded greedy ±1 integer-pel descent around the winner,
-   then the standard 8-neighbour half-pel step.
+3. Refine: a greedy ±1 integer-pel descent around the winner, bounded
+   at :attr:`PredictiveEstimator.refine_steps` (2) recentrings, then
+   the standard 8-neighbour half-pel step.
 
 The whole search touches a handful of positions per block — the
 paper's "extremely low computational cost" — but inherits the failure
@@ -204,26 +205,10 @@ def initial_guess(prev_field: MotionField | None, rows: int, cols: int):
 
 @register_estimator("pbm")
 class PredictiveEstimator(MotionEstimator):
-    """Predictor-driven search with bounded local refinement.
+    """Predictor-driven search with bounded local refinement."""
 
-    Parameters
-    ----------
-    refine_steps:
-        Maximum recentrings of the ±1 descent (the complexity bound of
-        [9]).  0 disables integer refinement entirely.
-    """
-
-    def __init__(
-        self,
-        p: int = 15,
-        block_size: int = 16,
-        half_pel: bool = True,
-        refine_steps: int = 2,
-    ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
-        if refine_steps < 0:
-            raise ValueError(f"refine_steps must be >= 0, got {refine_steps}")
-        self.refine_steps = refine_steps
+    #: Maximum recentrings of the ±1 descent (the complexity bound of [9]).
+    refine_steps = 2
 
     def search_block(self, ctx: BlockContext) -> BlockResult:
         window = clamped_window(
@@ -245,16 +230,13 @@ class PredictiveEstimator(MotionEstimator):
             # this block's legal window.
             dx, dy = window.clamp(round(mv.hx / 2), round(mv.hy / 2))
             evaluator.evaluate(dx, dy)
-        if self.refine_steps:
-            evaluator.descend(UNIT_RING, self.refine_steps)
-        mv, best_sad = evaluator.best()
-        positions = evaluator.positions
-        if self.half_pel:
-            mv, best_sad, extra = refine_half_pel(
-                ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, mv, best_sad, window
-            )
-            positions += extra
-        return BlockResult(mv=mv, sad=best_sad, positions=positions, used_full_search=False)
+        evaluator.descend(UNIT_RING, self.refine_steps)
+        mv, best_sad, extra = refine_half_pel(
+            ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, *evaluator.best(), window
+        )
+        return BlockResult(
+            mv=mv, sad=best_sad, positions=evaluator.positions + extra, used_full_search=False
+        )
 
     def frame_search(
         self, current: np.ndarray, plane: ReferencePlane, prev_field: MotionField | None
@@ -293,7 +275,7 @@ class PredictiveEstimator(MotionEstimator):
             )
             evaluator.evaluate(evaluator.all, cdx, cdy)
             evaluator.descend(evaluator.all, UNIT_RING, self.refine_steps)
-            return evaluator.result(self.half_pel)
+            return evaluator.result()
 
         return search
 

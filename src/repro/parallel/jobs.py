@@ -312,7 +312,6 @@ class Fig4PairJob(JobSpec):
     motions: tuple[tuple[int, int], ...]
     geometry: "FrameGeometry"
     p: int = 15
-    block_size: int = 16
     seed: int = 0
 
     def describe(self) -> str:
@@ -326,7 +325,6 @@ class Fig4PairJob(JobSpec):
             rig_frames_cached(self.motions, self.geometry, self.p, self.seed),
             self.pair_index,
             self.motions[self.pair_index],
-            block_size=self.block_size,
             p=self.p,
         )
 

@@ -177,3 +177,45 @@ def instrumentation_bypassed():
     finally:
         for owner, name, original in saved:
             setattr(owner, name, original)
+
+
+def pinned(cls: type, **constants) -> type:
+    """``cls`` with class constants (``block_size``, ``max_recentres``,
+    ``refine_steps``) set to values no workload runs.  The constructor,
+    the frame path and the per-block oracle all read them through
+    ``self``, so the shared search machinery is checked beyond the
+    codec's fixed settings."""
+    return type(f"Pinned{cls.__name__}", (cls,), constants)
+
+
+#: Every module that runs the half-pel stage: per-block
+#: (:func:`repro.me.subpel.refine_half_pel`) and batched
+#: (:func:`repro.me.engine.kernels.refine_half_pel_batch`).
+HALF_PEL_STAGES = (
+    ("repro.me.estimator", "refine_half_pel"),
+    ("repro.me.predictive", "refine_half_pel"),
+    ("repro.me.full_search", "refine_half_pel"),
+    ("repro.core.acbm", "refine_half_pel"),
+    ("repro.me.candidates", "refine_half_pel_batch"),
+    ("repro.me.full_search", "refine_half_pel_batch"),
+    ("repro.core.acbm", "refine_half_pel_batch"),
+)
+
+
+def integer_pel(monkeypatch) -> None:
+    """Replace every estimator's half-pel stage, per block and batched,
+    by the integer-grid identity: the anchor and its SAD kept, no
+    position added.  The frame paths and the per-block oracle then
+    compare on their integer-pel stages alone, with integer vectors
+    feeding the neighbours' predictors."""
+    import importlib
+
+    def per_block(block, plane, block_y, block_x, anchor, anchor_sad, window):
+        return anchor, anchor_sad, 0
+
+    def batched(current, plane, anchor_dx, anchor_dy, anchor_sads, block_size, p, blocks=None):
+        return 2 * anchor_dx, 2 * anchor_dy, anchor_sads, 0
+
+    for module, name in HALF_PEL_STAGES:
+        stage = per_block if name == "refine_half_pel" else batched
+        monkeypatch.setattr(importlib.import_module(module), name, stage)

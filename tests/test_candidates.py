@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.me.candidates import CandidateEvaluator
+from repro.me.candidates import UNIT_RING, BatchEvaluator, CandidateEvaluator
+from repro.me.diamond import LARGE_DIAMOND
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.metrics import sad
-from repro.me.search_window import SearchWindow
+from repro.me.hexagon import LARGE_HEXAGON
+from repro.me.search_window import SearchWindow, clamped_window
 from repro.me.types import MotionVector
 
 from .conftest import shifted_plane, textured_plane
@@ -94,3 +96,37 @@ class TestDescend:
         ev.descend(ring, max_steps=50)
         # One ring around the optimum, nothing more.
         assert ev.positions == 5
+
+
+class TestBatchDescend:
+    """:meth:`BatchEvaluator.descend` against
+    :meth:`CandidateEvaluator.descend`, block for block, at the step
+    bounds the searches' walks stop at (no step, one, two) — on a plane
+    whose edge windows clamp, and on a two-level one where SADs tie.
+    The evaluators keep their block-size argument, so 8x8 blocks are
+    checked beside the 16x16 macroblock."""
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "pattern", [UNIT_RING, LARGE_DIAMOND, LARGE_HEXAGON], ids=["ring", "diamond", "hexagon"]
+    )
+    @pytest.mark.parametrize("levels", [2, 256])
+    @pytest.mark.parametrize("s", [8, 16])
+    def test_matches_per_block_descend(self, s, levels, pattern, max_steps):
+        p = 7
+        ref = textured_plane(80, 96, seed=24) // (256 // levels) * (256 // levels)
+        cur = shifted_plane(ref, 3, -4)
+        plane = ReferencePlane(ref)
+        mb_rows, mb_cols = np.divmod(np.arange((80 // s) * (96 // s)), 96 // s)
+        batch = BatchEvaluator(cur, plane, mb_rows, mb_cols, s, p)
+        batch.evaluate(batch.all, 0, 0)
+        batch.descend(batch.all, pattern, max_steps)
+        positions = batch.positions()
+        for i, (r, c) in enumerate(zip(mb_rows.tolist(), mb_cols.tolist())):
+            window = clamped_window(r * s, c * s, s, s, *ref.shape, p)
+            block = cur[r * s : (r + 1) * s, c * s : (c + 1) * s]
+            single = CandidateEvaluator(block, plane, r * s, c * s, window)
+            single.evaluate(0, 0)
+            single.descend(pattern, max_steps)
+            got = (int(batch.dx[i]), int(batch.dy[i]), int(batch.rank[i] >> 30), int(positions[i]))
+            assert got == (single.best_dx, single.best_dy, single.best_sad, single.positions)

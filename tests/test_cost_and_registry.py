@@ -6,6 +6,8 @@ from repro.me.cost import LAMBDA_SCALE, lagrange_lambda, motion_cost
 from repro.me.estimator import available_estimators, create_estimator
 from repro.me.types import MotionVector
 
+from .conftest import pinned
+
 
 class TestLagrange:
     def test_lambda_linear_in_qp_for_sad_domain(self):
@@ -46,8 +48,25 @@ OUTSIDE_ENVELOPE = [("p", 0), ("p", 32), ("block_size", 0), ("block_size", 12), 
 @pytest.mark.parametrize("key,value", OUTSIDE_ENVELOPE)
 @pytest.mark.parametrize("name", available_estimators())
 def test_constructor_rejects_outside_envelope(name, key, value):
+    """``p`` is a constructor argument; the block size is a class
+    constant, pinned here (:func:`pinned`), that the constructor checks
+    as well."""
+    cls, kwargs = type(create_estimator(name)), {key: value}
+    if key == "block_size":
+        cls, kwargs = pinned(cls, block_size=value), {}
     with pytest.raises(ValueError, match=f"^{key} must be"):
-        create_estimator(name, **{key: value})
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("name", available_estimators())
+def test_constructor_takes_no_geometry_or_step_knobs(name):
+    """Block size, half-pel and the search-step bounds are class
+    constants: 16x16 macroblocks, half-pel always on."""
+    est = create_estimator(name)
+    assert (est.block_size, est.p) == (16, 15)
+    for knob in ("block_size", "half_pel", "refine_steps", "max_recentres"):
+        with pytest.raises(TypeError, match=knob):
+            create_estimator(name, **{knob: 1})
 
 
 class TestRegistry:
@@ -69,8 +88,8 @@ class TestRegistry:
         assert "hexbs" in available_estimators()
 
     def test_kwargs_forwarded(self):
-        est = create_estimator("pbm", refine_steps=5)
-        assert est.refine_steps == 5
+        est = create_estimator("acbm", p=9, lagrangian=True)
+        assert (est.p, est.lagrangian) == (9, True)
 
     def test_duplicate_registration_rejected(self):
         from repro.me.estimator import register_estimator

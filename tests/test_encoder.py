@@ -50,12 +50,11 @@ class TestConstruction:
             Encoder(qp=32)
 
     def test_non_macroblock_block_size_rejected(self):
-        """An 8x8 search would give a motion grid MC cannot use; the
-        encoder refuses it when built, not after the I-frame."""
-        with pytest.raises(ValueError, match="16x16 macroblock"):
+        """Estimators search the 16x16 macroblock only; no block-size
+        argument reaches them."""
+        with pytest.raises(TypeError, match="block_size"):
             Encoder(estimator="fsbm", estimator_kwargs={"block_size": 8})
-        with pytest.raises(ValueError, match="16x16 macroblock"):
-            Encoder(estimator=FullSearchEstimator(block_size=8))
+        assert Encoder(estimator="fsbm").estimator.block_size == 16
 
     def test_p_beyond_header_field_rejected_by_estimator(self):
         """p = 32 does not fit the picture header's 5-bit field; the

@@ -36,7 +36,7 @@ from repro.me.subpel import half_pel_block, predict_block, refine_half_pel
 from repro.me.types import MotionVector
 from repro.obs import metrics
 
-from .conftest import backend_matrix, shifted_plane, textured_plane
+from .conftest import backend_matrix, integer_pel, shifted_plane, textured_plane
 
 #: Every golden equivalence below re-runs per available kernel backend.
 kernel_backend = backend_matrix()
@@ -124,7 +124,7 @@ class TestReferencePlane:
             ok = np.zeros(bad.shape[:2], dtype=np.uint8)
             planes = {"current": ok, "reference": ok, role: bad}
             with pytest.raises(ValueError, match=named):
-                FullSearchEstimator(p=3, block_size=4).estimate(planes["current"], planes["reference"])
+                FullSearchEstimator(p=3).estimate(planes["current"], planes["reference"])
 
     def test_predict_matches_predict_block(self):
         ref = textured_plane(48, 64, seed=21)
@@ -370,6 +370,41 @@ class TestRefineHalfPelBatch:
                 assert int(extra[r, c]) == evaluated
 
 
+class TestSubMacroblockKernels:
+    """The frame kernels keep their block-size argument below the 16x16
+    macroblock every estimator searches: the FSBM chain at s = 4 and 8
+    against the dense surface oracle and the per-block minimum and
+    half-pel step."""
+
+    @pytest.mark.parametrize("p", [7, 15])
+    @pytest.mark.parametrize("s", [4, 8])
+    @pytest.mark.parametrize("maker", [random_plane, tie_heavy_plane])
+    def test_fsbm_chain_matches_oracles(self, maker, s, p):
+        cur, ref = maker(90 + s), maker(91 + s)
+        plane = ReferencePlane(ref)
+        fss = frame_sad_surfaces(cur, plane, s, p)
+        np.testing.assert_array_equal(
+            fss.surfaces, reference.frame_sad_surfaces(cur, ref, s, p).surfaces
+        )
+        dx, dy, sads, positions = select_minima(fss.surfaces)
+        hx, hy, hsads, extra = refine_half_pel_batch(cur, plane, dx, dy, sads, s, p)
+        for r in range(fss.mb_rows):
+            for c in range(fss.mb_cols):
+                block_sads, window = full_search_sads(cur, ref, r * s, c * s, s, p)
+                anchor, best = select_minimum(block_sads, window)
+                assert (MotionVector(2 * int(dx[r, c]), 2 * int(dy[r, c])), int(sads[r, c])) == (
+                    anchor,
+                    best,
+                )
+                assert int(positions[r, c]) == window.num_positions
+                block = cur[r * s : (r + 1) * s, c * s : (c + 1) * s]
+                mv, sad_hp, evaluated = refine_half_pel(
+                    block, plane, r * s, c * s, anchor, best, window
+                )
+                assert MotionVector(int(hx[r, c]), int(hy[r, c])) == mv
+                assert (int(hsads[r, c]), int(extra[r, c])) == (sad_hp, evaluated)
+
+
 # -- evaluate_candidates_batch ------------------------------------------
 
 
@@ -475,13 +510,16 @@ class TestGoldenEstimators:
     @pytest.mark.parametrize(
         "maker", [lambda: textured_plane(48, 64, seed=70), lambda: tie_heavy_plane(71)]
     )
-    def test_fsbm_batch_identical_to_per_block(self, half_pel, p, maker):
+    def test_fsbm_batch_identical_to_per_block(self, half_pel, p, maker, monkeypatch):
         """The tentpole guarantee: FSBM via the engine's estimate_frame
         emits bit-identical motion fields, SADs and SearchStats position
-        counts to the per-block oracle."""
+        counts to the per-block oracle — with the half-pel stage and on
+        the integer-pel stage alone (:func:`integer_pel`)."""
+        if not half_pel:
+            integer_pel(monkeypatch)
         ref = maker()
         cur = shifted_plane(ref, 1, 2)
-        est = FullSearchEstimator(p=p, half_pel=half_pel)
+        est = FullSearchEstimator(p=p)
         field_b, stats_b = est.estimate(cur, ref)
         field_s, stats_s, _ = reference.estimate_motion(est, cur, ref)
         assert fields_identical(field_b, field_s)

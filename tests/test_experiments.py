@@ -43,6 +43,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(frames=2)
 
+    @pytest.mark.parametrize("p", [0, 32])
+    def test_search_range_outside_envelope_rejected(self, p):
+        """A p no estimator accepts fails when the config is built, not
+        at the first estimator of a sweep."""
+        with pytest.raises(ValueError, match=r"p must be in 1\.\.31"):
+            ExperimentConfig(p=p)
+
     def test_quick_preset_valid(self):
         config = ExperimentConfig.quick()
         assert config.frames >= 4

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.me.candidates import CandidateEvaluator
 from repro.me.cross_diamond import CrossDiamondEstimator
 from repro.me.diamond import DiamondEstimator
 from repro.me.engine.reference_plane import ReferencePlane
@@ -11,10 +12,11 @@ from repro.me.four_step import FourStepEstimator
 from repro.me.full_search import FullSearchEstimator
 from repro.me.hexagon import HexagonEstimator
 from repro.me.new_three_step import NewThreeStepEstimator
+from repro.me.search_window import clamped_window
 from repro.me.three_step import ThreeStepEstimator, initial_step
 from repro.me.types import MotionField, MotionVector
 
-from .conftest import shifted_plane, textured_plane
+from .conftest import pinned, shifted_plane, textured_plane
 
 ALL_FAST = [
     ThreeStepEstimator,
@@ -29,6 +31,15 @@ ALL_FAST = [
 def context(cur, ref, r=1, c=1):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
     return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, 16, ReferencePlane(ref))
+
+
+def walked(est, ctx):
+    """``est``'s integer-pel stages on ``ctx``'s block: the evaluator
+    :meth:`search_block` hands to the half-pel step."""
+    window = clamped_window(ctx.block_y, ctx.block_x, 16, 16, *ctx.reference.shape, est.p)
+    evaluator = CandidateEvaluator(ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, window)
+    est.walk(evaluator)
+    return evaluator
 
 
 class TestInitialStep:
@@ -56,7 +67,7 @@ class TestRegisteredNames:
 class TestCommonBehaviour:
     def test_zero_motion(self, cls):
         ref = textured_plane(64, 80, seed=50)
-        result = cls(p=15, half_pel=False).search_block(context(ref, ref))
+        result = cls(p=15).search_block(context(ref, ref))
         assert result.mv == MotionVector.zero()
         assert result.sad == 0
 
@@ -65,13 +76,13 @@ class TestCommonBehaviour:
         # second-step stop caps its first-stage capture radius at 2).
         ref = textured_plane(64, 80, seed=51)
         cur = shifted_plane(ref, -2, 2)  # true mv = (-2, +2) px
-        result = cls(p=15, half_pel=False).search_block(context(cur, ref))
+        result = cls(p=15).search_block(context(cur, ref))
         assert result.mv == MotionVector(-4, 4)
 
     def test_far_cheaper_than_full_search(self, cls):
         ref = textured_plane(64, 80, seed=52)
         cur = shifted_plane(ref, 1, -1)
-        result = cls(p=15, half_pel=False).search_block(context(cur, ref))
+        result = cls(p=15).search_block(context(cur, ref))
         assert result.positions < 969 / 5
 
     def test_never_worse_than_zero_vector_start(self, cls):
@@ -81,20 +92,21 @@ class TestCommonBehaviour:
 
         ref = textured_plane(64, 80, seed=53)
         cur = textured_plane(64, 80, seed=54)
-        result = cls(p=15, half_pel=False).search_block(context(cur, ref))
+        result = cls(p=15).search_block(context(cur, ref))
         assert result.sad <= sad(cur[16:32, 16:32], ref[16:32, 16:32])
 
     def test_vector_stays_in_window(self, cls):
         ref = textured_plane(64, 80, seed=55)
         cur = shifted_plane(ref, 9, 9)
-        result = cls(p=7, half_pel=False).search_block(context(cur, ref))
+        result = cls(p=7).search_block(context(cur, ref))
         assert result.mv.chebyshev_pixels() <= 7
 
     def test_half_pel_adds_at_most_8_positions(self, cls):
         ref = textured_plane(64, 80, seed=56)
         cur = shifted_plane(ref, 1, 1)
-        coarse = cls(p=15, half_pel=False).search_block(context(cur, ref))
-        fine = cls(p=15, half_pel=True).search_block(context(cur, ref))
+        est = cls(p=15)
+        coarse = walked(est, context(cur, ref))
+        fine = est.search_block(context(cur, ref))
         assert coarse.positions <= fine.positions <= coarse.positions + 8
 
     def test_estimate_whole_frame(self, cls):
@@ -116,13 +128,21 @@ class TestTssSpecifics:
 
 class TestDiamondSpecifics:
     def test_recentre_bound_enforced(self):
-        with pytest.raises(ValueError):
+        """``max_recentres`` is a class constant, not an argument, and
+        the walk stops at it: bounded at one recentring, the 6-px walk
+        ends within the first large diamond plus the small one."""
+        with pytest.raises(TypeError, match="max_recentres"):
             DiamondEstimator(max_recentres=0)
+        ref = textured_plane(96, 112, seed=59)
+        cur = shifted_plane(ref, 0, -6)
+        walk = walked(pinned(DiamondEstimator, max_recentres=1)(p=15), context(cur, ref, 2, 3))
+        assert abs(walk.best_dx) + abs(walk.best_dy) <= 3
+        assert walk.positions <= 1 + 8 + 4
 
     def test_moderate_displacement_reached_by_walking(self):
         ref = textured_plane(96, 112, seed=59)
         cur = shifted_plane(ref, 0, -6)
-        result = DiamondEstimator(p=15, half_pel=False).search_block(context(cur, ref, 2, 3))
+        result = DiamondEstimator(p=15).search_block(context(cur, ref, 2, 3))
         assert result.mv == MotionVector(12, 0)
 
 
@@ -130,15 +150,14 @@ class TestCrossDiamondSpecifics:
     def test_stationary_early_stop(self):
         """Centre-stop blocks cost at most 5 evaluations before half-pel."""
         ref = textured_plane(64, 80, seed=60)
-        result = CrossDiamondEstimator(p=15, half_pel=False).search_block(context(ref, ref))
-        assert result.positions == 5
+        assert walked(CrossDiamondEstimator(p=15), context(ref, ref)).positions == 5
 
     def test_small_cross_stop(self):
         ref = textured_plane(64, 80, seed=61)
         cur = shifted_plane(ref, 0, -1)
-        result = CrossDiamondEstimator(p=15, half_pel=False).search_block(context(cur, ref))
-        assert result.mv == MotionVector(2, 0)
-        assert result.positions <= 9
+        walk = walked(CrossDiamondEstimator(p=15), context(cur, ref))
+        assert walk.best()[0] == MotionVector(2, 0)
+        assert walk.positions <= 9
 
 
 class TestAgainstFullSearch:
@@ -146,8 +165,8 @@ class TestAgainstFullSearch:
     def test_fast_search_sad_close_to_optimum_on_smooth_motion(self, cls):
         ref = textured_plane(64, 80, seed=62)
         cur = shifted_plane(ref, 2, 2)
-        fast = cls(p=15, half_pel=False).search_block(context(cur, ref))
-        full = FullSearchEstimator(p=15, half_pel=False).search_block(context(cur, ref))
+        fast = cls(p=15).search_block(context(cur, ref))
+        full = FullSearchEstimator(p=15).search_block(context(cur, ref))
         assert fast.sad == full.sad  # unimodal surface: all find the optimum
 
 
@@ -155,38 +174,41 @@ class TestNtssSpecifics:
     def test_first_step_stop_is_cheap(self):
         """A static block stops after centre + unit ring + step ring."""
         ref = textured_plane(96, 96, seed=63)
-        result = NewThreeStepEstimator(p=15, half_pel=False).search_block(
-            context(ref, ref, 2, 2)
-        )
-        assert result.mv == MotionVector.zero()
-        assert result.positions == 17  # 1 + 8 + 8
+        walk = walked(NewThreeStepEstimator(p=15), context(ref, ref, 2, 2))
+        assert walk.best()[0] == MotionVector.zero()
+        assert walk.positions == 17  # 1 + 8 + 8
 
     def test_second_step_stop_for_unit_motion(self):
         ref = textured_plane(96, 96, seed=64)
         cur = shifted_plane(ref, 0, -1)
-        result = NewThreeStepEstimator(p=15, half_pel=False).search_block(
-            context(cur, ref, 2, 2)
-        )
-        assert result.mv == MotionVector(2, 0)
-        assert result.positions <= 17 + 5  # at most 5 fresh 3x3 points
+        walk = walked(NewThreeStepEstimator(p=15), context(cur, ref, 2, 2))
+        assert walk.best()[0] == MotionVector(2, 0)
+        assert walk.positions <= 17 + 5  # at most 5 fresh 3x3 points
 
     def test_cheaper_than_tss_on_static_content(self):
         ref = textured_plane(96, 96, seed=65)
-        ntss = NewThreeStepEstimator(p=15, half_pel=False).search_block(context(ref, ref, 2, 2))
-        tss = ThreeStepEstimator(p=15, half_pel=False).search_block(context(ref, ref, 2, 2))
+        ntss = NewThreeStepEstimator(p=15).search_block(context(ref, ref, 2, 2))
+        tss = ThreeStepEstimator(p=15).search_block(context(ref, ref, 2, 2))
         assert ntss.positions < tss.positions
 
 
 class TestHexagonSpecifics:
     def test_recentre_bound_enforced(self):
-        with pytest.raises(ValueError):
+        """As for DS: one recentring leaves the 6-px walk within the
+        first hexagon plus the small diamond."""
+        with pytest.raises(TypeError, match="max_recentres"):
             HexagonEstimator(max_recentres=0)
+        ref = textured_plane(96, 112, seed=66)
+        cur = shifted_plane(ref, 0, -6)
+        walk = walked(pinned(HexagonEstimator, max_recentres=1)(p=15), context(cur, ref, 2, 3))
+        assert abs(walk.best_dx) <= 3 and abs(walk.best_dy) <= 3
+        assert walk.positions <= 1 + 6 + 4
 
     def test_walk_overlap_makes_recentres_cheap(self):
         """Each hexagon re-centre shares points with the previous one,
         so a 6-px walk costs far fewer than 6 full patterns."""
         ref = textured_plane(96, 112, seed=66)
         cur = shifted_plane(ref, 0, -6)
-        result = HexagonEstimator(p=15, half_pel=False).search_block(context(cur, ref, 2, 3))
-        assert result.mv == MotionVector(12, 0)
-        assert result.positions <= 1 + 6 + 3 * 5 + 4
+        walk = walked(HexagonEstimator(p=15), context(cur, ref, 2, 3))
+        assert walk.best()[0] == MotionVector(12, 0)
+        assert walk.positions <= 1 + 6 + 3 * 5 + 4

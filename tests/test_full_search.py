@@ -9,13 +9,12 @@ from repro.me.full_search import FullSearchEstimator, full_search_sads, select_m
 from repro.me.metrics import sad
 from repro.me.types import MotionField, MotionVector
 
-from .conftest import shifted_plane, textured_plane
+from .conftest import integer_pel, shifted_plane, textured_plane
 
 
-def context(cur, ref, r=1, c=1, qp=16, block_size=16):
-    rows = cur.shape[0] // block_size
-    cols = cur.shape[1] // block_size
-    return BlockContext(cur, ref, r, c, block_size, MotionField(rows, cols), None, qp, ReferencePlane(ref))
+def context(cur, ref, r=1, c=1, qp=16):
+    rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
+    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, qp, ReferencePlane(ref))
 
 
 class TestFullSearchSads:
@@ -64,7 +63,7 @@ class TestFullSearchEstimator:
     def test_recovers_global_translation(self):
         ref = textured_plane(64, 80, seed=33)
         cur = shifted_plane(ref, 1, 2)  # content moved (+1, +2)
-        est = FullSearchEstimator(p=7, half_pel=False)
+        est = FullSearchEstimator(p=7)
         field, stats = est.estimate(cur, ref)
         # Interior blocks must all see mv = (-2, -1) px.
         assert field.get(1, 1) == MotionVector(-4, -2)
@@ -73,14 +72,14 @@ class TestFullSearchEstimator:
     def test_positions_969_interior(self):
         """The paper's FSBM reference count: 961 integer + 8 half-pel."""
         ref = textured_plane(96, 96, seed=34)
-        est = FullSearchEstimator(p=15, half_pel=True)
+        est = FullSearchEstimator(p=15)
         result = est.search_block(context(ref, ref, r=2, c=2))
         assert result.positions == 969
         assert result.used_full_search
 
     def test_positions_clipped_at_corner(self):
         ref = textured_plane(96, 96, seed=35)
-        est = FullSearchEstimator(p=15, half_pel=True)
+        est = FullSearchEstimator(p=15)
         result = est.search_block(context(ref, ref, r=0, c=0))
         # 16x16 window (displacements 0..15 each axis) + 3 half-pel.
         assert result.positions == 16 * 16 + 3
@@ -92,14 +91,17 @@ class TestFullSearchEstimator:
         cur = ref.copy()
         # Plant a half-pel-shifted copy at block (1, 1).
         cur[16:32, 16:32] = half_pel_block(ref, 32, 33, 16, 16)
-        est = FullSearchEstimator(p=4, half_pel=True)
+        est = FullSearchEstimator(p=4)
         result = est.search_block(context(cur, ref))
         assert result.mv == MotionVector(1, 0)
         assert result.sad == 0
 
-    def test_half_pel_off_gives_integer_vector(self):
+    def test_half_pel_off_gives_integer_vector(self, monkeypatch):
+        """The integer-pel stage alone (:func:`integer_pel`): an integer
+        vector and the 81 positions of p = 4, none from half-pel."""
+        integer_pel(monkeypatch)
         ref = textured_plane(48, 64, seed=37)
-        est = FullSearchEstimator(p=4, half_pel=False)
+        est = FullSearchEstimator(p=4)
         result = est.search_block(context(ref, ref))
         assert result.mv.is_integer_pel
         assert result.positions == 81
@@ -107,7 +109,7 @@ class TestFullSearchEstimator:
     def test_estimate_full_frame(self):
         ref = textured_plane(48, 64, seed=38)
         cur = shifted_plane(ref, 0, 1)
-        est = FullSearchEstimator(p=3, half_pel=False)
+        est = FullSearchEstimator(p=3)
         field, stats = est.estimate(cur, ref)
         assert field.is_complete
         assert stats.blocks == 12
@@ -116,8 +118,6 @@ class TestFullSearchEstimator:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             FullSearchEstimator(p=0)
-        with pytest.raises(ValueError):
-            FullSearchEstimator(block_size=0)
 
     def test_estimate_shape_mismatch(self):
         est = FullSearchEstimator(p=2)

@@ -10,7 +10,6 @@ from repro.me.metrics import (
     sad,
     sad_deviation,
     sad_map,
-    satd,
 )
 
 
@@ -126,28 +125,6 @@ class TestSadMap:
     def test_dtype_int64(self):
         got = sad_map(np.zeros((2, 2), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8))
         assert got.dtype == np.int64
-
-
-class TestSatd:
-    def test_identical_is_zero(self):
-        block = np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8)
-        assert satd(block, block) == 0
-
-    def test_dc_difference(self):
-        a = np.zeros((8, 8), dtype=np.uint8)
-        b = np.full((8, 8), 3, dtype=np.uint8)
-        # Hadamard of constant −3 concentrates in the DC term: 64 * 3.
-        assert satd(a, b) == 192
-
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            satd(np.zeros((6, 6)), np.zeros((6, 6)))
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        b = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        assert satd(a, b) >= 0
 
 
 class TestBlockActivityMap:

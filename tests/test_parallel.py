@@ -213,7 +213,7 @@ class TestJobSpecs:
         jobs = {
             EncodeJob("miss_america", 30, "pbm", 16, TINY),
             ParseFrameJob(b"\x00\x01"),
-            Fig4PairJob(0, ((1, 0),), FrameGeometry(96, 80), 7, 16, 3),
+            Fig4PairJob(0, ((1, 0),), FrameGeometry(96, 80), 7, 3),
         }
         assert len(jobs) == 3
 

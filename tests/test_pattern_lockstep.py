@@ -6,10 +6,13 @@ TSS, NTSS, 4SS, DS, HEXBS and CDS scored for all macroblocks in one
 exactly the ``(hx, hy, sad, positions)`` that raster-order
 :meth:`search_block` calls give (:func:`repro.reference.estimate_motion`),
 and :meth:`estimate` reports the same field and :class:`SearchStats`.
-Checked over the pattern parameters, both block sizes, half-pel on and
-off, and planes whose edge and corner windows clamp; on hypothesis-drawn
-random and quantised planes (SAD ties), with p up to the envelope edge
-(31).
+Checked over p, the recentring bounds, two block sizes, the integer-pel
+stages alone and planes whose edge and corner windows clamp; on
+hypothesis-drawn random and quantised planes (SAD ties), with p up to
+the envelope edge (31).  The bounds and the block size are class
+constants, pinned here through test subclasses (:func:`pinned`); the
+integer-pel cases swap the half-pel stage for the identity
+(:func:`integer_pel`).
 """
 
 import numpy as np
@@ -23,7 +26,7 @@ from repro.me.estimator import PatternSearchEstimator, create_estimator
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix
+from .conftest import backend_matrix, integer_pel, pinned
 
 kernel_backend = backend_matrix()
 
@@ -43,6 +46,14 @@ SEARCHES = (
     ("cds", {"max_recentres": 32}),
 )
 SEARCH_IDS = [name + "".join(f"-{v}" for v in kw.values()) for name, kw in SEARCHES]
+
+
+def pattern_search(search, p, block_size=16):
+    """The registered search with its recentring bound and block size
+    pinned."""
+    name, constants = search
+    cls = type(create_estimator(name))
+    return pinned(cls, block_size=block_size, **constants)(p=p)
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +95,10 @@ def assert_matches_oracle(est, cur, ref):
 @pytest.mark.parametrize("block_size", [8, 16])
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 15, 31])
 @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
-def test_lockstep_matches_raster_walk(frame_pairs, search, p, block_size, half_pel):
-    name, kwargs = search
-    est = create_estimator(name, p=p, block_size=block_size, half_pel=half_pel, **kwargs)
+def test_lockstep_matches_raster_walk(frame_pairs, search, p, block_size, half_pel, monkeypatch):
+    if not half_pel:
+        integer_pel(monkeypatch)
+    est = pattern_search(search, p, block_size)
     for cur, ref in frame_pairs:
         assert_matches_oracle(est, cur, ref)
 
@@ -109,17 +121,17 @@ def test_lockstep_matches_on_random_planes(search, p, block_size, half_pel, leve
     step = 255 // (levels - 1)
     cur = (rng.integers(0, levels, shape) * step).astype(np.uint8)
     ref = (rng.integers(0, levels, shape) * step).astype(np.uint8)
-    name, kwargs = search
-    est = create_estimator(name, p=p, block_size=block_size, half_pel=half_pel, **kwargs)
-    assert_matches_oracle(est, cur, ref)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if not half_pel:
+            integer_pel(monkeypatch)
+        assert_matches_oracle(pattern_search(search, p, block_size), cur, ref)
 
 
 @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
 def test_estimate_never_walks_blocks_in_envelope(frame_pairs, search, monkeypatch):
     """Inside the envelope the frame path serves every block:
     ``search_block`` is never called."""
-    name, kwargs = search
-    est = create_estimator(name, p=15, **kwargs)
+    est = pattern_search(search, 15)
     cur, ref = frame_pairs[0]
     expected, oracle_stats = oracle_blocks(est, cur, ref)
 

@@ -8,7 +8,7 @@ from repro.me.estimator import BlockContext
 from repro.me.predictive import PredictiveEstimator, gather_predictors
 from repro.me.types import MotionField, MotionVector
 
-from .conftest import shifted_plane, textured_plane
+from .conftest import integer_pel, pinned, shifted_plane, textured_plane
 
 
 class TestGatherPredictors:
@@ -81,7 +81,7 @@ class TestPredictiveEstimator:
     def test_small_translation_found(self):
         ref = textured_plane(48, 64, seed=41)
         cur = shifted_plane(ref, 0, 2)
-        est = PredictiveEstimator(p=15, half_pel=False)
+        est = PredictiveEstimator(p=15)
         result = est.search_block(context(cur, ref, 1, 1))
         assert result.mv == MotionVector(-4, 0)
 
@@ -90,7 +90,7 @@ class TestPredictiveEstimator:
         neighbour already carries it — the wavefront effect."""
         ref = textured_plane(48, 96, seed=42)
         cur = shifted_plane(ref, 0, -6)  # true mv = (+6, 0) px
-        est = PredictiveEstimator(p=15, half_pel=False, refine_steps=2)
+        est = PredictiveEstimator(p=15)
         rows, cols = 3, 6
         field = MotionField(rows, cols)
         # Estimate the whole frame in raster order (what estimate() does).
@@ -105,20 +105,25 @@ class TestPredictiveEstimator:
         prev = MotionField.zeros(3, 4)
         for r, c, _ in prev:
             prev.set(r, c, MotionVector(10, 0))  # perfect temporal hint
-        est = PredictiveEstimator(p=15, half_pel=False, refine_steps=1)
+        est = PredictiveEstimator(p=15)
         result = est.search_block(context(cur, ref, 1, 1, prev=prev))
         assert result.mv == MotionVector(10, 0)
 
-    def test_refine_steps_zero_keeps_predictor(self):
+    def test_refine_steps_zero_keeps_predictor(self, monkeypatch):
+        """With the descent bound pinned at 0 (:func:`pinned`) and the
+        integer-pel stage alone (:func:`integer_pel`), the winning
+        predictor is the answer."""
+        integer_pel(monkeypatch)
         ref = textured_plane(48, 64, seed=44)
         cur = shifted_plane(ref, 0, -1)
-        est = PredictiveEstimator(p=15, half_pel=False, refine_steps=0)
+        est = pinned(PredictiveEstimator, refine_steps=0)(p=15)
         result = est.search_block(context(cur, ref, 1, 1))
         # Only the zero predictor is available; no descent happens.
         assert result.mv == MotionVector.zero()
 
     def test_invalid_refine_steps(self):
-        with pytest.raises(ValueError):
+        """The descent bound is a class constant, not an argument."""
+        with pytest.raises(TypeError, match="refine_steps"):
             PredictiveEstimator(refine_steps=-1)
 
     def test_positions_far_below_fsbm(self):
@@ -135,7 +140,7 @@ class TestPredictiveEstimator:
         ref = textured_plane(48, 64, seed=46)
         cur = ref.copy()
         cur[16:32, 16:32] = half_pel_block(ref, 32, 33, 16, 16)
-        est = PredictiveEstimator(p=4, half_pel=True)
+        est = PredictiveEstimator(p=4)
         result = est.search_block(context(cur, ref, 1, 1))
         assert result.mv == MotionVector(1, 0)
         assert result.sad == 0
@@ -146,6 +151,6 @@ class TestPredictiveEstimator:
         ref = textured_plane(48, 64, seed=47)
         prev = MotionField.zeros(3, 4)
         prev.set(0, 0, MotionVector(30, 30))
-        est = PredictiveEstimator(p=15, half_pel=False)
+        est = PredictiveEstimator(p=15)
         result = est.search_block(context(ref, ref, 0, 0, prev=prev))
         assert result.mv == MotionVector.zero()  # clamp then descend home

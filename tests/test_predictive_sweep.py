@@ -34,7 +34,7 @@ from repro.obs import metrics
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix, shifted_plane, textured_plane
+from .conftest import backend_matrix, integer_pel, pinned, shifted_plane, textured_plane
 
 kernel_backend = backend_matrix()
 
@@ -79,6 +79,16 @@ def swept(est, cur, ref, prev_field, qp):
     )
 
 
+def pinned_acbm(block_size, refine_steps, **kwargs):
+    """ACBM with its block size, and its embedded PBM stage's block size
+    and ``refine_steps``, pinned (:func:`pinned`)."""
+    est = pinned(ACBMEstimator, block_size=block_size)(**kwargs)
+    est._pbm = pinned(PredictiveEstimator, block_size=block_size, refine_steps=refine_steps)(
+        p=est.p
+    )
+    return est
+
+
 @pytest.fixture(scope="module", params=PRESETS)
 def clip(request):
     """(reference, current, previous field) of one synthesis preset; the
@@ -93,10 +103,12 @@ class TestSweepGolden:
     @pytest.mark.parametrize("p", [7, 15])
     @pytest.mark.parametrize("half_pel", [False, True])
     @pytest.mark.parametrize("refine_steps", [0, 2])
-    def test_pbm_matches_raster(self, clip, p, half_pel, refine_steps):
+    def test_pbm_matches_raster(self, clip, p, half_pel, refine_steps, monkeypatch):
         """PBM never reads Qp, so one Qp covers it."""
         ref, cur, prev_field = clip
-        est = PredictiveEstimator(p=p, half_pel=half_pel, refine_steps=refine_steps)
+        if not half_pel:
+            integer_pel(monkeypatch)
+        est = pinned(PredictiveEstimator, refine_steps=refine_steps)(p=p)
         for prev in (None, prev_field):
             assert swept(est, cur, ref, prev, 16) == raster_oracle(est, cur, ref, prev, 16)
 
@@ -108,17 +120,16 @@ class TestSweepGolden:
         for lagrangian in (False, True):
             for half_pel in (False, True):
                 for refine_steps in (0, 2):
-                    est = ACBMEstimator(
-                        p=p,
-                        half_pel=half_pel,
-                        refine_steps=refine_steps,
-                        params=PARAMS[params],
-                        lagrangian=lagrangian,
+                    est = pinned_acbm(
+                        16, refine_steps, p=p, params=PARAMS[params], lagrangian=lagrangian
                     )
-                    for prev in (None, prev_field):
-                        assert swept(est, cur, ref, prev, qp) == raster_oracle(
-                            est, cur, ref, prev, qp
-                        ), (lagrangian, half_pel, refine_steps, prev is not None)
+                    with pytest.MonkeyPatch.context() as monkeypatch:
+                        if not half_pel:
+                            integer_pel(monkeypatch)
+                        for prev in (None, prev_field):
+                            assert swept(est, cur, ref, prev, qp) == raster_oracle(
+                                est, cur, ref, prev, qp
+                            ), (lagrangian, half_pel, refine_steps, prev is not None)
 
 
 def random_frames(seed: int, rows: int, cols: int, s: int, levels: int, shift):
@@ -159,32 +170,33 @@ def sweep_cases(draw):
             np.array(comps[: rows * cols]).reshape(rows, cols),
             np.array(comps[rows * cols :]).reshape(rows, cols),
         )
-    kwargs = dict(
-        p=draw(st.integers(min_value=1, max_value=31)),
-        block_size=s,
-        half_pel=draw(st.booleans()),
-        refine_steps=draw(st.integers(min_value=0, max_value=3)),
-    )
+    p = draw(st.integers(min_value=1, max_value=31))
+    refine_steps = draw(st.integers(min_value=0, max_value=3))
     if draw(st.booleans()):
-        est = PredictiveEstimator(**kwargs)
+        est = pinned(PredictiveEstimator, block_size=s, refine_steps=refine_steps)(p=p)
     else:
-        est = ACBMEstimator(
+        est = pinned_acbm(
+            s,
+            refine_steps,
+            p=p,
             params=ACBMParameters(
                 alpha=draw(st.floats(min_value=0, max_value=4000)),
                 beta=draw(st.floats(min_value=0, max_value=10)),
                 gamma=draw(st.floats(min_value=0, max_value=1)),
             ),
             lagrangian=draw(st.booleans()),
-            **kwargs,
         )
-    return est, frames, prev, draw(st.integers(min_value=1, max_value=31))
+    return est, frames, prev, draw(st.integers(min_value=1, max_value=31)), draw(st.booleans())
 
 
 @given(sweep_cases())
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_raster_on_random_frames(case):
-    est, (ref, cur), prev, qp = case
-    assert swept(est, cur, ref, prev, qp) == raster_oracle(est, cur, ref, prev, qp)
+    est, (ref, cur), prev, qp, half_pel = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if not half_pel:
+            integer_pel(monkeypatch)
+        assert swept(est, cur, ref, prev, qp) == raster_oracle(est, cur, ref, prev, qp)
 
 
 class TestFrameDriver:
