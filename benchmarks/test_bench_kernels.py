@@ -58,7 +58,7 @@ def test_fsbm_block_search(benchmark, planes):
     current, reference = planes
     est = FullSearchEstimator(p=15)
     ctx = BlockContext(
-        current, reference, 4, 5, 16, MotionField(9, 11), None, 16, ReferencePlane(reference)
+        current, reference, 4, 5, 16, MotionField.zeros(9, 11), None, 16, ReferencePlane(reference)
     )
     result = benchmark(est.search_block, ctx)
     assert result.positions == 969

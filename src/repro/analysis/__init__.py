@@ -1,5 +1,5 @@
-"""Analysis utilities: PSNR, rate-distortion curves, motion-field
-statistics and plain-text report rendering."""
+"""Analysis utilities: PSNR, rate-distortion curves and plain-text
+report rendering."""
 
 from repro.analysis.psnr import psnr, sequence_psnr
 from repro.analysis.rd import RDCurve, RDPoint

@@ -588,15 +588,10 @@ class Encoder:
                 )
                 fields.append(f)
                 stats.merge(ref_stats)
-        if not all(f.is_complete for f in fields):
-            r, c = next((r, c) for r, c, _ in fields[0] if any(f.get(r, c) is None for f in fields))
-            raise ValueError(f"motion field missing entry ({r}, {c})")
-        arrays = [f.to_arrays() for f in fields]
-        luma_preds = [frame_mc_luma(plane, hx, hy) for plane, (hx, hy) in zip(planes, arrays)]
+        luma_preds = [frame_mc_luma(plane, f.hx, f.hy) for plane, f in zip(planes, fields)]
         if len(active) == 1:
             choice = np.zeros((rows, cols), dtype=np.int64)
             field = fields[0]
-            field_hx, field_hy = arrays[0]
         else:
             cur = frame.y.astype(np.int64)
             sads = np.stack(
@@ -608,20 +603,20 @@ class Encoder:
             choice = np.argmin(sads, axis=0)
             # The chosen per-MB vectors become one combined field: it
             # feeds MVD prediction, chroma MC and the next frame's search.
-            field_hx = np.choose(choice, [hx for hx, _ in arrays])
-            field_hy = np.choose(choice, [hy for _, hy in arrays])
-            field = MotionField.from_arrays(field_hx, field_hy)
+            field = MotionField(
+                np.choose(choice, [f.hx for f in fields]), np.choose(choice, [f.hy for f in fields])
+            )
 
         def predict(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             chroma = ChromaReferencePlane(active[k].cb, active[k].cr)
-            return (luma_preds[k], *chroma.mc_frame(field_hx, field_hy, self.estimator.p))
+            return (luma_preds[k], *chroma.mc_frame(field.hx, field.hy, self.estimator.p))
 
         pred = composite_predictions(choice, predict)
         phase = trace.phases()
         levels = self._transform_quantise((frame.y, frame.cb, frame.cr), pred, phase)
         with phase("encode.entropy"):
             ledger = write_inter_body(
-                writer, levels, field_hx, field_hy, choice if extended else None
+                writer, levels, field.hx, field.hy, choice if extended else None
             )
         # A skipped macroblock has all-zero levels, so its residual is
         # zero and it reconstructs to the prediction, as in the decoder.

@@ -95,16 +95,3 @@ def read_mvd(reader: BitReader, predictor: MotionVector) -> MotionVector:
     dhy = read_se_golomb(reader)
     return MotionVector(predictor.hx + dhx, predictor.hy + dhy)
 
-
-def field_bits(field: MotionField) -> int:
-    """Total MVD bits for a complete motion field — the R(mv) term the
-    paper's cost function charges, summed over a frame."""
-    if not field.is_complete:
-        raise ValueError("motion field has unset entries")
-    total = 0
-    coded = MotionField(field.mb_rows, field.mb_cols)
-    for r, c, mv in field:
-        predictor = predict_mv(coded, r, c)
-        total += mvd_bits(mv, predictor)
-        coded.set(r, c, mv)
-    return total

@@ -29,7 +29,6 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.me.engine import frame_sad_surfaces, select_minima
 from repro.me.metrics import block_activity_map
-from repro.me.types import MotionVector
 from repro.video.frame import MACROBLOCK_SIZE, QCIF, FrameGeometry
 from repro.video.synthesis.texture import (
     flat_field,
@@ -222,24 +221,21 @@ def observe_pair(
     """
     reference, current = frames[pair_index], frames[pair_index + 1]
     dx, dy = motion
-    truth = MotionVector(2 * dx, 2 * dy)
     surfaces = frame_sad_surfaces(current, reference, MACROBLOCK_SIZE, p)
     best_dx, best_dy, sad_mins, _ = select_minima(surfaces.surfaces)
     deviations = surfaces.deviations()
     activity = block_activity_map(current, MACROBLOCK_SIZE)
+    error_classes = np.minimum(np.maximum(abs(best_dx - dx), abs(best_dy - dy)), 5)
     mb_rows, mb_cols = activity.shape
     observations = []
     for r in range(mb_rows):
         for c in range(mb_cols):
-            mv = MotionVector(2 * int(best_dx[r, c]), 2 * int(best_dy[r, c]))
-            error = (mv - truth).chebyshev_pixels()
-            error_class = min(int(error), 5)
             observations.append(
                 BlockObservation(
                     frame_pair=pair_index,
                     mb_row=r,
                     mb_col=c,
-                    error_class=error_class,
+                    error_class=int(error_classes[r, c]),
                     intra_sad=float(activity[r, c]),
                     sad_deviation=int(deviations[r, c]),
                     sad_min=int(sad_mins[r, c]),

@@ -13,8 +13,6 @@ shape comes from the same quadratic dependence).
 
 from __future__ import annotations
 
-from repro.me.types import MotionVector
-
 #: Test-model constant relating λ to Qp² for SAD-based distortion.
 LAMBDA_SCALE = 0.85
 
@@ -25,14 +23,3 @@ def lagrange_lambda(qp: int) -> float:
         raise ValueError(f"H.263 Qp must be in 1..31, got {qp}")
     return LAMBDA_SCALE * float(qp * qp) ** 0.5  # sqrt(Qp^2) = Qp for SAD-domain D
 
-
-def motion_cost(sad: int, mv: MotionVector, predictor: MotionVector, qp: int, bits_fn) -> float:
-    """``J = SAD + λ(Qp) · bits(mv − predictor)``.
-
-    ``bits_fn`` maps a differential :class:`MotionVector` to its coded
-    length (supplied by :mod:`repro.codec.mv_coding` to avoid a package
-    cycle).
-    """
-    if sad < 0:
-        raise ValueError(f"SAD must be >= 0, got {sad}")
-    return float(sad) + lagrange_lambda(qp) * float(bits_fn(mv - predictor))

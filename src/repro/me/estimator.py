@@ -217,7 +217,7 @@ class PatternSearchEstimator(MotionEstimator):
         hx, hy, _, positions = self.lockstep(current, plane)
         stats = SearchStats()
         stats.record_frame(positions)
-        return MotionField.from_arrays(hx, hy), stats
+        return MotionField(hx, hy), stats
 
 
 # -- registry -----------------------------------------------------------

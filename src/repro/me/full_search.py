@@ -113,4 +113,4 @@ class FullSearchEstimator(MotionEstimator):
         )
         stats = SearchStats()
         stats.record_frame(positions + extra, used_full_search=True)
-        return MotionField.from_arrays(hx, hy), stats
+        return MotionField(hx, hy), stats

@@ -35,16 +35,6 @@ def sad(block_a: np.ndarray, block_b: np.ndarray) -> int:
     return int(np.abs(a - b).sum())
 
 
-def mse(block_a: np.ndarray, block_b: np.ndarray) -> float:
-    """Mean squared error (used by PSNR, not by the matching loop)."""
-    a = _as_int(block_a)
-    b = _as_int(block_b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    return float((diff * diff).mean())
-
-
 def intra_sad(block: np.ndarray) -> float:
     """Paper Section 3.1: ``Intra_SAD = Σ_{i,j} |p_t(i,j) − µ|`` with µ
     the block's mean luma.  High values flag textured blocks."""

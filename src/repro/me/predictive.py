@@ -183,16 +183,12 @@ class SweepResult:
         """The frame driver's output: the field and the stats the raster
         walk would have recorded."""
         stats = SearchStats()
-        if self.decisions is None:
-            stats.record_frame(self.positions)
-        else:
-            for count, used, decision in zip(
-                self.positions.ravel().tolist(),
-                self.used_full_search.ravel().tolist(),
-                self.decisions.ravel().tolist(),
-            ):
-                stats.record_block(count, used_full_search=used, decision=decision)
-        return MotionField.from_arrays(self.hx, self.hy), stats
+        stats.record_frame(
+            self.positions,
+            used_full_search=False if self.used_full_search is None else self.used_full_search,
+            decisions=self.decisions,
+        )
+        return MotionField(self.hx, self.hy), stats
 
 
 def initial_guess(prev_field: MotionField | None, rows: int, cols: int):
@@ -200,7 +196,7 @@ def initial_guess(prev_field: MotionField | None, rows: int, cols: int):
     temporal coherence makes most blocks right first time, else zeros."""
     if prev_field is None:
         return np.zeros((rows, cols), np.int64), np.zeros((rows, cols), np.int64)
-    return prev_field.to_arrays()
+    return prev_field.hx, prev_field.hy
 
 
 @register_estimator("pbm")
@@ -248,7 +244,7 @@ class PredictiveEstimator(MotionEstimator):
         cols = current.shape[1] // s
         prev = None
         if prev_field is not None:
-            prev = tuple(np.pad(a, ((0, 1), (0, 1))) for a in prev_field.to_arrays())
+            prev = tuple(np.pad(a, ((0, 1), (0, 1))) for a in (prev_field.hx, prev_field.hy))
 
         def search(idx, hx, hy):
             r, c = np.divmod(idx, cols)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class SearchStats:
@@ -39,16 +41,25 @@ class SearchStats:
 
     def record_frame(
         self,
-        positions,
-        used_full_search: bool = False,
-        decision: str | None = None,
+        positions: np.ndarray,
+        used_full_search: np.ndarray | bool = False,
+        decisions: np.ndarray | None = None,
     ) -> None:
-        """Record a whole frame's per-block position counts at once —
-        the batched estimators' bulk form of :meth:`record_block`
-        (delegates per block so the accounting lives in one place)."""
-        for row in positions:
-            for count in row:
-                self.record_block(int(count), used_full_search=used_full_search, decision=decision)
+        """Record a whole frame's blocks at once — the frame drivers'
+        form of :meth:`record_block`: per-block position counts, a
+        full-search mask (or one flag for every block) and, for ACBM,
+        each block's decision value."""
+        positions = np.asarray(positions)
+        if positions.size and positions.min() < 1:
+            raise ValueError(f"positions must be >= 1, got {positions.min()}")
+        self.blocks += positions.size
+        self.positions += int(positions.sum())
+        self.full_search_blocks += int(
+            np.count_nonzero(np.broadcast_to(used_full_search, positions.shape))
+        )
+        if decisions is not None:
+            for decision, count in zip(*np.unique(decisions, return_counts=True)):
+                self.decisions[str(decision)] = self.decisions.get(str(decision), 0) + int(count)
 
     def merge(self, other: "SearchStats") -> None:
         """Fold another accumulator into this one (frame → sequence)."""
@@ -71,13 +82,6 @@ class SearchStats:
         if self.blocks == 0:
             return 0.0
         return self.full_search_blocks / self.blocks
-
-    def reduction_vs(self, reference_positions_per_block: float) -> float:
-        """Relative saving against a reference cost, e.g. 969 for FSBM
-        p=15: the paper's "up to 95%" headline number."""
-        if reference_positions_per_block <= 0:
-            raise ValueError("reference cost must be positive")
-        return 1.0 - self.avg_positions_per_block / reference_positions_per_block
 
     def __repr__(self) -> str:
         return (

@@ -8,12 +8,18 @@ Half-pel precision is represented exactly: :class:`MotionVector` stores
 displacements as integers in **half-pel units**, so ``MotionVector(3, -2)``
 is ``(+1.5, -1.0)`` pixels.  This keeps every comparison and the H.263
 MVD coder exact (no float equality anywhere).
+
+A frame's vectors live in :class:`MotionField` as two ``(rows, cols)``
+int64 grids of the same half-pel components, ``hx`` and ``hy``: the
+frame drivers compute, store and read them whole, and a
+:class:`MotionVector` is built only where one block is read — by the
+``search_block`` definitions, the median MVD predictor and the
+:mod:`repro.reference` oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -45,15 +51,6 @@ class MotionVector:
     def zero() -> "MotionVector":
         return MotionVector(0, 0)
 
-    @staticmethod
-    def from_pixels(dx: float, dy: float) -> "MotionVector":
-        """Build from pixel units; the displacement must land exactly on
-        the half-pel grid."""
-        hx, hy = 2.0 * dx, 2.0 * dy
-        if hx != round(hx) or hy != round(hy):
-            raise ValueError(f"({dx}, {dy}) px is not on the half-pel grid")
-        return MotionVector(int(round(hx)), int(round(hy)))
-
     # -- views ------------------------------------------------------------
 
     @property
@@ -72,11 +69,6 @@ class MotionVector:
     def is_zero(self) -> bool:
         return self.hx == 0 and self.hy == 0
 
-    def integer_part(self) -> "MotionVector":
-        """Truncate toward zero onto the integer-pel grid (the anchor a
-        half-pel refinement searches around)."""
-        return MotionVector(2 * int(self.hx / 2), 2 * int(self.hy / 2))
-
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "MotionVector") -> "MotionVector":
@@ -87,13 +79,6 @@ class MotionVector:
 
     def __neg__(self) -> "MotionVector":
         return MotionVector(-self.hx, -self.hy)
-
-    def chebyshev_pixels(self) -> float:
-        """L-inf norm in pixels — the error measure of the Fig. 4 rig."""
-        return max(abs(self.hx), abs(self.hy)) / 2.0
-
-    def magnitude_pixels(self) -> float:
-        return float(np.hypot(self.hx, self.hy)) / 2.0
 
     def __repr__(self) -> str:
         return f"MV({self.x_pixels:+g}, {self.y_pixels:+g})"
@@ -129,85 +114,45 @@ class BlockResult:
 
 
 class MotionField:
-    """A per-macroblock grid of motion vectors for one frame.
+    """One frame's motion vectors as two ``(rows, cols)`` int64 grids of
+    half-pel components, ``hx`` and ``hy``.
 
-    Provides the spatio-temporal neighbourhood access the predictive
-    estimator needs (paper Fig. 2) with border handling: predictors that
-    fall outside the grid simply don't exist and are skipped.
+    The frame drivers build and read the grids whole.  :meth:`get` /
+    :meth:`set` give the per-block view that the ``search_block``
+    definitions, the H.263 median predictor and the
+    :mod:`repro.reference` oracles walk in raster order, with the
+    border handling of paper Fig. 2: a neighbour off the grid reads
+    ``None`` and is skipped.
     """
 
-    def __init__(self, mb_rows: int, mb_cols: int) -> None:
-        if mb_rows < 1 or mb_cols < 1:
-            raise ValueError(f"empty motion field {mb_rows}x{mb_cols}")
-        self.mb_rows = mb_rows
-        self.mb_cols = mb_cols
-        self._mvs: list[list[MotionVector | None]] = [
-            [None] * mb_cols for _ in range(mb_rows)
-        ]
+    def __init__(self, hx: np.ndarray, hy: np.ndarray) -> None:
+        hx, hy = np.asarray(hx), np.asarray(hy)
+        if hx.ndim != 2 or hx.shape != hy.shape or hx.size == 0:
+            raise ValueError(f"motion grids must share a non-empty 2-D shape: {hx.shape} vs {hy.shape}")
+        if hx.dtype.kind not in "iu" or hy.dtype.kind not in "iu":
+            raise TypeError(f"motion grids must be integer, got {hx.dtype}/{hy.dtype}")
+        self.hx = hx.astype(np.int64)
+        self.hy = hy.astype(np.int64)
+        self.mb_rows, self.mb_cols = hx.shape
 
     @staticmethod
     def zeros(mb_rows: int, mb_cols: int) -> "MotionField":
-        field = MotionField(mb_rows, mb_cols)
-        for r in range(mb_rows):
-            for c in range(mb_cols):
-                field.set(r, c, MotionVector.zero())
-        return field
-
-    @staticmethod
-    def from_arrays(hx: np.ndarray, hy: np.ndarray) -> "MotionField":
-        """Build a complete field from half-pel component grids — the
-        inverse of :meth:`to_arrays`, used by the batched frame
-        estimators.  Vectors repeat heavily across a frame, so equal
-        components share one :class:`MotionVector` instance."""
-        hx = np.asarray(hx)
-        hy = np.asarray(hy)
-        if hx.shape != hy.shape or hx.ndim != 2:
-            raise ValueError(f"component grids must share a 2-D shape: {hx.shape} vs {hy.shape}")
-        field = MotionField(hx.shape[0], hx.shape[1])
-        pool: dict[tuple[int, int], MotionVector] = {}
-        for r in range(hx.shape[0]):
-            row = field._mvs[r]
-            for c in range(hx.shape[1]):
-                key = (int(hx[r, c]), int(hy[r, c]))
-                mv = pool.get(key)
-                if mv is None:
-                    mv = pool.setdefault(key, MotionVector(key[0], key[1]))
-                row[c] = mv
-        return field
+        shape = (mb_rows, mb_cols)
+        return MotionField(np.zeros(shape, np.int64), np.zeros(shape, np.int64))
 
     def get(self, mb_row: int, mb_col: int) -> MotionVector | None:
-        """Vector at (row, col); ``None`` if out of range or not yet set."""
+        """Vector at (row, col); ``None`` off the grid.  An entry not yet
+        set reads as zero — a duplicate of the zero predictor every
+        search already tries."""
         if 0 <= mb_row < self.mb_rows and 0 <= mb_col < self.mb_cols:
-            return self._mvs[mb_row][mb_col]
+            return MotionVector(self.hx[mb_row, mb_col], self.hy[mb_row, mb_col])
         return None
 
     def set(self, mb_row: int, mb_col: int, mv: MotionVector) -> None:
         if not (0 <= mb_row < self.mb_rows and 0 <= mb_col < self.mb_cols):
             raise IndexError(f"({mb_row}, {mb_col}) outside {self.mb_rows}x{self.mb_cols} field")
-        self._mvs[mb_row][mb_col] = mv
-
-    @property
-    def is_complete(self) -> bool:
-        return all(mv is not None for row in self._mvs for mv in row)
-
-    def __iter__(self) -> Iterator[tuple[int, int, MotionVector | None]]:
-        for r in range(self.mb_rows):
-            for c in range(self.mb_cols):
-                yield r, c, self._mvs[r][c]
-
-    def vectors(self) -> list[MotionVector]:
-        """All assigned vectors in raster order (skips unset cells)."""
-        return [mv for _, _, mv in self if mv is not None]
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(hx, hy) int arrays of shape (mb_rows, mb_cols); unset cells
-        raise, because exporting a partial field is always a bug."""
-        if not self.is_complete:
-            raise ValueError("motion field has unset entries")
-        hx = np.array([[self._mvs[r][c].hx for c in range(self.mb_cols)] for r in range(self.mb_rows)])
-        hy = np.array([[self._mvs[r][c].hy for c in range(self.mb_cols)] for r in range(self.mb_rows)])
-        return hx, hy
+        self.hx[mb_row, mb_col] = mv.hx
+        self.hy[mb_row, mb_col] = mv.hy
 
     def __repr__(self) -> str:
-        filled = sum(mv is not None for _, _, mv in self)
-        return f"MotionField({self.mb_rows}x{self.mb_cols}, {filled} set)"
+        return f"MotionField({self.mb_rows}x{self.mb_cols})"

@@ -80,7 +80,7 @@ def estimate_motion(
     s = est.block_size
     rows, cols = current.shape[0] // s, current.shape[1] // s
     plane = ReferencePlane(reference)
-    field = MotionField(rows, cols)
+    field = MotionField.zeros(rows, cols)
     stats = SearchStats()
     blocks = []
     for r in range(rows):
@@ -265,13 +265,12 @@ def _parse_inter_body(reader, header: PictureHeader) -> ParsedPicture:
     CBPY and the MVD."""
     rows, cols = header.mb_rows, header.mb_cols
     multi = header.extended
-    coded_field = MotionField(rows, cols)
+    coded_field = MotionField.zeros(rows, cols)
     levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
     ref_idx = np.zeros((rows, cols), dtype=np.int64) if multi else None
     for r in range(rows):
         for c in range(cols):
-            if reader.read_bit():  # COD = 1: skipped
-                coded_field.set(r, c, MotionVector.zero())
+            if reader.read_bit():  # COD = 1: skipped, zero vector
                 continue
             coded_flags = _read_coded_flags(reader)
             if multi:
@@ -289,8 +288,9 @@ def _parse_inter_body(reader, header: PictureHeader) -> ParsedPicture:
             for k, coded in enumerate(coded_flags):
                 if coded:
                     levels[r, c, k] = events_to_block(read_events(reader))
-    hx, hy = coded_field.to_arrays()
-    return ParsedPicture(header=header, levels=levels, hx=hx, hy=hy, ref_idx=ref_idx)
+    return ParsedPicture(
+        header=header, levels=levels, hx=coded_field.hx, hy=coded_field.hy, ref_idx=ref_idx
+    )
 
 
 def parse_picture(reader) -> ParsedPicture:
@@ -368,7 +368,7 @@ def write_picture_body(writer, parsed: ParsedPicture) -> tuple[int, int, int]:
     levels = parsed.levels.reshape(rows, cols, 6, 8, 8)
     skip_first = 0 if parsed.dc_levels is None else 1
     skipped = mv_bits = coefficient_bits = 0
-    coded_field = MotionField(rows, cols)
+    coded_field = MotionField.zeros(rows, cols)
     for r in range(rows):
         for c in range(cols):
             m = r * cols + c
@@ -378,7 +378,6 @@ def write_picture_body(writer, parsed: ParsedPicture) -> tuple[int, int, int]:
                 mv = MotionVector(int(parsed.hx[r, c]), int(parsed.hy[r, c]))
                 if ref == 0 and mv.is_zero and cbpy == 0 and mcbpc == 0:
                     writer.write_bit(1)  # COD: skipped
-                    coded_field.set(r, c, mv)
                     skipped += 1
                     continue
                 writer.write_bit(0)

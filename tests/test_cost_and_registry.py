@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.me.cost import LAMBDA_SCALE, lagrange_lambda, motion_cost
+from repro.codec.mv_coding import mvd_bits
+from repro.me.cost import LAMBDA_SCALE, lagrange_lambda
 from repro.me.estimator import available_estimators, create_estimator
 from repro.me.types import MotionVector
 
@@ -19,23 +20,14 @@ class TestLagrange:
         with pytest.raises(ValueError):
             lagrange_lambda(32)
 
-    def test_motion_cost_formula(self):
-        bits_fn = lambda d: abs(d.hx) + abs(d.hy) + 2  # toy bit model
-        j = motion_cost(100, MotionVector(2, 0), MotionVector(0, 0), qp=10, bits_fn=bits_fn)
-        assert j == pytest.approx(100 + LAMBDA_SCALE * 10 * 4)
-
-    def test_motion_cost_rejects_negative_sad(self):
-        with pytest.raises(ValueError):
-            motion_cost(-1, MotionVector.zero(), MotionVector.zero(), 10, lambda d: 0)
-
     def test_cheaper_vector_wins_at_high_qp(self):
-        """The Lagrangian trade-off: at coarse Qp, a slightly worse SAD
-        with a much cheaper MVD gives lower J — the PBM advantage the
-        paper describes."""
-        bits = lambda d: abs(d.hx) + abs(d.hy) + 1
+        """The Lagrangian trade-off ACBM's arbitration computes, ``J =
+        SAD + λ(Qp)·R(mvd)``: at coarse Qp, a slightly worse SAD with a
+        much cheaper MVD gives lower J — the PBM advantage the paper
+        describes."""
         pred = MotionVector.zero()
-        smooth = motion_cost(520, MotionVector(0, 0), pred, 30, bits)
-        jagged = motion_cost(500, MotionVector(20, -14), pred, 30, bits)
+        smooth = 520 + lagrange_lambda(30) * mvd_bits(MotionVector(0, 0), pred)
+        jagged = 500 + lagrange_lambda(30) * mvd_bits(MotionVector(20, -14), pred)
         assert smooth < jagged
 
 

@@ -8,8 +8,8 @@ from repro.codec.encoder import EncodeResult, Encoder, encode_sequence
 from repro.me.estimator import MotionEstimator
 from repro.me.full_search import FullSearchEstimator
 from repro.me.stats import SearchStats
-from repro.me.types import MotionField, MotionVector
-from repro.video.frame import Frame, FrameGeometry, grey_frame
+from repro.me.types import MotionField
+from repro.video.frame import QCIF, Frame, FrameGeometry, grey_frame
 from repro.video.sequence import Sequence
 
 from .conftest import shifted_plane, textured_plane
@@ -148,33 +148,30 @@ class TestEstimatorEffects:
         assert "qp=13" in text and "small" in text
 
 
-class HoleyEstimator(MotionEstimator):
-    """Stub search that leaves macroblock (1, 2) of every field unset."""
+class NarrowEstimator(MotionEstimator):
+    """Stub search whose fields miss the frame's last macroblock column."""
 
-    name = "holey"
+    name = "narrow"
 
     def search_block(self, ctx):  # pragma: no cover - estimate_frame() is overridden
         raise NotImplementedError
 
     def estimate_frame(self, current, reference, plane, prev_field, qp):
         rows, cols = current.shape[0] // 16, current.shape[1] // 16
-        field = MotionField(rows, cols)
-        for r in range(rows):
-            for c in range(cols):
-                if (r, c) != (1, 2):
-                    field.set(r, c, MotionVector.zero())
-        return field, SearchStats()
+        return MotionField.zeros(rows, cols - 1), SearchStats()
 
 
 class TestIncompleteMotionField:
     @pytest.mark.parametrize("n_ref_frames", [1, 3])
     def test_missing_entry_named(self, n_ref_frames):
-        """An estimator that leaves a macroblock unset is rejected with
-        the macroblock's coordinates, on single- and multi-reference
-        P-frames alike."""
-        encoder = Encoder(estimator=HoleyEstimator(p=7), qp=16, n_ref_frames=n_ref_frames)
-        with pytest.raises(ValueError, match=r"motion field missing entry \(1, 2\)"):
-            encoder.encode(small_sequence(3))
+        """A pluggable estimator's field that does not cover the frame's
+        block grid is rejected with both shapes, on single- and
+        multi-reference P-frames alike."""
+        base = textured_plane(QCIF.height, QCIF.width, seed=7)
+        seq = Sequence([Frame(shifted_plane(base, 0, i), index=i) for i in range(3)], fps=30, name="qcif")
+        encoder = Encoder(estimator=NarrowEstimator(p=7), qp=16, n_ref_frames=n_ref_frames)
+        with pytest.raises(ValueError, match=r"motion grids \(9, 10\)/\(9, 10\) do not match the 9x11"):
+            encoder.encode(seq)
 
 
 class TestWholeFrameTransform:

@@ -30,7 +30,7 @@ ALL_FAST = [
 
 def context(cur, ref, r=1, c=1):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, 16, ReferencePlane(ref))
+    return BlockContext(cur, ref, r, c, 16, MotionField.zeros(rows, cols), None, 16, ReferencePlane(ref))
 
 
 def walked(est, ctx):
@@ -99,7 +99,7 @@ class TestCommonBehaviour:
         ref = textured_plane(64, 80, seed=55)
         cur = shifted_plane(ref, 9, 9)
         result = cls(p=7).search_block(context(cur, ref))
-        assert result.mv.chebyshev_pixels() <= 7
+        assert max(abs(result.mv.hx), abs(result.mv.hy)) <= 2 * 7
 
     def test_half_pel_adds_at_most_8_positions(self, cls):
         ref = textured_plane(64, 80, seed=56)
@@ -113,7 +113,7 @@ class TestCommonBehaviour:
         ref = textured_plane(48, 64, seed=57)
         cur = shifted_plane(ref, 0, 1)
         field, stats = cls(p=7).estimate(cur, ref)
-        assert field.is_complete
+        assert field.hx.shape == field.hy.shape == (3, 4)
         assert stats.blocks == 12
 
 

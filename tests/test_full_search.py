@@ -14,7 +14,7 @@ from .conftest import integer_pel, shifted_plane, textured_plane
 
 def context(cur, ref, r=1, c=1, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField(rows, cols), None, qp, ReferencePlane(ref))
+    return BlockContext(cur, ref, r, c, 16, MotionField.zeros(rows, cols), None, qp, ReferencePlane(ref))
 
 
 class TestFullSearchSads:
@@ -111,7 +111,7 @@ class TestFullSearchEstimator:
         cur = shifted_plane(ref, 0, 1)
         est = FullSearchEstimator(p=3)
         field, stats = est.estimate(cur, ref)
-        assert field.is_complete
+        assert field.hx.shape == field.hy.shape == (3, 4)
         assert stats.blocks == 12
         assert stats.full_search_fraction == 1.0
 

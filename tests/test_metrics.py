@@ -6,7 +6,6 @@ import pytest
 from repro.me.metrics import (
     block_activity_map,
     intra_sad,
-    mse,
     sad,
     sad_deviation,
     sad_map,
@@ -40,17 +39,6 @@ class TestSad:
 
     def test_returns_python_int(self):
         assert isinstance(sad(np.zeros((2, 2)), np.ones((2, 2))), int)
-
-
-class TestMse:
-    def test_known_value(self):
-        a = np.zeros((2, 2))
-        b = np.full((2, 2), 2)
-        assert mse(a, b) == 4.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestIntraSad:

@@ -1,12 +1,13 @@
 """Unit tests for repro.codec.mv_coding (H.263 median prediction + MVD)."""
 
-import pytest
+import numpy as np
 
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.mv_coding import (
-    field_bits,
     mvd_bits,
+    mvd_bits_arrays,
     predict_mv,
+    predict_mv_arrays,
     read_mvd,
     write_mvd,
 )
@@ -14,7 +15,7 @@ from repro.me.types import MotionField, MotionVector
 
 
 def field_with(entries, rows=3, cols=4):
-    field = MotionField(rows, cols)
+    field = MotionField.zeros(rows, cols)
     for (r, c), mv in entries.items():
         field.set(r, c, mv)
     return field
@@ -22,7 +23,7 @@ def field_with(entries, rows=3, cols=4):
 
 class TestPredictMv:
     def test_first_block_predicts_zero(self):
-        field = MotionField(3, 4)
+        field = MotionField.zeros(3, 4)
         assert predict_mv(field, 0, 0) == MotionVector.zero()
 
     def test_top_row_uses_left(self):
@@ -99,36 +100,31 @@ class TestMvdBits:
             assert read_mvd(reader, pred) == mv
 
 
+def field_bits(hx, hy) -> int:
+    """Total MVD bits of a whole field, read off the vectorised twins
+    ACBM's Lagrangian arbitration uses."""
+    rows, cols = hx.shape
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    px, py = predict_mv_arrays(hx, hy, r, c)
+    return int(mvd_bits_arrays(hx.ravel() - px, hy.ravel() - py).sum())
+
+
 class TestFieldBits:
     def test_uniform_field_is_cheap(self):
-        uniform = MotionField(4, 6)
-        for r, c, _ in uniform:
-            uniform.set(r, c, MotionVector(8, -4))
-        jagged = MotionField(4, 6)
-        import random
-
-        rnd = random.Random(3)
-        for r, c, _ in jagged:
-            jagged.set(r, c, MotionVector(rnd.randint(-15, 15) * 2, rnd.randint(-15, 15) * 2))
-        assert field_bits(uniform) < field_bits(jagged)
+        uniform = np.full((4, 6), 8), np.full((4, 6), -4)
+        rnd = np.random.default_rng(3)
+        jagged = rnd.integers(-15, 16, (4, 6)) * 2, rnd.integers(-15, 16, (4, 6)) * 2
+        assert field_bits(*uniform) < field_bits(*jagged)
 
     def test_zero_field_minimum_cost(self):
-        field = MotionField.zeros(4, 6)
-        assert field_bits(field) == 2 * 24  # 1 bit per component per MB
-
-    def test_incomplete_field_rejected(self):
-        with pytest.raises(ValueError):
-            field_bits(MotionField(2, 2))
+        zeros = np.zeros((4, 6), dtype=np.int64)
+        assert field_bits(zeros, zeros) == 2 * 24  # 1 bit per component per MB
 
     def test_smooth_fields_beat_incoherent_ones(self):
         """The paper's R(mv) argument: predictive (smooth) fields cost
         fewer bits than full-search (incoherent) fields."""
-        smooth = MotionField(3, 4)
-        for r, c, _ in smooth:
-            smooth.set(r, c, MotionVector(2 * c // 2, 0))  # slowly varying
-        noisy = MotionField(3, 4)
+        smooth = np.tile(np.arange(4), (3, 1)), np.zeros((3, 4), dtype=np.int64)  # slowly varying
         values = [(-20, 14), (8, -30), (0, 0), (22, 2), (-6, -8), (30, 30),
                   (-30, 4), (2, -22), (16, 16), (-12, 28), (6, -2), (26, -18)]
-        for (r, c, _), (hx, hy) in zip(noisy, values):
-            noisy.set(r, c, MotionVector(hx, hy))
-        assert field_bits(smooth) < field_bits(noisy)
+        noisy = np.array(values)[:, 0].reshape(3, 4), np.array(values)[:, 1].reshape(3, 4)
+        assert field_bits(*smooth) < field_bits(*noisy)

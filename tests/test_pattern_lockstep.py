@@ -86,7 +86,7 @@ def assert_matches_oracle(est, cur, ref):
     expected, oracle_stats = oracle_blocks(est, cur, ref)
     assert lockstep_blocks(est, cur, ref) == expected
     field, stats = est.estimate(cur, ref)
-    hx, hy = field.to_arrays()
+    hx, hy = field.hx, field.hy
     assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
     assert stats_tuple(stats) == stats_tuple(oracle_stats)
 
@@ -140,7 +140,7 @@ def test_estimate_never_walks_blocks_in_envelope(frame_pairs, search, monkeypatc
 
     monkeypatch.setattr(est, "search_block", forbidden)
     field, stats = est.estimate(cur, ref)
-    hx, hy = field.to_arrays()
+    hx, hy = field.hx, field.hy
     assert list(zip(hx.ravel().tolist(), hy.ravel().tolist())) == [b[:2] for b in expected]
     assert stats_tuple(stats) == stats_tuple(oracle_stats)
 

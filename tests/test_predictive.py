@@ -13,12 +13,12 @@ from .conftest import integer_pel, pinned, shifted_plane, textured_plane
 
 class TestGatherPredictors:
     def test_zero_always_first(self):
-        field = MotionField(3, 3)
+        field = MotionField.zeros(3, 3)
         preds = gather_predictors(0, 0, field, None)
         assert preds == [MotionVector.zero()]
 
     def test_spatial_neighbours_collected(self):
-        field = MotionField(3, 3)
+        field = MotionField.zeros(3, 3)
         field.set(1, 0, MotionVector(2, 0))   # left
         field.set(0, 0, MotionVector(4, 0))   # top-left
         field.set(0, 1, MotionVector(6, 0))   # top
@@ -33,7 +33,7 @@ class TestGatherPredictors:
         ]
 
     def test_temporal_neighbours_collected(self):
-        field = MotionField(3, 3)
+        field = MotionField.zeros(3, 3)
         prev = MotionField.zeros(3, 3)
         prev.set(1, 1, MotionVector(10, 0))   # collocated
         prev.set(1, 2, MotionVector(12, 0))   # right
@@ -46,14 +46,14 @@ class TestGatherPredictors:
         assert MotionVector(16, 0) in preds
 
     def test_duplicates_collapsed(self):
-        field = MotionField(2, 2)
+        field = MotionField.zeros(2, 2)
         field.set(0, 0, MotionVector.zero())
         field.set(0, 1, MotionVector.zero())
         preds = gather_predictors(1, 1, field, None)
         assert preds == [MotionVector.zero()]
 
     def test_borders_skip_missing(self):
-        field = MotionField(2, 2)
+        field = MotionField.zeros(2, 2)
         preds = gather_predictors(0, 1, field, None)  # top row: no above
         assert preds == [MotionVector.zero()]
 
@@ -61,7 +61,7 @@ class TestGatherPredictors:
 def context(cur, ref, r, c, field=None, prev=None, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
     return BlockContext(
-        cur, ref, r, c, 16, field or MotionField(rows, cols), prev, qp, ReferencePlane(ref)
+        cur, ref, r, c, 16, field or MotionField.zeros(rows, cols), prev, qp, ReferencePlane(ref)
     )
 
 
@@ -92,7 +92,7 @@ class TestPredictiveEstimator:
         cur = shifted_plane(ref, 0, -6)  # true mv = (+6, 0) px
         est = PredictiveEstimator(p=15)
         rows, cols = 3, 6
-        field = MotionField(rows, cols)
+        field = MotionField.zeros(rows, cols)
         # Estimate the whole frame in raster order (what estimate() does).
         frame_field, _ = est.estimate(cur, ref)
         # Blocks away from the left border have converged to the truth.
@@ -102,9 +102,7 @@ class TestPredictiveEstimator:
     def test_temporal_predictor_used(self):
         ref = textured_plane(48, 64, seed=43)
         cur = shifted_plane(ref, 0, -5)  # true mv (+5, 0): beyond descent
-        prev = MotionField.zeros(3, 4)
-        for r, c, _ in prev:
-            prev.set(r, c, MotionVector(10, 0))  # perfect temporal hint
+        prev = MotionField(np.full((3, 4), 10), np.zeros((3, 4), np.int64))  # perfect temporal hint
         est = PredictiveEstimator(p=15)
         result = est.search_block(context(cur, ref, 1, 1, prev=prev))
         assert result.mv == MotionVector(10, 0)

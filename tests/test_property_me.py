@@ -155,5 +155,6 @@ def test_mv_group_laws(a, b):
 
 @given(mv_strategy)
 def test_mv_pixel_views_consistent(mv):
-    assert MotionVector.from_pixels(mv.x_pixels, mv.y_pixels) == mv
-    assert mv.chebyshev_pixels() == max(abs(mv.x_pixels), abs(mv.y_pixels))
+    assert (2 * mv.x_pixels, 2 * mv.y_pixels) == (mv.hx, mv.hy)
+    assert mv.is_integer_pel == (mv.x_pixels.is_integer() and mv.y_pixels.is_integer())
+

@@ -31,9 +31,7 @@ def frame_pair():
 
 
 def fields_identical(a, b) -> bool:
-    ahx, ahy = a.to_arrays()
-    bhx, bhy = b.to_arrays()
-    return bool(np.array_equal(ahx, bhx) and np.array_equal(ahy, bhy))
+    return bool(np.array_equal(a.hx, b.hx) and np.array_equal(a.hy, b.hy))
 
 
 def stats_tuple(stats):

@@ -1,5 +1,6 @@
 """Unit tests for repro.me.stats."""
 
+import numpy as np
 import pytest
 
 from repro.me.stats import SearchStats
@@ -43,15 +44,35 @@ class TestSearchStats:
         assert a.full_search_blocks == 1
         assert a.decisions == {"low_cost": 1, "critical": 1}
 
-    def test_reduction_vs_fsbm(self):
-        s = SearchStats()
-        for _ in range(10):
-            s.record_block(97)  # ~10% of 969
-        assert s.reduction_vs(969.0) == pytest.approx(1.0 - 97 / 969)
-
-    def test_reduction_requires_positive_reference(self):
-        with pytest.raises(ValueError):
-            SearchStats().reduction_vs(0.0)
+    @pytest.mark.parametrize(
+        "positions, used, decisions",
+        [
+            ([[9, 969]], [[False, True]], None),
+            ([[5, 974], [5, 5]], [[False, True], [False, False]], [["low_cost", "critical"], ["low_cost", "low_cost"]]),
+            ([[969, 969, 969]], True, None),
+        ],
+        ids=["mask", "decisions", "all-full-search"],
+    )
+    def test_record_frame_matches_record_block(self, positions, used, decisions):
+        """The frame drivers' bulk accounting leaves exactly the counters
+        the same blocks leave one at a time."""
+        positions = np.array(positions)
+        used_grid = np.broadcast_to(used, positions.shape)
+        bulk, walked = SearchStats(), SearchStats()
+        bulk.record_frame(
+            positions, used_full_search=np.array(used), decisions=None if decisions is None else np.array(decisions)
+        )
+        for (r, c), count in np.ndenumerate(positions):
+            walked.record_block(
+                int(count),
+                used_full_search=bool(used_grid[r, c]),
+                decision=None if decisions is None else decisions[r][c],
+            )
+        for counter in ("blocks", "positions", "full_search_blocks", "decisions"):
+            assert getattr(bulk, counter) == getattr(walked, counter), counter
+            assert type(getattr(bulk, counter)) is type(getattr(walked, counter)), counter
+        with pytest.raises(ValueError, match="positions must be >= 1"):
+            bulk.record_frame(np.where(positions == positions.max(), 0, positions))
 
     def test_repr(self):
         s = SearchStats()

@@ -12,13 +12,6 @@ class TestMotionVector:
         assert mv.x_pixels == 1.5
         assert mv.y_pixels == -1.0
 
-    def test_from_pixels(self):
-        assert MotionVector.from_pixels(1.5, -2.0) == MotionVector(3, -4)
-
-    def test_from_pixels_off_grid_rejected(self):
-        with pytest.raises(ValueError, match="half-pel grid"):
-            MotionVector.from_pixels(0.25, 0.0)
-
     def test_rejects_non_integer_components(self):
         with pytest.raises(TypeError):
             MotionVector(1.5, 0)
@@ -36,23 +29,12 @@ class TestMotionVector:
         assert MotionVector(4, -2).is_integer_pel
         assert not MotionVector(3, 0).is_integer_pel
 
-    def test_integer_part_truncates_toward_zero(self):
-        assert MotionVector(3, -3).integer_part() == MotionVector(2, -2)
-        assert MotionVector(-1, 1).integer_part() == MotionVector(0, 0)
-
     def test_algebra(self):
         a = MotionVector(2, 4)
         b = MotionVector(-1, 1)
         assert a + b == MotionVector(1, 5)
         assert a - b == MotionVector(3, 3)
         assert -a == MotionVector(-2, -4)
-
-    def test_chebyshev_pixels(self):
-        assert MotionVector(6, -4).chebyshev_pixels() == 3.0
-        assert MotionVector(1, 0).chebyshev_pixels() == 0.5
-
-    def test_magnitude_pixels(self):
-        assert MotionVector(6, 8).magnitude_pixels() == pytest.approx(5.0)
 
     def test_hashable_and_equal(self):
         assert len({MotionVector(1, 2), MotionVector(1, 2), MotionVector(2, 1)}) == 2
@@ -77,56 +59,70 @@ class TestBlockResult:
 
 class TestMotionField:
     def test_starts_unset(self):
-        field = MotionField(2, 3)
-        assert field.get(0, 0) is None
-        assert not field.is_complete
+        """An entry not yet set reads as the zero vector."""
+        field = MotionField.zeros(2, 3)
+        assert field.get(0, 0) == MotionVector.zero()
 
     def test_set_get(self):
-        field = MotionField(2, 3)
+        field = MotionField.zeros(2, 3)
         field.set(1, 2, MotionVector(4, 6))
         assert field.get(1, 2) == MotionVector(4, 6)
 
+    def test_to_arrays(self):
+        """The field is its arrays: ``set`` writes the grids in place."""
+        field = MotionField.zeros(2, 2)
+        field.set(0, 1, MotionVector(3, -5))
+        assert field.hx[0, 1] == 3
+        assert field.hy[0, 1] == -5
+        assert field.hx.shape == (2, 2)
+
+    def test_iteration_raster_order(self):
+        """Grid cell ``(r, c)`` is flat index ``r * cols + c``, the raster
+        order the frame drivers' flat block indices use."""
+        field = MotionField.zeros(2, 2)
+        for i, (r, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            field.set(r, c, MotionVector(2 * i, -i))
+        assert field.hx.ravel().tolist() == [0, 2, 4, 6]
+        assert field.hy.ravel().tolist() == [0, -1, -2, -3]
+
     def test_out_of_range_get_returns_none(self):
-        field = MotionField(2, 2)
+        field = MotionField.zeros(2, 2)
         assert field.get(-1, 0) is None
         assert field.get(0, 5) is None
 
     def test_out_of_range_set_raises(self):
         with pytest.raises(IndexError):
-            MotionField(2, 2).set(2, 0, MotionVector.zero())
+            MotionField.zeros(2, 2).set(2, 0, MotionVector.zero())
 
     def test_zeros_constructor(self):
         field = MotionField.zeros(3, 4)
-        assert field.is_complete
-        assert all(mv.is_zero for _, _, mv in field)
+        assert (field.mb_rows, field.mb_cols) == (3, 4)
+        assert not field.hx.any() and not field.hy.any()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            MotionField(0, 5)
+            MotionField.zeros(0, 5)
 
-    def test_iteration_raster_order(self):
-        field = MotionField.zeros(2, 2)
-        coords = [(r, c) for r, c, _ in field]
-        assert coords == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    def test_grids_are_owned_int64(self):
+        hx = np.array([[1, 2]], dtype=np.int16)
+        field = MotionField(hx, np.zeros((1, 2), dtype=np.uint8))
+        hx[0, 0] = 9
+        assert field.hx.dtype == field.hy.dtype == np.int64
+        assert field.get(0, 0) == MotionVector(1, 0)
 
-    def test_vectors_skips_unset(self):
-        field = MotionField(1, 3)
-        field.set(0, 1, MotionVector(2, 0))
-        assert field.vectors() == [MotionVector(2, 0)]
-
-    def test_to_arrays(self):
-        field = MotionField.zeros(2, 2)
-        field.set(0, 1, MotionVector(3, -5))
-        hx, hy = field.to_arrays()
-        assert hx[0, 1] == 3
-        assert hy[0, 1] == -5
-        assert hx.shape == (2, 2)
-
-    def test_to_arrays_requires_complete(self):
-        with pytest.raises(ValueError, match="unset"):
-            MotionField(1, 2).to_arrays()
+    @pytest.mark.parametrize(
+        "hx, hy, error",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 3), dtype=np.int64), TypeError),
+            (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.float32), TypeError),
+            (np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64), ValueError),
+            (np.zeros((2, 3), dtype=np.int64), np.zeros((3, 2), dtype=np.int64), ValueError),
+        ],
+        ids=["float-hx", "float-hy", "1-D", "mismatched"],
+    )
+    def test_constructor_rejects_malformed_grids(self, hx, hy, error):
+        with pytest.raises(error):
+            MotionField(hx, hy)
 
     def test_repr_counts(self):
-        field = MotionField(2, 2)
-        field.set(0, 0, MotionVector.zero())
-        assert "1 set" in repr(field)
+        assert repr(MotionField.zeros(2, 3)) == "MotionField(2x3)"
