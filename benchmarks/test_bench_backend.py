@@ -64,9 +64,9 @@ def test_backend_sad_numpy(planes):
     oracle (:func:`repro.reference.frame_sad_surfaces`)."""
     current, reference = planes
     blocks = _all_blocks(current)
-    assert sad_surfaces_numpy(current, reference, *blocks, 16, 15).shape == (99, 31, 31)
-    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 16, 15), 5)
-    generic_s = best_of(lambda: oracle.frame_sad_surfaces(current, reference, 16, 15), 3)
+    assert sad_surfaces_numpy(current, reference, *blocks, 15).shape == (99, 31, 31)
+    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 15), 5)
+    generic_s = best_of(lambda: oracle.frame_sad_surfaces(current, reference, 15), 3)
     _gate("numpy SAD surfaces vs generic", generic_s, numpy_s, 2.0)
 
 
@@ -86,9 +86,9 @@ def test_backend_sad_numba(numba_backend, planes):
     current, reference = planes
     blocks = _all_blocks(current)
     backend = numba_backend
-    backend.sad_surfaces(current, reference, *blocks, 16, 15)  # JIT warm-up
-    numba_s = best_of(lambda: backend.sad_surfaces(current, reference, *blocks, 16, 15), 5)
-    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 16, 15), 5)
+    backend.sad_surfaces(current, reference, *blocks, 15)  # JIT warm-up
+    numba_s = best_of(lambda: backend.sad_surfaces(current, reference, *blocks, 15), 5)
+    numpy_s = best_of(lambda: sad_surfaces_numpy(current, reference, *blocks, 15), 5)
     _gate("numba SAD surfaces vs numpy", numpy_s, numba_s, 3.0)
 
 

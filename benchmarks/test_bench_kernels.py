@@ -58,7 +58,7 @@ def test_fsbm_block_search(benchmark, planes):
     current, reference = planes
     est = FullSearchEstimator(p=15)
     ctx = BlockContext(
-        current, reference, 4, 5, 16, MotionField.zeros(9, 11), None, 16, ReferencePlane(reference)
+        current, reference, 4, 5, MotionField.zeros(9, 11), None, 16, ReferencePlane(reference)
     )
     result = benchmark(est.search_block, ctx)
     assert result.positions == 969
@@ -69,8 +69,8 @@ def test_frame_sad_surfaces_kernel(benchmark, planes):
     one QCIF frame: each macroblock's full ±15 surface in one batched
     pass."""
     current, reference = planes
-    result = benchmark(frame_sad_surfaces, current, reference, 16, 15)
-    assert result.surfaces.shape == (9, 11, 31, 31)
+    result = benchmark(frame_sad_surfaces, current, reference, 15)
+    assert result.shape == (9, 11, 31, 31)
 
 
 def test_fsbm_frame_estimate_batched(benchmark, planes):
@@ -117,9 +117,9 @@ def test_block_list_scales_with_blocks():
     what lets ACBM pay only for its critical blocks."""
     current, reference = _cif_planes()
     rows, cols = np.divmod(np.arange(396), 22)  # CIF: 18 x 22 blocks
-    t_all = best_of(lambda: block_sad_surfaces(current, reference, rows, cols, 16, 15), 5)
+    t_all = best_of(lambda: block_sad_surfaces(current, reference, rows, cols, 15), 5)
     t_half = best_of(
-        lambda: block_sad_surfaces(current, reference, rows[::2], cols[::2], 16, 15), 5
+        lambda: block_sad_surfaces(current, reference, rows[::2], cols[::2], 15), 5
     )
     speedup = t_all / t_half
     print(
@@ -138,9 +138,9 @@ def test_block_list_beats_per_block_maps():
 
     def per_block():
         for r, c in zip(rows.tolist(), cols.tolist()):
-            full_search_sads(current, reference, r * 16, c * 16, 16, 15)
+            full_search_sads(current, reference, r * 16, c * 16, 15)
 
-    t_kernel = best_of(lambda: block_sad_surfaces(current, reference, rows, cols, 16, 15), 7)
+    t_kernel = best_of(lambda: block_sad_surfaces(current, reference, rows, cols, 15), 7)
     t_maps = best_of(per_block, 7)
     speedup = t_maps / t_kernel
     print(

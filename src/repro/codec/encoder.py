@@ -175,15 +175,6 @@ class EncodeResult:
         return float(np.mean([f.psnr_y for f in self.frames]))
 
     @property
-    def mean_psnr_p_frames(self) -> float:
-        """Luma PSNR averaged over P-frames only (the part motion
-        estimation influences)."""
-        p_frames = [f.psnr_y for f in self.frames if f.frame_type == "P"]
-        if not p_frames:
-            raise ValueError("no P-frames in this encode")
-        return float(np.mean(p_frames))
-
-    @property
     def rate_kbps(self) -> float:
         """Average rate in kbit/s at the sequence's frame rate — the
         horizontal axis of the paper's Figs. 5-6."""

@@ -235,15 +235,27 @@ def se_golomb_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ue_golomb_arrays(np.where(d > 0, 2 * d - 1, -2 * d))
 
 
+#: Longest ue(v) prefix a stream may carry.  No legal code here needs
+#: more than 8 zeros (reference indices <= 7, |MVD| <= 124 half-pel);
+#: 32 keeps every decoded value far inside the int64 motion grids.
+MAX_GOLOMB_ZEROS = 32
+
+
 def read_ue_golomb_bitwise(reader) -> int:
     """The seed bit-at-a-time ue(v) reader: the error path (its
     EOF/malformed behaviour is the contract) behind the one-peek read,
-    and the oracle's reader."""
+    and the oracle's reader.  A prefix longer than
+    :data:`MAX_GOLOMB_ZEROS` raises ``ValueError`` naming the bit where
+    the code starts."""
+    start = reader.bits_consumed
     zeros = 0
     while reader.read_bit() == 0:
         zeros += 1
-        if zeros > 64:
-            raise ValueError("malformed exp-Golomb prefix")
+        if zeros > MAX_GOLOMB_ZEROS:
+            raise ValueError(
+                f"malformed exp-Golomb prefix: more than {MAX_GOLOMB_ZEROS} "
+                f"leading zeros in the code starting at bit {start}"
+            )
     value = 1
     for _ in range(zeros):
         value = (value << 1) | reader.read_bit()

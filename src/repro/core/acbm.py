@@ -67,6 +67,7 @@ from repro.me.stats import SearchStats
 from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField, MotionVector
 from repro.obs import metrics
+from repro.video.frame import MACROBLOCK_SIZE
 
 _MET_CRITICAL = metrics.counter("me.acbm.critical")
 _MET_FS_WINS = metrics.counter("me.acbm.fs_wins")
@@ -142,7 +143,7 @@ class ACBMEstimator(MotionEstimator):
         if not decision.accepts_pbm:
             _MET_CRITICAL.inc()
             fs_sads, window = full_search_sads(
-                ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.block_size, self.p
+                ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.p
             )
             fs_mv, fs_sad, extra = refine_half_pel(
                 ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x,
@@ -173,9 +174,8 @@ class ACBMEstimator(MotionEstimator):
         """:meth:`search_block`'s four steps for every block as
         whole-frame sweeps to the raster walk's fixed point (module
         docstring)."""
-        s = self.block_size
-        rows, cols = current.shape[0] // s, current.shape[1] // s
-        activity = block_activity_map(current, s).reshape(-1)
+        rows, cols = current.shape[0] // MACROBLOCK_SIZE, current.shape[1] // MACROBLOCK_SIZE
+        activity = block_activity_map(current).reshape(-1)
         predictive = self._pbm.frame_search(current, plane, prev_field)
         full_search = _CriticalFullSearch(self, current, plane)
 
@@ -241,8 +241,8 @@ class _CriticalFullSearch:
         self.est = est
         self.current = current
         self.plane = plane
-        self.cols = current.shape[1] // est.block_size
-        n = (current.shape[0] // est.block_size) * self.cols
+        self.cols = current.shape[1] // MACROBLOCK_SIZE
+        n = (current.shape[0] // MACROBLOCK_SIZE) * self.cols
         self.results = np.zeros((4, n), dtype=np.int64)
         self.done = np.zeros(n, dtype=bool)
 
@@ -253,13 +253,13 @@ class _CriticalFullSearch:
         return self.results[:, idx]
 
     def _compute(self, todo: np.ndarray) -> None:
-        s, p = self.est.block_size, self.est.p
+        p = self.est.p
         blocks = np.divmod(todo, self.cols)
         dx, dy, sads, positions = select_minima(
-            block_sad_surfaces(self.current, self.plane, *blocks, s, p)
+            block_sad_surfaces(self.current, self.plane, *blocks, p)
         )
         hx, hy, sads, extra = refine_half_pel_batch(
-            self.current, self.plane, dx, dy, sads, s, p, blocks=blocks
+            self.current, self.plane, dx, dy, sads, p, blocks=blocks
         )
         self.results[:, todo] = hx, hy, sads, positions + extra
         self.done[todo] = True

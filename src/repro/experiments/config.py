@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.core.parameters import ACBMParameters
 from repro.me.engine.kernels import check_search_envelope
-from repro.video.frame import MACROBLOCK_SIZE, QCIF, FrameGeometry
+from repro.video.frame import QCIF, FrameGeometry
 
 #: The paper's Qp rows in Table 1 (descending, as printed).
 PAPER_QPS: tuple[int, ...] = (30, 28, 26, 24, 22, 20, 18, 16)
@@ -49,17 +49,7 @@ class ExperimentConfig:
             raise ValueError(f"unsupported fps values {sorted(unknown_fps)}; known: {sorted(PAPER_FPS)}")
         if not self.qps:
             raise ValueError("qps must be non-empty")
-        check_search_envelope(MACROBLOCK_SIZE, self.p)
+        check_search_envelope(self.p)
 
     def subsample_factor(self, fps: int) -> int:
         return PAPER_FPS[fps]
-
-    @staticmethod
-    def quick() -> "ExperimentConfig":
-        """Reduced configuration for unit/integration tests."""
-        return ExperimentConfig(
-            sequences=("miss_america", "foreman"),
-            qps=(30, 22, 16),
-            fps_list=(30,),
-            frames=7,
-        )

@@ -27,9 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.me.engine import frame_sad_surfaces, select_minima
+from repro.me.engine import frame_sad_surfaces, sad_deviations, select_minima
 from repro.me.metrics import block_activity_map
-from repro.video.frame import MACROBLOCK_SIZE, QCIF, FrameGeometry
+from repro.video.frame import QCIF, FrameGeometry
 from repro.video.synthesis.texture import (
     flat_field,
     gradient_field,
@@ -221,10 +221,10 @@ def observe_pair(
     """
     reference, current = frames[pair_index], frames[pair_index + 1]
     dx, dy = motion
-    surfaces = frame_sad_surfaces(current, reference, MACROBLOCK_SIZE, p)
-    best_dx, best_dy, sad_mins, _ = select_minima(surfaces.surfaces)
-    deviations = surfaces.deviations()
-    activity = block_activity_map(current, MACROBLOCK_SIZE)
+    surfaces = frame_sad_surfaces(current, reference, p)
+    best_dx, best_dy, sad_mins, _ = select_minima(surfaces)
+    deviations = sad_deviations(surfaces)
+    activity = block_activity_map(current)
     error_classes = np.minimum(np.maximum(abs(best_dx - dx), abs(best_dy - dy)), 5)
     mb_rows, mb_cols = activity.shape
     observations = []

@@ -36,6 +36,13 @@ bits through the Python path, which raises the codec's exact exceptions;
 error parity across backends holds by construction, not by duplicated
 ``raise`` statements.
 
+Search geometry: the four motion-search entries (``sad_surfaces``,
+``evaluate_candidates``, ``refine_half_pel``, ``intra_mode_costs``)
+take no block size — every one works on the codec's 16x16 macroblocks
+(:data:`repro.video.frame.MACROBLOCK_SIZE`), a module constant each
+backend reads.  Only ``mc_gather`` takes its block edge, because motion
+compensation serves 16x16 luma and 8x8 chroma blocks.
+
 Numerical contract everywhere else: integer kernels (SAD, gather,
 dequant) are exact, so "equivalent" means *bit-identical* — the golden
 suites run parametrized over every available backend and compare
@@ -57,32 +64,37 @@ class KernelBackend:
     runner's ``--backend`` flag, ``auto`` = numba-if-importable).
     """
 
-    #: Registry name ("numpy", "numba"); also stamped into BENCH records.
+    #: Registry name ("numpy", "numba"; "numba-sim" for the un-jitted
+    #: bodies).  The ``backend.select`` trace event and perfbench's run
+    #: record carry it, and the worker pool re-selects it by name in
+    #: spawned workers.
     name: str
 
-    #: (cur u8 (h,w), ref u8 (h,w), mb_rows (N,), mb_cols (N,), block_size,
-    #:  p) -> (N, 2p+1, 2p+1) int32 surfaces with SURFACE_SENTINEL at
-    #: out-of-plane displacements, for any block list (unsorted, repeats
-    #: and N = 0 allowed).  Block sizes 4/8/16 and 1 <= p <= 31 only
+    #: (cur u8 (h,w), ref u8 (h,w), mb_rows (N,), mb_cols (N,), p)
+    #: -> (N, 2p+1, 2p+1) int32 surfaces of 16x16 macroblocks with
+    #: SURFACE_SENTINEL at out-of-plane displacements, for any block list
+    #: (unsorted, repeats and N = 0 allowed).  1 <= p <= 31 only
     #: (:func:`repro.me.engine.kernels.check_search_envelope`).
     sad_surfaces: Callable
 
-    #: (cur, ref, block_ys (N,), block_xs (N,), dys (N,K), dxs (N,K), s)
-    #: -> (N, K) int64 SADs, -1 marking out-of-plane candidates.
+    #: (cur, ref, block_ys (N,), block_xs (N,), dys (N,K), dxs (N,K))
+    #: -> (N, K) int64 16x16 SADs, -1 marking out-of-plane candidates.
     evaluate_candidates: Callable
 
     #: (cur, half_plane u8, mb_rows (N,), mb_cols (N,), anchor_dx (N,),
-    #:  anchor_dy (N,), anchor_sads (N,), s, p, h, w, neighbours (8,2) as
+    #:  anchor_dy (N,), anchor_sads (N,), p, h, w, neighbours (8,2) as
     #:  (dhx, dhy)) -> (hx, hy, sads, evaluated), all (N,), for any subset
     #: of macroblocks; strict-improvement update in neighbour order.
     refine_half_pel: Callable
 
-    #: (y plane, block_size) -> (3, rows, cols) int64 mode-cost surface
-    #: (DC / vertical / horizontal), INTRA_UNAVAILABLE_COST sentinel.
+    #: (y plane) -> (3, rows, cols) int64 per-macroblock mode-cost
+    #: surface (DC / vertical / horizontal), INTRA_UNAVAILABLE_COST
+    #: sentinel.
     intra_mode_costs: Callable
 
     #: (half_plane u8, base_hy (rows,cols), base_hx (rows,cols), s)
-    #: -> (rows*s, cols*s) u8 motion-compensated plane.
+    #: -> (rows*s, cols*s) u8 motion-compensated plane; s is 16 for
+    #: luma and 8 for chroma.
     mc_gather: Callable
 
     #: (levels int array, qp) -> float64 reconstructed coefficients.

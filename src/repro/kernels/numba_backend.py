@@ -19,6 +19,8 @@ Design rules the kernels obey (see ``repro.kernels.api``):
 
 * tables (packed LUTs, zig-zag) arrive as **arguments**, never as numba
   globals — global-array freezing interacts badly with ``cache=True``;
+  the one global the search kernels read is the scalar
+  ``MACROBLOCK_SIZE``, which numba compiles in as a constant;
 * integer kernels are exact, so results are bit-identical to the numpy
   backend by construction;
 * the IDCT is **not** reimplemented: this backend binds the same
@@ -49,6 +51,7 @@ from repro.kernels.lut_pack import (
     TCOEF_FIRST_BITS,
     ZIGZAG,
 )
+from repro.video.frame import MACROBLOCK_SIZE
 
 #: SAD surface sentinel — mirrors repro.me.engine.kernels.SURFACE_SENTINEL
 #: (imported lazily in the wrappers to keep this module import-light; the
@@ -374,7 +377,8 @@ def k_parse_intra_pred_body(
 # -- compute kernels -------------------------------------------------------
 
 
-def k_sad_surfaces(cur, ref, mb_rows, mb_cols, s, p):
+def k_sad_surfaces(cur, ref, mb_rows, mb_cols, p):
+    s = MACROBLOCK_SIZE
     h, w = cur.shape
     n = 2 * p + 1
     surf = np.full((mb_rows.shape[0], n, n), _SENTINEL, dtype=np.int32)
@@ -398,7 +402,8 @@ def k_sad_surfaces(cur, ref, mb_rows, mb_cols, s, p):
     return surf
 
 
-def k_evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
+def k_evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs):
+    s = MACROBLOCK_SIZE
     n, k = dys.shape
     h, w = ref.shape
     out = np.empty((n, k), dtype=np.int64)
@@ -420,7 +425,8 @@ def k_evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
     return out
 
 
-def k_refine_half_pel(cur, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs):
+def k_refine_half_pel(cur, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, p, h, w, offs):
+    s = MACROBLOCK_SIZE
     n = mb_rows.shape[0]
     best_hx = np.empty(n, dtype=np.int64)
     best_hy = np.empty(n, dtype=np.int64)
@@ -465,7 +471,8 @@ def k_refine_half_pel(cur, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_
     return best_hx, best_hy, best_sad, evaluated
 
 
-def k_intra_mode_costs(y, s):
+def k_intra_mode_costs(y):
+    s = MACROBLOCK_SIZE
     rows = y.shape[0] // s
     cols = y.shape[1] // s
     costs = np.full((3, rows, cols), _INTRA_UNAVAILABLE, dtype=np.int64)
@@ -579,23 +586,23 @@ def _u8(arr):
     return arr.dtype == np.uint8 and arr.ndim == 2
 
 
-def _sad_surfaces(cur, ref, mb_rows, mb_cols, s, p):
+def _sad_surfaces(cur, ref, mb_rows, mb_cols, p):
     rows, cols = (np.ascontiguousarray(a, dtype=np.int64) for a in (mb_rows, mb_cols))
-    return k_sad_surfaces(np.ascontiguousarray(cur), np.ascontiguousarray(ref), rows, cols, s, p)
+    return k_sad_surfaces(np.ascontiguousarray(cur), np.ascontiguousarray(ref), rows, cols, p)
 
 
-def _evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs, s):
+def _evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs):
     by = np.ascontiguousarray(block_ys, dtype=np.int64)
     bx = np.ascontiguousarray(block_xs, dtype=np.int64)
     dy = np.ascontiguousarray(dys, dtype=np.int64)
     dx = np.ascontiguousarray(dxs, dtype=np.int64)
     return k_evaluate_candidates(
-        np.ascontiguousarray(cur), np.ascontiguousarray(ref), by, bx, dy, dx, s
+        np.ascontiguousarray(cur), np.ascontiguousarray(ref), by, bx, dy, dx
     )
 
 
 def _refine_half_pel(
-    current, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, s, p, h, w, offs
+    current, half, mb_rows, mb_cols, anchor_dx, anchor_dy, anchor_sads, p, h, w, offs
 ):
     return k_refine_half_pel(
         np.ascontiguousarray(current),
@@ -605,7 +612,6 @@ def _refine_half_pel(
         np.ascontiguousarray(anchor_dx, dtype=np.int64),
         np.ascontiguousarray(anchor_dy, dtype=np.int64),
         np.ascontiguousarray(anchor_sads, dtype=np.int64),
-        s,
         p,
         h,
         w,
@@ -613,12 +619,12 @@ def _refine_half_pel(
     )
 
 
-def _intra_mode_costs(y, block_size):
+def _intra_mode_costs(y):
     if not _u8(y):
         from repro.me.engine.kernels import intra_mode_costs_numpy
 
-        return intra_mode_costs_numpy(y, block_size)
-    return k_intra_mode_costs(np.ascontiguousarray(y), block_size)
+        return intra_mode_costs_numpy(y)
+    return k_intra_mode_costs(np.ascontiguousarray(y))
 
 
 def _mc_gather(half, base_hy, base_hx, block_size):

@@ -40,6 +40,7 @@ from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.metrics import sad
 from repro.me.search_window import SearchWindow
 from repro.me.types import MotionVector
+from repro.video.frame import MACROBLOCK_SIZE
 
 #: The 8 neighbours of a unit-step square ring, as ``(dx, dy)``.
 UNIT_RING = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
@@ -161,17 +162,15 @@ class BatchEvaluator:
         plane: ReferencePlane,
         mb_rows: np.ndarray,
         mb_cols: np.ndarray,
-        block_size: int,
         p: int,
     ) -> None:
-        s = block_size
+        s = MACROBLOCK_SIZE
         h, w = current.shape
         dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, s, p)
         self.current = current
         self.plane = plane
         self.mb_rows = np.asarray(mb_rows, dtype=np.int64)
         self.mb_cols = np.asarray(mb_cols, dtype=np.int64)
-        self.block_size = s
         self.p = p
         self.by, self.bx = self.mb_rows * s, self.mb_cols * s
         self.lo_x, self.hi_x = dx_min[self.mb_cols], dx_max[self.mb_cols]
@@ -204,9 +203,7 @@ class BatchEvaluator:
             & (dys >= self.lo_y[sel, None]) & (dys <= self.hi_y[sel, None])
         )
         dxs, dys = np.where(inside, dxs, 0), np.where(inside, dys, 0)
-        sads = evaluate_candidates_batch(
-            self.current, self.plane, self.by[sel], self.bx[sel], dys, dxs, self.block_size
-        )
+        sads = evaluate_candidates_batch(self.current, self.plane, self.by[sel], self.bx[sel], dys, dxs)
         rank = np.where(inside, (sads << 30) | tiebreak_keys(dxs, dys, self.p), _OUT_OF_WINDOW)
         n = 2 * self.p + 1
         self._visited.append(((active[:, None] * n + dys + self.p) * n + dxs + self.p)[inside])
@@ -250,6 +247,6 @@ class BatchEvaluator:
         :func:`refine_half_pel_batch` over the set)."""
         hx, hy, best_sad, extra = refine_half_pel_batch(
             self.current, self.plane, self.dx, self.dy, self.rank >> 30,
-            self.block_size, self.p, blocks=(self.mb_rows, self.mb_cols),
+            self.p, blocks=(self.mb_rows, self.mb_cols),
         )
         return hx, hy, best_sad, self.positions() + extra

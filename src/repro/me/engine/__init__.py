@@ -12,15 +12,20 @@ candidate evaluation; this package is that engine:
   and shared by every estimator, the half-pel refinement and the
   encoder's motion compensation.
 * :func:`block_sad_surfaces` — the full +-p SAD surface of any list
-  of macroblocks in one vectorized pass (ACBM's critical blocks);
-  :func:`frame_sad_surfaces` runs it over every macroblock (FSBM, the
-  Fig. 4 rig).
+  of 16x16 macroblocks in one vectorized pass (ACBM's critical blocks);
+  :func:`frame_sad_surfaces` runs it over every macroblock and returns
+  the ``(rows, cols, 2p+1, 2p+1)`` array (FSBM, and the Fig. 4 rig,
+  which reduces it with :func:`sad_deviations`).
 * :func:`select_minima` / :func:`refine_half_pel_batch` — vectorized
   minimum selection (full-search tie-break semantics) and batched
   8-neighbour half-pel refinement over any set of blocks at once.
 * :func:`evaluate_candidates_batch` — arbitrary candidate lists scored
   for many blocks in one gather, behind the predictive and pattern
   searches' :class:`repro.me.candidates.BatchEvaluator`.
+
+The search kernels take no block size: each searches the codec's 16x16
+macroblocks (:data:`repro.video.frame.MACROBLOCK_SIZE`), the paper's
+H.263 setting.
 
 The reconstruction side gets the same treatment
 (:mod:`repro.me.engine.reconstruction` and
@@ -47,12 +52,12 @@ from repro.me.engine.chroma_plane import ChromaReferencePlane
 from repro.me.engine.kernels import (
     INTRA_UNAVAILABLE_COST,
     SURFACE_SENTINEL,
-    FrameSadSurfaces,
     block_sad_surfaces,
     evaluate_candidates_batch,
     frame_sad_surfaces,
     intra_mode_cost_surfaces,
     refine_half_pel_batch,
+    sad_deviations,
     select_minima,
 )
 from repro.me.engine.reconstruction import (
@@ -71,7 +76,6 @@ __all__ = [
     "INTRA_UNAVAILABLE_COST",
     "SURFACE_SENTINEL",
     "ChromaReferencePlane",
-    "FrameSadSurfaces",
     "ReferencePlane",
     "add_residual_clip",
     "block_sad_surfaces",
@@ -83,6 +87,7 @@ __all__ = [
     "frame_sad_surfaces",
     "intra_mode_cost_surfaces",
     "refine_half_pel_batch",
+    "sad_deviations",
     "select_minima",
     "split_frame_blocks",
     "tile_blocks",

@@ -19,11 +19,13 @@ frame per NumPy pass:
   candidate lists scored in one gather; every stage of the predictive
   and pattern searches (:class:`repro.me.candidates.BatchEvaluator`).
 
-The kernels take 2-D ``uint8`` planes, block edges of 4, 8 or 16 and
-``1 <= p <= 31`` (:func:`check_search_envelope`); every estimator
-searches 16x16 macroblocks and enforces the ``p`` range at
-construction, and nothing outside that envelope has a second path.  All outputs are bit-exact with the per-block reference
-implementations (:func:`repro.me.full_search.full_search_sads`,
+Every kernel searches the codec's 16x16 macroblocks
+(:data:`repro.video.frame.MACROBLOCK_SIZE`, the paper's H.263 setting)
+on 2-D ``uint8`` planes with ``1 <= p <= 31``
+(:func:`check_search_envelope`); no kernel takes a block size, and
+nothing outside that envelope has a second path.  All outputs are
+bit-exact with the per-block reference implementations
+(:func:`repro.me.full_search.full_search_sads`,
 :func:`repro.me.full_search.select_minimum`,
 :func:`repro.me.subpel.refine_half_pel`, and the dense oracle
 :func:`repro.reference.frame_sad_surfaces`); ``tests/test_engine.py``
@@ -32,15 +34,13 @@ asserts the equivalence property-style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.kernels import get_backend
 from repro.me.engine.reference_plane import ReferencePlane
-from repro.me.search_window import SearchWindow
 from repro.obs import metrics
+from repro.video.frame import MACROBLOCK_SIZE
 
 #: Blocks whose full +-p surface the kernel computed (every block of an
 #: FSBM frame, each critical block once per ACBM frame).
@@ -72,24 +72,15 @@ def _luma(reference: np.ndarray | ReferencePlane) -> np.ndarray:
     return reference.luma if isinstance(reference, ReferencePlane) else np.asarray(reference)
 
 
-#: Block edges the surface kernel serves: a power of two whose
-#: whole-block SAD fits a uint16 lane (``16^2 * 255 = 65280 < 2^16``).
-BLOCK_SIZES = (4, 8, 16)
 #: Largest search range: the packed tie-break key holds each
 #: displacement field in 6 bits (``2p <= 63``), and the picture header
 #: carries p in 5 bits.
 MAX_P = 31
 
 
-def check_search_envelope(block_size: int, p: int) -> None:
-    """Raise ``ValueError`` unless ``block_size``/``p`` sit inside the
-    batched kernels' envelope (:data:`BLOCK_SIZES`, ``1 <= p <=``
-    :data:`MAX_P`) — the only geometry the kernels serve."""
-    if block_size not in BLOCK_SIZES:
-        raise ValueError(
-            f"block_size must be one of {BLOCK_SIZES} (a power of two whose "
-            f"block SAD fits the uint16 SAD lane), got {block_size}"
-        )
+def check_search_envelope(p: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= p <=`` :data:`MAX_P` — the
+    only search range the kernels serve."""
     if not 1 <= p <= MAX_P:
         raise ValueError(
             f"p must be in 1..{MAX_P} (the tie-break key packs each displacement "
@@ -97,17 +88,17 @@ def check_search_envelope(block_size: int, p: int) -> None:
         )
 
 
-def check_planes(current: np.ndarray, reference: np.ndarray, block_size: int) -> None:
+def check_planes(current: np.ndarray, reference: np.ndarray) -> None:
     """Raise ``ValueError`` unless both planes are 2-D ``uint8`` of one
-    shape whose sides are multiples of ``block_size``."""
+    shape whose sides are multiples of :data:`MACROBLOCK_SIZE`."""
     for role, arr in (("current", current), ("reference", reference)):
         if arr.ndim != 2 or arr.dtype != np.uint8:
             raise ValueError(f"{role} plane must be 2-D uint8, got {arr.dtype} of shape {arr.shape}")
     if current.shape != reference.shape:
         raise ValueError(f"plane shapes differ: {current.shape} vs {reference.shape}")
     h, w = current.shape
-    if h % block_size or w % block_size:
-        raise ValueError(f"plane {current.shape} not a multiple of block size {block_size}")
+    if h % MACROBLOCK_SIZE or w % MACROBLOCK_SIZE:
+        raise ValueError(f"plane {current.shape} not a multiple of block size {MACROBLOCK_SIZE}")
 
 
 # -- window geometry, vectorized over the block grid ---------------------
@@ -130,93 +121,38 @@ def window_bounds(
     )
 
 
-@dataclass
-class FrameSadSurfaces:
-    """Every macroblock's +-p SAD surface for one frame pair.
-
-    ``surfaces[r, c, i, j]`` is the SAD of block ``(r, c)`` at
-    displacement ``(dy, dx) = (i - p, j - p)``; positions whose
-    candidate block leaves the plane hold :data:`SURFACE_SENTINEL`.
-    """
-
-    surfaces: np.ndarray  # (rows, cols, 2p+1, 2p+1) int32
-    block_size: int
-    p: int
-    plane_shape: tuple[int, int]
-
-    @property
-    def mb_rows(self) -> int:
-        return self.surfaces.shape[0]
-
-    @property
-    def mb_cols(self) -> int:
-        return self.surfaces.shape[1]
-
-    def window(self, mb_row: int, mb_col: int) -> SearchWindow:
-        """The clipped integer search window of one block."""
-        h, w = self.plane_shape
-        s = self.block_size
-        y, x = mb_row * s, mb_col * s
-        return SearchWindow(
-            dx_min=max(-self.p, -x),
-            dx_max=min(self.p, w - s - x),
-            dy_min=max(-self.p, -y),
-            dy_max=min(self.p, h - s - y),
-        )
-
-    def block_surface(self, mb_row: int, mb_col: int) -> tuple[np.ndarray, SearchWindow]:
-        """One block's surface clipped to its valid window — the exact
-        layout :func:`repro.me.full_search.full_search_sads` returns."""
-        win = self.window(mb_row, mb_col)
-        p = self.p
-        sads = self.surfaces[
-            mb_row,
-            mb_col,
-            win.dy_min + p : win.dy_max + p + 1,
-            win.dx_min + p : win.dx_max + p + 1,
-        ]
-        return sads.astype(np.int64), win
-
-    def deviations(self) -> np.ndarray:
-        """Per-block ``SAD_deviation`` (paper Section 3.1): the sum of
-        ``SAD(u, v) - SAD_min`` over every valid candidate, vectorized
-        over the whole grid for the Fig. 4 rig."""
-        surf = self.surfaces
-        valid = surf != SURFACE_SENTINEL
-        totals = np.where(valid, surf.astype(np.int64), 0).sum(axis=(2, 3))
-        minima = np.where(valid, surf, np.int32(np.iinfo(np.int32).max)).min(axis=(2, 3))
-        return totals - minima.astype(np.int64) * valid.sum(axis=(2, 3))
+def sad_deviations(surfaces: np.ndarray) -> np.ndarray:
+    """Per-block ``SAD_deviation`` (paper Section 3.1) of a
+    :func:`frame_sad_surfaces` array: the sum of ``SAD(u, v) - SAD_min``
+    over every valid candidate, vectorized over the whole grid for the
+    Fig. 4 rig."""
+    valid = surfaces != SURFACE_SENTINEL
+    totals = np.where(valid, surfaces.astype(np.int64), 0).sum(axis=(2, 3))
+    minima = np.where(valid, surfaces, np.int32(np.iinfo(np.int32).max)).min(axis=(2, 3))
+    return totals - minima.astype(np.int64) * valid.sum(axis=(2, 3))
 
 
 def frame_sad_surfaces(
-    current: np.ndarray,
-    reference: np.ndarray | ReferencePlane,
-    block_size: int = 16,
-    p: int = 15,
-) -> FrameSadSurfaces:
+    current: np.ndarray, reference: np.ndarray | ReferencePlane, p: int = 15
+) -> np.ndarray:
     """Full +-p SAD surfaces for every macroblock of a frame:
-    :func:`block_sad_surfaces` over the whole grid, reshaped to
-    ``(rows, cols, 2p+1, 2p+1)``.  Equivalent to calling
-    :func:`repro.me.full_search.full_search_sads` per block, and the
-    backing store of the Fig. 4 rig's ``SAD_deviation``.  Takes 2-D
+    :func:`block_sad_surfaces` over the whole grid as a ``(rows, cols,
+    2p+1, 2p+1)`` int32 array, where ``out[r, c, i, j]`` is block ``(r,
+    c)``'s SAD at ``(dy, dx) = (i - p, j - p)`` and
+    :data:`SURFACE_SENTINEL` marks displacements whose candidate leaves
+    the plane.  Equivalent to calling
+    :func:`repro.me.full_search.full_search_sads` per block.  Takes 2-D
     ``uint8`` planes inside :func:`check_search_envelope`; the dense
     one-displacement-at-a-time oracle is
     :func:`repro.reference.frame_sad_surfaces`.
     """
     cur = np.asarray(current)
     ref = _luma(reference)
-    check_search_envelope(block_size, p)
-    check_planes(cur, ref, block_size)
-    s = block_size
-    h, w = cur.shape
-    rows, cols = h // s, w // s
-    surf = block_sad_surfaces(cur, ref, *np.divmod(np.arange(rows * cols), cols), s, p)
-    return FrameSadSurfaces(
-        surfaces=surf.reshape(rows, cols, 2 * p + 1, 2 * p + 1),
-        block_size=s,
-        p=p,
-        plane_shape=(h, w),
-    )
+    check_search_envelope(p)
+    check_planes(cur, ref)
+    rows, cols = cur.shape[0] // MACROBLOCK_SIZE, cur.shape[1] // MACROBLOCK_SIZE
+    surf = block_sad_surfaces(cur, ref, *np.divmod(np.arange(rows * cols), cols), p)
+    return surf.reshape(rows, cols, 2 * p + 1, 2 * p + 1)
 
 
 def block_sad_surfaces(
@@ -224,7 +160,6 @@ def block_sad_surfaces(
     reference: np.ndarray | ReferencePlane,
     mb_rows: np.ndarray,
     mb_cols: np.ndarray,
-    block_size: int,
     p: int,
 ) -> np.ndarray:
     """Full +-p SAD surfaces of the listed macroblocks.
@@ -243,13 +178,12 @@ def block_sad_surfaces(
         _luma(reference),
         np.asarray(mb_rows, dtype=np.int64),
         np.asarray(mb_cols, dtype=np.int64),
-        block_size,
         p,
     )
 
 
 def sad_surfaces_numpy(
-    cur: np.ndarray, ref: np.ndarray, mb_rows: np.ndarray, mb_cols: np.ndarray, s: int, p: int
+    cur: np.ndarray, ref: np.ndarray, mb_rows: np.ndarray, mb_cols: np.ndarray, p: int
 ) -> np.ndarray:
     """Block-list surface core — the numpy backend's binding for the
     ``sad_surfaces`` ABI entry.
@@ -260,10 +194,10 @@ def sad_surfaces_numpy(
     sample of all N blocks and each NumPy pass runs over N contiguous
     lanes.  The abs-differences are summed in uint16 — a whole block's
     SAD is at most ``16^2 * 255 = 65280 < 2^16`` — by a tree over y,
-    then x (s is a power of two).  The zero padding makes out-of-plane
-    displacements finite garbage; the sentinel is stamped over them
-    from :func:`window_bounds`.
+    then x.  The zero padding makes out-of-plane displacements finite
+    garbage; the sentinel is stamped over them from :func:`window_bounds`.
     """
+    s = MACROBLOCK_SIZE
     h, w = cur.shape
     n = 2 * p + 1
     dx_min, dx_max, dy_min, dy_max = window_bounds(h, w, s, p)
@@ -326,7 +260,7 @@ def select_minima(surfaces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     ``surfaces`` is any stack ``(..., 2p+1, 2p+1)`` in the
     :func:`block_sad_surfaces` layout: ``(N, n, n)`` for a block list,
-    :attr:`FrameSadSurfaces.surfaces` for the whole grid.  Returns
+    :func:`frame_sad_surfaces` for the whole grid.  Returns
     ``(dx, dy, sads, positions)`` shaped like the leading axes — the
     integer-pel displacement, the winning SAD (int64) and the number of
     valid positions (the entries that are not
@@ -358,7 +292,6 @@ def refine_half_pel_batch(
     anchor_dx: np.ndarray,
     anchor_dy: np.ndarray,
     anchor_sads: np.ndarray,
-    block_size: int,
     p: int,
     blocks: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -384,7 +317,7 @@ def refine_half_pel_batch(
     h, w = plane.shape
     grid = blocks is None
     if grid:
-        rows, cols = h // block_size, w // block_size
+        rows, cols = h // MACROBLOCK_SIZE, w // MACROBLOCK_SIZE
         mb_rows, mb_cols = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
     else:
         mb_rows, mb_cols = blocks
@@ -396,7 +329,6 @@ def refine_half_pel_batch(
         np.asarray(anchor_dx, dtype=np.int64).ravel(),
         np.asarray(anchor_dy, dtype=np.int64).ravel(),
         np.asarray(anchor_sads, dtype=np.int64).ravel(),
-        block_size,
         p,
         h,
         w,
@@ -413,7 +345,6 @@ def refine_half_pel_numpy(
     anchor_dx: np.ndarray,
     anchor_dy: np.ndarray,
     anchor_sads: np.ndarray,
-    s: int,
     p: int,
     h: int,
     w: int,
@@ -424,6 +355,7 @@ def refine_half_pel_numpy(
     plane; ``offs`` is the (8, 2) neighbour table as (dhx, dhy) whose
     order decides strict-improvement ties; every other array is one
     entry per refined macroblock."""
+    s = MACROBLOCK_SIZE
     by = mb_rows * s
     bx = mb_cols * s
     cur_blocks = _block_windows(np.asarray(current), s)[by, bx].astype(np.int16)
@@ -459,8 +391,8 @@ def refine_half_pel_numpy(
 INTRA_UNAVAILABLE_COST = 1 << 62
 
 
-def intra_mode_cost_surfaces(y: np.ndarray, block_size: int = 16) -> np.ndarray:
-    """Open-loop SAD of every intra prediction mode for every block.
+def intra_mode_cost_surfaces(y: np.ndarray) -> np.ndarray:
+    """Open-loop SAD of every intra prediction mode for every macroblock.
 
     Returns a ``(3, rows, cols)`` ``int64`` surface ordered DC /
     vertical / horizontal (:mod:`repro.codec.intra` mode indices),
@@ -470,13 +402,13 @@ def intra_mode_cost_surfaces(y: np.ndarray, block_size: int = 16) -> np.ndarray:
     (and therefore emit identical bytes).  Unavailable modes carry
     :data:`INTRA_UNAVAILABLE_COST`.
     """
-    return get_backend().intra_mode_costs(y, block_size)
+    return get_backend().intra_mode_costs(y)
 
 
-def intra_mode_costs_numpy(y: np.ndarray, block_size: int) -> np.ndarray:
+def intra_mode_costs_numpy(y: np.ndarray) -> np.ndarray:
     """Vectorized mode-cost core — the numpy backend's binding for the
     ``intra_mode_costs`` ABI entry."""
-    s = block_size
+    s = MACROBLOCK_SIZE
     rows, cols = y.shape[0] // s, y.shape[1] // s
     cur = y.astype(np.int64)
     blocks = cur.reshape(rows, s, cols, s)
@@ -502,9 +434,9 @@ def evaluate_candidates_batch(
     block_xs: np.ndarray,
     dys: np.ndarray,
     dxs: np.ndarray,
-    block_size: int,
 ) -> np.ndarray:
-    """Integer-pel SADs for arbitrary candidate lists over many blocks.
+    """Integer-pel SADs for arbitrary candidate lists over many
+    macroblocks.
 
     ``block_ys``/``block_xs`` are ``(N,)`` block pixel origins;
     ``dys``/``dxs`` are ``(N, K)`` displacement grids.  Returns an
@@ -514,9 +446,7 @@ def evaluate_candidates_batch(
     """
     cur = np.asarray(current)
     ref = _luma(reference)
-    return get_backend().evaluate_candidates(
-        cur, ref, block_ys, block_xs, dys, dxs, block_size
-    )
+    return get_backend().evaluate_candidates(cur, ref, block_ys, block_xs, dys, dxs)
 
 
 def evaluate_candidates_numpy(
@@ -526,11 +456,10 @@ def evaluate_candidates_numpy(
     block_xs: np.ndarray,
     dys: np.ndarray,
     dxs: np.ndarray,
-    block_size: int,
 ) -> np.ndarray:
     """Fancy-indexed candidate-scoring core — the numpy backend's
     binding for the ``evaluate_candidates`` ABI entry."""
-    s = block_size
+    s = MACROBLOCK_SIZE
     h, w = ref.shape
     by = np.asarray(block_ys, dtype=np.int64)
     bx = np.asarray(block_xs, dtype=np.int64)

@@ -58,7 +58,6 @@ class BlockContext:
     reference: np.ndarray
     mb_row: int
     mb_col: int
-    block_size: int
     field: MotionField
     prev_field: MotionField | None
     qp: int
@@ -67,15 +66,15 @@ class BlockContext:
 
     @property
     def block_y(self) -> int:
-        return self.mb_row * self.block_size
+        return self.mb_row * MACROBLOCK_SIZE
 
     @property
     def block_x(self) -> int:
-        return self.mb_col * self.block_size
+        return self.mb_col * MACROBLOCK_SIZE
 
     @property
     def block(self) -> np.ndarray:
-        s = self.block_size
+        s = MACROBLOCK_SIZE
         return self.current[self.block_y : self.block_y + s, self.block_x : self.block_x + s]
 
 
@@ -91,11 +90,9 @@ class MotionEstimator(ABC):
 
     #: Registry key; subclasses override.
     name: str = ""
-    #: Luma block edge: the codec's macroblock.
-    block_size: int = MACROBLOCK_SIZE
 
     def __init__(self, p: int = 15) -> None:
-        check_search_envelope(self.block_size, p)
+        check_search_envelope(p)
         self.p = p
 
     @abstractmethod
@@ -113,15 +110,15 @@ class MotionEstimator(ABC):
         """Estimate the motion field of ``current`` against ``reference``.
 
         Planes must be 2-D ``uint8``, share shape and be exact
-        multiples of the block size.  ``ref_plane`` lets the encoder
+        multiples of the 16x16 macroblock.  ``ref_plane`` lets the encoder
         share one per-frame cache across estimation and motion
         compensation; when omitted one is built here.  Returns the
         completed field and the search-cost stats.
         """
         cur = np.asarray(current)
         ref = np.asarray(reference)
-        check_planes(cur, ref, self.block_size)
-        rows, cols = cur.shape[0] // self.block_size, cur.shape[1] // self.block_size
+        check_planes(cur, ref)
+        rows, cols = cur.shape[0] // MACROBLOCK_SIZE, cur.shape[1] // MACROBLOCK_SIZE
         if prev_field is not None and (prev_field.mb_rows, prev_field.mb_cols) != (rows, cols):
             raise ValueError(
                 f"previous field {prev_field.mb_rows}x{prev_field.mb_cols} "
@@ -181,7 +178,7 @@ class PatternSearchEstimator(MotionEstimator):
         """:meth:`walk` for every block of ``evaluator`` in lockstep."""
 
     def search_block(self, ctx: BlockContext) -> BlockResult:
-        s = self.block_size
+        s = MACROBLOCK_SIZE
         window = clamped_window(
             ctx.block_y, ctx.block_x, s, s, ctx.reference.shape[0], ctx.reference.shape[1], self.p
         )
@@ -198,10 +195,9 @@ class PatternSearchEstimator(MotionEstimator):
         """Every block's :meth:`search_block` outcome — ``(hx, hy, sad,
         positions)`` as ``(rows, cols)`` grids — from :meth:`walk_frame`
         over the whole grid."""
-        s = self.block_size
-        rows, cols = current.shape[0] // s, current.shape[1] // s
+        rows, cols = current.shape[0] // MACROBLOCK_SIZE, current.shape[1] // MACROBLOCK_SIZE
         mb_rows, mb_cols = np.divmod(np.arange(rows * cols), cols)
-        evaluator = BatchEvaluator(current, plane, mb_rows, mb_cols, s, self.p)
+        evaluator = BatchEvaluator(current, plane, mb_rows, mb_cols, self.p)
         self.walk_frame(evaluator)
         return tuple(a.reshape(rows, cols) for a in evaluator.result())
 

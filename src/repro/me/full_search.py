@@ -33,6 +33,7 @@ from repro.me.search_window import SearchWindow, clamped_window
 from repro.me.stats import SearchStats
 from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField, MotionVector
+from repro.video.frame import MACROBLOCK_SIZE
 
 
 def full_search_sads(
@@ -40,23 +41,22 @@ def full_search_sads(
     reference: np.ndarray,
     block_y: int,
     block_x: int,
-    block_size: int,
     p: int,
 ) -> tuple[np.ndarray, SearchWindow]:
-    """SADs of one block against every integer candidate in its window.
+    """SADs of one 16x16 block against every integer candidate in its
+    window.
 
     Returns ``(sads, window)`` where ``sads[i, j]`` corresponds to the
     displacement ``(dy, dx) = (window.dy_min + i, window.dx_min + j)``.
-    Shared by the FSBM estimator and the Fig. 4 characterization rig
-    (which also needs the full SAD surface for SAD_deviation).
+    Shared by FSBM's and ACBM's per-block definitions; the batched
+    twin is :func:`repro.me.engine.block_sad_surfaces`.
     """
-    window = clamped_window(
-        block_y, block_x, block_size, block_size, reference.shape[0], reference.shape[1], p
-    )
-    block = current[block_y : block_y + block_size, block_x : block_x + block_size]
+    s = MACROBLOCK_SIZE
+    window = clamped_window(block_y, block_x, s, s, reference.shape[0], reference.shape[1], p)
+    block = current[block_y : block_y + s, block_x : block_x + s]
     region = reference[
-        block_y + window.dy_min : block_y + window.dy_max + block_size,
-        block_x + window.dx_min : block_x + window.dx_max + block_size,
+        block_y + window.dy_min : block_y + window.dy_max + s,
+        block_x + window.dx_min : block_x + window.dx_max + s,
     ]
     return sad_map(block, region), window
 
@@ -87,9 +87,7 @@ class FullSearchEstimator(MotionEstimator):
     """
 
     def search_block(self, ctx: BlockContext) -> BlockResult:
-        sads, window = full_search_sads(
-            ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.block_size, self.p
-        )
+        sads, window = full_search_sads(ctx.current, ctx.reference, ctx.block_y, ctx.block_x, self.p)
         mv, best_sad, extra = refine_half_pel(
             ctx.block, ctx.ref_plane, ctx.block_y, ctx.block_x, *select_minimum(sads, window), window
         )
@@ -106,11 +104,8 @@ class FullSearchEstimator(MotionEstimator):
         qp: int,
     ) -> tuple[MotionField, SearchStats]:
         """Whole-frame batched FSBM via the engine kernels."""
-        surfaces = frame_sad_surfaces(current, plane, self.block_size, self.p)
-        dx, dy, sads, positions = select_minima(surfaces.surfaces)
-        hx, hy, _, extra = refine_half_pel_batch(
-            current, plane, dx, dy, sads, self.block_size, self.p
-        )
+        dx, dy, sads, positions = select_minima(frame_sad_surfaces(current, plane, self.p))
+        hx, hy, _, extra = refine_half_pel_batch(current, plane, dx, dy, sads, self.p)
         stats = SearchStats()
         stats.record_frame(positions + extra, used_full_search=True)
         return MotionField(hx, hy), stats

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.video.frame import MACROBLOCK_SIZE
+
 
 def _as_int(block: np.ndarray) -> np.ndarray:
     arr = np.asarray(block)
@@ -73,17 +75,18 @@ def sad_map(block: np.ndarray, window: np.ndarray) -> np.ndarray:
     return diff.sum(axis=(2, 3), dtype=np.int64)
 
 
-def block_activity_map(plane: np.ndarray, block_size: int = 16) -> np.ndarray:
-    """Intra_SAD for every aligned block of a plane at once.
+def block_activity_map(plane: np.ndarray) -> np.ndarray:
+    """Intra_SAD for every 16x16 macroblock of a plane at once.
 
-    Shape ``(H // block_size, W // block_size)``; used by the Fig. 4
-    harness and the analysis tools.
+    Shape ``(H // 16, W // 16)``; ACBM's classifier input and the Fig. 4
+    rig's Intra_SAD axis.
     """
+    s = MACROBLOCK_SIZE
     p = _as_int(plane).astype(np.float64)
     h, w = p.shape
-    if h % block_size or w % block_size:
-        raise ValueError(f"plane {p.shape} not a multiple of block size {block_size}")
-    rows, cols = h // block_size, w // block_size
-    blocks = p.reshape(rows, block_size, cols, block_size).transpose(0, 2, 1, 3)
+    if h % s or w % s:
+        raise ValueError(f"plane {p.shape} not a multiple of block size {s}")
+    rows, cols = h // s, w // s
+    blocks = p.reshape(rows, s, cols, s).transpose(0, 2, 1, 3)
     means = blocks.mean(axis=(2, 3), keepdims=True)
     return np.abs(blocks - means).sum(axis=(2, 3))

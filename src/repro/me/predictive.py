@@ -61,6 +61,7 @@ from repro.me.stats import SearchStats
 from repro.me.subpel import refine_half_pel
 from repro.me.types import BlockResult, MotionField, MotionVector
 from repro.obs import metrics
+from repro.video.frame import MACROBLOCK_SIZE
 
 #: Fig. 2's spatial predictors as ``(dr, dc)``: left, top-left, top,
 #: top-right (mv4t, mv1t, mv2t, mv3t) — the only entries of the field
@@ -210,8 +211,8 @@ class PredictiveEstimator(MotionEstimator):
         window = clamped_window(
             ctx.block_y,
             ctx.block_x,
-            self.block_size,
-            self.block_size,
+            MACROBLOCK_SIZE,
+            MACROBLOCK_SIZE,
             ctx.reference.shape[0],
             ctx.reference.shape[1],
             self.p,
@@ -240,15 +241,15 @@ class PredictiveEstimator(MotionEstimator):
         """The batched :meth:`search_block` for one frame: a
         :data:`SweepStep` returning ``(hx, hy, sad, positions)`` for any
         set of blocks, given the current field guess."""
-        s, p = self.block_size, self.p
-        cols = current.shape[1] // s
+        p = self.p
+        cols = current.shape[1] // MACROBLOCK_SIZE
         prev = None
         if prev_field is not None:
             prev = tuple(np.pad(a, ((0, 1), (0, 1))) for a in (prev_field.hx, prev_field.hy))
 
         def search(idx, hx, hy):
             r, c = np.divmod(idx, cols)
-            evaluator = BatchEvaluator(current, plane, r, c, s, p)
+            evaluator = BatchEvaluator(current, plane, r, c, p)
             # Predictors: zero, then the spatial and temporal neighbours.
             # A missing neighbour reads the zero padding — a duplicate of
             # the zero predictor, which changes neither the best nor the
@@ -284,8 +285,7 @@ class PredictiveEstimator(MotionEstimator):
     ) -> SweepResult:
         """Every block's :meth:`search_block` outcome from whole-frame
         sweeps (module docstring)."""
-        s = self.block_size
-        rows, cols = current.shape[0] // s, current.shape[1] // s
+        rows, cols = current.shape[0] // MACROBLOCK_SIZE, current.shape[1] // MACROBLOCK_SIZE
         out, sweeps = sweep_frame(
             rows, cols, initial_guess(prev_field, rows, cols),
             self.frame_search(current, plane, prev_field),

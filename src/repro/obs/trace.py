@@ -27,15 +27,12 @@ Design constraints, in order:
    ``time.perf_counter_ns`` reads ``CLOCK_MONOTONIC`` on Linux, which
    is system-wide — parent and worker timestamps share one clock.
 
-Three recording shapes:
+Two recording shapes:
 
 * ``with span("encode.frame", frame=3):`` — lexical phases.  The span
   object accepts late attributes (:meth:`Span.set`) and exposes
   :attr:`Span.duration_s` after exit, which is what lets ``runner all``
   print its wall-clock summary straight off the spans.
-* ``token = begin("name"); ...; end(token)`` — non-lexical phases whose
-  start and finish live in different scopes (e.g. a frame entering and
-  leaving a queue).
 * ``ph = phases(); with ph("transform"): ...; ph.emit()`` — *aggregated*
   sub-phases for per-macroblock loops: each ``with`` adds to a per-name
   duration bucket, and ``emit`` lays the buckets out as consecutive
@@ -55,9 +52,7 @@ __all__ = [
     "Span",
     "Tracer",
     "TRACER",
-    "begin",
     "enabled",
-    "end",
     "instant",
     "phases",
     "span",
@@ -212,20 +207,6 @@ class Tracer:
             return _NOOP_SPAN
         return Span(self, name, attrs)
 
-    def begin(self, name: str, **attrs):
-        """Open a non-lexical phase; returns an opaque token for
-        :meth:`end` (``None`` while disabled — :meth:`end` accepts it)."""
-        if not self.enabled:
-            return None
-        return (name, time.perf_counter_ns(), attrs)
-
-    def end(self, token) -> None:
-        """Close a phase opened by :meth:`begin`."""
-        if token is None:
-            return
-        name, start, attrs = token
-        self._complete(name, start, time.perf_counter_ns(), attrs)
-
     def instant(self, name: str, **attrs) -> None:
         """A zero-duration marker (backend selection, arena placement)."""
         if not self.enabled:
@@ -303,14 +284,6 @@ def span(name: str, **attrs):
     if not tracer.enabled:
         return _NOOP_SPAN
     return Span(tracer, name, attrs)
-
-
-def begin(name: str, **attrs):
-    return TRACER.begin(name, **attrs)
-
-
-def end(token) -> None:
-    TRACER.end(token)
 
 
 def instant(name: str, **attrs) -> None:

@@ -10,8 +10,8 @@ with it pins every batched path:
   :meth:`~repro.me.estimator.MotionEstimator.search_block` calls on
   :class:`~repro.me.candidates.CandidateEvaluator` (one
   :func:`~repro.me.metrics.sad` per candidate), no frame driver;
-* :func:`frame_sad_surfaces` — every block's dense +-p SAD surface, one
-  displacement at a time in int64, for any block size and ``p``;
+* :func:`frame_sad_surfaces` — every macroblock's dense +-p SAD
+  surface, one displacement at a time in int64, for any ``p``;
 * :class:`ScalarBitReader`, :func:`decode_symbol` (the per-bit VLC tree
   walk), :func:`read_events`, the three picture-body walks and
   :func:`parse_bitstream_symbols` (v2 framing from the shared
@@ -56,13 +56,13 @@ from repro.codec.quantizer import dequantize, dequantize_intra_dc
 from repro.codec.vlc import VLCTable, read_ue_golomb_bitwise
 from repro.codec.vlc_tables import CBPY_TABLE, ESCAPE, MCBPC_TABLE, TCOEF_TABLE
 from repro.codec.zigzag import CoefficientEvent, block_to_events, events_to_block
-from repro.me.engine.kernels import SURFACE_SENTINEL, FrameSadSurfaces
+from repro.me.engine.kernels import SURFACE_SENTINEL
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator
 from repro.me.stats import SearchStats
 from repro.me.subpel import predict_block
 from repro.me.types import BlockResult, MotionField, MotionVector
-from repro.video.frame import Frame
+from repro.video.frame import MACROBLOCK_SIZE, Frame
 
 # -- motion estimation ----------------------------------------------------
 
@@ -77,8 +77,7 @@ def estimate_motion(
     """Raster-order :meth:`search_block` over every macroblock: the
     field, the stats the frame driver must report, and each block's
     result in raster order."""
-    s = est.block_size
-    rows, cols = current.shape[0] // s, current.shape[1] // s
+    rows, cols = current.shape[0] // MACROBLOCK_SIZE, current.shape[1] // MACROBLOCK_SIZE
     plane = ReferencePlane(reference)
     field = MotionField.zeros(rows, cols)
     stats = SearchStats()
@@ -86,7 +85,7 @@ def estimate_motion(
     for r in range(rows):
         for c in range(cols):
             result = est.search_block(
-                BlockContext(current, reference, r, c, s, field, prev_field, qp, plane)
+                BlockContext(current, reference, r, c, field, prev_field, qp, plane)
             )
             field.set(r, c, result.mv)
             stats.record_block(
@@ -98,12 +97,11 @@ def estimate_motion(
     return field, stats, blocks
 
 
-def frame_sad_surfaces(
-    cur: np.ndarray, ref: np.ndarray, s: int, p: int
-) -> FrameSadSurfaces:
-    """:func:`repro.me.engine.frame_sad_surfaces` for any dtype, block
-    size and ``p``: the same output (an int64 surface), one displacement
-    at a time without the packed-lane tricks."""
+def frame_sad_surfaces(cur: np.ndarray, ref: np.ndarray, p: int) -> np.ndarray:
+    """:func:`repro.me.engine.frame_sad_surfaces` for any dtype and
+    ``p``: the same ``(rows, cols, 2p+1, 2p+1)`` surfaces (as int64),
+    one displacement at a time without the packed-lane tricks."""
+    s = MACROBLOCK_SIZE
     h, w = cur.shape
     rows, cols = h // s, w // s
     n = 2 * p + 1
@@ -126,7 +124,7 @@ def frame_sad_surfaces(
             surf[r0:r1, c0:c1, dy + p, dx + p] = diff.reshape(
                 r1 - r0, s, c1 - c0, s
             ).sum(axis=(1, 3))
-    return FrameSadSurfaces(surfaces=surf, block_size=s, p=p, plane_shape=(h, w))
+    return surf
 
 
 # -- bits and symbols -----------------------------------------------------

@@ -18,9 +18,6 @@ import numpy as np
 #: Luminance macroblock edge in pixels (the paper's N = M = 16).
 MACROBLOCK_SIZE = 16
 
-#: Chroma block edge under 4:2:0 subsampling.
-CHROMA_BLOCK_SIZE = 8
-
 
 @dataclass(frozen=True)
 class FrameGeometry:
@@ -152,14 +149,6 @@ class Frame:
         r, c = mb_row * size, mb_col * size
         return self.y[r : r + size, c : c + size]
 
-    def chroma_blocks(self, mb_row: int, mb_col: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return the (Cb, Cr) 8x8 block views under macroblock
-        ``(mb_row, mb_col)``."""
-        self._check_mb(mb_row, mb_col, MACROBLOCK_SIZE)
-        s = CHROMA_BLOCK_SIZE
-        r, c = mb_row * s, mb_col * s
-        return self.cb[r : r + s, c : c + s], self.cr[r : r + s, c : c + s]
-
     def _check_mb(self, mb_row: int, mb_col: int, size: int) -> None:
         rows = self.height // size
         cols = self.width // size
@@ -172,10 +161,6 @@ class Frame:
 
     def copy(self) -> "Frame":
         return Frame(self.y.copy(), self.cb.copy(), self.cr.copy(), index=self.index)
-
-    def luma_float(self) -> np.ndarray:
-        """Luma plane as float64 (for filtering / metric math)."""
-        return self.y.astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frame):

@@ -83,26 +83,3 @@ def stripe_field(
     if axis == 0:
         return np.repeat(line[:, None], width, axis=1)
     return np.repeat(line[None, :], height, axis=0)
-
-
-def checker_field(
-    height: int,
-    width: int,
-    cell: int = 16,
-    low: float = 90.0,
-    high: float = 170.0,
-) -> np.ndarray:
-    """Checkerboard — a block-aligned, maximally ambiguous texture used
-    in adversarial tests of the search algorithms."""
-    if cell < 1:
-        raise ValueError(f"cell must be >= 1, got {cell}")
-    ys = (np.arange(height) // cell)[:, None]
-    xs = (np.arange(width) // cell)[None, :]
-    mask = (ys + xs) % 2
-    return np.where(mask == 0, float(low), float(high))
-
-
-def blend(base: np.ndarray, overlay: np.ndarray, alpha: np.ndarray | float) -> np.ndarray:
-    """Alpha-composite ``overlay`` over ``base`` (float planes)."""
-    a = np.asarray(alpha, dtype=np.float64)
-    return base * (1.0 - a) + np.asarray(overlay, dtype=np.float64) * a

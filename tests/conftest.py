@@ -162,8 +162,6 @@ def instrumentation_bypassed():
         (trace, "span", lambda name, **attrs: noop_span),
         (trace, "phases", lambda: noop_phases),
         (trace, "instant", lambda name, **attrs: None),
-        (trace, "begin", lambda name, **attrs: None),
-        (trace, "end", lambda token: None),
         (metrics.Counter, "inc", lambda self, amount=1: None),
         (metrics.Gauge, "set", lambda self, value: None),
         (metrics.Gauge, "add", lambda self, delta: None),
@@ -179,12 +177,22 @@ def instrumentation_bypassed():
             setattr(owner, name, original)
 
 
+def grained(plane: np.ndarray, grain: int) -> np.ndarray:
+    """``plane`` made piecewise constant over ``grain x grain`` cells,
+    each taking its top-left sample.  At grain 16 every cell is one
+    16x16 macroblock; at 8 or 4 a macroblock spans 4 or 16 cells.  Few
+    distinct cells make many displacements tie on SAD, so the search
+    kernels' shortest-vector tie-break decides block after block."""
+    cells = plane[::grain, ::grain]
+    return np.repeat(np.repeat(cells, grain, axis=0), grain, axis=1)[: plane.shape[0], : plane.shape[1]]
+
+
 def pinned(cls: type, **constants) -> type:
-    """``cls`` with class constants (``block_size``, ``max_recentres``,
-    ``refine_steps``) set to values no workload runs.  The constructor,
-    the frame path and the per-block oracle all read them through
-    ``self``, so the shared search machinery is checked beyond the
-    codec's fixed settings."""
+    """``cls`` with class constants (``max_recentres``,
+    ``refine_steps``) set to values no workload runs.  The frame path
+    and the per-block oracle both read them through ``self``, so the
+    shared search machinery is checked beyond the codec's fixed
+    settings."""
     return type(f"Pinned{cls.__name__}", (cls,), constants)
 
 
@@ -213,7 +221,7 @@ def integer_pel(monkeypatch) -> None:
     def per_block(block, plane, block_y, block_x, anchor, anchor_sad, window):
         return anchor, anchor_sad, 0
 
-    def batched(current, plane, anchor_dx, anchor_dy, anchor_sads, block_size, p, blocks=None):
+    def batched(current, plane, anchor_dx, anchor_dy, anchor_sads, p, blocks=None):
         return 2 * anchor_dx, 2 * anchor_dy, anchor_sads, 0
 
     for module, name in HALF_PEL_STAGES:

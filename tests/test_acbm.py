@@ -16,7 +16,7 @@ from .conftest import shifted_plane, textured_plane
 
 def context(cur, ref, r=1, c=1, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField.zeros(rows, cols), None, qp, ReferencePlane(ref))
+    return BlockContext(cur, ref, r, c, MotionField.zeros(rows, cols), None, qp, ReferencePlane(ref))
 
 
 class TestConstruction:

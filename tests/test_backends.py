@@ -323,8 +323,8 @@ class TestSimKernels:
         cur = rng.integers(0, 256, (48, 64), dtype=np.uint8)
         ref = rng.integers(0, 256, (48, 64), dtype=np.uint8)
         mb_rows, mb_cols = np.divmod(np.arange(12), 4)
-        expected = sad_surfaces_numpy(cur, ref, mb_rows, mb_cols, 16, 7)
-        got = sim_backend.sad_surfaces(cur, ref, mb_rows, mb_cols, 16, 7)
+        expected = sad_surfaces_numpy(cur, ref, mb_rows, mb_cols, 7)
+        got = sim_backend.sad_surfaces(cur, ref, mb_rows, mb_cols, 7)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 

@@ -11,7 +11,7 @@ from repro.me.hexagon import LARGE_HEXAGON
 from repro.me.search_window import SearchWindow, clamped_window
 from repro.me.types import MotionVector
 
-from .conftest import shifted_plane, textured_plane
+from .conftest import grained, shifted_plane, textured_plane
 
 
 def make_evaluator(seed=20, dy=0, dx=0, p=6):
@@ -102,23 +102,23 @@ class TestBatchDescend:
     """:meth:`BatchEvaluator.descend` against
     :meth:`CandidateEvaluator.descend`, block for block, at the step
     bounds the searches' walks stop at (no step, one, two) — on a plane
-    whose edge windows clamp, and on a two-level one where SADs tie.
-    The evaluators keep their block-size argument, so 8x8 blocks are
-    checked beside the 16x16 macroblock."""
+    whose edge windows clamp, quantised to two levels or kept at 256,
+    and made piecewise constant over 8- or 16-pixel cells
+    (:func:`grained`), so SADs tie across whole runs of displacements."""
 
     @pytest.mark.parametrize("max_steps", [0, 1, 2])
     @pytest.mark.parametrize(
         "pattern", [UNIT_RING, LARGE_DIAMOND, LARGE_HEXAGON], ids=["ring", "diamond", "hexagon"]
     )
     @pytest.mark.parametrize("levels", [2, 256])
-    @pytest.mark.parametrize("s", [8, 16])
-    def test_matches_per_block_descend(self, s, levels, pattern, max_steps):
-        p = 7
-        ref = textured_plane(80, 96, seed=24) // (256 // levels) * (256 // levels)
+    @pytest.mark.parametrize("grain", [8, 16])
+    def test_matches_per_block_descend(self, grain, levels, pattern, max_steps):
+        p, s = 7, 16
+        ref = grained(textured_plane(80, 96, seed=24) // (256 // levels) * (256 // levels), grain)
         cur = shifted_plane(ref, 3, -4)
         plane = ReferencePlane(ref)
-        mb_rows, mb_cols = np.divmod(np.arange((80 // s) * (96 // s)), 96 // s)
-        batch = BatchEvaluator(cur, plane, mb_rows, mb_cols, s, p)
+        mb_rows, mb_cols = np.divmod(np.arange(5 * 6), 6)
+        batch = BatchEvaluator(cur, plane, mb_rows, mb_cols, p)
         batch.evaluate(batch.all, 0, 0)
         batch.descend(batch.all, pattern, max_steps)
         positions = batch.positions()

@@ -7,8 +7,6 @@ from repro.me.cost import LAMBDA_SCALE, lagrange_lambda
 from repro.me.estimator import available_estimators, create_estimator
 from repro.me.types import MotionVector
 
-from .conftest import pinned
-
 
 class TestLagrange:
     def test_lambda_linear_in_qp_for_sad_domain(self):
@@ -31,31 +29,29 @@ class TestLagrange:
         assert smooth < jagged
 
 
-#: Geometries outside the batched kernels' envelope: p beyond 1..31 (the
-#: 6-bit tie-break fields, the 5-bit header field) and block edges the
-#: uint16 SAD lane does not serve.
+#: Settings outside the batched kernels' envelope: p beyond 1..31 (the
+#: 6-bit tie-break fields, the 5-bit header field), and any block size
+#: at all — 16x16 is a constant of the kernels, so no constructor takes
+#: one.
 OUTSIDE_ENVELOPE = [("p", 0), ("p", 32), ("block_size", 0), ("block_size", 12), ("block_size", 32)]
 
 
 @pytest.mark.parametrize("key,value", OUTSIDE_ENVELOPE)
 @pytest.mark.parametrize("name", available_estimators())
 def test_constructor_rejects_outside_envelope(name, key, value):
-    """``p`` is a constructor argument; the block size is a class
-    constant, pinned here (:func:`pinned`), that the constructor checks
-    as well."""
-    cls, kwargs = type(create_estimator(name)), {key: value}
-    if key == "block_size":
-        cls, kwargs = pinned(cls, block_size=value), {}
-    with pytest.raises(ValueError, match=f"^{key} must be"):
-        cls(**kwargs)
+    """A ``p`` outside 1..31 is a ``ValueError``; a block size is an
+    unknown argument, a ``TypeError`` naming it."""
+    error, match = (ValueError, "^p must be") if key == "p" else (TypeError, key)
+    with pytest.raises(error, match=match):
+        create_estimator(name, **{key: value})
 
 
 @pytest.mark.parametrize("name", available_estimators())
 def test_constructor_takes_no_geometry_or_step_knobs(name):
-    """Block size, half-pel and the search-step bounds are class
-    constants: 16x16 macroblocks, half-pel always on."""
+    """Block size, half-pel and the search-step bounds are constants:
+    16x16 macroblocks, half-pel always on."""
     est = create_estimator(name)
-    assert (est.block_size, est.p) == (16, 15)
+    assert est.p == 15 and not hasattr(est, "block_size")
     for knob in ("block_size", "half_pel", "refine_steps", "max_recentres"):
         with pytest.raises(TypeError, match=knob):
             create_estimator(name, **{knob: 1})

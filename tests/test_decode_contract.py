@@ -35,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import reference
+from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.decoder import (
     Decoder,
     FrameIndex,
@@ -42,7 +43,8 @@ from repro.codec.decoder import (
     detect_version,
     parse_bitstream_symbols,
 )
-from repro.codec.encoder import encode_sequence
+from repro.codec.encoder import FRAME_START_CODE, START_CODE, START_CODE_BITS, encode_sequence
+from repro.codec.vlc_tables import CBPY_TABLE, MCBPC_TABLE
 from repro.streaming import StreamDecoder
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
@@ -305,6 +307,66 @@ class TestVersion1Streams:
             r"the stream is cut short or corrupt",
             message,
         )
+
+
+# -- an over-long exp-Golomb prefix ----------------------------------------
+
+
+def golomb_probe(version):
+    """An I picture, then a P picture whose first coded macroblock's
+    horizontal MVD is an exp-Golomb code with 64 leading zeros (64 ones
+    after its marker bit) — a value no int64 motion grid holds."""
+    clip = make_sequence("foreman", frames=1, seed=0, geometry=GEOMETRY)
+    intra = encode_sequence(clip, qp=18, estimator="tss", bitstream_version=version)
+    body = BitWriter()
+    body.write_bits(START_CODE, START_CODE_BITS)
+    body.write_bit(1)  # P picture
+    body.write_bits(18, 5)
+    body.write_bits(15, 5)
+    body.write_bits(GEOMETRY.mb_rows, 8)
+    body.write_bits(GEOMETRY.mb_cols, 8)
+    body.write_bit(0)  # COD: coded
+    body.write_code(MCBPC_TABLE.encode(0))
+    body.write_code(CBPY_TABLE.encode(0))
+    body.write_bits(1, 65)  # 64 zeros, then the marker bit
+    body.write_bits((1 << 64) - 1, 64)
+    body.write_bits(0, 64)
+    if version == 2:
+        payload = body.getvalue()
+        frame = FRAME_START_CODE.to_bytes(4, "big") + len(payload).to_bytes(4, "big")
+        return intra.bitstream + frame + payload
+    stream = BitWriter()
+    bits = intra.frames[0].bits
+    stream.write_bits(BitReader(intra.bitstream).read_bits(bits), bits)
+    picture = body.getvalue()
+    stream.write_bits(int.from_bytes(picture, "big"), 8 * len(picture))
+    return stream.getvalue()
+
+
+class TestOverlongGolombPrefix:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_every_entry_point_raises_the_same_value_error(self, version):
+        """``decode_bitstream``, a :class:`Decoder` loop,
+        ``parse_bitstream_symbols``, both oracle entry points and (v2)
+        the push decoder raise one ``ValueError`` naming the bit where
+        the code starts — never the ``OverflowError`` of storing the
+        decoded vector."""
+        stream = golomb_probe(version)
+        _, error = serial_trace(stream)
+        outcomes = [
+            outcome(lambda: decode_bitstream(stream)),
+            (type(error), str(error)),
+            outcome(lambda: parse_bitstream_symbols(stream)),
+            outcome(lambda: reference.decode_bitstream(stream)),
+            outcome(lambda: reference.parse_bitstream_symbols(stream)),
+        ]
+        if version == 2:
+            outcomes.append(stream_outcome(stream, 37, 2)[0])
+        kind, message = outcomes[0]
+        assert outcomes == [(kind, message)] * len(outcomes)
+        assert kind is ValueError
+        assert re.search(r"more than 32 leading zeros in the code starting at bit \d+$", message)
+        assert bool(PICTURE_AT.match(message)) == (version == 1)
 
 
 # -- fixed cases for the spawn-backed modes --------------------------------

@@ -24,6 +24,7 @@ from repro.me.engine import (
     evaluate_candidates_batch,
     frame_sad_surfaces,
     refine_half_pel_batch,
+    sad_deviations,
     select_minima,
 )
 from repro.kernels import numba_available, numpy_backend
@@ -36,7 +37,7 @@ from repro.me.subpel import half_pel_block, predict_block, refine_half_pel
 from repro.me.types import MotionVector
 from repro.obs import metrics
 
-from .conftest import backend_matrix, integer_pel, shifted_plane, textured_plane
+from .conftest import backend_matrix, grained, integer_pel, shifted_plane, textured_plane
 
 #: Every golden equivalence below re-runs per available kernel backend.
 kernel_backend = backend_matrix()
@@ -140,58 +141,63 @@ class TestReferencePlane:
 
 
 GEOMETRIES = [
-    (48, 64, 16, 15),  # heavier clipping than the window on all sides
-    (64, 48, 16, 7),
-    (32, 32, 16, 3),
-    (48, 64, 8, 9),  # 8x8 fast path
+    (48, 64, 15),  # heavier clipping than the window on all sides
+    (64, 48, 7),
+    (32, 32, 3),
 ]
 
 
+def clipped(surfaces: np.ndarray, r: int, c: int, window: SearchWindow, p: int) -> np.ndarray:
+    """Block ``(r, c)``'s surface cut to its valid window — the layout
+    :func:`full_search_sads` returns."""
+    return surfaces[
+        r, c, window.dy_min + p : window.dy_max + p + 1, window.dx_min + p : window.dx_max + p + 1
+    ]
+
+
 class TestFrameSadSurfaces:
-    @pytest.mark.parametrize("h,w,s,p", GEOMETRIES)
-    def test_matches_per_block_full_search(self, h, w, s, p):
-        cur = random_plane(h * w + s + p, h, w)
-        ref = random_plane(h * w + s + p + 1, h, w)
-        fss = frame_sad_surfaces(cur, ref, s, p)
-        for r in range(h // s):
-            for c in range(w // s):
-                sads, window = full_search_sads(cur, ref, r * s, c * s, s, p)
-                got, got_window = fss.block_surface(r, c)
-                assert got_window == window
-                np.testing.assert_array_equal(got, sads)
+    @pytest.mark.parametrize("h,w,p", GEOMETRIES)
+    def test_matches_per_block_full_search(self, h, w, p):
+        cur = random_plane(h * w + 16 + p, h, w)
+        ref = random_plane(h * w + 16 + p + 1, h, w)
+        fss = frame_sad_surfaces(cur, ref, p)
+        assert fss.shape == (h // 16, w // 16, 2 * p + 1, 2 * p + 1) and fss.dtype == np.int32
+        for r in range(h // 16):
+            for c in range(w // 16):
+                sads, window = full_search_sads(cur, ref, r * 16, c * 16, p)
+                np.testing.assert_array_equal(clipped(fss, r, c, window, p), sads)
                 # Everything outside the clipped window is the sentinel.
                 mask = np.ones((2 * p + 1, 2 * p + 1), dtype=bool)
                 mask[
                     window.dy_min + p : window.dy_max + p + 1,
                     window.dx_min + p : window.dx_max + p + 1,
                 ] = False
-                assert (fss.surfaces[r, c][mask] == SURFACE_SENTINEL).all()
+                assert (fss[r, c][mask] == SURFACE_SENTINEL).all()
 
     def test_generic_path_identical_to_fast_path(self):
         cur, ref = random_plane(100), random_plane(101)
-        fast = frame_sad_surfaces(cur, ref, 16, 7)
-        generic = reference.frame_sad_surfaces(cur, ref, 16, 7)
-        np.testing.assert_array_equal(fast.surfaces, generic.surfaces)
+        fast = frame_sad_surfaces(cur, ref, 7)
+        generic = reference.frame_sad_surfaces(cur, ref, 7)
+        np.testing.assert_array_equal(fast, generic)
 
     def test_deviations_match_sad_deviation(self):
         cur, ref = random_plane(5), random_plane(6)
-        fss = frame_sad_surfaces(cur, ref, 16, 15)
-        devs = fss.deviations()
-        for r in range(fss.mb_rows):
-            for c in range(fss.mb_cols):
-                sads, _ = full_search_sads(cur, ref, r * 16, c * 16, 16, 15)
+        devs = sad_deviations(frame_sad_surfaces(cur, ref, 15))
+        assert devs.shape == (3, 4)
+        for r in range(3):
+            for c in range(4):
+                sads, _ = full_search_sads(cur, ref, r * 16, c * 16, 15)
                 assert devs[r, c] == sad_deviation(sads)
 
     def test_positions_match_windows(self):
-        fss = frame_sad_surfaces(random_plane(8), random_plane(9), 16, 15)
-        pos = select_minima(fss.surfaces)[3]
-        for r in range(fss.mb_rows):
-            for c in range(fss.mb_cols):
-                assert pos[r, c] == fss.window(r, c).num_positions
+        pos = select_minima(frame_sad_surfaces(random_plane(8), random_plane(9), 15))[3]
+        for r in range(3):
+            for c in range(4):
+                assert pos[r, c] == clamped_window(r * 16, c * 16, 16, 16, 48, 64, 15).num_positions
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            frame_sad_surfaces(random_plane(1, 48, 64), random_plane(2, 48, 48), 16, 7)
+            frame_sad_surfaces(random_plane(1, 48, 64), random_plane(2, 48, 48), 7)
 
 
 # -- block_sad_surfaces: the block-list kernel against the oracle --------
@@ -209,20 +215,20 @@ if numba_available():
 BORDER_GRIDS = {"numpy": (4, 5), "numba-sim": (2, 3), "numba": (4, 5)}
 
 
-def oracle_surfaces(cur, ref, mb_rows, mb_cols, s, p) -> np.ndarray:
+def oracle_surfaces(cur, ref, mb_rows, mb_cols, p) -> np.ndarray:
     """Per-block :func:`full_search_sads` laid out as the kernel's
     ``(N, 2p+1, 2p+1)`` stack, the sentinel outside each window."""
     n = 2 * p + 1
     out = np.full((len(mb_rows), n, n), SURFACE_SENTINEL, dtype=np.int64)
     for b, (r, c) in enumerate(zip(mb_rows, mb_cols)):
-        sads, win = full_search_sads(cur, ref, r * s, c * s, s, p)
+        sads, win = full_search_sads(cur, ref, r * 16, c * 16, p)
         out[b, win.dy_min + p : win.dy_max + p + 1, win.dx_min + p : win.dx_max + p + 1] = sads
     return out
 
 
 def surface_planes(seed: int, h: int, w: int, saturated: bool) -> tuple[np.ndarray, np.ndarray]:
     """Random planes, or current all 255 against reference all 0 — every
-    SAD then hits the s^2 * 255 lane bound (65,280 at s = 16)."""
+    SAD then hits the 16^2 * 255 = 65,280 lane bound."""
     if saturated:
         return np.full((h, w), 255, dtype=np.uint8), np.zeros((h, w), dtype=np.uint8)
     return random_plane(seed, h, w), random_plane(seed + 1, h, w)
@@ -232,7 +238,6 @@ def surface_planes(seed: int, h: int, w: int, saturated: bool) -> tuple[np.ndarr
 def block_lists(draw, max_grid: int, max_blocks: int):
     """A plane geometry and an arbitrary block list on it: unsorted,
     with repeats, possibly empty, any parity."""
-    s = draw(st.sampled_from([4, 8, 16]))
     p = draw(st.sampled_from([1, 2, 7, 15, 31]))
     rows = draw(st.integers(1, max_grid))
     cols = draw(st.integers(1, max_grid))
@@ -241,36 +246,39 @@ def block_lists(draw, max_grid: int, max_blocks: int):
             st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), max_size=max_blocks
         )
     )
-    planes = surface_planes(draw(st.integers(0, 2**16)), rows * s, cols * s, draw(st.booleans()))
-    return planes, blocks, s, p
+    planes = surface_planes(draw(st.integers(0, 2**16)), rows * 16, cols * 16, draw(st.booleans()))
+    return planes, blocks, p
 
 
 class TestBlockSadSurfaces:
     @staticmethod
-    def check(backend, cur, ref, blocks, s, p):
+    def check(backend, cur, ref, blocks, p):
         mb_rows = np.array([r for r, _ in blocks], dtype=np.int64)
         mb_cols = np.array([c for _, c in blocks], dtype=np.int64)
-        got = SURFACE_BACKENDS[backend].sad_surfaces(cur, ref, mb_rows, mb_cols, s, p)
+        got = SURFACE_BACKENDS[backend].sad_surfaces(cur, ref, mb_rows, mb_cols, p)
         assert got.dtype == np.int32
-        np.testing.assert_array_equal(got, oracle_surfaces(cur, ref, mb_rows, mb_cols, s, p))
+        np.testing.assert_array_equal(got, oracle_surfaces(cur, ref, mb_rows, mb_cols, p))
         return got
 
     @settings(max_examples=60, deadline=None)
     @given(block_lists(max_grid=5, max_blocks=12))
     def test_numpy_matches_per_block_oracle(self, case):
-        (cur, ref), blocks, s, p = case
-        self.check("numpy", cur, ref, blocks, s, p)
+        (cur, ref), blocks, p = case
+        self.check("numpy", cur, ref, blocks, p)
 
     @settings(max_examples=15, deadline=None)
     @given(block_lists(max_grid=2, max_blocks=3))
     def test_numba_sim_matches_per_block_oracle(self, case):
-        (cur, ref), blocks, s, p = case
-        self.check("numba-sim", cur, ref, blocks, s, p)
+        (cur, ref), blocks, p = case
+        self.check("numba-sim", cur, ref, blocks, p)
 
     @pytest.mark.parametrize("backend", sorted(SURFACE_BACKENDS))
     @pytest.mark.parametrize("p", [1, 2, 7, 15, 31])
-    @pytest.mark.parametrize("s", [4, 8, 16])
-    def test_every_border_block(self, backend, s, p):
+    @pytest.mark.parametrize("grain", [4, 8, 16])
+    def test_every_border_block(self, backend, grain, p):
+        """Every border macroblock, in shuffled order, on planes that
+        are piecewise constant over ``grain``-pixel cells
+        (:func:`grained`), so equal SADs fill the clipped windows."""
         rows, cols = BORDER_GRIDS[backend]
         border = [
             (r, c)
@@ -278,30 +286,30 @@ class TestBlockSadSurfaces:
             for c in range(cols)
             if r in (0, rows - 1) or c in (0, cols - 1)
         ]
-        border = [border[i] for i in np.random.default_rng(s * p).permutation(len(border))]
-        cur, ref = surface_planes(s + p, rows * s, cols * s, saturated=False)
-        self.check(backend, cur, ref, border, s, p)
+        border = [border[i] for i in np.random.default_rng(grain * p).permutation(len(border))]
+        cur, ref = surface_planes(grain + p, rows * 16, cols * 16, saturated=False)
+        self.check(backend, grained(cur, grain), grained(ref, grain), border, p)
 
     @pytest.mark.parametrize("backend", sorted(SURFACE_BACKENDS))
     def test_saturated_lane_bound_and_odd_duplicated_list(self, backend):
         cur, ref = surface_planes(0, 32, 48, saturated=True)
-        got = self.check(backend, cur, ref, [(1, 2), (0, 0), (1, 2)], 16, 2)
+        got = self.check(backend, cur, ref, [(1, 2), (0, 0), (1, 2)], 2)
         assert got[got != SURFACE_SENTINEL].min() == got[got != SURFACE_SENTINEL].max() == 65280
 
     @pytest.mark.parametrize("backend", sorted(SURFACE_BACKENDS))
     def test_empty_list(self, backend):
         cur, ref = surface_planes(1, 32, 32, saturated=False)
-        assert self.check(backend, cur, ref, [], 16, 7).shape == (0, 15, 15)
+        assert self.check(backend, cur, ref, [], 7).shape == (0, 15, 15)
 
     def test_engine_entry_counts_blocks(self):
         fs_blocks = metrics.counter("me.fs_blocks")
         before = fs_blocks.value
         cur, ref = random_plane(3), random_plane(4)
         rows, cols = np.array([2, 0, 2]), np.array([1, 3, 1])
-        got = block_sad_surfaces(cur, ReferencePlane(ref), rows, cols, 16, 15)
-        np.testing.assert_array_equal(got, oracle_surfaces(cur, ref, rows, cols, 16, 15))
+        got = block_sad_surfaces(cur, ReferencePlane(ref), rows, cols, 15)
+        np.testing.assert_array_equal(got, oracle_surfaces(cur, ref, rows, cols, 15))
         assert fs_blocks.value - before == 3
-        frame_sad_surfaces(cur, ref, 16, 15)
+        frame_sad_surfaces(cur, ref, 15)
         assert fs_blocks.value - before == 3 + 12
 
 
@@ -313,11 +321,10 @@ class TestSelectMinima:
     @pytest.mark.parametrize("p", [3, 7, 15])
     def test_matches_select_minimum(self, maker, p):
         cur, ref = maker(11), maker(12)
-        fss = frame_sad_surfaces(cur, ref, 16, p)
-        dx, dy, sads, positions = select_minima(fss.surfaces)
-        for r in range(fss.mb_rows):
-            for c in range(fss.mb_cols):
-                block_sads, window = full_search_sads(cur, ref, r * 16, c * 16, 16, p)
+        dx, dy, sads, positions = select_minima(frame_sad_surfaces(cur, ref, p))
+        for r in range(3):
+            for c in range(4):
+                block_sads, window = full_search_sads(cur, ref, r * 16, c * 16, p)
                 mv, best = select_minimum(block_sads, window)
                 assert MotionVector(2 * int(dx[r, c]), 2 * int(dy[r, c])) == mv
                 assert int(sads[r, c]) == best
@@ -325,7 +332,7 @@ class TestSelectMinima:
 
     def test_flat_plane_ties_resolve_to_zero(self):
         flat = np.full((48, 64), 90, dtype=np.uint8)
-        dx, dy, sads, _ = select_minima(frame_sad_surfaces(flat, flat, 16, 7).surfaces)
+        dx, dy, sads, _ = select_minima(frame_sad_surfaces(flat, flat, 7))
         assert (dx == 0).all() and (dy == 0).all() and (sads == 0).all()
 
     def test_wide_window_beyond_packed_key(self):
@@ -335,11 +342,10 @@ class TestSelectMinima:
         content so the tie-break actually decides."""
         cur, ref = tie_heavy_plane(21, 96, 112), tie_heavy_plane(22, 96, 112)
         p = 35
-        fss = reference.frame_sad_surfaces(cur, ref, 16, p)
-        dx, dy, sads, _ = select_minima(fss.surfaces)
-        for r in range(fss.mb_rows):
-            for c in range(fss.mb_cols):
-                block_sads, window = full_search_sads(cur, ref, r * 16, c * 16, 16, p)
+        dx, dy, sads, _ = select_minima(reference.frame_sad_surfaces(cur, ref, p))
+        for r in range(6):
+            for c in range(7):
+                block_sads, window = full_search_sads(cur, ref, r * 16, c * 16, p)
                 mv, best = select_minimum(block_sads, window)
                 assert MotionVector(2 * int(dx[r, c]), 2 * int(dy[r, c])) == mv
                 assert int(sads[r, c]) == best
@@ -354,11 +360,10 @@ class TestRefineHalfPelBatch:
         cur, ref = maker(seed), maker(seed + 1)
         p, s = 7, 16
         plane = ReferencePlane(ref)
-        fss = frame_sad_surfaces(cur, plane, s, p)
-        dx, dy, sads, _ = select_minima(fss.surfaces)
-        hx, hy, ref_sads, extra = refine_half_pel_batch(cur, plane, dx, dy, sads, s, p)
-        for r in range(fss.mb_rows):
-            for c in range(fss.mb_cols):
+        dx, dy, sads, _ = select_minima(frame_sad_surfaces(cur, plane, p))
+        hx, hy, ref_sads, extra = refine_half_pel_batch(cur, plane, dx, dy, sads, p)
+        for r in range(3):
+            for c in range(4):
                 window = clamped_window(r * s, c * s, s, s, *ref.shape, p)
                 anchor = MotionVector(2 * int(dx[r, c]), 2 * int(dy[r, c]))
                 block = cur[r * s : (r + 1) * s, c * s : (c + 1) * s]
@@ -371,26 +376,27 @@ class TestRefineHalfPelBatch:
 
 
 class TestSubMacroblockKernels:
-    """The frame kernels keep their block-size argument below the 16x16
-    macroblock every estimator searches: the FSBM chain at s = 4 and 8
-    against the dense surface oracle and the per-block minimum and
-    half-pel step."""
+    """The FSBM kernel chain on content finer than the macroblock:
+    planes piecewise constant over 4- or 8-pixel cells
+    (:func:`grained`), where equal SADs are everywhere.
+    ``frame_sad_surfaces``, ``select_minima`` and
+    ``refine_half_pel_batch`` against the dense surface oracle and the
+    per-block minimum and half-pel step, block for block."""
 
     @pytest.mark.parametrize("p", [7, 15])
-    @pytest.mark.parametrize("s", [4, 8])
+    @pytest.mark.parametrize("grain", [4, 8])
     @pytest.mark.parametrize("maker", [random_plane, tie_heavy_plane])
-    def test_fsbm_chain_matches_oracles(self, maker, s, p):
-        cur, ref = maker(90 + s), maker(91 + s)
+    def test_fsbm_chain_matches_oracles(self, maker, grain, p):
+        cur, ref = grained(maker(90 + grain), grain), grained(maker(91 + grain), grain)
+        s = 16
         plane = ReferencePlane(ref)
-        fss = frame_sad_surfaces(cur, plane, s, p)
-        np.testing.assert_array_equal(
-            fss.surfaces, reference.frame_sad_surfaces(cur, ref, s, p).surfaces
-        )
-        dx, dy, sads, positions = select_minima(fss.surfaces)
-        hx, hy, hsads, extra = refine_half_pel_batch(cur, plane, dx, dy, sads, s, p)
-        for r in range(fss.mb_rows):
-            for c in range(fss.mb_cols):
-                block_sads, window = full_search_sads(cur, ref, r * s, c * s, s, p)
+        surfaces = frame_sad_surfaces(cur, plane, p)
+        np.testing.assert_array_equal(surfaces, reference.frame_sad_surfaces(cur, ref, p))
+        dx, dy, sads, positions = select_minima(surfaces)
+        hx, hy, hsads, extra = refine_half_pel_batch(cur, plane, dx, dy, sads, p)
+        for r in range(3):
+            for c in range(4):
+                block_sads, window = full_search_sads(cur, ref, r * s, c * s, p)
                 anchor, best = select_minimum(block_sads, window)
                 assert (MotionVector(2 * int(dx[r, c]), 2 * int(dy[r, c])), int(sads[r, c])) == (
                     anchor,
@@ -425,7 +431,6 @@ class TestEvaluateCandidatesBatch:
             np.array([0]),
             (16 + arr[:, 1])[None, :],
             (16 + arr[:, 0])[None, :],
-            16,
         )[0]
         for (dx, dy), value in zip(cands, sads.tolist()):
             assert value == seq._cache[(dx, dy)]
@@ -434,7 +439,7 @@ class TestEvaluateCandidatesBatch:
         ref = random_plane(50, 32, 32)
         sads = evaluate_candidates_batch(
             ref, ref, np.array([0]), np.array([0]),
-            np.array([[-1, 0, 17]]), np.array([[0, 0, 0]]), 16,
+            np.array([[-1, 0, 17]]), np.array([[0, 0, 0]]),
         )[0]
         assert sads[0] == -1 and sads[2] == -1 and sads[1] == 0
 
@@ -451,7 +456,7 @@ class TestEvaluateCandidatesBatch:
         block_xs = np.tile(np.arange(cols) * s, rows)
         dxs = np.array([[dx for dx, _ in offsets]] * (rows * cols))
         dys = np.array([[dy for _, dy in offsets]] * (rows * cols))
-        out = evaluate_candidates_batch(cur, ref, block_ys, block_xs, dys, dxs, s)
+        out = evaluate_candidates_batch(cur, ref, block_ys, block_xs, dys, dxs)
         assert out.shape == (rows * cols, len(offsets))
         for i, (y, x) in enumerate(zip(block_ys.tolist(), block_xs.tolist())):
             for k, (dx, dy) in enumerate(offsets):
@@ -465,7 +470,7 @@ class TestEvaluateCandidatesBatch:
     def test_raw_reference_equivalent_to_plane(self):
         ref = textured_plane(48, 64, seed=43)
         cur = shifted_plane(ref, 1, 1)
-        args = (np.array([0, 16, 32]), np.array([16, 0, 48]), np.array([[0, 1, -8]] * 3), np.array([[3, 0, 1]] * 3), 16)
+        args = (np.array([0, 16, 32]), np.array([16, 0, 48]), np.array([[0, 1, -8]] * 3), np.array([[3, 0, 1]] * 3))
         assert np.array_equal(
             evaluate_candidates_batch(cur, ref, *args),
             evaluate_candidates_batch(cur, ReferencePlane.wrap(ref), *args),
@@ -577,7 +582,7 @@ class TestGoldenEstimators:
         from repro.me.metrics import block_activity_map, intra_sad
 
         plane = textured_plane(48, 64, seed=90)
-        amap = block_activity_map(plane, 16)
+        amap = block_activity_map(plane)
         for r in range(3):
             for c in range(4):
                 scalar = intra_sad(plane[16 * r : 16 * r + 16, 16 * c : 16 * c + 16])

@@ -50,10 +50,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"p must be in 1\.\.31"):
             ExperimentConfig(p=p)
 
-    def test_quick_preset_valid(self):
-        config = ExperimentConfig.quick()
-        assert config.frames >= 4
-
 
 class TestFsbmReference:
     def test_paper_constant(self):

@@ -30,7 +30,7 @@ ALL_FAST = [
 
 def context(cur, ref, r=1, c=1):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField.zeros(rows, cols), None, 16, ReferencePlane(ref))
+    return BlockContext(cur, ref, r, c, MotionField.zeros(rows, cols), None, 16, ReferencePlane(ref))
 
 
 def walked(est, ctx):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.video.frame import (
-    CHROMA_BLOCK_SIZE,
     CIF,
     MACROBLOCK_SIZE,
     QCIF,
@@ -90,12 +89,6 @@ class TestFrame:
         np.testing.assert_array_equal(block, frame.y[16:32, 32:48])
         assert block.shape == (MACROBLOCK_SIZE, MACROBLOCK_SIZE)
 
-    def test_chroma_blocks(self):
-        frame = grey_frame(QCIF)
-        cb, cr = frame.chroma_blocks(2, 3)
-        assert cb.shape == (CHROMA_BLOCK_SIZE, CHROMA_BLOCK_SIZE)
-        assert cr.shape == (CHROMA_BLOCK_SIZE, CHROMA_BLOCK_SIZE)
-
     @pytest.mark.parametrize("r,c", [(-1, 0), (0, -1), (9, 0), (0, 11)])
     def test_block_out_of_range(self, r, c):
         frame = grey_frame(QCIF)
@@ -123,10 +116,6 @@ class TestFrame:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(grey_frame(QCIF))
-
-    def test_luma_float_dtype(self):
-        frame = grey_frame(QCIF)
-        assert frame.luma_float().dtype == np.float64
 
     def test_repr(self):
         assert "176x144" in repr(grey_frame(QCIF, index=3))

@@ -14,25 +14,25 @@ from .conftest import integer_pel, shifted_plane, textured_plane
 
 def context(cur, ref, r=1, c=1, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
-    return BlockContext(cur, ref, r, c, 16, MotionField.zeros(rows, cols), None, qp, ReferencePlane(ref))
+    return BlockContext(cur, ref, r, c, MotionField.zeros(rows, cols), None, qp, ReferencePlane(ref))
 
 
 class TestFullSearchSads:
     def test_shape_matches_window(self):
         ref = textured_plane(48, 64)
-        sads, window = full_search_sads(ref, ref, 16, 16, 16, p=7)
+        sads, window = full_search_sads(ref, ref, 16, 16, p=7)
         assert sads.shape == (window.dy_max - window.dy_min + 1, window.dx_max - window.dx_min + 1)
 
     def test_interior_full_count(self):
         ref = textured_plane(96, 96)
-        sads, window = full_search_sads(ref, ref, 40, 40, 16, p=15)
+        sads, window = full_search_sads(ref, ref, 40, 40, p=15)
         assert window.num_positions == 961
         assert sads.size == 961
 
     def test_values_match_direct_sad(self):
         ref = textured_plane(48, 64, seed=30)
         cur = textured_plane(48, 64, seed=31)
-        sads, window = full_search_sads(cur, ref, 16, 16, 16, p=3)
+        sads, window = full_search_sads(cur, ref, 16, 16, p=3)
         block = cur[16:32, 16:32]
         for i, dy in enumerate(range(window.dy_min, window.dy_max + 1)):
             for j, dx in enumerate(range(window.dx_min, window.dx_max + 1)):
@@ -43,14 +43,14 @@ class TestSelectMinimum:
     def test_picks_global_minimum(self):
         ref = textured_plane(64, 64, seed=32)
         cur = shifted_plane(ref, 2, -3)  # true mv = (+3, -2) px
-        sads, window = full_search_sads(cur, ref, 32, 32, 16, p=7)
+        sads, window = full_search_sads(cur, ref, 32, 32, p=7)
         mv, best = select_minimum(sads, window)
         assert mv == MotionVector(6, -4)
         assert best == int(sads.min())
 
     def test_tiebreak_shortest_vector(self):
         flat = np.full((64, 64), 55, dtype=np.uint8)
-        sads, window = full_search_sads(flat, flat, 32, 32, 16, p=5)
+        sads, window = full_search_sads(flat, flat, 32, 32, p=5)
         mv, best = select_minimum(sads, window)
         assert mv == MotionVector.zero()
         assert best == 0

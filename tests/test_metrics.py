@@ -119,7 +119,7 @@ class TestBlockActivityMap:
     def test_matches_per_block_intra_sad(self):
         rng = np.random.default_rng(6)
         plane = rng.integers(0, 256, (48, 64), dtype=np.uint8)
-        amap = block_activity_map(plane, block_size=16)
+        amap = block_activity_map(plane)
         assert amap.shape == (3, 4)
         for r in range(3):
             for c in range(4):
@@ -128,4 +128,4 @@ class TestBlockActivityMap:
 
     def test_rejects_non_multiple(self):
         with pytest.raises(ValueError):
-            block_activity_map(np.zeros((20, 32)), block_size=16)
+            block_activity_map(np.zeros((20, 32)))

@@ -102,17 +102,16 @@ class TestTracer:
         assert event["args"] == {"frame": 3, "bits": 99}
         assert s.duration_s > 0.0
 
-    def test_begin_end_and_instant(self):
+    def test_instant(self):
         trace.TRACER.enable()
-        token = trace.begin("queued", seq=1)
         trace.instant("marker", hit=True)
-        trace.end(token)
-        complete, instant = sorted(trace.TRACER.drain(), key=lambda e: e["ph"])
-        assert complete["name"] == "queued" and complete["ph"] == "X"
+        (instant,) = trace.TRACER.drain()
         assert instant["name"] == "marker" and instant["ph"] == "i"
-        # A disabled begin() yields None and end() must accept it.
+        assert instant["args"] == {"hit": True}
+        # A disabled tracer records nothing.
         trace.TRACER.disable()
-        trace.end(trace.begin("ignored"))
+        trace.instant("ignored")
+        assert trace.TRACER.drain() == []
 
     def test_phases_sum_exactly_and_lay_out_contiguously(self):
         trace.TRACER.enable()

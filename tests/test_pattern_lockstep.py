@@ -6,13 +6,13 @@ TSS, NTSS, 4SS, DS, HEXBS and CDS scored for all macroblocks in one
 exactly the ``(hx, hy, sad, positions)`` that raster-order
 :meth:`search_block` calls give (:func:`repro.reference.estimate_motion`),
 and :meth:`estimate` reports the same field and :class:`SearchStats`.
-Checked over p, the recentring bounds, two block sizes, the integer-pel
-stages alone and planes whose edge and corner windows clamp; on
-hypothesis-drawn random and quantised planes (SAD ties), with p up to
-the envelope edge (31).  The bounds and the block size are class
-constants, pinned here through test subclasses (:func:`pinned`); the
-integer-pel cases swap the half-pel stage for the identity
-(:func:`integer_pel`).
+Checked over p, the recentring bounds, the integer-pel stages alone and
+planes whose edge and corner windows clamp: foreman pairs, and two- and
+three-level planes piecewise constant over 8- or 16-pixel cells (SAD
+ties everywhere); on hypothesis-drawn random and quantised planes, with
+p up to the envelope edge (31).  The bounds are class constants, pinned
+here through test subclasses (:func:`pinned`); the integer-pel cases
+swap the half-pel stage for the identity (:func:`integer_pel`).
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from repro.me.estimator import PatternSearchEstimator, create_estimator
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix, integer_pel, pinned
+from .conftest import backend_matrix, grained, integer_pel, pinned
 
 kernel_backend = backend_matrix()
 
@@ -48,12 +48,11 @@ SEARCHES = (
 SEARCH_IDS = [name + "".join(f"-{v}" for v in kw.values()) for name, kw in SEARCHES]
 
 
-def pattern_search(search, p, block_size=16):
-    """The registered search with its recentring bound and block size
-    pinned."""
+def pattern_search(search, p):
+    """The registered search with its recentring bound pinned."""
     name, constants = search
     cls = type(create_estimator(name))
-    return pinned(cls, block_size=block_size, **constants)(p=p)
+    return pinned(cls, **constants)(p=p)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +63,22 @@ def frame_pairs():
     for width, height in ((96, 80), (48, 64)):
         seq = make_sequence("foreman", frames=2, seed=4, geometry=FrameGeometry(width, height))
         pairs.append((seq[1].y, seq[0].y))
+    return pairs
+
+
+def tie_pairs(grain):
+    """A two-level and a three-level 48x64 pair, each plane piecewise
+    constant over ``grain``-pixel cells (:func:`grained`): at 16 a
+    macroblock is one level, at 8 it spans four cells."""
+    rng = np.random.default_rng(grain)
+    pairs = []
+    for levels in (2, 3):
+        step = 255 // (levels - 1)
+        cur, ref = (
+            grained((rng.integers(0, levels, (48, 64)) * step).astype(np.uint8), grain)
+            for _ in range(2)
+        )
+        pairs.append((cur, ref))
     return pairs
 
 
@@ -92,14 +107,15 @@ def assert_matches_oracle(est, cur, ref):
 
 
 @pytest.mark.parametrize("half_pel", [True, False])
-@pytest.mark.parametrize("block_size", [8, 16])
+@pytest.mark.parametrize("grain", [8, 16])
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 15, 31])
 @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
-def test_lockstep_matches_raster_walk(frame_pairs, search, p, block_size, half_pel, monkeypatch):
+def test_lockstep_matches_raster_walk(frame_pairs, search, p, grain, half_pel, monkeypatch):
+    """The foreman pairs and the ``grain``-cell tie pairs."""
     if not half_pel:
         integer_pel(monkeypatch)
-    est = pattern_search(search, p, block_size)
-    for cur, ref in frame_pairs:
+    est = pattern_search(search, p)
+    for cur, ref in frame_pairs + tie_pairs(grain):
         assert_matches_oracle(est, cur, ref)
 
 
@@ -107,24 +123,25 @@ def test_lockstep_matches_raster_walk(frame_pairs, search, p, block_size, half_p
 @given(
     search=st.sampled_from(SEARCHES),
     p=st.sampled_from([1, 2, 4, 7, 15, 31]),
-    block_size=st.sampled_from([8, 16]),
+    grain=st.sampled_from([1, 8, 16]),
     half_pel=st.booleans(),
     levels=st.sampled_from([2, 3, 256]),
     seed=st.integers(0, 2**16),
 )
-def test_lockstep_matches_on_random_planes(search, p, block_size, half_pel, levels, seed):
-    """Few grey levels make whole neighbourhoods tie on SAD, so every
-    block's best is decided by the shortest-vector key."""
+def test_lockstep_matches_on_random_planes(search, p, grain, half_pel, levels, seed):
+    """Few grey levels, and cells coarser than a pixel, make whole
+    neighbourhoods tie on SAD, so every block's best is decided by the
+    shortest-vector key."""
     rng = np.random.default_rng(seed)
     rows, cols = rng.integers(2, 6, size=2)
-    shape = (int(rows) * block_size, int(cols) * block_size)
+    shape = (int(rows) * 16, int(cols) * 16)
     step = 255 // (levels - 1)
-    cur = (rng.integers(0, levels, shape) * step).astype(np.uint8)
-    ref = (rng.integers(0, levels, shape) * step).astype(np.uint8)
+    cur = grained((rng.integers(0, levels, shape) * step).astype(np.uint8), grain)
+    ref = grained((rng.integers(0, levels, shape) * step).astype(np.uint8), grain)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if not half_pel:
             integer_pel(monkeypatch)
-        assert_matches_oracle(pattern_search(search, p, block_size), cur, ref)
+        assert_matches_oracle(pattern_search(search, p), cur, ref)
 
 
 @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)

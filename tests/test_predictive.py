@@ -61,7 +61,7 @@ class TestGatherPredictors:
 def context(cur, ref, r, c, field=None, prev=None, qp=16):
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
     return BlockContext(
-        cur, ref, r, c, 16, field or MotionField.zeros(rows, cols), prev, qp, ReferencePlane(ref)
+        cur, ref, r, c, field or MotionField.zeros(rows, cols), prev, qp, ReferencePlane(ref)
     )
 
 

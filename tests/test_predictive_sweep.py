@@ -34,7 +34,7 @@ from repro.obs import metrics
 from repro.video.frame import FrameGeometry
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix, integer_pel, pinned, shifted_plane, textured_plane
+from .conftest import backend_matrix, grained, integer_pel, pinned, shifted_plane, textured_plane
 
 kernel_backend = backend_matrix()
 
@@ -79,13 +79,11 @@ def swept(est, cur, ref, prev_field, qp):
     )
 
 
-def pinned_acbm(block_size, refine_steps, **kwargs):
-    """ACBM with its block size, and its embedded PBM stage's block size
-    and ``refine_steps``, pinned (:func:`pinned`)."""
-    est = pinned(ACBMEstimator, block_size=block_size)(**kwargs)
-    est._pbm = pinned(PredictiveEstimator, block_size=block_size, refine_steps=refine_steps)(
-        p=est.p
-    )
+def pinned_acbm(refine_steps, **kwargs):
+    """ACBM with its embedded PBM stage's ``refine_steps`` pinned
+    (:func:`pinned`)."""
+    est = ACBMEstimator(**kwargs)
+    est._pbm = pinned(PredictiveEstimator, refine_steps=refine_steps)(p=est.p)
     return est
 
 
@@ -121,7 +119,7 @@ class TestSweepGolden:
             for half_pel in (False, True):
                 for refine_steps in (0, 2):
                     est = pinned_acbm(
-                        16, refine_steps, p=p, params=PARAMS[params], lagrangian=lagrangian
+                        refine_steps, p=p, params=PARAMS[params], lagrangian=lagrangian
                     )
                     with pytest.MonkeyPatch.context() as monkeypatch:
                         if not half_pel:
@@ -132,11 +130,12 @@ class TestSweepGolden:
                             ), (lagrangian, half_pel, refine_steps, prev is not None)
 
 
-def random_frames(seed: int, rows: int, cols: int, s: int, levels: int, shift):
-    """A smooth textured reference, the current frame a shifted and
-    noisy copy; ``levels`` quantises both to stress SAD ties."""
+def random_frames(seed: int, rows: int, cols: int, grain: int, levels: int, shift):
+    """A smooth textured reference, piecewise constant over
+    ``grain``-pixel cells (:func:`grained`), the current frame a shifted
+    and noisy copy; ``levels`` quantises both to stress SAD ties."""
     gen = np.random.default_rng(seed)
-    ref = textured_plane(rows * s, cols * s, seed=seed)
+    ref = grained(textured_plane(rows * 16, cols * 16, seed=seed), grain)
     cur = shifted_plane(ref, *shift).astype(np.int64)
     cur += gen.integers(-6, 7, cur.shape)
     step = 256 // levels
@@ -152,14 +151,14 @@ half_pel_component = st.one_of(
 
 @st.composite
 def sweep_cases(draw):
-    s = draw(st.sampled_from([8, 16]))
+    grain = draw(st.sampled_from([1, 8, 16]))
     rows = draw(st.integers(min_value=1, max_value=5))
     cols = draw(st.integers(min_value=1, max_value=6))
     frames = random_frames(
         draw(st.integers(min_value=0, max_value=2**16)),
         rows,
         cols,
-        s,
+        grain,
         draw(st.sampled_from([2, 8, 256])),
         (draw(st.integers(-4, 4)), draw(st.integers(-4, 4))),
     )
@@ -173,10 +172,9 @@ def sweep_cases(draw):
     p = draw(st.integers(min_value=1, max_value=31))
     refine_steps = draw(st.integers(min_value=0, max_value=3))
     if draw(st.booleans()):
-        est = pinned(PredictiveEstimator, block_size=s, refine_steps=refine_steps)(p=p)
+        est = pinned(PredictiveEstimator, refine_steps=refine_steps)(p=p)
     else:
         est = pinned_acbm(
-            s,
             refine_steps,
             p=p,
             params=ACBMParameters(
@@ -357,11 +355,11 @@ class TestVectorizedTwins:
         gen = np.random.default_rng(12)
         dx, dy = gen.integers(-3, 4, (2, 3, 5))
         sads = gen.integers(0, 5000, (3, 5))
-        grid = refine_half_pel_batch(cur, plane, dx, dy, sads, 16, 7)
+        grid = refine_half_pel_batch(cur, plane, dx, dy, sads, 7)
         pick = np.array([13, 0, 7, 4])
         r, c = np.divmod(pick, 5)
         subset = refine_half_pel_batch(
-            cur, plane, dx[r, c], dy[r, c], sads[r, c], 16, 7, blocks=(r, c)
+            cur, plane, dx[r, c], dy[r, c], sads[r, c], 7, blocks=(r, c)
         )
         for whole, part in zip(grid, subset):
             assert np.array_equal(whole[r, c], part)

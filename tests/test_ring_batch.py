@@ -104,14 +104,14 @@ class TestACBMSurfaceGolden:
         ref, cur = frame_pair
         kernel = acbm_module.block_sad_surfaces
 
-        def switching(current, reference, mb_rows, mb_cols, s, p):
+        def switching(current, reference, mb_rows, mb_cols, p):
             out = np.empty((len(mb_rows), 2 * p + 1, 2 * p + 1), dtype=np.int32)
             k = min(threshold, len(mb_rows))
             if k < len(mb_rows):
-                out[k:] = kernel(current, reference, mb_rows[k:], mb_cols[k:], s, p)
+                out[k:] = kernel(current, reference, mb_rows[k:], mb_cols[k:], p)
             out[:k] = SURFACE_SENTINEL
             for b, (r, c) in enumerate(zip(mb_rows[:k].tolist(), mb_cols[:k].tolist())):
-                sads, w = full_search_sads(current, reference.luma, r * s, c * s, s, p)
+                sads, w = full_search_sads(current, reference.luma, r * 16, c * 16, p)
                 out[b, w.dy_min + p : w.dy_max + p + 1, w.dx_min + p : w.dx_max + p + 1] = sads
             return out
 

@@ -5,8 +5,6 @@ import pytest
 
 from repro.me.metrics import block_activity_map
 from repro.video.synthesis.texture import (
-    blend,
-    checker_field,
     flat_field,
     gradient_field,
     noise_texture,
@@ -44,17 +42,6 @@ class TestFields:
         with pytest.raises(ValueError):
             stripe_field(8, 8, period=1)
 
-    def test_checker_alternates(self):
-        c = checker_field(32, 32, cell=16, low=0, high=10)
-        assert c[0, 0] == 0.0
-        assert c[0, 16] == 10.0
-        assert c[16, 0] == 10.0
-        assert c[16, 16] == 0.0
-
-    def test_checker_bad_cell(self):
-        with pytest.raises(ValueError):
-            checker_field(8, 8, cell=0)
-
 
 class TestNoiseTexture:
     def test_clipped_to_8bit_range(self):
@@ -78,25 +65,3 @@ class TestNoiseTexture:
         np.testing.assert_array_equal(
             noise_texture(16, 16, seed=9), noise_texture(16, 16, seed=9)
         )
-
-
-class TestBlend:
-    def test_alpha_zero_keeps_base(self):
-        base = np.full((4, 4), 1.0)
-        over = np.full((4, 4), 9.0)
-        np.testing.assert_allclose(blend(base, over, 0.0), base)
-
-    def test_alpha_one_takes_overlay(self):
-        base = np.full((4, 4), 1.0)
-        over = np.full((4, 4), 9.0)
-        np.testing.assert_allclose(blend(base, over, 1.0), over)
-
-    def test_alpha_half_midpoint(self):
-        np.testing.assert_allclose(
-            blend(np.zeros((2, 2)), np.full((2, 2), 10.0), 0.5), np.full((2, 2), 5.0)
-        )
-
-    def test_alpha_array(self):
-        alpha = np.array([[0.0, 1.0]])
-        out = blend(np.zeros((1, 2)), np.full((1, 2), 8.0), alpha)
-        np.testing.assert_allclose(out, [[0.0, 8.0]])
