@@ -8,10 +8,10 @@ emitted bits, not estimates.
 Both sides run on a **word-level cursor**: the writer accumulates bits
 into a Python int and flushes whole bytes in one ``int.to_bytes`` call;
 the reader keeps a shift/mask accumulator refilled eight bytes at a
-time with ``int.from_bytes``, so ``read_bits(n)`` / ``peek_bits(n)``
+time with ``int.from_bytes``, so ``read_bits(n)`` / ``skip_bits(n)``
 cost a handful of integer operations instead of ``n`` per-bit method
-calls.  On top of the plain read/peek/skip surface the reader exposes
-two fused primitives the VLC layer's hot loops are built on:
+calls.  On top of the plain read/skip surface the reader exposes two
+fused primitives the VLC layer's hot loops are built on:
 
 * :meth:`BitReader.read_vlc` — one peek + one lookup-table hit + one
   skip for a whole prefix code (see :class:`repro.codec.vlc.VLCTable`);
@@ -199,18 +199,6 @@ class BitReader:
         self._accumulator &= (1 << keep) - 1
         self._acc_bits = keep
         return value
-
-    def peek_bits(self, count: int) -> int:
-        """The next ``count`` bits without consuming them, zero-padded
-        past the end of the stream (the LUT decode peeks a full window
-        even when the final code is shorter than it)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if self._acc_bits < count:
-            self._refill(count)
-            if self._acc_bits < count:
-                return self._accumulator << (count - self._acc_bits)
-        return self._accumulator >> (self._acc_bits - count)
 
     def skip_bits(self, count: int) -> None:
         """Advance the cursor ``count`` bits (EOFError past the end)."""

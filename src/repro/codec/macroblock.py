@@ -3,14 +3,14 @@
 A macroblock is 16x16 luma + two 8x8 chroma blocks (4:2:0).  This
 module owns the pieces both sides must agree on bit-for-bit:
 
-* luma block splitting order (TL, TR, BL, BR — H.263's block order),
+* luma block order (TL, TR, BL, BR — H.263's block order),
 * the closed-loop reconstruction rule (prediction + residual, rounded
   and clipped — :func:`reconstruct_macroblock`),
 * coded-block patterns (CBPY / MCBPC) from per-block coded flags,
 * chroma motion-vector derivation from the luma vector,
 * TCOEF event serialization (table codes + sign, or escape payload),
-* quantize → events → dequantize round trips for inter and intra
-  blocks.
+* quantize → events (and dequantized coefficients) for inter and
+  intra blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.codec.quantizer import (
 )
 from repro.codec.vlc_tables import (
     ESCAPE,
-    ESCAPE_PAYLOAD_BITS,
     TCOEF_TABLE,
     tcoef_symbol,
 )
@@ -36,7 +35,6 @@ from repro.codec.zigzag import (
     ZIGZAG_INDEX,
     CoefficientEvent,
     block_to_events,
-    events_to_block,
 )
 from repro.me.search_window import clamped_window, half_pel_window
 from repro.me.subpel import half_pel_block
@@ -46,15 +44,8 @@ from repro.me.types import MotionVector
 LUMA_BLOCK_OFFSETS: tuple[tuple[int, int], ...] = ((0, 0), (0, 8), (8, 0), (8, 8))
 
 
-def split_luma_blocks(mb: np.ndarray) -> np.ndarray:
-    """(16,16) macroblock → (4, 8, 8) stack in H.263 block order."""
-    if mb.shape != (16, 16):
-        raise ValueError(f"macroblock must be 16x16, got {mb.shape}")
-    return np.stack([mb[r : r + 8, c : c + 8] for r, c in LUMA_BLOCK_OFFSETS])
-
-
 def join_luma_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_luma_blocks`."""
+    """(4, 8, 8) stack in H.263 block order → (16,16) macroblock."""
     if blocks.shape != (4, 8, 8):
         raise ValueError(f"need (4, 8, 8) stack, got {blocks.shape}")
     mb = np.empty((16, 16), dtype=blocks.dtype)
@@ -229,19 +220,7 @@ def read_block_levels(reader: BitReader, out_flat: np.ndarray, skip_first: int =
             return
 
 
-def events_bits(events: list[CoefficientEvent]) -> int:
-    """Exact coded length without writing (used by rate probes)."""
-    total = 0
-    for event in events:
-        symbol = tcoef_symbol(event)
-        if symbol is ESCAPE:
-            total += TCOEF_TABLE.code_length(ESCAPE) + ESCAPE_PAYLOAD_BITS
-        else:
-            total += TCOEF_TABLE.code_length(symbol) + 1
-    return total
-
-
-# -- inter / intra block round trips -------------------------------------
+# -- inter / intra block coding ------------------------------------------
 
 
 def code_inter_block(dct_coefficients: np.ndarray, qp: int) -> tuple[list[CoefficientEvent], np.ndarray]:
@@ -250,12 +229,6 @@ def code_inter_block(dct_coefficients: np.ndarray, qp: int) -> tuple[list[Coeffi
     levels = quantize_inter(dct_coefficients, qp)
     events = block_to_events(levels)
     return events, dequantize(levels, qp)
-
-
-def decode_inter_block(events: list[CoefficientEvent], qp: int) -> np.ndarray:
-    """Events → reconstructed residual DCT coefficients."""
-    levels = events_to_block(events) if events else np.zeros((8, 8), dtype=np.int64)
-    return dequantize(levels, qp)
 
 
 def code_intra_block(
@@ -273,14 +246,3 @@ def code_intra_block(
     recon = dequantize(ac_levels, qp)
     recon[0, 0] = float(dequantize_intra_dc(dc_level))
     return dc_level, events, recon
-
-
-def decode_intra_block(dc_level: int, events: list[CoefficientEvent], qp: int) -> np.ndarray:
-    levels = (
-        events_to_block(events, skip_first=1)
-        if events
-        else np.zeros((8, 8), dtype=np.int64)
-    )
-    recon = dequantize(levels, qp)
-    recon[0, 0] = float(dequantize_intra_dc(dc_level))
-    return recon

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codec.bitstream import BitReader, BitWriter
-from repro.codec.vlc import read_se_golomb, se_golomb_arrays, se_golomb_bits, se_golomb_code
+from repro.codec.bitstream import BitWriter
+from repro.codec.vlc import se_golomb_code
 from repro.me.types import MotionField, MotionVector
 
 
@@ -69,17 +69,6 @@ def predict_mv_arrays(
     return out[0], out[1]
 
 
-def mvd_bits(mv: MotionVector, predictor: MotionVector) -> int:
-    """Exact bit cost of coding ``mv`` against ``predictor``."""
-    d = mv - predictor
-    return se_golomb_bits(d.hx) + se_golomb_bits(d.hy)
-
-
-def mvd_bits_arrays(dhx: np.ndarray, dhy: np.ndarray) -> np.ndarray:
-    """:func:`mvd_bits` of many differential vectors ``(dhx, dhy)``."""
-    return se_golomb_arrays(dhx)[1] + se_golomb_arrays(dhy)[1]
-
-
 def write_mvd(writer: BitWriter, mv: MotionVector, predictor: MotionVector) -> int:
     """Emit the MVD; returns bits written."""
     d = mv - predictor
@@ -87,11 +76,3 @@ def write_mvd(writer: BitWriter, mv: MotionVector, predictor: MotionVector) -> i
     writer.write_code(se_golomb_code(d.hx))
     writer.write_code(se_golomb_code(d.hy))
     return writer.bit_count - before
-
-
-def read_mvd(reader: BitReader, predictor: MotionVector) -> MotionVector:
-    """Decode one vector given its predictor."""
-    dhx = read_se_golomb(reader)
-    dhy = read_se_golomb(reader)
-    return MotionVector(predictor.hx + dhx, predictor.hy + dhy)
-

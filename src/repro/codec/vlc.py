@@ -13,10 +13,10 @@ which the test suite checks.
 Decoding is **table-driven**: every :class:`VLCTable` compiles its
 canonical codes into a peek-indexed lookup table at construction —
 ``LUT_FIRST_BITS`` bits of first level, nested sub-tables for longer
-codes — so :meth:`VLCTable.decode` is one
-:meth:`~repro.codec.bitstream.BitReader.read_vlc` call (peek + table
-hit + skip) instead of a per-bit tree walk, and an exp-Golomb code is
-one 64-bit peek.  The seed per-bit walks they are checked against live
+codes — so decoding a symbol is one
+:meth:`~repro.codec.bitstream.BitReader.read_vlc` call on
+:attr:`VLCTable.lut` (peek + table hit + skip) instead of a per-bit
+tree walk, and an exp-Golomb code is one 64-bit peek.  The seed per-bit walks they are checked against live
 in :mod:`repro.reference`.
 """
 
@@ -158,10 +158,8 @@ class VLCTable(Generic[Symbol]):
 
     @property
     def lut(self) -> list:
-        """The compiled decode LUT (see :meth:`_build_lut`) — exposed so
-        hot parse loops can call ``reader.read_vlc(table.lut,
-        table.lut_first_bits)`` directly, skipping the dispatch in
-        :meth:`decode`."""
+        """The compiled decode LUT (see :meth:`_build_lut`): a symbol
+        decodes as ``reader.read_vlc(table.lut, table.lut_first_bits)``."""
         _MET_LUT_HITS.inc()
         return self._lut
 
@@ -181,18 +179,6 @@ class VLCTable(Generic[Symbol]):
             return self._codes[symbol]
         except KeyError:
             raise KeyError(f"symbol {symbol!r} not in VLC table") from None
-
-    def code_length(self, symbol: Symbol) -> int:
-        return self.encode(symbol)[1]
-
-    def decode(self, reader) -> Symbol:
-        """Pull one symbol off a :class:`~repro.codec.bitstream.BitReader`
-        through the LUT (one peek + one table hit)."""
-        return reader.read_vlc(self._lut, self._lut_bits)
-
-    def kraft_sum(self) -> float:
-        """Σ 2^-len over all codes; exactly 1.0 for a complete code."""
-        return sum(2.0 ** -length for _, length in self._codes.values())
 
     def items(self) -> Iterable[tuple[Symbol, tuple[int, int]]]:
         return self._codes.items()
@@ -214,11 +200,6 @@ def se_golomb_code(value: int) -> tuple[int, int]:
     """Signed exp-Golomb mapping 0,+1,−1,+2,−2,… → 0,1,2,3,4,…"""
     mapped = 2 * value - 1 if value > 0 else -2 * value
     return ue_golomb_code(mapped)
-
-
-def se_golomb_bits(value: int) -> int:
-    """Length in bits of the signed exp-Golomb code for ``value``."""
-    return se_golomb_code(value)[1]
 
 
 def ue_golomb_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,21 +241,3 @@ def read_ue_golomb_bitwise(reader) -> int:
     for _ in range(zeros):
         value = (value << 1) | reader.read_bit()
     return value - 1
-
-
-def read_ue_golomb(reader) -> int:
-    """Unsigned exp-Golomb in one 64-bit peek
-    (:meth:`repro.codec.bitstream.BitReader.read_ue`).  Degenerate
-    codes — over-long prefixes, truncated streams — go to the bitwise
-    loop, so error behaviour is the seed's."""
-    value = reader.read_ue()
-    if value < 0:
-        return read_ue_golomb_bitwise(reader)
-    return value
-
-
-def read_se_golomb(reader) -> int:
-    mapped = read_ue_golomb(reader)
-    if mapped % 2:
-        return (mapped + 1) // 2
-    return -(mapped // 2)

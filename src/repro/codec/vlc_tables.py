@@ -72,14 +72,6 @@ def tcoef_symbol(event: CoefficientEvent):
     return ESCAPE
 
 
-def tcoef_event_bits(event: CoefficientEvent) -> int:
-    """Exact coded length of one event, including sign / escape payload."""
-    symbol = tcoef_symbol(event)
-    if symbol is ESCAPE:
-        return TCOEF_TABLE.code_length(ESCAPE) + ESCAPE_PAYLOAD_BITS
-    return TCOEF_TABLE.code_length(symbol) + 1  # + sign bit
-
-
 # -- CBPY / MCBPC --------------------------------------------------------
 
 

@@ -8,12 +8,8 @@ Per 16x16 macroblock:
 3. Classify with the two acceptance conditions
    (:func:`repro.core.classifier.classify_block`).
 4. If critical, run the full search (with its own half-pel step) and
-   keep whichever vector wins the arbitration (plain SAD by default;
-   optionally the paper's Section 2.1 Lagrangian
-   ``J = SAD + λ(Qp)·R(mvd)``, which slightly favours the predictive
-   vector's cheaper differential coding — the mechanism behind ACBM's
-   "slightly better rate-distortion than FSBM").  The arbitration is
-   strict: the full-search vector must cost *less*.
+   keep the full-search vector only when its SAD is strictly lower
+   than ``SAD_PBM``: on a tie the predictive vector stays.
 
 Cost accounting follows the paper: the positions charged to a block are
 the predictive search's evaluations plus — only on critical blocks —
@@ -29,8 +25,7 @@ byte for byte, for the reasons the
 :mod:`repro.me.predictive` docstring gives: the predictive stage's best
 is the lexicographic minimum of ``(SAD, max(|dx|, |dy|), |dy|, |dx|,
 dy, dx)`` over the visited set, and a block reads the field being built
-only at its left, top-left, top and top-right neighbours (the
-Lagrangian median predictor reads a subset of them), so the sweeps
+only at its left, top-left, top and top-right neighbours, so the sweeps
 converge to the raster walk's unique fixed point.  ``Intra_SAD`` is
 exact in float64 in any summation order (every term is a multiple of
 2⁻⁸ and bounded), so the classifier sees identical inputs.  The full
@@ -47,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec.mv_coding import mvd_bits, mvd_bits_arrays, predict_mv, predict_mv_arrays
 from repro.core.classifier import (
     CRITICAL_CODE,
     DECISIONS,
@@ -56,7 +50,6 @@ from repro.core.classifier import (
     classify_blocks,
 )
 from repro.core.parameters import ACBMParameters
-from repro.me.cost import lagrange_lambda
 from repro.me.engine.kernels import block_sad_surfaces, refine_half_pel_batch, select_minima
 from repro.me.engine.reference_plane import ReferencePlane
 from repro.me.estimator import BlockContext, MotionEstimator, register_estimator
@@ -95,11 +88,9 @@ class ACBMEstimator(MotionEstimator):
         evaluates p=15.
     params:
         α/β/γ configuration; defaults to the paper's tuned values.
-    lagrangian:
-        When True, critical blocks pick between the predictive and the
-        full-search vector by ``J = SAD + λ(Qp)·R(mvd)`` (differential
-        MV bits against the H.263 median predictor) instead of raw SAD.
-        Off by default — the paper's base algorithm compares SADs.
+
+    A critical block takes the full-search vector only when its SAD is
+    strictly lower than the predictive one's.
 
     The frame driver (:meth:`sweep`) surfaces only the critical blocks,
     each once per frame, through the block-list kernel;
@@ -111,26 +102,12 @@ class ACBMEstimator(MotionEstimator):
     (15, 1000.0, 8.0, 0.25)
     """
 
-    def __init__(
-        self,
-        p: int = 15,
-        params: ACBMParameters | None = None,
-        lagrangian: bool = False,
-    ) -> None:
+    def __init__(self, p: int = 15, params: ACBMParameters | None = None) -> None:
         super().__init__(p=p)
         self.params = params if params is not None else ACBMParameters.paper_defaults()
-        self.lagrangian = lagrangian
         # The embedded predictive stage: SAD_PBM is the (half-pel) SAD
         # of the vector PBM would actually deliver.
         self._pbm = PredictiveEstimator(p=p)
-
-    def _vector_cost(self, sad: int, mv: MotionVector, ctx: BlockContext) -> float:
-        """Arbitration metric between candidate vectors on a critical
-        block: raw SAD, or the Lagrangian J when enabled."""
-        if not self.lagrangian:
-            return float(sad)
-        predictor = predict_mv(ctx.field, ctx.mb_row, ctx.mb_col)
-        return float(sad) + lagrange_lambda(ctx.qp) * mvd_bits(mv, predictor)
 
     def search_block(self, ctx: BlockContext) -> BlockResult:
         activity = intra_sad(ctx.block)
@@ -151,7 +128,7 @@ class ACBMEstimator(MotionEstimator):
             )
             positions += window.num_positions + extra
             used_full_search = True
-            if self._vector_cost(fs_sad, fs_mv, ctx) < self._vector_cost(best_sad, mv, ctx):
+            if fs_sad < best_sad:
                 _MET_FS_WINS.inc()
                 mv, best_sad = fs_mv, fs_sad
         return ACBMBlockResult(
@@ -186,18 +163,9 @@ class ACBMEstimator(MotionEstimator):
             fs_won = np.zeros(idx.size, dtype=bool)
             out_hx, out_hy, out_sad = pbm_hx.copy(), pbm_hy.copy(), pbm_sad.copy()
             if critical.any():
-                crit_idx = idx[critical]
-                fs_hx, fs_hy, fs_sad, fs_positions = full_search(crit_idx)
+                fs_hx, fs_hy, fs_sad, fs_positions = full_search(idx[critical])
                 positions[critical] += fs_positions
-                fs_cost, pbm_cost = fs_sad, pbm_sad[critical]
-                if self.lagrangian:
-                    lam = lagrange_lambda(qp)
-                    pred_hx, pred_hy = predict_mv_arrays(hx, hy, *np.divmod(crit_idx, cols))
-                    fs_cost = fs_cost + lam * mvd_bits_arrays(fs_hx - pred_hx, fs_hy - pred_hy)
-                    pbm_cost = pbm_cost + lam * mvd_bits_arrays(
-                        pbm_hx[critical] - pred_hx, pbm_hy[critical] - pred_hy
-                    )
-                wins = fs_cost < pbm_cost
+                wins = fs_sad < pbm_sad[critical]
                 fs_won[critical] = wins
                 out_hx[fs_won], out_hy[fs_won], out_sad[fs_won] = fs_hx[wins], fs_hy[wins], fs_sad[wins]
             return out_hx, out_hy, out_sad, positions, codes, fs_won

@@ -120,15 +120,6 @@ class Fig4Result:
             raise ValueError("no observations recorded")
         return self.class_counts().get(0, 0) / len(self.observations)
 
-    def scatter(self, error_class: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Intra_SAD, SAD_deviation) arrays for one error class — the
-        raw data behind one of Fig. 4's six panels."""
-        obs = self.classes().get(error_class, [])
-        return (
-            np.array([o.intra_sad for o in obs]),
-            np.array([o.sad_deviation for o in obs], dtype=np.int64),
-        )
-
     def as_text(self) -> str:
         rows = []
         means = self.class_means()

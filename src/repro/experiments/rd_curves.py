@@ -90,18 +90,6 @@ class RDSweepResult:
             self.curve(sequence, fps, estimator_b)
         )
 
-    def acbm_positions(self, sequence: str, fps: int, qp: int) -> float:
-        """Table 1 cell: ACBM average positions/MB."""
-        for c in self.cells:
-            if (
-                c.sequence == sequence
-                and c.fps == fps
-                and c.qp == qp
-                and c.estimator == "acbm"
-            ):
-                return c.avg_positions
-        raise ValueError(f"no ACBM cell for ({sequence}, {fps} fps, qp={qp})")
-
     def as_text(self, fps: int) -> str:
         blocks = []
         for seq, curves in self.figure(fps).items():

@@ -166,8 +166,7 @@ def split_frame_blocks(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndar
     """(Y, Cb, Cr) planes → the ``(rows, cols, 6, 8, 8)`` float64 block
     grid, each macroblock's blocks in H.263 order (Y0..Y3 as TL, TR, BL,
     BR, then Cb, Cr) — the inverse of :func:`tile_luma_blocks` /
-    :func:`tile_blocks`, and the whole-frame
-    :func:`repro.codec.macroblock.split_luma_blocks`."""
+    :func:`tile_blocks`."""
     rows, cols = y.shape[0] // 16, y.shape[1] // 16
     if y.shape != (16 * rows, 16 * cols) or cb.shape != cr.shape or cb.shape != (8 * rows, 8 * cols):
         raise ValueError(f"planes {y.shape}/{cb.shape}/{cr.shape} do not form a 4:2:0 macroblock grid")

@@ -61,10 +61,6 @@ class FrameGeometry:
         return self.height // MACROBLOCK_SIZE
 
     @property
-    def mb_count(self) -> int:
-        return self.mb_cols * self.mb_rows
-
-    @property
     def pixels(self) -> int:
         """Luma pixel count."""
         return self.width * self.height
@@ -140,23 +136,6 @@ class Frame:
     def height(self) -> int:
         return self.y.shape[0]
 
-    # -- block access -------------------------------------------------
-
-    def luma_block(self, mb_row: int, mb_col: int, size: int = MACROBLOCK_SIZE) -> np.ndarray:
-        """Return a view of the ``size``x``size`` luma block at macroblock
-        grid coordinates ``(mb_row, mb_col)``."""
-        self._check_mb(mb_row, mb_col, size)
-        r, c = mb_row * size, mb_col * size
-        return self.y[r : r + size, c : c + size]
-
-    def _check_mb(self, mb_row: int, mb_col: int, size: int) -> None:
-        rows = self.height // size
-        cols = self.width // size
-        if not (0 <= mb_row < rows and 0 <= mb_col < cols):
-            raise IndexError(
-                f"macroblock ({mb_row}, {mb_col}) outside {rows}x{cols} grid"
-            )
-
     # -- conversions --------------------------------------------------
 
     def copy(self) -> "Frame":
@@ -176,9 +155,3 @@ class Frame:
 
     def __repr__(self) -> str:
         return f"Frame({self.width}x{self.height}, index={self.index})"
-
-
-def grey_frame(geometry: FrameGeometry = QCIF, value: int = 128, index: int = 0) -> Frame:
-    """A uniform frame — useful as a test fixture and synthesis base."""
-    y = np.full((geometry.height, geometry.width), value, dtype=np.uint8)
-    return Frame(y, index=index)

@@ -69,11 +69,6 @@ class Sequence:
     def geometry(self) -> FrameGeometry:
         return self._frames[0].geometry
 
-    @property
-    def duration(self) -> float:
-        """Sequence length in seconds."""
-        return len(self._frames) / self.fps
-
     # -- derivations ---------------------------------------------------
 
     def subsample(self, factor: int) -> "Sequence":

@@ -10,7 +10,7 @@ paths while the sequence presets use eased or oscillating ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -175,26 +175,5 @@ def bounce_path(
             reflect(sy + vy * i, y_min, y_max),
             reflect(sx + vx * i, x_min, x_max),
         )
-
-    return path
-
-
-def piecewise_path(segments: Sequence[tuple[int, Trajectory]]) -> Trajectory:
-    """Chain trajectories: each ``(start_frame, trajectory)`` pair takes
-    over from its start frame, evaluated with a segment-local index."""
-    if not segments:
-        raise ValueError("piecewise_path needs at least one segment")
-    starts = [s for s, _ in segments]
-    if starts != sorted(starts) or starts[0] != 0:
-        raise ValueError("segments must start at 0 and be sorted by start frame")
-
-    def path(i: int) -> tuple[float, float]:
-        active_start, active_traj = segments[0]
-        for start, traj in segments:
-            if i >= start:
-                active_start, active_traj = start, traj
-            else:
-                break
-        return active_traj(i - active_start)
 
     return path

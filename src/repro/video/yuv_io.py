@@ -71,21 +71,6 @@ def iter_yuv_frames(
             yield Frame(y.copy(), cb.copy(), cr.copy(), index=index)
 
 
-def read_yuv(
-    path: str | os.PathLike,
-    geometry: FrameGeometry,
-    fps: float = 30.0,
-    max_frames: int | None = None,
-    name: str = "",
-) -> Sequence:
-    """Load a raw 4:2:0 file into a :class:`Sequence` (``max_frames``
-    bounds the ingest; the rest of the file is never read)."""
-    frames = list(iter_yuv_frames(path, geometry, max_frames=max_frames))
-    if not frames:
-        raise ValueError(f"{path}: no frames read")
-    return Sequence(frames, fps=fps, name=name or os.path.basename(os.fspath(path)))
-
-
 def write_yuv(path: str | os.PathLike, sequence: Sequence) -> int:
     """Write a sequence as raw planar 4:2:0.  Returns bytes written."""
     written = 0

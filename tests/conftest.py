@@ -13,7 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.video.frame import Frame, FrameGeometry
+from repro.codec.vlc import read_ue_golomb_bitwise
+from repro.video.frame import QCIF, Frame, FrameGeometry
 from repro.video.sequence import Sequence
 
 #: Small but non-trivial geometry: 4x3 macroblocks.
@@ -175,6 +176,35 @@ def instrumentation_bypassed():
     finally:
         for owner, name, original in saved:
             setattr(owner, name, original)
+
+
+def grey_frame(geometry: FrameGeometry = QCIF, value: int = 128, index: int = 0) -> Frame:
+    """A uniform frame."""
+    return Frame(np.full((geometry.height, geometry.width), value, dtype=np.uint8), index=index)
+
+
+def split_luma_blocks(mb: np.ndarray) -> np.ndarray:
+    """(16,16) macroblock → (4, 8, 8) stack in H.263 block order (TL,
+    TR, BL, BR): the oracle that
+    :func:`repro.codec.macroblock.join_luma_blocks` and the whole-frame
+    tilers invert."""
+    return np.stack([mb[r : r + 8, c : c + 8] for r in (0, 8) for c in (0, 8)])
+
+
+def read_ue_golomb(reader) -> int:
+    """The decoders' ue(v) read: one 64-bit peek
+    (:meth:`repro.codec.bitstream.BitReader.read_ue`), handing a code
+    it declines (over-long prefix, truncated stream) to the seed
+    bitwise reader, whose errors are the contract."""
+    value = reader.read_ue()
+    return read_ue_golomb_bitwise(reader) if value < 0 else value
+
+
+def read_se_golomb(reader) -> int:
+    """The decoders' se(v) read: :func:`read_ue_golomb` mapped
+    0, 1, 2, 3, 4, … → 0, +1, −1, +2, −2, …"""
+    mapped = read_ue_golomb(reader)
+    return (mapped + 1) // 2 if mapped % 2 else -(mapped // 2)
 
 
 def grained(plane: np.ndarray, grain: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.acbm import ACBMBlockResult, ACBMEstimator
 from repro.core.parameters import ACBMParameters
 from repro.me.engine.reference_plane import ReferencePlane
@@ -10,6 +11,7 @@ from repro.me.estimator import BlockContext
 from repro.me.full_search import FullSearchEstimator
 from repro.me.predictive import PredictiveEstimator
 from repro.me.types import MotionField, MotionVector
+from repro.obs import metrics
 
 from .conftest import shifted_plane, textured_plane
 
@@ -129,29 +131,51 @@ class TestCostAccounting:
         assert costs[30] <= costs[22] <= costs[16]
 
 
-class TestLagrangianArbitration:
-    def test_default_is_sad_arbitration(self):
-        assert not ACBMEstimator().lagrangian
+class TestArbitration:
+    def test_ties_keep_the_predictive_vector(self, monkeypatch):
+        """A critical block takes the full-search vector only when its SAD
+        is strictly lower.  The reference repeats every 4 columns and the
+        current frame is it shifted 2 px, so +2 px and -2 px both match
+        exactly.  PBM, seeded with +2 px (hx = 4), stops there at SAD 0;
+        the full search's shortest-vector tie-break takes hx = -4 at the
+        same SAD.  Both drivers must keep PBM's vector on those ties, and
+        ``me.acbm.fs_wins`` must count only strict wins."""
+        rng = np.random.default_rng(5)
+        ref = np.tile(rng.integers(40, 216, size=(48, 4)), (1, 16)).astype(np.uint8)
+        cur = shifted_plane(ref, 0, -2)
+        prev = MotionField(np.full((3, 4), 4), np.zeros((3, 4), np.int64))
+        est = ACBMEstimator(p=7, params=ACBMParameters.always_full_search())
+        _, _, fs_blocks = reference.estimate_motion(FullSearchEstimator(p=7), cur, ref)
+        fs_wins = metrics.counter("me.acbm.fs_wins")
 
-    def test_lagrangian_prefers_cheap_vector_on_ties(self):
-        """On flat content every candidate ties at SAD ~0; the
-        Lagrangian tie-break must keep the (free) predictive vector."""
-        flat = np.full((48, 64), 128, dtype=np.uint8)
-        est = ACBMEstimator(
-            p=7, params=ACBMParameters.always_full_search(), lagrangian=True
-        )
-        result = est.search_block(context(flat, flat, qp=30))
-        assert result.used_full_search
-        assert result.mv == MotionVector.zero()
+        # The oracle walk's PBM-stage vector of each block, in raster order.
+        pbm_mvs = []
+        pbm_search = est._pbm.search_block
 
-    def test_lagrangian_encode_not_worse_rd(self):
-        """With J-based arbitration the encode's rate never exceeds the
-        SAD-arbitrated one by more than noise, at equal-or-better cost."""
-        from repro.codec.encoder import encode_sequence
-        from repro.video.synthesis.sequences import make_sequence
+        def recording(ctx):
+            result = pbm_search(ctx)
+            pbm_mvs.append(result.mv)
+            return result
 
-        seq = make_sequence("foreman", frames=5)
-        plain = encode_sequence(seq, qp=20, estimator=ACBMEstimator(p=15))
-        lagr = encode_sequence(seq, qp=20, estimator=ACBMEstimator(p=15, lagrangian=True))
-        assert lagr.rate_kbps <= plain.rate_kbps * 1.01
-        assert lagr.mean_psnr_y >= plain.mean_psnr_y - 0.1
+        monkeypatch.setattr(est._pbm, "search_block", recording)
+        before = fs_wins.value
+        oracle, _, blocks = reference.estimate_motion(est, cur, ref, prev, qp=16)
+        oracle_wins = fs_wins.value - before
+
+        ties = [i for i, (b, fs) in enumerate(zip(blocks, fs_blocks)) if fs.sad == b.sad_pbm]
+        moved = [i for i in ties if fs_blocks[i].mv != pbm_mvs[i]]
+        assert len(moved) >= 3
+        for i in moved:
+            assert (pbm_mvs[i], fs_blocks[i].mv) == (MotionVector(4, 0), MotionVector(-4, 0))
+        for i in ties:
+            assert blocks[i].mv == pbm_mvs[i] and blocks[i].sad == blocks[i].sad_pbm
+        strict = sum(fs.sad < b.sad_pbm for b, fs in zip(blocks, fs_blocks))
+        assert oracle_wins == strict
+
+        before = fs_wins.value
+        field, stats = est.estimate(cur, ref, prev, qp=16)
+        assert fs_wins.value - before == strict
+        assert stats.full_search_blocks == 12
+        for i in ties:
+            assert MotionVector(field.hx.flat[i], field.hy.flat[i]) == pbm_mvs[i]
+        assert np.array_equal(field.hx, oracle.hx) and np.array_equal(field.hy, oracle.hy)

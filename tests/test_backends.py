@@ -159,7 +159,7 @@ class TestPackedLut:
                 data, 0, 8 * len(data), PACKED_TCOEF, TCOEF_FIRST_BITS
             )
             assert sym_id == tcoef_symbol_id(symbol)
-            assert new_pos == TCOEF_TABLE.code_length(symbol)
+            assert new_pos == TCOEF_TABLE.encode(symbol)[1]
             reader = BitReader(writer.getvalue())
             assert reader.read_vlc(TCOEF_TABLE.lut, TCOEF_TABLE.lut_first_bits) == symbol
 
@@ -184,7 +184,7 @@ class TestPackedLut:
         writer = BitWriter()
         writer.write_code(TCOEF_TABLE.encode(symbol))
         data = np.frombuffer(writer.getvalue(), dtype=np.uint8)
-        nbits = TCOEF_TABLE.code_length(symbol) - 1  # one bit short
+        nbits = TCOEF_TABLE.encode(symbol)[1] - 1  # one bit short
         sym_id, _pos = k_read_vlc(data, 0, nbits, PACKED_TCOEF, TCOEF_FIRST_BITS)
         assert sym_id == -1
 

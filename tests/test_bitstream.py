@@ -3,6 +3,7 @@
 import pytest
 
 from repro.codec.bitstream import BitReader, BitWriter
+from repro.codec.vlc import VLCTable
 from repro.reference import ScalarBitReader
 
 
@@ -147,15 +148,27 @@ class TestBitReader:
 
 class TestPeekSkip:
     def test_peek_does_not_consume(self):
+        """``read_vlc`` peeks a whole LUT window but consumes only the
+        code it decodes."""
+        table = VLCTable(["a", "b"], [1.0, 1.0])
+        one = next(sym for sym, code in table.items() if code == (1, 1))
         r = BitReader(bytes([0b10110100]))
-        assert r.peek_bits(3) == 0b101
-        assert r.peek_bits(3) == 0b101
-        assert r.bits_consumed == 0
-        assert r.read_bits(3) == 0b101
+        assert r.read_vlc(table.lut, table.lut_first_bits) == one
+        assert r.bits_consumed == 1
+        assert r.read_bits(3) == 0b011
 
     def test_peek_zero_pads_past_eof(self):
-        r = BitReader(bytes([0xFF]))
-        assert r.peek_bits(16) == 0xFF00
+        """The window reads zeros past the last byte, so a final code
+        shorter than the window still decodes; a code past it is EOF."""
+        table = VLCTable(["a", "b"], [1.0, 1.0])
+        symbols = list("abbababa")
+        w = BitWriter()
+        for sym in symbols:
+            w.write_code(table.encode(sym))
+        r = BitReader(w.getvalue())
+        assert [r.read_vlc(table.lut, table.lut_first_bits) for _ in symbols] == symbols
+        with pytest.raises(EOFError):
+            r.read_vlc(table.lut, table.lut_first_bits)
 
     def test_skip_then_read(self):
         r = BitReader(bytes([0b10110100, 0b11001010]))
@@ -170,8 +183,6 @@ class TestPeekSkip:
 
     def test_negative_counts(self):
         r = BitReader(b"\x00")
-        with pytest.raises(ValueError):
-            r.peek_bits(-1)
         with pytest.raises(ValueError):
             r.skip_bits(-1)
 

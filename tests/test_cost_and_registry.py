@@ -1,32 +1,9 @@
-"""Unit tests for repro.me.cost and the estimator registry."""
+"""Unit tests for the estimator registry and constructor envelope."""
 
 import pytest
 
-from repro.codec.mv_coding import mvd_bits
-from repro.me.cost import LAMBDA_SCALE, lagrange_lambda
+from repro.core.parameters import ACBMParameters
 from repro.me.estimator import available_estimators, create_estimator
-from repro.me.types import MotionVector
-
-
-class TestLagrange:
-    def test_lambda_linear_in_qp_for_sad_domain(self):
-        assert lagrange_lambda(10) == pytest.approx(LAMBDA_SCALE * 10)
-
-    def test_qp_range_enforced(self):
-        with pytest.raises(ValueError):
-            lagrange_lambda(0)
-        with pytest.raises(ValueError):
-            lagrange_lambda(32)
-
-    def test_cheaper_vector_wins_at_high_qp(self):
-        """The Lagrangian trade-off ACBM's arbitration computes, ``J =
-        SAD + λ(Qp)·R(mvd)``: at coarse Qp, a slightly worse SAD with a
-        much cheaper MVD gives lower J — the PBM advantage the paper
-        describes."""
-        pred = MotionVector.zero()
-        smooth = 520 + lagrange_lambda(30) * mvd_bits(MotionVector(0, 0), pred)
-        jagged = 500 + lagrange_lambda(30) * mvd_bits(MotionVector(20, -14), pred)
-        assert smooth < jagged
 
 
 #: Settings outside the batched kernels' envelope: p beyond 1..31 (the
@@ -49,10 +26,11 @@ def test_constructor_rejects_outside_envelope(name, key, value):
 @pytest.mark.parametrize("name", available_estimators())
 def test_constructor_takes_no_geometry_or_step_knobs(name):
     """Block size, half-pel and the search-step bounds are constants:
-    16x16 macroblocks, half-pel always on."""
+    16x16 macroblocks, half-pel always on.  ACBM has one arbitration
+    (strict SAD), so no estimator takes a ``lagrangian`` switch."""
     est = create_estimator(name)
     assert est.p == 15 and not hasattr(est, "block_size")
-    for knob in ("block_size", "half_pel", "refine_steps", "max_recentres"):
+    for knob in ("block_size", "half_pel", "refine_steps", "max_recentres", "lagrangian"):
         with pytest.raises(TypeError, match=knob):
             create_estimator(name, **{knob: 1})
 
@@ -76,8 +54,9 @@ class TestRegistry:
         assert "hexbs" in available_estimators()
 
     def test_kwargs_forwarded(self):
-        est = create_estimator("acbm", p=9, lagrangian=True)
-        assert (est.p, est.lagrangian) == (9, True)
+        params = ACBMParameters(alpha=0, beta=0, gamma=0)
+        est = create_estimator("acbm", p=9, params=params)
+        assert (est.p, est.params) == (9, params)
 
     def test_duplicate_registration_rejected(self):
         from repro.me.estimator import register_estimator

@@ -9,10 +9,10 @@ from repro.me.estimator import MotionEstimator
 from repro.me.full_search import FullSearchEstimator
 from repro.me.stats import SearchStats
 from repro.me.types import MotionField
-from repro.video.frame import QCIF, Frame, FrameGeometry, grey_frame
+from repro.video.frame import QCIF, Frame, FrameGeometry
 from repro.video.sequence import Sequence
 
-from .conftest import shifted_plane, textured_plane
+from .conftest import grey_frame, shifted_plane, textured_plane
 
 SMALL = FrameGeometry(64, 48)
 
@@ -98,13 +98,13 @@ class TestEncode:
     def test_search_stats_merged_over_p_frames(self):
         result = encode_sequence(small_sequence(4), qp=12, estimator="pbm")
         stats = result.search_stats
-        assert stats.blocks == 3 * SMALL.mb_count  # 3 P-frames x 12 MBs
+        assert stats.blocks == 3 * SMALL.mb_rows * SMALL.mb_cols  # 3 P-frames x 12 MBs
 
     def test_static_scene_mostly_skipped(self):
         frames = [grey_frame(SMALL, value=90, index=i) for i in range(3)]
         result = encode_sequence(Sequence(frames, fps=30), qp=10, estimator="pbm")
         p_frames = [f for f in result.frames if f.frame_type == "P"]
-        assert all(f.skipped_mbs == SMALL.mb_count for f in p_frames)
+        assert all(f.skipped_mbs == SMALL.mb_rows * SMALL.mb_cols for f in p_frames)
         # A fully skipped P frame costs the header + 1 bit per MB.
         assert all(f.bits < 100 for f in p_frames)
 

@@ -115,10 +115,9 @@ class TestFig4:
         assert all(o.error_class == 0 for o in inner)
 
     def test_scatter_arrays_match_counts(self, result):
-        counts = result.class_counts()
-        for cls, count in counts.items():
-            isad, dev = result.scatter(cls)
-            assert len(isad) == len(dev) == count
+        """Each error class's dots (one Fig. 4 panel) number its count."""
+        classes = result.classes()
+        assert {cls: len(obs) for cls, obs in classes.items()} == result.class_counts()
 
     def test_as_text_renders(self, result):
         text = result.as_text()
@@ -147,6 +146,15 @@ QUICK = ExperimentConfig(
 )
 
 
+def acbm_positions(sweep, sequence: str, fps: int, qp: int) -> float:
+    """The ACBM cell's average positions per MB: a Table 1 entry."""
+    (cell,) = [
+        c for c in sweep.cells
+        if (c.sequence, c.fps, c.qp, c.estimator) == (sequence, fps, qp, "acbm")
+    ]
+    return cell.avg_positions
+
+
 class TestRDSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
@@ -171,7 +179,7 @@ class TestRDSweep:
             sweep.figure(10)
 
     def test_acbm_positions_lookup(self, sweep):
-        positions = sweep.acbm_positions("foreman", 30, 16)
+        positions = acbm_positions(sweep, "foreman", 30, 16)
         assert positions > 0
 
     def test_rate_decreases_with_qp(self, sweep):
@@ -238,6 +246,4 @@ class TestTable1:
         )
         sweep = run_rd_sweep(config, estimators=("acbm",))
         result = run_table1(config, sweep=sweep)
-        assert result.cell("miss_america", 30, 30) == sweep.acbm_positions(
-            "miss_america", 30, 30
-        )
+        assert result.cell("miss_america", 30, 30) == acbm_positions(sweep, "miss_america", 30, 30)

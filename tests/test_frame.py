@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.codec.macroblock import macroblock_views
 from repro.video.frame import (
     CIF,
     MACROBLOCK_SIZE,
     QCIF,
     Frame,
     FrameGeometry,
-    grey_frame,
 )
+
+from .conftest import grey_frame
 
 
 class TestFrameGeometry:
@@ -22,7 +24,6 @@ class TestFrameGeometry:
 
     def test_qcif_macroblock_grid(self):
         assert (QCIF.mb_cols, QCIF.mb_rows) == (11, 9)
-        assert QCIF.mb_count == 99
 
     def test_chroma_dimensions_are_half(self):
         assert QCIF.chroma_width == 88
@@ -77,23 +78,20 @@ class TestFrame:
         assert frame.y.dtype == np.uint8
 
     def test_luma_block_is_view(self):
+        """A macroblock's luma block is a view: the spatially predicted
+        I-frame reconstruction writes through it."""
         frame = grey_frame(QCIF)
-        block = frame.luma_block(0, 0)
+        block, _, _ = macroblock_views((frame.y, frame.cb, frame.cr), 0, 0)
         block[:] = 7
         assert frame.y[0, 0] == 7
 
     def test_luma_block_positions(self):
         y = np.arange(48 * 64, dtype=np.float64).reshape(48, 64) % 251
         frame = Frame(y)
-        block = frame.luma_block(1, 2)
+        block, cb, _ = macroblock_views((frame.y, frame.cb, frame.cr), 1, 2)
         np.testing.assert_array_equal(block, frame.y[16:32, 32:48])
         assert block.shape == (MACROBLOCK_SIZE, MACROBLOCK_SIZE)
-
-    @pytest.mark.parametrize("r,c", [(-1, 0), (0, -1), (9, 0), (0, 11)])
-    def test_block_out_of_range(self, r, c):
-        frame = grey_frame(QCIF)
-        with pytest.raises(IndexError):
-            frame.luma_block(r, c)
+        assert cb.shape == (MACROBLOCK_SIZE // 2, MACROBLOCK_SIZE // 2)
 
     def test_copy_is_independent(self):
         frame = grey_frame(QCIF)

@@ -131,6 +131,6 @@ class TestCifSupport:
         seq = make_sequence("miss_america", frames=3, geometry=CIF)
         assert seq.geometry == CIF
         result = encode_sequence(seq, qp=22, estimator="acbm", keep_reconstruction=True)
-        assert result.search_stats.blocks == 2 * CIF.mb_count
+        assert result.search_stats.blocks == 2 * CIF.mb_rows * CIF.mb_cols
         decoded = decode_bitstream(result.bitstream)
         assert all(d == r for d, r in zip(decoded, result.reconstruction))

@@ -9,19 +9,33 @@ from repro.codec.macroblock import (
     chroma_mv,
     code_inter_block,
     code_intra_block,
-    decode_inter_block,
-    decode_intra_block,
-    events_bits,
     join_luma_blocks,
     predict_chroma_block,
-    split_luma_blocks,
+    read_block_levels,
     write_events,
 )
+from repro.codec.quantizer import dequantize, dequantize_intra_dc
+from repro.codec.vlc_tables import ESCAPE, ESCAPE_PAYLOAD_BITS, TCOEF_TABLE, tcoef_symbol
 from repro.codec.zigzag import CoefficientEvent
 from repro.me.types import MotionVector
 from repro.reference import read_events
 
-from .conftest import textured_plane
+from .conftest import split_luma_blocks, textured_plane
+
+
+def decoded_coefficients(events, qp, dc_level=None):
+    """What the decoder rebuilds from a block's events: written, read
+    back by :func:`read_block_levels` (an intra block's AC from scan
+    position 1) and dequantized, with an intra block's DC level."""
+    flat = np.zeros(64, dtype=np.int64)
+    if events:
+        writer = BitWriter()
+        write_events(writer, events)
+        read_block_levels(BitReader(writer.getvalue()), flat, 0 if dc_level is None else 1)
+    recon = dequantize(flat.reshape(8, 8), qp)
+    if dc_level is not None:
+        recon[0, 0] = float(dequantize_intra_dc(dc_level))
+    return recon
 
 
 class TestLumaBlockSplit:
@@ -39,9 +53,9 @@ class TestLumaBlockSplit:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            split_luma_blocks(np.zeros((8, 8)))
-        with pytest.raises(ValueError):
             join_luma_blocks(np.zeros((6, 8, 8)))
+        with pytest.raises(ValueError):
+            join_luma_blocks(np.zeros((4, 16, 16)))
 
 
 class TestChromaMv:
@@ -84,7 +98,8 @@ class TestEventSerialization:
         ]
         writer = BitWriter()
         bits = write_events(writer, events)
-        assert bits == events_bits(events) == writer.bit_count
+        expected = sum(TCOEF_TABLE.encode(tcoef_symbol(e))[1] + 1 for e in events)
+        assert bits == expected == writer.bit_count
         assert read_events(BitReader(writer.getvalue())) == events
 
     def test_round_trip_escape_events(self):
@@ -93,7 +108,9 @@ class TestEventSerialization:
             CoefficientEvent(True, 0, -100),     # level out of table range
         ]
         writer = BitWriter()
-        write_events(writer, events)
+        bits = write_events(writer, events)
+        assert all(tcoef_symbol(e) is ESCAPE for e in events)
+        assert bits == 2 * (TCOEF_TABLE.encode(ESCAPE)[1] + ESCAPE_PAYLOAD_BITS)
         assert read_events(BitReader(writer.getvalue())) == events
 
     def test_empty_events_rejected(self):
@@ -114,7 +131,7 @@ class TestInterBlockRoundTrip:
         coefficients = forward_dct(residual)
         for qp in (4, 10, 21):
             events, recon = code_inter_block(coefficients, qp)
-            back = decode_inter_block(events, qp)
+            back = decoded_coefficients(events, qp)
             np.testing.assert_allclose(back, recon)
 
     def test_zero_residual_gives_no_events(self):
@@ -130,7 +147,7 @@ class TestIntraBlockRoundTrip:
         coefficients = forward_dct(block)
         for qp in (5, 12, 28):
             dc_level, events, recon = code_intra_block(coefficients, qp)
-            back = decode_intra_block(dc_level, events, qp)
+            back = decoded_coefficients(events, qp, dc_level)
             np.testing.assert_allclose(back, recon)
             assert 1 <= dc_level <= 254
 

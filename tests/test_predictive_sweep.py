@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import reference
 from repro.codec.encoder import encode_sequence
-from repro.codec.mv_coding import mvd_bits, mvd_bits_arrays, predict_mv, predict_mv_arrays
+from repro.codec.mv_coding import predict_mv, predict_mv_arrays
 from repro.core.acbm import ACBMEstimator
 from repro.core.classifier import DECISIONS, classify_block, classify_blocks
 from repro.core.parameters import ACBMParameters
@@ -115,19 +115,16 @@ class TestSweepGolden:
     @pytest.mark.parametrize("params", sorted(PARAMS))
     def test_acbm_matches_raster(self, clip, qp, p, params):
         ref, cur, prev_field = clip
-        for lagrangian in (False, True):
-            for half_pel in (False, True):
-                for refine_steps in (0, 2):
-                    est = pinned_acbm(
-                        refine_steps, p=p, params=PARAMS[params], lagrangian=lagrangian
-                    )
-                    with pytest.MonkeyPatch.context() as monkeypatch:
-                        if not half_pel:
-                            integer_pel(monkeypatch)
-                        for prev in (None, prev_field):
-                            assert swept(est, cur, ref, prev, qp) == raster_oracle(
-                                est, cur, ref, prev, qp
-                            ), (lagrangian, half_pel, refine_steps, prev is not None)
+        for half_pel in (False, True):
+            for refine_steps in (0, 2):
+                est = pinned_acbm(refine_steps, p=p, params=PARAMS[params])
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    if not half_pel:
+                        integer_pel(monkeypatch)
+                    for prev in (None, prev_field):
+                        assert swept(est, cur, ref, prev, qp) == raster_oracle(
+                            est, cur, ref, prev, qp
+                        ), (half_pel, refine_steps, prev is not None)
 
 
 def random_frames(seed: int, rows: int, cols: int, grain: int, levels: int, shift):
@@ -182,7 +179,6 @@ def sweep_cases(draw):
                 beta=draw(st.floats(min_value=0, max_value=10)),
                 gamma=draw(st.floats(min_value=0, max_value=1)),
             ),
-            lagrangian=draw(st.booleans()),
         )
     return est, frames, prev, draw(st.integers(min_value=1, max_value=31)), draw(st.booleans())
 
@@ -274,7 +270,7 @@ class TestFrameDriver:
         ref = textured_plane(48, 64, seed=3)
         cur = shifted_plane(ref, 1, -2)
         prev = MotionField(np.full((3, 4), 3), np.full((3, 4), -1))
-        est = ACBMEstimator(params=ACBMParameters(alpha=0, beta=0, gamma=0.02), lagrangian=True)
+        est = ACBMEstimator(params=ACBMParameters(alpha=0, beta=0, gamma=0.02))
         expected = raster_oracle(est, cur, ref, prev, 12)
         pinned = get_backend()
         set_backend(make_backend(jit=False))
@@ -332,12 +328,6 @@ class TestVectorizedTwins:
         px, py = predict_mv_arrays(hx, hy, r, c)
         for i in range(20):
             assert MotionVector(int(px[i]), int(py[i])) == predict_mv(field, r[i], c[i])
-
-    def test_mvd_bits_arrays_matches_scalar(self):
-        d = np.arange(-130, 131)
-        got = mvd_bits_arrays(d, d[::-1])
-        for a, b, bits in zip(d.tolist(), d[::-1].tolist(), got.tolist()):
-            assert bits == mvd_bits(MotionVector(a, b), MotionVector.zero())
 
     def test_classify_blocks_matches_scalar(self):
         gen = np.random.default_rng(10)

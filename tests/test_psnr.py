@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.psnr import plane_mse, psnr, sequence_psnr
-from repro.video.frame import QCIF, grey_frame
+from repro.video.frame import QCIF
+
+from .conftest import grey_frame
 
 
 class TestPlaneMse:

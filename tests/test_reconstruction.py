@@ -27,7 +27,6 @@ from repro.codec.macroblock import (
     join_luma_blocks,
     macroblock_views,
     predict_chroma_block,
-    split_luma_blocks,
 )
 from repro.codec.quantizer import dequantize, dequantize_intra_dc
 from repro.me.engine import (
@@ -48,7 +47,7 @@ from repro.video.frame import Frame
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
 
-from .conftest import backend_matrix, shifted_plane, textured_plane
+from .conftest import backend_matrix, shifted_plane, split_luma_blocks, textured_plane
 
 #: Every golden equivalence below re-runs per available kernel backend.
 kernel_backend = backend_matrix()

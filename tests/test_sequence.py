@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.video.frame import QCIF, grey_frame
+from repro.video.frame import QCIF
 from repro.video.sequence import Sequence
+
+from .conftest import grey_frame
 
 
 def make_seq(n=10, fps=30.0):
@@ -42,10 +44,6 @@ class TestSequence:
         assert len(sub) == 3
         assert sub.fps == seq.fps
         assert sub.name == seq.name
-
-    def test_duration(self):
-        assert make_seq(30, fps=30).duration == pytest.approx(1.0)
-        assert make_seq(30, fps=10).duration == pytest.approx(3.0)
 
     def test_geometry(self):
         assert make_seq(2).geometry == QCIF

@@ -9,7 +9,6 @@ from repro.video.synthesis.sprites import (
     disc_mask,
     ellipse_mask,
     linear_path,
-    piecewise_path,
     rect_mask,
     sway_path,
 )
@@ -132,17 +131,3 @@ class TestTrajectories:
     def test_bounce_degenerate_bounds(self):
         with pytest.raises(ValueError):
             bounce_path((0, 0), (1, 1), (5.0, 5.0, 0.0, 1.0))
-
-    def test_piecewise_switches_segment(self):
-        path = piecewise_path(
-            [(0, linear_path((0.0, 0.0), (1.0, 0.0))), (3, linear_path((10.0, 0.0), (0.0, 1.0)))]
-        )
-        assert path(2) == (2.0, 0.0)
-        assert path(3) == (10.0, 0.0)
-        assert path(5) == (10.0, 2.0)
-
-    def test_piecewise_validation(self):
-        with pytest.raises(ValueError):
-            piecewise_path([])
-        with pytest.raises(ValueError):
-            piecewise_path([(2, linear_path((0, 0), (0, 0)))])

@@ -27,7 +27,7 @@ from repro.streaming.decoder import frame_bytes
 from repro.video.frame import Frame, FrameGeometry
 from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
-from repro.video.yuv_io import frame_size_bytes, iter_yuv_frames, read_yuv, write_yuv
+from repro.video.yuv_io import frame_size_bytes, iter_yuv_frames, write_yuv
 
 
 SMALL = FrameGeometry(32, 32)
@@ -517,7 +517,7 @@ class TestStreamEncoder:
         chunks, _records = stream_encode(iter_yuv_frames(path, SMALL), 2)
         streamed = b"".join(chunks)
         reference = encode_sequence(
-            read_yuv(path, SMALL), qp=18, estimator="tss",
+            Sequence(iter_yuv_frames(path, SMALL)), qp=18, estimator="tss",
             keep_reconstruction=True, bitstream_version=2,
         )
         assert streamed == reference.bitstream

@@ -28,8 +28,6 @@ from repro.codec.macroblock import read_block_levels, write_events
 from repro.codec.vlc import (
     LUT_FIRST_BITS,
     VLCTable,
-    read_se_golomb,
-    read_ue_golomb,
     read_ue_golomb_bitwise,
     se_golomb_code,
     ue_golomb_code,
@@ -38,7 +36,7 @@ from repro.codec.vlc_tables import ALL_TABLES
 from repro.codec.zigzag import CoefficientEvent, events_to_block
 from repro.reference import ScalarBitReader
 
-from .conftest import backend_matrix
+from .conftest import backend_matrix, read_se_golomb, read_ue_golomb
 
 #: Every golden equivalence below re-runs per available kernel backend.
 kernel_backend = backend_matrix()
@@ -46,7 +44,10 @@ kernel_backend = backend_matrix()
 
 #: ``(decode, reader class)`` of the LUT path and of the per-bit oracle;
 #: both decoders take ``(table, reader)``.
-PATHS = ((VLCTable.decode, BitReader), (reference.decode_symbol, ScalarBitReader))
+PATHS = (
+    (lambda table, reader: reader.read_vlc(table.lut, table.lut_first_bits), BitReader),
+    (reference.decode_symbol, ScalarBitReader),
+)
 
 
 def _decode_all(table, data, count):
