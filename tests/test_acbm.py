@@ -131,6 +131,23 @@ class TestCostAccounting:
         assert costs[30] <= costs[22] <= costs[16]
 
 
+class TestLagrangianArbitration:
+    def test_default_is_sad_arbitration(self):
+        """ACBM arbitrates by SAD alone, with no rate term and no switch
+        for one: a critical block takes the full-search vector when its
+        SAD is strictly lower, however far it is from the prediction."""
+        ref = textured_plane(48, 64, seed=74)
+        cur = shifted_plane(ref, 6, -7)
+        est = ACBMEstimator(p=15, params=ACBMParameters.always_full_search())
+        result = est.search_block(context(cur, ref))
+        full = FullSearchEstimator(p=15).search_block(context(cur, ref))
+        assert result.used_full_search
+        assert full.sad < result.sad_pbm
+        assert (result.mv, result.sad) == (full.mv, full.sad)
+        with pytest.raises(TypeError, match="lagrangian"):
+            ACBMEstimator(lagrangian=True)
+
+
 class TestArbitration:
     def test_ties_keep_the_predictive_vector(self, monkeypatch):
         """A critical block takes the full-search vector only when its SAD
